@@ -25,7 +25,7 @@ fn world_with_mapping(grid: ProcessorGrid, kind: TaskMappingKind) -> SimWorld {
 
 fn run_once(graph: &DistGraph, world: &mut SimWorld, config: &BfsConfig) -> f64 {
     world.reset();
-    let r = bfs2d::run(graph, world, config, 1);
+    let r = bfs2d::try_run(graph, world, config, 1).unwrap();
     r.stats.sim_time
 }
 

@@ -20,12 +20,13 @@ fn bench_bfs_2d(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, _| {
             b.iter(|| {
                 let mut world = SimWorld::bluegene(grid);
-                let r = bfs2d::run(
+                let r = bfs2d::try_run(
                     &graph,
                     &mut world,
                     &BfsConfig::paper_optimized(),
                     black_box(1),
-                );
+                )
+                .unwrap();
                 black_box(r.stats.reached)
             })
         });
@@ -43,7 +44,8 @@ fn bench_bfs_1d_vs_2d(c: &mut Criterion) {
     group.bench_function("algorithm1_1d", |b| {
         b.iter(|| {
             let mut world = SimWorld::bluegene(grid_1d);
-            let r = bfs1d::run(&graph_1d, &mut world, &BfsConfig::paper_optimized(), 1);
+            let r =
+                bfs1d::try_run(&graph_1d, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
             black_box(r.stats.reached)
         })
     });
@@ -53,7 +55,8 @@ fn bench_bfs_1d_vs_2d(c: &mut Criterion) {
     group.bench_function("algorithm2_2d", |b| {
         b.iter(|| {
             let mut world = SimWorld::bluegene(grid_2d);
-            let r = bfs2d::run(&graph_2d, &mut world, &BfsConfig::paper_optimized(), 1);
+            let r =
+                bfs2d::try_run(&graph_2d, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
             black_box(r.stats.reached)
         })
     });
@@ -70,7 +73,8 @@ fn bench_degree_sweep(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
                 let mut world = SimWorld::bluegene(grid);
-                let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 1);
+                let r =
+                    bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
                 black_box(r.stats.reached)
             })
         });

@@ -19,7 +19,7 @@
 
 use bfs_core::{bfs2d, validate, BfsConfig};
 use bgl_bench::harness::Args;
-use bgl_comm::{ProcessorGrid, SimWorld, WirePolicy};
+use bgl_comm::{CommError, ProcessorGrid, SimWorld, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use std::fmt::Write as _;
 
@@ -56,11 +56,16 @@ struct ModeRun {
 
 /// One simulated run; both modes go through the auto wire codec so the
 /// bottom-up frontier gather rides bitmap frames where dense.
-fn mode_run(graph: &DistGraph, config: &BfsConfig, name: &'static str, source: u64) -> ModeRun {
+fn mode_run(
+    graph: &DistGraph,
+    config: &BfsConfig,
+    name: &'static str,
+    source: u64,
+) -> Result<ModeRun, CommError> {
     let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::auto());
-    let r = bfs2d::run(graph, &mut world, config, source);
+    let r = bfs2d::try_run(graph, &mut world, config, source)?;
     let (_, bu) = r.stats.direction_split();
-    ModeRun {
+    Ok(ModeRun {
         name,
         probes: r.stats.total_probes(),
         sim_s: r.stats.sim_time,
@@ -68,14 +73,14 @@ fn mode_run(graph: &DistGraph, config: &BfsConfig, name: &'static str, source: u
         bu_levels: bu,
         levels: r.levels,
         stats: r.stats,
-    }
+    })
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 60_000);
     let degree = args.f64("degree", 16.0);
@@ -96,13 +101,13 @@ fn main() {
     eprintln!("direction-optimizing BFS: {kind} n={n} degree={degree} grid {rows}x{cols}");
     let graph = DistGraph::build(spec, grid);
 
-    let td = mode_run(&graph, &BfsConfig::paper_optimized(), "top_down", source);
+    let td = mode_run(&graph, &BfsConfig::paper_optimized(), "top_down", source)?;
     let adaptive = mode_run(
         &graph,
         &BfsConfig::direction_optimized(),
         "adaptive",
         source,
-    );
+    )?;
 
     let levels_identical = td.levels == adaptive.levels;
     let probe_ratio = if adaptive.probes == 0 {
@@ -221,4 +226,5 @@ fn main() {
         }
         println!("check passed");
     }
+    Ok(())
 }

@@ -1,6 +1,6 @@
 //! Evidence for the lane-masked batched path walk: runs one BFS to get
 //! a level array, then extracts batches of shortest paths two ways —
-//! the batched `path::multi` wave versus one standalone `extract_path`
+//! the batched `path::try_multi` wave versus one standalone `try_extract_path`
 //! per target on fresh worlds — across a sweep of batch widths. Writes
 //! `BENCH_path.json`.
 //!
@@ -10,7 +10,7 @@
 //! slow runners):
 //!
 //! * every lane of the B=16 batched walk is byte-identical to its
-//!   standalone `extract_path`;
+//!   standalone `try_extract_path`;
 //! * the batched walk's simulated time at B=16 is ≥ 2× cheaper than the
 //!   16 sequential extractions it replaces;
 //! * the walk executes exactly three control rounds per hop, and hop
@@ -72,11 +72,11 @@ fn target_pool(levels: &[u32], want: usize) -> Vec<Vertex> {
     reached.into_iter().step_by(stride).take(want).collect()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 60_000);
     let degree = args.f64("degree", 16.0);
@@ -106,12 +106,12 @@ fn main() {
     // One BFS supplies the level array every extraction reads — the
     // serving-layer shape, where Path queries hit a cached array.
     let mut bfs_world = SimWorld::bluegene(grid).with_wire_policy(wire);
-    let bfs = bfs2d::run(
+    let bfs = bfs2d::try_run(
         &graph,
         &mut bfs_world,
         &BfsConfig::paper_optimized(),
         source,
-    );
+    )?;
     let levels = &bfs.levels;
     let max_width = widths.iter().copied().max().unwrap_or(GATE_WIDTH);
     let pool = target_pool(levels, max_width.max(GATE_WIDTH));
@@ -134,7 +134,14 @@ fn main() {
 
         // Batched: one wave, all targets as lanes, one shared world.
         let mut bworld = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let batched = path::multi(&graph, &mut bworld, levels, source, &targets);
+        let batched = path::try_multi(
+            &graph,
+            &mut bworld,
+            levels,
+            source,
+            &targets,
+            &path::MultiPathConfig::default(),
+        )?;
 
         // Sequential baseline: one fresh world per target, the
         // pre-batching serving cost of the same queries.
@@ -142,10 +149,10 @@ fn main() {
         let mut identical = true;
         for (lane, &t) in targets.iter().enumerate() {
             let mut sworld = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let single = path::extract_path(&graph, &mut sworld, levels, source, t);
+            let single = path::try_extract_path(&graph, &mut sworld, levels, source, t)?;
             sequential_sim_s += sworld.time();
             if batched.paths[lane] != single {
-                eprintln!("  lane {lane} (target {t}) diverged from extract_path");
+                eprintln!("  lane {lane} (target {t}) diverged from try_extract_path");
                 identical = false;
             }
         }
@@ -234,7 +241,7 @@ fn main() {
             failed = true;
         }
         if !gate_identical {
-            eprintln!("FAIL: a batched lane differs from its standalone extract_path");
+            eprintln!("FAIL: a batched lane differs from its standalone try_extract_path");
             failed = true;
         }
         if gate_speedup < MIN_SPEEDUP {
@@ -257,4 +264,5 @@ fn main() {
         }
         println!("check passed");
     }
+    Ok(())
 }

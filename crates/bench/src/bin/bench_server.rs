@@ -10,7 +10,7 @@
 //! stable on slow runners):
 //!
 //! * every lane of a B=16 batch over the workload's source pool is
-//!   bit-identical to its standalone `bfs2d::run` and passes the
+//!   bit-identical to its standalone `bfs2d::try_run` and passes the
 //!   Graph500-style validator;
 //! * batched serving at B=16 sustains ≥ 1.5× the simulated-time
 //!   throughput of B=1 with the cache disabled;
@@ -100,11 +100,11 @@ fn serve_workload(
     srv
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 60_000);
     let degree = args.f64("degree", 16.0);
@@ -158,11 +158,11 @@ fn main() {
         engine: ComputeEngine::Auto,
         ..multi::MultiConfig::default()
     };
-    let mres = multi::run(&graph, &mut mworld, &mcfg, &gate_sources);
+    let mres = multi::try_run(&graph, &mut mworld, &mcfg, &gate_sources)?;
     let mut lanes_identical = true;
     for (lane, &s) in gate_sources.iter().enumerate() {
         let mut w = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let single = bfs2d::run(&graph, &mut w, &BfsConfig::paper_optimized(), s);
+        let single = bfs2d::try_run(&graph, &mut w, &BfsConfig::paper_optimized(), s)?;
         if mres.lane_levels[lane] != single.levels {
             eprintln!("  lane {lane} (source {s}) diverged from its single-source run");
             lanes_identical = false;
@@ -344,4 +344,5 @@ fn main() {
         }
         println!("check passed");
     }
+    Ok(())
 }

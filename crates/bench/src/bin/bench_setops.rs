@@ -14,7 +14,7 @@
 use bfs_core::{bfs2d, BfsConfig, ComputeEngine};
 use bgl_bench::exp;
 use bgl_bench::harness::Args;
-use bgl_comm::{ProcessorGrid, SimWorld, Vert, VertSet, VsetPolicy};
+use bgl_comm::{CommError, ProcessorGrid, SimWorld, Vert, VertSet, VsetPolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -61,24 +61,24 @@ fn time_union(blocks: &[Vec<Vert>], policy: &VsetPolicy, reps: u64) -> f64 {
 }
 
 /// Best-of-`reps` wall-clock seconds for a full bfs2d run under `engine`.
-fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> f64 {
+fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> Result<f64, CommError> {
     let config = BfsConfig::paper_optimized().with_engine(engine);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let mut world = SimWorld::bluegene(graph.grid());
         let start = Instant::now();
-        let r = bfs2d::run(graph, &mut world, &config, 0);
+        let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
         best = best.min(start.elapsed().as_secs_f64());
         std::hint::black_box(r.stats.sim_time);
     }
-    best
+    Ok(best)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let span = args.u64("span", 1 << 16);
     let blocks = args.u64("blocks", 16);
@@ -123,8 +123,8 @@ fn main() {
         "engine: n={n} degree={degree} grid {rows}x{cols} \
          ({host_threads} host cores, {engine_threads} worker threads)"
     );
-    let serial_s = time_engine(&graph, ComputeEngine::Serial, reps);
-    let rayon_s = time_engine(&graph, ComputeEngine::Rayon, reps);
+    let serial_s = time_engine(&graph, ComputeEngine::Serial, reps)?;
+    let rayon_s = time_engine(&graph, ComputeEngine::Rayon, reps)?;
     let engine_speedup = serial_s / rayon_s;
     eprintln!("  serial  {:>9.1} ms", serial_s * 1e3);
     eprintln!(
@@ -155,4 +155,5 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
+    Ok(())
 }

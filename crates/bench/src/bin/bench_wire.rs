@@ -18,7 +18,7 @@
 use bfs_core::{bfs2d, BfsConfig, ComputeEngine};
 use bgl_bench::exp;
 use bgl_bench::harness::Args;
-use bgl_comm::{ProcessorGrid, SimWorld, WireMode, WirePolicy};
+use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -47,37 +47,37 @@ const SPEEDUP_MIN_CORES: usize = 4;
 
 /// One simulated run under `mode`; returns (logical, wire, sim_time,
 /// codec_time).
-fn coded_run(graph: &DistGraph, mode: WireMode) -> (u64, u64, f64, f64) {
+fn coded_run(graph: &DistGraph, mode: WireMode) -> Result<(u64, u64, f64, f64), CommError> {
     let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::with_mode(mode));
-    let r = bfs2d::run(graph, &mut world, &BfsConfig::paper_optimized(), 0);
-    (
+    let r = bfs2d::try_run(graph, &mut world, &BfsConfig::paper_optimized(), 0)?;
+    Ok((
         r.stats.comm.total_logical_bytes(),
         r.stats.comm.total_wire_bytes(),
         r.stats.sim_time,
         r.stats.codec_time,
-    )
+    ))
 }
 
 /// Best-of-`reps` host wall-clock seconds for a full coded run under
 /// `engine`.
-fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> f64 {
+fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> Result<f64, CommError> {
     let config = BfsConfig::paper_optimized().with_engine(engine);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::auto());
         let start = Instant::now();
-        let r = bfs2d::run(graph, &mut world, &config, 0);
+        let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
         best = best.min(start.elapsed().as_secs_f64());
         std::hint::black_box(r.stats.sim_time);
     }
-    best
+    Ok(best)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 60_000);
     let degree = args.f64("degree", 10.0);
@@ -109,7 +109,7 @@ fn main() {
     ];
     let mut per_mode = Vec::new();
     for mode in modes {
-        let (logical, wire, sim_s, codec_s) = coded_run(&graph, mode);
+        let (logical, wire, sim_s, codec_s) = coded_run(&graph, mode)?;
         let ratio = if wire == 0 {
             1.0
         } else {
@@ -132,8 +132,8 @@ fn main() {
 
     // --- Superstep scheduler: serial vs rayon host wall-clock. --------
     eprintln!("engine: {host_threads} host cores, {engine_threads} worker threads");
-    let serial_s = time_engine(&graph, ComputeEngine::Serial, reps);
-    let rayon_s = time_engine(&graph, ComputeEngine::Rayon, reps);
+    let serial_s = time_engine(&graph, ComputeEngine::Serial, reps)?;
+    let rayon_s = time_engine(&graph, ComputeEngine::Rayon, reps)?;
     let engine_speedup = serial_s / rayon_s;
     eprintln!("  serial  {:>9.1} ms", serial_s * 1e3);
     eprintln!(
@@ -200,4 +200,5 @@ fn main() {
         }
         println!("check passed");
     }
+    Ok(())
 }

@@ -83,11 +83,11 @@ impl Cell {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 8_000);
     let k = args.f64("k", 6.0);
@@ -119,7 +119,7 @@ fn main() {
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid);
     let config = BfsConfig::paper_optimized();
-    let baseline = bfs2d::run(&graph, &mut world, &config, source);
+    let baseline = bfs2d::try_run(&graph, &mut world, &config, source)?;
     println!(
         "chaos sweep: n = {n}, k = {k}, {}x{} grid, parity groups of {group} — \
          fault-free reference: {} levels, {:.3} ms simulated",
@@ -293,4 +293,5 @@ fn main() {
             cells.len()
         );
     }
+    Ok(())
 }

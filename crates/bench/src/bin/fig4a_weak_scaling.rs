@@ -39,11 +39,11 @@ const SERIES: [(u64, f64); 4] = [
     (5_000, 200.0),
 ];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let ps = args.u64_list("ps", &[1, 4, 16, 64, 256, 1024]);
     let scale = args.u64("scale", 100).max(1);
@@ -85,7 +85,7 @@ fn main() {
                 &mut world,
                 &BfsConfig::paper_optimized(),
                 &exp::sources(n, n_sources),
-            );
+            )?;
             if idx == 0 {
                 comm_cell = fmt_secs(m.comm);
                 k10_times.push((p as f64, m.exec));
@@ -131,7 +131,7 @@ fn main() {
             source,
             std::path::Path::new(dir),
         )
-        .unwrap_or_else(|e| panic!("--trace-out {dir:?}: {e}"));
+        .map_err(|e| format!("--trace-out {dir:?}: {e}"))?;
         println!(
             "\ntraced search at P={p}: wrote {} and {}",
             report.chrome_path.display(),
@@ -139,4 +139,5 @@ fn main() {
         );
         print!("{}", report.critical.render_table());
     }
+    Ok(())
 }

@@ -30,11 +30,11 @@ fig4b_message_volume — reproduce paper Figure 4.b (volume per level)
   --csv <path>   also write CSV
 ";
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 120_000);
     let k = args.f64("k", 10.0);
@@ -45,7 +45,7 @@ fn main() {
     let grid = ProcessorGrid::square_ish(p);
     let spec = GraphSpec::poisson(n, k, seed);
     let (graph, mut world) = exp::build(spec, grid);
-    let result = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), source);
+    let result = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), source)?;
 
     let predicted = theory::expected_frontiers(n as f64, k);
     let mut table = Table::new(
@@ -94,4 +94,5 @@ fn main() {
         "paper claim: volume rises quickly with level until the path length reaches \
          the graph diameter, then stays bounded/declines."
     );
+    Ok(())
 }

@@ -33,11 +33,11 @@ fig4c_bidirectional — reproduce paper Figure 4.c (bi- vs uni-directional)
   --engine-threads <n>  rayon worker threads (default: one per core)
 ";
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let ps = args.u64_list("ps", &[16, 64, 256, 1024]);
     let per_rank = args.u64("per-rank", 1000);
@@ -77,7 +77,7 @@ fn main() {
         let mut uni_recv = 0u64;
         for &(s, t) in &pairs {
             world.reset();
-            let r = bfs2d::run(&graph, &mut world, &config.clone().with_target(t), s);
+            let r = bfs2d::try_run(&graph, &mut world, &config.with_target(t), s)?;
             uni_time += r.stats.sim_time;
             uni_recv += r.stats.total_received();
         }
@@ -85,7 +85,7 @@ fn main() {
         let mut bidi_recv = 0u64;
         for &(s, t) in &pairs {
             world.reset();
-            let r = bidir::run(&graph, &mut world, &config, s, t);
+            let r = bidir::try_run(&graph, &mut world, &config, s, t)?;
             bidi_time += r.stats.sim_time;
             bidi_recv += r.stats.total_received();
         }
@@ -110,4 +110,5 @@ fn main() {
         "\nworst bidi/uni time ratio observed: {worst_ratio:.2} \
          (paper: bi-directional worst case is 33% of uni-directional)."
     );
+    Ok(())
 }

@@ -29,11 +29,11 @@ fig5_strong_scaling — reproduce paper Figure 5 (strong scaling speedup)
   --csv <path>   also write CSV
 ";
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 100_000);
     let ks = args.u64_list("ks", &[10, 100]);
@@ -63,7 +63,7 @@ fn main() {
             &mut world,
             &BfsConfig::paper_optimized(),
             &exp::sources(n, n_sources),
-        );
+        )?;
         base.push(m.exec);
     }
 
@@ -78,7 +78,7 @@ fn main() {
                 &mut world,
                 &BfsConfig::paper_optimized(),
                 &exp::sources(n, n_sources),
-            );
+            )?;
             cells.push(format!("{:.1}", base[i] / m.exec));
             cells.push(format!("{:.2}ms", m.exec * 1e3));
         }
@@ -90,4 +90,5 @@ fn main() {
         "\npaper claim: speedup grows ∝ √P for small P, then tapers as per-rank work \
          shrinks and communication dominates."
     );
+    Ok(())
 }

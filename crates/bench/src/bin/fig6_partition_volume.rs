@@ -24,7 +24,7 @@
 use bfs_core::{bfs2d, theory, BfsConfig};
 use bgl_bench::exp;
 use bgl_bench::harness::{Args, Table};
-use bgl_comm::ProcessorGrid;
+use bgl_comm::{CommError, ProcessorGrid};
 use bgl_graph::GraphSpec;
 
 const HELP: &str = "\
@@ -39,25 +39,25 @@ fig6_partition_volume — reproduce paper Figure 6 (1D vs 2D volume per level)
 
 /// Run a full (unreachable-target) traversal and return per-level total
 /// received volumes.
-fn volumes(n: u64, k: f64, grid: ProcessorGrid, seed: u64) -> Vec<u64> {
+fn volumes(n: u64, k: f64, grid: ProcessorGrid, seed: u64) -> Result<Vec<u64>, CommError> {
     let spec = GraphSpec::poisson(n, k, seed);
     let (graph, mut world) = exp::build(spec, grid);
     // Direct all-to-all fold: the figure compares the volume *induced by
     // the partitioning*, matching the §3.1 analytic model, so ring
     // forwarding must not inflate the counts.
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1);
-    r.stats
+    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1)?;
+    Ok(r.stats
         .levels
         .iter()
         .map(|l| l.expand_received + l.fold_received)
-        .collect()
+        .collect())
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 400_000);
     let p = args.usize("p", 400);
@@ -96,8 +96,8 @@ fn main() {
     let mut series: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
     for &k in &ks {
         eprintln!("  … running k={k} (2D then 1D)");
-        let v2 = volumes(n, k, mesh, seed);
-        let v1 = volumes(n, k, line, seed);
+        let v2 = volumes(n, k, mesh, seed)?;
+        let v1 = volumes(n, k, line, seed)?;
         series.push((v2, v1));
     }
     let max_levels = series
@@ -135,4 +135,5 @@ fn main() {
         "paper claims: volume grows more slowly with 1D at low degree, 2D generates \
          less at high degree, and the two are nearly identical at the crossover."
     );
+    Ok(())
 }

@@ -36,11 +36,11 @@ fig7_redundancy — reproduce paper Figure 7 (union-fold redundancy ratio)
 
 const SERIES: [(u64, f64); 2] = [(100_000, 10.0), (10_000, 100.0)];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let ps = args.u64_list("ps", &[16, 64, 144]);
     let scale = args.u64("scale", 10).max(1);
@@ -67,7 +67,7 @@ fn main() {
             let n = per_rank * p;
             let spec = GraphSpec::poisson(n, k.min(n as f64 - 1.0), seed + i as u64);
             let (graph, mut world) = exp::build(spec, grid);
-            let r = bfs2d::run(&graph, &mut world, &config, 1);
+            let r = bfs2d::try_run(&graph, &mut world, &config, 1)?;
             let ratio = r.stats.redundancy_ratio_percent();
             per_series[i].push(ratio);
             cells.push(format!("{ratio:.1}"));
@@ -97,4 +97,5 @@ fn main() {
         "paper claims: higher-degree graphs save more (up to ~80%), and the ratio \
          declines with P because ring forwarding multiplies receptions."
     );
+    Ok(())
 }

@@ -50,11 +50,11 @@ fn plan_for(fault_seed: u64, drop_pct: u64, deaths: u64, p: usize) -> FaultPlan 
     plan
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let n = args.u64("n", 20_000);
     let k = args.f64("k", 6.0);
@@ -68,7 +68,7 @@ fn main() {
     let spec = GraphSpec::poisson(n, k, seed);
     let (graph, mut world) = exp::build(spec, grid);
     let config = BfsConfig::paper_optimized();
-    let baseline = bfs2d::run(&graph, &mut world, &config, source);
+    let baseline = bfs2d::try_run(&graph, &mut world, &config, source)?;
     println!(
         "baseline: n = {n}, k = {k}, {}x{} grid — {:.3} ms simulated, {} levels\n",
         grid.rows(),
@@ -120,4 +120,5 @@ fn main() {
     }
 
     table.emit(args.str("csv"));
+    Ok(())
 }

@@ -34,11 +34,11 @@ table1_topologies — reproduce paper Table 1 (2D vs 1D topologies)
   --csv <path>   also write CSV
 ";
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
         print!("{HELP}");
-        return;
+        return Ok(());
     }
     let p = args.usize("p", 1024);
     let scale = args.u64("scale", 100).max(1);
@@ -92,7 +92,7 @@ fn main() {
             let srcs = exp::sources(n, n_sources);
             for &s in &srcs {
                 world.reset();
-                let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), s);
+                let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), s)?;
                 exec += r.stats.sim_time;
                 comm += r.stats.comm_time;
                 expand_comm += world.comm_time_for(bgl_comm::OpClass::Expand);
@@ -124,4 +124,5 @@ fn main() {
          collectivize); (2) expand/fold lengths swap roles between P x 1 and 1 x P; \
          (3) 2D wins for high degree, 1D can win end-to-end at low degree."
     );
+    Ok(())
 }

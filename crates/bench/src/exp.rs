@@ -2,7 +2,7 @@
 
 use crate::harness::Args;
 use bfs_core::{bfs2d, bidir, BfsConfig, ComputeEngine};
-use bgl_comm::{ProcessorGrid, SimWorld, WireMode, WirePolicy};
+use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 
 /// Deterministic per-experiment source vertices: spread across the
@@ -75,23 +75,23 @@ pub fn mean_search(
     world: &mut SimWorld,
     config: &BfsConfig,
     srcs: &[u64],
-) -> MeanTimes {
+) -> Result<MeanTimes, CommError> {
     let mut exec = 0.0;
     let mut comm = 0.0;
     let mut levels = 0.0;
     for &s in srcs {
         world.reset();
-        let r = bfs2d::run(graph, world, config, s);
+        let r = bfs2d::try_run(graph, world, config, s)?;
         exec += r.stats.sim_time;
         comm += r.stats.comm_time;
         levels += r.stats.num_levels() as f64;
     }
     let c = srcs.len() as f64;
-    MeanTimes {
+    Ok(MeanTimes {
         exec: exec / c,
         comm: comm / c,
         levels: levels / c,
-    }
+    })
 }
 
 /// Run a bi-directional search between each source and a far target and
@@ -101,23 +101,23 @@ pub fn mean_bidir_search(
     world: &mut SimWorld,
     config: &BfsConfig,
     pairs: &[(u64, u64)],
-) -> MeanTimes {
+) -> Result<MeanTimes, CommError> {
     let mut exec = 0.0;
     let mut comm = 0.0;
     let mut levels = 0.0;
     for &(s, t) in pairs {
         world.reset();
-        let r = bidir::run(graph, world, config, s, t);
+        let r = bidir::try_run(graph, world, config, s, t)?;
         exec += r.stats.sim_time;
         comm += r.stats.comm_time;
         levels += r.stats.num_levels() as f64;
     }
     let c = pairs.len() as f64;
-    MeanTimes {
+    Ok(MeanTimes {
         exec: exec / c,
         comm: comm / c,
         levels: levels / c,
-    }
+    })
 }
 
 /// Run one traced search and write the trace artifacts
@@ -130,13 +130,13 @@ pub fn traced_search(
     config: &BfsConfig,
     source: u64,
     dir: &std::path::Path,
-) -> std::io::Result<bgl_trace::TraceReport> {
+) -> Result<bgl_trace::TraceReport, Box<dyn std::error::Error>> {
     world.reset();
     world.enable_trace(bgl_trace::TraceDetail::Event);
-    let _ = bfs2d::run(graph, world, config, source);
+    bfs2d::try_run(graph, world, config, source)?;
     let buf = world.take_trace().expect("trace was just enabled");
     let machine = *world.cost_model().machine();
-    bgl_trace::write_artifacts(&buf, world.mapping(), &machine, dir)
+    bgl_trace::write_artifacts(&buf, world.mapping(), &machine, dir).map_err(Into::into)
 }
 
 /// Fit `y ≈ a + b·log2(x)` by least squares and return `(a, b, r2)` —
@@ -206,7 +206,8 @@ mod tests {
             &mut world,
             &BfsConfig::paper_optimized(),
             &sources(500, 2),
-        );
+        )
+        .unwrap();
         assert!(m.exec > 0.0);
         assert!(m.comm > 0.0);
         assert!(m.levels >= 2.0);

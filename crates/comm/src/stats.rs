@@ -111,7 +111,8 @@ impl FaultStats {
         *self != FaultStats::default()
     }
 
-    fn merge(&mut self, o: &FaultStats) {
+    /// Add `o`'s counters into `self`.
+    pub fn merge(&mut self, o: &FaultStats) {
         self.drops_injected += o.drops_injected;
         self.truncations_injected += o.truncations_injected;
         self.duplicates_injected += o.duplicates_injected;

@@ -25,22 +25,8 @@ use bgl_comm::{CommError, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
 
 /// Run Algorithm 1 from `source`. The graph must be distributed on a
-/// `1 × P` grid (the conventional 1D partitioning).
-///
-/// Panics on a communication fault — the 1D reference path is meant
-/// for fault-free worlds; use [`try_run`] to handle faults.
-pub fn run(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    config: &BfsConfig,
-    source: Vertex,
-) -> BfsResult {
-    try_run(graph, world, config, source)
-        // bgl-lint: allow(r1, reason = "documented infallible convenience wrapper; fault-injecting callers use try_run")
-        .unwrap_or_else(|e| panic!("communication fault during 1D BFS: {e} (use try_run)"))
-}
-
-/// [`run`] with communication faults surfaced as typed errors.
+/// `1 × P` grid (the conventional 1D partitioning). Communication
+/// faults surface as typed errors.
 pub fn try_run(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -225,7 +211,7 @@ mod tests {
             let grid = ProcessorGrid::one_d(p);
             let graph = DistGraph::build(spec, grid);
             let mut world = SimWorld::bluegene(grid);
-            let got = run(&graph, &mut world, &BfsConfig::default(), 0);
+            let got = try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
             assert_eq!(got.levels, expect, "p={p}");
         }
     }
@@ -241,9 +227,9 @@ mod tests {
         let config = BfsConfig::default();
 
         let mut w1 = SimWorld::bluegene(grid);
-        let one_d = run(&graph, &mut w1, &config, 3);
+        let one_d = try_run(&graph, &mut w1, &config, 3).unwrap();
         let mut w2 = SimWorld::bluegene(grid);
-        let two_d = crate::bfs2d::run(&graph, &mut w2, &config, 3);
+        let two_d = crate::bfs2d::try_run(&graph, &mut w2, &config, 3).unwrap();
 
         assert_eq!(one_d.levels, two_d.levels);
         assert_eq!(
@@ -272,7 +258,7 @@ mod tests {
                 fold,
                 ..BfsConfig::default()
             };
-            let got = run(&graph, &mut world, &config, 5);
+            let got = try_run(&graph, &mut world, &config, 5).unwrap();
             assert_eq!(got.levels, expect, "{fold:?}");
         }
     }
@@ -284,7 +270,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let _ = run(&graph, &mut world, &BfsConfig::default(), 0);
+        let _ = try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
     }
 
     #[test]
@@ -293,7 +279,7 @@ mod tests {
         let grid = ProcessorGrid::one_d(1);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &BfsConfig::default(), 0);
+        let got = try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
         assert_eq!(got.stats.comm.total_received(), 0);
         assert!(got.stats.reached > 1);
     }

@@ -17,11 +17,10 @@
 //!
 //! ## Fault tolerance
 //!
-//! Three entry points share one engine:
+//! Two entry points share one engine:
 //!
-//! * [`run`] — the historical panicking API for fault-free worlds;
-//! * [`try_run`] — the same run with communication faults surfaced as
-//!   typed [`CommError`]s instead of panics;
+//! * [`try_run`] — the plain run, with communication faults surfaced as
+//!   typed [`CommError`]s;
 //! * [`run_resilient`] — level-synchronous **checkpoint/recover**. Every
 //!   [`ResilientConfig::checkpoint_every`] levels the per-rank states are
 //!   checkpointed, and after every absorb each rank shares its freshly
@@ -181,23 +180,7 @@ enum LevelOutcome {
 /// Run Algorithm 2 from `source` on `graph` under `config`, inside
 /// `world`. The world's grid must match the graph's.
 ///
-/// Panics if the world reports a communication fault; use [`try_run`] or
-/// [`run_resilient`] when a [`bgl_comm::FaultPlan`] is active.
-pub fn run(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    config: &BfsConfig,
-    source: Vertex,
-) -> BfsResult {
-    try_run(graph, world, config, source).unwrap_or_else(|e| {
-        // bgl-lint: allow(r1, reason = "documented infallible convenience wrapper; fault-injecting callers use try_run or run_resilient")
-        panic!(
-            "communication fault during BFS: {e} (use try_run or run_resilient with a FaultPlan)"
-        )
-    })
-}
-
-/// [`run`] with communication faults surfaced as typed errors. Under a
+/// Communication faults surface as typed errors. Under a
 /// plan of message faults only (drops/truncations/duplicates) the
 /// retransmission protocol is transparent — the result equals a
 /// fault-free run, just slower; a rank death surfaces as
@@ -536,9 +519,8 @@ fn replay_deltas<'g>(mut st: RankState<'g>, payload: &[Vert], ckpt_level: u32) -
     st
 }
 
-/// The shared engine behind [`run`], [`try_run`] and [`run_resilient`].
-/// With `resilience == None` the communication sequence is identical to
-/// the historical fault-free `run` — no checkpoints, no mirror traffic.
+/// The shared engine behind [`try_run`] and [`run_resilient`]. With
+/// `resilience == None` there are no checkpoints and no mirror traffic.
 fn engine(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -852,7 +834,7 @@ mod tests {
         let expect = reference::bfs_levels(&adj, 0);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &config, 0);
+        let got = try_run(&graph, &mut world, &config, 0).unwrap();
         assert_eq!(got.levels, expect, "grid {grid:?} config {config:?}");
         assert_eq!(
             got.stats.reached,
@@ -918,7 +900,7 @@ mod tests {
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
         let config = BfsConfig::default().with_target(t);
-        let got = run(&graph, &mut world, &config, 0);
+        let got = try_run(&graph, &mut world, &config, 0).unwrap();
         assert_eq!(got.target_level, Some(expect[t as usize]));
         // Stopped at the target's level, not the full traversal.
         assert_eq!(
@@ -942,7 +924,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &BfsConfig::default().with_target(t), 0);
+        let got = try_run(&graph, &mut world, &BfsConfig::default().with_target(t), 0).unwrap();
         assert_eq!(got.target_level, None);
         assert_eq!(got.levels, expect);
     }
@@ -953,7 +935,7 @@ mod tests {
         let grid = ProcessorGrid::new(1, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &BfsConfig::default().with_target(7), 7);
+        let got = try_run(&graph, &mut world, &BfsConfig::default().with_target(7), 7).unwrap();
         assert_eq!(got.target_level, Some(0));
     }
 
@@ -963,7 +945,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &BfsConfig::default(), 0);
+        let got = try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
         // Sum of level sim_time == total sim time (termination check of
         // the final empty level excluded — allow small slack).
         let per_level: f64 = got.stats.levels.iter().map(|l| l.sim_time).sum();
@@ -984,7 +966,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 4);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(
+        let got = try_run(
             &graph,
             &mut world,
             &BfsConfig {
@@ -992,7 +974,8 @@ mod tests {
                 ..BfsConfig::default()
             },
             0,
-        );
+        )
+        .unwrap();
         assert!(
             got.stats.comm.total_dups_eliminated() > 0,
             "dense graph must produce fold duplicates"
@@ -1010,7 +993,7 @@ mod tests {
             max_levels: 2,
             ..BfsConfig::default()
         };
-        let got = run(&graph, &mut world, &config, 0);
+        let got = try_run(&graph, &mut world, &config, 0).unwrap();
         assert!(got.stats.num_levels() <= 2);
         // Levels beyond 2 must be unlabeled.
         assert!(got
@@ -1027,9 +1010,9 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let mut w_td = SimWorld::bluegene(grid);
-        let td = run(&graph, &mut w_td, &BfsConfig::paper_optimized(), 0);
+        let td = try_run(&graph, &mut w_td, &BfsConfig::paper_optimized(), 0).unwrap();
         let mut w_dir = SimWorld::bluegene(grid);
-        let dir = run(&graph, &mut w_dir, &BfsConfig::direction_optimized(), 0);
+        let dir = try_run(&graph, &mut w_dir, &BfsConfig::direction_optimized(), 0).unwrap();
         assert_eq!(td.levels, dir.levels, "levels must be bit-identical");
         assert_eq!(td.stats.num_levels(), dir.stats.num_levels());
         for (a, b) in td.stats.levels.iter().zip(&dir.stats.levels) {
@@ -1086,7 +1069,7 @@ mod tests {
             let grid = ProcessorGrid::new(r, c);
             let graph = DistGraph::build(spec, grid);
             let mut world = SimWorld::bluegene(grid);
-            let got = run(&graph, &mut world, &BfsConfig::direction_optimized(), 0);
+            let got = try_run(&graph, &mut world, &BfsConfig::direction_optimized(), 0).unwrap();
             assert_eq!(got.levels, expect, "grid {r}x{c}");
         }
     }
@@ -1123,7 +1106,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let mut clean = SimWorld::bluegene(grid);
-        let a = run(&graph, &mut clean, &BfsConfig::default(), 0);
+        let a = try_run(&graph, &mut clean, &BfsConfig::default(), 0).unwrap();
         let mut gated = SimWorld::bluegene(grid).with_fault_plan(FaultPlan::none());
         let b = try_run(&graph, &mut gated, &BfsConfig::default(), 0).unwrap();
         assert_eq!(a.levels, b.levels);
@@ -1137,7 +1120,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let mut clean = SimWorld::bluegene(grid);
-        let a = run(&graph, &mut clean, &BfsConfig::default(), 0);
+        let a = try_run(&graph, &mut clean, &BfsConfig::default(), 0).unwrap();
         let plan = FaultPlan::seeded(7)
             .with_drop_prob(0.2)
             .with_truncate_prob(0.05)
@@ -1370,7 +1353,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let mut w1 = SimWorld::bluegene(grid);
-        let plain = run(&graph, &mut w1, &BfsConfig::default(), 0);
+        let plain = try_run(&graph, &mut w1, &BfsConfig::default(), 0).unwrap();
         let mut w2 = SimWorld::bluegene(grid);
         let res = run_resilient(
             &graph,

@@ -47,23 +47,7 @@ enum Side {
 }
 
 /// Run a bi-directional search between `source` and `target`.
-///
-/// Panics on a communication fault — bi-directional search is meant
-/// for fault-free worlds; use [`try_run`] to handle faults.
-pub fn run(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    config: &BfsConfig,
-    source: Vertex,
-    target: Vertex,
-) -> BidirResult {
-    try_run(graph, world, config, source, target).unwrap_or_else(|e| {
-        // bgl-lint: allow(r1, reason = "documented infallible convenience wrapper; fault-injecting callers use try_run")
-        panic!("communication fault during bi-directional search: {e} (use try_run)")
-    })
-}
-
-/// [`run`] with communication faults surfaced as typed errors.
+/// Communication faults surface as typed errors.
 pub fn try_run(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -310,7 +294,7 @@ mod tests {
         for &(s, t) in pairs {
             let expect = reference::distance(&adj, s, t);
             let mut world = SimWorld::bluegene(grid);
-            let got = run(&graph, &mut world, &BfsConfig::default(), s, t);
+            let got = try_run(&graph, &mut world, &BfsConfig::default(), s, t).unwrap();
             assert_eq!(got.distance, expect, "s={s} t={t}");
         }
     }
@@ -348,7 +332,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &BfsConfig::default(), 0, t);
+        let got = try_run(&graph, &mut world, &BfsConfig::default(), 0, t).unwrap();
         assert_eq!(got.distance, None);
     }
 
@@ -358,7 +342,7 @@ mod tests {
         let grid = ProcessorGrid::new(1, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &BfsConfig::default(), 42, 42);
+        let got = try_run(&graph, &mut world, &BfsConfig::default(), 42, 42).unwrap();
         assert_eq!(got.distance, Some(0));
         assert!(got.stats.levels.is_empty());
     }
@@ -376,7 +360,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = run(&graph, &mut world, &BfsConfig::default(), s, t);
+        let got = try_run(&graph, &mut world, &BfsConfig::default(), s, t).unwrap();
         assert_eq!(got.distance, Some(1));
     }
 
@@ -395,9 +379,11 @@ mod tests {
             .expect("far vertex exists");
 
         let mut w_uni = SimWorld::bluegene(grid);
-        let uni = crate::bfs2d::run(&graph, &mut w_uni, &BfsConfig::default().with_target(t), 0);
+        let uni =
+            crate::bfs2d::try_run(&graph, &mut w_uni, &BfsConfig::default().with_target(t), 0)
+                .unwrap();
         let mut w_bi = SimWorld::bluegene(grid);
-        let bi = run(&graph, &mut w_bi, &BfsConfig::default(), 0, t);
+        let bi = try_run(&graph, &mut w_bi, &BfsConfig::default(), 0, t).unwrap();
 
         assert_eq!(bi.distance, Some(uni.target_level.unwrap()));
         assert!(

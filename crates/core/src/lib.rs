@@ -38,13 +38,14 @@
 //! let graph = DistGraph::build(spec, grid);
 //! let mut world = SimWorld::bluegene(grid);
 //!
-//! let result = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+//! let result = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0)?;
 //! assert!(result.stats.reached > 9_000); // giant component at k = 10
 //! println!(
 //!     "levels: {}, simulated time: {:.3} ms",
 //!     result.stats.num_levels(),
 //!     result.stats.sim_time * 1e3
 //! );
+//! # Ok::<(), bgl_comm::CommError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -76,8 +77,5 @@ pub use parity::{GroupShard, ParityGroups};
 pub use path::{MultiPathConfig, MultiPathResult};
 pub use reference::UNREACHED;
 pub use stats::{LevelDirection, LevelStats, RunStats};
-pub use threaded_run::{
-    run_threaded, run_threaded_direction, run_threaded_traced, run_threaded_with_wire,
-    TracedThreadedRun,
-};
+pub use threaded_run::ThreadedConfig;
 pub use validate::{validate_against_spec, validate_levels, ValidationError, ValidationReport};

@@ -17,7 +17,7 @@
 //! **Per-lane equivalence.** Lane `l` labels vertex `u` at wave `d+1`
 //! iff `u` has a neighbor at lane-`l` distance `d` and is unlabeled in
 //! lane `l` — exactly the single-source induction, so every lane's
-//! level array is *identical* to its standalone [`crate::bfs2d::run`]
+//! level array is *identical* to its standalone [`crate::bfs2d::try_run`]
 //! (asserted per-batch by [`validate_lanes`] against the Graph500-style
 //! validator, and property-tested across engines × wire policies in
 //! `tests/proptest_multi.rs`).
@@ -274,20 +274,8 @@ pub fn gather_lane_levels(states: &[MultiRankState<'_>], lanes: usize, n: u64) -
     out
 }
 
-/// Run a batched multi-source BFS; panics on communication faults (use
-/// [`try_run`] under a fault plan).
-pub fn run(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    config: &MultiConfig,
-    sources: &[Vertex],
-) -> MultiBfsResult {
-    try_run(graph, world, config, sources)
-        // bgl-lint: allow(r1, reason = "documented infallible convenience wrapper; fault-injecting callers use try_run")
-        .unwrap_or_else(|e| panic!("communication fault during batched BFS: {e}"))
-}
-
-/// [`run`] with communication faults surfaced as typed errors.
+/// Run a batched multi-source BFS. Communication faults surface as
+/// typed errors.
 pub fn try_run(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -428,7 +416,9 @@ mod tests {
 
     fn single_levels(graph: &DistGraph, source: Vertex) -> Vec<u32> {
         let mut world = SimWorld::bluegene(graph.grid());
-        bfs2d::run(graph, &mut world, &BfsConfig::paper_optimized(), source).levels
+        bfs2d::try_run(graph, &mut world, &BfsConfig::paper_optimized(), source)
+            .unwrap()
+            .levels
     }
 
     #[test]
@@ -438,7 +428,7 @@ mod tests {
         let graph = DistGraph::build(spec, grid);
         let sources = [0u64, 17, 17, 999, 1500];
         let mut world = SimWorld::bluegene(grid);
-        let r = run(&graph, &mut world, &MultiConfig::default(), &sources);
+        let r = try_run(&graph, &mut world, &MultiConfig::default(), &sources).unwrap();
         assert_eq!(r.lanes(), sources.len());
         for (lane, &s) in sources.iter().enumerate() {
             assert_eq!(
@@ -463,8 +453,8 @@ mod tests {
         };
         let mut w1 = SimWorld::bluegene(grid);
         let mut w2 = SimWorld::bluegene(grid);
-        let a = run(&graph, &mut w1, &cfg_on, &sources);
-        let b = run(&graph, &mut w2, &cfg_off, &sources);
+        let a = try_run(&graph, &mut w1, &cfg_on, &sources).unwrap();
+        let b = try_run(&graph, &mut w2, &cfg_off, &sources).unwrap();
         assert_eq!(a.lane_levels, b.lane_levels);
     }
 
@@ -480,7 +470,7 @@ mod tests {
                 engine,
                 ..MultiConfig::default()
             };
-            let r = run(&graph, &mut world, &cfg, &sources);
+            let r = try_run(&graph, &mut world, &cfg, &sources).unwrap();
             (r.lane_levels, world.time().to_bits(), r.total_probes)
         };
         assert_eq!(
@@ -495,7 +485,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let r = run(&graph, &mut world, &MultiConfig::default(), &[42]);
+        let r = try_run(&graph, &mut world, &MultiConfig::default(), &[42]).unwrap();
         assert_eq!(r.lane_levels[0], single_levels(&graph, 42));
     }
 
@@ -509,7 +499,7 @@ mod tests {
             max_waves: 1,
             ..MultiConfig::default()
         };
-        let r = run(&graph, &mut world, &cfg, &[42]);
+        let r = try_run(&graph, &mut world, &cfg, &[42]).unwrap();
         assert!(r.waves.len() <= 1);
         assert!(r.lane_levels[0].iter().all(|&l| l == UNREACHED || l <= 1));
     }

@@ -30,23 +30,8 @@ use std::collections::BTreeMap;
 /// Extract one shortest path `source → target` given the global level
 /// array produced by a BFS from `source`. Returns `None` when the
 /// target was not reached. The returned path starts at `source`, ends
-/// at `target`, and has `levels[target] + 1` vertices.
-///
-/// Panics on a communication fault; see [`try_extract_path`] for the
-/// fallible form.
-pub fn extract_path(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    levels: &[u32],
-    source: Vertex,
-    target: Vertex,
-) -> Option<Vec<Vertex>> {
-    try_extract_path(graph, world, levels, source, target)
-        // bgl-lint: allow(r1, reason = "documented infallible convenience wrapper; fault-injecting callers use try_extract_path")
-        .unwrap_or_else(|e| panic!("communication fault during path extraction: {e}"))
-}
-
-/// [`extract_path`] with communication faults surfaced as typed errors.
+/// at `target`, and has `levels[target] + 1` vertices. Communication
+/// faults surface as typed errors.
 pub fn try_extract_path(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -161,7 +146,7 @@ impl Default for MultiPathConfig {
 pub struct MultiPathResult {
     /// Per-lane extracted path, in `targets` order; `None` where the
     /// target was not reached. Byte-identical to what a standalone
-    /// [`extract_path`] returns for the same target.
+    /// [`try_extract_path`] returns for the same target.
     pub paths: Vec<Option<Vec<Vertex>>>,
     /// Walk hops executed — the depth of the deepest reached target.
     pub hops: u32,
@@ -174,29 +159,9 @@ pub struct MultiPathResult {
 }
 
 /// Extract up to [`MAX_LANES`] shortest paths from one BFS level array
-/// in a single lane-masked batched walk. Panics on communication
-/// errors; see [`try_multi`] for the fallible form.
-pub fn multi(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    levels: &[u32],
-    source: Vertex,
-    targets: &[Vertex],
-) -> MultiPathResult {
-    try_multi(
-        graph,
-        world,
-        levels,
-        source,
-        targets,
-        &MultiPathConfig::default(),
-    )
-    .expect("control traffic retries exhausted") // bgl-lint: allow(r1, reason = "documented infallible convenience wrapper; fault-injecting callers use try_multi")
-}
-
-/// Batched downhill walk: every target is a *lane* (bit `l` of a
-/// [`LaneMask`]) and all active lanes share each of the three per-hop
-/// control rounds of the [`extract_path`] protocol:
+/// in a single lane-masked batched walk: every target is a *lane* (bit
+/// `l` of a [`LaneMask`]) and all active lanes share each of the three
+/// per-hop control rounds of the [`try_extract_path`] protocol:
 ///
 /// 1. **announce** — each lane's current vertex travels to its owner's
 ///    processor-column, lanes parked on the same vertex merging into
@@ -210,7 +175,7 @@ pub fn multi(
 ///    then send per-rank per-lane minima back to the lane's owner.
 ///
 /// The lane's parent is the minimum over replies — the same smallest-
-/// parent tie-break as [`extract_path`], so every lane's path is
+/// parent tie-break as [`try_extract_path`], so every lane's path is
 /// byte-identical to its standalone extraction. Lanes whose walks reach
 /// the source drop out of later hops; the wave ends when the deepest
 /// lane arrives. Rounds are [`OpClass::Control`] (faultable only under
@@ -361,7 +326,7 @@ pub fn try_multi(
         rounds += 1;
 
         // Resolve every active lane's parent at its owner: the global
-        // minimum over per-rank minima — extract_path's tie-break.
+        // minimum over per-rank minima — try_extract_path's tie-break.
         let mut next_active = active;
         for l in 0..b {
             if active & (1 << l) == 0 {
@@ -474,9 +439,27 @@ mod tests {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let result = bfs2d::run(&graph, &mut world, &BfsConfig::default(), 0);
+        let result = bfs2d::try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
         let adj = bgl_graph::dist::adjacency(&spec);
         (graph, world, result.levels, adj)
+    }
+
+    /// A batched walk from source 0 under the default retry budget.
+    fn walk(
+        graph: &DistGraph,
+        world: &mut SimWorld,
+        levels: &[u32],
+        targets: &[Vertex],
+    ) -> MultiPathResult {
+        try_multi(
+            graph,
+            world,
+            levels,
+            0,
+            targets,
+            &MultiPathConfig::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -486,7 +469,8 @@ mod tests {
             if levels[target as usize] == UNREACHED {
                 continue;
             }
-            let path = extract_path(&graph, &mut world, &levels, 0, target)
+            let path = try_extract_path(&graph, &mut world, &levels, 0, target)
+                .unwrap()
                 .expect("reached target has a path");
             assert_eq!(path.first(), Some(&0));
             assert_eq!(path.last(), Some(&target));
@@ -501,13 +485,17 @@ mod tests {
         let t = (0..300u64)
             .find(|&v| levels[v as usize] == UNREACHED)
             .unwrap();
-        assert!(extract_path(&graph, &mut world, &levels, 0, t).is_none());
+        assert!(try_extract_path(&graph, &mut world, &levels, 0, t)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn source_to_source_is_trivial() {
         let (graph, mut world, levels, _) = setup(100, 5.0, 7, 1, 2);
-        let path = extract_path(&graph, &mut world, &levels, 0, 0).unwrap();
+        let path = try_extract_path(&graph, &mut world, &levels, 0, 0)
+            .unwrap()
+            .unwrap();
         assert_eq!(path, vec![0]);
     }
 
@@ -518,7 +506,9 @@ mod tests {
             .rev()
             .find(|&v| levels[v as usize] != UNREACHED && levels[v as usize] >= 2)
             .unwrap();
-        let path = extract_path(&graph, &mut world, &levels, 0, target).unwrap();
+        let path = try_extract_path(&graph, &mut world, &levels, 0, target)
+            .unwrap()
+            .unwrap();
         assert!(validate_path(&adj, &levels, &path));
     }
 
@@ -527,8 +517,9 @@ mod tests {
         let (graph, mut world, levels, adj) = setup(500, 4.0, 23, 3, 2);
         for target in [33u64, 222, 444] {
             let expect = reference::distance(&adj, 0, target);
-            let got =
-                extract_path(&graph, &mut world, &levels, 0, target).map(|p| p.len() as u32 - 1);
+            let got = try_extract_path(&graph, &mut world, &levels, 0, target)
+                .unwrap()
+                .map(|p| p.len() as u32 - 1);
             assert_eq!(got, expect, "target {target}");
         }
     }
@@ -541,7 +532,9 @@ mod tests {
             .find(|&v| levels[v as usize] != UNREACHED && levels[v as usize] >= 2)
             .unwrap();
         let before = world.comm_time();
-        let _ = extract_path(&graph, &mut world, &levels, 0, target).unwrap();
+        let _ = try_extract_path(&graph, &mut world, &levels, 0, target)
+            .unwrap()
+            .unwrap();
         assert!(world.comm_time() > before);
         assert!(world.stats.class(OpClass::Control).messages > 0);
     }
@@ -586,7 +579,9 @@ mod tests {
             .rev()
             .find(|&v| levels[v as usize] != UNREACHED && levels[v as usize] >= 2)
             .unwrap();
-        let path = extract_path(&graph, &mut world, &levels, 0, target).unwrap();
+        let path = try_extract_path(&graph, &mut world, &levels, 0, target)
+            .unwrap()
+            .unwrap();
         for w in path.windows(2) {
             let (parent, child) = (w[0], w[1]);
             let min_parent = adj[child as usize]
@@ -610,11 +605,11 @@ mod tests {
             .max_by_key(|&v| levels[v as usize])
             .unwrap();
         let targets = vec![5u64, 100, 250, 399, 250, 0, deep];
-        let batched = multi(&graph, &mut world, &levels, 0, &targets);
+        let batched = walk(&graph, &mut world, &levels, &targets);
         assert_eq!(batched.paths.len(), targets.len());
         let mut seq = SimWorld::bluegene(world.grid());
         for (l, &t) in targets.iter().enumerate() {
-            let solo = extract_path(&graph, &mut seq, &levels, 0, t);
+            let solo = try_extract_path(&graph, &mut seq, &levels, 0, t).unwrap();
             assert_eq!(batched.paths[l], solo, "lane {l} target {t}");
         }
         assert_eq!(
@@ -634,7 +629,7 @@ mod tests {
             .rev()
             .find(|&v| levels[v as usize] != UNREACHED && levels[v as usize] >= 1)
             .unwrap();
-        let r = multi(&graph, &mut world, &levels, 0, &[unreached, 0, reached]);
+        let r = walk(&graph, &mut world, &levels, &[unreached, 0, reached]);
         assert_eq!(r.paths[0], None);
         assert_eq!(r.paths[1], Some(vec![0]));
         assert_eq!(
@@ -647,7 +642,7 @@ mod tests {
     fn multi_all_trivial_runs_zero_rounds() {
         let (graph, mut world, levels, _) = setup(100, 5.0, 7, 1, 2);
         let before = world.time();
-        let r = multi(&graph, &mut world, &levels, 0, &[0, 0]);
+        let r = walk(&graph, &mut world, &levels, &[0, 0]);
         assert_eq!(r.paths, vec![Some(vec![0]), Some(vec![0])]);
         assert_eq!((r.hops, r.rounds), (0, 0));
         assert_eq!(world.time(), before);
@@ -661,11 +656,11 @@ mod tests {
             .filter(|&v| levels[v as usize] != UNREACHED && levels[v as usize] >= 2)
             .take(16)
             .collect();
-        let batched = multi(&graph, &mut world, &levels, 0, &targets);
+        let batched = walk(&graph, &mut world, &levels, &targets);
         let mut seq = SimWorld::bluegene(world.grid());
         let t0 = seq.time();
         for &t in &targets {
-            let _ = extract_path(&graph, &mut seq, &levels, 0, t);
+            let _ = try_extract_path(&graph, &mut seq, &levels, 0, t).unwrap();
         }
         let sequential = seq.time() - t0;
         assert!(
@@ -683,10 +678,10 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let mut clean = SimWorld::bluegene(grid);
-        let result = bfs2d::run(&graph, &mut clean, &BfsConfig::default(), 0);
+        let result = bfs2d::try_run(&graph, &mut clean, &BfsConfig::default(), 0).unwrap();
         let levels = result.levels;
         let targets = vec![399u64, 250, 100];
-        let want = multi(&graph, &mut clean, &levels, 0, &targets).paths;
+        let want = walk(&graph, &mut clean, &levels, &targets).paths;
 
         let plan = FaultPlan::seeded(29)
             .with_control_drop_prob(0.4)
@@ -716,7 +711,7 @@ mod tests {
             .rev()
             .find(|&v| levels[v as usize] != UNREACHED && levels[v as usize] >= 2)
             .unwrap();
-        let r = multi(&graph, &mut world, &levels, 0, &[target]);
+        let r = walk(&graph, &mut world, &levels, &[target]);
         let trace = world.take_trace().unwrap();
         let spans = trace
             .events()

@@ -6,10 +6,10 @@
 //! simulator against a real parallel execution and to power examples
 //! that want actual parallelism; no cost model applies.
 //!
-//! [`run_threaded_with_faults`] drives the same loop under a
-//! [`FaultPlan`]: lossy exchanges retransmit (counted per rank in
-//! [`FaultStats`]), and a scheduled rank death aborts every rank at the
-//! same superstep with a typed [`CommError`]. Because both runtimes
+//! [`run`] takes one [`ThreadedConfig`]. Under a [`FaultPlan`], lossy
+//! exchanges retransmit (counted per rank in [`FaultStats`]), and a
+//! scheduled rank death aborts every rank at the same superstep with a
+//! typed [`CommError`]. Because both runtimes
 //! derive faults from the same pure hash of `(seed, class, round, from,
 //! to)`, a run here injects the *same* fault schedule as the simulator —
 //! the cross-runtime determinism the fault tests assert.
@@ -51,148 +51,86 @@ pub struct RankOutcome {
     pub trace: Option<TraceBuffer>,
 }
 
-/// A traced threaded run: the global level labels plus one merged trace
-/// buffer (every rank's recorder assembled onto its own track).
+/// Knobs for [`run`]. `Default` is the plain search: sent-neighbors
+/// cache on, no faults, raw wire, no trace, always top-down.
 #[derive(Debug, Clone)]
-pub struct TracedThreadedRun {
-    /// Global level labels, as [`run_threaded`] returns.
-    pub levels: Vec<u32>,
-    /// The merged trace: rank `r`'s events on track `r`.
-    pub buffer: TraceBuffer,
+pub struct ThreadedConfig {
+    /// Keep the per-rank sent-neighbors cache.
+    pub sent_neighbors: bool,
+    /// Deterministic fault schedule — the same one the simulator
+    /// injects for the same plan.
+    pub faults: FaultPlan,
+    /// Wire codec: every rank encodes its expand/fold payloads to the
+    /// same adaptive frames the simulator charges to its cost model.
+    /// Retransmitted messages carry the same encoded frames.
+    pub wire: WirePolicy,
+    /// Per-rank tracing: wall-clock spans for the same collective phases
+    /// the simulator traces, so the two runtimes' traces compare span
+    /// set against span set. `None` records nothing.
+    pub trace: Option<TraceDetail>,
+    /// Top-down/bottom-up switch. Levels decide from the same 3-word
+    /// allreduce and integer thresholds as the simulator, so the
+    /// per-level direction vector matches the simulator's bit for bit.
+    /// Bottom-up levels replace the targeted expand with a
+    /// neighbour-only frontier ring over the processor column — the
+    /// threaded mirror of `bgl_comm::collectives::frontier`, with the
+    /// same empty-pieces-are-not-sent convention so fault schedules stay
+    /// aligned across runtimes.
+    pub direction: DirectionPolicy,
 }
 
-/// Run a BFS from `source` using one thread per rank. Returns the global
-/// level array.
-pub fn run_threaded(graph: &DistGraph, source: Vertex, use_sent: bool) -> Vec<u32> {
-    let per_rank = run_threaded_with_faults(graph, source, use_sent, FaultPlan::none());
-    let mut levels = vec![UNREACHED; graph.spec.n as usize];
-    for out in per_rank {
-        // bgl-lint: allow(r1, reason = "FaultPlan::none() means no rank can die or time out, so every per-rank result is Ok")
-        let out = out.expect("fault-free threaded run cannot fail");
-        let s = out.owned_start as usize;
-        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-    }
-    levels
-}
-
-/// [`run_threaded`] with per-rank tracing enabled (fault-free). Each
-/// rank records wall-clock spans for the same collective phases the
-/// simulator traces — termination, expand, discover, fold, absorb and
-/// the whole level — so the two runtimes' traces are comparable span
-/// set against span set.
-pub fn run_threaded_traced(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    detail: TraceDetail,
-) -> TracedThreadedRun {
-    let per_rank = run_threaded_inner(
-        graph,
-        source,
-        use_sent,
-        FaultPlan::none(),
-        WirePolicy::raw(),
-        Some(detail),
-        DirectionPolicy::top_down(),
-    );
-    let p = graph.grid().len();
-    let mut buffer = TraceBuffer::new(p, DEFAULT_RING_CAPACITY);
-    let mut levels = vec![UNREACHED; graph.spec.n as usize];
-    for (rank, out) in per_rank.into_iter().enumerate() {
-        // bgl-lint: allow(r1, reason = "FaultPlan::none() means no rank can die or time out, so every per-rank result is Ok")
-        let out = out.expect("fault-free threaded run cannot fail");
-        let s = out.owned_start as usize;
-        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-        if let Some(buf) = &out.trace {
-            buffer.absorb_rank(rank, buf);
+impl Default for ThreadedConfig {
+    fn default() -> Self {
+        ThreadedConfig {
+            sent_neighbors: true,
+            faults: FaultPlan::none(),
+            wire: WirePolicy::raw(),
+            trace: None,
+            direction: DirectionPolicy::top_down(),
         }
     }
-    TracedThreadedRun { levels, buffer }
 }
 
-/// [`run_threaded`] under a deterministic [`FaultPlan`]. Each rank
-/// reports its own outcome: the labels it computed plus its fault
-/// counters, or the typed error that aborted it.
-pub fn run_threaded_with_faults(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-) -> Vec<Result<RankOutcome, CommError>> {
-    run_threaded_inner(
-        graph,
-        source,
-        use_sent,
-        plan,
-        WirePolicy::raw(),
-        None,
-        DirectionPolicy::top_down(),
-    )
+/// A threaded run folded into one result by [`assemble`].
+#[derive(Debug, Clone, Default)]
+pub struct ThreadedResult {
+    /// Global level labels.
+    pub levels: Vec<u32>,
+    /// Fault counters summed over ranks.
+    pub faults: FaultStats,
+    /// Scratch-pool buffer reuses summed over ranks.
+    pub scratch_reuses: u64,
+    /// Expand byte accounting summed over ranks.
+    pub expand_wire: WireCount,
+    /// Fold byte accounting summed over ranks.
+    pub fold_wire: WireCount,
+    /// The per-level direction vector every rank agreed on.
+    pub directions: Vec<LevelDirection>,
+    /// The merged trace, rank `r`'s events on track `r` (traced runs
+    /// only).
+    pub trace: Option<TraceBuffer>,
 }
 
-/// [`run_threaded_with_faults`] with a wire-codec policy: every rank
-/// encodes its expand/fold payloads to the same adaptive wire frames
-/// the simulator charges to its cost model, and reports its sender-side
-/// logical/wire byte counters in the [`RankOutcome`]. Composes with
-/// fault plans — retransmitted messages carry the same encoded frames.
-pub fn run_threaded_with_wire(
+/// Run a BFS from `source` using one thread per rank. Each rank reports
+/// its own outcome: the labels it computed plus its counters, or the
+/// typed error that aborted it. [`assemble`] folds them into one result.
+pub fn run(
     graph: &DistGraph,
     source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-    wire: WirePolicy,
-) -> Vec<Result<RankOutcome, CommError>> {
-    run_threaded_inner(
-        graph,
-        source,
-        use_sent,
-        plan,
-        wire,
-        None,
-        DirectionPolicy::top_down(),
-    )
-}
-
-/// [`run_threaded_with_wire`] plus a [`DirectionPolicy`]: levels pick
-/// top-down or bottom-up from the same 3-word allreduce and integer
-/// thresholds as the simulator, so the per-level direction vector (and
-/// the level labels) must match the simulator's bit for bit. Bottom-up
-/// levels replace the targeted expand with a neighbour-only frontier
-/// ring over the processor column — the threaded mirror of
-/// `bgl_comm::collectives::frontier`, with the same
-/// empty-pieces-are-not-sent convention so fault schedules stay
-/// aligned across runtimes.
-pub fn run_threaded_direction(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-    wire: WirePolicy,
-    direction: DirectionPolicy,
-) -> Vec<Result<RankOutcome, CommError>> {
-    run_threaded_inner(graph, source, use_sent, plan, wire, None, direction)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_threaded_inner(
-    graph: &DistGraph,
-    source: Vertex,
-    use_sent: bool,
-    plan: FaultPlan,
-    wire: WirePolicy,
-    trace: Option<TraceDetail>,
-    direction: DirectionPolicy,
+    config: &ThreadedConfig,
 ) -> Vec<Result<RankOutcome, CommError>> {
     let grid = graph.grid();
     assert!(source < graph.spec.n);
 
+    let direction = config.direction;
+    let plan = config.faults.clone();
     ThreadedWorld::run_with(grid, plan, |ctx| -> Result<RankOutcome, CommError> {
         let rank = ctx.rank();
-        ctx.set_wire_policy(wire);
-        if let Some(detail) = trace {
+        ctx.set_wire_policy(config.wire);
+        if let Some(detail) = config.trace {
             ctx.enable_trace(detail);
         }
-        let mut st = RankState::new(&graph.ranks[rank], graph.partition, use_sent);
+        let mut st = RankState::new(&graph.ranks[rank], graph.partition, config.sent_neighbors);
         st.init_source(source);
         let mut directions: Vec<LevelDirection> = Vec::new();
 
@@ -301,6 +239,42 @@ fn run_threaded_inner(
     })
 }
 
+/// Fold per-rank outcomes, in rank order as [`run`] returns them, into
+/// one [`ThreadedResult`]; the first rank's error aborts the fold.
+pub fn assemble(
+    graph: &DistGraph,
+    outs: Vec<Result<RankOutcome, CommError>>,
+) -> Result<ThreadedResult, CommError> {
+    let p = outs.len();
+    let mut result = ThreadedResult {
+        levels: vec![UNREACHED; graph.spec.n as usize],
+        ..ThreadedResult::default()
+    };
+    for (rank, out) in outs.into_iter().enumerate() {
+        let out = out?;
+        let s = out.owned_start as usize;
+        result.levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
+        result.faults.merge(&out.faults);
+        result.scratch_reuses += out.scratch_reuses;
+        result.expand_wire.logical_bytes += out.expand_wire.logical_bytes;
+        result.expand_wire.wire_bytes += out.expand_wire.wire_bytes;
+        result.fold_wire.logical_bytes += out.fold_wire.logical_bytes;
+        result.fold_wire.wire_bytes += out.fold_wire.wire_bytes;
+        debug_assert!(
+            rank == 0 || result.directions == out.directions,
+            "ranks disagreed on the direction vector"
+        );
+        result.directions = out.directions;
+        if let Some(buf) = &out.trace {
+            result
+                .trace
+                .get_or_insert_with(|| TraceBuffer::new(p, DEFAULT_RING_CAPACITY))
+                .absorb_rank(rank, buf);
+        }
+    }
+    Ok(result)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +283,10 @@ mod tests {
     use bgl_comm::{ProcessorGrid, SimWorld};
     use bgl_graph::GraphSpec;
 
+    fn levels_of(graph: &DistGraph, source: Vertex, config: &ThreadedConfig) -> Vec<u32> {
+        assemble(graph, run(graph, source, config)).unwrap().levels
+    }
+
     #[test]
     fn threaded_matches_oracle() {
         let spec = GraphSpec::poisson(300, 6.0, 61);
@@ -316,7 +294,7 @@ mod tests {
         let expect = reference::bfs_levels(&adj, 0);
         for (r, c) in [(1, 1), (2, 2), (2, 3), (4, 2)] {
             let graph = DistGraph::build(spec, ProcessorGrid::new(r, c));
-            let got = run_threaded(&graph, 0, true);
+            let got = levels_of(&graph, 0, &ThreadedConfig::default());
             assert_eq!(got, expect, "grid {r}x{c}");
         }
     }
@@ -328,9 +306,10 @@ mod tests {
         let spec = GraphSpec::poisson(500, 5.0, 71);
         let grid = ProcessorGrid::new(3, 3);
         let graph = DistGraph::build(spec, grid);
-        let threaded = run_threaded(&graph, 7, true);
+        let threaded = levels_of(&graph, 7, &ThreadedConfig::default());
         let mut world = SimWorld::bluegene(grid);
-        let sim = crate::bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 7);
+        let sim =
+            crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 7).unwrap();
         assert_eq!(threaded, sim.levels);
     }
 
@@ -340,11 +319,8 @@ mod tests {
         // the per-rank pool instead of allocating fresh ones each round.
         let spec = GraphSpec::poisson(400, 6.0, 51);
         let graph = DistGraph::build(spec, ProcessorGrid::new(2, 2));
-        let outs = run_threaded_with_faults(&graph, 0, true, FaultPlan::none());
-        let total: u64 = outs
-            .into_iter()
-            .map(|o| o.expect("fault-free").scratch_reuses)
-            .sum();
+        let outs = run(&graph, 0, &ThreadedConfig::default());
+        let total = assemble(&graph, outs).unwrap().scratch_reuses;
         assert!(total > 0, "expected pooled buffer reuse across levels");
     }
 
@@ -354,7 +330,11 @@ mod tests {
         let adj = bgl_graph::dist::adjacency(&spec);
         let expect = reference::bfs_levels(&adj, 3);
         let graph = DistGraph::build(spec, ProcessorGrid::new(2, 2));
-        assert_eq!(run_threaded(&graph, 3, false), expect);
+        let config = ThreadedConfig {
+            sent_neighbors: false,
+            ..ThreadedConfig::default()
+        };
+        assert_eq!(levels_of(&graph, 3, &config), expect);
     }
 
     #[test]
@@ -373,30 +353,52 @@ mod tests {
             .with_truncate_prob(0.05)
             .with_duplicate_prob(0.05);
 
-        let outs = run_threaded_with_faults(&graph, 0, true, plan.clone());
-        let mut levels = vec![UNREACHED; graph.spec.n as usize];
-        let mut total = FaultStats::default();
-        for out in outs {
-            let out = out.expect("message faults are transparent");
-            let s = out.owned_start as usize;
-            levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-            total.drops_injected += out.faults.drops_injected;
-            total.truncations_injected += out.faults.truncations_injected;
-            total.duplicates_injected += out.faults.duplicates_injected;
-            total.retransmissions += out.faults.retransmissions;
-        }
-        assert_eq!(levels, expect);
-        assert!(total.retransmissions > 0);
+        let config = ThreadedConfig {
+            faults: plan.clone(),
+            ..ThreadedConfig::default()
+        };
+        let threaded = assemble(&graph, run(&graph, 0, &config)).expect("faults are transparent");
+        assert_eq!(threaded.levels, expect);
+        assert!(threaded.faults.retransmissions > 0);
 
         let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
         let sim =
             crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
         assert_eq!(sim.levels, expect);
-        let sf = &sim.stats.comm.faults;
-        assert_eq!(total.drops_injected, sf.drops_injected);
-        assert_eq!(total.truncations_injected, sf.truncations_injected);
-        assert_eq!(total.duplicates_injected, sf.duplicates_injected);
-        assert_eq!(total.retransmissions, sf.retransmissions);
+        assert_eq!(threaded.faults, sim.stats.comm.faults);
+    }
+
+    #[test]
+    fn assembler_returns_rank_death_and_sums_lossy_fault_counters() {
+        let spec = GraphSpec::poisson(200, 5.0, 21);
+        let grid = ProcessorGrid::new(2, 2);
+        let graph = DistGraph::build(spec, grid);
+
+        // A scheduled death surfaces as the typed error, not a panic.
+        let dead = ThreadedConfig {
+            faults: FaultPlan::seeded(9).kill_rank_at(2, 3),
+            ..ThreadedConfig::default()
+        };
+        let err = assemble(&graph, run(&graph, 0, &dead)).unwrap_err();
+        assert_eq!(err, CommError::RankDead { rank: 2 });
+
+        // Under a lossy plan the summed per-rank counters equal the
+        // simulator's world totals for the same schedule.
+        let plan = FaultPlan::seeded(17)
+            .with_drop_prob(0.2)
+            .with_truncate_prob(0.05)
+            .with_duplicate_prob(0.05);
+        let lossy = ThreadedConfig {
+            faults: plan.clone(),
+            ..ThreadedConfig::default()
+        };
+        let threaded = assemble(&graph, run(&graph, 0, &lossy)).unwrap();
+        assert!(threaded.faults.drops_injected > 0, "the plan must fire");
+        let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
+        let sim =
+            crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
+        assert_eq!(threaded.faults, sim.stats.comm.faults);
+        assert_eq!(threaded.levels, sim.levels);
     }
 
     #[test]
@@ -412,23 +414,17 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
 
-        let outs = run_threaded_with_wire(&graph, 0, true, FaultPlan::none(), WirePolicy::auto());
-        let mut levels = vec![UNREACHED; graph.spec.n as usize];
-        let mut expand = WireCount::default();
-        let mut fold = WireCount::default();
-        for out in outs {
-            let out = out.expect("fault-free");
-            let s = out.owned_start as usize;
-            levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-            expand.logical_bytes += out.expand_wire.logical_bytes;
-            expand.wire_bytes += out.expand_wire.wire_bytes;
-            fold.logical_bytes += out.fold_wire.logical_bytes;
-            fold.wire_bytes += out.fold_wire.wire_bytes;
-        }
-        assert_eq!(levels, expect);
+        let config = ThreadedConfig {
+            wire: WirePolicy::auto(),
+            ..ThreadedConfig::default()
+        };
+        let threaded = assemble(&graph, run(&graph, 0, &config)).unwrap();
+        let (expand, fold) = (threaded.expand_wire, threaded.fold_wire);
+        assert_eq!(threaded.levels, expect);
 
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        let sim = crate::bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0);
+        let sim =
+            crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0).unwrap();
         assert_eq!(sim.levels, expect);
         let se = sim.stats.comm.class(OpClass::Expand);
         let sf = sim.stats.comm.class(OpClass::Fold);
@@ -456,29 +452,25 @@ mod tests {
             ..BfsConfig::baseline_alltoall()
         };
         let mut world = SimWorld::bluegene(grid);
-        let sim = crate::bfs2d::run(&graph, &mut world, &config, 0);
+        let sim = crate::bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         let sim_dirs: Vec<LevelDirection> = sim.stats.levels.iter().map(|l| l.direction).collect();
         assert!(
             sim_dirs.contains(&LevelDirection::BottomUp),
             "expected at least one bottom-up level"
         );
 
-        let outs = run_threaded_direction(
-            &graph,
-            0,
-            true,
-            FaultPlan::none(),
-            WirePolicy::raw(),
-            config.direction,
-        );
-        let mut levels = vec![UNREACHED; graph.spec.n as usize];
-        for out in outs {
-            let out = out.expect("fault-free");
-            assert_eq!(out.directions, sim_dirs, "per-level direction vector");
-            let s = out.owned_start as usize;
-            levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
+        let threaded_config = ThreadedConfig {
+            direction: config.direction,
+            ..ThreadedConfig::default()
+        };
+        let outs = run(&graph, 0, &threaded_config);
+        for out in &outs {
+            let dirs = &out.as_ref().unwrap().directions;
+            assert_eq!(dirs, &sim_dirs, "per-level direction vector");
         }
-        assert_eq!(levels, sim.levels);
+        let threaded = assemble(&graph, outs).unwrap();
+        assert_eq!(threaded.directions, sim_dirs);
+        assert_eq!(threaded.levels, sim.levels);
     }
 
     #[test]
@@ -486,8 +478,11 @@ mod tests {
         let spec = GraphSpec::poisson(200, 5.0, 21);
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
-        let plan = FaultPlan::seeded(9).kill_rank_at(2, 3);
-        let outs = run_threaded_with_faults(&graph, 0, true, plan);
+        let config = ThreadedConfig {
+            faults: FaultPlan::seeded(9).kill_rank_at(2, 3),
+            ..ThreadedConfig::default()
+        };
+        let outs = run(&graph, 0, &config);
         assert_eq!(outs.len(), 4);
         for out in outs {
             assert_eq!(out.unwrap_err(), CommError::RankDead { rank: 2 });

@@ -152,22 +152,7 @@ impl<'g> TreeRankState<'g> {
 /// Run a tree-building BFS from `source`. Only the `sent_neighbors` and
 /// `max_levels` fields of `config` apply (the fold is always the direct
 /// targeted all-to-all — see module docs).
-///
-/// Panics on a communication fault — tree construction is meant for
-/// fault-free worlds; use [`try_run_tree`] to handle faults.
-pub fn run_tree(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    config: &BfsConfig,
-    source: Vertex,
-) -> TreeResult {
-    try_run_tree(graph, world, config, source).unwrap_or_else(|e| {
-        // bgl-lint: allow(r1, reason = "documented infallible convenience wrapper; fault-injecting callers use try_run_tree")
-        panic!("communication fault during tree construction: {e} (use try_run_tree)")
-    })
-}
-
-/// [`run_tree`] with communication faults surfaced as typed errors.
+/// Communication faults surface as typed errors.
 pub fn try_run_tree(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -359,7 +344,7 @@ mod tests {
         let graph = DistGraph::build(spec, grid);
         let adj = bgl_graph::dist::adjacency(&spec);
         let mut world = SimWorld::bluegene(grid);
-        let tree = run_tree(&graph, &mut world, &BfsConfig::default(), source);
+        let tree = try_run_tree(&graph, &mut world, &BfsConfig::default(), source).unwrap();
         assert_eq!(
             tree.levels,
             reference::bfs_levels(&adj, source),
@@ -392,7 +377,7 @@ mod tests {
             sent_neighbors: false,
             ..BfsConfig::default()
         };
-        let tree = run_tree(&graph, &mut world, &config, 0);
+        let tree = try_run_tree(&graph, &mut world, &config, 0).unwrap();
         validate_tree(&adj, 0, &tree.levels, &tree.parents).unwrap();
     }
 
@@ -404,9 +389,9 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let mut w1 = SimWorld::bluegene(grid);
-        let a = run_tree(&graph, &mut w1, &BfsConfig::default(), 1);
+        let a = try_run_tree(&graph, &mut w1, &BfsConfig::default(), 1).unwrap();
         let mut w2 = SimWorld::bluegene(grid);
-        let b = run_tree(&graph, &mut w2, &BfsConfig::default(), 1);
+        let b = try_run_tree(&graph, &mut w2, &BfsConfig::default(), 1).unwrap();
         assert_eq!(a.parents, b.parents);
     }
 
@@ -417,9 +402,10 @@ mod tests {
         let graph = DistGraph::build(spec, grid);
 
         let mut w_tree = SimWorld::bluegene(grid);
-        let tree = run_tree(&graph, &mut w_tree, &BfsConfig::default(), 0);
+        let tree = try_run_tree(&graph, &mut w_tree, &BfsConfig::default(), 0).unwrap();
         let mut w_plain = SimWorld::bluegene(grid);
-        let plain = crate::bfs2d::run(&graph, &mut w_plain, &BfsConfig::baseline_alltoall(), 0);
+        let plain = crate::bfs2d::try_run(&graph, &mut w_plain, &BfsConfig::baseline_alltoall(), 0)
+            .unwrap();
 
         assert_eq!(tree.levels, plain.levels);
         let f_tree = tree.stats.comm.class(OpClass::Fold).received_verts;
@@ -434,7 +420,7 @@ mod tests {
         let graph = DistGraph::build(spec, grid);
         let adj = bgl_graph::dist::adjacency(&spec);
         let mut world = SimWorld::bluegene(grid);
-        let tree = run_tree(&graph, &mut world, &BfsConfig::default(), 0);
+        let tree = try_run_tree(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
         validate_tree(&adj, 0, &tree.levels, &tree.parents).unwrap();
 
         // Corrupt a parent pointer.

@@ -18,7 +18,7 @@
 //!   under equal weights); `Distance` hits and repeat traversals are
 //!   answered from cached level arrays as a modelled memcpy, and `Path`
 //!   hits are grouped into lane-masked batched walks
-//!   ([`bfs_core::path::multi`]) over the cached arrays;
+//!   ([`bfs_core::path::try_multi`]) over the cached arrays;
 //! * [`workload::WorkloadSpec`] — seeded Zipfian source-popularity
 //!   query generator for benchmarks and the CLI `serve` mode;
 //! * [`stats::ServerStats`] — QPS / latency / batch-occupancy /

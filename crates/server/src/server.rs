@@ -33,17 +33,17 @@
 //! response bytes at the source's owner rank. `Path` hits (and `Path`
 //! queries answered by a fresh batch lane) are grouped by source and
 //! served by the distributed lane-masked batched walk
-//! ([`bfs_core::path::multi`]): up to 64 targets against one level
+//! ([`bfs_core::path::try_multi`]): up to 64 targets against one level
 //! array share each of the three per-hop control rounds, charged to the
 //! α–β–hop model and bracketed by `Phase::PathWalk` spans — and every
-//! lane is byte-identical to a standalone `extract_path`.
+//! lane is byte-identical to a standalone `try_extract_path`.
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::query::{AdmissionError, Outcome, QueryId, QueryKind, Request, Response, ServedBy};
 use crate::queue::AdmissionQueue;
 use crate::stats::ServerStats;
 use bfs_core::multi::{self, MultiConfig};
-use bfs_core::path;
+use bfs_core::path::{self, MultiPathConfig};
 use bfs_core::reference::UNREACHED;
 use bgl_comm::{SimWorld, MAX_LANES};
 use bgl_graph::{DistGraph, GraphFamily, GraphSpec, Vertex};
@@ -185,6 +185,12 @@ impl BglServer {
     /// response completed this tick: expirations and non-path cache
     /// hits in queue order, then cache-hit path walks (grouped by
     /// source), then batch-served responses lane by lane.
+    ///
+    /// # Panics
+    ///
+    /// If the batch wave or a path walk returns a `CommError`, which a
+    /// world carrying a fault plan can. Answering those queries with a
+    /// typed failure instead is ROADMAP item 3 (`Outcome::Failed`).
     pub fn pump(&mut self) -> Vec<Response> {
         self.tick += 1;
         let now = self.tick;
@@ -264,7 +270,9 @@ impl BglServer {
         // -- one lane-masked wave advances every query in the batch.
         let sources: Vec<Vertex> = lanes.iter().map(|(s, _)| *s).collect();
         let t0 = self.world.time();
-        let result = multi::run(&self.graph, &mut self.world, &self.config.multi, &sources);
+        let result = multi::try_run(&self.graph, &mut self.world, &self.config.multi, &sources)
+            // bgl-lint: allow(r1, reason = "pump() has no error channel until Outcome::Failed lands (ROADMAP item 3); documented under # Panics")
+            .unwrap_or_else(|e| panic!("communication fault during batched BFS: {e}"));
         let t1 = self.world.time();
         let batch = self.batch_seq;
         self.batch_seq += 1;
@@ -386,7 +394,16 @@ impl BglServer {
                     _ => unreachable!("walk groups hold only path queries"),
                 })
                 .collect();
-            let result = path::multi(&self.graph, &mut self.world, levels, source, &targets);
+            let result = path::try_multi(
+                &self.graph,
+                &mut self.world,
+                levels,
+                source,
+                &targets,
+                &MultiPathConfig::default(),
+            )
+            // bgl-lint: allow(r1, reason = "pump() has no error channel until Outcome::Failed lands (ROADMAP item 3); documented under # Panics")
+            .unwrap_or_else(|e| panic!("control traffic retries exhausted: {e}"));
             self.stats.path_walks += 1;
             self.stats.path_walk_lanes += targets.len() as u64;
             self.stats.path_walk_hops += u64::from(result.hops);
@@ -656,12 +673,13 @@ mod tests {
                 panic!("expected levels");
             };
             let mut w = SimWorld::bluegene(graph.grid());
-            let single = bfs2d::run(
+            let single = bfs2d::try_run(
                 &graph,
                 &mut w,
                 &BfsConfig::paper_optimized(),
                 r.kind.source(),
-            );
+            )
+            .unwrap();
             assert_eq!(**levels, single.levels, "source {}", r.kind.source());
         }
     }
@@ -827,13 +845,14 @@ mod tests {
         // Each batched-walk path is byte-identical to a standalone
         // extraction over the same levels.
         let (graph, mut w) = build(2_000, 5);
-        let single = bfs2d::run(&graph, &mut w, &BfsConfig::paper_optimized(), s);
+        let single = bfs2d::try_run(&graph, &mut w, &BfsConfig::paper_optimized(), s).unwrap();
         for r in &rs {
             let QueryKind::Path { target, .. } = r.kind else {
                 panic!("expected path kind");
             };
             let mut pw = SimWorld::bluegene(graph.grid());
-            let want = bfs_core::path::extract_path(&graph, &mut pw, &single.levels, s, target);
+            let want = bfs_core::path::try_extract_path(&graph, &mut pw, &single.levels, s, target)
+                .unwrap();
             assert_eq!(r.outcome, Outcome::Path(want), "target {target}");
         }
     }

@@ -16,9 +16,14 @@
 
 use bgl_bfs::core::{bfs2d, reference};
 use bgl_bfs::graph::{degrees, DegreeStats};
-use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
+use bgl_bfs::{BfsConfig, CommError, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 
-fn run_kernel(name: &str, spec: GraphSpec, grid: ProcessorGrid, num_sources: u64) {
+fn run_kernel(
+    name: &str,
+    spec: GraphSpec,
+    grid: ProcessorGrid,
+    num_sources: u64,
+) -> Result<(), CommError> {
     println!(
         "— {name}: n = {}, k = {}, grid {}x{}",
         spec.n,
@@ -40,7 +45,7 @@ fn run_kernel(name: &str, spec: GraphSpec, grid: ProcessorGrid, num_sources: u64
     for i in 0..num_sources {
         let source = (i * 2 + 1) * spec.n / (2 * num_sources);
         let mut world = SimWorld::bluegene(grid);
-        let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), source);
+        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), source)?;
 
         // Validation pass (Graph500 requires it).
         let expect = reference::bfs_levels(&adj, source);
@@ -65,9 +70,10 @@ fn run_kernel(name: &str, spec: GraphSpec, grid: ProcessorGrid, num_sources: u64
         "  simulated TEPS over {num_sources} sources: min {:.2e}, median {med:.2e}, max {:.2e}\n",
         min, max
     );
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), CommError> {
     let grid = ProcessorGrid::new(8, 8);
     println!("Graph500-style kernel on a simulated 64-node BlueGene/L partition\n");
     run_kernel(
@@ -75,16 +81,17 @@ fn main() {
         GraphSpec::poisson(1 << 16, 16.0, 42),
         grid,
         8,
-    );
+    )?;
     run_kernel(
         "R-MAT scale 16 (Graph500 workload)",
         GraphSpec::rmat(1 << 16, 16.0, 42),
         grid,
         8,
-    );
+    )?;
     println!(
         "R-MAT's skewed degrees concentrate edges on a few block rows, so the same \
          2D partition balances worse — exactly the gap later work (CombBLAS, \
          direction-optimizing BFS) addressed."
     );
+    Ok(())
 }

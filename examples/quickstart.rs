@@ -9,7 +9,7 @@
 use bgl_bfs::core::bfs2d;
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A Poisson random graph: 100k vertices, average degree 10 — the
     // paper's degree-10 workload at laptop scale.
     let spec = GraphSpec::poisson(100_000, 10.0, 42);
@@ -36,7 +36,7 @@ fn main() {
 
     // The paper's optimized configuration: targeted expand, two-phase
     // union-fold, sent-neighbors cache.
-    let result = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let result = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0)?;
 
     println!("\nBFS from vertex 0:");
     println!("  reached        : {} / {}", result.stats.reached, spec.n);
@@ -70,4 +70,5 @@ fn main() {
             l.level, l.frontier, l.expand_received, l.fold_received
         );
     }
+    Ok(())
 }

@@ -18,7 +18,7 @@
 use bgl_bfs::core::{bfs2d, bidir};
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A semantic graph: 200k entities, ~12 relationships each.
     let spec = GraphSpec::poisson(200_000, 12.0, 7);
     let grid = ProcessorGrid::new(8, 8);
@@ -34,7 +34,7 @@ fn main() {
 
     // 1. Full traversal (answers distance to *every* entity).
     let mut world = SimWorld::bluegene(grid);
-    let full = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), entity_a);
+    let full = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), entity_a)?;
     let d_full = full.levels[entity_b as usize];
     println!(
         "full traversal       : distance {d_full}, {:>9} verts moved, {:.3} ms simulated",
@@ -44,12 +44,12 @@ fn main() {
 
     // 2. Early-exit uni-directional search.
     let mut world = SimWorld::bluegene(grid);
-    let uni = bfs2d::run(
+    let uni = bfs2d::try_run(
         &graph,
         &mut world,
         &BfsConfig::paper_optimized().with_target(entity_b),
         entity_a,
-    );
+    )?;
     println!(
         "uni-directional      : distance {}, {:>9} verts moved, {:.3} ms simulated",
         uni.target_level.expect("entities are connected"),
@@ -59,13 +59,13 @@ fn main() {
 
     // 3. Bi-directional search from both entities.
     let mut world = SimWorld::bluegene(grid);
-    let bi = bidir::run(
+    let bi = bidir::try_run(
         &graph,
         &mut world,
         &BfsConfig::paper_optimized(),
         entity_a,
         entity_b,
-    );
+    )?;
     println!(
         "bi-directional (§2.3): distance {}, {:>9} verts moved, {:.3} ms simulated",
         bi.distance.expect("entities are connected"),
@@ -83,4 +83,5 @@ fn main() {
          uni-directional search (paper: \"orders of magnitude smaller\" per \
          processor in the worst case)."
     );
+    Ok(())
 }

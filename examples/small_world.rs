@@ -22,7 +22,7 @@
 use bgl_bfs::core::bfs2d;
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 50_000u64;
     let k = 8.0;
     let grid = ProcessorGrid::new(4, 4);
@@ -40,7 +40,7 @@ fn main() {
         let spec = GraphSpec::small_world(n, k, rewire, 7);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0)?;
 
         let peak_frontier = r.stats.levels.iter().map(|l| l.frontier).max().unwrap_or(0);
         let fold_wire = r
@@ -75,4 +75,5 @@ fn main() {
          orders of magnitude while pushing fold traffic onto the wire — the \
          communication regime the paper's collectives are built for."
     );
+    Ok(())
 }

@@ -7,11 +7,11 @@
 //! cargo run --release --example threaded_vs_sim
 //! ```
 
-use bgl_bfs::core::{bfs2d, threaded_run, UNREACHED};
+use bgl_bfs::core::{bfs2d, threaded_run, ThreadedConfig, UNREACHED};
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), bgl_bfs::CommError> {
     let spec = GraphSpec::poisson(50_000, 8.0, 99);
     let grid = ProcessorGrid::new(4, 4);
     println!(
@@ -25,11 +25,12 @@ fn main() {
 
     let t0 = Instant::now();
     let mut world = SimWorld::bluegene(grid);
-    let sim = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0);
+    let sim = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 0)?;
     let sim_wall = t0.elapsed();
 
     let t0 = Instant::now();
-    let threaded = threaded_run::run_threaded(&graph, 0, true);
+    let outs = threaded_run::run(&graph, 0, &ThreadedConfig::default());
+    let threaded = threaded_run::assemble(&graph, outs)?.levels;
     let threaded_wall = t0.elapsed();
 
     assert_eq!(sim.levels, threaded, "engines must agree exactly");
@@ -46,4 +47,5 @@ fn main() {
          the threaded runtime really passes messages between threads. Identical \
          output is the cross-check that the simulation substrate is faithful."
     );
+    Ok(())
 }

@@ -13,7 +13,7 @@
 use bgl_bfs::core::{bfs2d, theory};
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p = 64usize;
     let n = 64_000u64;
     let k = 16.0;
@@ -34,7 +34,7 @@ fn main() {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let res = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 1);
+        let res = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 1)?;
 
         // §3.1 expected lengths are totals over a whole-frontier sweep;
         // divide by the executed level count for a per-level analogue.
@@ -70,4 +70,5 @@ fn main() {
             if k > kc { "2D" } else { "1D" }
         );
     }
+    Ok(())
 }

@@ -17,7 +17,7 @@ use bgl_bfs::torus::{
 };
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (a) the machines.
     for (name, m) in [
         ("BlueGene/L (full)", MachineConfig::bluegene_l_full()),
@@ -83,7 +83,7 @@ fn main() {
             TaskMappingKind::FoldedPlanes,
             ChunkPolicy::Unbounded,
         );
-        let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+        let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0)?;
         println!(
             "  {name:<12}: {:.3} ms simulated ({:.3} ms comm, {:.3} ms compute)",
             r.stats.sim_time * 1e3,
@@ -95,4 +95,5 @@ fn main() {
         "\nthe MCR model has faster per-node compute but higher per-message latency — \
          the trade the paper explored by running on both platforms."
     );
+    Ok(())
 }

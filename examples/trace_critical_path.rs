@@ -15,7 +15,7 @@ use bgl_bfs::trace::write_artifacts;
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld, TraceDetail};
 use std::path::Path;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's degree-10 workload at laptop scale, on an 8x8
     // processor mesh mapped onto a BlueGene/L torus partition.
     let spec = GraphSpec::poisson(50_000, 10.0, 42);
@@ -34,7 +34,7 @@ fn main() {
     // what the link heatmap needs; span detail is cheaper when only the
     // critical path matters.
     world.enable_trace(TraceDetail::Event);
-    let result = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let result = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0)?;
     println!(
         "reached {} vertices in {} levels ({:.3} ms simulated)\n",
         result.stats.reached,
@@ -71,4 +71,5 @@ fn main() {
         report.chrome_path.display(),
         report.summary_path.display()
     );
+    Ok(())
 }

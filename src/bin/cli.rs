@@ -22,8 +22,8 @@ use bgl_bfs::server::{ArrivalProcess, QueryMix};
 use bgl_bfs::torus::MachineConfig;
 use bgl_bfs::trace::write_artifacts;
 use bgl_bfs::{
-    BfsConfig, BglServer, DirectionMode, DirectionPolicy, DistGraph, FaultPlan, GraphSpec,
-    ProcessorGrid, ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
+    BfsConfig, BglServer, CommError, DirectionMode, DirectionPolicy, DistGraph, FaultPlan,
+    GraphSpec, ProcessorGrid, ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -368,6 +368,16 @@ fn validate_or_exit(spec: &GraphSpec, levels: &[u32], source: u64) {
     }
 }
 
+/// Unwrap an engine result, or print `error: {what}: {e}` and exit
+/// nonzero — the diagnostic exit every subcommand uses for a typed
+/// communication error instead of a panic.
+fn or_exit<T>(result: Result<T, CommError>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// The per-level summary table (direction, frontier, message volumes,
 /// probe counts, simulated time).
 fn print_level_table(stats: &bgl_bfs::core::RunStats) {
@@ -437,12 +447,15 @@ fn cmd_search(flags: &Flags) {
     if flags.has("bidir") {
         // Contradictory fault flags were rejected before dispatch.
         let target = flags.u64("target", spec.n - 1).min(spec.n - 1);
-        let r = bidir::run(
-            &graph,
-            &mut world,
-            &BfsConfig::paper_optimized().with_engine(engine_from(flags)),
-            source,
-            target,
+        let r = or_exit(
+            bidir::try_run(
+                &graph,
+                &mut world,
+                &BfsConfig::paper_optimized().with_engine(engine_from(flags)),
+                source,
+                target,
+            ),
+            "communication fault during bi-directional search",
         );
         match r.distance {
             Some(d) => println!("bi-directional distance {source} → {target}: {d}"),
@@ -476,11 +489,10 @@ fn cmd_search(flags: &Flags) {
             parity_group_size: flags.u64("parity-group", 4) as usize,
             ..ResilientConfig::default()
         };
-        let res = bfs2d::run_resilient(&graph, &mut world, &config, source, &resilient)
-            .unwrap_or_else(|e| {
-                eprintln!("error: search did not survive the fault plan: {e}");
-                std::process::exit(1);
-            });
+        let res = or_exit(
+            bfs2d::run_resilient(&graph, &mut world, &config, source, &resilient),
+            "search did not survive the fault plan",
+        );
         if res.recoveries > 0 {
             println!(
                 "recovered {} rank death(s) ({:?}) in {:.3} ms of recovery time",
@@ -498,13 +510,11 @@ fn cmd_search(flags: &Flags) {
         }
         res.result
     } else {
-        bfs2d::try_run(&graph, &mut world, &config, source).unwrap_or_else(|e| {
-            eprintln!(
-                "error: communication fault during BFS: {e} \
-                 (inject faults via --drop-rate/--dead-rank to run the resilient engine)"
-            );
-            std::process::exit(1);
-        })
+        or_exit(
+            bfs2d::try_run(&graph, &mut world, &config, source),
+            "communication fault during BFS \
+             (inject faults via --drop-rate/--dead-rank to run the resilient engine)",
+        )
     };
     println!(
         "reached {}/{} vertices in {} levels",
@@ -591,7 +601,10 @@ fn cmd_path(flags: &Flags) {
     let source = flags.u64("source", 0).min(spec.n - 1);
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid).with_wire_policy(wire_policy_from(flags));
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), source);
+    let r = or_exit(
+        bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), source),
+        "communication fault during BFS",
+    );
 
     if let Some(list) = flags.0.get("targets") {
         // Batched lane wave: every target shares each per-hop control
@@ -611,7 +624,11 @@ fn cmd_path(flags: &Flags) {
             "--targets takes 1..={} comma-separated vertices",
             bgl_bfs::comm::MAX_LANES
         );
-        let batched = path::multi(&graph, &mut world, &r.levels, source, &targets);
+        let config = path::MultiPathConfig::default();
+        let batched = or_exit(
+            path::try_multi(&graph, &mut world, &r.levels, source, &targets, &config),
+            "communication fault during batched path walk",
+        );
         println!(
             "batched walk: {} lanes, {} hops, {} control rounds, {:.3} ms sim",
             targets.len(),
@@ -636,7 +653,8 @@ fn cmd_path(flags: &Flags) {
     }
 
     let target = flags.u64("target", spec.n - 1).min(spec.n - 1);
-    match path::extract_path(&graph, &mut world, &r.levels, source, target) {
+    let walk = path::try_extract_path(&graph, &mut world, &r.levels, source, target);
+    match or_exit(walk, "communication fault during path extraction") {
         Some(p) => {
             println!("shortest path ({} hops):", p.len() - 1);
             println!(

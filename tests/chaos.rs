@@ -21,7 +21,9 @@ fn build(n: u64, grid: ProcessorGrid) -> (GraphSpec, DistGraph) {
 
 fn reference(graph: &DistGraph) -> Vec<u32> {
     let mut world = SimWorld::bluegene(graph.grid());
-    bfs2d::run(graph, &mut world, &BfsConfig::paper_optimized(), 0).levels
+    bfs2d::try_run(graph, &mut world, &BfsConfig::paper_optimized(), 0)
+        .unwrap()
+        .levels
 }
 
 /// Seeded chaos schedules (deaths + lossy messaging) across

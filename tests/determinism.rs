@@ -13,7 +13,7 @@ fn identical_runs_produce_identical_stats() {
     let run = || {
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 5)
+        bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 5).unwrap()
     };
     let a = run();
     let b = run();
@@ -44,7 +44,9 @@ fn different_seeds_change_results_same_seed_does_not() {
         let spec = GraphSpec::poisson(800, 5.0, seed);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        bfs2d::run(&graph, &mut world, &BfsConfig::default(), 0).levels
+        bfs2d::try_run(&graph, &mut world, &BfsConfig::default(), 0)
+            .unwrap()
+            .levels
     };
     assert_eq!(levels_for(7), levels_for(7));
     assert_ne!(levels_for(7), levels_for(8));
@@ -63,7 +65,7 @@ fn hybrid_frontier_representation_is_bit_identical_to_list_only() {
     let graph = DistGraph::build(spec, grid);
     let run = |policy: VsetPolicy| {
         let mut world = SimWorld::bluegene(grid).with_vset_policy(policy);
-        bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0)
+        bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap()
     };
     let hybrid = run(VsetPolicy::hybrid());
     let listy = run(VsetPolicy::list_only());
@@ -105,9 +107,9 @@ fn world_reset_restores_clean_slate() {
     let grid = ProcessorGrid::new(2, 3);
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid);
-    let a = bfs2d::run(&graph, &mut world, &BfsConfig::default(), 0);
+    let a = bfs2d::try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
     world.reset();
-    let b = bfs2d::run(&graph, &mut world, &BfsConfig::default(), 0);
+    let b = bfs2d::try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
     assert_eq!(a.levels, b.levels);
     assert_eq!(a.stats.sim_time.to_bits(), b.stats.sim_time.to_bits());
     assert_eq!(a.stats.comm, b.stats.comm);

@@ -4,33 +4,12 @@
 //! wire codecs, both runtimes, and under injected faults.
 
 use bgl_bfs::comm::FaultPlan;
-use bgl_bfs::core::{bfs2d, threaded_run, validate, ComputeEngine, LevelDirection};
+use bgl_bfs::core::{bfs2d, threaded_run, validate, ComputeEngine, LevelDirection, ThreadedConfig};
 use bgl_bfs::{
     BfsConfig, DirectionPolicy, DistGraph, GraphSpec, ProcessorGrid, ResilientConfig, SimWorld,
     WireMode, WirePolicy,
 };
 use proptest::prelude::*;
-
-/// Reassemble global levels and the per-level direction vector from
-/// per-rank threaded outcomes (every rank must report the same vector —
-/// the decision is a pure function of allreduced counts).
-fn gather_threaded(
-    graph: &DistGraph,
-    outs: Vec<Result<threaded_run::RankOutcome, bgl_bfs::CommError>>,
-) -> (Vec<u32>, Vec<LevelDirection>) {
-    let mut levels = vec![u32::MAX; graph.spec.n as usize];
-    let mut directions: Option<Vec<LevelDirection>> = None;
-    for out in outs {
-        let out = out.expect("fault-free run");
-        let s = out.owned_start as usize;
-        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-        match &directions {
-            None => directions = Some(out.directions.clone()),
-            Some(d) => assert_eq!(d, &out.directions, "ranks disagreed on direction"),
-        }
-    }
-    (levels, directions.unwrap_or_default())
-}
 
 /// The tentpole equivalence matrix: direction-optimized levels are
 /// bit-identical to the pure top-down run across {serial, rayon} ×
@@ -43,13 +22,13 @@ fn adaptive_is_bit_identical_across_engines_and_wire_modes() {
     let graph = DistGraph::build(spec, grid);
 
     let mut world = SimWorld::bluegene(grid);
-    let reference = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let reference = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
 
     for engine in [ComputeEngine::Serial, ComputeEngine::Rayon] {
         for mode in [WireMode::Raw, WireMode::Auto, WireMode::Bitmap] {
             let config = BfsConfig::direction_optimized().with_engine(engine);
             let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::with_mode(mode));
-            let r = bfs2d::run(&graph, &mut world, &config, 0);
+            let r = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
             assert_eq!(
                 r.levels, reference.levels,
                 "levels diverged under {engine:?} / {mode:?}"
@@ -77,7 +56,7 @@ fn rayon_bottom_up_kernel_is_bit_identical_to_serial() {
     let run = |engine: ComputeEngine| {
         let config = BfsConfig::direction_optimized().with_engine(engine);
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        bfs2d::run(&graph, &mut world, &config, 0)
+        bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
     };
     let serial = run(ComputeEngine::Serial);
     let rayon = run(ComputeEngine::Rayon);
@@ -117,7 +96,7 @@ proptest! {
             }
             .with_direction(direction);
             let mut world = SimWorld::bluegene(grid);
-            bfs2d::run(&graph, &mut world, &config, 0)
+            bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
         };
         let td = run(DirectionPolicy::top_down());
         let bu = run(DirectionPolicy::bottom_up());
@@ -142,10 +121,14 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let outs = threaded_run::run_threaded_direction(
-            &graph, 0, true, FaultPlan::none(), WirePolicy::auto(), DirectionPolicy::adaptive(),
-        );
-        let (levels, directions) = gather_threaded(&graph, outs);
+        let threaded_config = ThreadedConfig {
+            wire: WirePolicy::auto(),
+            direction: DirectionPolicy::adaptive(),
+            ..ThreadedConfig::default()
+        };
+        let outs = threaded_run::run(&graph, 0, &threaded_config);
+        let threaded = threaded_run::assemble(&graph, outs).unwrap();
+        let (levels, directions) = (threaded.levels, threaded.directions);
 
         let config = BfsConfig {
             sent_neighbors: true,
@@ -153,7 +136,7 @@ proptest! {
         }
         .with_direction(DirectionPolicy::adaptive());
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        let sim = bfs2d::run(&graph, &mut world, &config, 0);
+        let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(levels, sim.levels);
         let sim_dirs: Vec<LevelDirection> =
             sim.stats.levels.iter().map(|l| l.direction).collect();
@@ -171,7 +154,7 @@ fn faulty_direction_optimized_run_recovers_and_validates() {
     let graph = DistGraph::build(spec, grid);
 
     let mut world = SimWorld::bluegene(grid);
-    let clean = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let clean = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
 
     let plan = FaultPlan::seeded(0xd1f)
         .with_drop_prob(0.1)

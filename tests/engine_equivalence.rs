@@ -2,30 +2,25 @@
 //! one-thread-per-rank message-passing runtime must produce identical
 //! BFS labels — the evidence that simulated message routing is faithful.
 
-use bgl_bfs::comm::{FaultPlan, OpClass, WireCount};
-use bgl_bfs::core::{bfs2d, bidir, threaded_run, ComputeEngine};
+use bgl_bfs::comm::{FaultPlan, OpClass};
+use bgl_bfs::core::{bfs2d, bidir, threaded_run, ComputeEngine, ThreadedConfig};
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld, WirePolicy};
 use proptest::prelude::*;
 
-/// Reassemble global levels and summed (expand, fold) wire counters
-/// from per-rank threaded outcomes.
-fn gather_threaded(
+/// Run the threaded runtime and fold its per-rank outcomes.
+fn run_threads(
     graph: &DistGraph,
-    outs: Vec<Result<threaded_run::RankOutcome, bgl_bfs::CommError>>,
-) -> (Vec<u32>, WireCount, WireCount) {
-    let mut levels = vec![u32::MAX; graph.spec.n as usize];
-    let mut expand = WireCount::default();
-    let mut fold = WireCount::default();
-    for out in outs {
-        let out = out.expect("fault-free run");
-        let s = out.owned_start as usize;
-        levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
-        expand.logical_bytes += out.expand_wire.logical_bytes;
-        expand.wire_bytes += out.expand_wire.wire_bytes;
-        fold.logical_bytes += out.fold_wire.logical_bytes;
-        fold.wire_bytes += out.fold_wire.wire_bytes;
+    source: u64,
+    config: &ThreadedConfig,
+) -> threaded_run::ThreadedResult {
+    threaded_run::assemble(graph, threaded_run::run(graph, source, config)).unwrap()
+}
+
+fn sent_cache(sent: bool) -> ThreadedConfig {
+    ThreadedConfig {
+        sent_neighbors: sent,
+        ..ThreadedConfig::default()
     }
-    (levels, expand, fold)
 }
 
 proptest! {
@@ -44,13 +39,13 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let threaded = threaded_run::run_threaded(&graph, 0, sent);
+        let threaded = run_threads(&graph, 0, &sent_cache(sent)).levels;
         let mut world = SimWorld::bluegene(grid);
         let config = BfsConfig {
             sent_neighbors: sent,
             ..BfsConfig::baseline_alltoall()
         };
-        let sim = bfs2d::run(&graph, &mut world, &config, 0);
+        let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(threaded, sim.levels);
     }
 }
@@ -61,9 +56,9 @@ fn engines_agree_on_wide_grid() {
     let spec = GraphSpec::poisson(2_000, 8.0, 77);
     let grid = ProcessorGrid::new(4, 6);
     let graph = DistGraph::build(spec, grid);
-    let threaded = threaded_run::run_threaded(&graph, 19, true);
+    let threaded = run_threads(&graph, 19, &ThreadedConfig::default()).levels;
     let mut world = SimWorld::bluegene(grid);
-    let sim = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 19);
+    let sim = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 19).unwrap();
     assert_eq!(threaded, sim.levels);
 }
 
@@ -89,7 +84,7 @@ fn rayon_compute_engine_is_bit_identical_to_serial() {
             }
             .with_engine(engine);
             let mut world = SimWorld::bluegene(grid);
-            bfs2d::run(&graph, &mut world, &config, 0)
+            bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
         };
         let serial = run(ComputeEngine::Serial);
         let rayon = run(ComputeEngine::Rayon);
@@ -121,13 +116,14 @@ fn rayon_engine_bit_identical_on_bidirectional_search() {
     let graph = DistGraph::build(spec, grid);
     let run = |engine: ComputeEngine| {
         let mut world = SimWorld::bluegene(grid);
-        bidir::run(
+        bidir::try_run(
             &graph,
             &mut world,
             &BfsConfig::paper_optimized().with_engine(engine),
             0,
             899,
         )
+        .unwrap()
     };
     let serial = run(ComputeEngine::Serial);
     let rayon = run(ComputeEngine::Rayon);
@@ -160,14 +156,13 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
 
-        let outs = threaded_run::run_threaded_with_wire(
-            &graph, 0, sent, FaultPlan::none(), WirePolicy::auto(),
-        );
-        let (levels, expand, fold) = gather_threaded(&graph, outs);
+        let config = ThreadedConfig { wire: WirePolicy::auto(), ..sent_cache(sent) };
+        let t = run_threads(&graph, 0, &config);
+        let (levels, expand, fold) = (t.levels, t.expand_wire, t.fold_wire);
 
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
         let config = BfsConfig { sent_neighbors: sent, ..BfsConfig::baseline_alltoall() };
-        let sim = bfs2d::run(&graph, &mut world, &config, 0);
+        let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(levels, sim.levels);
 
         let se = sim.stats.comm.class(OpClass::Expand);
@@ -191,7 +186,7 @@ fn rayon_engine_bit_identical_with_wire_codec_on() {
     let run = |engine: ComputeEngine| {
         let config = BfsConfig::paper_optimized().with_engine(engine);
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        bfs2d::run(&graph, &mut world, &config, 0)
+        bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
     };
     let serial = run(ComputeEngine::Serial);
     let rayon = run(ComputeEngine::Rayon);
@@ -216,9 +211,12 @@ fn repeated_threaded_runs_are_deterministic() {
     let spec = GraphSpec::poisson(800, 6.0, 13);
     let grid = ProcessorGrid::new(3, 3);
     let graph = DistGraph::build(spec, grid);
-    let first = threaded_run::run_threaded(&graph, 0, true);
+    let first = run_threads(&graph, 0, &ThreadedConfig::default()).levels;
     for _ in 0..5 {
-        assert_eq!(threaded_run::run_threaded(&graph, 0, true), first);
+        assert_eq!(
+            run_threads(&graph, 0, &ThreadedConfig::default()).levels,
+            first
+        );
     }
 }
 

@@ -3,8 +3,8 @@
 //! answer — and the fault machinery itself must be a strict no-op when
 //! disabled.
 
-use bgl_bfs::comm::{OpClass, WireCount};
-use bgl_bfs::core::{bfs2d, reference, threaded_run};
+use bgl_bfs::comm::OpClass;
+use bgl_bfs::core::{bfs2d, reference, threaded_run, ThreadedConfig};
 use bgl_bfs::{
     BfsConfig, CommError, DistGraph, FaultPlan, GraphSpec, ProcessorGrid, ResilientConfig,
     SimWorld, WirePolicy,
@@ -22,10 +22,10 @@ fn none_plan_is_byte_identical_to_no_plan() {
         let config = BfsConfig::paper_optimized();
 
         let mut plain = SimWorld::bluegene(grid);
-        let a = bfs2d::run(&graph, &mut plain, &config, 1);
+        let a = bfs2d::try_run(&graph, &mut plain, &config, 1).unwrap();
 
         let mut faulty = SimWorld::bluegene(grid).with_fault_plan(FaultPlan::none());
-        let b = bfs2d::run(&graph, &mut faulty, &config, 1);
+        let b = bfs2d::try_run(&graph, &mut faulty, &config, 1).unwrap();
 
         assert_eq!(a.levels, b.levels);
         assert_eq!(a.stats.comm, b.stats.comm);
@@ -105,21 +105,14 @@ fn sim_and_threaded_runtimes_share_the_fault_schedule() {
             .with_truncate_prob(0.05)
             .with_duplicate_prob(0.05);
 
-        // Threaded runtime: sum per-rank fault counters.
-        let outcomes = threaded_run::run_threaded_with_faults(&graph, 1, true, plan.clone());
-        let mut threaded_levels = vec![u32::MAX; spec.n as usize];
-        let (mut drops, mut truncs, mut dups, mut retrans) = (0u64, 0u64, 0u64, 0u64);
-        for outcome in outcomes {
-            let o = outcome.expect("lossy-but-alive run must complete");
-            for (i, &l) in o.levels.iter().enumerate() {
-                threaded_levels[o.owned_start as usize + i] = l;
-            }
-            drops += o.faults.drops_injected;
-            truncs += o.faults.truncations_injected;
-            dups += o.faults.duplicates_injected;
-            retrans += o.faults.retransmissions;
-        }
-        assert_eq!(threaded_levels, oracle);
+        // Threaded runtime: per-rank fault counters, summed.
+        let config = ThreadedConfig {
+            faults: plan.clone(),
+            ..ThreadedConfig::default()
+        };
+        let threaded = threaded_run::assemble(&graph, threaded_run::run(&graph, 1, &config))
+            .expect("lossy-but-alive run must complete");
+        assert_eq!(threaded.levels, oracle);
 
         // Simulator on the same plan: identical schedule, same counts.
         let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
@@ -127,10 +120,7 @@ fn sim_and_threaded_runtimes_share_the_fault_schedule() {
             .expect("lossy sim run must complete");
         assert_eq!(r.levels, oracle);
         let f = &r.stats.comm.faults;
-        assert_eq!(f.drops_injected, drops, "seed {seed}");
-        assert_eq!(f.truncations_injected, truncs, "seed {seed}");
-        assert_eq!(f.duplicates_injected, dups, "seed {seed}");
-        assert_eq!(f.retransmissions, retrans, "seed {seed}");
+        assert_eq!(*f, threaded.faults, "seed {seed}");
         assert!(f.drops_injected > 0, "the plan must actually fire");
     }
 }
@@ -153,24 +143,16 @@ fn wire_codec_composes_with_lossy_links() {
             .with_truncate_prob(0.05)
             .with_duplicate_prob(0.05);
 
-        let outcomes =
-            threaded_run::run_threaded_with_wire(&graph, 1, true, plan.clone(), WirePolicy::auto());
-        let mut threaded_levels = vec![u32::MAX; spec.n as usize];
-        let mut expand = WireCount::default();
-        let mut fold = WireCount::default();
-        let mut retrans = 0u64;
-        for outcome in outcomes {
-            let o = outcome.expect("lossy-but-alive run must complete");
-            for (i, &l) in o.levels.iter().enumerate() {
-                threaded_levels[o.owned_start as usize + i] = l;
-            }
-            expand.logical_bytes += o.expand_wire.logical_bytes;
-            expand.wire_bytes += o.expand_wire.wire_bytes;
-            fold.logical_bytes += o.fold_wire.logical_bytes;
-            fold.wire_bytes += o.fold_wire.wire_bytes;
-            retrans += o.faults.retransmissions;
-        }
-        assert_eq!(threaded_levels, oracle);
+        let config = ThreadedConfig {
+            faults: plan.clone(),
+            wire: WirePolicy::auto(),
+            ..ThreadedConfig::default()
+        };
+        let threaded = threaded_run::assemble(&graph, threaded_run::run(&graph, 1, &config))
+            .expect("lossy-but-alive run must complete");
+        let (expand, fold) = (threaded.expand_wire, threaded.fold_wire);
+        let retrans = threaded.faults.retransmissions;
+        assert_eq!(threaded.levels, oracle);
 
         let mut world = SimWorld::bluegene(grid)
             .with_fault_plan(plan)
@@ -240,7 +222,7 @@ fn checkpoint_cadence_does_not_change_the_answer() {
     let graph = DistGraph::build(spec, grid);
     let config = BfsConfig::baseline_alltoall();
     let mut plain_world = SimWorld::bluegene(grid);
-    let plain = bfs2d::run(&graph, &mut plain_world, &config, 1);
+    let plain = bfs2d::try_run(&graph, &mut plain_world, &config, 1).unwrap();
 
     for every in [1u32, 2, 3] {
         let plan = FaultPlan::seeded(9).kill_rank_at(5, 7);

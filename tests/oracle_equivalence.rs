@@ -48,7 +48,7 @@ proptest! {
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
         let config = BfsConfig { expand, fold, sent_neighbors: sent, ..BfsConfig::default() };
-        let got = bfs2d::run(&graph, &mut world, &config, source);
+        let got = bfs2d::try_run(&graph, &mut world, &config, source).unwrap();
         prop_assert_eq!(got.levels, expect);
     }
 
@@ -68,7 +68,7 @@ proptest! {
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
         let config = BfsConfig { fold, ..BfsConfig::default() };
-        let got = bfs1d::run(&graph, &mut world, &config, 0);
+        let got = bfs1d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(got.levels, expect);
     }
 
@@ -91,7 +91,7 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = bidir::run(&graph, &mut world, &BfsConfig::default(), s, t);
+        let got = bidir::try_run(&graph, &mut world, &BfsConfig::default(), s, t).unwrap();
         prop_assert_eq!(got.distance, expect);
     }
 
@@ -111,7 +111,7 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = bfs2d::run(&graph, &mut world, &BfsConfig::default(), 0);
+        let got = bfs2d::try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
         prop_assert_eq!(got.levels, expect);
     }
 
@@ -130,7 +130,7 @@ proptest! {
         let grid = ProcessorGrid::new(r, c);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let got = bfs2d::run(&graph, &mut world, &BfsConfig::default(), 0);
+        let got = bfs2d::try_run(&graph, &mut world, &BfsConfig::default(), 0).unwrap();
         prop_assert_eq!(got.levels, expect);
     }
 }
@@ -144,7 +144,8 @@ fn early_exit_target_level_matches_oracle_distance() {
     for t in [1u64, 250, 499, 123] {
         let expect = reference::distance(&adj, 0, t);
         let mut world = SimWorld::bluegene(grid);
-        let got = bfs2d::run(&graph, &mut world, &BfsConfig::default().with_target(t), 0);
+        let got =
+            bfs2d::try_run(&graph, &mut world, &BfsConfig::default().with_target(t), 0).unwrap();
         assert_eq!(got.target_level, expect, "target {t}");
     }
 }

@@ -25,7 +25,7 @@ fn fixed_buffers_bound_peak_message_independent_of_p() {
             TaskMappingKind::FoldedPlanes,
             ChunkPolicy::fixed(chunk),
         );
-        let _ = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1);
+        let _ = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1).unwrap();
         peaks.push(world.stats.peak_buffer_verts);
     }
     for &peak in &peaks {
@@ -43,7 +43,7 @@ fn unbounded_buffers_grow_with_problem_size() {
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
-        let _ = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1);
+        let _ = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1).unwrap();
         peaks.push(world.stats.peak_buffer_verts);
     }
     assert!(
@@ -104,7 +104,7 @@ fn all_strategy_combinations_equivalent() {
                 fold,
                 ..BfsConfig::default()
             };
-            let got = bfs2d::run(&graph, &mut world, &config, 2);
+            let got = bfs2d::try_run(&graph, &mut world, &config, 2).unwrap();
             match &reference {
                 None => reference = Some(got.levels),
                 Some(r) => assert_eq!(&got.levels, r, "{expand:?}/{fold:?}"),
@@ -123,9 +123,9 @@ fn one_d_is_degenerate_two_d() {
         let graph = DistGraph::build(spec, grid);
         let config = BfsConfig::default();
         let mut w1 = SimWorld::bluegene(grid);
-        let a = bfs1d::run(&graph, &mut w1, &config, 0);
+        let a = bfs1d::try_run(&graph, &mut w1, &config, 0).unwrap();
         let mut w2 = SimWorld::bluegene(grid);
-        let b = bfs2d::run(&graph, &mut w2, &config, 0);
+        let b = bfs2d::try_run(&graph, &mut w2, &config, 0).unwrap();
         assert_eq!(a.levels, b.levels, "p={p}");
         assert_eq!(
             a.stats.comm.class(OpClass::Fold).received_verts,
@@ -148,7 +148,7 @@ fn targeted_expand_respects_analytic_bound() {
     let grid = ProcessorGrid::new(4, 4);
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid);
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1);
+    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 1).unwrap();
     let per_proc = r.stats.comm.class(OpClass::Expand).received_verts as f64 / grid.len() as f64;
     let bound = theory::worst_case_len(n as f64, k, grid.len() as f64);
     assert!(
@@ -179,7 +179,7 @@ fn measured_frontiers_track_mean_field_model() {
     let grid = ProcessorGrid::new(4, 4);
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid);
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 1);
+    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 1).unwrap();
 
     let predicted = theory::expected_frontiers(n as f64, k);
     let measured: Vec<f64> = r.stats.levels.iter().map(|l| l.frontier as f64).collect();
@@ -222,7 +222,7 @@ fn sent_neighbors_cache_reduces_fold_volume() {
             sent_neighbors: sent,
             ..BfsConfig::baseline_alltoall()
         };
-        let r = bfs2d::run(&graph, &mut world, &config, 0);
+        let r = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         (r.levels, r.stats.comm.class(OpClass::Fold).received_verts)
     };
     let (levels_on, fold_on) = run(true);
@@ -253,7 +253,7 @@ fn union_fold_eliminates_heavily_and_two_phase_is_cheaper() {
             sent_neighbors: false, // maximize duplicates in flight
             ..BfsConfig::default()
         };
-        let r = bfs2d::run(&graph, &mut world, &config, 0);
+        let r = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         (
             r.levels,
             world.stats.class(OpClass::Fold).wire_verts,

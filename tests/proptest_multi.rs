@@ -1,7 +1,7 @@
 //! Property-based checks on the batched multi-source BFS engine
 //! (`bfs_core::multi`): on random graphs, grids, and source batches
 //! (duplicates included), every lane of a batched run is bit-identical
-//! to its standalone single-source `bfs2d::run`, under serial and rayon
+//! to its standalone single-source `bfs2d::try_run`, under serial and rayon
 //! host engines and raw and adaptive wire codecs alike — and the whole
 //! batch passes the Graph500-style per-lane validator.
 
@@ -73,16 +73,16 @@ proptest! {
         let graph = DistGraph::build(spec, grid);
         let cfg = multi::MultiConfig { engine, ..multi::MultiConfig::default() };
         let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let r = multi::run(&graph, &mut world, &cfg, &srcs);
+        let r = multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap();
         prop_assert_eq!(r.lanes(), srcs.len());
         for (lane, &s) in srcs.iter().enumerate() {
             let mut w = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let single = bfs2d::run(
+            let single = bfs2d::try_run(
                 &graph,
                 &mut w,
                 &BfsConfig::paper_optimized().with_engine(engine),
                 s,
-            );
+            ).unwrap();
             prop_assert_eq!(
                 &r.lane_levels[lane],
                 &single.levels,
@@ -105,7 +105,7 @@ proptest! {
         let run_with = |engine| {
             let cfg = multi::MultiConfig { engine, ..multi::MultiConfig::default() };
             let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let r = multi::run(&graph, &mut world, &cfg, &srcs);
+            let r = multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap();
             (r.lane_levels, world.time().to_bits(), r.total_probes)
         };
         prop_assert_eq!(

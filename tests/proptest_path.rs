@@ -1,7 +1,7 @@
 //! Property-based checks on the lane-masked batched path walk
-//! (`bfs_core::path::multi`): on random graphs, grids, and target
+//! (`bfs_core::path::try_multi`): on random graphs, grids, and target
 //! batches (duplicates and unreached targets included), every lane of a
-//! batched walk is byte-identical to its standalone `extract_path`,
+//! batched walk is byte-identical to its standalone `try_extract_path`,
 //! whichever host engine built the level array and whichever wire codec
 //! carries the rounds — and lossy control rounds (drops + duplicates)
 //! retry without changing a single extracted path.
@@ -77,21 +77,21 @@ proptest! {
         let tgts: Vec<u64> = tgts.into_iter().map(|t| t % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
         let mut bfs_world = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let levels = bfs2d::run(
+        let levels = bfs2d::try_run(
             &graph,
             &mut bfs_world,
             &BfsConfig::paper_optimized().with_engine(engine),
             source,
-        )
+        ).unwrap()
         .levels;
 
         let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let r = path::multi(&graph, &mut world, &levels, source, &tgts);
+        let r = path::try_multi(&graph, &mut world, &levels, source, &tgts, &path::MultiPathConfig::default()).unwrap();
         prop_assert_eq!(r.paths.len(), tgts.len());
         prop_assert_eq!(r.rounds, 3 * u64::from(r.hops), "three rounds per hop");
         for (lane, &t) in tgts.iter().enumerate() {
             let mut w = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let single = path::extract_path(&graph, &mut w, &levels, source, t);
+            let single = path::try_extract_path(&graph, &mut w, &levels, source, t).unwrap();
             prop_assert_eq!(
                 &r.paths[lane],
                 &single,
@@ -115,8 +115,8 @@ proptest! {
         let tgts: Vec<u64> = tgts.into_iter().map(|t| t % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
         let mut clean = SimWorld::bluegene(grid);
-        let levels = bfs2d::run(&graph, &mut clean, &BfsConfig::paper_optimized(), source).levels;
-        let want = path::multi(&graph, &mut clean, &levels, source, &tgts).paths;
+        let levels = bfs2d::try_run(&graph, &mut clean, &BfsConfig::paper_optimized(), source).unwrap().levels;
+        let want = path::try_multi(&graph, &mut clean, &levels, source, &tgts, &path::MultiPathConfig::default()).unwrap().paths;
 
         let plan = FaultPlan::seeded(fault_seed)
             .with_control_drop_prob(drop)

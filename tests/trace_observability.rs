@@ -2,7 +2,7 @@
 //! determinism, zero-cost-when-disabled, cross-runtime span agreement,
 //! heatmap/cost-model reconciliation, and critical-path fidelity.
 
-use bgl_bfs::core::{bfs2d, run_threaded_traced, BfsConfig, ResilientConfig};
+use bgl_bfs::core::{bfs2d, threaded_run, BfsConfig, ResilientConfig, ThreadedConfig};
 use bgl_bfs::trace::{chrome::chrome_trace, json, CriticalPath, EventKind, LinkHeatmap, Phase};
 use bgl_bfs::{DistGraph, FaultPlan, GraphSpec, ProcessorGrid, SimWorld, TraceDetail};
 use std::collections::BTreeSet;
@@ -21,7 +21,7 @@ fn chrome_trace_is_deterministic() {
     let render = || {
         let mut world = SimWorld::bluegene(grid);
         world.enable_trace(TraceDetail::Event);
-        let _ = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+        let _ = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
         chrome_trace(&world.take_trace().unwrap())
     };
     let a = render();
@@ -41,7 +41,7 @@ fn disabled_tracing_is_free_and_never_perturbs_the_clock() {
     let (graph, grid) = setup(3_000, 6.0, 13, 2, 2);
 
     let mut untraced = SimWorld::bluegene(grid);
-    let plain = bfs2d::run(&graph, &mut untraced, &BfsConfig::paper_optimized(), 0);
+    let plain = bfs2d::try_run(&graph, &mut untraced, &BfsConfig::paper_optimized(), 0).unwrap();
     assert!(!untraced.trace().is_enabled());
     assert_eq!(
         untraced.trace().allocated(),
@@ -51,7 +51,7 @@ fn disabled_tracing_is_free_and_never_perturbs_the_clock() {
 
     let mut traced = SimWorld::bluegene(grid);
     traced.enable_trace(TraceDetail::Event);
-    let r = bfs2d::run(&graph, &mut traced, &BfsConfig::paper_optimized(), 0);
+    let r = bfs2d::try_run(&graph, &mut traced, &BfsConfig::paper_optimized(), 0).unwrap();
     assert_eq!(plain.levels, r.levels);
     assert_eq!(
         plain.stats.sim_time.to_bits(),
@@ -73,10 +73,16 @@ fn sim_and_threaded_runs_trace_identical_span_sets() {
 
     let mut world = SimWorld::bluegene(grid);
     world.enable_trace(TraceDetail::Span);
-    let sim = bfs2d::run(&graph, &mut world, &config, 0);
+    let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
     let sim_buf = world.take_trace().unwrap();
 
-    let threaded = run_threaded_traced(&graph, 0, config.sent_neighbors, TraceDetail::Span);
+    let threaded_config = ThreadedConfig {
+        sent_neighbors: config.sent_neighbors,
+        trace: Some(TraceDetail::Span),
+        ..ThreadedConfig::default()
+    };
+    let outs = threaded_run::run(&graph, 0, &threaded_config);
+    let threaded = threaded_run::assemble(&graph, outs).unwrap();
     assert_eq!(sim.levels, threaded.levels);
 
     let span_keys = |events: Vec<(usize, bgl_bfs::trace::TraceEvent)>| -> BTreeSet<(Phase, u32)> {
@@ -89,7 +95,7 @@ fn sim_and_threaded_runs_trace_identical_span_sets() {
             .collect()
     };
     let sim_keys = span_keys(sim_buf.events());
-    let thr_keys = span_keys(threaded.buffer.events());
+    let thr_keys = span_keys(threaded.trace.unwrap().events());
     assert!(!sim_keys.is_empty());
     assert_eq!(sim_keys, thr_keys, "runtimes must trace the same phases");
 }
@@ -103,7 +109,7 @@ fn heatmap_reconciles_with_cost_model_link_accounting() {
     let mut world = SimWorld::bluegene(grid);
     world.enable_traffic_accounting();
     world.enable_trace(TraceDetail::Event);
-    let _ = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let _ = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
 
     let traffic_total = world.traffic().unwrap().sum_link_bytes();
     let buf = world.take_trace().unwrap();
@@ -132,7 +138,7 @@ fn compressed_send_bytes_reconcile_trace_traffic_and_stats() {
     let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
     world.enable_traffic_accounting();
     world.enable_trace(TraceDetail::Event);
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
 
     let (traffic_hops, traffic_bytes) = {
         let traffic = world.traffic().unwrap();
@@ -167,7 +173,7 @@ fn critical_path_matches_level_stats() {
     let (graph, grid) = setup(5_000, 8.0, 29, 2, 3);
     let mut world = SimWorld::bluegene(grid);
     world.enable_trace(TraceDetail::Span);
-    let r = bfs2d::run(&graph, &mut world, &BfsConfig::paper_optimized(), 0);
+    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
     let buf = world.take_trace().unwrap();
 
     let cp = CriticalPath::analyze(&buf);
@@ -272,7 +278,7 @@ fn resilient_level_records_are_not_double_counted() {
     let (graph, grid) = setup(4_000, 6.0, 41, 2, 3);
 
     let mut clean = SimWorld::bluegene(grid);
-    let plain = bfs2d::run(&graph, &mut clean, &BfsConfig::paper_optimized(), 0);
+    let plain = bfs2d::try_run(&graph, &mut clean, &BfsConfig::paper_optimized(), 0).unwrap();
 
     let plan = FaultPlan::seeded(5).kill_rank_at(2, 4);
     let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
