@@ -23,7 +23,7 @@
 //! cargo run --release -p bgl-bench --bin bench_server [-- --check]
 //! ```
 
-use bfs_core::{bfs2d, multi, BfsConfig, ComputeEngine};
+use bfs_core::{bfs2d, multi, BfsConfig};
 use bgl_bench::harness::Args;
 use bgl_comm::{ProcessorGrid, SimWorld, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
@@ -154,11 +154,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every lane vs its standalone single-source run + validator. ----
     let gate_sources: Vec<u64> = pool.iter().copied().take(GATE_WIDTH).collect();
     let mut mworld = SimWorld::bluegene(grid).with_wire_policy(wire);
-    let mcfg = multi::MultiConfig {
-        engine: ComputeEngine::Auto,
-        ..multi::MultiConfig::default()
-    };
-    let mres = multi::try_run(&graph, &mut mworld, &mcfg, &gate_sources)?;
+    let mres = multi::try_run(
+        &graph,
+        &mut mworld,
+        &multi::MultiConfig::default(),
+        &gate_sources,
+    )?;
     let mut lanes_identical = true;
     for (lane, &s) in gate_sources.iter().enumerate() {
         let mut w = SimWorld::bluegene(grid).with_wire_policy(wire);

@@ -1,6 +1,6 @@
 //! Host-side performance check for the hybrid-frontier PR: measures
-//! list vs bitmap union-fold throughput and serial vs rayon superstep
-//! wall-clock, and writes the numbers to `BENCH_setops.json`.
+//! list vs bitmap union-fold throughput and 1-worker vs N-worker
+//! superstep wall-clock, and writes the numbers to `BENCH_setops.json`.
 //!
 //! Unlike the figure binaries this measures *host* wall-clock, not
 //! simulated BlueGene/L time — it is the evidence that the hybrid
@@ -11,7 +11,7 @@
 //! cargo run --release -p bgl-bench --bin bench_setops
 //! ```
 
-use bfs_core::{bfs2d, BfsConfig, ComputeEngine};
+use bfs_core::{bfs2d, BfsConfig};
 use bgl_bench::exp;
 use bgl_bench::harness::Args;
 use bgl_comm::{CommError, ProcessorGrid, SimWorld, Vert, VertSet, VsetPolicy};
@@ -60,18 +60,21 @@ fn time_union(blocks: &[Vec<Vert>], policy: &VsetPolicy, reps: u64) -> f64 {
     best
 }
 
-/// Best-of-`reps` wall-clock seconds for a full bfs2d run under `engine`.
-fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> Result<f64, CommError> {
-    let config = BfsConfig::paper_optimized().with_engine(engine);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut world = SimWorld::bluegene(graph.grid());
-        let start = Instant::now();
-        let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
-        best = best.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(r.stats.sim_time);
-    }
-    Ok(best)
+/// Best-of-`reps` wall-clock seconds for a full bfs2d run on `workers`
+/// host threads (1 = the sequential reference).
+fn time_engine(graph: &DistGraph, workers: usize, reps: u64) -> Result<f64, CommError> {
+    let config = BfsConfig::paper_optimized();
+    rayon::with_worker_threads(workers, || {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let mut world = SimWorld::bluegene(graph.grid());
+            let start = Instant::now();
+            let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
+            best = best.min(start.elapsed().as_secs_f64());
+            std::hint::black_box(r.stats.sim_time);
+        }
+        Ok(best)
+    })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -115,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("warning: bitmap union speedup below the 2x target");
     }
 
-    // --- Superstep engine: serial vs rayon wall-clock. ----------------
+    // --- Superstep engine: 1 worker vs N workers, wall-clock. ---------
     let grid = ProcessorGrid::new(rows, cols);
     let spec = GraphSpec::poisson(n, degree, 4242);
     let graph = DistGraph::build(spec, grid);
@@ -123,12 +126,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine: n={n} degree={degree} grid {rows}x{cols} \
          ({host_threads} host cores, {engine_threads} worker threads)"
     );
-    let serial_s = time_engine(&graph, ComputeEngine::Serial, reps)?;
-    let rayon_s = time_engine(&graph, ComputeEngine::Rayon, reps)?;
+    let serial_s = time_engine(&graph, 1, reps)?;
+    let rayon_s = time_engine(&graph, engine_threads, reps)?;
     let engine_speedup = serial_s / rayon_s;
-    eprintln!("  serial  {:>9.1} ms", serial_s * 1e3);
+    eprintln!("  1 worker   {:>9.1} ms", serial_s * 1e3);
     eprintln!(
-        "  rayon   {:>9.1} ms   ({engine_speedup:.2}x)",
+        "  {engine_threads} workers  {:>9.1} ms   ({engine_speedup:.2}x)",
         rayon_s * 1e3
     );
 

@@ -8,14 +8,14 @@
 //!
 //! * wire compression ratio on the default Poisson graph ≥ 1.5× —
 //!   deterministic, checked unconditionally;
-//! * rayon superstep speedup ≥ 1.2× — wall-clock, only checked when
+//! * N-worker over 1-worker superstep speedup ≥ 1.2× — wall-clock, only checked when
 //!   the host really has ≥ 4 cores (a 1-core runner cannot speed up).
 //!
 //! ```text
 //! cargo run --release -p bgl-bench --bin bench_wire [-- --check]
 //! ```
 
-use bfs_core::{bfs2d, BfsConfig, ComputeEngine};
+use bfs_core::{bfs2d, BfsConfig};
 use bgl_bench::exp;
 use bgl_bench::harness::Args;
 use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
@@ -58,19 +58,21 @@ fn coded_run(graph: &DistGraph, mode: WireMode) -> Result<(u64, u64, f64, f64), 
     ))
 }
 
-/// Best-of-`reps` host wall-clock seconds for a full coded run under
-/// `engine`.
-fn time_engine(graph: &DistGraph, engine: ComputeEngine, reps: u64) -> Result<f64, CommError> {
-    let config = BfsConfig::paper_optimized().with_engine(engine);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::auto());
-        let start = Instant::now();
-        let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
-        best = best.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(r.stats.sim_time);
-    }
-    Ok(best)
+/// Best-of-`reps` host wall-clock seconds for a full coded run on
+/// `workers` host threads (1 = the sequential reference).
+fn time_engine(graph: &DistGraph, workers: usize, reps: u64) -> Result<f64, CommError> {
+    let config = BfsConfig::paper_optimized();
+    rayon::with_worker_threads(workers, || {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::auto());
+            let start = Instant::now();
+            let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
+            best = best.min(start.elapsed().as_secs_f64());
+            std::hint::black_box(r.stats.sim_time);
+        }
+        Ok(best)
+    })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -130,14 +132,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim_speedup = raw.4 / auto.4;
     eprintln!("  auto codec: {compression:.2}x fewer bytes, {sim_speedup:.2}x simulated speedup");
 
-    // --- Superstep scheduler: serial vs rayon host wall-clock. --------
+    // --- Superstep scheduler: 1 worker vs N workers, host wall-clock. -
     eprintln!("engine: {host_threads} host cores, {engine_threads} worker threads");
-    let serial_s = time_engine(&graph, ComputeEngine::Serial, reps)?;
-    let rayon_s = time_engine(&graph, ComputeEngine::Rayon, reps)?;
+    let serial_s = time_engine(&graph, 1, reps)?;
+    let rayon_s = time_engine(&graph, engine_threads, reps)?;
     let engine_speedup = serial_s / rayon_s;
-    eprintln!("  serial  {:>9.1} ms", serial_s * 1e3);
+    eprintln!("  1 worker   {:>9.1} ms", serial_s * 1e3);
     eprintln!(
-        "  rayon   {:>9.1} ms   ({engine_speedup:.2}x)",
+        "  {engine_threads} workers  {:>9.1} ms   ({engine_speedup:.2}x)",
         rayon_s * 1e3
     );
 

@@ -1,13 +1,12 @@
-//! Chaos sweep — randomized fault schedules fuzzed across the engine
-//! and wire-codec matrix, with differential and Graph500-style checks.
+//! Chaos sweep — randomized fault schedules fuzzed across the
+//! wire-codec matrix, with differential and Graph500-style checks.
 //!
 //! Each cell draws a deterministic [`ChaosSpec`] from a fault seed
 //! (scheduled rank deaths — at most one per parity group — plus
 //! randomized drop/truncate/duplicate probabilities), then runs the
 //! parity-group checkpoint/recover engine
-//! ([`bfs_core::bfs2d::run_resilient`]) under every requested
-//! `wire × engine` combination. Every surviving run is checked three
-//! ways:
+//! ([`bfs_core::bfs2d::run_resilient`]) under every requested wire
+//! codec. Every surviving run is checked three ways:
 //!
 //! * **differential** — levels bit-identical to the fault-free
 //!   reference run (and therefore to every sibling cell);
@@ -27,14 +26,14 @@
 //! cargo run --release -p bgl-bench --bin chaos_sweep [-- --check]
 //! ```
 
-use bfs_core::{bfs2d, validate, BfsConfig, ComputeEngine, ResilientConfig};
+use bfs_core::{bfs2d, validate, BfsConfig, ResilientConfig};
 use bgl_bench::harness::{Args, Table};
 use bgl_comm::{ChaosSpec, FaultPlan, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use std::fmt::Write as _;
 
 const HELP: &str = "\
-chaos_sweep — randomized fault schedules x {wire codec} x {engine}, differentially checked
+chaos_sweep — randomized fault schedules x {wire codec}, differentially checked
 
 Writes BENCH_resilience.json (override with --out).
 
@@ -56,7 +55,6 @@ Flags:
 struct Cell {
     fault_seed: u64,
     wire: WireMode,
-    engine: &'static str,
     deaths: usize,
     outcome: Result<CellStats, String>,
 }
@@ -104,10 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .unwrap_or_else(|| panic!("--wires: {s:?} (expected auto, raw, delta, or bitmap)"))
         })
         .collect();
-    let engines = [
-        (ComputeEngine::Serial, "serial"),
-        (ComputeEngine::Rayon, "rayon"),
-    ];
     let out = args
         .str("out")
         .unwrap_or("BENCH_resilience.json")
@@ -139,47 +133,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let plan = FaultPlan::chaos(&chaos);
         let deaths = plan.deaths().len();
         for &wire in &wires {
-            for (engine, engine_name) in engines {
-                let mut w = SimWorld::bluegene(grid)
-                    .with_fault_plan(plan.clone())
-                    .with_wire_policy(WirePolicy::with_mode(wire));
-                let cfg = config.with_engine(engine);
-                let outcome = match bfs2d::run_resilient(&graph, &mut w, &cfg, source, &resilient) {
-                    Ok(res) => {
-                        let f = &res.result.stats.comm.faults;
-                        Ok(CellStats {
-                            recoveries: res.recoveries,
-                            degraded_restarts: res.degraded_restarts,
-                            retransmissions: f.retransmissions,
-                            drops: f.drops_injected,
-                            sim_ms: res.result.stats.sim_time * 1e3,
-                            recovery_ms: res.recovery_time * 1e3,
-                            bit_identical: res.result.levels == baseline.levels,
-                            validated: validate::validate_against_spec(
-                                &spec,
-                                &res.result.levels,
-                                source,
-                            )
-                            .is_ok(),
-                        })
-                    }
-                    Err(e) => Err(e.to_string()),
-                };
-                cells.push(Cell {
-                    fault_seed,
-                    wire,
-                    engine: engine_name,
-                    deaths,
-                    outcome,
-                });
-            }
+            let mut w = SimWorld::bluegene(grid)
+                .with_fault_plan(plan.clone())
+                .with_wire_policy(WirePolicy::with_mode(wire));
+            let outcome = match bfs2d::run_resilient(&graph, &mut w, &config, source, &resilient) {
+                Ok(res) => {
+                    let f = &res.result.stats.comm.faults;
+                    Ok(CellStats {
+                        recoveries: res.recoveries,
+                        degraded_restarts: res.degraded_restarts,
+                        retransmissions: f.retransmissions,
+                        drops: f.drops_injected,
+                        sim_ms: res.result.stats.sim_time * 1e3,
+                        recovery_ms: res.recovery_time * 1e3,
+                        bit_identical: res.result.levels == baseline.levels,
+                        validated: validate::validate_against_spec(
+                            &spec,
+                            &res.result.levels,
+                            source,
+                        )
+                        .is_ok(),
+                    })
+                }
+                Err(e) => Err(e.to_string()),
+            };
+            cells.push(Cell {
+                fault_seed,
+                wire,
+                deaths,
+                outcome,
+            });
         }
     }
 
     let mut table = Table::new(
         "chaos sweep (differential vs fault-free + Graph500-style validation)",
         &[
-            "fseed", "wire", "engine", "deaths", "recov", "degrade", "retrans", "sim ms", "status",
+            "fseed", "wire", "deaths", "recov", "degrade", "retrans", "sim ms", "status",
         ],
     );
     for c in &cells {
@@ -206,7 +196,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         table.push(vec![
             c.fault_seed.to_string(),
             c.wire.name().to_string(),
-            c.engine.to_string(),
             c.deaths.to_string(),
             recov,
             degrade,
@@ -240,13 +229,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(s) => {
                 let _ = writeln!(
                     json,
-                    "    {{ \"fault_seed\": {}, \"wire\": \"{}\", \"engine\": \"{}\", \
+                    "    {{ \"fault_seed\": {}, \"wire\": \"{}\", \
                      \"deaths\": {}, \"recoveries\": {}, \"degraded_restarts\": {}, \
                      \"retransmissions\": {}, \"drops\": {}, \"sim_ms\": {:.3}, \
                      \"recovery_ms\": {:.3}, \"bit_identical\": {}, \"validated\": {} }}{comma}",
                     c.fault_seed,
                     c.wire.name(),
-                    c.engine,
                     c.deaths,
                     s.recoveries,
                     s.degraded_restarts,
@@ -261,11 +249,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Err(e) => {
                 let _ = writeln!(
                     json,
-                    "    {{ \"fault_seed\": {}, \"wire\": \"{}\", \"engine\": \"{}\", \
+                    "    {{ \"fault_seed\": {}, \"wire\": \"{}\", \
                      \"deaths\": {}, \"error\": \"{}\" }}{comma}",
                     c.fault_seed,
                     c.wire.name(),
-                    c.engine,
                     c.deaths,
                     e.replace('"', "'")
                 );

@@ -12,7 +12,7 @@
 //!
 //! Flags: `--ps 16,64,256,1024` `--per-rank 1000` `--k 10` `--pairs 3`
 //! `--seed 42` `--csv out.csv` `--wire auto|raw|delta|bitmap`
-//! `--engine serial|rayon|auto` `--engine-threads N`
+//! `--engine-threads N`
 
 use bfs_core::{bfs2d, bidir, BfsConfig};
 use bgl_bench::exp;
@@ -29,7 +29,6 @@ fig4c_bidirectional — reproduce paper Figure 4.c (bi- vs uni-directional)
   --seed <u64>      graph seed (default 42)
   --csv <path>      also write CSV
   --wire <mode>     wire codec: auto|raw|delta|bitmap (default raw)
-  --engine <e>      compute engine: serial|rayon|auto (default auto)
   --engine-threads <n>  rayon worker threads (default: one per core)
 ";
 
@@ -46,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = args.u64("seed", 42);
     let wire = exp::wire_policy(&args);
     exp::apply_engine_threads(&args);
-    let config = BfsConfig::paper_optimized().with_engine(exp::engine(&args));
+    let config = BfsConfig::paper_optimized();
 
     let mut table = Table::new(
         "Figure 4.c — bi-directional vs uni-directional BFS (simulated seconds)",

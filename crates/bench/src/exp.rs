@@ -1,7 +1,7 @@
 //! Shared experiment plumbing for the figure/table binaries.
 
 use crate::harness::Args;
-use bfs_core::{bfs2d, bidir, BfsConfig, ComputeEngine};
+use bfs_core::{bfs2d, bidir, BfsConfig};
 use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 
@@ -34,20 +34,9 @@ pub fn wire_policy(args: &Args) -> WirePolicy {
     }
 }
 
-/// Parse the shared `--engine serial|rayon|auto` flag (auto, the
-/// default, picks per-superstep; results are bit-identical either way).
-pub fn engine(args: &Args) -> ComputeEngine {
-    match args.str("engine") {
-        None | Some("auto") => ComputeEngine::Auto,
-        Some("serial") => ComputeEngine::Serial,
-        Some("rayon") => ComputeEngine::Rayon,
-        Some(s) => panic!("--engine expects serial, rayon, or auto; got {s:?}"),
-    }
-}
-
 /// Apply the shared `--engine-threads N` flag: overrides how many host
-/// worker threads the rayon compute engine uses (0 or absent = one per
-/// available core). Call once at binary start, before any searches.
+/// worker threads run the per-rank compute and exchange precompute (0 or
+/// absent = one per available core; 1 = sequential). Call once at binary start, before any searches.
 pub fn apply_engine_threads(args: &Args) {
     if let Some(n) = args.str("engine-threads") {
         let n: usize = n

@@ -148,10 +148,6 @@ pub struct SimWorld {
     /// Wire codec applied to exchange payloads (see [`crate::wire`];
     /// [`WirePolicy::raw`] = codec off, the pre-codec behavior).
     wire_policy: WirePolicy,
-    /// Run the per-send precompute of [`SimWorld::exchange`] on rayon
-    /// worker threads (host-side only; never affects results or the
-    /// simulated clock — the merge stays serial and ordered).
-    parallel_sends: bool,
     /// Reusable merge/inbox scratch buffers for the collectives.
     scratch: ScratchPool,
     /// Structured event recorder (disabled by default: a single `None`
@@ -196,7 +192,6 @@ impl SimWorld {
             route_cache: FxHashMap::with_capacity_and_hasher(4 * grid.len(), Default::default()),
             vset_policy: VsetPolicy::default(),
             wire_policy: WirePolicy::default(),
-            parallel_sends: false,
             scratch: ScratchPool::new(),
             trace: TraceSink::disabled(),
         }
@@ -482,19 +477,6 @@ impl SimWorld {
         self
     }
 
-    /// Toggle host-parallel per-send precompute in
-    /// [`SimWorld::exchange`]. Purely a wall-clock knob: results,
-    /// statistics, traces and the simulated clock are bit-identical
-    /// either way (the merge is serial and ordered).
-    pub fn set_parallel_exchange(&mut self, on: bool) {
-        self.parallel_sends = on;
-    }
-
-    /// Whether the parallel per-send precompute is on.
-    pub fn parallel_exchange(&self) -> bool {
-        self.parallel_sends
-    }
-
     /// Take a scratch buffer from the per-world pool (cleared, capacity
     /// retained from earlier supersteps).
     pub fn scratch_take(&mut self) -> Vec<Vert> {
@@ -623,7 +605,7 @@ impl SimWorld {
         // --- Phase 1: per-send precompute. Wire measurement, routing,
         // α–β–hop arithmetic and the fault schedule are pure functions
         // of the immutable world state, so this is the part that fans
-        // out over rayon workers when the compute engine asks for it.
+        // out over rayon workers (one worker runs it sequentially).
         // Results are positional either way, so the serial merge below
         // is bit-identical to the old fused loop.
         let codec_on = !self.wire_policy.is_raw();
@@ -707,11 +689,7 @@ impl SimWorld {
                     fault,
                 })
             };
-            if self.parallel_sends && sends.len() > 1 {
-                sends.par_iter_mut().map(|s| pre(s)).collect()
-            } else {
-                sends.iter().map(pre).collect()
-            }
+            sends.par_iter_mut().map(|s| pre(s)).collect()
         };
 
         // Encode phase: every rank packs its outgoing payloads before
@@ -1293,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exchange_is_bit_identical_to_serial() {
+    fn exchange_is_bit_identical_across_worker_counts() {
         let payloads: Vec<Send> = (0..16)
             .flat_map(|i| {
                 (0..16).filter(move |&j| j != i).map(move |j| {
@@ -1302,22 +1280,23 @@ mod tests {
                 })
             })
             .collect();
-        let run = |parallel: bool| {
-            let mut w =
-                SimWorld::bluegene(ProcessorGrid::new(4, 4)).with_wire_policy(WirePolicy::auto());
-            w.set_parallel_exchange(parallel);
-            w.enable_traffic_accounting();
-            let inboxes = w.exchange(OpClass::Expand, payloads.clone()).unwrap();
-            (
-                inboxes,
-                w.time().to_bits(),
-                w.codec_time().to_bits(),
-                w.stats.clone(),
-                w.traffic().unwrap().sum_link_bytes(),
-            )
+        let run = |workers: usize| {
+            rayon::with_worker_threads(workers, || {
+                let mut w = SimWorld::bluegene(ProcessorGrid::new(4, 4))
+                    .with_wire_policy(WirePolicy::auto());
+                w.enable_traffic_accounting();
+                let inboxes = w.exchange(OpClass::Expand, payloads.clone()).unwrap();
+                (
+                    inboxes,
+                    w.time().to_bits(),
+                    w.codec_time().to_bits(),
+                    w.stats.clone(),
+                    w.traffic().unwrap().sum_link_bytes(),
+                )
+            })
         };
-        let serial = run(false);
-        let parallel = run(true);
+        let serial = run(1);
+        let parallel = run(4);
         assert_eq!(serial.0, parallel.0);
         assert_eq!(serial.1, parallel.1, "sim clock must be bit-identical");
         assert_eq!(serial.2, parallel.2);
@@ -1326,19 +1305,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exchange_preserves_fault_schedule() {
+    fn worker_count_preserves_fault_schedule() {
         let plan = FaultPlan::seeded(11).with_drop_prob(0.3);
         let sends: Vec<Send> = (1..4).map(|r| (0, r, vec![5; 500])).collect();
-        let run = |parallel: bool| {
-            let mut w = world(4).with_fault_plan(plan.clone());
-            w.set_parallel_exchange(parallel);
-            for _ in 0..6 {
-                w.exchange(OpClass::Fold, sends.clone()).unwrap();
-            }
-            (w.time().to_bits(), w.stats.clone())
+        let run = |workers: usize| {
+            rayon::with_worker_threads(workers, || {
+                let mut w = world(4).with_fault_plan(plan.clone());
+                for _ in 0..6 {
+                    w.exchange(OpClass::Fold, sends.clone()).unwrap();
+                }
+                (w.time().to_bits(), w.stats.clone())
+            })
         };
-        let a = run(false);
-        let b = run(true);
+        let a = run(1);
+        let b = run(4);
         assert_eq!(a, b);
         assert!(b.1.faults.retransmissions > 0, "plan must actually fire");
     }

@@ -23,6 +23,7 @@ use bgl_comm::collectives::{
 };
 use bgl_comm::{CommError, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
+use rayon::ParallelSliceMut;
 
 /// Run Algorithm 1 from `source`. The graph must be distributed on a
 /// `1 × P` grid (the conventional 1D partitioning). Communication
@@ -76,12 +77,15 @@ pub fn try_run(
         // Local discovery straight from the frontier: N ← neighbors of F
         // (Algorithm 1 step 7). Edge lists are complete at the owner.
         let t_discover = world.time();
-        let blocks: Vec<Vec<Vec<Vert>>> = config.engine.map_mut(&mut states, |s| {
-            let f = std::mem::take(&mut s.frontier);
-            let out = s.discover(&[&f]);
-            s.frontier = f;
-            out
-        });
+        let blocks: Vec<Vec<Vec<Vert>>> = states
+            .par_iter_mut()
+            .map(|s| {
+                let f = std::mem::take(&mut s.frontier);
+                let out = s.discover(&[&f]);
+                s.frontier = f;
+                out
+            })
+            .collect();
 
         world.trace_span(Phase::Discover, level, t_discover);
 
@@ -122,15 +126,16 @@ pub fn try_run(
         let t_absorb = world.time();
         match &nbar {
             FoldOut::PerSender(lists) => {
-                let _: Vec<u64> = config.engine.zip_map(&mut states, lists, |s, lists| {
+                let _: Vec<u64> = states.par_iter_mut().zip(lists).map_collect(|s, lists| {
                     let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
                     s.absorb(&refs, level + 1)
                 });
             }
             FoldOut::Union(sets) => {
-                let _: Vec<u64> = config
-                    .engine
-                    .zip_map(&mut states, sets, |s, set| s.absorb_set(set, level + 1));
+                let _: Vec<u64> = states
+                    .par_iter_mut()
+                    .zip(sets)
+                    .map_collect(|s, set| s.absorb_set(set, level + 1));
             }
         }
         drop(nbar);

@@ -57,6 +57,7 @@ use bgl_comm::collectives::{
 };
 use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert, VertSet};
 use bgl_graph::{DistGraph, Vertex};
+use rayon::ParallelSliceMut;
 
 /// The outcome of one distributed BFS run.
 #[derive(Debug, Clone)]
@@ -261,9 +262,10 @@ fn level_pass(
         // -- 3. (bottom-up) discover: scan unvisited stored rows,
         // early-exit on the first frontier parent.
         let t_discover = world.time();
-        let blocks = config
-            .engine
-            .zip_map(states, &gathered, |s, fs| s.discover_bottom_up(fs));
+        let blocks = states
+            .par_iter_mut()
+            .zip(&gathered)
+            .map_collect(|s, fs| s.discover_bottom_up(fs));
         drop(gathered);
         world.trace_span(Phase::Discover, level, t_discover);
         blocks
@@ -272,9 +274,10 @@ fn level_pass(
         let t_expand = world.time();
         let fbar: Vec<Vec<Vec<Vert>>> = match config.expand {
             ExpandStrategy::Targeted => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = config
-                    .engine
-                    .map_mut(states, RankState::expand_sends_targeted);
+                let sends: Vec<Vec<(usize, Vec<Vert>)>> = states
+                    .par_iter_mut()
+                    .map(RankState::expand_sends_targeted)
+                    .collect();
                 alltoallv(world, OpClass::Expand, col_groups, sends)?
                     .into_iter()
                     .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
@@ -303,10 +306,11 @@ fn level_pass(
         // -- 3. local discovery. Zero-duration span in the simulator:
         // the probe costs are charged in the absorb phase's hash pass.
         let t_discover = world.time();
-        let blocks: Vec<Vec<Vec<Vert>>> = config.engine.zip_map(states, &fbar, |s, lists| {
-            let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-            s.discover(&refs)
-        });
+        let blocks: Vec<Vec<Vec<Vert>>> =
+            states.par_iter_mut().zip(&fbar).map_collect(|s, lists| {
+                let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
+                s.discover(&refs)
+            });
         drop(fbar);
         world.trace_span(Phase::Discover, level, t_discover);
         blocks
@@ -352,15 +356,16 @@ fn level_pass(
     let t_absorb = world.time();
     match &nbar {
         FoldOut::PerSender(lists) => {
-            let _: Vec<u64> = config.engine.zip_map(states, lists, |s, lists| {
+            let _: Vec<u64> = states.par_iter_mut().zip(lists).map_collect(|s, lists| {
                 let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
                 s.absorb(&refs, level + 1)
             });
         }
         FoldOut::Union(sets) => {
-            let _: Vec<u64> = config
-                .engine
-                .zip_map(states, sets, |s, set| s.absorb_set(set, level + 1));
+            let _: Vec<u64> = states
+                .par_iter_mut()
+                .zip(sets)
+                .map_collect(|s, set| s.absorb_set(set, level + 1));
         }
     }
     drop(nbar);
@@ -532,11 +537,6 @@ fn engine(
     assert_eq!(grid, graph.grid(), "world and graph grids must match");
     assert!(source < graph.spec.n, "source out of range");
     let p = grid.len();
-
-    // One decision drives both host-parallel layers: the per-rank
-    // compute fan-out and the exchange precompute (wire encode + cost
-    // attribution) in the communication layer. Bit-identical either way.
-    world.set_parallel_exchange(config.engine.parallel(p));
 
     let row_groups = Groups::rows_of(grid);
     let col_groups = Groups::cols_of(grid);

@@ -29,6 +29,7 @@ use bgl_comm::collectives::{
 };
 use bgl_comm::{CommError, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
+use rayon::ParallelSliceMut;
 
 /// Outcome of a bi-directional search.
 #[derive(Debug, Clone)]
@@ -137,9 +138,10 @@ pub fn try_run(
         let t_expand = world.time();
         let fbar: Vec<Vec<Vec<Vert>>> = match config.expand {
             ExpandStrategy::Targeted => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = config
-                    .engine
-                    .map_mut(states, RankState::expand_sends_targeted);
+                let sends: Vec<Vec<(usize, Vec<Vert>)>> = states
+                    .par_iter_mut()
+                    .map(RankState::expand_sends_targeted)
+                    .collect();
                 alltoallv(world, OpClass::Expand, &col_groups, sends)?
                     .into_iter()
                     .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
@@ -164,10 +166,11 @@ pub fn try_run(
         };
         world.trace_span(Phase::Expand, iter, t_expand);
         let t_discover = world.time();
-        let blocks: Vec<Vec<Vec<Vert>>> = config.engine.zip_map(states, &fbar, |s, lists| {
-            let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-            s.discover(&refs)
-        });
+        let blocks: Vec<Vec<Vec<Vert>>> =
+            states.par_iter_mut().zip(&fbar).map_collect(|s, lists| {
+                let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
+                s.discover(&refs)
+            });
         drop(fbar);
         world.trace_span(Phase::Discover, iter, t_discover);
         let t_fold = world.time();
@@ -206,15 +209,16 @@ pub fn try_run(
         let t_absorb = world.time();
         match &nbar {
             FoldOut::PerSender(lists) => {
-                let _: Vec<u64> = config.engine.zip_map(states, lists, |s, lists| {
+                let _: Vec<u64> = states.par_iter_mut().zip(lists).map_collect(|s, lists| {
                     let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
                     s.absorb(&refs, next_level)
                 });
             }
             FoldOut::Union(sets) => {
-                let _: Vec<u64> = config
-                    .engine
-                    .zip_map(states, sets, |s, set| s.absorb_set(set, next_level));
+                let _: Vec<u64> = states
+                    .par_iter_mut()
+                    .zip(sets)
+                    .map_collect(|s, set| s.absorb_set(set, next_level));
             }
         }
         drop(nbar);
@@ -222,7 +226,7 @@ pub fn try_run(
         // --- meet detection on the newly labeled frontier (each rank
         // probes its fresh labels against the other side's labels; the
         // per-rank minima merge into `best_local` in rank order).
-        let meets: Vec<u64> = config.engine.zip_map(states, other, |s, o| {
+        let meets: Vec<u64> = states.par_iter_mut().zip(other).map_collect(|s, o| {
             let mut best = u64::MAX;
             for &v in &s.frontier {
                 s.probes += 1;

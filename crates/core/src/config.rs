@@ -1,6 +1,5 @@
 //! BFS run configuration: which of the paper's strategies to use.
 
-use crate::engine::ComputeEngine;
 use bgl_graph::Vertex;
 use serde::{Deserialize, Serialize};
 
@@ -137,10 +136,6 @@ pub struct BfsConfig {
     pub target: Option<Vertex>,
     /// Safety cap on levels (0 disables the cap).
     pub max_levels: u32,
-    /// How per-rank compute closures execute on the host (serial or
-    /// rayon worker threads); never affects results or simulated time.
-    #[serde(default)]
-    pub engine: ComputeEngine,
     /// Direction-optimization policy. Defaults to pure top-down, which
     /// keeps the single-word termination allreduce and every existing
     /// run bit-identical.
@@ -158,7 +153,6 @@ impl BfsConfig {
             sent_neighbors: true,
             target: None,
             max_levels: 0,
-            engine: ComputeEngine::Auto,
             direction: DirectionPolicy::top_down(),
         }
     }
@@ -172,7 +166,6 @@ impl BfsConfig {
             sent_neighbors: true,
             target: None,
             max_levels: 0,
-            engine: ComputeEngine::Auto,
             direction: DirectionPolicy::top_down(),
         }
     }
@@ -191,12 +184,6 @@ impl BfsConfig {
     /// Set a search target.
     pub fn with_target(mut self, target: Vertex) -> Self {
         self.target = Some(target);
-        self
-    }
-
-    /// Set the host-side compute engine.
-    pub fn with_engine(mut self, engine: ComputeEngine) -> Self {
-        self.engine = engine;
         self
     }
 

@@ -55,7 +55,6 @@ pub mod bfs1d;
 pub mod bfs2d;
 pub mod bidir;
 pub mod config;
-pub mod engine;
 pub mod memory;
 pub mod multi;
 pub mod parity;
@@ -71,7 +70,6 @@ pub mod validate;
 pub use bfs2d::{BfsResult, ResilientBfsResult, ResilientConfig};
 pub use bidir::BidirResult;
 pub use config::{BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy, FoldStrategy};
-pub use engine::ComputeEngine;
 pub use multi::{MultiBfsResult, MultiConfig, MultiRankState};
 pub use parity::{GroupShard, ParityGroups};
 pub use path::{MultiPathConfig, MultiPathResult};

@@ -19,29 +19,26 @@
 //! lane `l` — exactly the single-source induction, so every lane's
 //! level array is *identical* to its standalone [`crate::bfs2d::try_run`]
 //! (asserted per-batch by [`validate_lanes`] against the Graph500-style
-//! validator, and property-tested across engines × wire policies in
+//! validator, and property-tested across worker counts × wire policies in
 //! `tests/proptest_multi.rs`).
 //!
 //! **Determinism.** The wave loop follows the same discipline as the
 //! single-source engine: per-rank closures are pure, results collect
-//! positionally under [`ComputeEngine`], lane sets merge by sorted
+//! positionally whatever the worker count, lane sets merge by sorted
 //! two-pointer unions, and all clock accounting happens in the serial
-//! collective layer — serial and rayon runs are bit-identical.
+//! collective layer — 1-worker and many-worker runs are bit-identical.
 
-use crate::engine::ComputeEngine;
 use crate::reference::UNREACHED;
 use crate::validate::{self, ValidationError, ValidationReport};
 use bgl_comm::collectives::lane::{lane_alltoallv, LaneSendList};
 use bgl_comm::collectives::Groups;
 use bgl_comm::{CommError, LaneMask, LaneSet, OpClass, Phase, ProcessorGrid, SimWorld, MAX_LANES};
 use bgl_graph::{DistGraph, GraphSpec, RankGraph, TwoDPartition, Vertex};
+use rayon::ParallelSliceMut;
 
 /// Configuration for a batched multi-source run.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiConfig {
-    /// Host-side execution engine for per-rank compute (bit-identical
-    /// across variants).
-    pub engine: ComputeEngine,
     /// Keep the §2.4.3 sent-neighbors cache, widened to one lane mask
     /// per row-local vertex: a neighbor is re-sent only for lanes that
     /// have not shipped it yet.
@@ -53,7 +50,6 @@ pub struct MultiConfig {
 impl Default for MultiConfig {
     fn default() -> Self {
         Self {
-            engine: ComputeEngine::Auto,
             sent_neighbors: true,
             max_waves: 0,
         }
@@ -293,7 +289,6 @@ pub fn try_run(
         assert!(s < graph.spec.n, "source {s} out of range");
     }
     let p = grid.len();
-    world.set_parallel_exchange(config.engine.parallel(p));
 
     let row_groups = Groups::rows_of(grid);
     let col_groups = Groups::cols_of(grid);
@@ -334,15 +329,16 @@ pub fn try_run(
 
         // -- 2. expand over processor-columns, masks riding along.
         let t_expand = world.time();
-        let sends: Vec<LaneSendList> = config.engine.map_mut(&mut states, |s| s.expand_sends());
+        let sends: Vec<LaneSendList> = states.par_iter_mut().map(|s| s.expand_sends()).collect();
         let fbar = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;
         world.trace_span(Phase::Expand, wave, t_expand);
 
         // -- 3. local discovery (edge scans shared across lanes).
         let t_discover = world.time();
-        let blocks: Vec<Vec<LaneSet>> = config
-            .engine
-            .zip_map(&mut states, &fbar, |s, lists| s.discover(lists));
+        let blocks: Vec<Vec<LaneSet>> = states
+            .par_iter_mut()
+            .zip(&fbar)
+            .map_collect(|s, lists| s.discover(lists));
         drop(fbar);
         world.trace_span(Phase::Discover, wave, t_discover);
 
@@ -365,9 +361,10 @@ pub fn try_run(
 
         // -- 5. absorb + hash charge.
         let t_absorb = world.time();
-        let _: Vec<u64> = config
-            .engine
-            .zip_map(&mut states, &nbar, |s, lists| s.absorb(lists, wave + 1));
+        let _: Vec<u64> = states
+            .par_iter_mut()
+            .zip(&nbar)
+            .map_collect(|s, lists| s.absorb(lists, wave + 1));
         drop(nbar);
         let probes: Vec<u64> = states.iter_mut().map(MultiRankState::take_probes).collect();
         total_probes += probes.iter().sum::<u64>();
@@ -459,24 +456,20 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_rayon_bit_identical() {
+    fn one_worker_and_many_workers_bit_identical() {
         let spec = GraphSpec::rmat(1_500, 8.0, 11);
         let grid = ProcessorGrid::new(4, 4);
         let graph = DistGraph::build(spec, grid);
         let sources: Vec<u64> = (0..16).map(|i| (i * 91) % 1_500).collect();
-        let run_with = |engine| {
-            let mut world = SimWorld::bluegene(grid).with_wire_policy(bgl_comm::WirePolicy::auto());
-            let cfg = MultiConfig {
-                engine,
-                ..MultiConfig::default()
-            };
-            let r = try_run(&graph, &mut world, &cfg, &sources).unwrap();
-            (r.lane_levels, world.time().to_bits(), r.total_probes)
+        let run_with = |workers| {
+            rayon::with_worker_threads(workers, || {
+                let mut world =
+                    SimWorld::bluegene(grid).with_wire_policy(bgl_comm::WirePolicy::auto());
+                let r = try_run(&graph, &mut world, &MultiConfig::default(), &sources).unwrap();
+                (r.lane_levels, world.time().to_bits(), r.total_probes)
+            })
         };
-        assert_eq!(
-            run_with(ComputeEngine::Serial),
-            run_with(ComputeEngine::Rayon)
-        );
+        assert_eq!(run_with(1), run_with(4));
     }
 
     #[test]

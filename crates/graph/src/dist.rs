@@ -87,75 +87,24 @@ impl DistGraph {
         let partition = TwoDPartition::new(spec.n, grid);
         let p = grid.len();
 
-        // 1. Generate entries cell-parallel and bucket them by storing rank.
-        let buckets: Vec<Vec<(Vertex, Vertex)>> = match spec.family {
+        // 1. Generate entries chunk-parallel and bucket them by storing rank.
+        let buckets = match spec.family {
             GraphFamily::Poisson => {
                 let cgrid = gen::ChunkGrid::new(spec.n);
-                gen::full_cells(&cgrid)
-                    .into_par_iter()
-                    .fold(
-                        || vec![Vec::new(); p],
-                        |mut acc, (cr, cc)| {
-                            for (u, v) in gen::cell_entries(&spec, &cgrid, cr, cc) {
-                                acc[partition.storer_of_entry(u, v)].push((u, v));
-                            }
-                            acc
-                        },
-                    )
-                    .reduce(
-                        || vec![Vec::new(); p],
-                        |mut a, b| {
-                            for (av, bv) in a.iter_mut().zip(b) {
-                                av.extend(bv);
-                            }
-                            a
-                        },
-                    )
+                bucket_by_storer(gen::full_cells(&cgrid), &partition, |(cr, cc)| {
+                    gen::cell_entries(&spec, &cgrid, cr, cc)
+                })
             }
             GraphFamily::RMat { .. } => {
-                let stride = 1 << 16;
-                let chunks = gen::rmat_draws(&spec).div_ceil(stride).max(1);
-                (0..chunks)
-                    .into_par_iter()
-                    .fold(
-                        || vec![Vec::new(); p],
-                        |mut acc, ci| {
-                            for (u, v) in gen::rmat_chunk_edges(&spec, ci, stride) {
-                                acc[partition.storer_of_entry(u, v)].push((u, v));
-                            }
-                            acc
-                        },
-                    )
-                    .reduce(
-                        || vec![Vec::new(); p],
-                        |mut a, b| {
-                            for (av, bv) in a.iter_mut().zip(b) {
-                                av.extend(bv);
-                            }
-                            a
-                        },
-                    )
+                bucket_by_storer(0..gen::rmat_chunks(&spec), &partition, |ci| {
+                    gen::rmat_chunk_edges(&spec, ci, gen::RMAT_STRIDE)
+                })
             }
-            GraphFamily::SmallWorld { .. } => (0..gen::sw_chunks(&spec))
-                .into_par_iter()
-                .fold(
-                    || vec![Vec::new(); p],
-                    |mut acc, ci| {
-                        for (u, v) in gen::small_world_chunk_edges(&spec, ci) {
-                            acc[partition.storer_of_entry(u, v)].push((u, v));
-                        }
-                        acc
-                    },
-                )
-                .reduce(
-                    || vec![Vec::new(); p],
-                    |mut a, b| {
-                        for (av, bv) in a.iter_mut().zip(b) {
-                            av.extend(bv);
-                        }
-                        a
-                    },
-                ),
+            GraphFamily::SmallWorld { .. } => {
+                bucket_by_storer(0..gen::sw_chunks(&spec), &partition, |ci| {
+                    gen::small_world_chunk_edges(&spec, ci)
+                })
+            }
         };
 
         // 2. Per-rank CSR construction.
@@ -230,6 +179,40 @@ impl DistGraph {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Generate every work item's entries in parallel (`chunk_entries`
+/// turns one generation chunk into its adjacency entries) and bucket
+/// them by the rank that stores them.
+fn bucket_by_storer<W, E>(
+    work: W,
+    partition: &TwoDPartition,
+    chunk_entries: impl Fn(W::Item) -> E + Sync,
+) -> Vec<Vec<(Vertex, Vertex)>>
+where
+    W: IntoParallelIterator,
+    E: IntoIterator<Item = (Vertex, Vertex)>,
+{
+    let p = partition.grid().len();
+    work.into_par_iter()
+        .fold(
+            || vec![Vec::new(); p],
+            |mut acc, item| {
+                for (u, v) in chunk_entries(item) {
+                    acc[partition.storer_of_entry(u, v)].push((u, v));
+                }
+                acc
+            },
+        )
+        .reduce(
+            || vec![Vec::new(); p],
+            |mut a, b| {
+                for (av, bv) in a.iter_mut().zip(b) {
+                    av.extend(bv);
+                }
+                a
+            },
+        )
 }
 
 /// Regenerate a single rank's share of the graph from the spec alone.

@@ -227,6 +227,15 @@ pub fn rmat_draws(spec: &GraphSpec) -> u64 {
     (spec.n as f64 * spec.avg_degree / 2.0).round() as u64
 }
 
+/// R-MAT draws per generation chunk (shared by the distributed builder
+/// and the sequential visitor so both see the same stream).
+pub const RMAT_STRIDE: u64 = 1 << 16;
+
+/// Number of [`RMAT_STRIDE`]-draw generation chunks for an R-MAT spec.
+pub fn rmat_chunks(spec: &GraphSpec) -> u64 {
+    rmat_draws(spec).div_ceil(RMAT_STRIDE).max(1)
+}
+
 /// Draw chunk `chunk_idx` of the R-MAT edge stream (draw indices
 /// `[chunk_idx·stride, min((chunk_idx+1)·stride, total))`), emitting
 /// both directions of each sampled edge. Self-loops are skipped.
@@ -351,10 +360,8 @@ pub fn for_each_entry<F: FnMut(Vertex, Vertex)>(spec: &GraphSpec, mut f: F) {
             }
         }
         GraphFamily::RMat { .. } => {
-            let stride = 1 << 16;
-            let chunks = rmat_draws(spec).div_ceil(stride).max(1);
-            for ci in 0..chunks {
-                for (u, v) in rmat_chunk_edges(spec, ci, stride) {
+            for ci in 0..rmat_chunks(spec) {
+                for (u, v) in rmat_chunk_edges(spec, ci, RMAT_STRIDE) {
                     f(u, v);
                 }
             }

@@ -16,16 +16,17 @@
 //! rejected with a diagnostic and a non-zero exit instead of being
 //! silently ignored.
 
-use bgl_bfs::comm::{ChunkPolicy, WireMode, WirePolicy};
-use bgl_bfs::core::{bfs2d, bidir, memory, multi, path, theory, validate, ComputeEngine};
+use bgl_bfs::comm::{ChunkPolicy, WireMode, WirePolicy, MAX_LANES};
+use bgl_bfs::core::{bfs2d, bidir, memory, multi, path, theory, validate};
 use bgl_bfs::server::{ArrivalProcess, QueryMix};
 use bgl_bfs::torus::MachineConfig;
 use bgl_bfs::trace::write_artifacts;
 use bgl_bfs::{
-    BfsConfig, BglServer, CommError, DirectionMode, DirectionPolicy, DistGraph, FaultPlan,
-    GraphSpec, ProcessorGrid, ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
+    BfsConfig, BglServer, DirectionMode, DirectionPolicy, DistGraph, FaultPlan, GraphSpec,
+    ProcessorGrid, ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
 };
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::Path;
 
 const HELP: &str = "\
@@ -35,8 +36,9 @@ USAGE: bgl-bfs <command> [--flag value]...
 
 COMMANDS
   search   run a BFS (flags: --n --k --seed --rows --cols --source [--target] [--bidir])
-           host execution: [--engine serial|rayon|auto] [--engine-threads N]
-           (bit-identical results either way)
+           host execution: [--engine-threads N] — worker threads for the per-rank
+           compute (default one per core, 1 = sequential; results are bit-identical
+           for every count)
            direction: [--direction off|adaptive|bottom-up] — Beamer-style per-level
            top-down/bottom-up switching from allreduced frontier and unexplored-edge
            counts (levels are bit-identical to top-down; default off)
@@ -59,7 +61,7 @@ COMMANDS
   serve    run a Zipfian query workload through the batched query server
            graph: --n --k --seed --rows --cols
            server: [--batch B<=64] [--queue-cap Q] [--deadline TICKS] [--cache-cap C]
-           [--engine serial|rayon|auto] [--wire auto|raw|delta|bitmap] [--validate]
+           [--engine-threads N] [--wire auto|raw|delta|bitmap] [--validate]
            workload: [--queries N] [--hot POOL] [--theta T] [--workload-seed S]
            arrivals: [--arrivals PER_TICK] [--arrival-process fixed|poisson|bursty]
            [--burst F] [--arrival-seed S] — seeded open-loop streams for queue-depth
@@ -99,23 +101,20 @@ impl Flags {
     }
 
     fn u64(&self, key: &str, default: u64) -> u64 {
-        self.0
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key}: bad integer {v:?}"))
-            })
-            .unwrap_or(default)
+        self.choice(key, |v| v.parse().ok()).unwrap_or(default)
     }
 
     fn f64(&self, key: &str, default: f64) -> f64 {
-        self.0
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key}: bad number {v:?}"))
-            })
-            .unwrap_or(default)
+        self.choice(key, |v| v.parse().ok()).unwrap_or(default)
+    }
+
+    /// `--key` parsed by `parse`, or `None` when absent. [`flag_error`]
+    /// has already checked every value, so a failure here is still a
+    /// usage error (exit 2), never a panic.
+    fn choice<T>(&self, key: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
+        self.0.get(key).map(|v| {
+            parse(v).unwrap_or_else(|| usage_exit(&format!("--{key} {v:?}: invalid value")))
+        })
     }
 
     fn has(&self, key: &str) -> bool {
@@ -146,7 +145,6 @@ fn allowed_flags(cmd: &str) -> Option<Vec<&'static str>> {
                 "source",
                 "target",
                 "bidir",
-                "engine",
                 "engine-threads",
                 "direction",
                 "levels",
@@ -166,7 +164,6 @@ fn allowed_flags(cmd: &str) -> Option<Vec<&'static str>> {
                 "queue-cap",
                 "deadline",
                 "cache-cap",
-                "engine",
                 "engine-threads",
                 "wire",
                 "validate",
@@ -193,8 +190,44 @@ fn allowed_flags(cmd: &str) -> Option<Vec<&'static str>> {
     Some(v)
 }
 
-/// First problem with this command's flags, if any: an unknown flag or
-/// a contradictory combination. `None` means the invocation is clean.
+/// What `--key`'s value should have been, when `v` is not that. Every
+/// flag is checked before a command runs, so a typo in a value exits
+/// with a diagnostic instead of panicking (or running half a command).
+fn bad_value(key: &str, v: &str) -> Option<&'static str> {
+    let (ok, expected) = match key {
+        // Switches and output paths take any value.
+        "bidir" | "levels" | "validate" | "trace" | "trace-out" | "arrival-replay"
+        | "arrival-record" | "summary-out" => return None,
+        "k" | "drop-rate" | "theta" | "burst" | "kmax" | "arrivals" => {
+            (v.parse::<f64>().is_ok(), "a number")
+        }
+        "n" | "rows" | "cols" | "p" | "per-rank" => {
+            (v.parse::<u64>().is_ok_and(|x| x > 0), "a positive integer")
+        }
+        "batch" => (
+            v.parse::<usize>()
+                .is_ok_and(|b| (1..=MAX_LANES).contains(&b)),
+            "an integer in 1..=64",
+        ),
+        "direction" => (direction_policy(v).is_some(), "off, adaptive, or bottom-up"),
+        "wire" => (WireMode::parse(v).is_some(), "auto, raw, delta, or bitmap"),
+        "trace-level" => (TraceDetail::parse(v).is_some(), "span or event"),
+        "arrival-process" => (
+            matches!(v, "fixed" | "poisson" | "bursty"),
+            "fixed, poisson, or bursty",
+        ),
+        "targets" => (
+            parse_targets(v).is_some(),
+            "1..=64 comma-separated vertices",
+        ),
+        _ => (v.parse::<u64>().is_ok(), "a non-negative integer"),
+    };
+    (!ok).then_some(expected)
+}
+
+/// First problem with this command's flags, if any: an unknown flag, a
+/// malformed value, or a contradictory combination. `None` means the
+/// invocation is clean.
 fn flag_error(cmd: &str, flags: &Flags) -> Option<String> {
     let allowed = allowed_flags(cmd)?;
     let mut keys: Vec<&str> = flags.0.keys().map(String::as_str).collect();
@@ -209,6 +242,11 @@ fn flag_error(cmd: &str, flags: &Flags) -> Option<String> {
                     .collect::<Vec<_>>()
                     .join(" ")
             ));
+        }
+    }
+    for (key, v) in &flags.0 {
+        if let Some(expected) = bad_value(key, v) {
+            return Some(format!("--{key} {v:?}: expected {expected}"));
         }
     }
     if cmd == "path" && flags.has("target") && flags.has("targets") {
@@ -229,6 +267,18 @@ fn flag_error(cmd: &str, flags: &Flags) -> Option<String> {
         if flags.has("arrival-replay") && process.is_some() {
             return Some(
                 "--arrival-replay replays a recorded schedule verbatim; it contradicts --arrival-process — pick one"
+                    .to_string(),
+            );
+        }
+        let fixed = process.is_none_or(|p| p == "fixed") && !flags.has("arrival-replay");
+        if fixed
+            && flags
+                .0
+                .get("arrivals")
+                .is_some_and(|v| v.parse::<u64>().is_err())
+        {
+            return Some(
+                "--arrivals: the fixed arrival process takes a whole number of queries per tick"
                     .to_string(),
             );
         }
@@ -269,35 +319,34 @@ fn flag_error(cmd: &str, flags: &Flags) -> Option<String> {
     None
 }
 
-fn engine_from(flags: &Flags) -> ComputeEngine {
+/// Apply `--engine-threads N`: how many host worker threads run the
+/// per-rank compute (absent or 0 = one per core, 1 = sequential).
+/// Results and simulated clocks are identical for every count.
+fn apply_engine_threads(flags: &Flags) {
     if flags.has("engine-threads") {
         rayon::set_worker_threads(flags.u64("engine-threads", 0) as usize);
     }
-    match flags.0.get("engine").map(String::as_str) {
-        Some("serial") => ComputeEngine::Serial,
-        Some("rayon") => ComputeEngine::Rayon,
-        Some("auto") | None => ComputeEngine::Auto,
-        Some(other) => panic!("--engine: {other:?} (expected serial, rayon, or auto)"),
+}
+
+fn direction_policy(s: &str) -> Option<DirectionPolicy> {
+    match s {
+        "off" | "top-down" => Some(DirectionPolicy::top_down()),
+        "adaptive" => Some(DirectionPolicy::adaptive()),
+        "bottom-up" => Some(DirectionPolicy::bottom_up()),
+        _ => None,
     }
 }
 
 fn direction_from(flags: &Flags) -> DirectionPolicy {
-    match flags.0.get("direction").map(String::as_str) {
-        None | Some("off") | Some("top-down") => DirectionPolicy::top_down(),
-        Some("adaptive") => DirectionPolicy::adaptive(),
-        Some("bottom-up") => DirectionPolicy::bottom_up(),
-        Some(other) => panic!("--direction: {other:?} (expected off, adaptive, or bottom-up)"),
-    }
+    flags
+        .choice("direction", direction_policy)
+        .unwrap_or_else(DirectionPolicy::top_down)
 }
 
 fn wire_policy_from(flags: &Flags) -> WirePolicy {
-    match flags.0.get("wire") {
-        None => WirePolicy::raw(),
-        Some(s) => WirePolicy::with_mode(
-            WireMode::parse(s)
-                .unwrap_or_else(|| panic!("--wire: {s:?} (expected auto, raw, delta, or bitmap)")),
-        ),
-    }
+    flags
+        .choice("wire", WireMode::parse)
+        .map_or_else(WirePolicy::raw, WirePolicy::with_mode)
 }
 
 /// `--trace` / `--trace-out` / `--trace-level` imply tracing; the level
@@ -306,11 +355,21 @@ fn trace_detail_from(flags: &Flags) -> Option<TraceDetail> {
     if !flags.has("trace") && !flags.has("trace-out") && !flags.has("trace-level") {
         return None;
     }
-    Some(match flags.0.get("trace-level") {
-        None => TraceDetail::default(),
-        Some(s) => TraceDetail::parse(s)
-            .unwrap_or_else(|| panic!("--trace-level: {s:?} (expected span or event)")),
-    })
+    Some(
+        flags
+            .choice("trace-level", TraceDetail::parse)
+            .unwrap_or_default(),
+    )
+}
+
+/// `--targets T1,T2,…`: 1..=64 vertices, or `None` if malformed.
+fn parse_targets(list: &str) -> Option<Vec<u64>> {
+    let targets: Vec<u64> = list
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| s.trim().parse().ok())
+        .collect::<Option<_>>()?;
+    (1..=MAX_LANES).contains(&targets.len()).then_some(targets)
 }
 
 /// Drain the world's trace, write the on-disk artifacts, and print the
@@ -322,8 +381,10 @@ fn emit_trace_artifacts(world: &mut SimWorld, flags: &Flags) {
     let default_dir = "results/trace".to_string();
     let dir = flags.0.get("trace-out").unwrap_or(&default_dir);
     let machine = *world.cost_model().machine();
-    let report = write_artifacts(&buf, world.mapping(), &machine, Path::new(dir))
-        .unwrap_or_else(|e| panic!("--trace-out {dir:?}: {e}"));
+    let report = or_exit(
+        write_artifacts(&buf, world.mapping(), &machine, Path::new(dir)),
+        &format!("--trace-out {dir:?}"),
+    );
     println!(
         "trace: wrote {} and {}",
         report.chrome_path.display(),
@@ -368,14 +429,21 @@ fn validate_or_exit(spec: &GraphSpec, levels: &[u32], source: u64) {
     }
 }
 
-/// Unwrap an engine result, or print `error: {what}: {e}` and exit
-/// nonzero — the diagnostic exit every subcommand uses for a typed
-/// communication error instead of a panic.
-fn or_exit<T>(result: Result<T, CommError>, what: &str) -> T {
+/// Unwrap a result, or print `error: {what}: {e}` and exit 1 — the
+/// diagnostic exit every subcommand uses for a typed communication or
+/// I/O error instead of a panic.
+fn or_exit<T, E: Display>(result: Result<T, E>, what: &str) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("error: {what}: {e}");
         std::process::exit(1);
     })
+}
+
+/// Print `error: {msg}` and exit 2: the usage-error exit for bad flags
+/// and values.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// The per-level summary table (direction, frontier, message volumes,
@@ -413,6 +481,7 @@ fn spec_from(flags: &Flags) -> GraphSpec {
 }
 
 fn cmd_search(flags: &Flags) {
+    apply_engine_threads(flags);
     let spec = spec_from(flags);
     let grid = grid_from(flags);
     let source = flags.u64("source", 0).min(spec.n - 1);
@@ -451,7 +520,7 @@ fn cmd_search(flags: &Flags) {
             bidir::try_run(
                 &graph,
                 &mut world,
-                &BfsConfig::paper_optimized().with_engine(engine_from(flags)),
+                &BfsConfig::paper_optimized(),
                 source,
                 target,
             ),
@@ -472,9 +541,7 @@ fn cmd_search(flags: &Flags) {
     }
 
     let direction = direction_from(flags);
-    let mut config = BfsConfig::paper_optimized()
-        .with_engine(engine_from(flags))
-        .with_direction(direction);
+    let mut config = BfsConfig::paper_optimized().with_direction(direction);
     if flags.has("target") {
         config = config.with_target(flags.u64("target", 0).min(spec.n - 1));
     }
@@ -609,21 +676,11 @@ fn cmd_path(flags: &Flags) {
     if let Some(list) = flags.0.get("targets") {
         // Batched lane wave: every target shares each per-hop control
         // round of the walk.
-        let targets: Vec<u64> = list
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| panic!("--targets: bad vertex {s:?}"))
-                    .min(spec.n - 1)
-            })
+        let targets: Vec<u64> = parse_targets(list)
+            .unwrap_or_else(|| usage_exit(&format!("--targets {list:?}: invalid value")))
+            .into_iter()
+            .map(|t| t.min(spec.n - 1))
             .collect();
-        assert!(
-            !targets.is_empty() && targets.len() <= bgl_bfs::comm::MAX_LANES,
-            "--targets takes 1..={} comma-separated vertices",
-            bgl_bfs::comm::MAX_LANES
-        );
         let config = path::MultiPathConfig::default();
         let batched = or_exit(
             path::try_multi(&graph, &mut world, &r.levels, source, &targets, &config),
@@ -670,6 +727,7 @@ fn cmd_path(flags: &Flags) {
 }
 
 fn cmd_serve(flags: &Flags) {
+    apply_engine_threads(flags);
     let spec = spec_from(flags);
     let grid = grid_from(flags);
     let config = ServerConfig {
@@ -677,10 +735,7 @@ fn cmd_serve(flags: &Flags) {
         queue_capacity: flags.u64("queue-cap", 1024) as usize,
         deadline_ticks: flags.has("deadline").then(|| flags.u64("deadline", 8)),
         cache_capacity: flags.u64("cache-cap", 64) as usize,
-        multi: multi::MultiConfig {
-            engine: engine_from(flags),
-            ..multi::MultiConfig::default()
-        },
+        multi: multi::MultiConfig::default(),
         validate_batches: flags.has("validate"),
     };
     let wspec = WorkloadSpec {
@@ -690,24 +745,22 @@ fn cmd_serve(flags: &Flags) {
         mix: QueryMix::default(),
         seed: flags.u64("workload-seed", 99),
     };
-    let per_tick = flags.u64("arrivals", 4).max(1) as usize;
-    let mean = flags.f64("arrivals", per_tick as f64);
+    let mean = flags.f64("arrivals", 4.0);
     let process = if let Some(path) = flags.0.get("arrival-replay") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("--arrival-replay {path:?}: {e}"));
-        ArrivalProcess::replay_from_text(&text)
-            .unwrap_or_else(|e| panic!("--arrival-replay {path:?}: {e}"))
+        let what = format!("--arrival-replay {path:?}");
+        let text = or_exit(std::fs::read_to_string(path), &what);
+        or_exit(ArrivalProcess::replay_from_text(&text), &what)
     } else {
         match flags.0.get("arrival-process").map(String::as_str) {
-            None | Some("fixed") => ArrivalProcess::Fixed { per_tick },
+            None | Some("fixed") => ArrivalProcess::Fixed {
+                per_tick: flags.u64("arrivals", 4).max(1) as usize,
+            },
             Some("poisson") => ArrivalProcess::Poisson { mean },
             Some("bursty") => ArrivalProcess::Bursty {
                 mean,
                 burst: flags.f64("burst", 8.0),
             },
-            Some(other) => {
-                panic!("--arrival-process: {other:?} (expected fixed, poisson, or bursty)")
-            }
+            Some(other) => usage_exit(&format!("--arrival-process {other:?}: invalid value")),
         }
     };
     println!(
@@ -725,8 +778,10 @@ fn cmd_serve(flags: &Flags) {
     let workload = wspec.generate(spec.n);
     let schedule = process.schedule(workload.len(), flags.u64("arrival-seed", 7));
     if let Some(path) = flags.0.get("arrival-record") {
-        std::fs::write(path, ArrivalProcess::schedule_to_text(&schedule))
-            .unwrap_or_else(|e| panic!("--arrival-record {path:?}: {e}"));
+        or_exit(
+            std::fs::write(path, ArrivalProcess::schedule_to_text(&schedule)),
+            &format!("--arrival-record {path:?}"),
+        );
         println!("recorded arrival schedule to {path}");
     }
     let graph = DistGraph::build(spec, grid);
@@ -795,8 +850,10 @@ fn cmd_serve(flags: &Flags) {
         .get("summary-out")
         .cloned()
         .unwrap_or_else(|| "SERVER_summary.json".to_string());
-    std::fs::write(&out, srv.summary_json())
-        .unwrap_or_else(|e| panic!("--summary-out {out:?}: {e}"));
+    or_exit(
+        std::fs::write(&out, srv.summary_json()),
+        &format!("--summary-out {out:?}"),
+    );
     println!("wrote {out}");
 }
 
@@ -897,8 +954,7 @@ fn main() {
     };
     let flags = Flags::parse(&args[1..]);
     if let Some(problem) = flag_error(cmd, &flags) {
-        eprintln!("error: {problem}");
-        std::process::exit(2);
+        usage_exit(&problem);
     }
     match cmd.as_str() {
         "search" => cmd_search(&flags),
@@ -951,9 +1007,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad integer")]
     fn bad_integer_rejected() {
-        flags("--n abc").u64("n", 0);
+        for (cmd, line, mention) in [
+            ("search", "--n abc", "--n \"abc\""),
+            ("search", "--k ten", "--k"),
+            ("search", "--rows 0", "positive"),
+            ("serve", "--queries -3", "--queries"),
+            ("theory", "--kmax lots", "--kmax"),
+        ] {
+            let e = flag_error(cmd, &flags(line)).expect(line);
+            assert!(e.contains(mention), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn batch_width_must_fit_a_lane_mask() {
+        for line in ["--batch 0", "--batch 65", "--batch many"] {
+            let e = flag_error("serve", &flags(line)).expect(line);
+            assert!(e.contains("1..=64"), "{line}: {e}");
+        }
+        for line in ["--batch 1", "--batch 64"] {
+            assert_eq!(flag_error("serve", &flags(line)), None, "{line}");
+        }
     }
 
     #[test]
@@ -974,9 +1049,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--direction")]
     fn bad_direction_rejected() {
-        direction_from(&flags("--direction sideways"));
+        let e = flag_error("search", &flags("--direction sideways")).expect("search");
+        assert!(e.contains("--direction") && e.contains("adaptive"), "{e}");
+    }
+
+    #[test]
+    fn unknown_enumerated_values_are_rejected() {
+        for (cmd, line, mention) in [
+            ("search", "--wire zip", "--wire"),
+            ("path", "--wire zip", "--wire"),
+            ("search", "--trace-level verbose", "--trace-level"),
+            ("serve", "--arrival-process gaussian", "--arrival-process"),
+            ("serve", "--arrivals 2.5", "--arrivals"),
+            ("path", "--targets 1,x,3", "--targets"),
+        ] {
+            let e = flag_error(cmd, &flags(line)).expect(line);
+            assert!(e.contains(mention), "{cmd} {line}: {e}");
+        }
+        // Fractional arrival rates are fine for the random processes.
+        assert_eq!(
+            flag_error("serve", &flags("--arrivals 2.5 --arrival-process poisson")),
+            None
+        );
     }
 
     #[test]
@@ -992,7 +1087,10 @@ mod tests {
                 "search",
                 "--n 50000 --k 8 --rows 4 --cols 4 --trace --trace-out /tmp/t --wire auto",
             ),
-            ("search", "--source 0 --target 99 --bidir --engine rayon"),
+            (
+                "search",
+                "--source 0 --target 99 --bidir --engine-threads 2",
+            ),
             ("path", "--n 1000 --source 0 --target 99"),
             ("path", "--n 1000 --source 0 --targets 5,9,99 --wire delta"),
             (

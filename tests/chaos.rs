@@ -1,11 +1,13 @@
 //! Chaos fuzzing of the parity-group recovery engine: seeded
 //! randomized fault schedules ([`ChaosSpec`]) crossed with the wire
-//! codec and compute-engine matrix. Every surviving run must be
+//! codec and host worker count. Every surviving run must be
 //! bit-identical to the fault-free reference and pass the
 //! Graph500-style validator; runs that cannot survive must fail with
 //! a typed [`CommError`], never a panic.
 
-use bgl_bfs::core::{bfs2d, validate, ComputeEngine};
+mod common;
+
+use bgl_bfs::core::{bfs2d, validate};
 use bgl_bfs::torus::MachineConfig;
 use bgl_bfs::{
     BfsConfig, ChaosSpec, DistGraph, FaultPlan, GraphSpec, ProcessorGrid, ResilientConfig,
@@ -27,7 +29,7 @@ fn reference(graph: &DistGraph) -> Vec<u32> {
 }
 
 /// Seeded chaos schedules (deaths + lossy messaging) across
-/// {raw, auto} × {serial, rayon}: every cell recovers through parity
+/// {raw, auto} × {1 worker, many}: every cell recovers through parity
 /// reconstruction (no degraded restarts — chaos schedules at most one
 /// death per group), lands bit-identical to the fault-free reference,
 /// and passes Graph500-style validation.
@@ -44,23 +46,26 @@ fn chaos_matrix_recovers_bit_identically_and_validates() {
         let chaos = ChaosSpec::moderate(fault_seed, grid.len(), GROUP);
         let plan = FaultPlan::chaos(&chaos);
         for wire in [WireMode::Raw, WireMode::Auto] {
-            for engine in [ComputeEngine::Serial, ComputeEngine::Rayon] {
-                let mut world = SimWorld::bluegene(grid)
-                    .with_fault_plan(plan.clone())
-                    .with_wire_policy(WirePolicy::with_mode(wire));
-                let config = BfsConfig::paper_optimized().with_engine(engine);
-                let got = bfs2d::run_resilient(&graph, &mut world, &config, 0, &resilient)
-                    .unwrap_or_else(|e| {
-                        panic!("seed {fault_seed} {wire:?}/{engine:?} must survive: {e}")
-                    });
+            for workers in [common::SERIAL, common::PARALLEL] {
+                let got = rayon::with_worker_threads(workers, || {
+                    let mut world = SimWorld::bluegene(grid)
+                        .with_fault_plan(plan.clone())
+                        .with_wire_policy(WirePolicy::with_mode(wire));
+                    let config = BfsConfig::paper_optimized();
+                    bfs2d::run_resilient(&graph, &mut world, &config, 0, &resilient).unwrap_or_else(
+                        |e| {
+                            panic!("seed {fault_seed} {wire:?}/{workers} workers must survive: {e}")
+                        },
+                    )
+                });
                 assert_eq!(
                     got.result.levels, want,
-                    "seed {fault_seed} {wire:?}/{engine:?} diverged"
+                    "seed {fault_seed} {wire:?}/{workers} workers diverged"
                 );
                 assert_eq!(
                     got.degraded_restarts, 0,
                     "single-death-per-group schedules must parity-recover \
-                     (seed {fault_seed} {wire:?}/{engine:?})"
+                     (seed {fault_seed} {wire:?}/{workers} workers)"
                 );
                 assert_eq!(got.recoveries as usize, plan.deaths().len());
                 let report = validate::validate_against_spec(&spec, &got.result.levels, 0)

@@ -1,18 +1,21 @@
 //! Direction-optimizing BFS cross-validation: the adaptive top-down /
 //! bottom-up switch must never change the per-vertex levels — only how
-//! much work it takes to compute them. Checked across compute engines,
+//! much work it takes to compute them. Checked across host worker counts,
 //! wire codecs, both runtimes, and under injected faults.
 
+mod common;
+
 use bgl_bfs::comm::FaultPlan;
-use bgl_bfs::core::{bfs2d, threaded_run, validate, ComputeEngine, LevelDirection, ThreadedConfig};
+use bgl_bfs::core::{bfs2d, threaded_run, validate, LevelDirection, ThreadedConfig};
 use bgl_bfs::{
     BfsConfig, DirectionPolicy, DistGraph, GraphSpec, ProcessorGrid, ResilientConfig, SimWorld,
     WireMode, WirePolicy,
 };
+use common::{assert_bit_identical, serial_and_parallel, PARALLEL, SERIAL};
 use proptest::prelude::*;
 
 /// The tentpole equivalence matrix: direction-optimized levels are
-/// bit-identical to the pure top-down run across {serial, rayon} ×
+/// bit-identical to the pure top-down run across {1 worker, many} ×
 /// {raw, auto, bitmap} wire modes, and the adaptive run really does
 /// switch (otherwise the matrix tests nothing).
 #[test]
@@ -24,49 +27,45 @@ fn adaptive_is_bit_identical_across_engines_and_wire_modes() {
     let mut world = SimWorld::bluegene(grid);
     let reference = bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap();
 
-    for engine in [ComputeEngine::Serial, ComputeEngine::Rayon] {
+    for workers in [SERIAL, PARALLEL] {
         for mode in [WireMode::Raw, WireMode::Auto, WireMode::Bitmap] {
-            let config = BfsConfig::direction_optimized().with_engine(engine);
-            let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::with_mode(mode));
-            let r = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
+            let r = rayon::with_worker_threads(workers, || {
+                let config = BfsConfig::direction_optimized();
+                let mut world =
+                    SimWorld::bluegene(grid).with_wire_policy(WirePolicy::with_mode(mode));
+                bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
+            });
             assert_eq!(
                 r.levels, reference.levels,
-                "levels diverged under {engine:?} / {mode:?}"
+                "levels diverged under {workers} workers / {mode:?}"
             );
             let (_, bu) = r.stats.direction_split();
             assert!(
                 bu > 0,
-                "adaptive run never went bottom-up ({engine:?}/{mode:?})"
+                "adaptive run never went bottom-up ({workers} workers/{mode:?})"
             );
             assert!(
                 r.stats.total_probes() < reference.stats.total_probes(),
-                "bottom-up levels must reduce hash probes ({engine:?}/{mode:?})"
+                "bottom-up levels must reduce hash probes ({workers} workers/{mode:?})"
             );
         }
     }
 }
 
-/// Serial and rayon bottom-up discover kernels are bit-identical all
-/// the way down: same per-level stats and the same simulated clock.
+/// The bottom-up discover kernel is bit-identical on one host worker and
+/// on many, all the way down: same per-level stats and the same clocks.
 #[test]
 fn rayon_bottom_up_kernel_is_bit_identical_to_serial() {
     let spec = GraphSpec::rmat(6_000, 10.0, 17);
     let grid = ProcessorGrid::new(2, 4);
     let graph = DistGraph::build(spec, grid);
-    let run = |engine: ComputeEngine| {
-        let config = BfsConfig::direction_optimized().with_engine(engine);
+    let (serial, parallel) = serial_and_parallel(|| {
+        let config = BfsConfig::direction_optimized();
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
         bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
-    };
-    let serial = run(ComputeEngine::Serial);
-    let rayon = run(ComputeEngine::Rayon);
-    assert_eq!(serial.levels, rayon.levels);
-    assert_eq!(serial.stats.levels, rayon.stats.levels);
-    assert_eq!(serial.stats.comm, rayon.stats.comm);
-    assert_eq!(
-        serial.stats.sim_time.to_bits(),
-        rayon.stats.sim_time.to_bits()
-    );
+    });
+    assert_bit_identical(&serial, &parallel, "adaptive");
+    assert!(serial.stats.direction_split().1 > 0, "never went bottom-up");
 }
 
 proptest! {

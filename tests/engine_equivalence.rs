@@ -1,10 +1,15 @@
 //! Engine cross-validation: the superstep simulator and the real
 //! one-thread-per-rank message-passing runtime must produce identical
 //! BFS labels — the evidence that simulated message routing is faithful.
+//! The simulator itself must be bit-identical on one host worker and on
+//! many.
+
+mod common;
 
 use bgl_bfs::comm::{FaultPlan, OpClass};
-use bgl_bfs::core::{bfs2d, bidir, threaded_run, ComputeEngine, ThreadedConfig};
+use bgl_bfs::core::{bfs2d, bidir, threaded_run, ThreadedConfig};
 use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld, WirePolicy};
+use common::{assert_bit_identical, serial_and_parallel};
 use proptest::prelude::*;
 
 /// Run the threaded runtime and fold its per-rank outcomes.
@@ -64,9 +69,9 @@ fn engines_agree_on_wide_grid() {
 
 #[test]
 fn rayon_compute_engine_is_bit_identical_to_serial() {
-    // The host-side rayon fan-out must never leak into results: labels,
-    // per-level stats, message counters, and all three simulated clocks
-    // are bit-for-bit those of the serial engine, for every strategy.
+    // The host-side fan-out must never leak into results: labels,
+    // per-level stats, message counters, and every simulated clock are
+    // bit-for-bit those of the 1-worker run, for every strategy.
     use bgl_bfs::core::{ExpandStrategy, FoldStrategy};
     let spec = GraphSpec::poisson(1_200, 8.0, 29);
     let grid = ProcessorGrid::new(3, 4);
@@ -76,36 +81,16 @@ fn rayon_compute_engine_is_bit_identical_to_serial() {
         FoldStrategy::ReduceScatterUnion,
         FoldStrategy::TwoPhaseRing,
     ] {
-        let run = |engine: ComputeEngine| {
-            let config = BfsConfig {
-                expand: ExpandStrategy::Targeted,
-                fold,
-                ..BfsConfig::paper_optimized()
-            }
-            .with_engine(engine);
+        let config = BfsConfig {
+            expand: ExpandStrategy::Targeted,
+            fold,
+            ..BfsConfig::paper_optimized()
+        };
+        let (serial, parallel) = serial_and_parallel(|| {
             let mut world = SimWorld::bluegene(grid);
             bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
-        };
-        let serial = run(ComputeEngine::Serial);
-        let rayon = run(ComputeEngine::Rayon);
-        assert_eq!(serial.levels, rayon.levels, "{fold:?}");
-        assert_eq!(serial.stats.levels, rayon.stats.levels, "{fold:?}");
-        assert_eq!(serial.stats.comm, rayon.stats.comm, "{fold:?}");
-        assert_eq!(
-            serial.stats.sim_time.to_bits(),
-            rayon.stats.sim_time.to_bits(),
-            "{fold:?}"
-        );
-        assert_eq!(
-            serial.stats.comm_time.to_bits(),
-            rayon.stats.comm_time.to_bits(),
-            "{fold:?}"
-        );
-        assert_eq!(
-            serial.stats.compute_time.to_bits(),
-            rayon.stats.compute_time.to_bits(),
-            "{fold:?}"
-        );
+        });
+        assert_bit_identical(&serial, &parallel, &format!("{fold:?}"));
     }
 }
 
@@ -114,25 +99,21 @@ fn rayon_engine_bit_identical_on_bidirectional_search() {
     let spec = GraphSpec::poisson(900, 6.0, 47);
     let grid = ProcessorGrid::new(2, 3);
     let graph = DistGraph::build(spec, grid);
-    let run = |engine: ComputeEngine| {
+    let (serial, parallel) = serial_and_parallel(|| {
         let mut world = SimWorld::bluegene(grid);
-        bidir::try_run(
-            &graph,
-            &mut world,
-            &BfsConfig::paper_optimized().with_engine(engine),
-            0,
-            899,
-        )
-        .unwrap()
-    };
-    let serial = run(ComputeEngine::Serial);
-    let rayon = run(ComputeEngine::Rayon);
-    assert_eq!(serial.distance, rayon.distance);
-    assert_eq!(serial.stats.levels, rayon.stats.levels);
-    assert_eq!(
-        serial.stats.sim_time.to_bits(),
-        rayon.stats.sim_time.to_bits()
-    );
+        bidir::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0, 899).unwrap()
+    });
+    assert_eq!(serial.distance, parallel.distance);
+    assert_eq!(serial.stats.levels, parallel.stats.levels);
+    assert_eq!(serial.stats.comm, parallel.stats.comm);
+    for (s, p) in [
+        (serial.stats.sim_time, parallel.stats.sim_time),
+        (serial.stats.comm_time, parallel.stats.comm_time),
+        (serial.stats.compute_time, parallel.stats.compute_time),
+        (serial.stats.codec_time, parallel.stats.codec_time),
+    ] {
+        assert_eq!(s.to_bits(), p.to_bits());
+    }
 }
 
 proptest! {
@@ -176,32 +157,19 @@ proptest! {
 
 #[test]
 fn rayon_engine_bit_identical_with_wire_codec_on() {
-    // The parallel superstep scheduler precomputes every send (codec
-    // included) under rayon; with compression on, labels, comm stats
+    // The superstep scheduler precomputes every send (codec included)
+    // on the host workers; with compression on, labels, comm stats
     // (which now carry wire bytes), and all four simulated clocks must
-    // still be bit-for-bit those of the serial engine.
+    // still be bit-for-bit those of the 1-worker run.
     let spec = GraphSpec::poisson(1_500, 9.0, 61);
     let grid = ProcessorGrid::new(3, 4);
     let graph = DistGraph::build(spec, grid);
-    let run = |engine: ComputeEngine| {
-        let config = BfsConfig::paper_optimized().with_engine(engine);
+    let (serial, parallel) = serial_and_parallel(|| {
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
-    };
-    let serial = run(ComputeEngine::Serial);
-    let rayon = run(ComputeEngine::Rayon);
-    assert_eq!(serial.levels, rayon.levels);
-    assert_eq!(serial.stats.levels, rayon.stats.levels);
-    assert_eq!(serial.stats.comm, rayon.stats.comm);
+        bfs2d::try_run(&graph, &mut world, &BfsConfig::paper_optimized(), 0).unwrap()
+    });
+    assert_bit_identical(&serial, &parallel, "auto wire");
     assert!(serial.stats.comm.total_wire_bytes() < serial.stats.comm.total_logical_bytes());
-    for (s, r) in [
-        (serial.stats.sim_time, rayon.stats.sim_time),
-        (serial.stats.comm_time, rayon.stats.comm_time),
-        (serial.stats.compute_time, rayon.stats.compute_time),
-        (serial.stats.codec_time, rayon.stats.codec_time),
-    ] {
-        assert_eq!(s.to_bits(), r.to_bits());
-    }
     assert!(serial.stats.codec_time > 0.0, "codec time must be charged");
 }
 
@@ -221,9 +189,9 @@ fn repeated_threaded_runs_are_deterministic() {
 }
 
 /// The resilient engine (parity checkpoints, rank death, rollback and
-/// replay) is bit-identical between the serial and rayon superstep
-/// schedulers: same labels, same comm stats, same simulated and
-/// recovery times to the last bit.
+/// replay) is bit-identical on one host worker and on many: same
+/// labels, same comm stats, same simulated and recovery times to the
+/// last bit.
 #[test]
 fn rayon_engine_bit_identical_on_resilient_recovery() {
     use bgl_bfs::ResilientConfig;
@@ -239,25 +207,18 @@ fn rayon_engine_bit_identical_on_resilient_recovery() {
         ..ResilientConfig::default()
     };
 
-    let run = |engine: ComputeEngine| {
+    let (a, b) = serial_and_parallel(|| {
         let mut world = SimWorld::bluegene(grid).with_fault_plan(plan.clone());
-        let config = BfsConfig::paper_optimized().with_engine(engine);
+        let config = BfsConfig::paper_optimized();
         bfs2d::run_resilient(&graph, &mut world, &config, 0, &resilient)
             .expect("single death must recover")
-    };
-    let a = run(ComputeEngine::Serial);
-    let b = run(ComputeEngine::Rayon);
+    });
 
-    assert_eq!(a.result.levels, b.result.levels);
-    assert_eq!(a.result.stats.comm, b.result.stats.comm);
+    assert_bit_identical(&a.result, &b.result, "resilient");
     assert_eq!(a.recoveries, 1);
     assert_eq!(b.recoveries, 1);
     assert_eq!(a.recovered_ranks, b.recovered_ranks);
     assert_eq!(a.degraded_restarts, 0);
     assert_eq!(b.degraded_restarts, 0);
-    assert_eq!(
-        a.result.stats.sim_time.to_bits(),
-        b.result.stats.sim_time.to_bits()
-    );
     assert_eq!(a.recovery_time.to_bits(), b.recovery_time.to_bits());
 }

@@ -3,6 +3,8 @@
 //! answer — and the fault machinery itself must be a strict no-op when
 //! disabled.
 
+mod common;
+
 use bgl_bfs::comm::OpClass;
 use bgl_bfs::core::{bfs2d, reference, threaded_run, ThreadedConfig};
 use bgl_bfs::{
@@ -250,16 +252,16 @@ fn checkpoint_cadence_does_not_change_the_answer() {
 }
 
 /// The same fault plan (lossy links + a buddy-pair death split across
-/// parity groups) under every wire codec × compute engine: all eight
-/// cells recover through parity reconstruction and land bit-identical
-/// to the sequential oracle, with identical fault counters — the
-/// delivery hash is payload-independent, so the codec cannot perturb
-/// the fault schedule. Within a wire mode, serial and rayon agree to
-/// the last bit of simulated time.
+/// parity groups) under every wire codec × host worker count (1 and
+/// many): all eight cells recover through parity reconstruction and land
+/// bit-identical to the sequential oracle, with identical fault
+/// counters — the delivery hash is payload-independent, so the codec
+/// cannot perturb the fault schedule. Within a wire mode, the 1-worker
+/// and many-worker runs agree to the last bit of every clock.
 #[test]
 fn resilient_runs_are_bit_identical_across_wires_and_engines() {
-    use bgl_bfs::core::ComputeEngine;
     use bgl_bfs::WireMode;
+    use common::{assert_bit_identical, PARALLEL, SERIAL};
 
     let spec = GraphSpec::poisson(4_000, 6.0, 31);
     let grid = ProcessorGrid::new(2, 3);
@@ -282,17 +284,23 @@ fn resilient_runs_are_bit_identical_across_wires_and_engines() {
         WireMode::Delta,
         WireMode::Bitmap,
     ] {
-        for engine in [ComputeEngine::Serial, ComputeEngine::Rayon] {
-            let mut world = SimWorld::bluegene(grid)
-                .with_fault_plan(plan.clone())
-                .with_wire_policy(WirePolicy::with_mode(wire));
-            let config = BfsConfig::paper_optimized().with_engine(engine);
-            let got = bfs2d::run_resilient(&graph, &mut world, &config, 0, &resilient)
-                .unwrap_or_else(|e| panic!("{wire:?}/{engine:?} must survive: {e}"));
-            assert_eq!(got.result.levels, oracle, "{wire:?}/{engine:?}");
-            assert_eq!(got.recoveries, 2, "{wire:?}/{engine:?}");
-            assert_eq!(got.degraded_restarts, 0, "{wire:?}/{engine:?}");
-            assert_eq!(got.recovered_ranks, vec![2, 3], "{wire:?}/{engine:?}");
+        for workers in [SERIAL, PARALLEL] {
+            let got = rayon::with_worker_threads(workers, || {
+                let mut world = SimWorld::bluegene(grid)
+                    .with_fault_plan(plan.clone())
+                    .with_wire_policy(WirePolicy::with_mode(wire));
+                let config = BfsConfig::paper_optimized();
+                bfs2d::run_resilient(&graph, &mut world, &config, 0, &resilient)
+                    .unwrap_or_else(|e| panic!("{wire:?}/{workers} workers must survive: {e}"))
+            });
+            assert_eq!(got.result.levels, oracle, "{wire:?}/{workers} workers");
+            assert_eq!(got.recoveries, 2, "{wire:?}/{workers} workers");
+            assert_eq!(got.degraded_restarts, 0, "{wire:?}/{workers} workers");
+            assert_eq!(
+                got.recovered_ranks,
+                vec![2, 3],
+                "{wire:?}/{workers} workers"
+            );
             cells.push((wire, got));
         }
     }
@@ -302,16 +310,11 @@ fn resilient_runs_are_bit_identical_across_wires_and_engines() {
     for (wire, got) in &cells {
         assert_eq!(got.result.stats.comm.faults, f0, "{wire:?}");
     }
-    // Within a wire mode, engines are fully bit-identical.
+    // Within a wire mode, worker counts are fully bit-identical.
     for pair in cells.chunks(2) {
         let (w, a) = &pair[0];
         let (_, b) = &pair[1];
-        assert_eq!(a.result.stats.comm, b.result.stats.comm, "{w:?}");
-        assert_eq!(
-            a.result.stats.sim_time.to_bits(),
-            b.result.stats.sim_time.to_bits(),
-            "{w:?}"
-        );
+        assert_bit_identical(&a.result, &b.result, &format!("{w:?}"));
         assert_eq!(
             a.recovery_time.to_bits(),
             b.recovery_time.to_bits(),

@@ -1,11 +1,13 @@
 //! Property-based checks on the batched multi-source BFS engine
 //! (`bfs_core::multi`): on random graphs, grids, and source batches
 //! (duplicates included), every lane of a batched run is bit-identical
-//! to its standalone single-source `bfs2d::try_run`, under serial and rayon
-//! host engines and raw and adaptive wire codecs alike — and the whole
+//! to its standalone single-source `bfs2d::try_run`, on one host worker
+//! or many and under raw and adaptive wire codecs alike — and the whole
 //! batch passes the Graph500-style per-lane validator.
 
-use bgl_bfs::core::{bfs2d, multi, BfsConfig, ComputeEngine};
+mod common;
+
+use bgl_bfs::core::{bfs2d, multi, BfsConfig};
 use bgl_bfs::{DistGraph, GraphSpec, ProcessorGrid, SimWorld, WirePolicy};
 use proptest::prelude::*;
 
@@ -15,12 +17,8 @@ enum Family {
     Rmat,
 }
 
-fn any_engine() -> impl Strategy<Value = ComputeEngine> {
-    prop_oneof![
-        Just(ComputeEngine::Serial),
-        Just(ComputeEngine::Rayon),
-        Just(ComputeEngine::Auto),
-    ]
+fn any_workers() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(common::SERIAL), Just(2), Just(common::PARALLEL)]
 }
 
 fn any_wire() -> impl Strategy<Value = WirePolicy> {
@@ -61,28 +59,26 @@ fn sources(n_max: u64) -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batched lanes ≡ single-source runs, across engines × wires.
+    /// Batched lanes ≡ single-source runs, across worker counts × wires.
     #[test]
     fn lanes_equal_single_source_runs(
         (spec, grid) in instance(),
         srcs in sources(200),
-        engine in any_engine(),
+        workers in any_workers(),
         wire in any_wire(),
     ) {
         let srcs: Vec<u64> = srcs.into_iter().map(|s| s % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
-        let cfg = multi::MultiConfig { engine, ..multi::MultiConfig::default() };
-        let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let r = multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap();
+        let r = rayon::with_worker_threads(workers, || {
+            let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
+            multi::try_run(&graph, &mut world, &multi::MultiConfig::default(), &srcs).unwrap()
+        });
         prop_assert_eq!(r.lanes(), srcs.len());
         for (lane, &s) in srcs.iter().enumerate() {
-            let mut w = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let single = bfs2d::try_run(
-                &graph,
-                &mut w,
-                &BfsConfig::paper_optimized().with_engine(engine),
-                s,
-            ).unwrap();
+            let single = rayon::with_worker_threads(workers, || {
+                let mut w = SimWorld::bluegene(grid).with_wire_policy(wire);
+                bfs2d::try_run(&graph, &mut w, &BfsConfig::paper_optimized(), s).unwrap()
+            });
             prop_assert_eq!(
                 &r.lane_levels[lane],
                 &single.levels,
@@ -92,8 +88,8 @@ proptest! {
         multi::validate_lanes(&spec, &r).expect("per-lane Graph500-style validation");
     }
 
-    /// Serial and rayon batched runs are bit-identical down to the
-    /// simulated clock and probe counters, under both wire codecs.
+    /// 1-worker and many-worker batched runs are bit-identical down to
+    /// the simulated clocks and probe counters, under both wire codecs.
     #[test]
     fn engines_bit_identical(
         (spec, grid) in instance(),
@@ -102,15 +98,21 @@ proptest! {
     ) {
         let srcs: Vec<u64> = srcs.into_iter().map(|s| s % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
-        let run_with = |engine| {
-            let cfg = multi::MultiConfig { engine, ..multi::MultiConfig::default() };
+        let (serial, parallel) = common::serial_and_parallel(|| {
             let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let r = multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap();
-            (r.lane_levels, world.time().to_bits(), r.total_probes)
-        };
-        prop_assert_eq!(
-            run_with(ComputeEngine::Serial),
-            run_with(ComputeEngine::Rayon)
-        );
+            let r = multi::try_run(&graph, &mut world, &multi::MultiConfig::default(), &srcs)
+                .unwrap();
+            (
+                r.lane_levels,
+                r.waves.iter().map(|w| w.sim_time.to_bits()).collect::<Vec<_>>(),
+                r.sim_time.to_bits(),
+                r.comm_time.to_bits(),
+                world.compute_time().to_bits(),
+                world.codec_time().to_bits(),
+                world.stats.clone(),
+                r.total_probes,
+            )
+        });
+        prop_assert_eq!(serial, parallel);
     }
 }

@@ -2,11 +2,13 @@
 //! (`bfs_core::path::try_multi`): on random graphs, grids, and target
 //! batches (duplicates and unreached targets included), every lane of a
 //! batched walk is byte-identical to its standalone `try_extract_path`,
-//! whichever host engine built the level array and whichever wire codec
+//! whichever host worker count built the level array and whichever wire codec
 //! carries the rounds — and lossy control rounds (drops + duplicates)
 //! retry without changing a single extracted path.
 
-use bgl_bfs::core::{bfs2d, path, BfsConfig, ComputeEngine};
+mod common;
+
+use bgl_bfs::core::{bfs2d, path, BfsConfig};
 use bgl_bfs::{DistGraph, FaultPlan, GraphSpec, ProcessorGrid, SimWorld, WirePolicy};
 use proptest::prelude::*;
 
@@ -16,12 +18,8 @@ enum Family {
     Rmat,
 }
 
-fn any_engine() -> impl Strategy<Value = ComputeEngine> {
-    prop_oneof![
-        Just(ComputeEngine::Serial),
-        Just(ComputeEngine::Rayon),
-        Just(ComputeEngine::Auto),
-    ]
+fn any_workers() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(common::SERIAL), Just(2), Just(common::PARALLEL)]
 }
 
 fn any_wire() -> impl Strategy<Value = WirePolicy> {
@@ -64,29 +62,27 @@ fn targets(n_max: u64) -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batched lanes ≡ standalone extractions, across engines × wires.
+    /// Batched lanes ≡ standalone extractions, across worker counts × wires.
     #[test]
     fn lanes_equal_standalone_extractions(
         (spec, grid) in instance(),
         source in 0u64..200,
         tgts in targets(200),
-        engine in any_engine(),
+        workers in any_workers(),
         wire in any_wire(),
     ) {
         let source = source % spec.n;
         let tgts: Vec<u64> = tgts.into_iter().map(|t| t % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
-        let mut bfs_world = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let levels = bfs2d::try_run(
-            &graph,
-            &mut bfs_world,
-            &BfsConfig::paper_optimized().with_engine(engine),
-            source,
-        ).unwrap()
-        .levels;
-
-        let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let r = path::try_multi(&graph, &mut world, &levels, source, &tgts, &path::MultiPathConfig::default()).unwrap();
+        let (levels, r) = rayon::with_worker_threads(workers, || {
+            let mut bfs_world = SimWorld::bluegene(grid).with_wire_policy(wire);
+            let levels = bfs2d::try_run(&graph, &mut bfs_world, &BfsConfig::paper_optimized(), source)
+                .unwrap()
+                .levels;
+            let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
+            let r = path::try_multi(&graph, &mut world, &levels, source, &tgts, &path::MultiPathConfig::default()).unwrap();
+            (levels, r)
+        });
         prop_assert_eq!(r.paths.len(), tgts.len());
         prop_assert_eq!(r.rounds, 3 * u64::from(r.hops), "three rounds per hop");
         for (lane, &t) in tgts.iter().enumerate() {
