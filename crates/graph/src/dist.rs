@@ -15,12 +15,9 @@
 //! construction-time registration exchange; the builder performs that
 //! exchange directly since all ranks share the address space.
 
-// Parallel index loops over per-rank arrays are intentional here.
-#![allow(clippy::needless_range_loop)]
-
 use crate::csr::PartialEdgeLists;
 use crate::gen;
-use crate::partition::TwoDPartition;
+use crate::partition::{EntryRouter, TwoDPartition};
 use crate::spec::{GraphFamily, GraphSpec};
 use crate::Vertex;
 use bgl_comm::ProcessorGrid;
@@ -107,36 +104,36 @@ impl DistGraph {
             }
         };
 
-        // 2. Per-rank CSR construction.
+        // 2. Per-rank CSR construction, on the calling thread: built on
+        //    pool workers, the graph's memory would land in per-thread
+        //    malloc arenas that the caller's later allocations cannot
+        //    reuse, raising peak memory.
         let edges: Vec<PartialEdgeLists> = buckets
-            .into_par_iter()
-            .map(PartialEdgeLists::from_entries)
+            .into_iter()
+            .map(PartialEdgeLists::from_pieces)
             .collect();
 
         // 3. Registration exchange: owners learn which column peers hold
-        //    non-empty lists for each owned vertex.
-        let mut expand_targets: Vec<Vec<Vec<u16>>> = (0..p)
-            .map(|rank| vec![Vec::new(); partition.owned_len(rank)])
+        //    non-empty lists for each owned vertex. Peers are walked in
+        //    ascending grid row and each peer's columns are sorted and
+        //    distinct, so every target list comes out sorted and
+        //    duplicate-free.
+        let expand_targets: Vec<Vec<Vec<u16>>> = (0..p)
+            .map(|owner| {
+                let owned = partition.owned_range(owner);
+                let mut targets = vec![Vec::new(); partition.owned_len(owner)];
+                let (_, j) = grid.position_of(owner);
+                for i in 0..grid.rows() {
+                    let cols = edges[grid.rank_of(i, j)].cols();
+                    let from = cols.partition_point(|&v| v < owned.start);
+                    let to = cols.partition_point(|&v| v < owned.end);
+                    for &v in &cols[from..to] {
+                        targets[(v - owned.start) as usize].push(i as u16);
+                    }
+                }
+                targets
+            })
             .collect();
-        for rank in 0..p {
-            let (i, _) = grid.position_of(rank);
-            for &v in edges[rank].cols() {
-                let owner = partition.owner_of(v);
-                debug_assert_eq!(
-                    grid.col_of(owner),
-                    grid.col_of(rank),
-                    "columns stored outside the owner's processor-column"
-                );
-                let off = (v - partition.owned_range(owner).start) as usize;
-                expand_targets[owner][off].push(i as u16);
-            }
-        }
-        for targets in expand_targets.iter_mut() {
-            for t in targets.iter_mut() {
-                t.sort_unstable();
-                t.dedup();
-            }
-        }
 
         let ranks: Vec<RankGraph> = edges
             .into_iter()
@@ -183,36 +180,51 @@ impl DistGraph {
 
 /// Generate every work item's entries in parallel (`chunk_entries`
 /// turns one generation chunk into its adjacency entries) and bucket
-/// them by the rank that stores them.
+/// them by the rank that stores them. The work is split into one
+/// positional chunk per worker; rank `r` receives one piece per chunk
+/// (`result[r][chunk]`), so nothing is concatenated.
+///
+/// Every piece starts with a small allocation made on the calling
+/// thread. A piece then only grows, by `realloc`, which glibc serves
+/// from the block's own arena, so the pieces' memory stays reusable by
+/// the caller once the CSR build frees them. Pieces first allocated on
+/// pool workers would leave it stranded in the workers' arenas and
+/// raise peak memory.
 fn bucket_by_storer<W, E>(
     work: W,
     partition: &TwoDPartition,
     chunk_entries: impl Fn(W::Item) -> E + Sync,
-) -> Vec<Vec<(Vertex, Vertex)>>
+) -> Vec<Vec<Vec<(Vertex, Vertex)>>>
 where
     W: IntoParallelIterator,
+    W::Item: Send,
     E: IntoIterator<Item = (Vertex, Vertex)>,
 {
+    /// Initial capacity of every piece, in entries.
+    const PIECE_START: usize = 64;
     let p = partition.grid().len();
-    work.into_par_iter()
+    let router = EntryRouter::new(partition);
+    let per_chunk: Vec<Vec<Vec<(Vertex, Vertex)>>> = work
+        .into_par_iter()
         .fold(
-            || vec![Vec::new(); p],
-            |mut acc, item| {
+            || (0..p).map(|_| Vec::with_capacity(PIECE_START)).collect(),
+            |mut acc: Vec<Vec<(Vertex, Vertex)>>, item| {
                 for (u, v) in chunk_entries(item) {
-                    acc[partition.storer_of_entry(u, v)].push((u, v));
+                    acc[router.storer_of_entry(u, v)].push((u, v));
                 }
                 acc
             },
         )
-        .reduce(
-            || vec![Vec::new(); p],
-            |mut a, b| {
-                for (av, bv) in a.iter_mut().zip(b) {
-                    av.extend(bv);
-                }
-                a
-            },
-        )
+        .collect();
+    let mut per_rank: Vec<Vec<Vec<(Vertex, Vertex)>>> = (0..p)
+        .map(|_| Vec::with_capacity(per_chunk.len()))
+        .collect();
+    for chunk in per_chunk {
+        for (pieces, piece) in per_rank.iter_mut().zip(chunk) {
+            pieces.push(piece);
+        }
+    }
+    per_rank
 }
 
 /// Regenerate a single rank's share of the graph from the spec alone.
@@ -418,15 +430,45 @@ mod tests {
 
     #[test]
     fn rebuild_rank_matches_build() {
+        // Every rank of the pooled build, under 1 worker and under 4,
+        // equals its single-rank replay and the sort-based CSR oracle.
         for spec in [
             GraphSpec::poisson(300, 5.0, 7),
+            GraphSpec::poisson(1_500, 6.0, 21),
             GraphSpec::rmat(1 << 8, 6.0, 3),
+            GraphSpec::rmat(1 << 11, 8.0, 22),
+            GraphSpec::small_world(1_200, 6.0, 0.2, 23),
         ] {
-            let grid = ProcessorGrid::new(3, 2);
-            let g = DistGraph::build(spec, grid);
-            for rank in 0..grid.len() {
-                let rebuilt = rebuild_rank(&spec, grid, rank);
-                assert_eq!(rebuilt, g.ranks[rank], "rank {rank}");
+            for grid in [
+                ProcessorGrid::new(3, 2),
+                ProcessorGrid::new(3, 5),
+                ProcessorGrid::new(8, 8),
+            ] {
+                let serial = rayon::with_worker_threads(1, || DistGraph::build(spec, grid));
+                let pooled = rayon::with_worker_threads(4, || DistGraph::build(spec, grid));
+                let mut stored: Vec<Vec<(Vertex, Vertex)>> = vec![Vec::new(); grid.len()];
+                gen::for_each_entry(&spec, |u, v| {
+                    stored[serial.partition.storer_of_entry(u, v)].push((u, v));
+                });
+                for (rank, entries) in stored.into_iter().enumerate() {
+                    let what = format!(
+                        "{:?} {}x{} rank {rank}",
+                        spec.family,
+                        grid.rows(),
+                        grid.cols()
+                    );
+                    assert_eq!(pooled.ranks[rank], serial.ranks[rank], "{what}");
+                    assert_eq!(
+                        pooled.ranks[rank],
+                        rebuild_rank(&spec, grid, rank),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        pooled.ranks[rank].edges,
+                        crate::csr::tests::oracle(entries),
+                        "{what}"
+                    );
+                }
             }
         }
     }

@@ -152,6 +152,62 @@ impl TwoDPartition {
     }
 }
 
+/// [`TwoDPartition::storer_of_entry`] without division, for routing
+/// every generated entry during construction. Vertices are binned by
+/// `v >> shift`, with bins no wider than the narrowest non-empty block
+/// row, so a bin's first block row is at most a short walk from any of
+/// its vertices' block rows. Per-block-row tables then give the storing
+/// rank's grid-row and grid-column terms.
+pub(crate) struct EntryRouter {
+    shift: u32,
+    /// Block row of each bin's first vertex.
+    bin_block: Vec<usize>,
+    /// `block_row_start(b)` for `b` in `0..=P`.
+    starts: Vec<Vertex>,
+    /// `(b % R) · C`: the row-major rank offset of block row `b`'s grid row.
+    row_term: Vec<usize>,
+    /// `b / R`: the grid column (block column) of block row `b`.
+    col_term: Vec<usize>,
+}
+
+impl EntryRouter {
+    pub(crate) fn new(partition: &TwoDPartition) -> Self {
+        let (p, r, c) = (partition.p(), partition.r, partition.c);
+        let starts: Vec<Vertex> = (0..=p).map(|b| partition.block_row_start(b)).collect();
+        let narrowest = starts
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .filter(|&len| len > 0)
+            .min()
+            .unwrap_or(1);
+        let shift = narrowest.ilog2();
+        let bins = partition.n.div_ceil(1 << shift);
+        let bin_block = (0..bins)
+            .map(|bin| partition.block_row_of(bin << shift))
+            .collect();
+        Self {
+            shift,
+            bin_block,
+            starts,
+            row_term: (0..p).map(|b| (b % r) * c).collect(),
+            col_term: (0..p).map(|b| b / r).collect(),
+        }
+    }
+
+    fn block_row_of(&self, v: Vertex) -> usize {
+        let mut b = self.bin_block[(v >> self.shift) as usize];
+        while v >= self.starts[b + 1] {
+            b += 1;
+        }
+        b
+    }
+
+    /// The rank storing entry `(row u, col v)`.
+    pub(crate) fn storer_of_entry(&self, u: Vertex, v: Vertex) -> usize {
+        self.row_term[self.block_row_of(u)] + self.col_term[self.block_row_of(v)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,6 +313,50 @@ mod tests {
         for v in 0..3 {
             let owner = pt.owner_of(v);
             assert!(pt.owned_range(owner).contains(&v));
+        }
+    }
+
+    #[test]
+    fn entry_router_matches_storer_of_entry() {
+        for (n, r, c) in [
+            (1, 1, 1),
+            (3, 2, 3),
+            (17, 4, 1),
+            (97, 3, 5),
+            (130, 4, 3),
+            (1000, 7, 9),
+            (4096, 8, 8),
+        ] {
+            let pt = part(n, r, c);
+            let router = EntryRouter::new(&pt);
+            for u in 0..n {
+                for v in (0..n).step_by(1 + (n / 50) as usize) {
+                    assert_eq!(
+                        router.storer_of_entry(u, v),
+                        pt.storer_of_entry(u, v),
+                        "n={n} grid={r}x{c} entry ({u}, {v})"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn entry_router_matches_on_random_partitions(
+            n in 1u64..100_000,
+            r in 1usize..17,
+            c in 1usize..17,
+            picks in proptest::collection::vec((proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()), 1..200),
+        ) {
+            let pt = part(n, r, c);
+            let router = EntryRouter::new(&pt);
+            for (u, v) in picks {
+                let (u, v) = (u % n, v % n);
+                proptest::prop_assert_eq!(router.storer_of_entry(u, v), pt.storer_of_entry(u, v));
+            }
         }
     }
 }
