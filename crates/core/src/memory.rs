@@ -19,6 +19,12 @@
 //! graph on 32,768 nodes *fits* in 512 MB/node under this budget, and a
 //! single node (P = 1) does not — which is why the distributed
 //! algorithm exists.
+//!
+//! The budget is the paper's layout: global vertex ids in the lists and
+//! §2.4.2 hash tables for the column and row mappings. The host graph
+//! (`bgl_graph::PartialEdgeLists`) is leaner — row-local `u32` ids and
+//! rank queries instead of hash tables — and its `approx_bytes` tracks
+//! that layout, so the built graph measures below this estimate.
 
 use crate::theory::gamma;
 use bgl_comm::{ChunkPolicy, ProcessorGrid, VERT_BYTES};

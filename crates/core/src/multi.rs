@@ -29,6 +29,7 @@
 //! collective layer — 1-worker and many-worker runs are bit-identical.
 
 use crate::reference::UNREACHED;
+use crate::state::RowMarks;
 use crate::validate::{self, ValidationError, ValidationReport};
 use bgl_comm::collectives::lane::{lane_alltoallv, LaneSendList};
 use bgl_comm::collectives::Groups;
@@ -99,7 +100,6 @@ impl MultiBfsResult {
 pub struct MultiRankState<'g> {
     rg: &'g RankGraph,
     grid: ProcessorGrid,
-    partition: TwoDPartition,
     /// Level labels for owned vertices, indexed `[lane][owned offset]`.
     pub levels: Vec<Vec<u32>>,
     /// Lanes that have labeled each owned vertex (by owned offset).
@@ -121,7 +121,6 @@ impl<'g> MultiRankState<'g> {
         Self {
             rg,
             grid: partition.grid(),
-            partition,
             levels: vec![vec![UNREACHED; rg.owned_len()]; lanes],
             visited: vec![0; rg.owned_len()],
             frontier: LaneSet::new(),
@@ -162,7 +161,7 @@ impl<'g> MultiRankState<'g> {
         let mut per_row: Vec<LaneSet> = vec![LaneSet::new(); self.grid.rows()];
         for (v, mask) in self.frontier.iter() {
             let off = (v - self.rg.owned.start) as usize;
-            for &i2 in &self.rg.expand_targets[off] {
+            for &i2 in self.rg.expand_targets(off) {
                 per_row[i2 as usize].push(v, mask);
             }
         }
@@ -181,34 +180,36 @@ impl<'g> MultiRankState<'g> {
     /// mirrors the single-source kernel: one probe per received vertex
     /// plus one per edge entry traversed.
     pub fn discover(&mut self, fbar: &[LaneSet]) -> Vec<LaneSet> {
-        let cols = self.grid.cols();
-        let mut blocks: Vec<Vec<(Vertex, LaneMask)>> = vec![Vec::new(); cols];
+        let rg = self.rg;
+        let mut marks = RowMarks::new(rg.edges.num_row_ids());
+        // Lanes found for each marked row this call, OR-merged.
+        let mut found: Vec<LaneMask> = vec![0; rg.edges.num_row_ids()];
         for set in fbar {
             for (v, mask) in set.iter() {
                 self.probes += 1;
-                let Some(ci) = self.rg.edges.col_local(v) else {
+                let Some(ci) = rg.edges.col_local(v) else {
                     continue;
                 };
-                for &u in self.rg.edges.neighbors_by_local(ci) {
+                for &rl in rg.edges.rows_of(ci) {
                     self.probes += 1;
                     let mut emit = mask;
                     if !self.sent.is_empty() {
-                        let rl = self
-                            .rg
-                            .edges
-                            .row_local(u)
-                            .expect("edge-list vertex must be row-indexed"); // bgl-lint: allow(r1, reason = "CSR construction row-indexes every edge endpoint; a miss is a partitioning bug")
                         emit = mask & !self.sent[rl as usize];
                         if emit == 0 {
                             continue;
                         }
                         self.sent[rl as usize] |= emit;
                     }
-                    blocks[self.partition.block_col_of(u)].push((u, emit));
+                    marks.mark(rl);
+                    found[rl as usize] |= emit;
                 }
             }
         }
-        blocks.into_iter().map(LaneSet::from_pairs).collect()
+        let mut blocks: Vec<LaneSet> = vec![LaneSet::new(); self.grid.cols()];
+        marks.drain(rg.row_blocks(), |m, rl| {
+            blocks[m].push(rg.edges.row_of_local(rl), found[rl as usize]);
+        });
+        blocks
     }
 
     /// Absorb folded lane sets: for each delivered `(vertex, mask)`
@@ -226,7 +227,7 @@ impl<'g> MultiRankState<'g> {
                 let off = self
                     .rg
                     .owned_local(v)
-                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes by block_col_of, so delivery to a non-owner is a partitioning bug")
+                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes each vertex to the owner of its block column, so delivery to a non-owner is a partitioning bug")
                 let new = mask & !self.visited[off];
                 if new == 0 {
                     continue;
@@ -416,6 +417,101 @@ mod tests {
         bfs2d::try_run(graph, &mut world, &BfsConfig::paper_optimized(), source)
             .unwrap()
             .levels
+    }
+
+    /// The lane-masked discover as it ran on the hash-mapped layout:
+    /// `row_local` per entry, `block_col_of` per row, and a sort and
+    /// OR-merge of every block in `LaneSet::from_pairs`.
+    fn hashed_discover(
+        st: &mut MultiRankState<'_>,
+        partition: &TwoDPartition,
+        fbar: &[LaneSet],
+    ) -> Vec<LaneSet> {
+        let edges = &st.rg.edges;
+        let mut blocks: Vec<Vec<(Vertex, LaneMask)>> = vec![Vec::new(); partition.cols()];
+        for set in fbar {
+            for (v, mask) in set.iter() {
+                st.probes += 1;
+                if edges.col_local(v).is_none() {
+                    continue;
+                }
+                for u in edges.neighbors_of(v) {
+                    st.probes += 1;
+                    let mut emit = mask;
+                    if !st.sent.is_empty() {
+                        let rl = edges.row_local(u).unwrap() as usize;
+                        emit = mask & !st.sent[rl];
+                        if emit == 0 {
+                            continue;
+                        }
+                        st.sent[rl] |= emit;
+                    }
+                    blocks[partition.block_col_of(u)].push((u, emit));
+                }
+            }
+        }
+        blocks.into_iter().map(LaneSet::from_pairs).collect()
+    }
+
+    #[test]
+    fn discover_matches_hashed_kernel_at_every_wave() {
+        // Five lanes (two sharing a source) driven wave by wave: every
+        // rank's discover must equal the hashed kernel's blocks, probes
+        // and sent cache at every wave.
+        let sources = [1u64, 77, 77, 2_900, 1_234];
+        for spec in [
+            GraphSpec::poisson(3_000, 8.0, 4),
+            GraphSpec::rmat(1 << 12, 8.0, 6),
+        ] {
+            for grid in [ProcessorGrid::new(3, 5), ProcessorGrid::new(8, 8)] {
+                let g = DistGraph::build(spec, grid);
+                let p = grid.len();
+                for use_sent in [true, false] {
+                    let mut sts: Vec<MultiRankState<'_>> = g
+                        .ranks
+                        .iter()
+                        .map(|rg| MultiRankState::new(rg, g.partition, sources.len(), use_sent))
+                        .collect();
+                    for st in sts.iter_mut() {
+                        st.init_sources(&sources);
+                    }
+                    let mut wave = 1;
+                    loop {
+                        let mut fbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                        for st in sts.iter_mut() {
+                            for (peer, set) in st.expand_sends() {
+                                fbar[peer].push(set);
+                            }
+                        }
+                        if fbar.iter().all(Vec::is_empty) {
+                            break;
+                        }
+                        let mut nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                        for (rank, st) in sts.iter_mut().enumerate() {
+                            let what = format!(
+                                "{:?} {grid:?} sent={use_sent} wave {wave} rank {rank}",
+                                spec.family
+                            );
+                            let mut hashed = st.clone();
+                            let want = hashed_discover(&mut hashed, &g.partition, &fbar[rank]);
+                            let blocks = st.discover(&fbar[rank]);
+                            assert_eq!(blocks, want, "{what}");
+                            assert_eq!(st.probes, hashed.probes, "{what}");
+                            assert_eq!(st.sent, hashed.sent, "{what}");
+                            let row = grid.row_of(rank);
+                            for (m, block) in blocks.into_iter().enumerate() {
+                                nbar[grid.rank_of(row, m)].push(block);
+                            }
+                        }
+                        for (rank, st) in sts.iter_mut().enumerate() {
+                            st.absorb(&nbar[rank], wave);
+                        }
+                        wave += 1;
+                    }
+                    assert!(wave > 3, "{:?} {grid:?}", spec.family);
+                }
+            }
+        }
     }
 
     #[test]

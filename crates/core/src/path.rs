@@ -78,14 +78,13 @@ pub fn try_extract_path(
                 continue;
             }
             let rg = &graph.ranks[rank];
-            let neighbors = rg.edges.neighbors_of(cur);
-            if neighbors.is_empty() {
+            let Some(ci) = rg.edges.col_local(cur) else {
                 continue;
-            }
+            };
             let row = grid.row_of(rank);
             let mut per_dest: Vec<Vec<Vert>> = vec![Vec::new(); grid.cols()];
-            for &u in neighbors {
-                per_dest[graph.partition.block_col_of(u)].push(u);
+            for &rl in rg.edges.rows_of(ci) {
+                per_dest[rg.row_block_of(rl)].push(rg.edges.row_of_local(rl));
             }
             for (m, list) in per_dest.into_iter().enumerate() {
                 if !list.is_empty() {
@@ -277,11 +276,14 @@ pub fn try_multi(
             let rg = &graph.ranks[rank];
             let row = grid.row_of(rank);
             for (v, mask) in queries.iter() {
-                for &u in rg.edges.neighbors_of(v) {
+                let Some(ci) = rg.edges.col_local(v) else {
+                    continue;
+                };
+                for &rl in rg.edges.rows_of(ci) {
                     forwards
-                        .entry((rank, grid.rank_of(row, graph.partition.block_col_of(u))))
+                        .entry((rank, grid.rank_of(row, rg.row_block_of(rl))))
                         .or_default()
-                        .push((u, mask));
+                        .push((rg.edges.row_of_local(rl), mask));
                 }
             }
         }

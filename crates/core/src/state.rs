@@ -24,7 +24,6 @@ use bgl_graph::{RankGraph, TwoDPartition, Vertex};
 pub struct RankState<'g> {
     rg: &'g RankGraph,
     grid: ProcessorGrid,
-    partition: TwoDPartition,
     /// Level labels for owned vertices, indexed by owned offset.
     pub levels: Vec<u32>,
     /// Current frontier (owned vertices at the current level), sorted.
@@ -48,7 +47,6 @@ impl<'g> RankState<'g> {
         Self {
             rg,
             grid: partition.grid(),
-            partition,
             levels: vec![UNREACHED; rg.owned_len()],
             frontier: Vec::new(),
             sent: if use_sent {
@@ -98,7 +96,7 @@ impl<'g> RankState<'g> {
         let mut per_row: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.rows()];
         for &v in &self.frontier {
             let off = (v - self.rg.owned.start) as usize;
-            for &i2 in &self.rg.expand_targets[off] {
+            for &i2 in self.rg.expand_targets(off) {
                 per_row[i2 as usize].push(v);
             }
         }
@@ -115,38 +113,35 @@ impl<'g> RankState<'g> {
     /// deduplicated set of neighbor vertices owned by that peer.
     ///
     /// Hash probes counted: one per F̄ vertex (partial-edge-list lookup)
-    /// plus one per edge entry traversed (sent-neighbors lookup).
+    /// plus one per edge entry traversed (sent-neighbors lookup). These
+    /// are the paper's hash-table costs; on the host the lists hold
+    /// row-local ids, so an entry costs one bit set in [`RowMarks`].
     pub fn discover(&mut self, fbar_lists: &[&[Vertex]]) -> Vec<Vec<Vertex>> {
-        let cols = self.grid.cols();
-        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); cols];
+        let rg = self.rg;
+        let mut marks = RowMarks::new(rg.edges.num_row_ids());
         for list in fbar_lists {
             for &v in *list {
                 self.probes += 1;
-                let Some(ci) = self.rg.edges.col_local(v) else {
+                let Some(ci) = rg.edges.col_local(v) else {
                     continue;
                 };
-                for &u in self.rg.edges.neighbors_by_local(ci) {
+                for &rl in rg.edges.rows_of(ci) {
                     self.probes += 1;
                     if !self.sent.is_empty() {
-                        let rl = self
-                            .rg
-                            .edges
-                            .row_local(u)
-                            .expect("edge-list vertex must be row-indexed"); // bgl-lint: allow(r1, reason = "CSR construction row-indexes every edge endpoint; a miss is a partitioning bug")
                         if self.sent[rl as usize] {
                             continue;
                         }
                         self.sent[rl as usize] = true;
-                        self.unexplored -= self.rg.edges.row_degree(rl) as u64;
+                        self.unexplored -= rg.edges.row_degree(rl) as u64;
                     }
-                    blocks[self.partition.block_col_of(u)].push(u);
+                    marks.mark(rl);
                 }
             }
         }
-        for b in blocks.iter_mut() {
-            b.sort_unstable();
-            b.dedup();
-        }
+        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.cols()];
+        marks.drain(rg.row_blocks(), |m, rl| {
+            blocks[m].push(rg.edges.row_of_local(rl));
+        });
         blocks
     }
 
@@ -162,7 +157,7 @@ impl<'g> RankState<'g> {
                 let off = self
                     .rg
                     .owned_local(v)
-                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes by block_col_of, so delivery to a non-owner is a partitioning bug")
+                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes each vertex to the owner of its block column, so delivery to a non-owner is a partitioning bug")
                 if self.levels[off] == UNREACHED {
                     self.levels[off] = next_level;
                     fresh.push(v);
@@ -187,7 +182,7 @@ impl<'g> RankState<'g> {
             let off = self
                 .rg
                 .owned_local(v)
-                .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes by block_col_of, so delivery to a non-owner is a partitioning bug")
+                .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes each vertex to the owner of its block column, so delivery to a non-owner is a partitioning bug")
             if self.levels[off] == UNREACHED {
                 self.levels[off] = next_level;
                 fresh.push(v);
@@ -204,7 +199,8 @@ impl<'g> RankState<'g> {
     /// early-exiting on the first hit. Emits the same fold blocks as
     /// [`RankState::discover`] would for this level — each block sorted
     /// and duplicate-free — because rows are visited in ascending id
-    /// order and each row is emitted at most once.
+    /// order, block column by block column, and each row is emitted at
+    /// most once.
     ///
     /// `frontier` must be the union of the whole processor-column's
     /// frontiers (see `bgl_comm::collectives::frontier`): this rank
@@ -215,37 +211,40 @@ impl<'g> RankState<'g> {
     ///
     /// Probes counted: one per frontier membership test. The row scan
     /// itself is sequential array access over the row-major index —
-    /// not hash work — whereas top-down pays a `row_local` hash probe
-    /// for *every* stored entry of every received frontier vertex. The
-    /// early exit plus the free skip of already-sent rows is where
-    /// bottom-up wins.
+    /// not hash work — whereas top-down is charged a sent-neighbors
+    /// probe for *every* stored entry of every received frontier
+    /// vertex. The early exit plus the free skip of already-sent rows
+    /// is where bottom-up wins.
     pub fn discover_bottom_up(&mut self, frontier: &VertSet) -> Vec<Vec<Vertex>> {
-        let cols = self.grid.cols();
-        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); cols];
-        for rl in 0..self.rg.edges.num_row_ids() as u32 {
-            if !self.sent.is_empty() && self.sent[rl as usize] {
-                continue;
-            }
-            let u = self.rg.edges.row_of_local(rl);
-            if let Some(off) = self.rg.owned_local(u) {
-                if self.levels[off] != UNREACHED {
+        let edges = &self.rg.edges;
+        let bounds = self.rg.row_blocks();
+        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.cols()];
+        for (block, range) in blocks.iter_mut().zip(bounds.windows(2)) {
+            for rl in range[0]..range[1] {
+                if !self.sent.is_empty() && self.sent[rl as usize] {
                     continue;
                 }
-            }
-            let mut parented = false;
-            for &ci in self.rg.edges.cols_of_row_local(rl) {
-                self.probes += 1;
-                if frontier.contains(self.rg.edges.col_of_local(ci)) {
-                    parented = true;
-                    break;
+                let u = edges.row_of_local(rl);
+                if let Some(off) = self.rg.owned_local(u) {
+                    if self.levels[off] != UNREACHED {
+                        continue;
+                    }
                 }
-            }
-            if parented {
-                if !self.sent.is_empty() {
-                    self.sent[rl as usize] = true;
-                    self.unexplored -= self.rg.edges.row_degree(rl) as u64;
+                let mut parented = false;
+                for &ci in edges.cols_of_row_local(rl) {
+                    self.probes += 1;
+                    if frontier.contains(edges.col_of_local(ci)) {
+                        parented = true;
+                        break;
+                    }
                 }
-                blocks[self.partition.block_col_of(u)].push(u);
+                if parented {
+                    if !self.sent.is_empty() {
+                        self.sent[rl as usize] = true;
+                        self.unexplored -= edges.row_degree(rl) as u64;
+                    }
+                    block.push(u);
+                }
             }
         }
         debug_assert!(blocks.iter().all(|b| b.windows(2).all(|w| w[0] < w[1])));
@@ -279,6 +278,43 @@ impl<'g> RankState<'g> {
     /// Count of labeled owned vertices.
     pub fn reached(&self) -> u64 {
         self.levels.iter().filter(|&&l| l != UNREACHED).count() as u64
+    }
+}
+
+/// The rows one discover call emits, as a bitmap over row-local ids.
+/// Row-local ids ascend with the vertex id and the rank's row-block
+/// bounds cut them into block columns, so draining the bitmap yields
+/// every fold block sorted and duplicate-free, with no sort and no
+/// per-row partition arithmetic.
+#[derive(Debug)]
+pub(crate) struct RowMarks(Vec<u64>);
+
+impl RowMarks {
+    /// No rows marked, out of `rows` row-local ids.
+    pub(crate) fn new(rows: usize) -> Self {
+        Self(vec![0; rows.div_ceil(64)])
+    }
+
+    /// Mark row-local id `rl` (idempotent).
+    pub(crate) fn mark(&mut self, rl: u32) {
+        self.0[rl as usize / 64] |= 1u64 << (rl % 64);
+    }
+
+    /// Visit the marked rows in ascending order as `(block column,
+    /// row-local id)`, where `bounds` are the rank's row-block bounds
+    /// ([`RankGraph::row_blocks`]).
+    pub(crate) fn drain(self, bounds: &[u32], mut visit: impl FnMut(usize, u32)) {
+        let mut block = 0;
+        for (w, mut bits) in self.0.into_iter().enumerate() {
+            while bits != 0 {
+                let rl = (w * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                while rl >= bounds[block + 1] {
+                    block += 1;
+                }
+                visit(block, rl);
+            }
+        }
     }
 }
 
@@ -525,6 +561,161 @@ mod tests {
         let probes_before = sts[0].probes;
         let _ = sts[0].frontier_degree();
         assert_eq!(sts[0].probes, probes_before, "heuristic is uncharged");
+    }
+
+    /// Top-down discover as it ran on the hash-mapped layout: look each
+    /// entry's row up with `row_local`, route it with `block_col_of`,
+    /// then sort and deduplicate every block.
+    fn hashed_discover(
+        st: &mut RankState<'_>,
+        partition: &TwoDPartition,
+        fbar_lists: &[&[Vertex]],
+    ) -> Vec<Vec<Vertex>> {
+        let edges = &st.rg.edges;
+        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); partition.cols()];
+        for list in fbar_lists {
+            for &v in *list {
+                st.probes += 1;
+                if edges.col_local(v).is_none() {
+                    continue;
+                }
+                for u in edges.neighbors_of(v) {
+                    st.probes += 1;
+                    if !st.sent.is_empty() {
+                        let rl = edges.row_local(u).unwrap();
+                        if st.sent[rl as usize] {
+                            continue;
+                        }
+                        st.sent[rl as usize] = true;
+                        st.unexplored -= edges.row_degree(rl) as u64;
+                    }
+                    blocks[partition.block_col_of(u)].push(u);
+                }
+            }
+        }
+        for b in blocks.iter_mut() {
+            b.sort_unstable();
+            b.dedup();
+        }
+        blocks
+    }
+
+    /// Bottom-up discover routing every emitted row with `block_col_of`.
+    fn hashed_bottom_up(
+        st: &mut RankState<'_>,
+        partition: &TwoDPartition,
+        frontier: &VertSet,
+    ) -> Vec<Vec<Vertex>> {
+        let edges = &st.rg.edges;
+        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); partition.cols()];
+        for rl in 0..edges.num_row_ids() as u32 {
+            if !st.sent.is_empty() && st.sent[rl as usize] {
+                continue;
+            }
+            let u = edges.row_of_local(rl);
+            if st.level_of(u).is_some() {
+                continue;
+            }
+            let mut parented = false;
+            for &ci in edges.cols_of_row_local(rl) {
+                st.probes += 1;
+                if frontier.contains(edges.col_of_local(ci)) {
+                    parented = true;
+                    break;
+                }
+            }
+            if parented {
+                if !st.sent.is_empty() {
+                    st.sent[rl as usize] = true;
+                    st.unexplored -= edges.row_degree(rl) as u64;
+                }
+                blocks[partition.block_col_of(u)].push(u);
+            }
+        }
+        blocks
+    }
+
+    fn assert_same_state(a: &RankState<'_>, b: &RankState<'_>, what: &str) {
+        assert_eq!(a.probes, b.probes, "{what}");
+        assert_eq!(a.sent, b.sent, "{what}");
+        assert_eq!(a.unexplored, b.unexplored, "{what}");
+    }
+
+    #[test]
+    fn discover_kernels_match_hashed_kernels_at_every_level() {
+        // A whole search driven level by level: at every level every
+        // rank's top-down and bottom-up discover must equal the hashed
+        // kernels' blocks, probes, sent cache and unexplored count.
+        for spec in [
+            GraphSpec::poisson(3_000, 8.0, 4),
+            GraphSpec::rmat(1 << 12, 8.0, 6),
+        ] {
+            for grid in [ProcessorGrid::new(3, 5), ProcessorGrid::new(8, 8)] {
+                let g = DistGraph::build(spec, grid);
+                for use_sent in [true, false] {
+                    let what = format!("{:?} {grid:?} sent={use_sent}", spec.family);
+                    assert!(walk_levels(&g, use_sent, 1) > 2, "{what}");
+                }
+            }
+        }
+    }
+
+    /// Drive a search from `source` by hand, checking the kernels at
+    /// every level; returns the number of levels.
+    fn walk_levels(g: &DistGraph, use_sent: bool, source: Vertex) -> u32 {
+        let grid = g.grid();
+        let p = grid.len();
+        let mut sts = states(g, use_sent);
+        for st in sts.iter_mut() {
+            st.init_source(source);
+        }
+        let mut level = 1;
+        loop {
+            let mut fbar: Vec<Vec<Vec<Vertex>>> = vec![Vec::new(); p];
+            for st in sts.iter_mut() {
+                for (peer, list) in st.expand_sends_targeted() {
+                    fbar[peer].push(list);
+                }
+            }
+            if fbar.iter().all(Vec::is_empty) {
+                return level;
+            }
+            let mut column_frontier: Vec<Vec<Vertex>> = vec![Vec::new(); grid.cols()];
+            for (rank, st) in sts.iter().enumerate() {
+                column_frontier[grid.col_of(rank)].extend(&st.frontier);
+            }
+            let mut nbar: Vec<Vec<Vec<Vertex>>> = vec![Vec::new(); p];
+            for (rank, st) in sts.iter_mut().enumerate() {
+                let what = format!("level {level} rank {rank}");
+                let mut frontier = column_frontier[grid.col_of(rank)].clone();
+                frontier.sort_unstable();
+                let frontier = VertSet::from_sorted(frontier);
+                let (mut bu, mut bu_hashed) = (st.clone(), st.clone());
+                let bu_blocks = bu.discover_bottom_up(&frontier);
+                assert_eq!(
+                    bu_blocks,
+                    hashed_bottom_up(&mut bu_hashed, &g.partition, &frontier),
+                    "bottom-up {what}"
+                );
+                assert_same_state(&bu, &bu_hashed, &what);
+
+                let lists: Vec<&[Vertex]> = fbar[rank].iter().map(Vec::as_slice).collect();
+                let mut hashed = st.clone();
+                let want = hashed_discover(&mut hashed, &g.partition, &lists);
+                let blocks = st.discover(&lists);
+                assert_eq!(blocks, want, "top-down {what}");
+                assert_same_state(st, &hashed, &what);
+                let row = grid.row_of(rank);
+                for (m, block) in blocks.into_iter().enumerate() {
+                    nbar[grid.rank_of(row, m)].push(block);
+                }
+            }
+            for (rank, st) in sts.iter_mut().enumerate() {
+                let lists: Vec<&[Vertex]> = nbar[rank].iter().map(Vec::as_slice).collect();
+                st.absorb(&lists, level);
+            }
+            level += 1;
+        }
     }
 
     #[test]

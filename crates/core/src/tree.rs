@@ -24,7 +24,7 @@ use crate::reference::UNREACHED;
 use crate::stats::{LevelStats, RunStats};
 use bgl_comm::collectives::{alltoall::alltoallv, Groups};
 use bgl_comm::{CommError, OpClass, SimWorld, Vert};
-use bgl_graph::{DistGraph, RankGraph, TwoDPartition, Vertex};
+use bgl_graph::{DistGraph, RankGraph, Vertex};
 
 /// Parent label meaning "no parent" (unreached, or the source itself
 /// uses its own id).
@@ -44,7 +44,6 @@ pub struct TreeResult {
 
 struct TreeRankState<'g> {
     rg: &'g RankGraph,
-    partition: TwoDPartition,
     levels: Vec<u32>,
     parents: Vec<u64>,
     frontier: Vec<Vertex>,
@@ -53,10 +52,9 @@ struct TreeRankState<'g> {
 }
 
 impl<'g> TreeRankState<'g> {
-    fn new(rg: &'g RankGraph, partition: TwoDPartition, use_sent: bool) -> Self {
+    fn new(rg: &'g RankGraph, use_sent: bool) -> Self {
         Self {
             rg,
-            partition,
             levels: vec![UNREACHED; rg.owned_len()],
             parents: vec![NO_PARENT; rg.owned_len()],
             frontier: Vec::new(),
@@ -79,22 +77,16 @@ impl<'g> TreeRankState<'g> {
                 let Some(ci) = self.rg.edges.col_local(v) else {
                     continue;
                 };
-                for &u in self.rg.edges.neighbors_by_local(ci) {
+                for &rl in self.rg.edges.rows_of(ci) {
                     self.probes += 1;
                     if !self.sent.is_empty() {
-                        let rl = self
-                            .rg
-                            .edges
-                            .row_local(u)
-                            .expect("edge-list vertex must be row-indexed") // bgl-lint: allow(r1, reason = "CSR construction row-indexes every edge endpoint; a miss is a partitioning bug")
-                            as usize;
-                        if self.sent[rl] {
+                        if self.sent[rl as usize] {
                             continue;
                         }
-                        self.sent[rl] = true;
+                        self.sent[rl as usize] = true;
                     }
-                    let block = &mut blocks[self.partition.block_col_of(u)];
-                    block.push(u);
+                    let block = &mut blocks[self.rg.row_block_of(rl)];
+                    block.push(self.rg.edges.row_of_local(rl));
                     block.push(v);
                 }
             }
@@ -114,7 +106,7 @@ impl<'g> TreeRankState<'g> {
                 let off = self
                     .rg
                     .owned_local(u)
-                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes by block_col_of, so delivery to a non-owner is a partitioning bug")
+                    .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes each vertex to the owner of its block column, so delivery to a non-owner is a partitioning bug")
                 if self.levels[off] == UNREACHED {
                     self.levels[off] = next_level;
                     self.parents[off] = parent;
@@ -136,7 +128,7 @@ impl<'g> TreeRankState<'g> {
         let mut per_row: Vec<Vec<Vert>> = vec![Vec::new(); grid.rows()];
         for &v in &self.frontier {
             let off = (v - self.rg.owned.start) as usize;
-            for &i2 in &self.rg.expand_targets[off] {
+            for &i2 in self.rg.expand_targets(off) {
                 per_row[i2 as usize].push(v);
             }
         }
@@ -169,7 +161,7 @@ pub fn try_run_tree(
     let mut states: Vec<TreeRankState<'_>> = graph
         .ranks
         .iter()
-        .map(|rg| TreeRankState::new(rg, graph.partition, config.sent_neighbors))
+        .map(|rg| TreeRankState::new(rg, config.sent_neighbors))
         .collect();
     {
         let owner = graph.partition.owner_of(source);

@@ -8,35 +8,43 @@
 //! * §2.4.1 — although a rank's block column spans `O(n/C)` vertices,
 //!   only `O(n/P)` of the partial edge lists are non-empty, so "it is
 //!   necessary not to index all edge lists, but only the non-empty ones":
-//!   the storage is a CSR over the non-empty columns only;
-//! * §2.4.2 — global vertex indices are mapped to dense local indices by
-//!   hashing. Two of the paper's three hash mappings live here: columns
-//!   with non-empty lists, and the unique vertices appearing *in* lists
-//!   (both `O(n/P)` in expectation, §2.4.1). The third mapping (owned
-//!   vertices) lives with the BFS state, where owned ranges are
-//!   contiguous.
+//!   the storage is a CSR over the non-empty columns only — the `JC`/`CP`
+//!   arrays of Buluç & Madduri's doubly compressed sparse columns (DCSC)
+//!   for hypersparse blocks;
+//! * §2.4.2 — global vertex indices are mapped to dense local indices.
+//!   Two of the paper's three mappings live here: columns with non-empty
+//!   lists, and the unique vertices appearing *in* lists (both `O(n/P)`
+//!   in expectation, §2.4.1). The third mapping (owned vertices) lives
+//!   with the BFS state, where owned ranges are contiguous.
 //!
-//! The maps use FxHash — the paper profiles BFS as hash-dominated, and
-//! the fast integer hasher is the guide-recommended choice.
+//! The paper implements the mappings as hash tables. Here both are rank
+//! queries over the sorted ids — a bitmap over the ids' span with a
+//! popcount prefix per word, or a bisection of the sorted ids when they
+//! are too sparse for a bitmap — and the lists store *row-local* `u32`
+//! ids, so walking a list needs no lookup at all. The simulated clock
+//! still charges the paper's hash probes (`SimWorld::hash_phase` in
+//! `bgl-comm`); only the host layout differs.
 
 use crate::Vertex;
-use rustc_hash::FxHashMap;
 
 /// CSR-like storage of the non-empty partial edge lists on one rank.
+/// Local ids are `u32`: a rank holds fewer than 2^32 distinct columns
+/// and rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartialEdgeLists {
     /// Non-empty columns (global vertex ids), sorted ascending.
     cols: Vec<Vertex>,
     /// `offsets[i]..offsets[i+1]` indexes `rows` for `cols[i]`.
     offsets: Vec<usize>,
-    /// Neighbor rows (global vertex ids), sorted within each column.
-    rows: Vec<Vertex>,
-    /// §2.4.2 mapping: global column id → dense local column index.
-    col_index: FxHashMap<Vertex, u32>,
-    /// Unique vertices appearing in any edge list, sorted ascending.
+    /// Row-local ids of each column's entries, ascending within a column.
+    rows: Vec<u32>,
+    /// §2.4.2 mapping: global column id → column-local index in `cols`.
+    col_rank: DenseIds,
+    /// Unique vertices appearing in any edge list, sorted ascending:
+    /// row-local id `rl` is vertex `row_ids[rl]`.
     row_ids: Vec<Vertex>,
-    /// §2.4.2 mapping: global row id → dense local row index.
-    row_index: FxHashMap<Vertex, u32>,
+    /// §2.4.2 mapping: global row id → row-local index in `row_ids`.
+    row_rank: DenseIds,
     /// Row-major (transposed) view: `row_offsets[rl]..row_offsets[rl+1]`
     /// indexes `row_cols` for row-local id `rl`. Lets a bottom-up
     /// traversal scan a stored row's columns without probing the
@@ -62,7 +70,7 @@ impl PartialEdgeLists {
     /// (§2.2). A counting sort over the entries' column span places
     /// every row in its column's slot; each non-empty column's rows are
     /// then sorted and deduplicated in place. Row-local ids come from a
-    /// bitmap rank over the distinct rows, so the transposed index needs
+    /// rank query over the distinct rows, so the transposed index needs
     /// neither a sort nor a hash probe.
     pub(crate) fn from_pieces(pieces: Vec<Vec<(Vertex, Vertex)>>) -> Self {
         let keys = ColumnKeys::new(pieces.iter().flatten().map(|&(_, c)| c));
@@ -78,11 +86,11 @@ impl PartialEdgeLists {
             ends[i] += ends[i - 1];
         }
         let num_cols = ends.windows(2).filter(|w| w[1] > w[0]).count();
-        let mut rows: Vec<Vertex> = vec![0; ends[keys.len()]];
+        let mut global_rows: Vec<Vertex> = vec![0; ends[keys.len()]];
         for piece in pieces {
             for (u, c) in piece {
                 let k = keys.key(c);
-                rows[ends[k]] = u;
+                global_rows[ends[k]] = u;
                 ends[k] += 1;
             }
         }
@@ -95,10 +103,10 @@ impl PartialEdgeLists {
         let (mut start, mut kept) = (0, 0);
         for (k, &end) in ends[..keys.len()].iter().enumerate() {
             if end > start {
-                rows[start..end].sort_unstable();
+                global_rows[start..end].sort_unstable();
                 for i in start..end {
-                    if i == start || rows[i] != rows[i - 1] {
-                        rows[kept] = rows[i];
+                    if i == start || global_rows[i] != global_rows[i - 1] {
+                        global_rows[kept] = global_rows[i];
                         kept += 1;
                     }
                 }
@@ -109,29 +117,23 @@ impl PartialEdgeLists {
         }
         debug_assert_eq!(cols.len(), num_cols);
         drop(ends);
-        rows.truncate(kept);
-        rows.shrink_to_fit();
+        drop(keys);
+        global_rows.truncate(kept);
+        let col_rank = DenseIds::new(cols.iter().copied());
 
-        let col_index: FxHashMap<Vertex, u32> = cols
+        let row_rank = DenseIds::new(global_rows.iter().copied());
+        let row_ids = row_rank.members(global_rows.iter().copied());
+        let rows: Vec<u32> = global_rows
             .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
+            .map(|&u| row_rank.rank(&row_ids, u))
             .collect();
-
-        let row_dense = DenseIds::new(rows.iter().copied());
-        let row_ids = row_dense.members();
-        let row_index: FxHashMap<Vertex, u32> = row_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i as u32))
-            .collect();
+        drop(global_rows);
 
         // Transposed index by count / prefix-sum / fill. Columns are
         // visited in ascending order, so each row's column list comes
         // out ascending without a sort.
-        let row_local: Vec<u32> = rows.iter().map(|&u| row_dense.rank(u) as u32).collect();
         let mut row_offsets = vec![0usize; row_ids.len() + 1];
-        for &rl in &row_local {
+        for &rl in &rows {
             row_offsets[rl as usize + 1] += 1;
         }
         for i in 1..row_offsets.len() {
@@ -140,7 +142,7 @@ impl PartialEdgeLists {
         let mut row_cols = vec![0u32; rows.len()];
         let mut cursor = row_offsets.clone();
         for ci in 0..num_cols {
-            for &rl in &row_local[offsets[ci]..offsets[ci + 1]] {
+            for &rl in &rows[offsets[ci]..offsets[ci + 1]] {
                 row_cols[cursor[rl as usize]] = ci as u32;
                 cursor[rl as usize] += 1;
             }
@@ -150,9 +152,9 @@ impl PartialEdgeLists {
             cols,
             offsets,
             rows,
-            col_index,
+            col_rank,
             row_ids,
-            row_index,
+            row_rank,
             row_offsets,
             row_cols,
         }
@@ -183,29 +185,28 @@ impl PartialEdgeLists {
         &self.row_ids
     }
 
-    /// Dense local index of column `v`, if its list is non-empty
-    /// (one hash probe — the operation the paper's profile is made of).
+    /// Dense local index of column `v`, if its list is non-empty (the
+    /// lookup the paper's profile is made of, answered by a rank query).
     pub fn col_local(&self, v: Vertex) -> Option<u32> {
-        self.col_index.get(&v).copied()
+        self.col_rank.get(&self.cols, v)
     }
 
     /// Dense local index of a row vertex `u`, if it appears in any list.
     pub fn row_local(&self, u: Vertex) -> Option<u32> {
-        self.row_index.get(&u).copied()
+        self.row_rank.get(&self.row_ids, u)
     }
 
-    /// Neighbor rows of column local index `ci`.
-    pub fn neighbors_by_local(&self, ci: u32) -> &[Vertex] {
+    /// Row-local ids of column-local index `ci`'s entries, ascending.
+    pub fn rows_of(&self, ci: u32) -> &[u32] {
         let ci = ci as usize;
         &self.rows[self.offsets[ci]..self.offsets[ci + 1]]
     }
 
-    /// The partial edge list of global vertex `v` (empty slice if none).
-    pub fn neighbors_of(&self, v: Vertex) -> &[Vertex] {
-        match self.col_local(v) {
-            Some(ci) => self.neighbors_by_local(ci),
-            None => &[],
-        }
+    /// The partial edge list of global vertex `v`, as ascending global
+    /// row ids (empty if none).
+    pub fn neighbors_of(&self, v: Vertex) -> impl ExactSizeIterator<Item = Vertex> + '_ {
+        let rows = self.col_local(v).map_or(&[][..], |ci| self.rows_of(ci));
+        self.globals(rows)
     }
 
     /// Column-local ids stored for row-local id `rl`, ascending — the
@@ -232,27 +233,30 @@ impl PartialEdgeLists {
         self.row_ids[rl as usize]
     }
 
-    /// Iterate `(column, partial edge list)` pairs in column order.
-    pub fn iter_cols(&self) -> impl Iterator<Item = (Vertex, &[Vertex])> + '_ {
+    /// Iterate `(column, partial edge list)` pairs in column order, each
+    /// list as ascending global row ids.
+    pub fn iter_cols(
+        &self,
+    ) -> impl Iterator<Item = (Vertex, impl ExactSizeIterator<Item = Vertex> + '_)> + '_ {
         self.cols
             .iter()
-            .enumerate()
-            .map(move |(i, &c)| (c, &self.rows[self.offsets[i]..self.offsets[i + 1]]))
+            .zip(self.offsets.windows(2))
+            .map(move |(&c, w)| (c, self.globals(&self.rows[w[0]..w[1]])))
     }
 
-    /// Approximate resident bytes (entries + indexes), for the memory
-    /// scalability checks.
+    /// Global ids of row-local ids.
+    fn globals<'a>(&'a self, rows: &'a [u32]) -> impl ExactSizeIterator<Item = Vertex> + 'a {
+        rows.iter().map(|&rl| self.row_ids[rl as usize])
+    }
+
+    /// Approximate resident bytes of the host layout (entries, indexes
+    /// and the rank-query bitmaps), for the memory scalability checks.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.rows.len() * size_of::<Vertex>()
-            + self.cols.len() * (size_of::<Vertex>() + size_of::<usize>())
-            + self.row_ids.len() * (size_of::<Vertex>() + size_of::<usize>())
-            + self.row_cols.len() * size_of::<u32>()
-            // FxHashMap overhead approx: ~1.5 slots of (K, V) per entry.
-            + (self.col_index.len() + self.row_index.len())
-                * (size_of::<Vertex>() + size_of::<u32>())
-                * 3
-                / 2
+        (self.rows.len() + self.row_cols.len()) * size_of::<u32>()
+            + (self.cols.len() + self.row_ids.len()) * (size_of::<Vertex>() + size_of::<usize>())
+            + self.col_rank.approx_bytes()
+            + self.row_rank.approx_bytes()
     }
 }
 
@@ -320,30 +324,33 @@ fn sorted_distinct(values: impl Iterator<Item = Vertex>) -> Vec<Vertex> {
     out
 }
 
-/// Dense, order-preserving ids for a set of vertices: a member's id is
-/// the number of smaller members. When the members' span needs at most
-/// about one 64-bit word per value, a bitmap over the span answers with
-/// a per-word popcount prefix; wider spans (sparse or far-apart values)
-/// fall back to the sorted members and a bisection.
+/// Dense, order-preserving ids for a set of vertices (the §2.4.2
+/// mappings): a member's id is the number of smaller members. When the
+/// members' span needs at most about one 64-bit word per value, a
+/// bitmap over the span answers with a per-word popcount prefix; wider
+/// spans (sparse or far-apart values) bisect the sorted members, which
+/// the owner keeps anyway, so no second copy is stored.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 enum DenseIds {
     Bitmap {
         lo: Vertex,
         words: Vec<u64>,
         /// Members in all earlier words.
-        before: Vec<usize>,
+        before: Vec<u32>,
     },
-    Sorted(Vec<Vertex>),
+    #[default]
+    Sorted,
 }
 
 impl DenseIds {
-    /// Rank the distinct values of `values` (which may repeat).
+    /// Index the distinct values of `values` (which may repeat).
     fn new(values: impl Iterator<Item = Vertex> + Clone) -> Self {
         let Some((lo, span, count)) = span_of(values.clone()) else {
-            return Self::Sorted(Vec::new());
+            return Self::Sorted;
         };
         let num_words = span.div_ceil(64);
         if num_words > count + 64 {
-            return Self::Sorted(sorted_distinct(values));
+            return Self::Sorted;
         }
         let mut words = vec![0u64; num_words as usize];
         for v in values {
@@ -354,40 +361,19 @@ impl DenseIds {
         let mut total = 0;
         for w in &words {
             before.push(total);
-            total += w.count_ones() as usize;
+            total += w.count_ones();
         }
         Self::Bitmap { lo, words, before }
     }
 
-    /// Number of distinct members.
-    fn len(&self) -> usize {
-        match self {
-            Self::Bitmap { words, before, .. } => match (words.last(), before.last()) {
-                (Some(w), Some(b)) => b + w.count_ones() as usize,
-                _ => 0,
-            },
-            Self::Sorted(members) => members.len(),
-        }
-    }
-
-    /// Dense id of member `v` (meaningless for non-members).
-    fn rank(&self, v: Vertex) -> usize {
+    /// The distinct values of `values` ascending: the members of the
+    /// index `DenseIds::new(values)` built.
+    fn members(&self, values: impl Iterator<Item = Vertex>) -> Vec<Vertex> {
         match self {
             Self::Bitmap { lo, words, before } => {
-                let d = v - lo;
-                let w = (d / 64) as usize;
-                let below = words[w] & ((1u64 << (d % 64)) - 1);
-                before[w] + below.count_ones() as usize
-            }
-            Self::Sorted(members) => members.partition_point(|&m| m < v),
-        }
-    }
-
-    /// The members, ascending.
-    fn members(&self) -> Vec<Vertex> {
-        match self {
-            Self::Bitmap { lo, words, .. } => {
-                let mut out = Vec::with_capacity(self.len());
+                let len = before.last().zip(words.last());
+                let len = len.map_or(0, |(&b, w)| (b + w.count_ones()) as usize);
+                let mut out = Vec::with_capacity(len);
                 for (w, &word) in words.iter().enumerate() {
                     let mut bits = word;
                     while bits != 0 {
@@ -397,7 +383,44 @@ impl DenseIds {
                 }
                 out
             }
-            Self::Sorted(members) => members.clone(),
+            Self::Sorted => sorted_distinct(values),
+        }
+    }
+
+    /// Dense id of member `v` of `members` (meaningless for non-members).
+    fn rank(&self, members: &[Vertex], v: Vertex) -> u32 {
+        match self {
+            Self::Bitmap { lo, words, before } => {
+                let d = v - lo;
+                let w = (d / 64) as usize;
+                let below = words[w] & ((1u64 << (d % 64)) - 1);
+                before[w] + below.count_ones()
+            }
+            Self::Sorted => members.partition_point(|&m| m < v) as u32,
+        }
+    }
+
+    /// Dense id of `v` if it is one of `members`.
+    fn get(&self, members: &[Vertex], v: Vertex) -> Option<u32> {
+        match self {
+            Self::Bitmap { lo, words, before } => {
+                let d = v.checked_sub(*lo)?;
+                let w = usize::try_from(d / 64).ok()?;
+                let bit = 1u64 << (d % 64);
+                let word = *words.get(w)?;
+                (word & bit != 0).then(|| before[w] + (word & (bit - 1)).count_ones())
+            }
+            Self::Sorted => members.binary_search(&v).ok().map(|i| i as u32),
+        }
+    }
+
+    /// Resident bytes of the index beyond the members themselves.
+    fn approx_bytes(&self) -> usize {
+        match self {
+            Self::Bitmap { words, before, .. } => {
+                words.len() * std::mem::size_of::<u64>() + before.len() * std::mem::size_of::<u32>()
+            }
+            Self::Sorted => 0,
         }
     }
 }
@@ -406,67 +429,134 @@ impl DenseIds {
 pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
-    /// The sort-based construction the counting sort replaced, kept as
-    /// the oracle: sort `(col, row)` tuples, deduplicate, cut columns,
-    /// then index the sorted distinct rows.
-    pub(crate) fn oracle(mut entries: Vec<(Vertex, Vertex)>) -> PartialEdgeLists {
-        entries.sort_unstable_by_key(|a| (a.1, a.0));
-        entries.dedup();
-        let mut cols: Vec<Vertex> = Vec::new();
-        let mut offsets: Vec<usize> = vec![0];
-        let mut rows: Vec<Vertex> = Vec::with_capacity(entries.len());
-        for (row, col) in entries {
-            if cols.last() != Some(&col) {
-                if !cols.is_empty() {
-                    offsets.push(rows.len());
+    /// The sort-plus-hash-map layout the rank queries replaced, kept as
+    /// a query-level oracle: sort `(col, row)` tuples, deduplicate, cut
+    /// columns, index the sorted distinct rows, and map both id sets
+    /// with hash maps.
+    pub(crate) struct Oracle {
+        cols: Vec<Vertex>,
+        offsets: Vec<usize>,
+        rows: Vec<Vertex>,
+        col_index: HashMap<Vertex, u32>,
+        row_ids: Vec<Vertex>,
+        row_index: HashMap<Vertex, u32>,
+        row_offsets: Vec<usize>,
+        row_cols: Vec<u32>,
+    }
+
+    impl Oracle {
+        pub(crate) fn new(mut entries: Vec<(Vertex, Vertex)>) -> Self {
+            entries.sort_unstable_by_key(|a| (a.1, a.0));
+            entries.dedup();
+            let mut cols: Vec<Vertex> = Vec::new();
+            let mut offsets: Vec<usize> = vec![0];
+            let mut rows: Vec<Vertex> = Vec::with_capacity(entries.len());
+            for (row, col) in entries {
+                if cols.last() != Some(&col) {
+                    if !cols.is_empty() {
+                        offsets.push(rows.len());
+                    }
+                    cols.push(col);
                 }
-                cols.push(col);
+                rows.push(row);
             }
-            rows.push(row);
-        }
-        if !cols.is_empty() {
-            offsets.push(rows.len());
-        }
-        let col_index: FxHashMap<Vertex, u32> = cols
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
-            .collect();
-        let mut row_ids: Vec<Vertex> = rows.clone();
-        row_ids.sort_unstable();
-        row_ids.dedup();
-        let row_index: FxHashMap<Vertex, u32> = row_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i as u32))
-            .collect();
-        let mut row_offsets = vec![0usize; row_ids.len() + 1];
-        for &u in &rows {
-            row_offsets[row_index[&u] as usize + 1] += 1;
-        }
-        for i in 1..row_offsets.len() {
-            row_offsets[i] += row_offsets[i - 1];
-        }
-        let mut row_cols = vec![0u32; rows.len()];
-        let mut cursor = row_offsets.clone();
-        for ci in 0..cols.len() {
-            for &u in &rows[offsets[ci]..offsets[ci + 1]] {
-                let rl = row_index[&u] as usize;
-                row_cols[cursor[rl]] = ci as u32;
-                cursor[rl] += 1;
+            if !cols.is_empty() {
+                offsets.push(rows.len());
+            }
+            let col_index: HashMap<Vertex, u32> = cols
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (c, i as u32))
+                .collect();
+            let row_ids = sorted_distinct(rows.iter().copied());
+            let row_index: HashMap<Vertex, u32> = row_ids
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| (r, i as u32))
+                .collect();
+            let mut row_offsets = vec![0usize; row_ids.len() + 1];
+            for &u in &rows {
+                row_offsets[row_index[&u] as usize + 1] += 1;
+            }
+            for i in 1..row_offsets.len() {
+                row_offsets[i] += row_offsets[i - 1];
+            }
+            let mut row_cols = vec![0u32; rows.len()];
+            let mut cursor = row_offsets.clone();
+            for ci in 0..cols.len() {
+                for &u in &rows[offsets[ci]..offsets[ci + 1]] {
+                    let rl = row_index[&u] as usize;
+                    row_cols[cursor[rl]] = ci as u32;
+                    cursor[rl] += 1;
+                }
+            }
+            Self {
+                cols,
+                offsets,
+                rows,
+                col_index,
+                row_ids,
+                row_index,
+                row_offsets,
+                row_cols,
             }
         }
-        PartialEdgeLists {
-            cols,
-            offsets,
-            rows,
-            col_index,
-            row_ids,
-            row_index,
-            row_offsets,
-            row_cols,
+
+        /// Assert that every query of `e` answers as the oracle does:
+        /// column lists (by lookup, by local id and by iteration), the
+        /// two id mappings for members and for non-members around
+        /// every member and at the extremes, and the row-major view.
+        pub(crate) fn assert_matches(&self, e: &PartialEdgeLists) {
+            assert_eq!(e.cols(), self.cols.as_slice());
+            assert_eq!(e.row_ids(), self.row_ids.as_slice());
+            assert_eq!(e.num_cols(), self.cols.len());
+            assert_eq!(e.num_row_ids(), self.row_ids.len());
+            assert_eq!(e.num_entries(), self.rows.len());
+            let lists: Vec<&[Vertex]> = self
+                .offsets
+                .windows(2)
+                .map(|w| &self.rows[w[0]..w[1]])
+                .collect();
+            for (ci, (&c, &list)) in self.cols.iter().zip(&lists).enumerate() {
+                assert!(e.neighbors_of(c).eq(list.iter().copied()), "column {c}");
+                assert_eq!(e.col_of_local(ci as u32), c);
+                let via_local = e.rows_of(ci as u32).iter().map(|&rl| e.row_of_local(rl));
+                assert!(via_local.eq(list.iter().copied()), "column {c}");
+            }
+            assert!(e
+                .iter_cols()
+                .map(|(c, list)| (c, list.collect::<Vec<_>>()))
+                .eq(self.cols.iter().zip(&lists).map(|(&c, l)| (c, l.to_vec()))));
+            for probe in probes(&self.cols) {
+                let want = self.col_index.get(&probe).copied();
+                assert_eq!(e.col_local(probe), want, "col_local({probe})");
+                if want.is_none() {
+                    assert_eq!(e.neighbors_of(probe).len(), 0);
+                }
+            }
+            for probe in probes(&self.row_ids) {
+                let want = self.row_index.get(&probe).copied();
+                assert_eq!(e.row_local(probe), want, "row_local({probe})");
+            }
+            for (rl, w) in self.row_offsets.windows(2).enumerate() {
+                let rl = rl as u32;
+                assert_eq!(e.cols_of_row_local(rl), &self.row_cols[w[0]..w[1]]);
+                assert_eq!(e.row_degree(rl), w[1] - w[0]);
+            }
         }
+    }
+
+    /// Every member, its neighbours at distance 1 and 64 (gaps and both
+    /// ends of the span), and the extremes of the id space.
+    fn probes(members: &[Vertex]) -> Vec<Vertex> {
+        let mut out = vec![0, 1, Vertex::MAX - 1, Vertex::MAX];
+        for &m in members {
+            out.extend([m, m.wrapping_sub(1), m.wrapping_add(1)]);
+            out.extend([m.wrapping_sub(64), m.wrapping_add(64)]);
+        }
+        out
     }
 
     /// Entries whose rows and columns are drawn from a window of `span`
@@ -490,11 +580,15 @@ pub(crate) mod tests {
             .collect()
     }
 
+    fn check(entries: Vec<(Vertex, Vertex)>) {
+        Oracle::new(entries.clone()).assert_matches(&PartialEdgeLists::from_entries(entries));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
-        fn counting_sort_matches_sort_oracle(
+        fn queries_match_hash_map_oracle(
             entries in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..40),
             small in proptest::collection::vec((0u64..6, 0u64..6), 0..60),
             one_col in proptest::collection::vec(0u64..1000, 0..50),
@@ -506,40 +600,63 @@ pub(crate) mod tests {
             cut in 0usize..400,
         ) {
             // Arbitrary u64s: spans far too wide for a bitmap.
-            prop_assert_eq!(PartialEdgeLists::from_entries(entries.clone()), oracle(entries));
+            check(entries);
             // A tiny window: heavy duplication.
-            prop_assert_eq!(PartialEdgeLists::from_entries(small.clone()), oracle(small));
+            check(small);
             // Every entry in one column.
-            let single: Vec<(Vertex, Vertex)> = one_col.iter().map(|&u| (u, col)).collect();
-            prop_assert_eq!(PartialEdgeLists::from_entries(single.clone()), oracle(single));
+            check(one_col.iter().map(|&u| (u, col)).collect());
             // Windows from dense to sparse around an arbitrary base, split
             // into two pieces at an arbitrary point.
             let mixed = entries_in(base, 1u64 << span_log, len, seed);
             let (a, b) = mixed.split_at(cut.min(mixed.len()));
-            prop_assert_eq!(
-                PartialEdgeLists::from_pieces(vec![a.to_vec(), Vec::new(), b.to_vec()]),
-                oracle(mixed.clone())
-            );
+            let pieces = PartialEdgeLists::from_pieces(vec![a.to_vec(), Vec::new(), b.to_vec()]);
+            Oracle::new(mixed.clone()).assert_matches(&pieces);
+            prop_assert_eq!(pieces, PartialEdgeLists::from_entries(mixed));
+        }
+
+        #[test]
+        fn dense_ids_get_matches_binary_search(
+            values in proptest::collection::vec(0u64..3000, 0..200),
+            base in any::<u64>(),
+            stretch_log in 0u32..24,
+            probe_values in proptest::collection::vec(any::<u64>(), 0..20),
+        ) {
+            // The same shape dense (a bitmap) and stretched apart (often
+            // too sparse for one), shifted to an arbitrary base.
+            for stretch in [1u64, 1 << stretch_log] {
+                let vs: Vec<Vertex> = values
+                    .iter()
+                    .map(|&v| base.saturating_add(v * stretch))
+                    .collect();
+                let ids = DenseIds::new(vs.iter().copied());
+                let members = ids.members(vs.iter().copied());
+                prop_assert_eq!(&members, &sorted_distinct(vs.iter().copied()));
+                let mut all = probes(&members);
+                all.extend(&probe_values);
+                for v in all {
+                    let want = members.binary_search(&v).ok().map(|i| i as u32);
+                    prop_assert_eq!(ids.get(&members, v), want, "get({})", v);
+                    if let Some(i) = want {
+                        prop_assert_eq!(ids.rank(&members, v), i);
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn dense_ids_agree_on_both_representations() {
+    fn dense_ids_pick_both_representations() {
         let values = [9u64, 3, 3, 70, 200, 64, 9, 130];
         let bitmap = DenseIds::new(values.iter().copied());
         assert!(matches!(bitmap, DenseIds::Bitmap { .. }));
-        let mut sorted = values.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(bitmap.members(), sorted);
-        assert_eq!(bitmap.len(), sorted.len());
         let far = DenseIds::new(values.iter().map(|v| v * (1 << 40)));
-        assert!(matches!(far, DenseIds::Sorted(_)));
-        for (i, &v) in sorted.iter().enumerate() {
-            assert_eq!(bitmap.rank(v), i);
-            assert_eq!(far.rank(v * (1 << 40)), i);
-        }
-        assert_eq!(DenseIds::new(std::iter::empty()).len(), 0);
+        assert_eq!(far, DenseIds::Sorted);
+        assert_eq!(far.approx_bytes(), 0);
+        assert_eq!(DenseIds::new(std::iter::empty()), DenseIds::Sorted);
+        assert_eq!(
+            bitmap.members(values.iter().copied()),
+            sorted_distinct(values.iter().copied())
+        );
     }
 
     fn sample() -> PartialEdgeLists {
@@ -547,13 +664,18 @@ pub(crate) mod tests {
         PartialEdgeLists::from_entries(vec![(7, 2), (5, 2), (1, 9), (0, 4), (8, 4), (1, 4)])
     }
 
+    fn neighbors(e: &PartialEdgeLists, v: Vertex) -> Vec<Vertex> {
+        e.neighbors_of(v).collect()
+    }
+
     #[test]
     fn builds_sorted_csr() {
         let e = sample();
         assert_eq!(e.cols(), &[2, 4, 9]);
-        assert_eq!(e.neighbors_of(2), &[5, 7]);
-        assert_eq!(e.neighbors_of(4), &[0, 1, 8]);
-        assert_eq!(e.neighbors_of(9), &[1]);
+        assert_eq!(neighbors(&e, 2), [5, 7]);
+        assert_eq!(neighbors(&e, 4), [0, 1, 8]);
+        assert_eq!(neighbors(&e, 9), [1]);
+        assert_eq!(e.rows_of(1), &[0, 1, 4]);
         assert_eq!(e.num_entries(), 6);
         assert_eq!(e.num_cols(), 3);
     }
@@ -562,7 +684,7 @@ pub(crate) mod tests {
     fn empty_columns_not_indexed() {
         let e = sample();
         assert_eq!(e.col_local(3), None);
-        assert!(e.neighbors_of(3).is_empty());
+        assert_eq!(e.neighbors_of(3).len(), 0);
         assert_eq!(e.col_local(2), Some(0));
         assert_eq!(e.col_local(4), Some(1));
     }
@@ -579,7 +701,7 @@ pub(crate) mod tests {
     #[test]
     fn duplicates_collapsed() {
         let e = PartialEdgeLists::from_entries(vec![(1, 2), (1, 2), (1, 2), (3, 2)]);
-        assert_eq!(e.neighbors_of(2), &[1, 3]);
+        assert_eq!(neighbors(&e, 2), [1, 3]);
         assert_eq!(e.num_entries(), 2);
     }
 
@@ -588,42 +710,8 @@ pub(crate) mod tests {
         let e = PartialEdgeLists::from_entries(Vec::new());
         assert_eq!(e.num_cols(), 0);
         assert_eq!(e.num_entries(), 0);
-        assert!(e.neighbors_of(0).is_empty());
-    }
-
-    #[test]
-    fn iter_cols_matches_lookup() {
-        let e = sample();
-        for (c, list) in e.iter_cols() {
-            assert_eq!(e.neighbors_of(c), list);
-        }
-        assert_eq!(e.iter_cols().count(), 3);
-    }
-
-    #[test]
-    fn row_major_index_matches_column_major() {
-        // Every (row, col) entry reachable column-major must appear
-        // exactly once row-major, with ascending column-local ids.
-        let e = sample();
-        let mut by_rows: Vec<(Vertex, Vertex)> = Vec::new();
-        for rl in 0..e.num_row_ids() as u32 {
-            let u = e.row_of_local(rl);
-            assert_eq!(e.row_degree(rl), e.cols_of_row_local(rl).len());
-            let cis = e.cols_of_row_local(rl);
-            assert!(cis.windows(2).all(|w| w[0] < w[1]), "row {u} not sorted");
-            for &ci in cis {
-                by_rows.push((u, e.col_of_local(ci)));
-            }
-        }
-        let mut by_cols: Vec<(Vertex, Vertex)> = e
-            .iter_cols()
-            .flat_map(|(c, list)| list.iter().map(move |&u| (u, c)))
-            .collect();
-        by_rows.sort_unstable();
-        by_cols.sort_unstable();
-        assert_eq!(by_rows, by_cols);
-        let total: usize = (0..e.num_row_ids() as u32).map(|rl| e.row_degree(rl)).sum();
-        assert_eq!(total, e.num_entries());
+        assert_eq!(e.neighbors_of(0).len(), 0);
+        assert_eq!(e.row_local(0), None);
     }
 
     #[test]

@@ -32,13 +32,66 @@ pub struct RankGraph {
     pub owned: std::ops::Range<Vertex>,
     /// The partial edge lists this rank stores.
     pub edges: PartialEdgeLists,
-    /// For each owned vertex (indexed by offset from `owned.start`), the
-    /// sorted grid rows `i'` of this rank's processor-column whose member
-    /// holds a non-empty partial edge list for the vertex.
-    pub expand_targets: Vec<Vec<u16>>,
+    /// `row_blocks[m]..row_blocks[m+1]` are the row-local ids whose
+    /// vertices lie in block column `m`, i.e. are owned by grid column
+    /// `m` of this rank's processor-row. Block columns are contiguous
+    /// and ascending in the vertex id, so the `C` ranges tile the
+    /// row-local ids in order.
+    row_blocks: Vec<u32>,
+    /// `target_offsets[off]..target_offsets[off+1]` indexes
+    /// `target_rows` for the owned vertex at offset `off`.
+    target_offsets: Vec<usize>,
+    /// Expand targets of every owned vertex, concatenated.
+    target_rows: Vec<u16>,
 }
 
 impl RankGraph {
+    /// Assemble a rank's share from its edge lists and its flattened
+    /// expand targets (see [`flatten_targets`]).
+    fn new(
+        rank: usize,
+        partition: &TwoDPartition,
+        edges: PartialEdgeLists,
+        (target_offsets, target_rows): (Vec<usize>, Vec<u16>),
+    ) -> Self {
+        let owned = partition.owned_range(rank);
+        let row_ids = edges.row_ids();
+        let row_blocks = (0..=partition.cols())
+            .map(|m| {
+                let start = partition.block_row_start(m * partition.rows());
+                row_ids.partition_point(|&u| u < start) as u32
+            })
+            .collect();
+        Self {
+            rank,
+            owned,
+            edges,
+            row_blocks,
+            target_offsets,
+            target_rows,
+        }
+    }
+
+    /// The sorted grid rows `i'` of this rank's processor-column whose
+    /// member holds a non-empty partial edge list for the owned vertex
+    /// at offset `off` from `owned.start`.
+    pub fn expand_targets(&self, off: usize) -> &[u16] {
+        &self.target_rows[self.target_offsets[off]..self.target_offsets[off + 1]]
+    }
+
+    /// The `C + 1` bounds that split the row-local ids by block column:
+    /// rows `row_blocks()[m]..row_blocks()[m+1]` are owned in grid
+    /// column `m` of this rank's processor-row (the fold destination).
+    pub fn row_blocks(&self) -> &[u32] {
+        &self.row_blocks
+    }
+
+    /// The block column of row-local id `rl`: the grid column, within
+    /// this rank's processor-row, of the rank owning its vertex.
+    pub fn row_block_of(&self, rl: u32) -> usize {
+        self.row_blocks.partition_point(|&b| b <= rl) - 1
+    }
+
     /// Number of owned vertices.
     pub fn owned_len(&self) -> usize {
         (self.owned.end - self.owned.start) as usize
@@ -118,33 +171,29 @@ impl DistGraph {
         //    ascending grid row and each peer's columns are sorted and
         //    distinct, so every target list comes out sorted and
         //    duplicate-free.
-        let expand_targets: Vec<Vec<Vec<u16>>> = (0..p)
+        let targets: Vec<(Vec<usize>, Vec<u16>)> = (0..p)
             .map(|owner| {
                 let owned = partition.owned_range(owner);
-                let mut targets = vec![Vec::new(); partition.owned_len(owner)];
                 let (_, j) = grid.position_of(owner);
-                for i in 0..grid.rows() {
+                let edges = &edges;
+                let pairs = (0..grid.rows()).flat_map(move |i| {
                     let cols = edges[grid.rank_of(i, j)].cols();
                     let from = cols.partition_point(|&v| v < owned.start);
                     let to = cols.partition_point(|&v| v < owned.end);
-                    for &v in &cols[from..to] {
-                        targets[(v - owned.start) as usize].push(i as u16);
-                    }
-                }
-                targets
+                    let start = owned.start;
+                    cols[from..to]
+                        .iter()
+                        .map(move |&v| ((v - start) as usize, i as u16))
+                });
+                flatten_targets(partition.owned_len(owner), pairs)
             })
             .collect();
 
         let ranks: Vec<RankGraph> = edges
             .into_iter()
-            .zip(expand_targets)
+            .zip(targets)
             .enumerate()
-            .map(|(rank, (edges, expand_targets))| RankGraph {
-                rank,
-                owned: partition.owned_range(rank),
-                edges,
-                expand_targets,
-            })
+            .map(|(rank, (edges, targets))| RankGraph::new(rank, &partition, edges, targets))
             .collect();
 
         Self {
@@ -238,7 +287,7 @@ pub fn rebuild_rank(spec: &GraphSpec, grid: ProcessorGrid, rank: usize) -> RankG
     let partition = TwoDPartition::new(spec.n, grid);
     let owned = partition.owned_range(rank);
     let mut entries: Vec<(Vertex, Vertex)> = Vec::new();
-    let mut expand_targets: Vec<Vec<u16>> = vec![Vec::new(); partition.owned_len(rank)];
+    let mut targets: Vec<(usize, u16)> = Vec::new();
     gen::for_each_entry(spec, |u, v| {
         let storer = partition.storer_of_entry(u, v);
         if storer == rank {
@@ -248,19 +297,38 @@ pub fn rebuild_rank(spec: &GraphSpec, grid: ProcessorGrid, rank: usize) -> RankG
         // non-empty list for an owned vertex is an expand target row.
         if owned.contains(&v) {
             let (i, _) = grid.position_of(storer);
-            expand_targets[(v - owned.start) as usize].push(i as u16);
+            targets.push(((v - owned.start) as usize, i as u16));
         }
     });
-    for t in expand_targets.iter_mut() {
-        t.sort_unstable();
-        t.dedup();
+    targets.sort_unstable();
+    targets.dedup();
+    let targets = flatten_targets(partition.owned_len(rank), targets.into_iter());
+    let edges = PartialEdgeLists::from_entries(entries);
+    RankGraph::new(rank, &partition, edges, targets)
+}
+
+/// Lay out expand targets given as `(owned offset, grid row)` pairs —
+/// ascending and distinct within each offset — as one offsets array
+/// over the `owned_len` owned vertices plus one concatenated row
+/// array, by count-then-fill.
+fn flatten_targets(
+    owned_len: usize,
+    pairs: impl Iterator<Item = (usize, u16)> + Clone,
+) -> (Vec<usize>, Vec<u16>) {
+    let mut offsets = vec![0usize; owned_len + 1];
+    for (off, _) in pairs.clone() {
+        offsets[off + 1] += 1;
     }
-    RankGraph {
-        rank,
-        owned,
-        edges: PartialEdgeLists::from_entries(entries),
-        expand_targets,
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
+    let mut rows = vec![0u16; offsets[owned_len]];
+    let mut cursor = offsets.clone();
+    for (off, i) in pairs {
+        rows[cursor[off]] = i;
+        cursor[off] += 1;
+    }
+    (offsets, rows)
 }
 
 /// Sequential adjacency oracle: the same graph as `DistGraph::build`
@@ -297,9 +365,7 @@ mod tests {
         let mut all = Vec::new();
         for r in &g.ranks {
             for (c, list) in r.edges.iter_cols() {
-                for &u in list {
-                    all.push((u, c));
-                }
+                all.extend(list.map(|u| (u, c)));
             }
         }
         all.sort_unstable();
@@ -328,7 +394,7 @@ mod tests {
         let g = DistGraph::build(spec, ProcessorGrid::new(3, 2));
         for r in &g.ranks {
             for (c, list) in r.edges.iter_cols() {
-                for &u in list {
+                for u in list {
                     assert_eq!(g.partition.storer_of_entry(u, c), r.rank);
                 }
             }
@@ -358,7 +424,8 @@ mod tests {
         let g = DistGraph::build(spec, grid);
         for owner in &g.ranks {
             let (_, j) = grid.position_of(owner.rank);
-            for (off, targets) in owner.expand_targets.iter().enumerate() {
+            for off in 0..owner.owned_len() {
+                let targets = owner.expand_targets(off);
                 let v = owner.owned.start + off as Vertex;
                 // Check against ground truth: peer (i', j) has v in cols
                 // iff i' is in targets.
@@ -380,9 +447,8 @@ mod tests {
         let adj = adjacency(&spec);
         for r in &g.ranks {
             for v in r.owned.clone() {
-                assert_eq!(
-                    r.edges.neighbors_of(v),
-                    adj[v as usize].as_slice(),
+                assert!(
+                    r.edges.neighbors_of(v).eq(adj[v as usize].iter().copied()),
                     "vertex {v}"
                 );
             }
@@ -431,7 +497,9 @@ mod tests {
     #[test]
     fn rebuild_rank_matches_build() {
         // Every rank of the pooled build, under 1 worker and under 4,
-        // equals its single-rank replay and the sort-based CSR oracle.
+        // equals its single-rank replay and answers every query as the
+        // hash-map CSR oracle does; its row-block bounds split the rows
+        // by block column.
         for spec in [
             GraphSpec::poisson(300, 5.0, 7),
             GraphSpec::poisson(1_500, 6.0, 21),
@@ -463,11 +531,17 @@ mod tests {
                         rebuild_rank(&spec, grid, rank),
                         "{what}"
                     );
-                    assert_eq!(
-                        pooled.ranks[rank].edges,
-                        crate::csr::tests::oracle(entries),
-                        "{what}"
-                    );
+                    let rg = &pooled.ranks[rank];
+                    crate::csr::tests::Oracle::new(entries).assert_matches(&rg.edges);
+                    let blocks = rg.row_blocks();
+                    assert_eq!(blocks.len(), grid.cols() + 1, "{what}");
+                    assert_eq!(blocks[grid.cols()] as usize, rg.edges.num_row_ids());
+                    for rl in 0..rg.edges.num_row_ids() as u32 {
+                        let m = rg.row_block_of(rl);
+                        assert!(blocks[m] <= rl && rl < blocks[m + 1], "{what}");
+                        let u = rg.edges.row_of_local(rl);
+                        assert_eq!(serial.partition.block_col_of(u), m, "{what}");
+                    }
                 }
             }
         }

@@ -20,8 +20,8 @@
 //!   `R·C` block rows and `C` block columns, processor `(i, j)` owning
 //!   block row `j·R + i`; 1D is the degenerate `R = 1` (or `C = 1`) case;
 //! * [`csr`] — per-rank storage of **partial edge lists**, indexing only
-//!   non-empty lists (§2.4.1) with the hash-based local index mappings of
-//!   §2.4.2;
+//!   non-empty lists (§2.4.1), with row-local `u32` adjacency and the
+//!   §2.4.2 local index mappings answered by rank queries;
 //! * [`dist`] — [`dist::DistGraph`]: the fully built distributed graph,
 //!   including the expand-targeting tables (which column peers hold a
 //!   non-empty partial list for each owned vertex, §2.2/§3.1) and a

@@ -42,9 +42,7 @@ proptest! {
             let mut all: Vec<(Vertex, Vertex)> = Vec::new();
             for rg in &g.ranks {
                 for (c, list) in rg.edges.iter_cols() {
-                    for &u in list {
-                        all.push((u, c));
-                    }
+                    all.extend(list.map(|u| (u, c)));
                 }
             }
             all.sort_unstable();
@@ -113,11 +111,12 @@ proptest! {
         let g = DistGraph::build(spec, grid);
         for owner in &g.ranks {
             let (_, j) = grid.position_of(owner.rank);
-            for (off, targets) in owner.expand_targets.iter().enumerate() {
+            for off in 0..owner.owned_len() {
+                let targets = owner.expand_targets(off);
                 let v = owner.owned.start + off as Vertex;
                 for i2 in 0..r {
                     let peer = grid.rank_of(i2, j);
-                    let has = !g.ranks[peer].edges.neighbors_of(v).is_empty();
+                    let has = g.ranks[peer].edges.neighbors_of(v).len() > 0;
                     prop_assert_eq!(
                         targets.contains(&(i2 as u16)),
                         has,
