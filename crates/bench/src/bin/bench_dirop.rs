@@ -18,10 +18,10 @@
 //! ```
 
 use bfs_core::{bfs2d, validate, BfsConfig};
-use bgl_bench::harness::Args;
+use bgl_bench::harness::{write_report, Args};
 use bgl_comm::{CommError, ProcessorGrid, SimWorld, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
-use std::fmt::Write as _;
+use bgl_trace::json::{self, Fixed};
 
 const HELP: &str = "\
 bench_dirop — direction-optimizing BFS probe/time savings benchmark
@@ -156,46 +156,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- Emit (hand-formatted: the bench crate carries no serde). -----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"graph\": {{");
-    let _ = writeln!(json, "    \"kind\": \"{kind}\",");
-    let _ = writeln!(json, "    \"n\": {n},");
-    let _ = writeln!(json, "    \"degree\": {degree},");
-    let _ = writeln!(json, "    \"seed\": {seed},");
-    let _ = writeln!(json, "    \"grid\": \"{rows}x{cols}\"");
-    let _ = writeln!(json, "  }},");
-    for (i, m) in [&td, &adaptive].iter().enumerate() {
-        let _ = writeln!(json, "  \"{}\": {{", m.name);
-        let _ = writeln!(json, "    \"total_probes\": {},", m.probes);
-        let _ = writeln!(json, "    \"sim_ms\": {:.3},", m.sim_s * 1e3);
-        let _ = writeln!(json, "    \"comm_ms\": {:.3},", m.comm_s * 1e3);
-        let _ = writeln!(json, "    \"bottom_up_levels\": {},", m.bu_levels);
-        let _ = writeln!(json, "    \"validated\": {},", validated[i].1);
-        let dirs: Vec<&str> = m.stats.levels.iter().map(|l| l.direction.label()).collect();
-        let _ = writeln!(
-            json,
-            "    \"directions\": [{}],",
-            dirs.iter()
-                .map(|d| format!("\"{d}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let frontiers: Vec<String> = m
-            .stats
-            .levels
-            .iter()
-            .map(|l| l.frontier.to_string())
-            .collect();
-        let _ = writeln!(json, "    \"frontiers\": [{}]", frontiers.join(", "));
-        let _ = writeln!(json, "  }},");
-    }
-    let _ = writeln!(json, "  \"probe_ratio\": {probe_ratio:.3},");
-    let _ = writeln!(json, "  \"sim_time_ratio\": {sim_ratio:.3},");
-    let _ = writeln!(json, "  \"levels_identical\": {levels_identical}");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    let doc = json::pretty(|w| {
+        w.key("graph").obj(|w| {
+            w.field("kind", kind)
+                .field("n", n)
+                .field("degree", degree)
+                .field("seed", seed)
+                .field("grid", format!("{rows}x{cols}"));
+        });
+        for (m, (_, ok)) in [&td, &adaptive].iter().zip(&validated) {
+            w.key(m.name).obj(|w| {
+                w.field("total_probes", m.probes)
+                    .field("sim_ms", Fixed(m.sim_s * 1e3, 3))
+                    .field("comm_ms", Fixed(m.comm_s * 1e3, 3))
+                    .field("bottom_up_levels", m.bu_levels)
+                    .field("validated", *ok)
+                    .key("directions")
+                    .values(m.stats.levels.iter().map(|l| l.direction.label()))
+                    .key("frontiers")
+                    .values(m.stats.levels.iter().map(|l| l.frontier));
+            });
+        }
+        w.field("probe_ratio", Fixed(probe_ratio, 3))
+            .field("sim_time_ratio", Fixed(sim_ratio, 3))
+            .field("levels_identical", levels_identical);
+    });
+    write_report(&out, &doc)?;
 
     if check {
         let mut failed = false;

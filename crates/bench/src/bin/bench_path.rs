@@ -21,10 +21,10 @@
 //! ```
 
 use bfs_core::{bfs2d, path, BfsConfig};
-use bgl_bench::harness::Args;
+use bgl_bench::harness::{write_report, Args};
 use bgl_comm::{ProcessorGrid, SimWorld, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec, Vertex};
-use std::fmt::Write as _;
+use bgl_trace::json::{self, Fixed};
 
 const HELP: &str = "\
 bench_path — batched shortest-path extraction benchmark
@@ -195,44 +195,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     eprintln!("  batched B={GATE_WIDTH} vs sequential simulated time: {gate_speedup:.2}x");
 
-    // --- Emit (hand-formatted: the bench crate carries no serde). -----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"graph\": {{");
-    let _ = writeln!(json, "    \"kind\": \"{kind}\",");
-    let _ = writeln!(json, "    \"n\": {n},");
-    let _ = writeln!(json, "    \"degree\": {degree},");
-    let _ = writeln!(json, "    \"seed\": {seed},");
-    let _ = writeln!(json, "    \"grid\": \"{rows}x{cols}\"");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"source\": {source},");
-    let _ = writeln!(json, "  \"deepest_target_level\": {deepest},");
-    let _ = writeln!(json, "  \"sweep\": [");
-    for (i, r) in sweep.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"batch_width\": {},", r.width);
-        let _ = writeln!(json, "      \"hops\": {},", r.hops);
-        let _ = writeln!(json, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(
-            json,
-            "      \"batched_sim_ms\": {:.6},",
-            r.batched_sim_s * 1e3
-        );
-        let _ = writeln!(
-            json,
-            "      \"sequential_sim_ms\": {:.6},",
-            r.sequential_sim_s * 1e3
-        );
-        let _ = writeln!(json, "      \"speedup\": {:.3},", r.speedup);
-        let _ = writeln!(json, "      \"identical\": {}", r.identical);
-        let _ = writeln!(json, "    }}{}", if i + 1 < sweep.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"gate_width\": {GATE_WIDTH},");
-    let _ = writeln!(json, "  \"gate_speedup\": {gate_speedup:.3},");
-    let _ = writeln!(json, "  \"gate_identical\": {gate_identical}");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    let doc = json::pretty(|w| {
+        w.key("graph").obj(|w| {
+            w.field("kind", kind)
+                .field("n", n)
+                .field("degree", degree)
+                .field("seed", seed)
+                .field("grid", format!("{rows}x{cols}"));
+        });
+        w.field("source", source)
+            .field("deepest_target_level", deepest)
+            .key("sweep")
+            .arr(|w| {
+                for r in &sweep {
+                    w.obj(|w| {
+                        w.field("batch_width", r.width)
+                            .field("hops", r.hops)
+                            .field("rounds", r.rounds)
+                            .field("batched_sim_ms", Fixed(r.batched_sim_s * 1e3, 6))
+                            .field("sequential_sim_ms", Fixed(r.sequential_sim_s * 1e3, 6))
+                            .field("speedup", Fixed(r.speedup, 3))
+                            .field("identical", r.identical);
+                    });
+                }
+            })
+            .field("gate_width", GATE_WIDTH)
+            .field("gate_speedup", Fixed(gate_speedup, 3))
+            .field("gate_identical", gate_identical);
+    });
+    write_report(&out, &doc)?;
 
     if check {
         let mut failed = false;

@@ -24,11 +24,11 @@
 //! ```
 
 use bfs_core::{bfs2d, multi, BfsConfig};
-use bgl_bench::harness::Args;
+use bgl_bench::harness::{write_report, Args};
 use bgl_comm::{ProcessorGrid, SimWorld, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use bgl_server::{BglServer, ServerConfig, WorkloadSpec};
-use std::fmt::Write as _;
+use bgl_trace::json::{self, Fixed};
 
 const HELP: &str = "\
 bench_server — batched query-serving throughput benchmark
@@ -256,57 +256,52 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         && cs.served_total() == queries as u64
         && cs.expired == 0;
 
-    // --- Emit (hand-formatted: the bench crate carries no serde). -----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"graph\": {{");
-    let _ = writeln!(json, "    \"kind\": \"{kind}\",");
-    let _ = writeln!(json, "    \"n\": {n},");
-    let _ = writeln!(json, "    \"degree\": {degree},");
-    let _ = writeln!(json, "    \"seed\": {seed},");
-    let _ = writeln!(json, "    \"grid\": \"{rows}x{cols}\"");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"workload\": {{");
-    let _ = writeln!(json, "    \"queries\": {queries},");
-    let _ = writeln!(json, "    \"hot_sources\": {},", pool.len());
-    let _ = writeln!(json, "    \"theta\": {theta},");
-    let _ = writeln!(json, "    \"seed\": {zipf_seed}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"lanes_identical\": {lanes_identical},");
-    let _ = writeln!(json, "  \"lanes_validated\": {lanes_validated},");
-    let _ = writeln!(json, "  \"sweep_cache_off\": [");
-    for (i, r) in sweep.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"batch_width\": {},", r.width);
-        let _ = writeln!(json, "      \"served\": {},", r.served);
-        let _ = writeln!(json, "      \"batches\": {},", r.batches);
-        let _ = writeln!(json, "      \"occupancy_mean\": {:.3},", r.occupancy_mean);
-        let _ = writeln!(json, "      \"waves\": {},", r.waves);
-        let _ = writeln!(
-            json,
-            "      \"engine_sim_ms\": {:.3},",
-            r.engine_sim_s * 1e3
-        );
-        let _ = writeln!(json, "      \"throughput_qps\": {:.3}", r.throughput);
-        let _ = writeln!(json, "    }}{}", if i + 1 < sweep.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"batch_speedup_16_over_1\": {batch_speedup:.3},");
-    let _ = writeln!(json, "  \"cache_on\": {{");
-    let _ = writeln!(json, "    \"capacity\": {cache_cap},");
-    let _ = writeln!(json, "    \"arrivals_per_tick\": {},", arrivals.max(1));
-    let _ = writeln!(json, "    \"served_engine\": {},", cs.served_engine);
-    let _ = writeln!(json, "    \"served_cache\": {},", cs.served_cache);
-    let _ = writeln!(json, "    \"hits\": {},", cached.cache().hits);
-    let _ = writeln!(json, "    \"misses\": {},", cached.cache().misses);
-    let _ = writeln!(json, "    \"hit_s_per_query\": {hit_s:.9},");
-    let _ = writeln!(json, "    \"engine_s_per_query\": {miss_s:.9},");
-    let _ = writeln!(json, "    \"cache_speedup\": {cache_speedup:.3},");
-    let _ = writeln!(json, "    \"qps\": {cached_qps:.3}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"all_served\": {clean}");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    let doc = json::pretty(|w| {
+        w.key("graph").obj(|w| {
+            w.field("kind", kind)
+                .field("n", n)
+                .field("degree", degree)
+                .field("seed", seed)
+                .field("grid", format!("{rows}x{cols}"));
+        });
+        w.key("workload").obj(|w| {
+            w.field("queries", queries)
+                .field("hot_sources", pool.len())
+                .field("theta", theta)
+                .field("seed", zipf_seed);
+        });
+        w.field("lanes_identical", lanes_identical)
+            .field("lanes_validated", lanes_validated)
+            .key("sweep_cache_off")
+            .arr(|w| {
+                for r in &sweep {
+                    w.obj(|w| {
+                        w.field("batch_width", r.width)
+                            .field("served", r.served)
+                            .field("batches", r.batches)
+                            .field("occupancy_mean", Fixed(r.occupancy_mean, 3))
+                            .field("waves", r.waves)
+                            .field("engine_sim_ms", Fixed(r.engine_sim_s * 1e3, 3))
+                            .field("throughput_qps", Fixed(r.throughput, 3));
+                    });
+                }
+            })
+            .field("batch_speedup_16_over_1", Fixed(batch_speedup, 3));
+        w.key("cache_on").obj(|w| {
+            w.field("capacity", cache_cap)
+                .field("arrivals_per_tick", arrivals.max(1))
+                .field("served_engine", cs.served_engine)
+                .field("served_cache", cs.served_cache)
+                .field("hits", cached.cache().hits)
+                .field("misses", cached.cache().misses)
+                .field("hit_s_per_query", Fixed(hit_s, 9))
+                .field("engine_s_per_query", Fixed(miss_s, 9))
+                .field("cache_speedup", Fixed(cache_speedup, 3))
+                .field("qps", Fixed(cached_qps, 3));
+        });
+        w.field("all_served", clean);
+    });
+    write_report(&out, &doc)?;
 
     if check {
         let mut failed = false;

@@ -1,26 +1,24 @@
 //! Host-side performance check for the hybrid-frontier PR: measures
-//! list vs bitmap union-fold throughput and 1-worker vs N-worker
-//! superstep wall-clock, and writes the numbers to `BENCH_setops.json`.
+//! list vs bitmap union-fold throughput and writes the numbers to
+//! `BENCH_setops.json`.
 //!
 //! Unlike the figure binaries this measures *host* wall-clock, not
 //! simulated BlueGene/L time — it is the evidence that the hybrid
-//! representation and the parallel engine actually pay for themselves
-//! on the machine running the simulator.
+//! representation pays for itself on the machine running the
+//! simulator. The 1-worker vs N-worker engine timing lives in
+//! `bench_wire`, which gates it.
 //!
 //! ```text
 //! cargo run --release -p bgl-bench --bin bench_setops
 //! ```
 
-use bfs_core::{bfs2d, BfsConfig};
-use bgl_bench::exp;
-use bgl_bench::harness::Args;
-use bgl_comm::{CommError, ProcessorGrid, SimWorld, Vert, VertSet, VsetPolicy};
-use bgl_graph::{DistGraph, GraphSpec};
-use std::fmt::Write as _;
+use bgl_bench::harness::{write_report, Args};
+use bgl_comm::{Vert, VertSet, VsetPolicy};
+use bgl_trace::json::{self, Fixed};
 use std::time::Instant;
 
 const HELP: &str = "\
-bench_setops — hybrid set-kernel and engine wall-clock benchmark
+bench_setops — hybrid set-kernel wall-clock benchmark
 
 Writes BENCH_setops.json (override with --out).
 
@@ -28,11 +26,6 @@ Flags:
   --span N       slot range of the synthetic union payloads (default 65536)
   --blocks N     overlapping blocks accumulated per union run (default 16)
   --reps N       timing repetitions, best-of (default 5)
-  --n N          vertices in the engine benchmark graph (default 60000)
-  --degree K     mean degree of the engine benchmark graph (default 8)
-  --rows R       processor grid rows (default 8)
-  --cols C       processor grid cols (default 8)
-  --engine-threads N  rayon worker threads (default: max(4, host cores))
   --out PATH     output path (default BENCH_setops.json)
 ";
 
@@ -60,23 +53,6 @@ fn time_union(blocks: &[Vec<Vert>], policy: &VsetPolicy, reps: u64) -> f64 {
     best
 }
 
-/// Best-of-`reps` wall-clock seconds for a full bfs2d run on `workers`
-/// host threads (1 = the sequential reference).
-fn time_engine(graph: &DistGraph, workers: usize, reps: u64) -> Result<f64, CommError> {
-    let config = BfsConfig::paper_optimized();
-    rayon::with_worker_threads(workers, || {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut world = SimWorld::bluegene(graph.grid());
-            let start = Instant::now();
-            let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
-            best = best.min(start.elapsed().as_secs_f64());
-            std::hint::black_box(r.stats.sim_time);
-        }
-        Ok(best)
-    })
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
@@ -86,22 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let span = args.u64("span", 1 << 16);
     let blocks = args.u64("blocks", 16);
     let reps = args.u64("reps", 5).max(1);
-    let n = args.u64("n", 60_000);
-    let degree = args.f64("degree", 8.0);
-    let rows = args.u64("rows", 8) as usize;
-    let cols = args.u64("cols", 8) as usize;
     let out = args.str("out").unwrap_or("BENCH_setops.json").to_string();
-
-    // The engine benchmark needs real worker threads to mean anything:
-    // default to at least 4 even on skinny hosts (the JSON records the
-    // true core count separately so consumers can judge the speedup).
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if args.str("engine-threads").is_some() {
-        exp::apply_engine_threads(&args);
-    } else {
-        rayon::set_worker_threads(host_threads.max(4));
-    }
-    let engine_threads = rayon::current_num_threads();
 
     // --- Union kernels: list vs bitmap accumulator. -------------------
     let payload = dense_blocks(blocks, span);
@@ -118,45 +79,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("warning: bitmap union speedup below the 2x target");
     }
 
-    // --- Superstep engine: 1 worker vs N workers, wall-clock. ---------
-    let grid = ProcessorGrid::new(rows, cols);
-    let spec = GraphSpec::poisson(n, degree, 4242);
-    let graph = DistGraph::build(spec, grid);
-    eprintln!(
-        "engine: n={n} degree={degree} grid {rows}x{cols} \
-         ({host_threads} host cores, {engine_threads} worker threads)"
-    );
-    let serial_s = time_engine(&graph, 1, reps)?;
-    let rayon_s = time_engine(&graph, engine_threads, reps)?;
-    let engine_speedup = serial_s / rayon_s;
-    eprintln!("  1 worker   {:>9.1} ms", serial_s * 1e3);
-    eprintln!(
-        "  {engine_threads} workers  {:>9.1} ms   ({engine_speedup:.2}x)",
-        rayon_s * 1e3
-    );
-
-    // --- Emit (hand-formatted: the bench crate carries no serde). -----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"union_kernels\": {{");
-    let _ = writeln!(json, "    \"span\": {span},");
-    let _ = writeln!(json, "    \"blocks\": {blocks},");
-    let _ = writeln!(json, "    \"elements\": {elems},");
-    let _ = writeln!(json, "    \"list_melem_per_s\": {list_meps:.3},");
-    let _ = writeln!(json, "    \"bitmap_melem_per_s\": {bitmap_meps:.3},");
-    let _ = writeln!(json, "    \"bitmap_speedup\": {union_speedup:.3}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"superstep_engine\": {{");
-    let _ = writeln!(json, "    \"n\": {n},");
-    let _ = writeln!(json, "    \"degree\": {degree},");
-    let _ = writeln!(json, "    \"grid\": \"{rows}x{cols}\",");
-    let _ = writeln!(json, "    \"host_threads\": {host_threads},");
-    let _ = writeln!(json, "    \"engine_threads\": {engine_threads},");
-    let _ = writeln!(json, "    \"serial_ms\": {:.3},", serial_s * 1e3);
-    let _ = writeln!(json, "    \"rayon_ms\": {:.3},", rayon_s * 1e3);
-    let _ = writeln!(json, "    \"rayon_speedup\": {engine_speedup:.3}");
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    let doc = json::pretty(|w| {
+        w.key("union_kernels").obj(|w| {
+            w.field("span", span)
+                .field("blocks", blocks)
+                .field("elements", elems)
+                .field("list_melem_per_s", Fixed(list_meps, 3))
+                .field("bitmap_melem_per_s", Fixed(bitmap_meps, 3))
+                .field("bitmap_speedup", Fixed(union_speedup, 3));
+        });
+    });
+    write_report(&out, &doc)?;
     Ok(())
 }

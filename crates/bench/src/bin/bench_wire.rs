@@ -17,10 +17,10 @@
 
 use bfs_core::{bfs2d, BfsConfig};
 use bgl_bench::exp;
-use bgl_bench::harness::Args;
+use bgl_bench::harness::{write_report, Args};
 use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
-use std::fmt::Write as _;
+use bgl_trace::json::{self, Fixed};
 use std::time::Instant;
 
 const HELP: &str = "\
@@ -143,38 +143,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rayon_s * 1e3
     );
 
-    // --- Emit (hand-formatted: the bench crate carries no serde). -----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"graph\": {{");
-    let _ = writeln!(json, "    \"n\": {n},");
-    let _ = writeln!(json, "    \"degree\": {degree},");
-    let _ = writeln!(json, "    \"grid\": \"{rows}x{cols}\"");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"wire\": {{");
-    for (i, (mode, logical, wire, ratio, sim_s, codec_s)) in per_mode.iter().enumerate() {
-        let comma = if i + 1 < per_mode.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    \"{}\": {{ \"logical_bytes\": {logical}, \"wire_bytes\": {wire}, \
-             \"compression_ratio\": {ratio:.3}, \"sim_ms\": {:.3}, \"codec_ms\": {:.3} }}{comma}",
-            mode.name(),
-            sim_s * 1e3,
-            codec_s * 1e3
-        );
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"compression_ratio\": {compression:.3},");
-    let _ = writeln!(json, "  \"sim_speedup_auto_vs_raw\": {sim_speedup:.3},");
-    let _ = writeln!(json, "  \"superstep_engine\": {{");
-    let _ = writeln!(json, "    \"host_threads\": {host_threads},");
-    let _ = writeln!(json, "    \"engine_threads\": {engine_threads},");
-    let _ = writeln!(json, "    \"serial_ms\": {:.3},", serial_s * 1e3);
-    let _ = writeln!(json, "    \"rayon_ms\": {:.3},", rayon_s * 1e3);
-    let _ = writeln!(json, "    \"rayon_speedup\": {engine_speedup:.3}");
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    let doc = json::pretty(|w| {
+        w.key("graph").obj(|w| {
+            w.field("n", n)
+                .field("degree", degree)
+                .field("grid", format!("{rows}x{cols}"));
+        });
+        w.key("wire").obj(|w| {
+            for (mode, logical, wire, ratio, sim_s, codec_s) in &per_mode {
+                w.key(mode.name()).obj(|w| {
+                    w.field("logical_bytes", *logical)
+                        .field("wire_bytes", *wire)
+                        .field("compression_ratio", Fixed(*ratio, 3))
+                        .field("sim_ms", Fixed(sim_s * 1e3, 3))
+                        .field("codec_ms", Fixed(codec_s * 1e3, 3));
+                });
+            }
+        });
+        w.field("compression_ratio", Fixed(compression, 3))
+            .field("sim_speedup_auto_vs_raw", Fixed(sim_speedup, 3));
+        w.key("superstep_engine").obj(|w| {
+            w.field("host_threads", host_threads)
+                .field("engine_threads", engine_threads)
+                .field("serial_ms", Fixed(serial_s * 1e3, 3))
+                .field("rayon_ms", Fixed(rayon_s * 1e3, 3))
+                .field("rayon_speedup", Fixed(engine_speedup, 3));
+        });
+    });
+    write_report(&out, &doc)?;
 
     if check {
         let mut failed = false;

@@ -27,10 +27,10 @@
 //! ```
 
 use bfs_core::{bfs2d, validate, BfsConfig, ResilientConfig};
-use bgl_bench::harness::{Args, Table};
+use bgl_bench::harness::{write_report, Args, Table};
 use bgl_comm::{ChaosSpec, FaultPlan, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
-use std::fmt::Write as _;
+use bgl_trace::json::{self, Fixed};
 
 const HELP: &str = "\
 chaos_sweep — randomized fault schedules x {wire codec}, differentially checked
@@ -208,63 +208,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let failures = cells.iter().filter(|c| !c.passes()).count();
 
-    // --- Emit (hand-formatted: the bench crate carries no serde). -----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"graph\": {{");
-    let _ = writeln!(json, "    \"n\": {n},");
-    let _ = writeln!(json, "    \"degree\": {k},");
-    let _ = writeln!(json, "    \"grid\": \"{}x{}\",", grid.rows(), grid.cols());
-    let _ = writeln!(json, "    \"seed\": {seed}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"parity_group_size\": {group},");
-    let _ = writeln!(
-        json,
-        "  \"baseline_sim_ms\": {:.3},",
-        baseline.stats.sim_time * 1e3
-    );
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        match &c.outcome {
-            Ok(s) => {
-                let _ = writeln!(
-                    json,
-                    "    {{ \"fault_seed\": {}, \"wire\": \"{}\", \
-                     \"deaths\": {}, \"recoveries\": {}, \"degraded_restarts\": {}, \
-                     \"retransmissions\": {}, \"drops\": {}, \"sim_ms\": {:.3}, \
-                     \"recovery_ms\": {:.3}, \"bit_identical\": {}, \"validated\": {} }}{comma}",
-                    c.fault_seed,
-                    c.wire.name(),
-                    c.deaths,
-                    s.recoveries,
-                    s.degraded_restarts,
-                    s.retransmissions,
-                    s.drops,
-                    s.sim_ms,
-                    s.recovery_ms,
-                    s.bit_identical,
-                    s.validated
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(
-                    json,
-                    "    {{ \"fault_seed\": {}, \"wire\": \"{}\", \
-                     \"deaths\": {}, \"error\": \"{}\" }}{comma}",
-                    c.fault_seed,
-                    c.wire.name(),
-                    c.deaths,
-                    e.replace('"', "'")
-                );
-            }
-        }
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"cells_total\": {},", cells.len());
-    let _ = writeln!(json, "  \"failures\": {failures}");
-    json.push_str("}\n");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    let doc = json::pretty(|w| {
+        w.key("graph").obj(|w| {
+            w.field("n", n)
+                .field("degree", k)
+                .field("grid", format!("{}x{}", grid.rows(), grid.cols()))
+                .field("seed", seed);
+        });
+        w.field("parity_group_size", group)
+            .field("baseline_sim_ms", Fixed(baseline.stats.sim_time * 1e3, 3))
+            .key("cells")
+            .arr(|w| {
+                for c in &cells {
+                    w.obj(|w| {
+                        w.field("fault_seed", c.fault_seed)
+                            .field("wire", c.wire.name())
+                            .field("deaths", c.deaths);
+                        match &c.outcome {
+                            Ok(s) => {
+                                w.field("recoveries", s.recoveries)
+                                    .field("degraded_restarts", s.degraded_restarts)
+                                    .field("retransmissions", s.retransmissions)
+                                    .field("drops", s.drops)
+                                    .field("sim_ms", Fixed(s.sim_ms, 3))
+                                    .field("recovery_ms", Fixed(s.recovery_ms, 3))
+                                    .field("bit_identical", s.bit_identical)
+                                    .field("validated", s.validated);
+                            }
+                            Err(e) => {
+                                w.field("error", e);
+                            }
+                        }
+                    });
+                }
+            })
+            .field("cells_total", cells.len())
+            .field("failures", failures);
+    });
+    write_report(&out, &doc)?;
 
     if check {
         if failures > 0 {

@@ -194,6 +194,15 @@ impl Table {
     }
 }
 
+/// Write a bench report document to `path` and say so on stdout. The
+/// error names the path, so a bin's `main` can pass it up with `?`.
+pub fn write_report(path: &str, doc: &str) -> std::io::Result<()> {
+    std::fs::write(path, doc)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("writing {path}: {e}")))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
 /// Format seconds for display (ms below 1 s).
 pub fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {

@@ -1,8 +1,9 @@
 //! # bgl-bench — experiment harness
 //!
-//! Shared plumbing for the binaries that regenerate every table and
-//! figure of the paper's evaluation section (see `src/bin/`) and for the
-//! Criterion micro-benchmarks (see `benches/`).
+//! Shared plumbing for the binaries in `src/bin/`: the `fig*`/`table*`
+//! binaries regenerate the tables and figures of the paper's evaluation
+//! section, and the `bench_*`/`chaos_sweep` binaries write the gated
+//! `BENCH_*.json` reports.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,11 +1,11 @@
 //! The machine-readable `LINT_report.json` and the human diagnostics.
 //!
-//! The JSON writer is hand-rolled (the workspace vendors no serde_json;
-//! same approach as `bgl-trace`'s exporters) and emits keys and entries
-//! in a fixed sorted order, so a clean tree always produces the same
-//! report bytes.
+//! The report goes through `bgl_trace::json`, the workspace's one JSON
+//! writer, and emits keys and entries in a fixed sorted order, so a
+//! clean tree always produces the same report bytes.
 
 use crate::rules::{AllowRecord, Finding, RULES};
+use bgl_trace::json;
 use std::fmt::Write as _;
 
 /// Everything one lint run produced.
@@ -49,73 +49,44 @@ impl LintReport {
 
     /// The machine-readable report document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"version\": 1,");
-        let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
-        out.push_str("  \"rules\": [\n");
-        for (i, r) in RULES.iter().enumerate() {
-            out.push_str("    {\"id\": ");
-            push_str_lit(&mut out, r.id);
-            out.push_str(", \"name\": ");
-            push_str_lit(&mut out, r.name);
-            out.push_str(", \"summary\": ");
-            push_str_lit(&mut out, r.summary);
-            out.push('}');
-            out.push_str(if i + 1 < RULES.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str("    {\"file\": ");
-            push_str_lit(&mut out, &f.file);
-            let _ = write!(out, ", \"line\": {}, \"rule\": ", f.line);
-            push_str_lit(&mut out, f.rule);
-            out.push_str(", \"message\": ");
-            push_str_lit(&mut out, &f.message);
-            out.push('}');
-            out.push_str(if i + 1 < self.findings.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"allows\": [\n");
-        for (i, a) in self.allows.iter().enumerate() {
-            out.push_str("    {\"file\": ");
-            push_str_lit(&mut out, &a.file);
-            let _ = write!(out, ", \"line\": {}, \"rule\": ", a.line);
-            push_str_lit(&mut out, &a.rule);
-            out.push_str(", \"reason\": ");
-            push_str_lit(&mut out, &a.reason);
-            out.push('}');
-            out.push_str(if i + 1 < self.allows.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::pretty(|w| {
+            w.field("version", 1u32)
+                .field("files_scanned", self.files_scanned)
+                .field("suppressed", self.suppressed)
+                .key("rules")
+                .arr(|w| {
+                    for r in RULES {
+                        w.obj(|w| {
+                            w.field("id", r.id)
+                                .field("name", r.name)
+                                .field("summary", r.summary);
+                        });
+                    }
+                })
+                .key("findings")
+                .arr(|w| {
+                    for f in &self.findings {
+                        w.obj(|w| {
+                            w.field("file", &f.file)
+                                .field("line", f.line)
+                                .field("rule", f.rule)
+                                .field("message", &f.message);
+                        });
+                    }
+                })
+                .key("allows")
+                .arr(|w| {
+                    for a in &self.allows {
+                        w.obj(|w| {
+                            w.field("file", &a.file)
+                                .field("line", a.line)
+                                .field("rule", &a.rule)
+                                .field("reason", &a.reason);
+                        });
+                    }
+                });
+        })
     }
-}
-
-/// Append a JSON string literal with escaping.
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

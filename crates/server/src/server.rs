@@ -47,8 +47,8 @@ use bfs_core::path::{self, MultiPathConfig};
 use bfs_core::reference::UNREACHED;
 use bgl_comm::{SimWorld, MAX_LANES};
 use bgl_graph::{DistGraph, GraphFamily, GraphSpec, Vertex};
+use bgl_trace::json::{self, Fixed};
 use bgl_trace::EventKind;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Serving configuration.
@@ -489,113 +489,78 @@ impl BglServer {
         self.stats.latency_ticks_max = self.stats.latency_ticks_max.max(lat);
     }
 
-    /// Hand-rolled `SERVER_summary.json` (the serving layer follows the
-    /// bench idiom: no serde in the artifact path).
+    /// The `SERVER_summary.json` document.
     pub fn summary_json(&self) -> String {
         let s = &self.stats;
-        let mut j = String::from("{\n");
-        let _ = writeln!(j, "  \"graph\": {{");
-        let _ = writeln!(j, "    \"n\": {},", self.graph.spec.n);
-        let _ = writeln!(j, "    \"graph_id\": {},", self.graph_id);
-        let _ = writeln!(
-            j,
-            "    \"grid\": \"{}x{}\"",
-            self.graph.grid().rows(),
-            self.graph.grid().cols()
-        );
-        let _ = writeln!(j, "  }},");
-        let _ = writeln!(j, "  \"config\": {{");
-        let _ = writeln!(j, "    \"batch_width\": {},", self.config.batch_width);
-        let _ = writeln!(j, "    \"queue_capacity\": {},", self.config.queue_capacity);
-        let _ = writeln!(
-            j,
-            "    \"deadline_ticks\": {},",
-            self.config
-                .deadline_ticks
-                .map_or("null".to_string(), |d| d.to_string())
-        );
-        let _ = writeln!(j, "    \"cache_capacity\": {}", self.config.cache_capacity);
-        let _ = writeln!(j, "  }},");
-        let _ = writeln!(j, "  \"ticks\": {},", self.tick);
-        let _ = writeln!(j, "  \"submitted\": {},", s.submitted);
-        let _ = writeln!(j, "  \"rejected\": {},", s.rejected);
-        let _ = writeln!(j, "  \"served_engine\": {},", s.served_engine);
-        let _ = writeln!(j, "  \"served_cache\": {},", s.served_cache);
-        let _ = writeln!(j, "  \"expired\": {},", s.expired);
-        let _ = writeln!(j, "  \"kinds\": {{");
-        let _ = writeln!(j, "    \"full\": {},", s.kind_full);
-        let _ = writeln!(j, "    \"distance\": {},", s.kind_distance);
-        let _ = writeln!(j, "    \"path\": {}", s.kind_path);
-        let _ = writeln!(j, "  }},");
-        let _ = writeln!(j, "  \"batches\": {},", s.batches);
-        let _ = writeln!(j, "  \"validated_batches\": {},", s.validated_batches);
-        let _ = writeln!(j, "  \"waves_total\": {},", s.waves_total);
-        let _ = writeln!(j, "  \"occupancy_mean\": {:.3},", s.occupancy_mean());
-        let _ = writeln!(j, "  \"occupancy_max\": {},", s.max_occupancy);
-        let _ = writeln!(j, "  \"queue_depth_mean\": {:.3},", s.queue_depth_mean());
-        let _ = writeln!(j, "  \"queue_depth_max\": {},", s.queue_depth_max);
-        let _ = writeln!(j, "  \"path_walk\": {{");
-        let _ = writeln!(j, "    \"waves\": {},", s.path_walks);
-        let _ = writeln!(j, "    \"lanes\": {},", s.path_walk_lanes);
-        let _ = writeln!(
-            j,
-            "    \"occupancy_mean\": {:.3},",
-            s.path_walk_occupancy_mean()
-        );
-        let _ = writeln!(j, "    \"hops\": {},", s.path_walk_hops);
-        let _ = writeln!(j, "    \"rounds\": {},", s.path_walk_rounds);
-        let _ = writeln!(j, "    \"sim_s\": {:.9}", s.path_walk_sim_time);
-        let _ = writeln!(j, "  }},");
-        let _ = writeln!(j, "  \"cache\": {{");
-        let _ = writeln!(j, "    \"hits\": {},", self.cache.hits);
-        let _ = writeln!(j, "    \"misses\": {},", self.cache.misses);
-        let _ = writeln!(j, "    \"evictions\": {},", self.cache.evictions);
-        let _ = writeln!(j, "    \"resident\": {},", self.cache.len());
-        let _ = writeln!(
-            j,
-            "    \"resident_bytes\": {},",
-            self.cache.resident_bytes()
-        );
-        let _ = writeln!(j, "    \"by_class\": {{");
-        let _ = writeln!(
-            j,
-            "      \"full\": {{ \"hits\": {}, \"bytes\": {} }},",
-            s.cache_hit_full, s.cache_bytes_full
-        );
-        let _ = writeln!(
-            j,
-            "      \"distance\": {{ \"hits\": {}, \"bytes\": {} }},",
-            s.cache_hit_distance, s.cache_bytes_distance
-        );
-        let _ = writeln!(
-            j,
-            "      \"path\": {{ \"hits\": {}, \"bytes\": {} }}",
-            s.cache_hit_path, s.cache_bytes_path
-        );
-        let _ = writeln!(j, "    }}");
-        let _ = writeln!(j, "  }},");
-        let _ = writeln!(j, "  \"engine_sim_s\": {:.9},", s.engine_sim_time);
-        let _ = writeln!(j, "  \"cache_sim_s\": {:.9},", s.cache_sim_time);
-        let _ = writeln!(j, "  \"path_walk_sim_s\": {:.9},", s.path_walk_sim_time);
-        let _ = writeln!(j, "  \"qps_simulated\": {:.3},", s.qps());
-        let _ = writeln!(
-            j,
-            "  \"engine_s_per_query\": {:.9},",
-            s.engine_time_per_query()
-        );
-        let _ = writeln!(
-            j,
-            "  \"cache_s_per_query\": {:.9},",
-            s.cache_time_per_query()
-        );
-        let _ = writeln!(
-            j,
-            "  \"latency_ticks_mean\": {:.3},",
-            s.latency_ticks_mean()
-        );
-        let _ = writeln!(j, "  \"latency_ticks_max\": {}", s.latency_ticks_max);
-        j.push_str("}\n");
-        j
+        json::pretty(|w| {
+            w.key("graph").obj(|w| {
+                w.field("n", self.graph.spec.n)
+                    .field("graph_id", self.graph_id)
+                    .field(
+                        "grid",
+                        format!("{}x{}", self.graph.grid().rows(), self.graph.grid().cols()),
+                    );
+            });
+            w.key("config").obj(|w| {
+                w.field("batch_width", self.config.batch_width)
+                    .field("queue_capacity", self.config.queue_capacity)
+                    .field("deadline_ticks", self.config.deadline_ticks)
+                    .field("cache_capacity", self.config.cache_capacity);
+            });
+            w.field("ticks", self.tick)
+                .field("submitted", s.submitted)
+                .field("rejected", s.rejected)
+                .field("served_engine", s.served_engine)
+                .field("served_cache", s.served_cache)
+                .field("expired", s.expired);
+            w.key("kinds").obj(|w| {
+                w.field("full", s.kind_full)
+                    .field("distance", s.kind_distance)
+                    .field("path", s.kind_path);
+            });
+            w.field("batches", s.batches)
+                .field("validated_batches", s.validated_batches)
+                .field("waves_total", s.waves_total)
+                .field("occupancy_mean", Fixed(s.occupancy_mean(), 3))
+                .field("occupancy_max", s.max_occupancy)
+                .field("queue_depth_mean", Fixed(s.queue_depth_mean(), 3))
+                .field("queue_depth_max", s.queue_depth_max);
+            w.key("path_walk").obj(|w| {
+                w.field("waves", s.path_walks)
+                    .field("lanes", s.path_walk_lanes)
+                    .field("occupancy_mean", Fixed(s.path_walk_occupancy_mean(), 3))
+                    .field("hops", s.path_walk_hops)
+                    .field("rounds", s.path_walk_rounds)
+                    .field("sim_s", Fixed(s.path_walk_sim_time, 9));
+            });
+            w.key("cache").obj(|w| {
+                w.field("hits", self.cache.hits)
+                    .field("misses", self.cache.misses)
+                    .field("evictions", self.cache.evictions)
+                    .field("resident", self.cache.len())
+                    .field("resident_bytes", self.cache.resident_bytes())
+                    .key("by_class")
+                    .obj(|w| {
+                        for (class, hits, bytes) in [
+                            ("full", s.cache_hit_full, s.cache_bytes_full),
+                            ("distance", s.cache_hit_distance, s.cache_bytes_distance),
+                            ("path", s.cache_hit_path, s.cache_bytes_path),
+                        ] {
+                            w.key(class).obj(|w| {
+                                w.field("hits", hits).field("bytes", bytes);
+                            });
+                        }
+                    });
+            });
+            w.field("engine_sim_s", Fixed(s.engine_sim_time, 9))
+                .field("cache_sim_s", Fixed(s.cache_sim_time, 9))
+                .field("path_walk_sim_s", Fixed(s.path_walk_sim_time, 9))
+                .field("qps_simulated", Fixed(s.qps(), 3))
+                .field("engine_s_per_query", Fixed(s.engine_time_per_query(), 9))
+                .field("cache_s_per_query", Fixed(s.cache_time_per_query(), 9))
+                .field("latency_ticks_mean", Fixed(s.latency_ticks_mean(), 3))
+                .field("latency_ticks_max", s.latency_ticks_max);
+        })
     }
 }
 

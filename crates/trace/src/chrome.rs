@@ -9,39 +9,49 @@
 //! microseconds on the run's clock.
 
 use crate::event::{EventKind, TraceEvent};
-use crate::json::{push_f64, push_str_lit};
+use crate::json::{self, JsonWriter};
 use crate::recorder::TraceBuffer;
-use std::fmt::Write as _;
 
 /// Render `buf` as a Chrome trace_event JSON document.
 pub fn chrome_trace(buf: &TraceBuffer) -> String {
     let ranks = buf.ranks();
-    let mut out = String::with_capacity(256 + 160 * buf.len());
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"bgl-bfs\"}}",
-    );
-    for r in 0..ranks {
-        let _ = write!(
-            out,
-            ",{{\"ph\":\"M\",\"pid\":0,\"tid\":{r},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"rank {r}\"}}}}"
-        );
-    }
-    let _ = write!(
-        out,
-        ",{{\"ph\":\"M\",\"pid\":0,\"tid\":{ranks},\"name\":\"thread_name\",\
-         \"args\":{{\"name\":\"world\"}}}}"
-    );
-    for (track, ev) in buf.events() {
-        out.push(',');
-        push_event(&mut out, track, &ev);
-    }
-    out.push_str("]}");
-    out
+    let thread_name = |w: &mut JsonWriter, tid: usize, name: &str| {
+        w.obj(|w| {
+            w.field("ph", "M")
+                .field("pid", 0u32)
+                .field("tid", tid)
+                .field("name", "thread_name")
+                .key("args")
+                .obj(|w| {
+                    w.field("name", name);
+                });
+        });
+    };
+    json::compact(|w| {
+        w.field("displayTimeUnit", "ms")
+            .key("traceEvents")
+            .arr(|w| {
+                w.obj(|w| {
+                    w.field("ph", "M")
+                        .field("pid", 0u32)
+                        .field("name", "process_name")
+                        .key("args")
+                        .obj(|w| {
+                            w.field("name", "bgl-bfs");
+                        });
+                });
+                for r in 0..ranks {
+                    thread_name(w, r, &format!("rank {r}"));
+                }
+                thread_name(w, ranks, "world");
+                for (track, ev) in buf.events() {
+                    w.obj(|w| write_event(w, track, &ev));
+                }
+            });
+    })
 }
 
-fn push_event(out: &mut String, tid: usize, ev: &TraceEvent) {
+fn write_event(w: &mut JsonWriter, tid: usize, ev: &TraceEvent) {
     let (name, cat): (String, &str) = match ev.kind {
         EventKind::Span { phase, level } => (format!("{} {level}", phase.name()), "span"),
         EventKind::Round { op, .. } => (format!("{} round", op.name()), "round"),
@@ -54,24 +64,22 @@ fn push_event(out: &mut String, tid: usize, ev: &TraceEvent) {
         EventKind::Recovery { rank } => (format!("recover rank {rank}"), "resilience"),
         EventKind::Batch { batch, .. } => (format!("batch {batch}"), "server"),
     };
-    let instant = matches!(
+    w.field("name", name)
+        .field("cat", cat)
+        .field("pid", 0u32)
+        .field("tid", tid)
+        .field("ts", ev.t0 * 1e6);
+    if matches!(
         ev.kind,
         EventKind::Checkpoint { .. } | EventKind::RankDeath { .. }
-    );
-    out.push_str("{\"name\":");
-    push_str_lit(out, &name);
-    let _ = write!(out, ",\"cat\":\"{cat}\",\"pid\":0,\"tid\":{tid},\"ts\":");
-    push_f64(out, ev.t0 * 1e6);
-    if instant {
-        out.push_str(",\"ph\":\"i\",\"s\":\"g\"");
+    ) {
+        w.field("ph", "i").field("s", "g");
     } else {
-        out.push_str(",\"ph\":\"X\",\"dur\":");
-        push_f64(out, ev.duration() * 1e6);
+        w.field("ph", "X").field("dur", ev.duration() * 1e6);
     }
-    out.push_str(",\"args\":{");
-    match ev.kind {
-        EventKind::Span { level, .. } => {
-            let _ = write!(out, "\"level\":{level}");
+    w.key("args").obj(|w| match ev.kind {
+        EventKind::Span { level, .. } | EventKind::Checkpoint { level } => {
+            w.field("level", level);
         }
         EventKind::Round {
             messages,
@@ -79,35 +87,30 @@ fn push_event(out: &mut String, tid: usize, ev: &TraceEvent) {
             bottleneck,
             ..
         } => {
-            let _ = write!(
-                out,
-                "\"messages\":{messages},\"verts\":{verts},\"bottleneck_rank\":{bottleneck}"
-            );
+            w.field("messages", messages)
+                .field("verts", verts)
+                .field("bottleneck_rank", bottleneck);
         }
         EventKind::Send { bytes, hops, .. } => {
-            let _ = write!(out, "\"bytes\":{bytes},\"hops\":{hops}");
+            w.field("bytes", bytes).field("hops", hops);
         }
         EventKind::Retransmit { retries, .. } => {
-            let _ = write!(out, "\"retries\":{retries}");
+            w.field("retries", retries);
         }
         EventKind::Compute { bottleneck, .. } => {
-            let _ = write!(out, "\"bottleneck_rank\":{bottleneck}");
+            w.field("bottleneck_rank", bottleneck);
         }
         EventKind::TreeAllreduce => {}
-        EventKind::Checkpoint { level } => {
-            let _ = write!(out, "\"level\":{level}");
-        }
         EventKind::RankDeath { round, .. } => {
-            let _ = write!(out, "\"round\":{round}");
+            w.field("round", round);
         }
         EventKind::Recovery { rank } => {
-            let _ = write!(out, "\"rank\":{rank}");
+            w.field("rank", rank);
         }
         EventKind::Batch { lanes, .. } => {
-            let _ = write!(out, "\"lanes\":{lanes}");
+            w.field("lanes", lanes);
         }
-    }
-    out.push_str("}}");
+    });
 }
 
 #[cfg(test)]

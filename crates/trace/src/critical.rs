@@ -11,7 +11,7 @@
 //! `TRACE_summary.json` the CI smoke test checks.
 
 use crate::event::{EventKind, Phase, TraceEvent};
-use crate::json::{push_f64, push_str_lit};
+use crate::json::{self, JsonWriter};
 use crate::recorder::TraceBuffer;
 use std::fmt::Write as _;
 
@@ -170,51 +170,46 @@ impl CriticalPath {
 
     /// Render the machine-readable `TRACE_summary.json` document.
     pub fn to_summary_json(&self) -> String {
-        let mut out = String::from("{\"total_time\":");
-        push_f64(&mut out, self.total_time);
-        out.push_str(",\"coverage\":");
-        push_f64(&mut out, self.coverage());
-        out.push_str(",\"levels\":[");
-        for (i, l) in self.levels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"level\":{},\"t0\":", l.level);
-            push_f64(&mut out, l.t0);
-            out.push_str(",\"t1\":");
-            push_f64(&mut out, l.t1);
-            out.push_str(",\"duration\":");
-            push_f64(&mut out, l.duration());
-            out.push_str(",\"bounding\":");
-            match l.bounding() {
-                Some(b) => push_slice(&mut out, b),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"phases\":[");
-            for (j, s) in l.phases.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        json::compact(|w| self.write_json(w))
+    }
+
+    /// Write the summary's members (`total_time`, `coverage`, `levels`)
+    /// into the open object `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.field("total_time", self.total_time)
+            .field("coverage", self.coverage())
+            .key("levels")
+            .arr(|w| {
+                for l in &self.levels {
+                    w.obj(|w| {
+                        w.field("level", l.level)
+                            .field("t0", l.t0)
+                            .field("t1", l.t1)
+                            .field("duration", l.duration())
+                            .key("bounding");
+                        match l.bounding() {
+                            Some(b) => write_slice(w, b),
+                            None => {
+                                w.value(None::<u32>);
+                            }
+                        }
+                        w.key("phases").arr(|w| {
+                            for s in &l.phases {
+                                write_slice(w, s);
+                            }
+                        });
+                    });
                 }
-                push_slice(&mut out, s);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            });
     }
 }
 
-fn push_slice(out: &mut String, s: &PhaseSlice) {
-    out.push_str("{\"phase\":");
-    push_str_lit(out, s.phase.name());
-    out.push_str(",\"duration\":");
-    push_f64(out, s.duration);
-    match s.bottleneck {
-        Some(r) => {
-            let _ = write!(out, ",\"bottleneck_rank\":{r}}}");
-        }
-        None => out.push_str(",\"bottleneck_rank\":null}"),
-    }
+fn write_slice(w: &mut JsonWriter, s: &PhaseSlice) {
+    w.obj(|w| {
+        w.field("phase", s.phase.name())
+            .field("duration", s.duration)
+            .field("bottleneck_rank", s.bottleneck);
+    });
 }
 
 /// The bottleneck rank of the longest round/compute event inside `span`.

@@ -11,9 +11,9 @@
 //! are not recorded at span detail.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::json;
 use bgl_torus::{route_dimension_ordered, Coord3, MachineConfig, MachineKind, TaskMapping};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Bytes accumulated per directed physical link.
 ///
@@ -106,24 +106,22 @@ impl LinkHeatmap {
     /// byte-stable across runs for identical traces (pinned by a golden
     /// test and written as `TRACE_heatmap.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"sends\":{},\"total_bytes\":{},\"links\":[",
-            self.sends, self.total_bytes
-        );
-        for (i, (a, b, bytes)) in self.rows().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"from\":[{},{},{}],\"to\":[{},{},{}],\"bytes\":{}}}",
-                a.x, a.y, a.z, b.x, b.y, b.z, bytes
-            );
-        }
-        out.push_str("]}");
-        out
+        json::compact(|w| {
+            w.field("sends", self.sends)
+                .field("total_bytes", self.total_bytes)
+                .key("links")
+                .arr(|w| {
+                    for (a, b, bytes) in self.rows() {
+                        w.obj(|w| {
+                            w.key("from")
+                                .values([a.x, a.y, a.z])
+                                .key("to")
+                                .values([b.x, b.y, b.z])
+                                .field("bytes", bytes);
+                        });
+                    }
+                });
+        })
     }
 
     /// Render the top-`k` hotspot table as aligned text.

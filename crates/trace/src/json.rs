@@ -1,14 +1,14 @@
-//! Minimal JSON support: a string-building writer for the exporters and
-//! a small recursive-descent parser used by tests and smoke checks to
-//! validate what the exporters emit. The workspace builds fully offline
-//! with no JSON dependency vendored, and the exported documents are flat
-//! and machine-generated, so ~200 lines cover everything needed.
+//! Minimal JSON support: [`JsonWriter`], the one streaming writer behind
+//! every document the workspace exports, and a small recursive-descent
+//! parser used by tests and smoke checks to validate what it emits. The
+//! workspace builds fully offline with no JSON dependency vendored, and
+//! the documents are machine-generated, so a few hundred lines suffice.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Append a JSON string literal (with escaping) to `out`.
-pub fn push_str_lit(out: &mut String, s: &str) {
+fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -24,14 +24,6 @@ pub fn push_str_lit(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// Append a finite f64 as a JSON number. Rust's shortest-roundtrip
-/// `Display` for `f64` never produces exponent notation, so the output
-/// is always a valid JSON number.
-pub fn push_f64(out: &mut String, x: f64) {
-    debug_assert!(x.is_finite(), "JSON export of non-finite number");
-    let _ = write!(out, "{x}");
 }
 
 /// A parsed JSON value.
@@ -240,16 +232,254 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
+/// Builds a compact document: one top-level object, no whitespace.
+pub fn compact(f: impl FnOnce(&mut JsonWriter)) -> String {
+    JsonWriter::document(false, f)
+}
+
+/// Builds a pretty document: one top-level object, one member per line
+/// at a 2-space indent, and a trailing newline.
+pub fn pretty(f: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut doc = JsonWriter::document(true, f);
+    doc.push('\n');
+    doc
+}
+
+/// Streaming JSON writer handed out by [`compact`] and [`pretty`]. It
+/// places commas, escapes strings and (pretty layout) breaks lines, so
+/// callers only name keys and values, in the order they should appear.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    /// One flag per open container: whether it has a member yet.
+    open: Vec<bool>,
+    /// A key was just written; the next value belongs to it.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    fn document(pretty: bool, f: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter {
+            out: String::new(),
+            pretty,
+            open: Vec::new(),
+            after_key: false,
+        };
+        w.obj(f);
+        w.out
+    }
+
+    /// Separator, line break and indent before a new member.
+    fn begin_member(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if let Some(has_members) = self.open.last_mut() {
+            if std::mem::replace(has_members, true) {
+                self.out.push(',');
+            }
+            if self.pretty {
+                self.newline(self.open.len());
+            }
+        }
+    }
+
+    fn newline(&mut self, depth: usize) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n(' ', 2 * depth));
+    }
+
+    fn container(&mut self, open: char, close: char, f: impl FnOnce(&mut Self)) -> &mut Self {
+        self.begin_member();
+        self.out.push(open);
+        self.open.push(false);
+        f(self);
+        if self.open.pop() == Some(true) && self.pretty {
+            self.newline(self.open.len());
+        }
+        self.out.push(close);
+        self
+    }
+
+    /// Writes an object whose members `f` writes.
+    pub fn obj(&mut self, f: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', f)
+    }
+
+    /// Writes an array whose elements `f` writes.
+    pub fn arr(&mut self, f: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', ']', f)
+    }
+
+    /// Writes an object key; the next value, object or array is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.begin_member();
+        push_str_lit(&mut self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// Writes a scalar value.
+    pub fn value(&mut self, v: impl Scalar) -> &mut Self {
+        self.begin_member();
+        v.write_to(&mut self.out);
+        self
+    }
+
+    /// Writes `key: v`.
+    pub fn field(&mut self, key: &str, v: impl Scalar) -> &mut Self {
+        self.key(key).value(v)
+    }
+
+    /// Writes an array of scalars.
+    pub fn values<T: Scalar>(&mut self, vs: impl IntoIterator<Item = T>) -> &mut Self {
+        self.arr(|w| {
+            for v in vs {
+                w.value(v);
+            }
+        })
+    }
+}
+
+/// A value [`JsonWriter`] prints inline: integers exactly, `f64` as its
+/// shortest round-trip decimal, [`Fixed`] at a set precision, strings
+/// escaped, and `None` as `null`.
+pub trait Scalar {
+    /// Appends the JSON text of this value.
+    fn write_to(&self, out: &mut String);
+}
+
+/// An `f64` printed with a fixed number of decimals, as `{:.N}` would.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed(pub f64, pub usize);
+
+macro_rules! display_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_to(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_scalar!(bool, u32, u64, usize);
+
+impl Scalar for f64 {
+    /// Rust's shortest-round-trip `Display` for `f64` never uses
+    /// exponent notation, so the output is always a valid JSON number.
+    fn write_to(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl Scalar for Fixed {
+    fn write_to(&self, out: &mut String) {
+        let Fixed(x, decimals) = *self;
+        if x.is_finite() {
+            let _ = write!(out, "{x:.decimals$}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl Scalar for str {
+    fn write_to(&self, out: &mut String) {
+        push_str_lit(out, self);
+    }
+}
+
+impl Scalar for String {
+    fn write_to(&self, out: &mut String) {
+        push_str_lit(out, self);
+    }
+}
+
+impl<T: Scalar + ?Sized> Scalar for &T {
+    fn write_to(&self, out: &mut String) {
+        (**self).write_to(out);
+    }
+}
+
+impl<T: Scalar> Scalar for Option<T> {
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_to(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every layout of the same nested document, with empty containers.
+    fn nested(w: &mut JsonWriter) {
+        w.field("a", 1u64)
+            .key("b")
+            .obj(|w| {
+                w.key("c").values([1u32, 2]).key("e").obj(|_| {});
+            })
+            .key("d")
+            .arr(|w| {
+                w.obj(|w| {
+                    w.field("x", true).field("y", None::<u64>);
+                })
+                .arr(|_| {})
+                .value("s");
+            });
+    }
+
+    #[test]
+    fn writes_nested_containers_in_both_layouts() {
+        assert_eq!(
+            compact(nested),
+            r#"{"a":1,"b":{"c":[1,2],"e":{}},"d":[{"x":true,"y":null},[],"s"]}"#
+        );
+        let doc = pretty(nested);
+        let want = r#"{
+  "a": 1,
+  "b": {
+    "c": [
+      1,
+      2
+    ],
+    "e": {}
+  },
+  "d": [
+    {
+      "x": true,
+      "y": null
+    },
+    [],
+    "s"
+  ]
+}
+"#;
+        assert_eq!(doc, want);
+        assert_eq!(compact(|_| {}), "{}");
+        assert_eq!(pretty(|_| {}), "{}\n");
+        assert_eq!(parse(&doc), parse(&compact(nested)));
+    }
+
     #[test]
     fn roundtrips_escaped_strings() {
-        let mut s = String::new();
-        push_str_lit(&mut s, "a\"b\\c\nd\u{1}");
-        let v = parse(&s).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\nd\u{1}"));
+        let s = "a\"b\\c\nd\re\tf\u{1}\u{1f}\u{7f}é";
+        let doc = |w: &mut JsonWriter| {
+            w.field(s, s);
+        };
+        for doc in [compact(doc), pretty(doc)] {
+            assert!(doc.contains(r#"\"b\\c\nd\re\tf\u0001\u001f"#), "{doc}");
+            let v = parse(&doc).unwrap();
+            assert_eq!(v.get(s).and_then(JsonValue::as_str), Some(s));
+        }
     }
 
     #[test]
@@ -271,11 +501,44 @@ mod tests {
     }
 
     #[test]
+    fn integers_print_exactly() {
+        let doc = compact(|w| {
+            w.field("max", u64::MAX);
+        });
+        assert_eq!(doc, r#"{"max":18446744073709551615}"#);
+    }
+
+    #[test]
     fn f64_writer_emits_valid_numbers() {
-        for x in [0.0, 1.5, -2.25e-9, 123456789.125, 1e-7] {
-            let mut s = String::new();
-            push_f64(&mut s, x);
-            assert_eq!(parse(&s).unwrap().as_f64(), Some(x), "{s}");
+        for x in [0.0, 1.5, -2.25e-9, 123456789.125, 1e-7, 16.0] {
+            let doc = compact(|w| {
+                w.field("x", x);
+            });
+            assert_eq!(
+                parse(&doc).unwrap().get("x").unwrap().as_f64(),
+                Some(x),
+                "{doc}"
+            );
         }
+        let doc = compact(|w| {
+            w.field("deg", 16.0)
+                .field("nan", f64::NAN)
+                .field("inf", Fixed(f64::INFINITY, 3));
+        });
+        assert_eq!(doc, r#"{"deg":16,"nan":null,"inf":null}"#);
+    }
+
+    #[test]
+    fn fixed_floats_keep_their_precision() {
+        let doc = compact(|w| {
+            w.field("ms", Fixed(5.4604, 3))
+                .field("zero", Fixed(0.0, 3))
+                .field("s", Fixed(0.000_155_920_4, 9))
+                .field("round", Fixed(2.0005, 0));
+        });
+        assert_eq!(
+            doc,
+            r#"{"ms":5.460,"zero":0.000,"s":0.000155920,"round":2}"#
+        );
     }
 }

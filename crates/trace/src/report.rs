@@ -9,6 +9,7 @@
 use crate::chrome::chrome_trace;
 use crate::critical::CriticalPath;
 use crate::heatmap::LinkHeatmap;
+use crate::json;
 use crate::recorder::TraceBuffer;
 use crate::wire_summary::WireSummary;
 use bgl_torus::{MachineConfig, TaskMapping};
@@ -53,10 +54,10 @@ pub fn write_artifacts(
     let critical = CriticalPath::analyze(buf);
     let wire = WireSummary::from_events(all_events.iter());
     let summary_path = dir.join("TRACE_summary.json");
-    // Splice the wire object into the summary's top-level document so
-    // existing consumers of `total_time`/`coverage`/`levels` still parse.
-    let mut summary = critical.to_summary_json();
-    summary.insert_str(1, &format!("\"wire\":{},", wire.to_json()));
+    let summary = json::compact(|w| {
+        w.key("wire").obj(|w| wire.write_json(w));
+        critical.write_json(w);
+    });
     std::fs::write(&summary_path, summary)?;
     let heatmap = LinkHeatmap::from_events(all_events.iter(), mapping, machine);
     let heatmap_path = dir.join("TRACE_heatmap.json");

@@ -9,8 +9,7 @@
 //! so a golden trace documents its own compression ratio.
 
 use crate::event::{ComputeKind, EventKind, OpKind, TraceEvent};
-use crate::json::push_f64;
-use std::fmt::Write as _;
+use crate::json::{self, JsonWriter};
 
 /// Bytes one vertex occupies in an unencoded payload. Mirrors
 /// `bgl_comm::VERT_BYTES` (this crate sits below the communication
@@ -90,29 +89,23 @@ impl WireSummary {
 
     /// Render the `"wire"` object embedded in `TRACE_summary.json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        json::compact(|w| self.write_json(w))
+    }
+
+    /// Write the wire object's members into the open object `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         for (i, t) in self.per_op.iter().enumerate() {
-            let _ = write!(
-                out,
-                "\"{}\":{{\"rounds\":{},\"messages\":{},\"logical_bytes\":{}}},",
-                OpKind::from_index(i).name(),
-                t.rounds,
-                t.messages,
-                t.logical_bytes
-            );
+            w.key(OpKind::from_index(i).name()).obj(|w| {
+                w.field("rounds", t.rounds)
+                    .field("messages", t.messages)
+                    .field("logical_bytes", t.logical_bytes);
+            });
         }
-        let _ = write!(
-            out,
-            "\"sends\":{},\"logical_bytes\":{},\"wire_bytes\":{},\"compression_ratio\":",
-            self.sends,
-            self.logical_bytes(),
-            self.wire_bytes
-        );
-        push_f64(&mut out, self.compression_ratio());
-        out.push_str(",\"codec_time\":");
-        push_f64(&mut out, self.codec_time);
-        out.push('}');
-        out
+        w.field("sends", self.sends)
+            .field("logical_bytes", self.logical_bytes())
+            .field("wire_bytes", self.wire_bytes)
+            .field("compression_ratio", self.compression_ratio())
+            .field("codec_time", self.codec_time);
     }
 }
 
