@@ -8,20 +8,21 @@
 //! partitioning is the same as the fold operation in the 2D
 //! partitioning", §2.2).
 //!
-//! This is a deliberately independent code path from
-//! [`crate::bfs2d`] — the paper notes 1D is equivalent to 2D with
-//! `R = 1`, and the test suite *proves* our two implementations agree on
-//! labels and on fold wire volume, which cross-validates both.
+//! What stays independent of [`crate::bfs2d`] is what makes this
+//! Algorithm 1: the `1 × P` layout, no expand phase, and discovery
+//! straight from each rank's own frontier. The fold, absorb and
+//! per-level bookkeeping are the level step the 2D engines share,
+//! and the test suite checks this engine against `bfs2d` on the same
+//! `1 × P` grid level record by level record (§2.2: 1D is 2D with
+//! `R = 1`).
 
-use crate::bfs2d::{BfsResult, FoldOut};
-use crate::config::{BfsConfig, FoldStrategy};
+use crate::bfs2d::BfsResult;
+use crate::config::BfsConfig;
 use crate::state::{gather_levels, RankState};
-use crate::stats::{LevelStats, RunStats};
-use bgl_comm::collectives::{
-    alltoall::alltoallv, reduce_scatter::reduce_scatter_union_ring, two_phase::two_phase_fold,
-    Groups,
-};
-use bgl_comm::{CommError, OpClass, Phase, SimWorld, Vert};
+use crate::stats::{LevelDirection, LevelSnapshot, RunStats};
+use crate::step::{charge_probes, fold_absorb};
+use bgl_comm::collectives::Groups;
+use bgl_comm::{CommError, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
 use rayon::ParallelSliceMut;
 
@@ -42,7 +43,6 @@ pub fn try_run(
         "Algorithm 1 requires the 1 x P (1D) processor layout"
     );
     assert!(source < graph.spec.n, "source out of range");
-    let p = grid.len();
 
     // With R = 1 the only group is the single processor-row: all of P.
     let row_groups = Groups::rows_of(grid);
@@ -62,14 +62,11 @@ pub fn try_run(
         if config.max_levels > 0 && level >= config.max_levels {
             break;
         }
-        let time_at_start = world.time();
-        let comm_at_start = world.comm_time();
-        let codec_at_start = world.codec_time();
-        let comm_snapshot = world.stats.clone();
+        let snapshot = LevelSnapshot::take(world);
 
         let frontier_sizes: Vec<u64> = states.iter().map(|s| s.frontier_len()).collect();
         let global_frontier = world.allreduce_sum(&frontier_sizes);
-        world.trace_span(Phase::Termination, level, time_at_start);
+        world.trace_span(Phase::Termination, level, snapshot.time());
         if global_frontier == 0 {
             break;
         }
@@ -86,61 +83,20 @@ pub fn try_run(
                 out
             })
             .collect();
-
         world.trace_span(Phase::Discover, level, t_discover);
 
-        // Steps 8–13: send N_q to owner q.
-        let t_fold = world.time();
-        let nbar: FoldOut = match config.fold {
-            FoldStrategy::DirectAllToAll => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = blocks
-                    .into_iter()
-                    .map(|bs| {
-                        bs.into_iter()
-                            .enumerate()
-                            .filter(|(_, b)| !b.is_empty())
-                            .collect()
-                    })
-                    .collect();
-                FoldOut::PerSender(
-                    alltoallv(world, OpClass::Fold, &row_groups, sends)?
-                        .into_iter()
-                        .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                        .collect(),
-                )
-            }
-            FoldStrategy::ReduceScatterUnion => FoldOut::Union(reduce_scatter_union_ring(
-                world,
-                OpClass::Fold,
-                &row_groups,
-                blocks,
-            )?),
-            FoldStrategy::TwoPhaseRing => {
-                FoldOut::Union(two_phase_fold(world, OpClass::Fold, &row_groups, blocks)?)
-            }
-        };
-
-        world.trace_span(Phase::Fold, level, t_fold);
-
-        // Steps 14–16: label new vertices.
+        // Steps 8–16: send N_q to owner q, label new vertices.
+        fold_absorb(
+            world,
+            config.fold,
+            &row_groups,
+            &mut states,
+            blocks,
+            level,
+            level + 1,
+        )?;
         let t_absorb = world.time();
-        match &nbar {
-            FoldOut::PerSender(lists) => {
-                let _: Vec<u64> = states.par_iter_mut().zip(lists).map_collect(|s, lists| {
-                    let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-                    s.absorb(&refs, level + 1)
-                });
-            }
-            FoldOut::Union(sets) => {
-                let _: Vec<u64> = states
-                    .par_iter_mut()
-                    .zip(sets)
-                    .map_collect(|s, set| s.absorb_set(set, level + 1));
-            }
-        }
-        drop(nbar);
-        let probes: Vec<u64> = states.iter_mut().map(RankState::take_probes).collect();
-        world.hash_phase(&probes);
+        let probes = charge_probes(world, &mut states);
 
         if let Some(t) = config.target {
             let flags: Vec<bool> = states.iter().map(|s| s.level_of(t).is_some()).collect();
@@ -149,26 +105,14 @@ pub fn try_run(
             }
         }
         world.trace_span(Phase::Absorb, level, t_absorb);
-        world.trace_span(Phase::Level, level, time_at_start);
-
-        let delta = world.stats.minus(&comm_snapshot);
-        level_records.push(LevelStats {
+        world.trace_span(Phase::Level, level, snapshot.time());
+        level_records.push(snapshot.finish(
+            world,
             level,
-            frontier: global_frontier,
-            expand_received: delta.class(OpClass::Expand).received_verts,
-            fold_received: delta.class(OpClass::Fold).received_verts,
-            dups_eliminated: delta.total_dups_eliminated(),
-            sim_time: world.time() - time_at_start,
-            comm_time: world.comm_time() - comm_at_start,
-            list_unions: delta.setops.list_unions,
-            bitmap_unions: delta.setops.bitmap_unions,
-            densify_switches: delta.setops.densify_switches,
-            logical_bytes: delta.total_logical_bytes(),
-            wire_bytes: delta.total_wire_bytes(),
-            codec_time: world.codec_time() - codec_at_start,
-            // 1D BFS is top-down only.
-            ..LevelStats::default()
-        });
+            global_frontier,
+            LevelDirection::TopDown,
+            probes,
+        ));
 
         if target_level.is_some() {
             break;
@@ -185,16 +129,7 @@ pub fn try_run(
     let levels = gather_levels(&states, graph.spec.n);
     let reached = states.iter().map(|s| s.reached()).sum();
     Ok(BfsResult {
-        stats: RunStats {
-            levels: level_records,
-            sim_time: world.time(),
-            comm_time: world.comm_time(),
-            compute_time: world.compute_time(),
-            codec_time: world.codec_time(),
-            reached,
-            comm: world.stats.clone(),
-            p,
-        },
+        stats: RunStats::from_world(world, level_records, reached),
         target_level,
         levels,
     })
@@ -203,8 +138,9 @@ pub fn try_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FoldStrategy;
     use crate::reference;
-    use bgl_comm::ProcessorGrid;
+    use bgl_comm::{OpClass, ProcessorGrid};
     use bgl_graph::GraphSpec;
 
     #[test]

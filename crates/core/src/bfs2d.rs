@@ -43,19 +43,13 @@
 //!   produces bit-identical level labels to a fault-free run, because
 //!   absorb only ever labels unreached vertices.
 
-use crate::config::{BfsConfig, DirectionMode, ExpandStrategy, FoldStrategy};
+use crate::config::{BfsConfig, DirectionMode};
 use crate::parity::{GroupShard, ParityGroups};
 use crate::state::{gather_levels, RankState};
-use crate::stats::{LevelDirection, LevelStats, RunStats};
-use bgl_comm::collectives::{
-    allgather::allgather_ring,
-    alltoall::alltoallv,
-    frontier::frontier_gather,
-    reduce_scatter::reduce_scatter_union_ring,
-    two_phase::{two_phase_expand, two_phase_fold},
-    Groups,
-};
-use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert, VertSet};
+use crate::stats::{LevelDirection, LevelSnapshot, LevelStats, RunStats};
+use crate::step::{charge_probes, expand_discover, fold_absorb, with_retry};
+use bgl_comm::collectives::{frontier::frontier_gather, Groups};
+use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
 use rayon::ParallelSliceMut;
 
@@ -157,17 +151,6 @@ pub struct ResilientBfsResult {
     pub recovery_time: f64,
 }
 
-/// Per-rank fold output: either one payload list per sender (direct
-/// all-to-all — duplicate elimination happens at the receiver, one probe
-/// per *occurrence*) or a single union set per rank (the union-fold
-/// collectives, one probe per *element*).
-pub(crate) enum FoldOut {
-    /// One received list per sending row peer.
-    PerSender(Vec<Vec<Vec<Vert>>>),
-    /// One deduplicated union set per rank.
-    Union(Vec<VertSet>),
-}
-
 /// What one level of the main loop decided.
 enum LevelOutcome {
     /// Global frontier empty: traversal complete.
@@ -223,10 +206,7 @@ fn level_pass(
     target_level: &mut Option<u32>,
 ) -> Result<LevelOutcome, CommError> {
     let grid = world.grid();
-    let time_at_start = world.time();
-    let comm_at_start = world.comm_time();
-    let codec_at_start = world.codec_time();
-    let comm_snapshot = world.stats.clone();
+    let snapshot = LevelSnapshot::take(world);
 
     // -- 1. termination check on global frontier size. With direction
     // optimization on, the same tree round also allreduces the frontier
@@ -245,7 +225,7 @@ fn level_pass(
             .wants_bottom_up(gf, mf_hat, mu_hat, n, grid.rows() as u64);
         (gf, bu)
     };
-    world.trace_span(Phase::Termination, level, time_at_start);
+    world.trace_span(Phase::Termination, level, snapshot.time());
     if global_frontier == 0 {
         return Ok(LevelOutcome::Exhausted);
     }
@@ -270,108 +250,22 @@ fn level_pass(
         world.trace_span(Phase::Discover, level, t_discover);
         blocks
     } else {
-        // -- 2. expand.
-        let t_expand = world.time();
-        let fbar: Vec<Vec<Vec<Vert>>> = match config.expand {
-            ExpandStrategy::Targeted => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = states
-                    .par_iter_mut()
-                    .map(RankState::expand_sends_targeted)
-                    .collect();
-                alltoallv(world, OpClass::Expand, col_groups, sends)?
-                    .into_iter()
-                    .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::AllGatherRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                allgather_ring(world, OpClass::Expand, col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::TwoPhaseRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                two_phase_expand(world, OpClass::Expand, col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-        };
-
-        world.trace_span(Phase::Expand, level, t_expand);
-
-        // -- 3. local discovery. Zero-duration span in the simulator:
-        // the probe costs are charged in the absorb phase's hash pass.
-        let t_discover = world.time();
-        let blocks: Vec<Vec<Vec<Vert>>> =
-            states.par_iter_mut().zip(&fbar).map_collect(|s, lists| {
-                let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-                s.discover(&refs)
-            });
-        drop(fbar);
-        world.trace_span(Phase::Discover, level, t_discover);
-        blocks
+        // -- 2./3. expand + local discovery.
+        expand_discover(world, config.expand, col_groups, states, level)?
     };
 
-    // -- 4. fold.
-    let t_fold = world.time();
-    let nbar: FoldOut = match config.fold {
-        FoldStrategy::DirectAllToAll => {
-            let sends: Vec<Vec<(usize, Vec<Vert>)>> = blocks
-                .into_iter()
-                .enumerate()
-                .map(|(rank, bs)| {
-                    let i = grid.row_of(rank);
-                    bs.into_iter()
-                        .enumerate()
-                        .filter(|(_, b)| !b.is_empty())
-                        .map(|(m, b)| (grid.rank_of(i, m), b))
-                        .collect()
-                })
-                .collect();
-            FoldOut::PerSender(
-                alltoallv(world, OpClass::Fold, row_groups, sends)?
-                    .into_iter()
-                    .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                    .collect(),
-            )
-        }
-        FoldStrategy::ReduceScatterUnion => FoldOut::Union(reduce_scatter_union_ring(
-            world,
-            OpClass::Fold,
-            row_groups,
-            blocks,
-        )?),
-        FoldStrategy::TwoPhaseRing => {
-            FoldOut::Union(two_phase_fold(world, OpClass::Fold, row_groups, blocks)?)
-        }
-    };
-
-    world.trace_span(Phase::Fold, level, t_fold);
-
-    // -- 5. absorb + compute charge.
+    // -- 4./5. fold + absorb, then the compute charge.
+    fold_absorb(
+        world,
+        config.fold,
+        row_groups,
+        states,
+        blocks,
+        level,
+        level + 1,
+    )?;
     let t_absorb = world.time();
-    match &nbar {
-        FoldOut::PerSender(lists) => {
-            let _: Vec<u64> = states.par_iter_mut().zip(lists).map_collect(|s, lists| {
-                let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-                s.absorb(&refs, level + 1)
-            });
-        }
-        FoldOut::Union(sets) => {
-            let _: Vec<u64> = states
-                .par_iter_mut()
-                .zip(sets)
-                .map_collect(|s, set| s.absorb_set(set, level + 1));
-        }
-    }
-    drop(nbar);
-    let probes: Vec<u64> = states.iter_mut().map(RankState::take_probes).collect();
-    let level_probes: u64 = probes.iter().sum();
-    world.hash_phase(&probes);
+    let level_probes = charge_probes(world, states.iter_mut());
 
     // -- target detection.
     if let Some(t) = config.target {
@@ -383,31 +277,14 @@ fn level_pass(
     // The absorb span also covers the target-detection allreduce, so
     // the level's phase spans partition its whole interval.
     world.trace_span(Phase::Absorb, level, t_absorb);
-    world.trace_span(Phase::Level, level, time_at_start);
+    world.trace_span(Phase::Level, level, snapshot.time());
 
-    let delta = world.stats.minus(&comm_snapshot);
-    level_records.push(LevelStats {
-        level,
-        frontier: global_frontier,
-        expand_received: delta.class(OpClass::Expand).received_verts,
-        fold_received: delta.class(OpClass::Fold).received_verts,
-        dups_eliminated: delta.total_dups_eliminated(),
-        sim_time: world.time() - time_at_start,
-        comm_time: world.comm_time() - comm_at_start,
-        list_unions: delta.setops.list_unions,
-        bitmap_unions: delta.setops.bitmap_unions,
-        densify_switches: delta.setops.densify_switches,
-        logical_bytes: delta.total_logical_bytes(),
-        wire_bytes: delta.total_wire_bytes(),
-        codec_time: world.codec_time() - codec_at_start,
-        direction: if bottom_up {
-            LevelDirection::BottomUp
-        } else {
-            LevelDirection::TopDown
-        },
-        td_probes: if bottom_up { 0 } else { level_probes },
-        bu_probes: if bottom_up { level_probes } else { 0 },
-    });
+    let direction = if bottom_up {
+        LevelDirection::BottomUp
+    } else {
+        LevelDirection::TopDown
+    };
+    level_records.push(snapshot.finish(world, level, global_frontier, direction, level_probes));
 
     if target_level.is_some() {
         return Ok(LevelOutcome::TargetFound);
@@ -425,36 +302,6 @@ fn encode_entry(level: u32, verts: &[Vertex]) -> Vec<Vert> {
     entry.push(verts.len() as Vert);
     entry.extend_from_slice(verts);
     entry
-}
-
-/// Per-rank control inboxes: for each rank, `(sender, payload)` pairs
-/// in stable sender order.
-type ControlInboxes = Vec<Vec<(usize, Vec<Vert>)>>;
-
-/// Run a control-network exchange with bounded retry: transient
-/// failures ([`CommError::Unreachable`], [`CommError::Timeout`]) charge
-/// exponential backoff and re-roll the control fault schedule (each
-/// attempt is a fresh control round); permanent errors propagate
-/// immediately. Returns the last transient error when `attempts` runs
-/// out.
-fn control_exchange_with_retry(
-    world: &mut SimWorld,
-    sends: Vec<(usize, usize, Vec<Vert>)>,
-    attempts: u32,
-) -> Result<ControlInboxes, CommError> {
-    let mut last = None;
-    for retry in 0..attempts.max(1) {
-        match world.exchange(OpClass::Control, sends.clone()) {
-            Ok(inboxes) => return Ok(inboxes),
-            Err(e @ (CommError::Unreachable { .. } | CommError::Timeout { .. })) => {
-                world.charge_recovery_backoff(retry);
-                last = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    // bgl-lint: allow(r1, reason = "attempts.max(1) guarantees the loop body ran and set `last` before falling through")
-    Err(last.expect("attempts >= 1 so at least one attempt ran"))
 }
 
 /// After every absorb, append each rank's freshly labeled vertices (its
@@ -483,7 +330,9 @@ fn parity_update(
             }
         }
     }
-    control_exchange_with_retry(world, sends, attempts)?;
+    with_retry(world, attempts, |w| {
+        w.exchange(OpClass::Control, sends.clone())
+    })?;
     Ok(())
 }
 
@@ -669,7 +518,9 @@ fn engine(
                     if let Some(h) = shard_holder {
                         sends.push((h, rank, shards_ckpt[group].words().to_vec()));
                     }
-                    match control_exchange_with_retry(world, sends, rc.recovery_attempts) {
+                    match with_retry(world, rc.recovery_attempts, |w| {
+                        w.exchange(OpClass::Control, sends.clone())
+                    }) {
                         Ok(inboxes) => {
                             // Split the inbox back into survivor logs and
                             // the shard: inboxes are sorted by sender and
@@ -801,16 +652,7 @@ fn engine(
     let reached = states.iter().map(|s| s.reached()).sum();
     Ok(ResilientBfsResult {
         result: BfsResult {
-            stats: RunStats {
-                levels: level_records,
-                sim_time: world.time(),
-                comm_time: world.comm_time(),
-                compute_time: world.compute_time(),
-                codec_time: world.codec_time(),
-                reached,
-                comm: world.stats.clone(),
-                p,
-            },
+            stats: RunStats::from_world(world, level_records, reached),
             target_level,
             levels,
         },

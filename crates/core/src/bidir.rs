@@ -16,18 +16,12 @@
 //! distance is exact (any shorter path would contain a doubly-labeled
 //! vertex with a smaller sum).
 
-use crate::bfs2d::FoldOut;
-use crate::config::{BfsConfig, ExpandStrategy, FoldStrategy};
+use crate::config::BfsConfig;
 use crate::state::RankState;
-use crate::stats::{LevelStats, RunStats};
-use bgl_comm::collectives::{
-    allgather::allgather_ring,
-    alltoall::alltoallv,
-    reduce_scatter::reduce_scatter_union_ring,
-    two_phase::{two_phase_expand, two_phase_fold},
-    Groups,
-};
-use bgl_comm::{CommError, OpClass, Phase, SimWorld, Vert};
+use crate::stats::{LevelDirection, LevelSnapshot, RunStats};
+use crate::step::{charge_probes, expand_discover, fold_absorb};
+use bgl_comm::collectives::Groups;
+use bgl_comm::{CommError, Phase, SimWorld};
 use bgl_graph::{DistGraph, Vertex};
 use rayon::ParallelSliceMut;
 
@@ -64,16 +58,7 @@ pub fn try_run(
     if source == target {
         return Ok(BidirResult {
             distance: Some(0),
-            stats: RunStats {
-                levels: Vec::new(),
-                sim_time: 0.0,
-                comm_time: 0.0,
-                compute_time: 0.0,
-                codec_time: 0.0,
-                reached: 1,
-                comm: world.stats.clone(),
-                p,
-            },
+            stats: RunStats::from_world(world, Vec::new(), 1),
         });
     }
 
@@ -123,10 +108,7 @@ pub fn try_run(
             Side::Target
         };
 
-        let time_at_start = world.time();
-        let comm_at_start = world.comm_time();
-        let codec_at_start = world.codec_time();
-        let comm_snapshot = world.stats.clone();
+        let snapshot = LevelSnapshot::take(world);
 
         let (states, other, depth, frontier_size) = match side {
             Side::Source => (&mut st_s, &st_t, &mut depth_s, gs),
@@ -135,93 +117,17 @@ pub fn try_run(
         let next_level = *depth as u32 + 1;
 
         // --- one full level of the chosen side (expand/discover/fold).
-        let t_expand = world.time();
-        let fbar: Vec<Vec<Vec<Vert>>> = match config.expand {
-            ExpandStrategy::Targeted => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = states
-                    .par_iter_mut()
-                    .map(RankState::expand_sends_targeted)
-                    .collect();
-                alltoallv(world, OpClass::Expand, &col_groups, sends)?
-                    .into_iter()
-                    .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::AllGatherRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                allgather_ring(world, OpClass::Expand, &col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-            ExpandStrategy::TwoPhaseRing => {
-                let contributions: Vec<Vec<Vert>> =
-                    states.iter().map(|s| s.frontier.clone()).collect();
-                two_phase_expand(world, OpClass::Expand, &col_groups, contributions)?
-                    .into_iter()
-                    .map(|parts| parts.into_iter().map(|(_, pl)| pl).collect())
-                    .collect()
-            }
-        };
-        world.trace_span(Phase::Expand, iter, t_expand);
-        let t_discover = world.time();
-        let blocks: Vec<Vec<Vec<Vert>>> =
-            states.par_iter_mut().zip(&fbar).map_collect(|s, lists| {
-                let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-                s.discover(&refs)
-            });
-        drop(fbar);
-        world.trace_span(Phase::Discover, iter, t_discover);
-        let t_fold = world.time();
-        let nbar: FoldOut = match config.fold {
-            FoldStrategy::DirectAllToAll => {
-                let sends: Vec<Vec<(usize, Vec<Vert>)>> = blocks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, bs)| {
-                        let i = grid.row_of(rank);
-                        bs.into_iter()
-                            .enumerate()
-                            .filter(|(_, b)| !b.is_empty())
-                            .map(|(m, b)| (grid.rank_of(i, m), b))
-                            .collect()
-                    })
-                    .collect();
-                FoldOut::PerSender(
-                    alltoallv(world, OpClass::Fold, &row_groups, sends)?
-                        .into_iter()
-                        .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-                        .collect(),
-                )
-            }
-            FoldStrategy::ReduceScatterUnion => FoldOut::Union(reduce_scatter_union_ring(
-                world,
-                OpClass::Fold,
-                &row_groups,
-                blocks,
-            )?),
-            FoldStrategy::TwoPhaseRing => {
-                FoldOut::Union(two_phase_fold(world, OpClass::Fold, &row_groups, blocks)?)
-            }
-        };
-        world.trace_span(Phase::Fold, iter, t_fold);
+        let blocks = expand_discover(world, config.expand, &col_groups, states, iter)?;
+        fold_absorb(
+            world,
+            config.fold,
+            &row_groups,
+            states,
+            blocks,
+            iter,
+            next_level,
+        )?;
         let t_absorb = world.time();
-        match &nbar {
-            FoldOut::PerSender(lists) => {
-                let _: Vec<u64> = states.par_iter_mut().zip(lists).map_collect(|s, lists| {
-                    let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-                    s.absorb(&refs, next_level)
-                });
-            }
-            FoldOut::Union(sets) => {
-                let _: Vec<u64> = states
-                    .par_iter_mut()
-                    .zip(sets)
-                    .map_collect(|s, set| s.absorb_set(set, next_level));
-            }
-        }
-        drop(nbar);
 
         // --- meet detection on the newly labeled frontier (each rank
         // probes its fresh labels against the other side's labels; the
@@ -239,32 +145,21 @@ pub fn try_run(
         for (slot, m) in best_local.iter_mut().zip(&meets) {
             *slot = (*slot).min(*m);
         }
-        let probes: Vec<u64> = states.iter_mut().map(RankState::take_probes).collect();
-        world.hash_phase(&probes);
+        let probes = charge_probes(world, states.iter_mut());
         candidate = candidate.min(world.allreduce_min(&best_local));
         // Absorb also covers meet detection and the min-allreduce.
         world.trace_span(Phase::Absorb, iter, t_absorb);
-        world.trace_span(Phase::Level, iter, time_at_start);
+        world.trace_span(Phase::Level, iter, snapshot.time());
         *depth += 1;
 
-        let delta = world.stats.minus(&comm_snapshot);
-        level_records.push(LevelStats {
-            level: iter,
-            frontier: frontier_size,
-            expand_received: delta.class(OpClass::Expand).received_verts,
-            fold_received: delta.class(OpClass::Fold).received_verts,
-            dups_eliminated: delta.total_dups_eliminated(),
-            sim_time: world.time() - time_at_start,
-            comm_time: world.comm_time() - comm_at_start,
-            list_unions: delta.setops.list_unions,
-            bitmap_unions: delta.setops.bitmap_unions,
-            densify_switches: delta.setops.densify_switches,
-            logical_bytes: delta.total_logical_bytes(),
-            wire_bytes: delta.total_wire_bytes(),
-            codec_time: world.codec_time() - codec_at_start,
-            // Bi-directional search alternates sides, not directions.
-            ..LevelStats::default()
-        });
+        // Bi-directional search alternates sides, not directions.
+        level_records.push(snapshot.finish(
+            world,
+            iter,
+            frontier_size,
+            LevelDirection::TopDown,
+            probes,
+        ));
         iter += 1;
     }
 
@@ -272,16 +167,7 @@ pub fn try_run(
         + st_t.iter().map(|s| s.reached()).sum::<u64>();
     Ok(BidirResult {
         distance: (candidate != u64::MAX).then_some(candidate as u32),
-        stats: RunStats {
-            levels: level_records,
-            sim_time: world.time(),
-            comm_time: world.comm_time(),
-            compute_time: world.compute_time(),
-            codec_time: world.codec_time(),
-            reached,
-            comm: world.stats.clone(),
-            p,
-        },
+        stats: RunStats::from_world(world, level_records, reached),
     })
 }
 
@@ -300,6 +186,15 @@ mod tests {
             let mut world = SimWorld::bluegene(grid);
             let got = try_run(&graph, &mut world, &BfsConfig::default(), s, t).unwrap();
             assert_eq!(got.distance, expect, "s={s} t={t}");
+            // Every half-step is a top-down level that charged probes.
+            assert!(
+                got.stats
+                    .levels
+                    .iter()
+                    .all(|l| l.td_probes > 0 && l.bu_probes == 0),
+                "s={s} t={t}"
+            );
+            assert!(got.stats.total_probes() > 0, "s={s} t={t}");
         }
     }
 
@@ -342,13 +237,28 @@ mod tests {
 
     #[test]
     fn identical_endpoints() {
+        // On a world that has already searched, the early exit reports
+        // the world's cumulative clocks and counters like every other
+        // exit.
         let spec = GraphSpec::poisson(100, 4.0, 2);
         let grid = ProcessorGrid::new(1, 2);
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
+        let _ = try_run(&graph, &mut world, &BfsConfig::default(), 0, 50).unwrap();
+        assert!(world.time() > 0.0);
         let got = try_run(&graph, &mut world, &BfsConfig::default(), 42, 42).unwrap();
         assert_eq!(got.distance, Some(0));
         assert!(got.stats.levels.is_empty());
+        assert_eq!(got.stats.reached, 1);
+        assert_eq!(got.stats.comm, world.stats);
+        for (clock, x, y) in [
+            ("sim", got.stats.sim_time, world.time()),
+            ("comm", got.stats.comm_time, world.comm_time()),
+            ("compute", got.stats.compute_time, world.compute_time()),
+            ("codec", got.stats.codec_time, world.codec_time()),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{clock} time");
+        }
     }
 
     #[test]

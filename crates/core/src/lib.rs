@@ -62,6 +62,7 @@ pub mod path;
 pub mod reference;
 pub mod state;
 pub mod stats;
+mod step;
 pub mod theory;
 pub mod threaded_run;
 pub mod tree;

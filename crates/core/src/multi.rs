@@ -30,6 +30,7 @@
 
 use crate::reference::UNREACHED;
 use crate::state::RowMarks;
+use crate::step::route_to_row_peers;
 use crate::validate::{self, ValidationError, ValidationReport};
 use bgl_comm::collectives::lane::{lane_alltoallv, LaneSendList};
 use bgl_comm::collectives::Groups;
@@ -345,18 +346,7 @@ pub fn try_run(
 
         // -- 4. fold over processor-rows.
         let t_fold = world.time();
-        let sends: Vec<LaneSendList> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(rank, bs)| {
-                let i = grid.row_of(rank);
-                bs.into_iter()
-                    .enumerate()
-                    .filter(|(_, b)| !b.is_empty())
-                    .map(|(m, b)| (grid.rank_of(i, m), b))
-                    .collect()
-            })
-            .collect();
+        let sends = route_to_row_peers(grid, blocks, LaneSet::is_empty);
         let nbar = lane_alltoallv(world, OpClass::Fold, &row_groups, sends)?;
         world.trace_span(Phase::Fold, wave, t_fold);
 

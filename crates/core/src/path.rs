@@ -22,6 +22,7 @@
 //! communication.
 
 use crate::reference::UNREACHED;
+use crate::step::with_retry;
 use bgl_comm::collectives::lane::lane_exchange;
 use bgl_comm::{CommError, LaneMask, LaneSet, OpClass, Phase, SimWorld, Vert, MAX_LANES};
 use bgl_graph::{DistGraph, Vertex};
@@ -209,6 +210,12 @@ pub fn try_multi(
     let t_start = world.time();
     let c_start = world.comm_time();
     let b = targets.len();
+    // One control round, retried up to `config.retry_attempts` times.
+    let exchange = |world: &mut SimWorld, sends: Vec<(usize, usize, LaneSet)>| {
+        with_retry(world, config.retry_attempts, |w| {
+            lane_exchange(w, OpClass::Control, sends.clone())
+        })
+    };
 
     // Lane l walks from targets[l]; unreached targets never activate.
     let mut paths: Vec<Option<Vec<Vertex>>> = targets
@@ -258,7 +265,7 @@ pub fn try_multi(
                 }
             })
             .collect();
-        let inboxes = lane_exchange_with_retry(world, assemble(announce), config.retry_attempts)?;
+        let inboxes = exchange(world, assemble(announce))?;
         rounds += 1;
 
         // Round 2 (fold-shaped): column peers forward each queried
@@ -287,7 +294,7 @@ pub fn try_multi(
                 }
             }
         }
-        let inboxes = lane_exchange_with_retry(world, assemble(forwards), config.retry_attempts)?;
+        let inboxes = exchange(world, assemble(forwards))?;
         rounds += 1;
 
         // Round 3: owners keep candidates exactly one level below the
@@ -324,7 +331,7 @@ pub fn try_multi(
                 }
             }
         }
-        let inboxes = lane_exchange_with_retry(world, assemble(replies), config.retry_attempts)?;
+        let inboxes = exchange(world, assemble(replies))?;
         rounds += 1;
 
         // Resolve every active lane's parent at its owner: the global
@@ -374,29 +381,6 @@ fn assemble(map: BTreeMap<(usize, usize), Vec<(Vert, LaneMask)>>) -> Vec<(usize,
     map.into_iter()
         .map(|((from, to), pairs)| (from, to, LaneSet::from_pairs(pairs)))
         .collect()
-}
-
-/// Lane-set twin of `bfs2d`'s control retry: transient failures charge
-/// exponential backoff and re-roll the control fault schedule; permanent
-/// errors propagate immediately.
-fn lane_exchange_with_retry(
-    world: &mut SimWorld,
-    sends: Vec<(usize, usize, LaneSet)>,
-    attempts: u32,
-) -> Result<Vec<Vec<LaneSet>>, CommError> {
-    let mut last = None;
-    for retry in 0..attempts.max(1) {
-        match lane_exchange(world, OpClass::Control, sends.clone()) {
-            Ok(inboxes) => return Ok(inboxes),
-            Err(e @ (CommError::Unreachable { .. } | CommError::Timeout { .. })) => {
-                world.charge_recovery_backoff(retry);
-                last = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    // bgl-lint: allow(r1, reason = "attempts.max(1) guarantees the loop body ran and set `last` before falling through")
-    Err(last.expect("attempts >= 1 so at least one attempt ran"))
 }
 
 /// Validate that `path` is a genuine path in the graph described by

@@ -127,14 +127,9 @@ impl<'g> RankState<'g> {
                 };
                 for &rl in rg.edges.rows_of(ci) {
                     self.probes += 1;
-                    if !self.sent.is_empty() {
-                        if self.sent[rl as usize] {
-                            continue;
-                        }
-                        self.sent[rl as usize] = true;
-                        self.unexplored -= rg.edges.row_degree(rl) as u64;
+                    if self.claim_row(rl) {
+                        marks.mark(rl);
                     }
-                    marks.mark(rl);
                 }
             }
         }
@@ -143,6 +138,23 @@ impl<'g> RankState<'g> {
             blocks[m].push(rg.edges.row_of_local(rl));
         });
         blocks
+    }
+
+    /// Whether row-local id `rl` is to be sent now. With the
+    /// sent-neighbors cache on, the first call for a row records it (and
+    /// retires its entries from [`RankState::unexplored`]) and every
+    /// later call says no; with the cache off every call says yes.
+    #[inline]
+    pub(crate) fn claim_row(&mut self, rl: u32) -> bool {
+        if self.sent.is_empty() {
+            return true;
+        }
+        if self.sent[rl as usize] {
+            return false;
+        }
+        self.sent[rl as usize] = true;
+        self.unexplored -= self.rg.edges.row_degree(rl) as u64;
+        true
     }
 
     /// Absorb received neighbor sets: label unlabeled owned vertices with

@@ -1,7 +1,7 @@
 //! Per-run and per-level BFS statistics — the quantities the paper's
 //! evaluation section plots and tabulates.
 
-use bgl_comm::{CommStats, OpClass};
+use bgl_comm::{CommStats, OpClass, SimWorld};
 use serde::{Deserialize, Serialize};
 
 /// Which traversal direction a level actually ran (the
@@ -85,6 +85,65 @@ pub struct LevelStats {
     pub bu_probes: u64,
 }
 
+/// The world's clocks and message counters when a level starts. Every
+/// engine takes one per level and turns it into that level's
+/// [`LevelStats`] with [`LevelSnapshot::finish`].
+pub(crate) struct LevelSnapshot {
+    time: f64,
+    comm_time: f64,
+    codec_time: f64,
+    comm: CommStats,
+}
+
+impl LevelSnapshot {
+    /// Snapshot `world` now.
+    pub(crate) fn take(world: &SimWorld) -> Self {
+        Self {
+            time: world.time(),
+            comm_time: world.comm_time(),
+            codec_time: world.codec_time(),
+            comm: world.stats.clone(),
+        }
+    }
+
+    /// Simulated time at the snapshot (the level's start).
+    pub(crate) fn time(&self) -> f64 {
+        self.time
+    }
+
+    /// The level's record: everything `world` did since the snapshot,
+    /// with the level's hash `probes` attributed to its `direction`.
+    pub(crate) fn finish(
+        self,
+        world: &SimWorld,
+        level: u32,
+        frontier: u64,
+        direction: LevelDirection,
+        probes: u64,
+    ) -> LevelStats {
+        let delta = world.stats.minus(&self.comm);
+        let bottom_up = direction == LevelDirection::BottomUp;
+        LevelStats {
+            level,
+            frontier,
+            expand_received: delta.class(OpClass::Expand).received_verts,
+            fold_received: delta.class(OpClass::Fold).received_verts,
+            dups_eliminated: delta.total_dups_eliminated(),
+            sim_time: world.time() - self.time,
+            comm_time: world.comm_time() - self.comm_time,
+            list_unions: delta.setops.list_unions,
+            bitmap_unions: delta.setops.bitmap_unions,
+            densify_switches: delta.setops.densify_switches,
+            logical_bytes: delta.total_logical_bytes(),
+            wire_bytes: delta.total_wire_bytes(),
+            codec_time: world.codec_time() - self.codec_time,
+            direction,
+            td_probes: if bottom_up { 0 } else { probes },
+            bu_probes: if bottom_up { probes } else { 0 },
+        }
+    }
+}
+
 /// Statistics for one whole BFS run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunStats {
@@ -108,6 +167,21 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// A run's statistics: its per-level `levels` and `reached` count
+    /// plus the world's cumulative clocks and message counters.
+    pub(crate) fn from_world(world: &SimWorld, levels: Vec<LevelStats>, reached: u64) -> Self {
+        Self {
+            levels,
+            sim_time: world.time(),
+            comm_time: world.comm_time(),
+            compute_time: world.compute_time(),
+            codec_time: world.codec_time(),
+            reached,
+            comm: world.stats.clone(),
+            p: world.p(),
+        }
+    }
+
     /// Number of levels executed.
     pub fn num_levels(&self) -> usize {
         self.levels.len()

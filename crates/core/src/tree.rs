@@ -21,10 +21,12 @@
 
 use crate::config::BfsConfig;
 use crate::reference::UNREACHED;
-use crate::stats::{LevelStats, RunStats};
+use crate::state::{gather_levels, RankState};
+use crate::stats::{LevelDirection, LevelSnapshot, RunStats};
+use crate::step::{charge_probes, payloads, route_to_row_peers};
 use bgl_comm::collectives::{alltoall::alltoallv, Groups};
 use bgl_comm::{CommError, OpClass, SimWorld, Vert};
-use bgl_graph::{DistGraph, RankGraph, Vertex};
+use bgl_graph::{DistGraph, Vertex};
 
 /// Parent label meaning "no parent" (unreached, or the source itself
 /// uses its own id).
@@ -42,52 +44,34 @@ pub struct TreeResult {
     pub stats: RunStats,
 }
 
+/// A rank's levels-only [`RankState`] plus the parent of every owned
+/// vertex (by owned offset).
 struct TreeRankState<'g> {
-    rg: &'g RankGraph,
-    levels: Vec<u32>,
+    state: RankState<'g>,
     parents: Vec<u64>,
-    frontier: Vec<Vertex>,
-    sent: Vec<bool>,
-    probes: u64,
 }
 
-impl<'g> TreeRankState<'g> {
-    fn new(rg: &'g RankGraph, use_sent: bool) -> Self {
-        Self {
-            rg,
-            levels: vec![UNREACHED; rg.owned_len()],
-            parents: vec![NO_PARENT; rg.owned_len()],
-            frontier: Vec::new(),
-            sent: if use_sent {
-                vec![false; rg.edges.num_row_ids()]
-            } else {
-                Vec::new()
-            },
-            probes: 0,
-        }
-    }
-
+impl TreeRankState<'_> {
     /// Discovery emitting `(u, parent)` pairs per destination grid
-    /// column, flat-encoded `[u0, p0, u1, p1, …]`.
+    /// column, flat-encoded `[u0, p0, u1, p1, …]`. Probes and the
+    /// sent-neighbors cache work as in [`RankState::discover`].
     fn discover_pairs(&mut self, fbar_lists: &[&[Vert]], cols: usize) -> Vec<Vec<Vert>> {
+        let st = &mut self.state;
+        let rg = st.rank_graph();
         let mut blocks: Vec<Vec<Vert>> = vec![Vec::new(); cols];
         for list in fbar_lists {
             for &v in *list {
-                self.probes += 1;
-                let Some(ci) = self.rg.edges.col_local(v) else {
+                st.probes += 1;
+                let Some(ci) = rg.edges.col_local(v) else {
                     continue;
                 };
-                for &rl in self.rg.edges.rows_of(ci) {
-                    self.probes += 1;
-                    if !self.sent.is_empty() {
-                        if self.sent[rl as usize] {
-                            continue;
-                        }
-                        self.sent[rl as usize] = true;
+                for &rl in rg.edges.rows_of(ci) {
+                    st.probes += 1;
+                    if st.claim_row(rl) {
+                        let block = &mut blocks[rg.row_block_of(rl)];
+                        block.push(rg.edges.row_of_local(rl));
+                        block.push(v);
                     }
-                    let block = &mut blocks[self.rg.row_block_of(rl)];
-                    block.push(self.rg.edges.row_of_local(rl));
-                    block.push(v);
                 }
             }
         }
@@ -97,21 +81,22 @@ impl<'g> TreeRankState<'g> {
     /// Absorb `(u, parent)` pairs; smallest proposed parent wins ties
     /// within a level.
     fn absorb_pairs(&mut self, lists: &[&[Vert]], next_level: u32) {
+        let st = &mut self.state;
+        let rg = st.rank_graph();
         let mut fresh: Vec<Vertex> = Vec::new();
         for list in lists {
             debug_assert_eq!(list.len() % 2, 0, "pair payload must have even length");
             for pair in list.chunks_exact(2) {
                 let (u, parent) = (pair[0], pair[1]);
-                self.probes += 1;
-                let off = self
-                    .rg
+                st.probes += 1;
+                let off = rg
                     .owned_local(u)
                     .expect("fold delivered a vertex to a non-owner"); // bgl-lint: allow(r1, reason = "fold routes each vertex to the owner of its block column, so delivery to a non-owner is a partitioning bug")
-                if self.levels[off] == UNREACHED {
-                    self.levels[off] = next_level;
+                if st.levels[off] == UNREACHED {
+                    st.levels[off] = next_level;
                     self.parents[off] = parent;
                     fresh.push(u);
-                } else if self.levels[off] == next_level && parent < self.parents[off] {
+                } else if st.levels[off] == next_level && parent < self.parents[off] {
                     // Same-level duplicate from another discoverer:
                     // deterministic min-parent tie-break.
                     self.parents[off] = parent;
@@ -120,24 +105,7 @@ impl<'g> TreeRankState<'g> {
         }
         fresh.sort_unstable();
         fresh.dedup();
-        self.frontier = fresh;
-    }
-
-    fn expand_sends(&self, grid: bgl_comm::ProcessorGrid) -> Vec<(usize, Vec<Vert>)> {
-        let (_, j) = grid.position_of(self.rg.rank);
-        let mut per_row: Vec<Vec<Vert>> = vec![Vec::new(); grid.rows()];
-        for &v in &self.frontier {
-            let off = (v - self.rg.owned.start) as usize;
-            for &i2 in self.rg.expand_targets(off) {
-                per_row[i2 as usize].push(v);
-            }
-        }
-        per_row
-            .into_iter()
-            .enumerate()
-            .filter(|(_, l)| !l.is_empty())
-            .map(|(i2, l)| (grid.rank_of(i2, j), l))
-            .collect()
+        st.frontier = fresh;
     }
 }
 
@@ -154,24 +122,20 @@ pub fn try_run_tree(
     let grid = world.grid();
     assert_eq!(grid, graph.grid(), "world and graph grids must match");
     assert!(source < graph.spec.n, "source out of range");
-    let p = grid.len();
     let row_groups = Groups::rows_of(grid);
     let col_groups = Groups::cols_of(grid);
 
     let mut states: Vec<TreeRankState<'_>> = graph
         .ranks
         .iter()
-        .map(|rg| TreeRankState::new(rg, config.sent_neighbors))
+        .map(|rg| TreeRankState {
+            state: RankState::new(rg, graph.partition, config.sent_neighbors),
+            parents: vec![NO_PARENT; rg.owned_len()],
+        })
         .collect();
-    {
-        let owner = graph.partition.owner_of(source);
-        let st = &mut states[owner];
-        // bgl-lint: allow(r1, reason = "st is states[owner_of(source)], so the owner lookup cannot miss")
-        let off = st.rg.owned_local(source).unwrap();
-        st.levels[off] = 0;
-        st.parents[off] = source;
-        st.frontier = vec![source];
-    }
+    let owner = &mut states[graph.partition.owner_of(source)];
+    owner.state.init_source(source);
+    owner.parents[(source - owner.state.rank_graph().owned.start) as usize] = source;
 
     let mut level_records = Vec::new();
     let mut level: u32 = 0;
@@ -179,27 +143,23 @@ pub fn try_run_tree(
         if config.max_levels > 0 && level >= config.max_levels {
             break;
         }
-        let time_at_start = world.time();
-        let comm_at_start = world.comm_time();
-        let codec_at_start = world.codec_time();
-        let comm_snapshot = world.stats.clone();
+        let snapshot = LevelSnapshot::take(world);
 
-        let sizes: Vec<u64> = states.iter().map(|s| s.frontier.len() as u64).collect();
+        let sizes: Vec<u64> = states.iter().map(|s| s.state.frontier_len()).collect();
         let global_frontier = world.allreduce_sum(&sizes);
         if global_frontier == 0 {
             break;
         }
 
         // Expand (targeted, unchanged).
-        let sends: Vec<Vec<(usize, Vec<Vert>)>> =
-            states.iter().map(|s| s.expand_sends(grid)).collect();
-        let fbar: Vec<Vec<Vec<Vert>>> = alltoallv(world, OpClass::Expand, &col_groups, sends)?
-            .into_iter()
-            .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
+        let sends = states
+            .iter_mut()
+            .map(|s| s.state.expand_sends_targeted())
             .collect();
+        let fbar = payloads(alltoallv(world, OpClass::Expand, &col_groups, sends)?);
 
         // Discover pairs + fold them directly.
-        let blocks: Vec<Vec<Vec<Vert>>> = states
+        let blocks = states
             .iter_mut()
             .zip(&fbar)
             .map(|(s, lists)| {
@@ -207,77 +167,36 @@ pub fn try_run_tree(
                 s.discover_pairs(&refs, grid.cols())
             })
             .collect();
-        let fold_sends: Vec<Vec<(usize, Vec<Vert>)>> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(rank, bs)| {
-                let i = grid.row_of(rank);
-                bs.into_iter()
-                    .enumerate()
-                    .filter(|(_, b)| !b.is_empty())
-                    .map(|(m, b)| (grid.rank_of(i, m), b))
-                    .collect()
-            })
-            .collect();
-        let nbar: Vec<Vec<Vec<Vert>>> = alltoallv(world, OpClass::Fold, &row_groups, fold_sends)?
-            .into_iter()
-            .map(|inbox| inbox.into_iter().map(|(_, pl)| pl).collect())
-            .collect();
+        let sends = route_to_row_peers(grid, blocks, Vec::is_empty);
+        let nbar = payloads(alltoallv(world, OpClass::Fold, &row_groups, sends)?);
 
         for (s, lists) in states.iter_mut().zip(&nbar) {
             let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
             s.absorb_pairs(&refs, level + 1);
         }
-        let probes: Vec<u64> = states
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.probes))
-            .collect();
-        world.hash_phase(&probes);
-
-        let delta = world.stats.minus(&comm_snapshot);
-        level_records.push(LevelStats {
+        let probes = charge_probes(world, states.iter_mut().map(|s| &mut s.state));
+        level_records.push(snapshot.finish(
+            world,
             level,
-            frontier: global_frontier,
-            expand_received: delta.class(OpClass::Expand).received_verts,
-            fold_received: delta.class(OpClass::Fold).received_verts,
-            dups_eliminated: delta.total_dups_eliminated(),
-            sim_time: world.time() - time_at_start,
-            comm_time: world.comm_time() - comm_at_start,
-            list_unions: delta.setops.list_unions,
-            bitmap_unions: delta.setops.bitmap_unions,
-            densify_switches: delta.setops.densify_switches,
-            logical_bytes: delta.total_logical_bytes(),
-            wire_bytes: delta.total_wire_bytes(),
-            codec_time: world.codec_time() - codec_at_start,
-            // The BFS-tree engine is top-down only.
-            ..LevelStats::default()
-        });
+            global_frontier,
+            LevelDirection::TopDown,
+            probes,
+        ));
         level += 1;
     }
 
-    let n = graph.spec.n as usize;
-    let mut levels = vec![UNREACHED; n];
-    let mut parents = vec![NO_PARENT; n];
-    let mut reached = 0u64;
-    for st in &states {
-        let start = st.rg.owned.start as usize;
-        levels[start..start + st.levels.len()].copy_from_slice(&st.levels);
-        parents[start..start + st.parents.len()].copy_from_slice(&st.parents);
-        reached += st.levels.iter().filter(|&&l| l != UNREACHED).count() as u64;
+    let (states, rank_parents): (Vec<RankState<'_>>, Vec<Vec<u64>>) =
+        states.into_iter().map(|s| (s.state, s.parents)).unzip();
+    let mut parents = vec![NO_PARENT; graph.spec.n as usize];
+    for (st, ps) in states.iter().zip(&rank_parents) {
+        let start = st.rank_graph().owned.start as usize;
+        parents[start..start + ps.len()].copy_from_slice(ps);
     }
+    let reached = states.iter().map(RankState::reached).sum();
     Ok(TreeResult {
-        levels,
+        levels: gather_levels(&states, graph.spec.n),
         parents,
-        stats: RunStats {
-            levels: level_records,
-            sim_time: world.time(),
-            comm_time: world.comm_time(),
-            compute_time: world.compute_time(),
-            codec_time: world.codec_time(),
-            reached,
-            comm: world.stats.clone(),
-            p,
-        },
+        stats: RunStats::from_world(world, level_records, reached),
     })
 }
 
@@ -389,20 +308,28 @@ mod tests {
 
     #[test]
     fn pair_messages_double_fold_volume() {
-        let spec = GraphSpec::poisson(600, 8.0, 3);
-        let grid = ProcessorGrid::new(2, 3);
-        let graph = DistGraph::build(spec, grid);
+        let spec = GraphSpec::poisson(2000, 8.0, 3);
+        for (r, c) in [(2, 3), (4, 4), (3, 5)] {
+            let grid = ProcessorGrid::new(r, c);
+            let graph = DistGraph::build(spec, grid);
 
-        let mut w_tree = SimWorld::bluegene(grid);
-        let tree = try_run_tree(&graph, &mut w_tree, &BfsConfig::default(), 0).unwrap();
-        let mut w_plain = SimWorld::bluegene(grid);
-        let plain = crate::bfs2d::try_run(&graph, &mut w_plain, &BfsConfig::baseline_alltoall(), 0)
-            .unwrap();
+            let mut w_tree = SimWorld::bluegene(grid);
+            let tree = try_run_tree(&graph, &mut w_tree, &BfsConfig::default(), 0).unwrap();
+            let mut w_plain = SimWorld::bluegene(grid);
+            let plain =
+                crate::bfs2d::try_run(&graph, &mut w_plain, &BfsConfig::baseline_alltoall(), 0)
+                    .unwrap();
 
-        assert_eq!(tree.levels, plain.levels);
-        let f_tree = tree.stats.comm.class(OpClass::Fold).received_verts;
-        let f_plain = plain.stats.comm.class(OpClass::Fold).received_verts;
-        assert_eq!(f_tree, 2 * f_plain, "pairs are exactly two words each");
+            assert_eq!(tree.levels, plain.levels);
+            let f_tree = tree.stats.comm.class(OpClass::Fold).received_verts;
+            let f_plain = plain.stats.comm.class(OpClass::Fold).received_verts;
+            assert_eq!(f_tree, 2 * f_plain, "pairs are exactly two words each");
+            // The pair kernels charge the levels-only kernels' probes.
+            let probes =
+                |s: &RunStats| -> Vec<u64> { s.levels.iter().map(|l| l.td_probes).collect() };
+            assert_eq!(probes(&tree.stats), probes(&plain.stats), "{r}x{c}");
+            assert!(tree.stats.total_probes() > 0, "{r}x{c}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use bgl_bfs::comm::{ChunkPolicy, OpClass};
 use bgl_bfs::core::{bfs1d, bfs2d, theory};
 use bgl_bfs::torus::{MachineConfig, TaskMappingKind};
-use bgl_bfs::{BfsConfig, DistGraph, GraphSpec, ProcessorGrid, SimWorld};
+use bgl_bfs::{BfsConfig, DistGraph, FoldStrategy, GraphSpec, ProcessorGrid, SimWorld};
 
 /// §3.1: with fixed-length message buffers, the peak single-message
 /// buffer a run needs is capped by the chunk capacity regardless of P.
@@ -114,26 +114,50 @@ fn all_strategy_combinations_equivalent() {
 }
 
 /// §2.2: Algorithm 1 and Algorithm 2 at R = 1 are the same algorithm —
-/// same labels, same fold volume, zero expand traffic for both.
+/// same labels, the same per-level record (volumes, probes, clocks) for
+/// every fold strategy, and zero expand traffic for both.
 #[test]
 fn one_d_is_degenerate_two_d() {
     let spec = GraphSpec::poisson(700, 9.0, 17);
     for p in [2usize, 5, 8] {
         let grid = ProcessorGrid::one_d(p);
         let graph = DistGraph::build(spec, grid);
-        let config = BfsConfig::default();
-        let mut w1 = SimWorld::bluegene(grid);
-        let a = bfs1d::try_run(&graph, &mut w1, &config, 0).unwrap();
-        let mut w2 = SimWorld::bluegene(grid);
-        let b = bfs2d::try_run(&graph, &mut w2, &config, 0).unwrap();
-        assert_eq!(a.levels, b.levels, "p={p}");
-        assert_eq!(
-            a.stats.comm.class(OpClass::Fold).received_verts,
-            b.stats.comm.class(OpClass::Fold).received_verts,
-            "p={p}"
-        );
-        assert_eq!(a.stats.comm.class(OpClass::Expand).received_verts, 0);
-        assert_eq!(b.stats.comm.class(OpClass::Expand).received_verts, 0);
+        for fold in [
+            FoldStrategy::DirectAllToAll,
+            FoldStrategy::ReduceScatterUnion,
+            FoldStrategy::TwoPhaseRing,
+        ] {
+            let what = format!("p={p} {fold:?}");
+            let config = BfsConfig {
+                fold,
+                ..BfsConfig::default()
+            };
+            let mut w1 = SimWorld::bluegene(grid);
+            let a = bfs1d::try_run(&graph, &mut w1, &config, 0).unwrap();
+            let mut w2 = SimWorld::bluegene(grid);
+            let b = bfs2d::try_run(&graph, &mut w2, &config, 0).unwrap();
+            assert_eq!(a.levels, b.levels, "{what}");
+            // Every per-level record agrees, probes included, with the
+            // clocks equal to the last bit.
+            assert_eq!(a.stats.levels, b.stats.levels, "{what}");
+            for (x, y) in a.stats.levels.iter().zip(&b.stats.levels) {
+                for (clock, u, v) in [
+                    ("sim", x.sim_time, y.sim_time),
+                    ("comm", x.comm_time, y.comm_time),
+                    ("codec", x.codec_time, y.codec_time),
+                ] {
+                    assert_eq!(
+                        u.to_bits(),
+                        v.to_bits(),
+                        "{what} level {}: {clock}",
+                        x.level
+                    );
+                }
+            }
+            assert!(a.stats.total_probes() > 0, "{what}");
+            assert_eq!(a.stats.comm.class(OpClass::Expand).received_verts, 0);
+            assert_eq!(b.stats.comm.class(OpClass::Expand).received_verts, 0);
+        }
     }
 }
 
