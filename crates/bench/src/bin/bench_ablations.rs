@@ -1,5 +1,7 @@
 //! The paper's design ablations on the simulated BlueGene/L clock: the
-//! §3.2.2 union-fold against a plain all-to-all fold, the
+//! three fold strategies (§3.2.2 union-fold, plain all-to-all, §2.2
+//! ring reduce-scatter), the three expand strategies (targeted
+//! all-to-all, ring all-gather, §3.2.2 two-phase ring), the
 //! sent-neighbors cache, the Figure 1 folded task mapping against naive
 //! mappings, §3.1's fixed message buffers, and the congestion-aware
 //! round cost. Every variant of an ablation searches the same graph
@@ -14,9 +16,9 @@
 //!   vertices and cost at least the unbounded time;
 //! * congestion model: congestion-aware ≥ α–β only.
 //!
-//! The fold ablation is recorded as found and not gated: at its config
-//! the two-phase union-fold is about 1.5% slower than the direct
-//! all-to-all in simulated time.
+//! The fold and expand ablations are recorded as found and not gated:
+//! at its config the two-phase union-fold is about 1.5% slower than the
+//! direct all-to-all in simulated time.
 //!
 //! ```text
 //! cargo run --release -p bgl-bench --bin bench_ablations [-- --check]
@@ -91,7 +93,7 @@ fn with_mapping(grid: ProcessorGrid, mapping: TaskMappingKind, chunk: ChunkPolic
 }
 
 /// The ablations, with the graphs, grids and seeds they have always used.
-fn ablations() -> [Ablation; 5] {
+fn ablations() -> [Ablation; 6] {
     let paper = BfsConfig::paper_optimized();
     let alltoall = BfsConfig::baseline_alltoall();
     let two_phase = BfsConfig {
@@ -115,6 +117,39 @@ fn ablations() -> [Ablation; 5] {
                     },
                 ),
                 ("direct_alltoall", bluegene, alltoall),
+                (
+                    "reduce_scatter_union",
+                    bluegene,
+                    BfsConfig {
+                        fold: FoldStrategy::ReduceScatterUnion,
+                        ..paper
+                    },
+                ),
+            ],
+            gate: None,
+        },
+        Ablation {
+            name: "expand_strategy",
+            spec: GraphSpec::poisson(16_000, 10.0, 5),
+            grid: ProcessorGrid::new(8, 4),
+            variants: vec![
+                ("targeted", bluegene, paper),
+                (
+                    "allgather_ring",
+                    bluegene,
+                    BfsConfig {
+                        expand: ExpandStrategy::AllGatherRing,
+                        ..paper
+                    },
+                ),
+                (
+                    "two_phase_ring",
+                    bluegene,
+                    BfsConfig {
+                        expand: ExpandStrategy::TwoPhaseRing,
+                        ..paper
+                    },
+                ),
             ],
             gate: None,
         },
@@ -219,7 +254,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("{}", a.name);
         for v in &m {
             eprintln!(
-                "  {:<17} sim {:>9.6} ms, peak buffer {:>6} verts",
+                "  {:<20} sim {:>9.6} ms, peak buffer {:>6} verts",
                 v.name,
                 v.sim_s * 1e3,
                 v.peak_buffer_verts

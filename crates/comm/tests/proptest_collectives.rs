@@ -4,6 +4,7 @@
 use bgl_comm::collectives::{
     allgather::allgather_ring,
     alltoall::alltoallv,
+    frontier::frontier_gather,
     reduce_scatter::reduce_scatter_union_ring,
     two_phase::{two_phase_expand, two_phase_fold},
     Groups,
@@ -69,45 +70,47 @@ fn fold_reference(groups: &Groups, blocks: &[Vec<Vec<Vert>>]) -> Vec<Vec<Vert>> 
         .collect()
 }
 
+/// Both union folds reproduce the direct union and conserve vertices:
+/// every input vertex is either delivered or counted as a duplicate.
+fn check_union_folds(groups: &Groups, seed: u64) {
+    let p = groups.ranks();
+    let blocks = blocks_for(groups.groups(), p, seed);
+    let expect = fold_reference(groups, &blocks);
+    let sent: usize = blocks.iter().flatten().map(Vec::len).sum();
+    let delivered: usize = expect.iter().map(Vec::len).sum();
+
+    let grid = ProcessorGrid::one_d(p);
+    let mut w1 = SimWorld::bluegene(grid);
+    let ring = reduce_scatter_union_ring(&mut w1, OpClass::Fold, groups, blocks.clone()).unwrap();
+    let ring: Vec<Vec<Vert>> = ring.into_iter().map(VertSet::into_vec).collect();
+    prop_assert_eq!(&ring, &expect);
+    prop_assert_eq!(w1.stats.total_dups_eliminated() as usize, sent - delivered);
+
+    let mut w2 = SimWorld::bluegene(grid);
+    let two = two_phase_fold(&mut w2, OpClass::Fold, groups, blocks).unwrap();
+    let two: Vec<Vec<Vert>> = two.into_iter().map(VertSet::into_vec).collect();
+    prop_assert_eq!(&two, &expect);
+    prop_assert_eq!(w2.stats.total_dups_eliminated() as usize, sent - delivered);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn union_fold_strategies_match_reference(
-        p in 1usize..14,
-        raw_groups in (1usize..14).prop_flat_map(groups_strategy),
+        (p, groups_vec) in (1usize..14).prop_flat_map(|p| (Just(p), groups_strategy(p))),
         seed in any::<u64>(),
     ) {
-        // Regenerate groups for this p (raw_groups was drawn for its own
-        // p; rebuild deterministically from it).
-        let _ = raw_groups;
-        let groups_vec = {
-            let mut v = Vec::new();
-            let mut start = 0usize;
-            let mut size = (seed % 4 + 1) as usize;
-            while start < p {
-                let end = (start + size).min(p);
-                v.push((start..end).collect::<Vec<_>>());
-                start = end;
-                size = size % 5 + 1;
-            }
-            v
-        };
-        let groups = Groups::new(p, groups_vec);
-        let blocks = blocks_for(groups.groups(), p, seed);
-        let expect = fold_reference(&groups, &blocks);
+        check_union_folds(&Groups::new(p, groups_vec), seed);
+    }
 
-        let grid = ProcessorGrid::one_d(p);
-        let mut w1 = SimWorld::bluegene(grid);
-        let ring =
-            reduce_scatter_union_ring(&mut w1, OpClass::Fold, &groups, blocks.clone()).unwrap();
-        let ring: Vec<Vec<Vert>> = ring.into_iter().map(VertSet::into_vec).collect();
-        prop_assert_eq!(&ring, &expect);
-
-        let mut w2 = SimWorld::bluegene(grid);
-        let two = two_phase_fold(&mut w2, OpClass::Fold, &groups, blocks).unwrap();
-        let two: Vec<Vec<Vert>> = two.into_iter().map(VertSet::into_vec).collect();
-        prop_assert_eq!(&two, &expect);
+    #[test]
+    fn union_fold_strategies_match_reference_on_strided_columns(
+        rows in 1usize..6,
+        cols in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        check_union_folds(&Groups::cols_of(ProcessorGrid::new(rows, cols)), seed);
     }
 
     #[test]
@@ -138,6 +141,10 @@ proptest! {
         let mut w2 = SimWorld::bluegene(grid);
         let two =
             two_phase_expand(&mut w2, OpClass::Expand, &groups, contribution.clone()).unwrap();
+        let mut w3 = SimWorld::bluegene(grid);
+        let union =
+            frontier_gather(&mut w3, OpClass::Expand, &groups, contribution.clone()).unwrap();
+        prop_assert_eq!(w3.stats.total_dups_eliminated(), 0);
 
         for rank in 0..p {
             let group = groups.group_of(rank);
@@ -151,6 +158,12 @@ proptest! {
             for &(src, ref payload) in &two[rank] {
                 prop_assert_eq!(payload, &contribution[src]);
             }
+            // The frontier gather holds the union of the group's
+            // (rank-disjoint) contributions.
+            let mut expect: Vec<Vert> =
+                group.iter().flat_map(|&m| contribution[m].iter().copied()).collect();
+            expect.sort_unstable();
+            prop_assert_eq!(union[rank].to_vec(), expect);
         }
     }
 
