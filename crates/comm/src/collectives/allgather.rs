@@ -15,10 +15,7 @@
 //! so no header words pollute the vertex accounting. All groups step in
 //! lockstep, so a world-wide step is one message round.
 
-// Parallel index loops over per-rank arrays are intentional here.
-#![allow(clippy::needless_range_loop)]
-
-use super::Groups;
+use super::{ring_step, Groups};
 use crate::error::CommError;
 use crate::sim::{Inbox, SimWorld};
 use crate::stats::OpClass;
@@ -36,37 +33,22 @@ pub fn allgather_ring(
     contribution: Vec<Vec<Vert>>,
 ) -> Result<Vec<Inbox>, CommError> {
     debug_assert_eq!(contribution.len(), world.p());
-    let p = world.p();
-
-    // gathered[rank] accumulates (source, payload).
-    let mut gathered: Vec<Vec<(usize, Vec<Vert>)>> =
-        (0..p).map(|r| vec![(r, contribution[r].clone())]).collect();
-    // in_flight[rank] is the piece this rank forwards at the next step.
-    let mut in_flight: Vec<Vec<Vert>> = contribution;
-
-    let steps = groups.max_group_len().saturating_sub(1);
-    for s in 0..steps {
-        let mut sends = Vec::with_capacity(p);
-        for g in groups.groups() {
-            let glen = g.len();
-            // A group of size glen only participates in its first glen-1
-            // steps; afterwards it idles while larger groups finish.
-            if glen < 2 || s >= glen - 1 {
-                continue;
-            }
-            for (pos, &rank) in g.iter().enumerate() {
-                let succ = g[(pos + 1) % glen];
-                sends.push((rank, succ, in_flight[rank].clone()));
-            }
-        }
-        let inboxes = world.exchange(class, sends)?;
-        for (rank, mut inbox) in inboxes.into_iter().enumerate() {
-            debug_assert!(inbox.len() <= 1, "ring delivers at most one piece per step");
-            if let Some((_, piece)) = inbox.pop() {
-                let (gi, pos) = groups.locate(rank);
-                let g = &groups.groups()[gi];
-                let origin_pos = (pos + 2 * g.len() - 1 - s) % g.len();
-                gathered[rank].push((g[origin_pos], piece.clone()));
+    // gathered[rank] accumulates (source, payload); in_flight[rank] is
+    // the piece this rank forwards at the next step.
+    let mut gathered: Vec<Inbox> = contribution
+        .iter()
+        .enumerate()
+        .map(|(rank, c)| vec![(rank, c.clone())])
+        .collect();
+    let mut in_flight = contribution;
+    for s in 0..groups.ring_steps() {
+        let pieces = ring_step(world, class, groups, s, |_, rank| {
+            Some(in_flight[rank].clone())
+        })?;
+        for (rank, piece) in pieces.into_iter().enumerate() {
+            if let Some(piece) = piece {
+                let origin = groups.group_of(rank)[groups.ring_back(rank, s + 1)];
+                gathered[rank].push((origin, piece.clone()));
                 in_flight[rank] = piece;
             }
         }

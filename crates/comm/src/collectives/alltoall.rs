@@ -7,7 +7,7 @@
 //! software-overhead α per peer, and no en-route duplicate elimination
 //! happens.
 
-use super::Groups;
+use super::{group_sends, Groups};
 use crate::error::CommError;
 use crate::sim::{Inbox, SimWorld};
 use crate::stats::OpClass;
@@ -27,21 +27,8 @@ pub fn alltoallv(
     groups: &Groups,
     sends: Vec<SendList>,
 ) -> Result<Vec<Inbox>, CommError> {
-    debug_assert_eq!(sends.len(), world.p());
-    let mut flat = Vec::new();
-    for (from, list) in sends.into_iter().enumerate() {
-        for (to, payload) in list {
-            debug_assert_eq!(
-                groups.locate(from).0,
-                groups.locate(to).0,
-                "all-to-all destination {to} is outside {from}'s group"
-            );
-            if payload.is_empty() {
-                continue;
-            }
-            flat.push((from, to, payload));
-        }
-    }
+    let mut flat = group_sends(groups, sends);
+    flat.retain(|(_, _, payload)| !payload.is_empty());
     world.exchange(class, flat)
 }
 

@@ -21,15 +21,12 @@
 //! message *is* the empty piece, identically in both runtimes, so the
 //! data-round fault schedule stays aligned with the threaded mirror.
 
-// Parallel index loops over per-rank arrays are intentional here.
-#![allow(clippy::needless_range_loop)]
-
-use super::Groups;
+use super::{ring_step, union_charge, Groups};
 use crate::error::CommError;
 use crate::sim::SimWorld;
 use crate::stats::OpClass;
 use crate::vset::VertSet;
-use crate::{Vert, VERT_BYTES};
+use crate::Vert;
 
 /// Run a union frontier gather in every group simultaneously.
 ///
@@ -43,9 +40,6 @@ pub fn frontier_gather(
     contribution: Vec<Vec<Vert>>,
 ) -> Result<Vec<VertSet>, CommError> {
     debug_assert_eq!(contribution.len(), world.p());
-    let p = world.p();
-    let policy = world.vset_policy();
-
     // in_flight[rank] is the piece this rank forwards at the next step
     // (initially its own contribution); gathered[rank] accumulates the
     // union.
@@ -53,50 +47,28 @@ pub fn frontier_gather(
         .iter()
         .map(|c| VertSet::from_sorted(c.clone()))
         .collect();
-    let mut in_flight: Vec<Vec<Vert>> = contribution;
-
-    let steps = groups.max_group_len().saturating_sub(1);
-    for s in 0..steps {
-        let mut sends = Vec::with_capacity(p);
-        for g in groups.groups() {
-            let glen = g.len();
-            if glen < 2 || s >= glen - 1 {
-                continue;
-            }
-            for (pos, &rank) in g.iter().enumerate() {
-                if in_flight[rank].is_empty() {
-                    continue;
-                }
-                let succ = g[(pos + 1) % glen];
-                sends.push((rank, succ, in_flight[rank].clone()));
-            }
-        }
-        let inboxes = world.exchange(class, sends)?;
-        let mut merge_bytes = vec![0u64; p];
-        for (rank, mut inbox) in inboxes.into_iter().enumerate() {
-            debug_assert!(inbox.len() <= 1, "ring delivers at most one piece per step");
-            let (gi, _) = groups.locate(rank);
-            if groups.groups()[gi].len() < 2 || s >= groups.groups()[gi].len() - 1 {
-                continue;
-            }
-            if let Some((_, piece)) = inbox.pop() {
-                merge_bytes[rank] = (piece.len() + gathered[rank].len()) as u64 * VERT_BYTES;
-                let own = &mut gathered[rank];
-                let was_bitmap = own.is_bitmap();
-                let dups = own.union_in(&piece, &policy);
-                let is_bitmap = own.is_bitmap();
-                debug_assert_eq!(dups, 0, "owned frontiers are disjoint");
-                world.note_dups(rank, dups);
-                world.stats.note_union(is_bitmap);
-                if is_bitmap && !was_bitmap {
-                    world.stats.note_densify();
-                }
-                in_flight[rank] = piece;
-            } else {
-                // No message means the predecessor's piece was empty;
-                // forward the empty piece on.
+    let mut in_flight = contribution;
+    for s in 0..groups.ring_steps() {
+        let pieces = ring_step(world, class, groups, s, |_, rank| {
+            (!in_flight[rank].is_empty()).then(|| in_flight[rank].clone())
+        })?;
+        let mut merge_bytes = vec![0u64; world.p()];
+        for (rank, piece) in pieces.into_iter().enumerate() {
+            // No message means the predecessor's piece was empty;
+            // forward the empty piece on.
+            let Some(piece) = piece else {
                 in_flight[rank].clear();
-            }
+                continue;
+            };
+            let dups = union_charge(
+                world,
+                rank,
+                &mut gathered[rank],
+                &piece,
+                &mut merge_bytes[rank],
+            );
+            debug_assert_eq!(dups, 0, "owned frontiers are disjoint");
+            in_flight[rank] = piece;
         }
         world.memcpy_phase(&merge_bytes);
     }

@@ -13,7 +13,7 @@
 //! accounting all apply unchanged because the payloads are ordinary
 //! exchange messages.
 
-use super::Groups;
+use super::{group_sends, Groups};
 use crate::error::CommError;
 use crate::lane::LaneSet;
 use crate::sim::SimWorld;
@@ -33,19 +33,7 @@ pub fn lane_alltoallv(
     groups: &Groups,
     sends: Vec<LaneSendList>,
 ) -> Result<Vec<Vec<LaneSet>>, CommError> {
-    debug_assert_eq!(sends.len(), world.p());
-    let mut flat = Vec::new();
-    for (from, list) in sends.into_iter().enumerate() {
-        for (to, set) in list {
-            debug_assert_eq!(
-                groups.locate(from).0,
-                groups.locate(to).0,
-                "lane all-to-all destination {to} is outside {from}'s group"
-            );
-            flat.push((from, to, set));
-        }
-    }
-    lane_exchange(world, class, flat)
+    lane_exchange(world, class, group_sends(groups, sends))
 }
 
 /// Execute one round of lane-set point-to-point sends with no group
@@ -77,16 +65,14 @@ pub fn lane_exchange(
                 inbox.len().is_multiple_of(2),
                 "lane framing: odd payload count in inbox"
             );
-            inbox
-                .chunks_exact(2)
-                .map(|pair| {
-                    let (s0, ref verts) = pair[0];
-                    let (s1, ref masks) = pair[1];
+            let mut payloads = inbox.into_iter();
+            std::iter::from_fn(|| Some((payloads.next()?, payloads.next()?)))
+                .map(|((s0, verts), (s1, masks))| {
                     assert_eq!(
                         s0, s1,
                         "lane framing: vertex and mask payloads from different senders"
                     );
-                    LaneSet::from_payloads(verts.clone(), masks.clone())
+                    LaneSet::from_payloads(verts, masks)
                 })
                 .collect()
         })

@@ -13,6 +13,7 @@
 //! | op     | strategy | module |
 //! |--------|----------|--------|
 //! | any    | direct all-to-all (`alltoallv`) | [`alltoall`] |
+//! | any    | lane-masked all-to-all for multi-source waves | [`lane`] |
 //! | expand | ring all-gather (send everything to everyone) | [`allgather`] |
 //! | expand | ring frontier gather with set union (bottom-up supersteps) | [`frontier`] |
 //! | fold   | ring reduce-scatter with set-union | [`reduce_scatter`] |
@@ -22,6 +23,13 @@
 //! groups** and advance every group simultaneously, one global message
 //! round per algorithm step, so that simulated time reflects the fact
 //! that all processor-rows (or columns) communicate concurrently.
+//!
+//! The ring collectives share three crate-private pieces, so every ring
+//! sends, unions and charges the same way: [`ring_step`] (one lockstep
+//! step of a ring inside every group), [`union_charge`] (a set union
+//! with its merge traffic and set-kernel counters) and [`into_payload`]
+//! (a hybrid set as a wire payload). The two-phase collectives run
+//! their rings over the subgrid rows, which are themselves a [`Groups`].
 
 pub mod allgather;
 pub mod alltoall;
@@ -30,7 +38,12 @@ pub mod lane;
 pub mod reduce_scatter;
 pub mod two_phase;
 
+use crate::error::CommError;
+use crate::sim::SimWorld;
+use crate::stats::OpClass;
 use crate::topology::ProcessorGrid;
+use crate::vset::VertSet;
+use crate::{Vert, VERT_BYTES};
 
 /// A partition of ranks `0..p` into disjoint groups, with O(1) member
 /// lookup. Collectives take this instead of a bare `Vec<Vec<usize>>` so
@@ -110,6 +123,110 @@ impl Groups {
     pub fn max_group_len(&self) -> usize {
         self.groups.iter().map(Vec::len).max().unwrap_or(0)
     }
+
+    /// Steps a ring inside every group takes: `g − 1` for the largest
+    /// group of `g` members.
+    pub(crate) fn ring_steps(&self) -> usize {
+        self.max_group_len().saturating_sub(1)
+    }
+
+    /// The position `k` places behind `rank` on its group's ring.
+    pub(crate) fn ring_back(&self, rank: usize, k: usize) -> usize {
+        let (gi, pos) = self.member[rank];
+        let glen = self.groups[gi].len();
+        (pos + glen - k % glen) % glen
+    }
+}
+
+/// Step `s` of a ring inside every group, all groups in lockstep as one
+/// message round. A group of `g` members rings for its first `g − 1`
+/// steps and idles afterwards while larger groups finish. Every member
+/// of a ringing group, in group then position order, sends
+/// `payload(world, rank)` to its ring successor (`None` sends nothing).
+/// Returns the piece each rank received, if any.
+pub(crate) fn ring_step(
+    world: &mut SimWorld,
+    class: OpClass,
+    rings: &Groups,
+    s: usize,
+    mut payload: impl FnMut(&mut SimWorld, usize) -> Option<Vec<Vert>>,
+) -> Result<Vec<Option<Vec<Vert>>>, CommError> {
+    let mut sends = Vec::with_capacity(world.p());
+    for g in rings.groups() {
+        if s + 1 >= g.len() {
+            continue;
+        }
+        for (pos, &rank) in g.iter().enumerate() {
+            if let Some(piece) = payload(world, rank) {
+                sends.push((rank, g[(pos + 1) % g.len()], piece));
+            }
+        }
+    }
+    let inboxes = world.exchange(class, sends)?;
+    Ok(inboxes
+        .into_iter()
+        .map(|mut inbox| {
+            debug_assert!(inbox.len() <= 1, "ring delivers at most one piece per step");
+            inbox.pop().map(|(_, piece)| piece)
+        })
+        .collect())
+}
+
+/// Union `piece` into the accumulator `acc` held at `rank` under the
+/// world's vset policy. Charges both operands to `merge_bytes` as merge
+/// traffic and records the eliminated duplicates, the union and any
+/// densify switch. Returns the duplicates eliminated.
+pub(crate) fn union_charge(
+    world: &mut SimWorld,
+    rank: usize,
+    acc: &mut VertSet,
+    piece: &[Vert],
+    merge_bytes: &mut u64,
+) -> usize {
+    *merge_bytes += (acc.len() + piece.len()) as u64 * VERT_BYTES;
+    let was_bitmap = acc.is_bitmap();
+    let dups = acc.union_in(piece, &world.vset_policy());
+    world.note_dups(rank, dups);
+    world.stats.note_union(acc.is_bitmap());
+    if acc.is_bitmap() && !was_bitmap {
+        world.stats.note_densify();
+    }
+    dups
+}
+
+/// A set as a wire payload: a list moves as it is, a bitmap is expanded
+/// into a pooled scratch buffer.
+pub(crate) fn into_payload(world: &mut SimWorld, set: VertSet) -> Vec<Vert> {
+    match set {
+        VertSet::List(v) => v,
+        bitmap => {
+            let mut buf = world.scratch_take();
+            bitmap.append_to(&mut buf);
+            buf
+        }
+    }
+}
+
+/// Flatten per-rank `(destination, payload)` lists into `(from, to,
+/// payload)` sends in sender order, checking in debug builds that every
+/// destination is in its sender's group.
+pub(crate) fn group_sends<T>(
+    groups: &Groups,
+    sends: Vec<Vec<(usize, T)>>,
+) -> Vec<(usize, usize, T)> {
+    debug_assert_eq!(sends.len(), groups.ranks());
+    let mut flat = Vec::new();
+    for (from, list) in sends.into_iter().enumerate() {
+        for (to, payload) in list {
+            debug_assert_eq!(
+                groups.locate(from).0,
+                groups.locate(to).0,
+                "all-to-all destination {to} is outside {from}'s group"
+            );
+            flat.push((from, to, payload));
+        }
+    }
+    flat
 }
 
 #[cfg(test)]

@@ -22,16 +22,13 @@
 //! functions of set *cardinalities*, which are representation-invariant,
 //! so the clocks are bit-identical to the sorted-list implementation.
 
-// Parallel index loops over per-rank arrays are intentional here.
-#![allow(clippy::needless_range_loop)]
-
-use super::Groups;
+use super::{into_payload, ring_step, union_charge, Groups};
 use crate::error::CommError;
 use crate::setops;
 use crate::sim::SimWorld;
 use crate::stats::OpClass;
 use crate::vset::VertSet;
-use crate::{Vert, VERT_BYTES};
+use crate::Vert;
 
 /// Run a union reduce-scatter in every group simultaneously.
 ///
@@ -46,68 +43,34 @@ pub fn reduce_scatter_union_ring(
     blocks: Vec<Vec<Vec<Vert>>>,
 ) -> Result<Vec<VertSet>, CommError> {
     debug_assert_eq!(blocks.len(), world.p());
-    let p = world.p();
-    for rank in 0..p {
+    for (rank, own) in blocks.iter().enumerate() {
         debug_assert_eq!(
-            blocks[rank].len(),
+            own.len(),
             groups.group_of(rank).len(),
             "rank {rank} must provide one block per group member"
         );
         debug_assert!(
-            blocks[rank].iter().all(|b| setops::is_normalized(b)),
+            own.iter().all(|b| setops::is_normalized(b)),
             "blocks must be normalized sets"
         );
     }
 
-    let policy = world.vset_policy();
     let mut blocks: Vec<Vec<VertSet>> = blocks
         .into_iter()
         .map(|bs| bs.into_iter().map(VertSet::from_sorted).collect())
         .collect();
-    let steps = groups.max_group_len().saturating_sub(1);
-    for s in 0..steps {
-        let mut sends = Vec::with_capacity(p);
-        for g in groups.groups() {
-            let glen = g.len();
-            if glen < 2 || s >= glen - 1 {
-                continue;
-            }
-            for (pos, &rank) in g.iter().enumerate() {
-                let succ = g[(pos + 1) % glen];
-                let block_idx = (pos + 2 * glen - s - 1) % glen;
-                let set = std::mem::take(&mut blocks[rank][block_idx]);
-                let payload = match set {
-                    VertSet::List(v) => v,
-                    bm => {
-                        let mut buf = world.scratch_take();
-                        bm.append_to(&mut buf);
-                        buf
-                    }
-                };
-                sends.push((rank, succ, payload));
-            }
-        }
-        let inboxes = world.exchange(class, sends)?;
-        let mut merge_bytes = vec![0u64; p];
-        for (rank, mut inbox) in inboxes.into_iter().enumerate() {
-            debug_assert!(inbox.len() <= 1);
-            if let Some((_, piece)) = inbox.pop() {
-                let (gi, pos) = groups.locate(rank);
-                let glen = groups.groups()[gi].len();
-                // The receiver gets the block its predecessor sent:
-                // predecessor position is pos-1, so block (pos - s - 2).
-                let block_idx = (pos + 2 * glen - s - 2) % glen;
-                merge_bytes[rank] =
-                    (piece.len() + blocks[rank][block_idx].len()) as u64 * VERT_BYTES;
-                let own = &mut blocks[rank][block_idx];
-                let was_bitmap = own.is_bitmap();
-                let dups = own.union_in(&piece, &policy);
-                let is_bitmap = own.is_bitmap();
-                world.note_dups(rank, dups);
-                world.stats.note_union(is_bitmap);
-                if is_bitmap && !was_bitmap {
-                    world.stats.note_densify();
-                }
+    for s in 0..groups.ring_steps() {
+        // The member at position i sends block (i − s − 1) mod g; its
+        // successor unions it into its own copy of that block.
+        let pieces = ring_step(world, class, groups, s, |world, rank| {
+            let set = std::mem::take(&mut blocks[rank][groups.ring_back(rank, s + 1)]);
+            Some(into_payload(world, set))
+        })?;
+        let mut merge_bytes = vec![0u64; world.p()];
+        for (rank, piece) in pieces.into_iter().enumerate() {
+            if let Some(piece) = piece {
+                let own = &mut blocks[rank][groups.ring_back(rank, s + 2)];
+                union_charge(world, rank, own, &piece, &mut merge_bytes[rank]);
                 world.scratch_put(piece);
             }
         }
@@ -115,11 +78,10 @@ pub fn reduce_scatter_union_ring(
     }
 
     // Member at position i now holds fully reduced block i.
-    Ok((0..p)
-        .map(|rank| {
-            let (_, pos) = groups.locate(rank);
-            std::mem::take(&mut blocks[rank][pos])
-        })
+    Ok(blocks
+        .iter_mut()
+        .enumerate()
+        .map(|(rank, own)| std::mem::take(&mut own[groups.locate(rank).1]))
         .collect())
 }
 

@@ -19,31 +19,54 @@
 //! **Expand** (paper Figure 3): phase 1 exchanges frontier contributions
 //! within each subgrid *column* (all-to-all, one round); phase 2
 //! circulates the resulting column-bundles around each subgrid row ring
-//! so every member ends with every contribution.
+//! so every member ends with every contribution. That ring is
+//! [`allgather_ring`] over the subgrid rows.
+//!
+//! Both collectives build the subgrid rows once per call, as a
+//! [`Groups`] partition of the world, and run their rings over it.
 //!
 //! Wire accounting: a bundle travels as one message whose payload is the
 //! concatenation of its sets. The per-set boundaries (≤ `m` small header
 //! words in a real implementation) are carried out-of-band by the
 //! simulator and excluded from vertex-volume statistics.
 
-// Parallel index loops over per-rank arrays are intentional here.
-#![allow(clippy::needless_range_loop)]
-
-use super::Groups;
+use super::allgather::allgather_ring;
+use super::{into_payload, ring_step, union_charge, Groups};
 use crate::error::CommError;
 use crate::setops;
 use crate::sim::{Inbox, SimWorld};
 use crate::stats::OpClass;
+use crate::topology::ProcessorGrid;
 use crate::vset::VertSet;
-use crate::{Vert, VERT_BYTES};
+use crate::Vert;
+
+/// The subgrid rows of every group, as one partition of the world: the
+/// rings both phases run. Member `pos` of an `m × n` group sits at row
+/// `pos / n`, column `pos % n`.
+fn subgrid_rows(groups: &Groups) -> Groups {
+    let rows = groups
+        .groups()
+        .iter()
+        .flat_map(|g| g.chunks(ProcessorGrid::subgrid_factor(g.len()).1))
+        .map(<[usize]>::to_vec)
+        .collect();
+    Groups::new(groups.ranks(), rows)
+}
+
+/// The members of `rank`'s subgrid column, top row first.
+fn column<'a>(groups: &'a Groups, rows: &Groups, rank: usize) -> impl Iterator<Item = usize> + 'a {
+    let n = rows.group_of(rank).len();
+    groups.group_of(rank)[rows.locate(rank).1..]
+        .iter()
+        .step_by(n)
+        .copied()
+}
 
 /// A fold bundle in flight: per-destination sets for the members of one
-/// target subgrid column, held as hybrid [`VertSet`]s so dense bundles
-/// union word-wise.
-#[derive(Debug, Clone, Default)]
+/// target subgrid column, top row first, held as hybrid [`VertSet`]s so
+/// dense bundles union word-wise.
+#[derive(Debug, Default)]
 struct FoldBundle {
-    /// `sets[r]` is destined to the member at subgrid position
-    /// `(r, target_col)`.
     sets: Vec<VertSet>,
 }
 
@@ -56,6 +79,35 @@ impl FoldBundle {
             s.append_to(&mut out);
         }
         out
+    }
+
+    /// The bundle as its receiver unpacks it off the wire: every list
+    /// in a buffer of exactly its length, as the scratch pool's capacity
+    /// accounting sees received payloads.
+    fn unpacked(mut self) -> Self {
+        for set in &mut self.sets {
+            if let VertSet::List(v) = set {
+                v.shrink_to_fit();
+            }
+        }
+        self
+    }
+
+    /// Union `rank`'s own blocks for the bundle's target column (`own`,
+    /// top row first) into the bundle, counting eliminated duplicates
+    /// and merge bytes.
+    fn seed<'a>(
+        &mut self,
+        world: &mut SimWorld,
+        rank: usize,
+        own: impl Iterator<Item = &'a Vec<Vert>>,
+        merge_bytes: &mut u64,
+    ) {
+        for (set, own) in self.sets.iter_mut().zip(own) {
+            if !own.is_empty() {
+                union_charge(world, rank, set, own, merge_bytes);
+            }
+        }
     }
 }
 
@@ -72,208 +124,99 @@ pub fn two_phase_fold(
 ) -> Result<Vec<VertSet>, CommError> {
     debug_assert_eq!(blocks.len(), world.p());
     let p = world.p();
-    for rank in 0..p {
-        debug_assert_eq!(blocks[rank].len(), groups.group_of(rank).len());
-        debug_assert!(blocks[rank].iter().all(|b| setops::is_normalized(b)));
+    for (rank, own) in blocks.iter().enumerate() {
+        debug_assert_eq!(own.len(), groups.group_of(rank).len());
+        debug_assert!(own.iter().all(|b| setops::is_normalized(b)));
     }
-
-    // Subgrid shape per group.
-    let shapes: Vec<(usize, usize)> = groups
-        .groups()
-        .iter()
-        .map(|g| crate::topology::ProcessorGrid::subgrid_factor(g.len()))
-        .collect();
+    let rows = subgrid_rows(groups);
+    // rank's own blocks for the members of subgrid column `tc`.
+    let own = |rank: usize, tc: usize| blocks[rank][tc..].iter().step_by(rows.group_of(rank).len());
 
     // ---- Phase 1: row-wise rings, one bundle per target column. ----
     // Member at subgrid (sr, c) initially holds the bundle for target
-    // column (c - 1) mod n, seeded with its own contributions; the final
+    // column (c - 1) mod n, seeded with its own contributions; each
     // holder's contributions are folded in upon arrival.
-    let mut held: Vec<FoldBundle> = vec![FoldBundle::default(); p];
-    let mut held_target: Vec<usize> = vec![0; p];
-    let mut merge_bytes_init = vec![0u64; p];
-    for rank in 0..p {
-        let (gi, pos) = groups.locate(rank);
-        let (m, n) = shapes[gi];
-        let (_, sc) = (pos / n, pos % n);
-        let tc = (sc + n - 1) % n;
-        held_target[rank] = tc;
-        let mut bundle = FoldBundle {
-            sets: vec![VertSet::new(); m],
-        };
-        seed_own(
-            &mut bundle,
-            &blocks[rank],
-            n,
-            tc,
-            m,
-            world,
-            rank,
-            &mut merge_bytes_init[rank],
-        );
-        held[rank] = bundle;
-    }
-    world.memcpy_phase(&merge_bytes_init);
-
-    let max_n = shapes.iter().map(|&(_, n)| n).max().unwrap_or(1);
-    for s in 0..max_n.saturating_sub(1) {
-        let mut sends = Vec::new();
-        for (gi, g) in groups.groups().iter().enumerate() {
-            let (_, n) = shapes[gi];
-            if n < 2 || s >= n - 1 {
-                continue;
-            }
-            for (pos, &rank) in g.iter().enumerate() {
-                let (sr, sc) = (pos / n, pos % n);
-                let succ = g[sr * n + (sc + 1) % n];
-                let payload = held[rank].wire_payload(world);
-                sends.push((rank, succ, payload));
-            }
-        }
-        let inboxes = world.exchange(class, sends)?;
-        // Snapshot before applying receives: a predecessor processed
-        // earlier in rank order must still expose the bundle it *sent*.
-        let prev_held = held.clone();
-        let prev_target = held_target.clone();
-        let mut merge_bytes = vec![0u64; p];
-        for (rank, mut inbox) in inboxes.into_iter().enumerate() {
-            if inbox.is_empty() {
-                continue;
-            }
-            // The wire copy of the bundle is recycled; the authoritative
-            // bundle moves out-of-band below.
-            while let Some((_, wire)) = inbox.pop() {
-                world.scratch_put(wire);
-            }
-            let (gi, pos) = groups.locate(rank);
-            let (m, n) = shapes[gi];
-            let (sr, sc) = (pos / n, pos % n);
-            // Bundle arriving at step s targets column (sc - 2 - s) mod n.
-            let tc = (sc + 2 * n - 2 - s % n) % n;
-            // Move the bundle via the out-of-band channel: our ring
-            // predecessor held it before this round.
-            let g = &groups.groups()[gi];
-            let pred = g[sr * n + (sc + n - 1) % n];
-            let mut bundle = prev_held[pred].clone();
-            debug_assert_eq!(prev_target[pred], tc);
-            seed_own(
-                &mut bundle,
-                &blocks[rank],
-                n,
-                tc,
-                m,
+    let mut merge_bytes = vec![0u64; p];
+    let mut held: Vec<FoldBundle> = (0..p)
+        .map(|rank| {
+            let m = groups.group_of(rank).len() / rows.group_of(rank).len();
+            let mut bundle = FoldBundle {
+                sets: vec![VertSet::new(); m],
+            };
+            bundle.seed(
                 world,
                 rank,
+                own(rank, rows.ring_back(rank, 1)),
                 &mut merge_bytes[rank],
             );
-            held[rank] = bundle;
-            held_target[rank] = tc;
-        }
+            bundle
+        })
+        .collect();
+    world.memcpy_phase(&merge_bytes);
+
+    for s in 0..rows.ring_steps() {
+        let wires = ring_step(world, class, &rows, s, |world, rank| {
+            Some(held[rank].wire_payload(world))
+        })?;
+        // The wire copy of a bundle is recycled; the bundle itself moves
+        // out of band from the receiver's ring predecessor. The bundle
+        // arriving at step s targets column (c - 2 - s) mod n.
+        let mut sent = std::mem::take(&mut held);
+        let mut merge_bytes = vec![0u64; p];
+        held = wires
+            .into_iter()
+            .enumerate()
+            .map(|(rank, wire)| {
+                let Some(wire) = wire else {
+                    return std::mem::take(&mut sent[rank]);
+                };
+                world.scratch_put(wire);
+                let pred = rows.group_of(rank)[rows.ring_back(rank, 1)];
+                let mut bundle = std::mem::take(&mut sent[pred]).unpacked();
+                bundle.seed(
+                    world,
+                    rank,
+                    own(rank, rows.ring_back(rank, s + 2)),
+                    &mut merge_bytes[rank],
+                );
+                bundle
+            })
+            .collect();
         world.memcpy_phase(&merge_bytes);
     }
 
-    // Every member (sr, tc) now holds the bundle for its own column tc.
+    // Every member (sr, c) now holds the bundle for its own column c.
     // ---- Phase 2: point-to-point scatter down each target column. ----
     let mut sends = Vec::new();
     let mut keep: Vec<VertSet> = vec![VertSet::new(); p];
-    for (gi, g) in groups.groups().iter().enumerate() {
-        let (m, n) = shapes[gi];
-        for (pos, &rank) in g.iter().enumerate() {
-            let (_, sc) = (pos / n, pos % n);
-            debug_assert_eq!(held_target[rank] % n, sc % n);
-            let bundle = std::mem::take(&mut held[rank]);
-            for (r_dst, set) in bundle.sets.into_iter().enumerate() {
-                let dst = g[r_dst * n + sc];
-                if dst == rank {
-                    keep[rank] = set;
-                } else if !set.is_empty() {
-                    let payload = match set {
-                        VertSet::List(v) => v,
-                        bm => {
-                            let mut buf = world.scratch_take();
-                            bm.append_to(&mut buf);
-                            buf
-                        }
-                    };
-                    sends.push((rank, dst, payload));
-                }
+    for &rank in groups.groups().iter().flatten() {
+        let bundle = std::mem::take(&mut held[rank]);
+        for (dst, set) in column(groups, &rows, rank).zip(bundle.sets) {
+            if dst == rank {
+                keep[rank] = set;
+            } else if !set.is_empty() {
+                sends.push((rank, dst, into_payload(world, set)));
             }
-            let _ = m;
         }
     }
     let inboxes = world.exchange(class, sends)?;
 
     // Final union at each destination.
-    let policy = world.vset_policy();
     let mut merge_bytes = vec![0u64; p];
-    let mut out: Vec<VertSet> = vec![VertSet::new(); p];
-    for (rank, inbox) in inboxes.into_iter().enumerate() {
-        let mut acc = std::mem::take(&mut keep[rank]);
-        for (_, set) in inbox {
-            merge_bytes[rank] += (acc.len() + set.len()) as u64 * VERT_BYTES;
-            let was_bitmap = acc.is_bitmap();
-            let dups = acc.union_in(&set, &policy);
-            world.note_dups(rank, dups);
-            world.stats.note_union(acc.is_bitmap());
-            if acc.is_bitmap() && !was_bitmap {
-                world.stats.note_densify();
+    let out = inboxes
+        .into_iter()
+        .zip(keep)
+        .enumerate()
+        .map(|(rank, (inbox, mut acc))| {
+            for (_, set) in inbox {
+                union_charge(world, rank, &mut acc, &set, &mut merge_bytes[rank]);
+                world.scratch_put(set);
             }
-            world.scratch_put(set);
-        }
-        out[rank] = acc;
-    }
+            acc
+        })
+        .collect();
     world.memcpy_phase(&merge_bytes);
     Ok(out)
-}
-
-/// Union `rank`'s own blocks destined to the members of target column
-/// `tc` into `bundle`, counting eliminated duplicates and merge bytes.
-#[allow(clippy::too_many_arguments)]
-fn seed_own(
-    bundle: &mut FoldBundle,
-    own_blocks: &[Vec<Vert>],
-    n: usize,
-    tc: usize,
-    m: usize,
-    world: &mut SimWorld,
-    rank: usize,
-    merge_bytes: &mut u64,
-) {
-    debug_assert_eq!(bundle.sets.len(), m);
-    let policy = world.vset_policy();
-    for r_dst in 0..m {
-        let dest_pos = r_dst * n + tc;
-        let own = &own_blocks[dest_pos];
-        if own.is_empty() {
-            continue;
-        }
-        *merge_bytes += (bundle.sets[r_dst].len() + own.len()) as u64 * VERT_BYTES;
-        let set = &mut bundle.sets[r_dst];
-        let was_bitmap = set.is_bitmap();
-        let dups = set.union_in(own, &policy);
-        world.note_dups(rank, dups);
-        world.stats.note_union(set.is_bitmap());
-        if set.is_bitmap() && !was_bitmap {
-            world.stats.note_densify();
-        }
-    }
-}
-
-/// An expand bundle: the contributions of one subgrid column's members.
-#[derive(Debug, Clone, Default)]
-struct ExpandBundle {
-    /// `(source rank, contribution)` for each member of the origin column.
-    parts: Vec<(usize, Vec<Vert>)>,
-}
-
-impl ExpandBundle {
-    fn wire_payload(&self) -> Vec<Vert> {
-        let total: usize = self.parts.iter().map(|(_, c)| c.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        for (_, c) in &self.parts {
-            out.extend_from_slice(c);
-        }
-        out
-    }
 }
 
 /// Run the two-phase expand in every group simultaneously.
@@ -288,103 +231,59 @@ pub fn two_phase_expand(
     contribution: Vec<Vec<Vert>>,
 ) -> Result<Vec<Inbox>, CommError> {
     debug_assert_eq!(contribution.len(), world.p());
-    let p = world.p();
-    let shapes: Vec<(usize, usize)> = groups
-        .groups()
-        .iter()
-        .map(|g| crate::topology::ProcessorGrid::subgrid_factor(g.len()))
-        .collect();
+    let rows = subgrid_rows(groups);
 
     // ---- Phase 1: all-to-all within each subgrid column. ----
     let mut sends = Vec::new();
-    for (gi, g) in groups.groups().iter().enumerate() {
-        let (m, n) = shapes[gi];
-        if m >= 2 {
-            for (pos, &rank) in g.iter().enumerate() {
-                let (sr, sc) = (pos / n, pos % n);
-                for r_dst in 0..m {
-                    if r_dst == sr {
-                        continue;
-                    }
-                    let dst = g[r_dst * n + sc];
-                    sends.push((rank, dst, contribution[rank].clone()));
-                }
-            }
+    for &rank in groups.groups().iter().flatten() {
+        for dst in column(groups, &rows, rank).filter(|&dst| dst != rank) {
+            sends.push((rank, dst, contribution[rank].clone()));
         }
     }
     let inboxes = world.exchange(class, sends)?;
 
-    // Column bundles, ordered by subgrid row within the column.
-    let mut held: Vec<ExpandBundle> = vec![ExpandBundle::default(); p];
-    for rank in 0..p {
-        let (gi, pos) = groups.locate(rank);
-        let (m, n) = shapes[gi];
-        let (_, sc) = (pos / n, pos % n);
-        let g = &groups.groups()[gi];
-        let mut parts: Vec<(usize, Vec<Vert>)> = Vec::with_capacity(m);
-        for r_src in 0..m {
-            let src = g[r_src * n + sc];
-            if src == rank {
-                parts.push((src, contribution[rank].clone()));
-            } else {
-                let payload = inboxes[rank]
-                    .iter()
-                    .find(|(from, _)| *from == src)
-                    .map(|(_, pl)| pl.clone())
-                    .unwrap_or_default();
-                parts.push((src, payload));
-            }
-        }
-        held[rank] = ExpandBundle { parts };
-    }
+    // ---- Phase 2: ring all-gather of the column bundles around each
+    // subgrid row. A bundle is its column's contributions, top row
+    // first, concatenated into one payload.
+    let bundles = inboxes
+        .iter()
+        .enumerate()
+        .map(|(rank, inbox)| {
+            // A rank's own contribution is the one part not in its inbox.
+            column(groups, &rows, rank)
+                .flat_map(|src| {
+                    let received = inbox.iter().find(|(from, _)| *from == src);
+                    received.map_or(&contribution[rank], |(_, payload)| payload)
+                })
+                .copied()
+                .collect()
+        })
+        .collect();
+    let gathered = allgather_ring(world, class, &rows, bundles)?;
 
-    // Everyone keeps its own column bundle as received output.
-    let mut gathered: Vec<Vec<(usize, Vec<Vert>)>> =
-        (0..p).map(|r| held[r].parts.clone()).collect();
-
-    // ---- Phase 2: circulate column bundles around each subgrid row. ----
-    let max_n = shapes.iter().map(|&(_, n)| n).max().unwrap_or(1);
-    for s in 0..max_n.saturating_sub(1) {
-        let mut sends = Vec::new();
-        for (gi, g) in groups.groups().iter().enumerate() {
-            let (_, n) = shapes[gi];
-            if n < 2 || s >= n - 1 {
-                continue;
+    // Unpack every bundle along the contribution lengths (the set
+    // boundaries a real implementation sends as header words).
+    Ok(gathered
+        .into_iter()
+        .map(|row_bundles| {
+            let mut parts: Inbox = Vec::new();
+            for (origin, bundle) in row_bundles {
+                let mut rest = &bundle[..];
+                for src in column(groups, &rows, origin) {
+                    let (part, tail) = rest.split_at(contribution[src].len());
+                    parts.push((src, part.to_vec()));
+                    rest = tail;
+                }
             }
-            for (pos, &rank) in g.iter().enumerate() {
-                let (sr, sc) = (pos / n, pos % n);
-                let succ = g[sr * n + (sc + 1) % n];
-                sends.push((rank, succ, held[rank].wire_payload()));
-            }
-        }
-        let inboxes = world.exchange(class, sends)?;
-        let mut next_held = held.clone();
-        for (rank, inbox) in inboxes.into_iter().enumerate() {
-            if inbox.is_empty() {
-                continue;
-            }
-            let (gi, pos) = groups.locate(rank);
-            let (_, n) = shapes[gi];
-            let g = &groups.groups()[gi];
-            let (sr, sc) = (pos / n, pos % n);
-            let pred = g[sr * n + (sc + n - 1) % n];
-            let bundle = held[pred].clone();
-            gathered[rank].extend(bundle.parts.iter().cloned());
-            next_held[rank] = bundle;
-        }
-        held = next_held;
-    }
-
-    for gparts in gathered.iter_mut() {
-        gparts.sort_by_key(|(src, _)| *src);
-    }
-    Ok(gathered)
+            parts.sort_by_key(|(src, _)| *src);
+            parts
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::ProcessorGrid;
 
     fn fold_reference(groups: &Groups, blocks: &[Vec<Vec<Vert>>]) -> Vec<Vec<Vert>> {
         (0..blocks.len())
