@@ -17,13 +17,16 @@
 //! * with the cache on, the mean cache-hit service time is ≥ 10×
 //!   cheaper than the mean engine service time, and hits actually
 //!   occur;
+//! * at B=16, lanes run with the adaptive per-wave direction switch
+//!   equal the pure top-down lanes, and adaptive serving sustains a
+//!   higher simulated throughput than top-down;
 //! * nothing is rejected or expired.
 //!
 //! ```text
 //! cargo run --release -p bgl-bench --bin bench_server [-- --check]
 //! ```
 
-use bfs_core::{bfs2d, multi, BfsConfig};
+use bfs_core::{bfs2d, multi, BfsConfig, DirectionPolicy};
 use bgl_bench::harness::{write_report, Args};
 use bgl_comm::{ProcessorGrid, SimWorld, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
@@ -69,6 +72,24 @@ struct SweepRun {
     waves: u64,
     engine_sim_s: f64,
     throughput: f64,
+}
+
+/// One row of the B=16 direction ablation (cache off).
+struct DirectionRun {
+    name: &'static str,
+    waves: u64,
+    bu_waves: u64,
+    engine_sim_s: f64,
+    throughput: f64,
+}
+
+/// Served queries per simulated engine second.
+fn engine_qps(s: &bgl_server::ServerStats) -> f64 {
+    if s.engine_sim_time > 0.0 {
+        s.served_total() as f64 / s.engine_sim_time
+    } else {
+        0.0
+    }
 }
 
 /// Serve `workload` to completion. `arrivals_per_tick == 0` submits
@@ -193,11 +214,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             0,
         );
         let s = srv.stats();
-        let throughput = if s.engine_sim_time > 0.0 {
-            s.served_total() as f64 / s.engine_sim_time
-        } else {
-            0.0
-        };
+        let throughput = engine_qps(s);
         eprintln!(
             "  B={width:<3} {} batches, occupancy {:>5.2}, {:>3} waves, sim {:>8.3} ms, \
              {:>8.1} q/s",
@@ -243,6 +260,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cs.served_cache,
         hit_s * 1e6,
         miss_s * 1e6
+    );
+
+    // --- Direction ablation at the gate width, cache off. ------------
+    let topdown_multi = multi::MultiConfig {
+        direction: DirectionPolicy::top_down(),
+        ..multi::MultiConfig::default()
+    };
+    let mut tworld = SimWorld::bluegene(grid).with_wire_policy(wire);
+    let tres = multi::try_run(&graph, &mut tworld, &topdown_multi, &gate_sources)?;
+    let direction_lanes_identical = tres.lane_levels == mres.lane_levels;
+    let mut directions: Vec<DirectionRun> = Vec::new();
+    for (name, multi) in [
+        ("top-down", topdown_multi),
+        ("adaptive", multi::MultiConfig::default()),
+    ] {
+        let srv = serve_workload(
+            &graph,
+            wire,
+            ServerConfig {
+                batch_width: GATE_WIDTH,
+                queue_capacity: queries.max(1),
+                cache_capacity: 0,
+                multi,
+                ..ServerConfig::default()
+            },
+            &workload,
+            0,
+        );
+        let s = srv.stats();
+        eprintln!(
+            "  {name:<8} B={GATE_WIDTH}: {} waves ({} bottom-up), sim {:>8.3} ms, {:>8.1} q/s",
+            s.waves_total,
+            s.bu_waves,
+            s.engine_sim_time * 1e3,
+            engine_qps(s)
+        );
+        directions.push(DirectionRun {
+            name,
+            waves: s.waves_total,
+            bu_waves: s.bu_waves,
+            engine_sim_s: s.engine_sim_time,
+            throughput: engine_qps(s),
+        });
+    }
+    let direction_speedup = match directions.as_slice() {
+        [td, ad] if td.throughput > 0.0 => ad.throughput / td.throughput,
+        _ => 0.0,
+    };
+    eprintln!(
+        "  adaptive vs top-down B={GATE_WIDTH} simulated throughput: {direction_speedup:.2}x, \
+         lanes identical: {direction_lanes_identical}"
     );
 
     let find = |w: usize| sweep.iter().find(|r| r.width == w);
@@ -299,6 +367,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .field("cache_speedup", Fixed(cache_speedup, 3))
                 .field("qps", Fixed(cached_qps, 3));
         });
+        w.field("direction_lanes_identical", direction_lanes_identical)
+            .key("direction_ablation")
+            .arr(|w| {
+                for r in &directions {
+                    w.obj(|w| {
+                        w.field("direction", r.name)
+                            .field("batch_width", GATE_WIDTH)
+                            .field("waves", r.waves)
+                            .field("bu_waves", r.bu_waves)
+                            .field("engine_sim_ms", Fixed(r.engine_sim_s * 1e3, 3))
+                            .field("throughput_qps", Fixed(r.throughput, 3));
+                    });
+                }
+            })
+            .field("direction_speedup", Fixed(direction_speedup, 3));
         w.field("all_served", clean);
     });
     write_report(&out, &doc)?;
@@ -328,6 +411,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eprintln!(
                 "FAIL: cache hits {cache_speedup:.1}x cheaper than engine serving, below the \
                  {MIN_CACHE_SPEEDUP}x floor"
+            );
+            failed = true;
+        }
+        if !direction_lanes_identical {
+            eprintln!("FAIL: adaptive-direction lanes differ from top-down lanes");
+            failed = true;
+        }
+        if direction_speedup <= 1.0 {
+            eprintln!(
+                "FAIL: adaptive serving at B={GATE_WIDTH} is not faster than top-down \
+                 ({direction_speedup:.2}x)"
             );
             failed = true;
         }

@@ -965,18 +965,16 @@ impl SimWorld {
         vals.iter().copied().min().unwrap_or(u64::MAX)
     }
 
-    /// Three global sums in one tree traversal: a single allreduce round
-    /// carrying a three-word payload instead of one word. The
-    /// direction-optimizing BFS rides its α/β inputs (frontier size,
-    /// frontier-edge and unexplored-edge counts) on the termination
-    /// check this way — same round count as [`SimWorld::allreduce_sum`],
-    /// just a wider message.
-    pub fn allreduce_sum3(&mut self, a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64, u64) {
-        debug_assert_eq!(a.len(), self.p());
-        debug_assert_eq!(b.len(), self.p());
-        debug_assert_eq!(c.len(), self.p());
-        self.charge_tree_allreduce_words(3);
-        (a.iter().sum(), b.iter().sum(), c.iter().sum())
+    /// `W` global sums in one tree traversal: a single allreduce round
+    /// carrying a `W`-word payload instead of one word. The
+    /// direction-optimizing engines ride their α/β inputs (frontier
+    /// size, frontier-edge and unexplored-edge counts) on the
+    /// termination check this way — same round count as
+    /// [`SimWorld::allreduce_sum`], just a wider message.
+    pub fn allreduce_sums<const W: usize>(&mut self, vals: [&[u64]; W]) -> [u64; W] {
+        debug_assert!(vals.iter().all(|v| v.len() == self.p()));
+        self.charge_tree_allreduce_words(W as u32);
+        vals.map(|v| v.iter().sum())
     }
 
     fn charge_tree_allreduce(&mut self) {

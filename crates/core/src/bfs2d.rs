@@ -219,7 +219,7 @@ fn level_pass(
     } else {
         let mf: Vec<u64> = states.iter().map(|s| s.frontier_degree()).collect();
         let mu: Vec<u64> = states.iter().map(|s| s.unexplored()).collect();
-        let (gf, mf_hat, mu_hat) = world.allreduce_sum3(&frontier_sizes, &mf, &mu);
+        let [gf, mf_hat, mu_hat] = world.allreduce_sums([&frontier_sizes, &mf, &mu]);
         let bu = config
             .direction
             .wants_bottom_up(gf, mf_hat, mu_hat, n, grid.rows() as u64);

@@ -19,8 +19,32 @@
 //! lane `l` — exactly the single-source induction, so every lane's
 //! level array is *identical* to its standalone [`crate::bfs2d::try_run`]
 //! (asserted per-batch by [`validate_lanes`] against the Graph500-style
-//! validator, and property-tested across worker counts × wire policies in
-//! `tests/proptest_multi.rs`).
+//! validator, and property-tested across worker counts × wire policies
+//! × direction policies in `tests/proptest_multi.rs`).
+//!
+//! **Direction.** Each wave runs top-down or bottom-up for all lanes at
+//! once, chosen by [`DirectionPolicy::wants_bottom_up`] exactly as in
+//! [`crate::bfs2d`] (adaptive by default). The inputs ride the
+//! termination allreduce, widened from three words to four: `(vertex,
+//! lane)` pairs, distinct frontier vertices `gf`, the stored entries of
+//! each rank's own frontier vertices `mf̂`, and `mû`, the stored entries
+//! of rows whose sent mask does not yet hold every lane (kept
+//! incrementally by both kernels). A top-down policy keeps the
+//! three-word round, so its clock is unchanged. A bottom-up wave sends
+//! each rank's frontier to its R − 1 processor-column peers
+//! ([`lane_alltoallv`], traced as `Phase::Gather`), then every rank
+//! scans its stored rows: a row ORs the lane masks of its frontier
+//! columns into the lanes it still needs and stops once they are all
+//! found — the bit-parallel multi-source BFS of Then et al. ("The More
+//! the Merrier", PVLDB 2014) under the distributed direction switch.
+//! Fold and absorb are shared by both directions. A bottom-up block is
+//! the top-down block minus lanes absorb would drop anyway, so every
+//! lane's levels are the same in either direction.
+//!
+//! **Probe accounting.** Top-down charges one probe per received
+//! frontier vertex plus one per stored entry scanned; bottom-up charges
+//! one per column tested; absorb charges one per delivered pair. Each
+//! wave's probes go to the cost model in one `hash_phase` charge.
 //!
 //! **Determinism.** The wave loop follows the same discipline as the
 //! single-source engine: per-rank closures are pure, results collect
@@ -28,8 +52,10 @@
 //! two-pointer unions, and all clock accounting happens in the serial
 //! collective layer — 1-worker and many-worker runs are bit-identical.
 
+use crate::config::{DirectionMode, DirectionPolicy};
 use crate::reference::UNREACHED;
 use crate::state::RowMarks;
+use crate::stats::LevelDirection;
 use crate::step::route_to_row_peers;
 use crate::validate::{self, ValidationError, ValidationReport};
 use bgl_comm::collectives::lane::{lane_alltoallv, LaneSendList};
@@ -47,6 +73,9 @@ pub struct MultiConfig {
     pub sent_neighbors: bool,
     /// Stop after this many waves (0 = run to exhaustion).
     pub max_waves: u32,
+    /// Per-wave direction policy, decided for all lanes at once by the
+    /// same α/β rule as [`crate::bfs2d`]. Defaults to adaptive.
+    pub direction: DirectionPolicy,
 }
 
 impl Default for MultiConfig {
@@ -54,6 +83,7 @@ impl Default for MultiConfig {
         Self {
             sent_neighbors: true,
             max_waves: 0,
+            direction: DirectionPolicy::adaptive(),
         }
     }
 }
@@ -67,6 +97,8 @@ pub struct WaveStats {
     pub frontier_pairs: u64,
     /// Distinct frontier vertices entering the wave (across all ranks).
     pub frontier_verts: u64,
+    /// The direction the wave ran.
+    pub direction: LevelDirection,
     /// Simulated seconds this wave took.
     pub sim_time: f64,
 }
@@ -93,6 +125,14 @@ impl MultiBfsResult {
     pub fn lanes(&self) -> usize {
         self.sources.len()
     }
+
+    /// Waves that ran bottom-up.
+    pub fn bu_waves(&self) -> usize {
+        self.waves
+            .iter()
+            .filter(|w| w.direction == LevelDirection::BottomUp)
+            .count()
+    }
 }
 
 /// Per-rank state for a batched run: the lane-masked widening of
@@ -111,6 +151,12 @@ pub struct MultiRankState<'g> {
     /// Sent-neighbors cache over row-local ids, one lane mask each
     /// (empty when disabled).
     sent: Vec<LaneMask>,
+    /// Every lane of the batch.
+    full: LaneMask,
+    /// Stored entries of rows whose sent mask is not yet `full` — the
+    /// local share of `mû`. Static at `num_entries` with the cache off,
+    /// as in [`crate::state::RankState`]. Host-side only: never charged.
+    unexplored: u64,
     /// Hash probes since the last [`MultiRankState::take_probes`].
     pub probes: u64,
 }
@@ -130,6 +176,8 @@ impl<'g> MultiRankState<'g> {
             } else {
                 Vec::new()
             },
+            full: LaneMask::MAX >> (MAX_LANES - lanes),
+            unexplored: rg.edges.num_entries() as u64,
             probes: 0,
         }
     }
@@ -199,7 +247,7 @@ impl<'g> MultiRankState<'g> {
                         if emit == 0 {
                             continue;
                         }
-                        self.sent[rl as usize] |= emit;
+                        self.mark_sent(rl, emit);
                     }
                     marks.mark(rl);
                     found[rl as usize] |= emit;
@@ -211,6 +259,108 @@ impl<'g> MultiRankState<'g> {
             blocks[m].push(rg.edges.row_of_local(rl), found[rl as usize]);
         });
         blocks
+    }
+
+    /// Bottom-up discover: scan every stored row for the lanes it still
+    /// needs and OR in the lane masks of its frontier columns, stopping
+    /// as soon as every needed lane is found. `gathered` holds the
+    /// frontiers of this rank's processor-column peers; the rank's own
+    /// frontier joins locally, so together they cover every column
+    /// this rank stores.
+    ///
+    /// A row needs the lanes that are live in those columns and not yet
+    /// in its sent mask and, when this rank owns the row's vertex, not
+    /// yet visited. (A lane with no frontier vertex here cannot be
+    /// found here; without that cut a lane that has died out would
+    /// defeat every early exit.) Each row emits `(u, found)` into its
+    /// block column, so every block is the top-down
+    /// [`MultiRankState::discover`]'s block minus, on rows this rank
+    /// owns, the lanes already visited. Probes counted: one per column
+    /// tested.
+    pub fn discover_bottom_up(&mut self, gathered: &[LaneSet]) -> Vec<LaneSet> {
+        let rg = self.rg;
+        let edges = &rg.edges;
+        let mut col_masks: Vec<LaneMask> = vec![0; edges.num_cols()];
+        let mut live: LaneMask = 0;
+        for set in gathered.iter().chain([&self.frontier]) {
+            for (v, mask) in set.iter() {
+                if let Some(ci) = edges.col_local(v) {
+                    col_masks[ci as usize] |= mask;
+                    live |= mask;
+                }
+            }
+        }
+        let mut blocks: Vec<LaneSet> = vec![LaneSet::new(); self.grid.cols()];
+        if live == 0 {
+            return blocks;
+        }
+        for (block, range) in blocks.iter_mut().zip(rg.row_blocks().windows(2)) {
+            for rl in range[0]..range[1] {
+                let mut need = live & !self.sent.get(rl as usize).copied().unwrap_or(0);
+                if need == 0 {
+                    continue;
+                }
+                let u = edges.row_of_local(rl);
+                if let Some(off) = rg.owned_local(u) {
+                    need &= !self.visited[off];
+                    if need == 0 {
+                        continue;
+                    }
+                }
+                let mut found: LaneMask = 0;
+                for &ci in edges.cols_of_row_local(rl) {
+                    self.probes += 1;
+                    found |= col_masks[ci as usize] & need;
+                    if found == need {
+                        break;
+                    }
+                }
+                if found != 0 {
+                    if !self.sent.is_empty() {
+                        self.mark_sent(rl, found);
+                    }
+                    block.push(u, found);
+                }
+            }
+        }
+        blocks
+    }
+
+    /// Record `lanes` (none of them sent yet) as sent for row `rl`; a
+    /// row whose mask fills retires its entries from `unexplored`.
+    #[inline]
+    fn mark_sent(&mut self, rl: u32, lanes: LaneMask) {
+        let sent = &mut self.sent[rl as usize];
+        debug_assert!(lanes != 0 && *sent & lanes == 0);
+        *sent |= lanes;
+        if *sent == self.full {
+            self.unexplored -= self.rg.edges.row_degree(rl) as u64;
+        }
+    }
+
+    /// The bottom-up gather sends: the frontier, masks and all, to each
+    /// of the R − 1 processor-column peers.
+    pub fn gather_sends(&self) -> LaneSendList {
+        let (i, j) = self.grid.position_of(self.rg.rank);
+        (0..self.grid.rows())
+            .filter(|&i2| i2 != i)
+            .map(|i2| (self.grid.rank_of(i2, j), self.frontier.clone()))
+            .collect()
+    }
+
+    /// Local share of `mf̂`: the stored entries of the rank's own
+    /// frontier vertices (heuristic input only, never charged).
+    pub fn frontier_degree(&self) -> u64 {
+        self.frontier
+            .verts()
+            .iter()
+            .map(|&v| self.rg.edges.neighbors_of(v).len() as u64)
+            .sum()
+    }
+
+    /// Local share of `mû` (see the field doc).
+    pub fn unexplored(&self) -> u64 {
+        self.unexplored
     }
 
     /// Absorb folded lane sets: for each delivered `(vertex, mask)`
@@ -273,7 +423,10 @@ pub fn gather_lane_levels(states: &[MultiRankState<'_>], lanes: usize, n: u64) -
 }
 
 /// Run a batched multi-source BFS. Communication faults surface as
-/// typed errors.
+/// typed errors, and so does a bad batch
+/// ([`CommError::InvalidConfig`]): no sources, more than
+/// [`MAX_LANES`], a source outside the graph, or a world whose grid is
+/// not the graph's.
 pub fn try_run(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -281,15 +434,20 @@ pub fn try_run(
     sources: &[Vertex],
 ) -> Result<MultiBfsResult, CommError> {
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_LANES).contains(&lanes),
-        "batch must pack 1..=64 sources, got {lanes}"
-    );
-    for &s in sources {
-        assert!(s < graph.spec.n, "source {s} out of range");
+    let invalid = |reason| Err(CommError::InvalidConfig { reason });
+    if grid != graph.grid() {
+        return invalid("world and graph grids differ");
     }
+    if sources.is_empty() {
+        return invalid("a batch needs at least one source");
+    }
+    if sources.len() > MAX_LANES {
+        return invalid("a batch packs at most 64 sources");
+    }
+    if sources.iter().any(|&s| s >= graph.spec.n) {
+        return invalid("a source is out of range");
+    }
+    let lanes = sources.len();
     let p = grid.len();
 
     let row_groups = Groups::rows_of(grid);
@@ -318,31 +476,68 @@ pub fn try_run(
 
         // -- 1. termination on global (vertex, lane) frontier mass. The
         // distinct-vertex count rides the same tree round as a second
-        // word (occupancy telemetry, no extra communication).
+        // word, and so do the α/β inputs `mf̂` and `mû` when the
+        // direction may switch: every rank decides the wave's direction
+        // from the same sums, with no extra round.
         let pair_counts: Vec<u64> = states.iter().map(|s| s.frontier_pairs()).collect();
         let vert_counts: Vec<u64> = states.iter().map(|s| s.frontier.len() as u64).collect();
-        let zeros = vec![0u64; p];
-        let (global_pairs, global_verts, _) =
-            world.allreduce_sum3(&pair_counts, &vert_counts, &zeros);
+        let (global_pairs, global_verts, bottom_up) =
+            if config.direction.mode == DirectionMode::TopDown {
+                // The third word pads the round to the width top-down
+                // batches have always been charged.
+                let zeros = vec![0u64; p];
+                let [gp, gv, _] = world.allreduce_sums([&pair_counts, &vert_counts, &zeros]);
+                (gp, gv, false)
+            } else {
+                let mf: Vec<u64> = states.iter().map(|s| s.frontier_degree()).collect();
+                let mu: Vec<u64> = states.iter().map(|s| s.unexplored()).collect();
+                let [gp, gv, mf_hat, mu_hat] =
+                    world.allreduce_sums([&pair_counts, &vert_counts, &mf, &mu]);
+                let rows = grid.rows() as u64;
+                let bu = config
+                    .direction
+                    .wants_bottom_up(gv, mf_hat, mu_hat, graph.spec.n, rows);
+                (gp, gv, bu)
+            };
         world.trace_span(Phase::Termination, wave, t0);
         if global_pairs == 0 {
             break;
         }
 
-        // -- 2. expand over processor-columns, masks riding along.
-        let t_expand = world.time();
-        let sends: Vec<LaneSendList> = states.par_iter_mut().map(|s| s.expand_sends()).collect();
-        let fbar = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;
-        world.trace_span(Phase::Expand, wave, t_expand);
+        let blocks: Vec<Vec<LaneSet>> = if bottom_up {
+            // -- 2. (bottom-up) gather every column peer's frontier.
+            let t_gather = world.time();
+            let sends: Vec<LaneSendList> = states.iter().map(|s| s.gather_sends()).collect();
+            let gathered = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;
+            world.trace_span(Phase::Gather, wave, t_gather);
 
-        // -- 3. local discovery (edge scans shared across lanes).
-        let t_discover = world.time();
-        let blocks: Vec<Vec<LaneSet>> = states
-            .par_iter_mut()
-            .zip(&fbar)
-            .map_collect(|s, lists| s.discover(lists));
-        drop(fbar);
-        world.trace_span(Phase::Discover, wave, t_discover);
+            // -- 3. (bottom-up) row scans, early exit per row.
+            let t_discover = world.time();
+            let blocks = states
+                .par_iter_mut()
+                .zip(&gathered)
+                .map_collect(|s, sets| s.discover_bottom_up(sets));
+            drop(gathered);
+            world.trace_span(Phase::Discover, wave, t_discover);
+            blocks
+        } else {
+            // -- 2. expand over processor-columns, masks riding along.
+            let t_expand = world.time();
+            let sends: Vec<LaneSendList> =
+                states.par_iter_mut().map(|s| s.expand_sends()).collect();
+            let fbar = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;
+            world.trace_span(Phase::Expand, wave, t_expand);
+
+            // -- 3. local discovery (edge scans shared across lanes).
+            let t_discover = world.time();
+            let blocks = states
+                .par_iter_mut()
+                .zip(&fbar)
+                .map_collect(|s, lists| s.discover(lists));
+            drop(fbar);
+            world.trace_span(Phase::Discover, wave, t_discover);
+            blocks
+        };
 
         // -- 4. fold over processor-rows.
         let t_fold = world.time();
@@ -367,6 +562,11 @@ pub fn try_run(
             wave,
             frontier_pairs: global_pairs,
             frontier_verts: global_verts,
+            direction: if bottom_up {
+                LevelDirection::BottomUp
+            } else {
+                LevelDirection::TopDown
+            },
             sim_time: world.time() - t0,
         });
         wave += 1;
@@ -502,6 +702,229 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The bottom-up scan without its early exit or live-lane cut:
+    /// every stored column of every row is tested.
+    fn exhaustive_bottom_up(st: &MultiRankState<'_>, gathered: &[LaneSet]) -> Vec<LaneSet> {
+        let (rg, edges) = (st.rg, &st.rg.edges);
+        let mut frontier: Vec<(Vertex, LaneMask)> = Vec::new();
+        for set in gathered.iter().chain([&st.frontier]) {
+            frontier.extend(set.iter());
+        }
+        let frontier = LaneSet::from_pairs(frontier);
+        let mut blocks: Vec<LaneSet> = vec![LaneSet::new(); st.grid.cols()];
+        for (block, range) in blocks.iter_mut().zip(rg.row_blocks().windows(2)) {
+            for rl in range[0]..range[1] {
+                let u = edges.row_of_local(rl);
+                let mut need = st.full & !st.sent.get(rl as usize).copied().unwrap_or(0);
+                if let Some(off) = rg.owned_local(u) {
+                    need &= !st.visited[off];
+                }
+                let mut found = 0;
+                for &ci in edges.cols_of_row_local(rl) {
+                    let v = edges.col_of_local(ci);
+                    if let Ok(i) = frontier.verts().binary_search(&v) {
+                        found |= frontier.masks()[i] & need;
+                    }
+                }
+                block.push(u, found);
+            }
+        }
+        blocks
+    }
+
+    /// `mû` recomputed from the sent masks.
+    fn unexplored_from_scratch(st: &MultiRankState<'_>) -> u64 {
+        let edges = &st.rg.edges;
+        if st.sent.is_empty() {
+            return edges.num_entries() as u64;
+        }
+        (0..edges.num_row_ids() as u32)
+            .filter(|&rl| st.sent[rl as usize] != st.full)
+            .map(|rl| edges.row_degree(rl) as u64)
+            .sum()
+    }
+
+    #[test]
+    fn bottom_up_kernel_matches_top_down_at_every_wave() {
+        // Five lanes (two sharing a source) driven wave by wave through
+        // both kernels from the same state. Every bottom-up block must
+        // be the top-down block minus the lanes already visited on rows
+        // the rank owns, and equal the scan without early exit; absorb
+        // must then leave identical levels, visited masks and
+        // frontiers. The walk continues from the top-down states on
+        // even waves and from the bottom-up states on odd ones.
+        let sources = [1u64, 77, 77, 2_900, 1_234];
+        for spec in [
+            GraphSpec::poisson(3_000, 8.0, 4),
+            GraphSpec::rmat(1 << 12, 8.0, 6),
+        ] {
+            for grid in [ProcessorGrid::new(3, 5), ProcessorGrid::new(8, 8)] {
+                let g = DistGraph::build(spec, grid);
+                let p = grid.len();
+                for use_sent in [true, false] {
+                    let mut sts: Vec<MultiRankState<'_>> = g
+                        .ranks
+                        .iter()
+                        .map(|rg| MultiRankState::new(rg, g.partition, sources.len(), use_sent))
+                        .collect();
+                    for st in sts.iter_mut() {
+                        st.init_sources(&sources);
+                    }
+                    let mut wave = 1;
+                    while sts.iter().any(|st| !st.frontier.is_empty()) {
+                        let mut fbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                        let mut gathered: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                        for st in sts.iter_mut() {
+                            for (peer, set) in st.expand_sends() {
+                                fbar[peer].push(set);
+                            }
+                            for (peer, set) in st.gather_sends() {
+                                gathered[peer].push(set);
+                            }
+                        }
+                        let mut td_sts = sts.clone();
+                        let mut bu_sts = sts.clone();
+                        let mut td_nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                        let mut bu_nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                        for rank in 0..p {
+                            let what = format!(
+                                "{:?} {grid:?} sent={use_sent} wave {wave} rank {rank}",
+                                spec.family
+                            );
+                            let st = &sts[rank];
+                            let td = td_sts[rank].discover(&fbar[rank]);
+                            let bu = bu_sts[rank].discover_bottom_up(&gathered[rank]);
+                            let want: Vec<LaneSet> = td
+                                .iter()
+                                .map(|block| {
+                                    let mut out = LaneSet::new();
+                                    for (u, mask) in block.iter() {
+                                        let seen =
+                                            st.rg.owned_local(u).map_or(0, |o| st.visited[o]);
+                                        out.push(u, mask & !seen);
+                                    }
+                                    out
+                                })
+                                .collect();
+                            assert_eq!(bu, want, "{what}");
+                            assert_eq!(bu, exhaustive_bottom_up(st, &gathered[rank]), "{what}");
+                            for s in [&td_sts[rank], &bu_sts[rank]] {
+                                assert_eq!(s.unexplored, unexplored_from_scratch(s), "{what}");
+                            }
+                            let row = grid.row_of(rank);
+                            for (m, (t, b)) in td.into_iter().zip(bu).enumerate() {
+                                td_nbar[grid.rank_of(row, m)].push(t);
+                                bu_nbar[grid.rank_of(row, m)].push(b);
+                            }
+                        }
+                        for rank in 0..p {
+                            td_sts[rank].absorb(&td_nbar[rank], wave);
+                            bu_sts[rank].absorb(&bu_nbar[rank], wave);
+                            let (t, b) = (&td_sts[rank], &bu_sts[rank]);
+                            let what = format!(
+                                "{:?} {grid:?} sent={use_sent} wave {wave} rank {rank}",
+                                spec.family
+                            );
+                            assert_eq!(t.levels, b.levels, "{what}");
+                            assert_eq!(t.visited, b.visited, "{what}");
+                            assert_eq!(t.frontier, b.frontier, "{what}");
+                        }
+                        sts = if wave % 2 == 0 { td_sts } else { bu_sts };
+                        wave += 1;
+                    }
+                    assert!(wave > 3, "{:?} {grid:?}", spec.family);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_waves_switch_and_keep_every_lane() {
+        let spec = GraphSpec::rmat(4_000, 16.0, 5);
+        let grid = ProcessorGrid::new(4, 4);
+        let graph = DistGraph::build(spec, grid);
+        let sources: Vec<u64> = (0..16).map(|i| i * 241).collect();
+        let run = |direction| {
+            let mut world = SimWorld::bluegene(grid);
+            let cfg = MultiConfig {
+                direction,
+                ..MultiConfig::default()
+            };
+            try_run(&graph, &mut world, &cfg, &sources).unwrap()
+        };
+        let td = run(DirectionPolicy::top_down());
+        let ad = run(DirectionPolicy::adaptive());
+        let bu = run(DirectionPolicy::bottom_up());
+        assert_eq!(td.bu_waves(), 0);
+        assert!(ad.bu_waves() > 0 && ad.bu_waves() < ad.waves.len());
+        assert_eq!(bu.bu_waves(), bu.waves.len());
+        assert_eq!(ad.lane_levels, td.lane_levels);
+        assert_eq!(bu.lane_levels, td.lane_levels);
+        assert!(ad.total_probes < td.total_probes);
+        assert!(ad.sim_time < td.sim_time);
+    }
+
+    #[test]
+    fn top_down_waves_keep_their_clock() {
+        // Pinned from the lane engine before it could run bottom-up:
+        // top-down waves charge the same rounds, probes and clock.
+        let cfg = MultiConfig {
+            direction: DirectionPolicy::top_down(),
+            ..MultiConfig::default()
+        };
+        for (spec, grid, sources, wire, pinned) in [
+            (
+                GraphSpec::rmat(2_000, 8.0, 7),
+                ProcessorGrid::new(2, 3),
+                vec![0u64, 17, 17, 999, 1500],
+                bgl_comm::WirePolicy::raw(),
+                (0x3f4b4d4de692c697, 0x3f3465bd9f076cb0, 27_447, 5),
+            ),
+            (
+                GraphSpec::poisson(3_000, 8.0, 4),
+                ProcessorGrid::new(3, 5),
+                vec![1u64, 77, 2_900],
+                bgl_comm::WirePolicy::auto(),
+                (0x3f515ed1aefd7dd6, 0x3f42d50d87e55ade, 87_212, 7),
+            ),
+        ] {
+            let graph = DistGraph::build(spec, grid);
+            let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
+            let r = try_run(&graph, &mut world, &cfg, &sources).unwrap();
+            let got = (
+                r.sim_time.to_bits(),
+                r.comm_time.to_bits(),
+                r.total_probes,
+                r.waves.len(),
+            );
+            assert_eq!(got, pinned, "{:?}", spec.family);
+            for (lane, &s) in sources.iter().enumerate() {
+                assert_eq!(r.lane_levels[lane], single_levels(&graph, s));
+            }
+        }
+    }
+
+    #[test]
+    fn bad_batches_are_typed_errors() {
+        let spec = GraphSpec::rmat(500, 8.0, 3);
+        let grid = ProcessorGrid::new(2, 2);
+        let graph = DistGraph::build(spec, grid);
+        let cfg = MultiConfig::default();
+        let run = |world: &mut SimWorld, sources: &[Vertex]| match try_run(
+            &graph, world, &cfg, sources,
+        ) {
+            Err(CommError::InvalidConfig { reason }) => reason,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        let mut world = SimWorld::bluegene(grid);
+        assert!(run(&mut world, &[]).contains("at least one source"));
+        let wide: Vec<Vertex> = (0..=MAX_LANES as u64).collect();
+        assert!(run(&mut world, &wide).contains("at most 64"));
+        assert!(run(&mut world, &[3, 500]).contains("out of range"));
+        let mut other = SimWorld::bluegene(ProcessorGrid::new(1, 4));
+        assert!(run(&mut other, &[3]).contains("grids differ"));
     }
 
     #[test]

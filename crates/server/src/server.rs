@@ -294,6 +294,7 @@ impl BglServer {
         self.stats.lanes_total += sources.len() as u64;
         self.stats.max_occupancy = self.stats.max_occupancy.max(sources.len() as u64);
         self.stats.waves_total += result.waves.len() as u64;
+        self.stats.bu_waves += result.bu_waves() as u64;
         self.stats.engine_sim_time += batch_sim;
 
         // Each lane's recomputation cost is its share of the wave: the
@@ -521,6 +522,7 @@ impl BglServer {
             w.field("batches", s.batches)
                 .field("validated_batches", s.validated_batches)
                 .field("waves_total", s.waves_total)
+                .field("bu_waves", s.bu_waves)
                 .field("occupancy_mean", Fixed(s.occupancy_mean(), 3))
                 .field("occupancy_max", s.max_occupancy)
                 .field("queue_depth_mean", Fixed(s.queue_depth_mean(), 3))
@@ -605,7 +607,7 @@ fn level_of(levels: &[u32], v: Vertex) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfs_core::{bfs2d, BfsConfig};
+    use bfs_core::{bfs2d, BfsConfig, DirectionPolicy};
     use bgl_comm::ProcessorGrid;
 
     fn build(n: u64, seed: u64) -> (DistGraph, SimWorld) {
@@ -647,6 +649,40 @@ mod tests {
             .unwrap();
             assert_eq!(**levels, single.levels, "source {}", r.kind.source());
         }
+    }
+
+    #[test]
+    fn bottom_up_waves_are_counted_and_change_no_answer() {
+        let sources = [0u64, 33, 500, 1999, 1234, 77];
+        let serve = |direction| {
+            let mut srv = server(ServerConfig {
+                cache_capacity: 0,
+                multi: MultiConfig {
+                    direction,
+                    ..MultiConfig::default()
+                },
+                ..ServerConfig::default()
+            });
+            for source in sources {
+                srv.submit(QueryKind::FullTraversal { source }).unwrap();
+            }
+            let outcomes: Vec<Outcome> = srv
+                .run_to_completion()
+                .into_iter()
+                .map(|r| r.outcome)
+                .collect();
+            (srv, outcomes)
+        };
+        let (td, td_answers) = serve(DirectionPolicy::top_down());
+        let (ad, ad_answers) = serve(DirectionPolicy::adaptive());
+        assert_eq!(td.stats().bu_waves, 0);
+        let bu = ad.stats().bu_waves;
+        assert!(
+            bu > 0 && bu < ad.stats().waves_total,
+            "{bu} bottom-up waves"
+        );
+        assert_eq!(ad_answers, td_answers);
+        assert!(ad.summary_json().contains(&format!("\"bu_waves\": {bu}")));
     }
 
     #[test]

@@ -23,6 +23,8 @@ pub struct ServerStats {
     pub max_occupancy: u64,
     /// Total BFS waves (levels) across all batches.
     pub waves_total: u64,
+    /// Waves that ran bottom-up (a subset of `waves_total`).
+    pub bu_waves: u64,
     /// Batches whose every lane passed Graph500-style validation.
     pub validated_batches: u64,
     /// Simulated seconds spent in batched engine waves.

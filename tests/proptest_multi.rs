@@ -1,13 +1,14 @@
 //! Property-based checks on the batched multi-source BFS engine
 //! (`bfs_core::multi`): on random graphs, grids, and source batches
 //! (duplicates included), every lane of a batched run is bit-identical
-//! to its standalone single-source `bfs2d::try_run`, on one host worker
-//! or many and under raw and adaptive wire codecs alike — and the whole
-//! batch passes the Graph500-style per-lane validator.
+//! to its standalone single-source `bfs2d::try_run`, whether its waves
+//! run top-down, adaptively or bottom-up, on one host worker or many
+//! and under raw and adaptive wire codecs alike — and the whole batch
+//! passes the Graph500-style per-lane validator.
 
 mod common;
 
-use bgl_bfs::core::{bfs2d, multi, BfsConfig};
+use bgl_bfs::core::{bfs2d, multi, BfsConfig, DirectionPolicy};
 use bgl_bfs::{DistGraph, GraphSpec, ProcessorGrid, SimWorld, WirePolicy};
 use proptest::prelude::*;
 
@@ -23,6 +24,18 @@ fn any_workers() -> impl Strategy<Value = usize> {
 
 fn any_wire() -> impl Strategy<Value = WirePolicy> {
     prop_oneof![Just(WirePolicy::raw()), Just(WirePolicy::auto())]
+}
+
+fn any_direction() -> impl Strategy<Value = multi::MultiConfig> {
+    prop_oneof![
+        Just(DirectionPolicy::top_down()),
+        Just(DirectionPolicy::adaptive()),
+        Just(DirectionPolicy::bottom_up()),
+    ]
+    .prop_map(|direction| multi::MultiConfig {
+        direction,
+        ..multi::MultiConfig::default()
+    })
 }
 
 fn any_family() -> impl Strategy<Value = Family> {
@@ -59,19 +72,21 @@ fn sources(n_max: u64) -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batched lanes ≡ single-source runs, across worker counts × wires.
+    /// Batched lanes ≡ single-source runs, across worker counts ×
+    /// wires × directions.
     #[test]
     fn lanes_equal_single_source_runs(
         (spec, grid) in instance(),
         srcs in sources(200),
         workers in any_workers(),
         wire in any_wire(),
+        cfg in any_direction(),
     ) {
         let srcs: Vec<u64> = srcs.into_iter().map(|s| s % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
         let r = rayon::with_worker_threads(workers, || {
             let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-            multi::try_run(&graph, &mut world, &multi::MultiConfig::default(), &srcs).unwrap()
+            multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap()
         });
         prop_assert_eq!(r.lanes(), srcs.len());
         for (lane, &s) in srcs.iter().enumerate() {
@@ -89,22 +104,27 @@ proptest! {
     }
 
     /// 1-worker and many-worker batched runs are bit-identical down to
-    /// the simulated clocks and probe counters, under both wire codecs.
+    /// the simulated clocks, probe counters and wave directions, under
+    /// both wire codecs and every direction policy.
     #[test]
     fn engines_bit_identical(
         (spec, grid) in instance(),
         srcs in sources(200),
         wire in any_wire(),
+        cfg in any_direction(),
     ) {
         let srcs: Vec<u64> = srcs.into_iter().map(|s| s % spec.n).collect();
         let graph = DistGraph::build(spec, grid);
         let (serial, parallel) = common::serial_and_parallel(|| {
             let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let r = multi::try_run(&graph, &mut world, &multi::MultiConfig::default(), &srcs)
-                .unwrap();
+            let r = multi::try_run(&graph, &mut world, &cfg, &srcs).unwrap();
             (
                 r.lane_levels,
-                r.waves.iter().map(|w| w.sim_time.to_bits()).collect::<Vec<_>>(),
+                r.waves
+                    .iter()
+                    .map(|w| (w.sim_time.to_bits(), w.direction))
+                    .collect::<Vec<_>>(),
+                world.time().to_bits(),
                 r.sim_time.to_bits(),
                 r.comm_time.to_bits(),
                 world.compute_time().to_bits(),
