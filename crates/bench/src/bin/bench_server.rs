@@ -64,31 +64,48 @@ const MIN_CACHE_SPEEDUP: f64 = 10.0;
 /// The sweep width the gates read (also the identity-check width).
 const GATE_WIDTH: usize = 16;
 
+/// One cache-off serving run: a sweep row, or the top-down row of the
+/// direction ablation.
 struct SweepRun {
     width: usize,
     served: u64,
     batches: u64,
     occupancy_mean: f64,
     waves: u64,
-    engine_sim_s: f64,
-    throughput: f64,
-}
-
-/// One row of the B=16 direction ablation (cache off).
-struct DirectionRun {
-    name: &'static str,
-    waves: u64,
     bu_waves: u64,
     engine_sim_s: f64,
     throughput: f64,
 }
 
-/// Served queries per simulated engine second.
-fn engine_qps(s: &bgl_server::ServerStats) -> f64 {
-    if s.engine_sim_time > 0.0 {
-        s.served_total() as f64 / s.engine_sim_time
-    } else {
-        0.0
+impl SweepRun {
+    /// Read a finished server's stats; `throughput` is served queries
+    /// per simulated engine second.
+    fn of(width: usize, s: &bgl_server::ServerStats) -> Self {
+        let throughput = if s.engine_sim_time > 0.0 {
+            s.served_total() as f64 / s.engine_sim_time
+        } else {
+            0.0
+        };
+        eprintln!(
+            "  B={width:<3} {} batches, occupancy {:>5.2}, {:>3} waves ({} bottom-up), sim \
+             {:>8.3} ms, {:>8.1} q/s",
+            s.batches,
+            s.occupancy_mean(),
+            s.waves_total,
+            s.bu_waves,
+            s.engine_sim_time * 1e3,
+            throughput
+        );
+        Self {
+            width,
+            served: s.served_total(),
+            batches: s.batches,
+            occupancy_mean: s.occupancy_mean(),
+            waves: s.waves_total,
+            bu_waves: s.bu_waves,
+            engine_sim_s: s.engine_sim_time,
+            throughput,
+        }
     }
 }
 
@@ -213,26 +230,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &workload,
             0,
         );
-        let s = srv.stats();
-        let throughput = engine_qps(s);
-        eprintln!(
-            "  B={width:<3} {} batches, occupancy {:>5.2}, {:>3} waves, sim {:>8.3} ms, \
-             {:>8.1} q/s",
-            s.batches,
-            s.occupancy_mean(),
-            s.waves_total,
-            s.engine_sim_time * 1e3,
-            throughput
-        );
-        sweep.push(SweepRun {
-            width,
-            served: s.served_total(),
-            batches: s.batches,
-            occupancy_mean: s.occupancy_mean(),
-            waves: s.waves_total,
-            engine_sim_s: s.engine_sim_time,
-            throughput,
-        });
+        sweep.push(SweepRun::of(width, srv.stats()));
     }
 
     // --- Cache on vs off at the gate width. ---------------------------
@@ -262,7 +260,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         miss_s * 1e6
     );
 
-    // --- Direction ablation at the gate width, cache off. ------------
+    // --- Direction ablation at the gate width, cache off: top-down
+    // against the sweep's adaptive row. -------------------------------
     let topdown_multi = multi::MultiConfig {
         direction: DirectionPolicy::top_down(),
         ..multi::MultiConfig::default()
@@ -270,47 +269,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tworld = SimWorld::bluegene(grid).with_wire_policy(wire);
     let tres = multi::try_run(&graph, &mut tworld, &topdown_multi, &gate_sources)?;
     let direction_lanes_identical = tres.lane_levels == mres.lane_levels;
-    let mut directions: Vec<DirectionRun> = Vec::new();
-    for (name, multi) in [
-        ("top-down", topdown_multi),
-        ("adaptive", multi::MultiConfig::default()),
-    ] {
-        let srv = serve_workload(
+    eprint!("  top-down:");
+    let topdown = SweepRun::of(
+        GATE_WIDTH,
+        serve_workload(
             &graph,
             wire,
             ServerConfig {
                 batch_width: GATE_WIDTH,
                 queue_capacity: queries.max(1),
                 cache_capacity: 0,
-                multi,
+                multi: topdown_multi,
                 ..ServerConfig::default()
             },
             &workload,
             0,
-        );
-        let s = srv.stats();
-        eprintln!(
-            "  {name:<8} B={GATE_WIDTH}: {} waves ({} bottom-up), sim {:>8.3} ms, {:>8.1} q/s",
-            s.waves_total,
-            s.bu_waves,
-            s.engine_sim_time * 1e3,
-            engine_qps(s)
-        );
-        directions.push(DirectionRun {
-            name,
-            waves: s.waves_total,
-            bu_waves: s.bu_waves,
-            engine_sim_s: s.engine_sim_time,
-            throughput: engine_qps(s),
-        });
-    }
-    let direction_speedup = match directions.as_slice() {
-        [td, ad] if td.throughput > 0.0 => ad.throughput / td.throughput,
-        _ => 0.0,
-    };
-    eprintln!(
-        "  adaptive vs top-down B={GATE_WIDTH} simulated throughput: {direction_speedup:.2}x, \
-         lanes identical: {direction_lanes_identical}"
+        )
+        .stats(),
     );
 
     let find = |w: usize| sweep.iter().find(|r| r.width == w);
@@ -319,6 +294,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         _ => 0.0,
     };
     eprintln!("  batched B={GATE_WIDTH} vs B=1 simulated throughput: {batch_speedup:.2}x");
+    let directions = [("top-down", Some(&topdown)), ("adaptive", find(GATE_WIDTH))];
+    let direction_speedup = match find(GATE_WIDTH) {
+        Some(ad) if topdown.throughput > 0.0 => ad.throughput / topdown.throughput,
+        _ => 0.0,
+    };
+    eprintln!(
+        "  adaptive vs top-down B={GATE_WIDTH} simulated throughput: {direction_speedup:.2}x, \
+         lanes identical: {direction_lanes_identical}"
+    );
 
     let clean = sweep.iter().all(|r| r.served == queries as u64)
         && cs.served_total() == queries as u64
@@ -370,10 +354,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         w.field("direction_lanes_identical", direction_lanes_identical)
             .key("direction_ablation")
             .arr(|w| {
-                for r in &directions {
+                for (name, r) in directions {
+                    let Some(r) = r else { continue };
                     w.obj(|w| {
-                        w.field("direction", r.name)
-                            .field("batch_width", GATE_WIDTH)
+                        w.field("direction", name)
+                            .field("batch_width", r.width)
                             .field("waves", r.waves)
                             .field("bu_waves", r.bu_waves)
                             .field("engine_sim_ms", Fixed(r.engine_sim_s * 1e3, 3))

@@ -30,12 +30,12 @@
 //! each rank's own frontier vertices `mf̂`, and `mû`, the stored entries
 //! of rows whose sent mask does not yet hold every lane (kept
 //! incrementally by both kernels). A top-down policy keeps the
-//! three-word round, so its clock is unchanged. A bottom-up wave sends
-//! each rank's frontier to its R − 1 processor-column peers
-//! ([`lane_alltoallv`], traced as `Phase::Gather`), then every rank
-//! scans its stored rows: a row ORs the lane masks of its frontier
-//! columns into the lanes it still needs and stops once they are all
-//! found — the bit-parallel multi-source BFS of Then et al. ("The More
+//! three-word round, so its clock is unchanged. Both directions ship
+//! the frontier with the same targeted expand ([`lane_alltoallv`] to
+//! the processor-column peers that store each vertex's column, traced
+//! as `Phase::Gather` on bottom-up waves). A bottom-up wave then scans
+//! every stored row: a row ORs the lane masks of its frontier columns
+//! into the lanes it still needs and stops once they are all found — the bit-parallel multi-source BFS of Then et al. ("The More
 //! the Merrier", PVLDB 2014) under the distributed direction switch.
 //! Fold and absorb are shared by both directions. A bottom-up block is
 //! the top-down block minus lanes absorb would drop anyway, so every
@@ -263,10 +263,10 @@ impl<'g> MultiRankState<'g> {
 
     /// Bottom-up discover: scan every stored row for the lanes it still
     /// needs and OR in the lane masks of its frontier columns, stopping
-    /// as soon as every needed lane is found. `gathered` holds the
-    /// frontiers of this rank's processor-column peers; the rank's own
-    /// frontier joins locally, so together they cover every column
-    /// this rank stores.
+    /// as soon as every needed lane is found. `fbar` is the received
+    /// frontier F̄ of the targeted expand, the same input
+    /// [`MultiRankState::discover`] takes: every frontier vertex whose
+    /// column this rank stores, this rank's own included.
     ///
     /// A row needs the lanes that are live in those columns and not yet
     /// in its sent mask and, when this rank owns the row's vertex, not
@@ -277,12 +277,12 @@ impl<'g> MultiRankState<'g> {
     /// [`MultiRankState::discover`]'s block minus, on rows this rank
     /// owns, the lanes already visited. Probes counted: one per column
     /// tested.
-    pub fn discover_bottom_up(&mut self, gathered: &[LaneSet]) -> Vec<LaneSet> {
+    pub fn discover_bottom_up(&mut self, fbar: &[LaneSet]) -> Vec<LaneSet> {
         let rg = self.rg;
         let edges = &rg.edges;
         let mut col_masks: Vec<LaneMask> = vec![0; edges.num_cols()];
         let mut live: LaneMask = 0;
-        for set in gathered.iter().chain([&self.frontier]) {
+        for set in fbar {
             for (v, mask) in set.iter() {
                 if let Some(ci) = edges.col_local(v) {
                     col_masks[ci as usize] |= mask;
@@ -336,16 +336,6 @@ impl<'g> MultiRankState<'g> {
         if *sent == self.full {
             self.unexplored -= self.rg.edges.row_degree(rl) as u64;
         }
-    }
-
-    /// The bottom-up gather sends: the frontier, masks and all, to each
-    /// of the R − 1 processor-column peers.
-    pub fn gather_sends(&self) -> LaneSendList {
-        let (i, j) = self.grid.position_of(self.rg.rank);
-        (0..self.grid.rows())
-            .filter(|&i2| i2 != i)
-            .map(|i2| (self.grid.rank_of(i2, j), self.frontier.clone()))
-            .collect()
     }
 
     /// Local share of `mf̂`: the stored entries of the rank's own
@@ -504,40 +494,30 @@ pub fn try_run(
             break;
         }
 
-        let blocks: Vec<Vec<LaneSet>> = if bottom_up {
-            // -- 2. (bottom-up) gather every column peer's frontier.
-            let t_gather = world.time();
-            let sends: Vec<LaneSendList> = states.iter().map(|s| s.gather_sends()).collect();
-            let gathered = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;
-            world.trace_span(Phase::Gather, wave, t_gather);
-
-            // -- 3. (bottom-up) row scans, early exit per row.
-            let t_discover = world.time();
-            let blocks = states
-                .par_iter_mut()
-                .zip(&gathered)
-                .map_collect(|s, sets| s.discover_bottom_up(sets));
-            drop(gathered);
-            world.trace_span(Phase::Discover, wave, t_discover);
-            blocks
+        // -- 2. expand over processor-columns, masks riding along
+        // (the frontier gather of a bottom-up wave).
+        let t_expand = world.time();
+        let sends: Vec<LaneSendList> = states.par_iter_mut().map(|s| s.expand_sends()).collect();
+        let fbar = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;
+        let phase = if bottom_up {
+            Phase::Gather
         } else {
-            // -- 2. expand over processor-columns, masks riding along.
-            let t_expand = world.time();
-            let sends: Vec<LaneSendList> =
-                states.par_iter_mut().map(|s| s.expand_sends()).collect();
-            let fbar = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;
-            world.trace_span(Phase::Expand, wave, t_expand);
-
-            // -- 3. local discovery (edge scans shared across lanes).
-            let t_discover = world.time();
-            let blocks = states
-                .par_iter_mut()
-                .zip(&fbar)
-                .map_collect(|s, lists| s.discover(lists));
-            drop(fbar);
-            world.trace_span(Phase::Discover, wave, t_discover);
-            blocks
+            Phase::Expand
         };
+        world.trace_span(phase, wave, t_expand);
+
+        // -- 3. local discovery: edge scans shared across lanes, or row
+        // scans with a per-row early exit.
+        let t_discover = world.time();
+        let blocks = states.par_iter_mut().zip(&fbar).map_collect(|s, lists| {
+            if bottom_up {
+                s.discover_bottom_up(lists)
+            } else {
+                s.discover(lists)
+            }
+        });
+        drop(fbar);
+        world.trace_span(Phase::Discover, wave, t_discover);
 
         // -- 4. fold over processor-rows.
         let t_fold = world.time();
@@ -706,10 +686,10 @@ mod tests {
 
     /// The bottom-up scan without its early exit or live-lane cut:
     /// every stored column of every row is tested.
-    fn exhaustive_bottom_up(st: &MultiRankState<'_>, gathered: &[LaneSet]) -> Vec<LaneSet> {
+    fn exhaustive_bottom_up(st: &MultiRankState<'_>, fbar: &[LaneSet]) -> Vec<LaneSet> {
         let (rg, edges) = (st.rg, &st.rg.edges);
         let mut frontier: Vec<(Vertex, LaneMask)> = Vec::new();
-        for set in gathered.iter().chain([&st.frontier]) {
+        for set in fbar {
             frontier.extend(set.iter());
         }
         let frontier = LaneSet::from_pairs(frontier);
@@ -775,13 +755,9 @@ mod tests {
                     let mut wave = 1;
                     while sts.iter().any(|st| !st.frontier.is_empty()) {
                         let mut fbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
-                        let mut gathered: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
                         for st in sts.iter_mut() {
                             for (peer, set) in st.expand_sends() {
                                 fbar[peer].push(set);
-                            }
-                            for (peer, set) in st.gather_sends() {
-                                gathered[peer].push(set);
                             }
                         }
                         let mut td_sts = sts.clone();
@@ -795,7 +771,7 @@ mod tests {
                             );
                             let st = &sts[rank];
                             let td = td_sts[rank].discover(&fbar[rank]);
-                            let bu = bu_sts[rank].discover_bottom_up(&gathered[rank]);
+                            let bu = bu_sts[rank].discover_bottom_up(&fbar[rank]);
                             let want: Vec<LaneSet> = td
                                 .iter()
                                 .map(|block| {
@@ -809,7 +785,7 @@ mod tests {
                                 })
                                 .collect();
                             assert_eq!(bu, want, "{what}");
-                            assert_eq!(bu, exhaustive_bottom_up(st, &gathered[rank]), "{what}");
+                            assert_eq!(bu, exhaustive_bottom_up(st, &fbar[rank]), "{what}");
                             for s in [&td_sts[rank], &bu_sts[rank]] {
                                 assert_eq!(s.unexplored, unexplored_from_scratch(s), "{what}");
                             }

@@ -62,8 +62,6 @@ COMMANDS
            graph: --n --k --seed --rows --cols
            server: [--batch B<=64] [--queue-cap Q] [--deadline TICKS] [--cache-cap C]
            [--engine-threads N] [--wire auto|raw|delta|bitmap] [--validate]
-           [--direction off|adaptive|bottom-up] — per-wave lane-wide top-down/bottom-up
-           switching (default adaptive; every lane's levels are unchanged)
            workload: [--queries N] [--hot POOL] [--theta T] [--workload-seed S]
            arrivals: [--arrivals PER_TICK] [--arrival-process fixed|poisson|bursty]
            [--burst F] [--arrival-seed S] — seeded open-loop streams for queue-depth
@@ -167,7 +165,6 @@ fn allowed_flags(cmd: &str) -> Option<Vec<&'static str>> {
                 "deadline",
                 "cache-cap",
                 "engine-threads",
-                "direction",
                 "wire",
                 "validate",
                 "queries",
@@ -738,12 +735,7 @@ fn cmd_serve(flags: &Flags) {
         queue_capacity: flags.u64("queue-cap", 1024) as usize,
         deadline_ticks: flags.has("deadline").then(|| flags.u64("deadline", 8)),
         cache_capacity: flags.u64("cache-cap", 64) as usize,
-        multi: multi::MultiConfig {
-            direction: flags
-                .choice("direction", direction_policy)
-                .unwrap_or_else(DirectionPolicy::adaptive),
-            ..multi::MultiConfig::default()
-        },
+        multi: multi::MultiConfig::default(),
         validate_batches: flags.has("validate"),
     };
     let wspec = WorkloadSpec {
@@ -1058,19 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_takes_a_direction() {
-        for line in [
-            "--direction off",
-            "--direction adaptive",
-            "--direction bottom-up",
-        ] {
-            assert_eq!(flag_error("serve", &flags(line)), None, "{line}");
-        }
-        let e = flag_error("serve", &flags("--direction sideways")).expect("serve");
-        assert!(e.contains("--direction") && e.contains("adaptive"), "{e}");
-    }
-
-    #[test]
     fn bad_direction_rejected() {
         let e = flag_error("search", &flags("--direction sideways")).expect("search");
         assert!(e.contains("--direction") && e.contains("adaptive"), "{e}");
@@ -1143,7 +1122,7 @@ mod tests {
             ("search", "--n 100 --sorce 5", "--sorce"),
             ("path", "--n 100 --drop-rate 0.1", "--drop-rate"),
             ("path", "--trace", "--trace"),
-            ("serve", "--n 100 --levels", "--levels"),
+            ("serve", "--n 100 --direction adaptive", "--direction"),
             ("theory", "--rows 4", "--rows"),
             ("info", "--n 100", "--n"),
         ] {
