@@ -1,6 +1,7 @@
-//! Host-side performance check for the hybrid-frontier PR: measures
-//! list vs bitmap union-fold throughput and writes the numbers to
-//! `BENCH_setops.json`.
+//! Host-side performance check of the set kernels: list vs bitmap
+//! union-fold throughput, and the probe rate of the top-down
+//! `RankState::discover` kernel over one whole search. Writes the
+//! numbers to `BENCH_setops.json`.
 //!
 //! Unlike the figure binaries this measures *host* wall-clock, not
 //! simulated BlueGene/L time — it is the evidence that the hybrid
@@ -12,15 +13,20 @@
 //! cargo run --release -p bgl-bench --bin bench_setops
 //! ```
 
+use bfs_core::state::{gather_levels, RankState};
+use bfs_core::validate_against_spec;
 use bgl_bench::harness::{write_report, Args};
-use bgl_comm::{Vert, VertSet, VsetPolicy};
+use bgl_comm::{ProcessorGrid, Vert, VertSet, VsetPolicy};
+use bgl_graph::{DistGraph, GraphSpec, Vertex};
 use bgl_trace::json::{self, Fixed};
 use std::time::Instant;
 
 const HELP: &str = "\
 bench_setops — hybrid set-kernel wall-clock benchmark
 
-Writes BENCH_setops.json (override with --out).
+Times list vs bitmap union folds, and RankState::discover over one whole
+top-down Poisson n=2^18, k=16 search on 8x8. Writes BENCH_setops.json
+(override with --out).
 
 Flags:
   --span N       slot range of the synthetic union payloads (default 65536)
@@ -53,6 +59,52 @@ fn time_union(blocks: &[Vec<Vert>], policy: &VsetPolicy, reps: u64) -> f64 {
     best
 }
 
+/// Seconds spent in [`RankState::discover`] and the probes it counted
+/// over one whole top-down search from `source`, with the sent-neighbors
+/// cache on. The search is driven level by level on the calling thread:
+/// targeted expand, discover, direct fold to the processor-row peers,
+/// absorb. Returns the final global level array too.
+fn time_discover(graph: &DistGraph, source: Vertex) -> (f64, u64, Vec<u32>) {
+    let grid = graph.grid();
+    let mut states: Vec<RankState<'_>> = graph
+        .ranks
+        .iter()
+        .map(|rg| RankState::new(rg, graph.partition, true))
+        .collect();
+    for st in states.iter_mut() {
+        st.init_source(source);
+    }
+    let (mut secs, mut probes) = (0.0, 0);
+    for level in 1.. {
+        let mut fbar: Vec<Vec<Vec<Vertex>>> = vec![Vec::new(); grid.len()];
+        for st in states.iter_mut() {
+            for (peer, list) in st.expand_sends_targeted() {
+                fbar[peer].push(list);
+            }
+        }
+        if fbar.iter().all(Vec::is_empty) {
+            break;
+        }
+        let mut nbar: Vec<Vec<Vec<Vertex>>> = vec![Vec::new(); grid.len()];
+        for (rank, (st, lists)) in states.iter_mut().zip(&fbar).enumerate() {
+            let lists: Vec<&[Vertex]> = lists.iter().map(Vec::as_slice).collect();
+            let before = st.probes;
+            let start = Instant::now();
+            let blocks = std::hint::black_box(st.discover(&lists));
+            secs += start.elapsed().as_secs_f64();
+            probes += st.probes - before;
+            for (m, block) in blocks.into_iter().enumerate() {
+                nbar[grid.rank_of(grid.row_of(rank), m)].push(block);
+            }
+        }
+        for (st, lists) in states.iter_mut().zip(&nbar) {
+            let lists: Vec<&[Vertex]> = lists.iter().map(Vec::as_slice).collect();
+            st.absorb(&lists, level);
+        }
+    }
+    (secs, probes, gather_levels(&states, graph.spec.n))
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
@@ -79,6 +131,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("warning: bitmap union speedup below the 2x target");
     }
 
+    // --- Top-down discover over one whole search. ----------------------
+    let discover_n = 1 << 18;
+    let spec = GraphSpec::poisson(discover_n, 16.0, 1);
+    let graph = DistGraph::build(spec, ProcessorGrid::new(8, 8));
+    let source = 1;
+    let mut discover_s = f64::INFINITY;
+    let mut discover_probes = 0;
+    for _ in 0..reps {
+        let (secs, probes, levels) = time_discover(&graph, source);
+        validate_against_spec(&spec, &levels, source)?;
+        discover_s = discover_s.min(secs);
+        discover_probes = probes;
+    }
+    let discover_mpps = discover_probes as f64 / discover_s / 1e6;
+    eprintln!("discover: Poisson n={discover_n} k=16 on 8x8, {discover_probes} probes");
+    eprintln!(
+        "  top-down {discover_mpps:>9.1} Mprobe/s   ({:.1} ms)",
+        discover_s * 1e3
+    );
+
     let doc = json::pretty(|w| {
         w.key("union_kernels").obj(|w| {
             w.field("span", span)
@@ -87,6 +159,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .field("list_melem_per_s", Fixed(list_meps, 3))
                 .field("bitmap_melem_per_s", Fixed(bitmap_meps, 3))
                 .field("bitmap_speedup", Fixed(union_speedup, 3));
+        });
+        w.key("discover").obj(|w| {
+            w.field("n", discover_n)
+                .field("avg_degree", 16u64)
+                .field("grid", "8x8")
+                .field("probes", discover_probes)
+                .field("seconds", Fixed(discover_s, 6))
+                .field("mprobe_per_s", Fixed(discover_mpps, 3));
         });
     });
     write_report(&out, &doc)?;

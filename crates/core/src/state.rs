@@ -9,11 +9,20 @@
 //!   the first §2.4.2 local-index mapping a subtraction);
 //! * the current frontier `F`;
 //! * the §2.4.3 **sent-neighbors** cache — one bit per unique vertex
-//!   appearing in this rank's edge lists (`O(n/P)` expected, §2.4.1) —
+//!   appearing in this rank's edge lists (`O(n/P)` expected, §2.4.1),
+//!   packed 64 rows to a word over row-local ids —
 //!   "once a neighbor vertex is sent, it may be encountered again, but
 //!   it never needs to be sent again";
 //! * a hash-probe counter feeding the cost model (the paper profiles the
 //!   algorithm as spending "most of its time in a hashing function").
+//!
+//! Top-down [`RankState::discover`] runs in three passes over row
+//! bitmaps: **scan** ORs every stored row of each received column into a
+//! [`RowMarks`] with no per-entry branch; **mask** applies the cache a
+//! word at a time (`marks &= !sent; sent |= marks`); **drain** sizes
+//! each fold block by popcount and emits its rows in ascending order.
+//! The probe count is still one per received vertex plus one per stored
+//! entry, so the simulated clock does not see the change.
 
 use crate::reference::UNREACHED;
 use bgl_comm::{ProcessorGrid, VertSet};
@@ -28,8 +37,9 @@ pub struct RankState<'g> {
     pub levels: Vec<u32>,
     /// Current frontier (owned vertices at the current level), sorted.
     pub frontier: Vec<Vertex>,
-    /// Sent-neighbors cache over row-local ids (empty when disabled).
-    sent: Vec<bool>,
+    /// Sent-neighbors cache: bit `rl` set once row-local id `rl` has
+    /// been sent (empty when disabled).
+    sent: Vec<u64>,
     /// Hash probes performed since the last [`RankState::take_probes`].
     pub probes: u64,
     /// Stored adjacency entries whose row has not been emitted yet —
@@ -50,7 +60,7 @@ impl<'g> RankState<'g> {
             levels: vec![UNREACHED; rg.owned_len()],
             frontier: Vec::new(),
             sent: if use_sent {
-                vec![false; rg.edges.num_row_ids()]
+                vec![0; rg.edges.num_row_ids().div_ceil(64)]
             } else {
                 Vec::new()
             },
@@ -77,8 +87,9 @@ impl<'g> RankState<'g> {
         self.frontier.len() as u64
     }
 
-    /// Whether an owned vertex is labeled (one probe counted — this is
-    /// the level lookup on the owned mapping).
+    /// The level of an owned vertex, if labeled (`None` too when this
+    /// rank does not own `v`). Counts no probe: a caller charging the
+    /// lookup adds it to [`RankState::probes`] itself.
     pub fn level_of(&self, v: Vertex) -> Option<u32> {
         self.rg.owned_local(v).and_then(|off| {
             let l = self.levels[off];
@@ -115,29 +126,37 @@ impl<'g> RankState<'g> {
     /// Hash probes counted: one per F̄ vertex (partial-edge-list lookup)
     /// plus one per edge entry traversed (sent-neighbors lookup). These
     /// are the paper's hash-table costs; on the host the lists hold
-    /// row-local ids, so an entry costs one bit set in [`RowMarks`].
+    /// row-local ids, so a column costs one bit set per entry, and the
+    /// cache is applied to all of them at once, a word at a time.
     pub fn discover(&mut self, fbar_lists: &[&[Vertex]]) -> Vec<Vec<Vertex>> {
-        let rg = self.rg;
-        let mut marks = RowMarks::new(rg.edges.num_row_ids());
+        let edges = &self.rg.edges;
+        // Scan: every stored row of every received column.
+        let mut marks = RowMarks::new(edges.num_row_ids());
         for list in fbar_lists {
             for &v in *list {
                 self.probes += 1;
-                let Some(ci) = rg.edges.col_local(v) else {
-                    continue;
-                };
-                for &rl in rg.edges.rows_of(ci) {
-                    self.probes += 1;
-                    if self.claim_row(rl) {
+                if let Some(ci) = edges.col_local(v) {
+                    let rows = edges.rows_of(ci);
+                    self.probes += rows.len() as u64;
+                    for &rl in rows {
                         marks.mark(rl);
                     }
                 }
             }
         }
-        let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.cols()];
-        marks.drain(rg.row_blocks(), |m, rl| {
-            blocks[m].push(rg.edges.row_of_local(rl));
-        });
-        blocks
+        // Mask: drop rows already sent, record the rest.
+        let caching = !self.sent.is_empty();
+        if caching {
+            marks.claim(&mut self.sent);
+        }
+        // Drain: emitted rows leave the unexplored edge mass.
+        let unexplored = &mut self.unexplored;
+        marks.into_blocks(self.rg.row_blocks(), |rl| {
+            if caching {
+                *unexplored -= edges.row_degree(rl) as u64;
+            }
+            edges.row_of_local(rl)
+        })
     }
 
     /// Whether row-local id `rl` is to be sent now. With the
@@ -149,12 +168,21 @@ impl<'g> RankState<'g> {
         if self.sent.is_empty() {
             return true;
         }
-        if self.sent[rl as usize] {
+        let (word, bit) = (&mut self.sent[rl as usize / 64], 1u64 << (rl % 64));
+        if *word & bit != 0 {
             return false;
         }
-        self.sent[rl as usize] = true;
+        *word |= bit;
         self.unexplored -= self.rg.edges.row_degree(rl) as u64;
         true
+    }
+
+    /// Whether row-local id `rl` is in the sent-neighbors cache (never,
+    /// with the cache off).
+    fn is_sent(&self, rl: u32) -> bool {
+        self.sent
+            .get(rl as usize / 64)
+            .is_some_and(|w| w >> (rl % 64) & 1 != 0)
     }
 
     /// Absorb received neighbor sets: label unlabeled owned vertices with
@@ -228,16 +256,17 @@ impl<'g> RankState<'g> {
     /// vertex. The early exit plus the free skip of already-sent rows
     /// is where bottom-up wins.
     pub fn discover_bottom_up(&mut self, frontier: &VertSet) -> Vec<Vec<Vertex>> {
-        let edges = &self.rg.edges;
-        let bounds = self.rg.row_blocks();
+        let rg = self.rg;
+        let edges = &rg.edges;
+        let bounds = rg.row_blocks();
         let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.cols()];
         for (block, range) in blocks.iter_mut().zip(bounds.windows(2)) {
             for rl in range[0]..range[1] {
-                if !self.sent.is_empty() && self.sent[rl as usize] {
+                if self.is_sent(rl) {
                     continue;
                 }
                 let u = edges.row_of_local(rl);
-                if let Some(off) = self.rg.owned_local(u) {
+                if let Some(off) = rg.owned_local(u) {
                     if self.levels[off] != UNREACHED {
                         continue;
                     }
@@ -251,10 +280,7 @@ impl<'g> RankState<'g> {
                     }
                 }
                 if parented {
-                    if !self.sent.is_empty() {
-                        self.sent[rl as usize] = true;
-                        self.unexplored -= edges.row_degree(rl) as u64;
-                    }
+                    self.claim_row(rl);
                     block.push(u);
                 }
             }
@@ -312,21 +338,73 @@ impl RowMarks {
         self.0[rl as usize / 64] |= 1u64 << (rl % 64);
     }
 
-    /// Visit the marked rows in ascending order as `(block column,
-    /// row-local id)`, where `bounds` are the rank's row-block bounds
-    /// ([`RankGraph::row_blocks`]).
-    pub(crate) fn drain(self, bounds: &[u32], mut visit: impl FnMut(usize, u32)) {
+    /// Apply a sent-neighbors cache of the same length, a word at a
+    /// time: unmark every row already in `sent`, then add the rest to it.
+    pub(crate) fn claim(&mut self, sent: &mut [u64]) {
+        for (marks, sent) in self.0.iter_mut().zip(sent) {
+            *marks &= !*sent;
+            *sent |= *marks;
+        }
+    }
+
+    /// Visit every marked piece of a word that lies in one block column,
+    /// in ascending order, as `(block column, row-local id of bit 0,
+    /// bits)`, where `bounds` are the rank's row-block bounds
+    /// ([`RankGraph::row_blocks`]). Empty words cost one test each.
+    fn pieces(&self, bounds: &[u32], mut visit: impl FnMut(usize, u32, u64)) {
         let mut block = 0;
-        for (w, mut bits) in self.0.into_iter().enumerate() {
+        for (w, &word) in self.0.iter().enumerate() {
+            let base = (w * 64) as u32;
+            let mut bits = word;
             while bits != 0 {
-                let rl = (w * 64) as u32 + bits.trailing_zeros();
-                bits &= bits - 1;
-                while rl >= bounds[block + 1] {
+                while base + bits.trailing_zeros() >= bounds[block + 1] {
                     block += 1;
                 }
-                visit(block, rl);
+                let end = bounds[block + 1] - base;
+                let piece = if end >= 64 {
+                    bits
+                } else {
+                    bits & ((1u64 << end) - 1)
+                };
+                visit(block, base, piece);
+                bits &= !piece;
             }
         }
+    }
+
+    /// Visit the marked rows in ascending order as `(block column,
+    /// row-local id)`.
+    pub(crate) fn drain(&self, bounds: &[u32], mut visit: impl FnMut(usize, u32)) {
+        self.pieces(bounds, |block, base, mut bits| {
+            while bits != 0 {
+                visit(block, base + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        });
+    }
+
+    /// One block per block column of `bounds`, each allocated at its
+    /// popcount and filled with `row(rl)` for its marked rows in
+    /// ascending order.
+    pub(crate) fn into_blocks<T>(
+        self,
+        bounds: &[u32],
+        mut row: impl FnMut(u32) -> T,
+    ) -> Vec<Vec<T>> {
+        let mut blocks: Vec<Vec<T>> = (1..bounds.len()).map(|_| Vec::new()).collect();
+        // Pieces arrive block by block, so a block is sized once the
+        // first piece of a later block (or the end) shows it is complete.
+        let (mut open, mut len) = (0, 0);
+        self.pieces(bounds, |block, _, bits| {
+            if block != open {
+                blocks[open].reserve_exact(len);
+                (open, len) = (block, 0);
+            }
+            len += bits.count_ones() as usize;
+        });
+        blocks[open].reserve_exact(len);
+        self.drain(bounds, |block, rl| blocks[block].push(row(rl)));
+        blocks
     }
 }
 
@@ -433,6 +511,86 @@ mod tests {
         let b = no_cache[0].discover(&[&cols]);
         assert_eq!(a, b);
         assert_eq!(a, first, "first pass matches cached first pass");
+
+        // A later call over more columns emits every row of an earlier
+        // call again without the cache, and none of them with it.
+        let head = &cols[..cols.len() / 2];
+        for use_sent in [false, true] {
+            let mut st = states(&g, use_sent);
+            let earlier = st[0].discover(&[head]);
+            assert!(count(&earlier) > 0);
+            let later = st[0].discover(&[&cols]);
+            for (a, b) in earlier.iter().zip(&later) {
+                assert!(a.iter().all(|u| b.binary_search(u).is_ok() != use_sent));
+            }
+        }
+    }
+
+    /// Rows of `lo..hi` in `marked`, the drain's expected block.
+    fn rows_in(marked: &[u32], lo: u32, hi: u32) -> Vec<u32> {
+        marked
+            .iter()
+            .copied()
+            .filter(|rl| (lo..hi).contains(rl))
+            .collect()
+    }
+
+    #[test]
+    fn counted_drain_at_word_boundaries() {
+        const ROWS: u32 = 150; // three words, the last one partial
+        let patterns: [Vec<u32>; 4] = [
+            (0..ROWS).collect(),
+            Vec::new(),
+            (0..ROWS).filter(|rl| rl % 3 == 0).collect(),
+            vec![0, 2, 3, 63, 64, 69, 70, 127, 128, 133, 134, 149],
+        ];
+        let bounds_sets: [&[u32]; 4] = [
+            // Mid-word ends and starts, an empty block, exactly 64
+            // rows across a word boundary, a partial last word.
+            &[0, 3, 70, 70, 134, ROWS],
+            // Word-aligned blocks of exactly 64 rows.
+            &[0, 64, 128, ROWS],
+            // Empty first and last blocks.
+            &[0, 0, 1, 149, ROWS, ROWS],
+            &[0, ROWS],
+        ];
+        for marked in &patterns {
+            let mut marks = RowMarks::new(ROWS as usize);
+            for &rl in marked {
+                marks.mark(rl);
+            }
+            for bounds in bounds_sets {
+                let mut drained = vec![Vec::new(); bounds.len() - 1];
+                marks.drain(bounds, |m, rl| drained[m].push(rl));
+                let blocks = RowMarks(marks.0.clone()).into_blocks(bounds, |rl| rl);
+                assert_eq!(blocks.len(), bounds.len() - 1);
+                for (m, b) in bounds.windows(2).enumerate() {
+                    let want = rows_in(marked, b[0], b[1]);
+                    assert_eq!(blocks[m], want, "block {m} of {bounds:?}");
+                    assert_eq!(blocks[m].capacity(), want.len(), "exact size");
+                    assert_eq!(drained[m], want, "drain block {m} of {bounds:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn claim_keeps_unsent_rows_and_records_them() {
+        let mut sent = RowMarks::new(130);
+        for rl in [1, 64, 129] {
+            sent.mark(rl);
+        }
+        let mut marks = RowMarks::new(130);
+        for rl in [0, 1, 63, 64, 128, 129] {
+            marks.mark(rl);
+        }
+        marks.claim(&mut sent.0);
+        let mut left = Vec::new();
+        marks.drain(&[0, 130], |_, rl| left.push(rl));
+        assert_eq!(left, [0, 63, 128]);
+        let mut now_sent = Vec::new();
+        sent.drain(&[0, 130], |_, rl| now_sent.push(rl));
+        assert_eq!(now_sent, [0, 1, 63, 64, 128, 129]);
     }
 
     #[test]
@@ -575,6 +733,13 @@ mod tests {
         assert_eq!(sts[0].probes, probes_before, "heuristic is uncharged");
     }
 
+    /// Record row-local id `rl` in the sent cache and retire its entries
+    /// from the unexplored count.
+    fn set_sent(st: &mut RankState<'_>, rl: u32) {
+        st.sent[rl as usize / 64] |= 1 << (rl % 64);
+        st.unexplored -= st.rg.edges.row_degree(rl) as u64;
+    }
+
     /// Top-down discover as it ran on the hash-mapped layout: look each
     /// entry's row up with `row_local`, route it with `block_col_of`,
     /// then sort and deduplicate every block.
@@ -595,11 +760,10 @@ mod tests {
                     st.probes += 1;
                     if !st.sent.is_empty() {
                         let rl = edges.row_local(u).unwrap();
-                        if st.sent[rl as usize] {
+                        if st.is_sent(rl) {
                             continue;
                         }
-                        st.sent[rl as usize] = true;
-                        st.unexplored -= edges.row_degree(rl) as u64;
+                        set_sent(st, rl);
                     }
                     blocks[partition.block_col_of(u)].push(u);
                 }
@@ -621,7 +785,7 @@ mod tests {
         let edges = &st.rg.edges;
         let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); partition.cols()];
         for rl in 0..edges.num_row_ids() as u32 {
-            if !st.sent.is_empty() && st.sent[rl as usize] {
+            if st.is_sent(rl) {
                 continue;
             }
             let u = edges.row_of_local(rl);
@@ -638,8 +802,7 @@ mod tests {
             }
             if parented {
                 if !st.sent.is_empty() {
-                    st.sent[rl as usize] = true;
-                    st.unexplored -= edges.row_degree(rl) as u64;
+                    set_sent(st, rl);
                 }
                 blocks[partition.block_col_of(u)].push(u);
             }
