@@ -49,6 +49,9 @@ const SOURCE: u64 = 1;
 /// Builds a variant's world on the ablation's grid.
 type MakeWorld = fn(ProcessorGrid) -> SimWorld;
 
+/// A named relation over an ablation's measured variants.
+type Gate = (&'static str, fn(&[Measured]) -> bool);
+
 /// One ablation: a graph and grid, the variants compared on them, and
 /// the relation `--check` gates (`None`: recorded as found).
 struct Ablation {
@@ -56,7 +59,7 @@ struct Ablation {
     spec: GraphSpec,
     grid: ProcessorGrid,
     variants: Vec<(&'static str, MakeWorld, BfsConfig)>,
-    gate: Option<(&'static str, fn(&[Measured]) -> bool)>,
+    gate: Option<Gate>,
 }
 
 /// One variant's simulated search.

@@ -14,8 +14,13 @@
 //! arriving at position `i` originated at position `(i − 1 − s) mod g` —
 //! so no header words pollute the vertex accounting. All groups step in
 //! lockstep, so a world-wide step is one message round.
+//!
+//! A piece travels unchanged, so it is measured once at its origin and
+//! moved, with that measure, from hop to hop; a receiver keeps a copy
+//! for its result, except at the last hop of its ring, where it keeps
+//! the piece itself.
 
-use super::{ring_step, Groups};
+use super::{measure_all, ring_step, Groups, Piece};
 use crate::error::CommError;
 use crate::sim::{Inbox, SimWorld};
 use crate::stats::OpClass;
@@ -30,26 +35,37 @@ pub fn allgather_ring(
     world: &mut SimWorld,
     class: OpClass,
     groups: &Groups,
-    contribution: Vec<Vec<Vert>>,
+    mut contribution: Vec<Vec<Vert>>,
 ) -> Result<Vec<Inbox>, CommError> {
     debug_assert_eq!(contribution.len(), world.p());
     // gathered[rank] accumulates (source, payload); in_flight[rank] is
-    // the piece this rank forwards at the next step.
+    // the piece this rank forwards at the next step, with the measure
+    // taken once at its origin.
+    let measures = measure_all(world, &mut contribution);
     let mut gathered: Vec<Inbox> = contribution
         .iter()
         .enumerate()
         .map(|(rank, c)| vec![(rank, c.clone())])
         .collect();
-    let mut in_flight = contribution;
+    let mut in_flight: Vec<Option<Piece>> = contribution
+        .into_iter()
+        .zip(measures)
+        .map(|(c, m)| Some((c, Some(m))))
+        .collect();
     for s in 0..groups.ring_steps() {
-        let pieces = ring_step(world, class, groups, s, |_, rank| {
-            Some(in_flight[rank].clone())
-        })?;
-        for (rank, piece) in pieces.into_iter().enumerate() {
-            if let Some(piece) = piece {
-                let origin = groups.group_of(rank)[groups.ring_back(rank, s + 1)];
+        let arrived = ring_step(world, class, groups, s, |_, rank| in_flight[rank].take())?;
+        for (rank, piece) in arrived.into_iter().enumerate() {
+            let Some((piece, measure)) = piece else {
+                continue;
+            };
+            let group = groups.group_of(rank);
+            let origin = group[groups.ring_back(rank, s + 1)];
+            // The last hop of a group's ring keeps the piece it received.
+            if s + 2 < group.len() {
                 gathered[rank].push((origin, piece.clone()));
-                in_flight[rank] = piece;
+                in_flight[rank] = Some((piece, measure));
+            } else {
+                gathered[rank].push((origin, piece));
             }
         }
     }
@@ -72,10 +88,10 @@ mod tests {
         let groups = Groups::cols_of(grid);
         let contribution: Vec<Vec<Vert>> = (0..8).map(|r| vec![r as Vert * 100]).collect();
         let out = allgather_ring(&mut w, OpClass::Expand, &groups, contribution).unwrap();
-        for rank in 0..8 {
+        for (rank, inbox) in out.iter().enumerate() {
             let group = groups.group_of(rank);
-            assert_eq!(out[rank].len(), group.len());
-            for &(src, ref payload) in &out[rank] {
+            assert_eq!(inbox.len(), group.len());
+            for &(src, ref payload) in inbox {
                 assert!(group.contains(&src));
                 assert_eq!(payload, &vec![src as Vert * 100], "rank {rank} src {src}");
             }

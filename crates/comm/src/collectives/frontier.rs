@@ -20,13 +20,24 @@
 //! the union-fold rings. Empty pieces are not sent — absence of a ring
 //! message *is* the empty piece, identically in both runtimes, so the
 //! data-round fault schedule stays aligned with the threaded mirror.
+//!
+//! Host work: each contribution is copied and measured once at its
+//! origin and then moved around the ring with its measure, so no hop
+//! clones or re-measures a piece. The piece a rank receives at step `s`
+//! is the unchanged contribution of the member `s + 1` places back, so
+//! each step charges its merge traffic from set lengths alone, and the
+//! unions themselves run after the ring, on the worker pool, over the
+//! shared contribution slices in ring-arrival order. Their set-kernel
+//! counters are recorded in rank order, so clocks, traces and
+//! [`crate::CommStats`] equal those of unions done step by step.
 
-use super::{ring_step, union_charge, Groups};
+use super::{measure_all, ring_step, Groups, Piece, Union};
 use crate::error::CommError;
 use crate::sim::SimWorld;
 use crate::stats::OpClass;
 use crate::vset::VertSet;
-use crate::Vert;
+use crate::{Vert, VERT_BYTES};
+use rayon::prelude::*;
 
 /// Run a union frontier gather in every group simultaneously.
 ///
@@ -37,43 +48,78 @@ pub fn frontier_gather(
     world: &mut SimWorld,
     class: OpClass,
     groups: &Groups,
-    contribution: Vec<Vec<Vert>>,
+    mut contribution: Vec<Vec<Vert>>,
 ) -> Result<Vec<VertSet>, CommError> {
     debug_assert_eq!(contribution.len(), world.p());
-    // in_flight[rank] is the piece this rank forwards at the next step
-    // (initially its own contribution); gathered[rank] accumulates the
-    // union.
-    let mut gathered: Vec<VertSet> = contribution
+    let p = world.p();
+    // in_flight[rank] is the piece this rank forwards at the next step:
+    // initially a copy of its own contribution, measured here once.
+    let measures = measure_all(world, &mut contribution);
+    let mut in_flight: Vec<Option<Piece>> = contribution
         .iter()
-        .map(|c| VertSet::from_sorted(c.clone()))
+        .zip(measures)
+        .map(|(c, m)| (!c.is_empty()).then(|| (c.clone(), Some(m))))
         .collect();
-    let mut in_flight = contribution;
+    // Owned frontiers are disjoint, so every union grows the accumulator
+    // by the whole piece and the merge traffic follows from lengths.
+    let mut acc_len: Vec<usize> = contribution.iter().map(Vec::len).collect();
+    let mut steps = 0;
+    let mut failed = None;
     for s in 0..groups.ring_steps() {
-        let pieces = ring_step(world, class, groups, s, |_, rank| {
-            (!in_flight[rank].is_empty()).then(|| in_flight[rank].clone())
-        })?;
-        let mut merge_bytes = vec![0u64; world.p()];
-        for (rank, piece) in pieces.into_iter().enumerate() {
-            // No message means the predecessor's piece was empty;
-            // forward the empty piece on.
-            let Some(piece) = piece else {
-                in_flight[rank].clear();
-                continue;
-            };
-            let dups = union_charge(
-                world,
-                rank,
-                &mut gathered[rank],
-                &piece,
-                &mut merge_bytes[rank],
-            );
-            debug_assert_eq!(dups, 0, "owned frontiers are disjoint");
-            in_flight[rank] = piece;
+        // No message means the predecessor's piece was empty, so the
+        // empty piece moves on as `None`.
+        let arrived = match ring_step(world, class, groups, s, |_, rank| in_flight[rank].take()) {
+            Ok(arrived) => arrived,
+            Err(e) => {
+                failed = Some(e);
+                break;
+            }
+        };
+        let mut merge_bytes = vec![0u64; p];
+        for (rank, piece) in arrived.iter().enumerate() {
+            if let Some((piece, _)) = piece {
+                merge_bytes[rank] = (acc_len[rank] + piece.len()) as u64 * VERT_BYTES;
+                acc_len[rank] += piece.len();
+            }
         }
+        in_flight = arrived;
         world.memcpy_phase(&merge_bytes);
+        steps = s + 1;
     }
 
-    Ok(gathered)
+    // Every rank unions the contributions that reached it, in ring
+    // arrival order, on the worker pool; the counters are recorded in
+    // rank order afterwards. A failed step still records the unions of
+    // the steps before it. The forwarded copies are spent; free them
+    // before the accumulators grow.
+    drop(in_flight);
+    let mut gathered: Vec<VertSet> = contribution
+        .iter()
+        .map(|own| VertSet::from_sorted(own.clone()))
+        .collect();
+    let policy = world.vset_policy();
+    let ranks: Vec<usize> = (0..p).collect();
+    let unions: Vec<Vec<Union>> = gathered
+        .par_iter_mut()
+        .zip(&ranks)
+        .map_collect(|acc, &rank| {
+            let group = groups.group_of(rank);
+            (1..=steps.min(group.len() - 1))
+                .map(|k| &contribution[group[groups.ring_back(rank, k)]])
+                .filter(|piece| !piece.is_empty())
+                .map(|piece| Union::run(acc, piece, &policy))
+                .collect()
+        });
+    for (rank, unions) in unions.into_iter().enumerate() {
+        for union in unions {
+            debug_assert_eq!(union.dups, 0, "owned frontiers are disjoint");
+            union.note(world, rank);
+        }
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(gathered),
+    }
 }
 
 #[cfg(test)]
@@ -176,6 +222,23 @@ mod tests {
         }
         assert_eq!(hybrid.time().to_bits(), listy.time().to_bits());
         assert_eq!(hybrid.stats.total_dups_eliminated(), 0);
+    }
+
+    #[test]
+    fn a_failed_step_records_the_unions_before_it() {
+        // A 5-member column whose rank 3 dies at data round 2: steps 0
+        // and 1 deliver, so each rank unions two pieces before the
+        // gather fails.
+        let grid = ProcessorGrid::new(5, 1);
+        let groups = Groups::cols_of(grid);
+        let plan = crate::FaultPlan::seeded(1).kill_rank_at(3, 2);
+        let mut w = SimWorld::bluegene(grid).with_fault_plan(plan);
+        let contribution: Vec<Vec<Vert>> = (0..5u64).map(|r| vec![r * 10, r * 10 + 1]).collect();
+        let err = frontier_gather(&mut w, OpClass::Expand, &groups, contribution).unwrap_err();
+        assert_eq!(err, CommError::RankDead { rank: 3 });
+        assert_eq!(w.stats.setops.list_unions, 10);
+        assert_eq!(w.stats.setops.bitmap_unions, 0);
+        assert_eq!(w.stats.class(OpClass::Expand).messages, 10);
     }
 
     #[test]

@@ -24,12 +24,18 @@
 //! round per algorithm step, so that simulated time reflects the fact
 //! that all processor-rows (or columns) communicate concurrently.
 //!
-//! The ring collectives share three crate-private pieces, so every ring
+//! The ring collectives share crate-private pieces, so every ring
 //! sends, unions and charges the same way: [`ring_step`] (one lockstep
 //! step of a ring inside every group), [`union_charge`] (a set union
-//! with its merge traffic and set-kernel counters) and [`into_payload`]
-//! (a hybrid set as a wire payload). The two-phase collectives run
-//! their rings over the subgrid rows, which are themselves a [`Groups`].
+//! with its merge traffic and set-kernel counters, built from
+//! [`Union`], which runs a union on any thread and records it later)
+//! and [`into_payload`] (a hybrid set as a wire payload). A ring piece
+//! carries an optional wire measure: the gathers, whose pieces travel
+//! unchanged, measure each contribution once at its origin
+//! ([`measure_all`]) and move the piece and its measure from hop to hop,
+//! while the union-fold rings, whose pieces change at every hop, leave
+//! the measure to the exchange. The two-phase collectives run their
+//! rings over the subgrid rows, which are themselves a [`Groups`].
 
 pub mod allgather;
 pub mod alltoall;
@@ -42,8 +48,10 @@ use crate::error::CommError;
 use crate::sim::SimWorld;
 use crate::stats::OpClass;
 use crate::topology::ProcessorGrid;
-use crate::vset::VertSet;
+use crate::vset::{VertSet, VsetPolicy};
+use crate::wire::{self, WireMeasure};
 use crate::{Vert, VERT_BYTES};
+use rayon::prelude::*;
 
 /// A partition of ranks `0..p` into disjoint groups, with O(1) member
 /// lookup. Collectives take this instead of a bare `Vec<Vec<usize>>` so
@@ -138,60 +146,120 @@ impl Groups {
     }
 }
 
+/// A ring piece: its payload and, when the sender already holds it, the
+/// payload's wire measure under the world's wire policy.
+pub(crate) type Piece = (Vec<Vert>, Option<WireMeasure>);
+
 /// Step `s` of a ring inside every group, all groups in lockstep as one
 /// message round. A group of `g` members rings for its first `g − 1`
 /// steps and idles afterwards while larger groups finish. Every member
 /// of a ringing group, in group then position order, sends
 /// `payload(world, rank)` to its ring successor (`None` sends nothing).
-/// Returns the piece each rank received, if any.
+/// A supplied measure is charged as it is; a piece without one is
+/// measured in the exchange. Returns the piece each rank received, if
+/// any, with the measure it travelled with, so a piece forwarded
+/// unchanged is measured once.
 pub(crate) fn ring_step(
     world: &mut SimWorld,
     class: OpClass,
     rings: &Groups,
     s: usize,
-    mut payload: impl FnMut(&mut SimWorld, usize) -> Option<Vec<Vert>>,
-) -> Result<Vec<Option<Vec<Vert>>>, CommError> {
+    mut payload: impl FnMut(&mut SimWorld, usize) -> Option<Piece>,
+) -> Result<Vec<Option<Piece>>, CommError> {
     let mut sends = Vec::with_capacity(world.p());
+    let mut measures = Vec::with_capacity(world.p());
+    let mut arriving = vec![None; world.p()];
     for g in rings.groups() {
         if s + 1 >= g.len() {
             continue;
         }
         for (pos, &rank) in g.iter().enumerate() {
-            if let Some(piece) = payload(world, rank) {
-                sends.push((rank, g[(pos + 1) % g.len()], piece));
+            if let Some((piece, measure)) = payload(world, rank) {
+                let to = g[(pos + 1) % g.len()];
+                sends.push((rank, to, piece));
+                measures.push(measure);
+                arriving[to] = measure;
             }
         }
     }
-    let inboxes = world.exchange(class, sends)?;
+    let inboxes = world.exchange_measured(class, sends, measures)?;
     Ok(inboxes
         .into_iter()
-        .map(|mut inbox| {
+        .zip(arriving)
+        .map(|(mut inbox, measure)| {
             debug_assert!(inbox.len() <= 1, "ring delivers at most one piece per step");
-            inbox.pop().map(|(_, piece)| piece)
+            inbox.pop().map(|(_, piece)| (piece, measure))
         })
         .collect())
+}
+
+/// Each contribution's wire measure under the world's wire policy, taken
+/// once at its origin. Raw measures are a length product, so only the
+/// codec's scans fan out over the worker pool (whose slice iterator is
+/// the mutable one; nothing is modified).
+pub(crate) fn measure_all(world: &SimWorld, contribution: &mut [Vec<Vert>]) -> Vec<WireMeasure> {
+    let policy = world.wire_policy();
+    if policy.is_raw() {
+        return contribution
+            .iter()
+            .map(|c| wire::measure(c, &policy))
+            .collect();
+    }
+    contribution
+        .par_iter_mut()
+        .map(|c| wire::measure(c, &policy))
+        .collect()
+}
+
+/// What one set union did, for the set-kernel counters. Computing it
+/// touches no world state, so unions can run on the worker pool and be
+/// recorded afterwards.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Union {
+    /// Duplicates the union eliminated.
+    pub(crate) dups: usize,
+    /// The accumulator is a bitmap afterwards.
+    bitmap: bool,
+    /// The union switched the accumulator from a list to a bitmap.
+    densified: bool,
+}
+
+impl Union {
+    /// Union `piece` into `acc` under `policy`.
+    pub(crate) fn run(acc: &mut VertSet, piece: &[Vert], policy: &VsetPolicy) -> Self {
+        let was_bitmap = acc.is_bitmap();
+        let dups = acc.union_in(piece, policy);
+        Union {
+            dups,
+            bitmap: acc.is_bitmap(),
+            densified: acc.is_bitmap() && !was_bitmap,
+        }
+    }
+
+    /// Record the union, performed at `rank`: its eliminated
+    /// duplicates, the union itself and any densify switch.
+    pub(crate) fn note(self, world: &mut SimWorld, rank: usize) {
+        world.note_dups(rank, self.dups);
+        world.stats.note_union(self.bitmap);
+        if self.densified {
+            world.stats.note_densify();
+        }
+    }
 }
 
 /// Union `piece` into the accumulator `acc` held at `rank` under the
 /// world's vset policy. Charges both operands to `merge_bytes` as merge
 /// traffic and records the eliminated duplicates, the union and any
-/// densify switch. Returns the duplicates eliminated.
+/// densify switch.
 pub(crate) fn union_charge(
     world: &mut SimWorld,
     rank: usize,
     acc: &mut VertSet,
     piece: &[Vert],
     merge_bytes: &mut u64,
-) -> usize {
+) {
     *merge_bytes += (acc.len() + piece.len()) as u64 * VERT_BYTES;
-    let was_bitmap = acc.is_bitmap();
-    let dups = acc.union_in(piece, &world.vset_policy());
-    world.note_dups(rank, dups);
-    world.stats.note_union(acc.is_bitmap());
-    if acc.is_bitmap() && !was_bitmap {
-        world.stats.note_densify();
-    }
-    dups
+    Union::run(acc, piece, &world.vset_policy()).note(world, rank);
 }
 
 /// A set as a wire payload: a list moves as it is, a bitmap is expanded
@@ -261,6 +329,53 @@ mod tests {
     #[should_panic(expected = "cover every rank")]
     fn incomplete_groups_rejected() {
         Groups::new(3, vec![vec![0, 1]]);
+    }
+
+    /// Run both ring gathers on seeded disjoint contributions (every
+    /// third one dense) under auto wire with `workers` pool workers.
+    fn ring_gathers(workers: usize) -> (String, String, u64, crate::CommStats) {
+        rayon::with_worker_threads(workers, || {
+            let grid = ProcessorGrid::new(6, 4);
+            let groups = Groups::cols_of(grid);
+            let contribution: Vec<Vec<Vert>> = (0..grid.len() as Vert)
+                .map(|r| {
+                    let lo = r * 1000;
+                    if r % 3 == 0 {
+                        (lo..lo + 900).filter(|v| v % 4 != 0).collect()
+                    } else {
+                        (lo..lo + 900).step_by(37 + r as usize).collect()
+                    }
+                })
+                .collect();
+            let mut world = SimWorld::bluegene(grid).with_wire_policy(crate::WirePolicy::auto());
+            let sets = frontier::frontier_gather(
+                &mut world,
+                OpClass::Expand,
+                &groups,
+                contribution.clone(),
+            )
+            .unwrap();
+            let inboxes =
+                allgather::allgather_ring(&mut world, OpClass::Expand, &groups, contribution)
+                    .unwrap();
+            (
+                format!("{sets:?}"),
+                format!("{inboxes:?}"),
+                world.time().to_bits(),
+                world.stats.clone(),
+            )
+        })
+    }
+
+    #[test]
+    fn ring_gathers_are_bit_identical_across_worker_counts() {
+        let serial = ring_gathers(1);
+        let parallel = ring_gathers(4);
+        assert!(serial.3.setops.densify_switches > 0, "inputs must densify");
+        assert_eq!(serial.0, parallel.0, "frontier_gather sets");
+        assert_eq!(serial.1, parallel.1, "allgather_ring inboxes");
+        assert_eq!(serial.2, parallel.2, "sim clock must be bit-identical");
+        assert_eq!(serial.3, parallel.3, "CommStats");
     }
 
     #[test]

@@ -64,11 +64,11 @@ pub fn reduce_scatter_union_ring(
         // successor unions it into its own copy of that block.
         let pieces = ring_step(world, class, groups, s, |world, rank| {
             let set = std::mem::take(&mut blocks[rank][groups.ring_back(rank, s + 1)]);
-            Some(into_payload(world, set))
+            Some((into_payload(world, set), None))
         })?;
         let mut merge_bytes = vec![0u64; world.p()];
         for (rank, piece) in pieces.into_iter().enumerate() {
-            if let Some(piece) = piece {
+            if let Some((piece, _)) = piece {
                 let own = &mut blocks[rank][groups.ring_back(rank, s + 2)];
                 union_charge(world, rank, own, &piece, &mut merge_bytes[rank]);
                 world.scratch_put(piece);

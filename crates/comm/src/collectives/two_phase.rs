@@ -156,7 +156,7 @@ pub fn two_phase_fold(
 
     for s in 0..rows.ring_steps() {
         let wires = ring_step(world, class, &rows, s, |world, rank| {
-            Some(held[rank].wire_payload(world))
+            Some((held[rank].wire_payload(world), None))
         })?;
         // The wire copy of a bundle is recycled; the bundle itself moves
         // out of band from the receiver's ring predecessor. The bundle
@@ -167,7 +167,7 @@ pub fn two_phase_fold(
             .into_iter()
             .enumerate()
             .map(|(rank, wire)| {
-                let Some(wire) = wire else {
+                let Some((wire, _)) = wire else {
                     return std::mem::take(&mut sent[rank]);
                 };
                 world.scratch_put(wire);
@@ -386,9 +386,9 @@ mod tests {
             let mut w = SimWorld::bluegene(grid);
             let got =
                 two_phase_expand(&mut w, OpClass::Expand, &groups, contribution.clone()).unwrap();
-            for rank in 0..g {
-                assert_eq!(got[rank].len(), g, "g={g} rank={rank}");
-                for (src, payload) in &got[rank] {
+            for (rank, inbox) in got.iter().enumerate() {
+                assert_eq!(inbox.len(), g, "g={g} rank={rank}");
+                for (src, payload) in inbox {
                     assert_eq!(payload, &contribution[*src], "g={g}");
                 }
             }
@@ -403,10 +403,10 @@ mod tests {
         let contribution: Vec<Vec<Vert>> = (0..p).map(|r| vec![r as Vert * 2]).collect();
         let mut w = SimWorld::bluegene(grid);
         let got = two_phase_expand(&mut w, OpClass::Expand, &groups, contribution.clone()).unwrap();
-        for rank in 0..p {
+        for (rank, inbox) in got.iter().enumerate() {
             let group = groups.group_of(rank);
-            assert_eq!(got[rank].len(), group.len());
-            for (src, payload) in &got[rank] {
+            assert_eq!(inbox.len(), group.len());
+            for (src, payload) in inbox {
                 assert!(group.contains(src));
                 assert_eq!(payload, &contribution[*src]);
             }

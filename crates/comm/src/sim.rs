@@ -24,7 +24,7 @@ use crate::error::CommError;
 use crate::stats::{CommStats, OpClass};
 use crate::topology::ProcessorGrid;
 use crate::vset::VsetPolicy;
-use crate::wire::{self, WirePolicy};
+use crate::wire::{self, WireMeasure, WirePolicy};
 use crate::Vert;
 use bgl_torus::{
     detour_hops, route_with_faults, CostModel, FaultPlan, LinkTraffic, MachineConfig, MachineKind,
@@ -543,6 +543,24 @@ impl SimWorld {
     /// are dead — a death elsewhere must not block recovery traffic
     /// among survivors.
     pub fn exchange(&mut self, class: OpClass, sends: Vec<Send>) -> Result<Vec<Inbox>, CommError> {
+        let measures = vec![None; sends.len()];
+        self.exchange_measured(class, sends, measures)
+    }
+
+    /// [`SimWorld::exchange`] with wire measures the caller already
+    /// holds. `measures[i]`, when `Some`, must equal
+    /// [`wire::measure`] of `sends[i]`'s payload under the world's
+    /// [`SimWorld::wire_policy`] (checked in debug builds); a `None` is
+    /// measured in the per-send precompute. The ring collectives measure
+    /// a piece once at its origin and supply that measure at every hop
+    /// that forwards it unchanged.
+    pub(crate) fn exchange_measured(
+        &mut self,
+        class: OpClass,
+        sends: Vec<Send>,
+        measures: Vec<Option<WireMeasure>>,
+    ) -> Result<Vec<Inbox>, CommError> {
+        assert_eq!(measures.len(), sends.len(), "one measure slot per send");
         let p = self.p();
         let traced = self.trace.is_enabled();
         let trace_sends = self.trace.wants_sends();
@@ -602,10 +620,11 @@ impl SimWorld {
             }
         }
 
-        // --- Phase 1: per-send precompute. Wire measurement, routing,
-        // α–β–hop arithmetic and the fault schedule are pure functions
-        // of the immutable world state, so this is the part that fans
-        // out over rayon workers (one worker runs it sequentially).
+        // --- Phase 1: per-send precompute. Wire measurement (of the
+        // sends without a supplied measure), routing, α–β–hop
+        // arithmetic and the fault schedule are pure functions of the
+        // immutable world state, so this is the part that fans out over
+        // rayon workers (one worker runs it sequentially).
         // Results are positional either way, so the serial merge below
         // is bit-identical to the old fused loop.
         let codec_on = !self.wire_policy.is_raw();
@@ -618,7 +637,7 @@ impl SimWorld {
             let routes = &self.route_cache;
             let policy = self.wire_policy;
             let machine = *self.cost.machine();
-            let pre = |s: &Send| -> SendMeta {
+            let pre = |s: &Send, supplied: &Option<WireMeasure>| -> SendMeta {
                 let (from, to, ref payload) = *s;
                 if from >= p || to >= p {
                     return SendMeta::OutOfRange;
@@ -627,7 +646,17 @@ impl SimWorld {
                     return SendMeta::SelfSend;
                 }
                 let verts = payload.len();
-                let w = wire::measure(payload, &policy);
+                let w = match *supplied {
+                    Some(w) => {
+                        debug_assert_eq!(
+                            w,
+                            wire::measure(payload, &policy),
+                            "supplied wire measure of {from} -> {to} disagrees with its payload"
+                        );
+                        w
+                    }
+                    None => wire::measure(payload, &policy),
+                };
                 let chunks = chunk.message_count(verts) as u64;
                 let (hops, bw, detour) = if topo_faults {
                     match routes.get(&(from, to)) {
@@ -689,7 +718,10 @@ impl SimWorld {
                     fault,
                 })
             };
-            sends.par_iter_mut().map(|s| pre(s)).collect()
+            sends
+                .par_iter_mut()
+                .zip(&measures)
+                .map_collect(|s, m| pre(s, m))
         };
 
         // Encode phase: every rank packs its outgoing payloads before
@@ -1302,6 +1334,62 @@ mod tests {
         assert_eq!(serial.4, parallel.4);
     }
 
+    /// One round of 15 sends under auto wire: sparse, dense and empty
+    /// payloads.
+    fn measured_round() -> Vec<Send> {
+        (0..15)
+            .map(|i| {
+                let base = i as Vert * 4096;
+                let payload = match i % 3 {
+                    0 => (base..base + 2000).collect(),
+                    1 => (base..base + 2000).step_by(97).collect(),
+                    _ => Vec::new(),
+                };
+                (i, (i + 1) % 16, payload)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn supplied_measures_charge_as_measured_sends() {
+        let sends = measured_round();
+        let policy = WirePolicy::auto();
+        let mut measured = SimWorld::bluegene(ProcessorGrid::new(4, 4)).with_wire_policy(policy);
+        let got = measured.exchange(OpClass::Expand, sends.clone()).unwrap();
+        // Supply every other measure; the rest are measured in the
+        // exchange.
+        let measures = sends
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i % 2 == 0).then(|| wire::measure(&s.2, &policy)))
+            .collect();
+        let mut supplied = SimWorld::bluegene(ProcessorGrid::new(4, 4)).with_wire_policy(policy);
+        let got_supplied = supplied
+            .exchange_measured(OpClass::Expand, sends, measures)
+            .unwrap();
+        assert_eq!(got, got_supplied);
+        assert_eq!(measured.time().to_bits(), supplied.time().to_bits());
+        assert_eq!(
+            measured.codec_time().to_bits(),
+            supplied.codec_time().to_bits()
+        );
+        assert_eq!(measured.stats, supplied.stats);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "supplied wire measure of 3 -> 4 disagrees with its payload")]
+    fn a_wrong_supplied_measure_is_caught_in_debug_builds() {
+        let sends = measured_round();
+        let policy = WirePolicy::auto();
+        // Rank 3's dense payload, charged as if it were rank 4's sparse
+        // one.
+        let mut measures: Vec<Option<WireMeasure>> = vec![None; sends.len()];
+        measures[3] = Some(wire::measure(&sends[4].2, &policy));
+        let mut w = SimWorld::bluegene(ProcessorGrid::new(4, 4)).with_wire_policy(policy);
+        let _ = w.exchange_measured(OpClass::Expand, sends, measures);
+    }
+
     #[test]
     fn worker_count_preserves_fault_schedule() {
         let plan = FaultPlan::seeded(11).with_drop_prob(0.3);
@@ -1437,7 +1525,7 @@ mod tests {
         let reference = {
             let mut w = world(4).with_fault_plan(plan.clone());
             w.exchange(OpClass::Expand, vec![(0, 1, vec![1, 2, 3])])
-                .map(|_| (w.stats.faults.clone(), w.data_round()))
+                .map(|_| (w.stats.faults, w.data_round()))
         };
         let mut w = world(4).with_fault_plan(plan).with_faulty_control();
         assert!(w.control_faultable());
@@ -1457,11 +1545,11 @@ mod tests {
             control_retries > 0,
             "drop 0.6 over 6 control rounds must retransmit"
         );
-        let before = w.stats.faults.clone();
+        let before = w.stats.faults;
         let got = w
             .exchange(OpClass::Expand, vec![(0, 1, vec![1, 2, 3])])
             .map(|_| {
-                let mut f = w.stats.faults.clone();
+                let mut f = w.stats.faults;
                 f.drops_injected -= before.drops_injected;
                 f.truncations_injected -= before.truncations_injected;
                 f.duplicates_injected -= before.duplicates_injected;

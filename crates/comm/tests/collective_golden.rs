@@ -9,7 +9,10 @@
 //! idle group, an m = 1 two-phase ring and a 2×3 subgrid), each under
 //! the raw and the adaptive wire codec. Inputs are seeded, and some
 //! payloads are dense enough to densify the union accumulators and to
-//! travel as bitmap frames.
+//! travel as bitmap frames. A second table pins the ring collectives on
+//! a lossy fabric (drops, truncations, duplicates and one dead link), so
+//! their retransmit and detour charges are pinned too: a truncated
+//! attempt re-charges the message's whole wire size.
 //!
 //! A refactor of the collectives must leave this table unchanged. A
 //! deliberate behaviour change regenerates it from the `actual` table
@@ -24,7 +27,9 @@ use bgl_comm::collectives::{
     two_phase::{two_phase_expand, two_phase_fold},
     Groups,
 };
-use bgl_comm::{LaneSet, OpClass, ProcessorGrid, SimWorld, TraceDetail, Vert, WirePolicy};
+use bgl_comm::{
+    FaultPlan, LaneSet, OpClass, ProcessorGrid, SimWorld, TraceDetail, Vert, WirePolicy,
+};
 
 /// splitmix64: a tiny seeded generator, stable across platforms.
 struct Rng(u64);
@@ -161,10 +166,49 @@ fn lane_pairs(rng: &mut Rng, p: usize) -> Vec<(usize, usize, LaneSet)> {
         .collect()
 }
 
+/// A lossy fabric: every data round drops, truncates and duplicates
+/// attempts, and the torus link between the first pair of ring
+/// neighbours in `groups` that sit on adjacent nodes is dead.
+fn lossy_plan(world: &SimWorld, groups: &Groups) -> FaultPlan {
+    let dims = world.cost_model().machine().dims;
+    let adjacent = |a: usize, b: usize| {
+        let (a, b) = (world.mapping().coord_of(a), world.mapping().coord_of(b));
+        let steps: usize = (0..3)
+            .map(|d| {
+                let n = dims.extent(d);
+                let diff = (a.component(d) + n - b.component(d)) % n;
+                diff.min(n - diff)
+            })
+            .sum();
+        steps == 1
+    };
+    let (from, to) = groups
+        .groups()
+        .iter()
+        .flat_map(|g| (0..g.len()).map(move |i| (g[i], g[(i + 1) % g.len()])))
+        .find(|&(a, b)| a != b && adjacent(a, b))
+        .expect("some ring neighbours sit on adjacent nodes");
+    FaultPlan::seeded(0x5eed)
+        .with_drop_prob(0.15)
+        .with_truncate_prob(0.15)
+        .with_duplicate_prob(0.1)
+        .kill_link(world.mapping().coord_of(from), world.mapping().coord_of(to))
+}
+
 /// Run `collective` twice on fresh seeded inputs and return its pinned
-/// line.
-fn pin(collective: &str, groups: &Groups, grid: ProcessorGrid, wire: WirePolicy) -> String {
+/// line; `lossy` runs it on [`lossy_plan`]'s fabric.
+fn pin(
+    collective: &str,
+    groups: &Groups,
+    grid: ProcessorGrid,
+    wire: WirePolicy,
+    lossy: bool,
+) -> String {
     let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
+    if lossy {
+        let plan = lossy_plan(&world, groups);
+        world.set_fault_plan(plan);
+    }
     world.enable_trace(TraceDetail::Event);
     let mut rng = Rng(fnv(collective) ^ groups.groups().len() as u64);
     let p = groups.ranks();
@@ -228,6 +272,16 @@ fn pin(collective: &str, groups: &Groups, grid: ProcessorGrid, wire: WirePolicy)
             "{collective}: the inputs must densify a union accumulator"
         );
     }
+    if lossy {
+        let f = world.stats.faults;
+        assert!(
+            f.drops_injected > 0
+                && f.truncations_injected > 0
+                && f.duplicates_injected > 0
+                && f.detour_hops > 0,
+            "{collective}: the lossy fabric must drop, truncate, duplicate and detour: {f:?}"
+        );
+    }
     let trace = world.take_trace().expect("tracing is on");
     format!(
         "t={:016x} comm={:016x} memcpy={:016x} codec={:016x} stats={:016x} events={} trace={:016x} out={:016x}",
@@ -253,10 +307,11 @@ const COLLECTIVES: [&str; 8] = [
     "lane_exchange",
 ];
 
-fn actual_table() -> String {
+/// The three partitions every collective is pinned on.
+fn partitions() -> [(&'static str, Groups, ProcessorGrid); 3] {
     let grid = ProcessorGrid::new(4, 6);
     let uneven_grid = ProcessorGrid::new(3, 4);
-    let partitions = [
+    [
         ("rows4x6", Groups::rows_of(grid), grid),
         ("cols4x6", Groups::cols_of(grid), grid),
         (
@@ -267,17 +322,35 @@ fn actual_table() -> String {
             ),
             uneven_grid,
         ),
-    ];
+    ]
+}
+
+/// One line per collective, partition and wire codec.
+fn actual_table(collectives: &[&str], lossy: bool) -> String {
     let mut table = String::new();
-    for collective in COLLECTIVES {
-        for (name, groups, grid) in &partitions {
+    for &collective in collectives {
+        for (name, groups, grid) in &partitions() {
             for (wire_name, wire) in [("raw", WirePolicy::raw()), ("auto", WirePolicy::auto())] {
-                let line = pin(collective, groups, *grid, wire);
+                let line = pin(collective, groups, *grid, wire, lossy);
                 table.push_str(&format!("{collective} {name} {wire_name}: {line}\n"));
             }
         }
     }
     table
+}
+
+/// Fail with the whole actual table when any line differs.
+fn check_table(actual: &str, expected: &str) {
+    let stale: Vec<&str> = actual
+        .lines()
+        .zip(expected.lines().chain(std::iter::repeat("")))
+        .filter(|(a, e)| a != e)
+        .filter_map(|(a, _)| a.split(':').next())
+        .collect();
+    assert!(
+        stale.is_empty() && actual.lines().count() == expected.lines().count(),
+        "golden pins differ for {stale:?}; actual table:\n{actual}"
+    );
 }
 
 const EXPECTED: &str = "\
@@ -333,15 +406,36 @@ lane_exchange uneven auto: t=3f10f684cacf590c comm=3f100a4ba7174306 memcpy=00000
 
 #[test]
 fn every_collective_matches_its_golden_pin() {
-    let actual = actual_table();
-    let stale: Vec<&str> = actual
-        .lines()
-        .zip(EXPECTED.lines().chain(std::iter::repeat("")))
-        .filter(|(a, e)| a != e)
-        .filter_map(|(a, _)| a.split(':').next())
-        .collect();
-    assert!(
-        stale.is_empty() && actual.lines().count() == EXPECTED.lines().count(),
-        "golden pins differ for {stale:?}; actual table:\n{actual}"
-    );
+    check_table(&actual_table(&COLLECTIVES, false), EXPECTED);
+}
+
+/// The ring collectives whose forwarded pieces carry a wire measure
+/// (frontier gather, all-gather) and the two-phase fold, on the lossy
+/// fabric.
+const LOSSY_COLLECTIVES: [&str; 3] = ["allgather_ring", "frontier_gather", "two_phase_fold"];
+
+const EXPECTED_LOSSY: &str = "\
+allgather_ring rows4x6 raw: t=3f46a8b8f14db596 comm=3f46a8b8f14db596 memcpy=0000000000000000 codec=0000000000000000 stats=4f10a5eecd7c5eb4 events=316 trace=cab2eae7b64b04fb out=72243e97a54f8313
+allgather_ring rows4x6 auto: t=3f40f163c265e575 comm=3f2b66cb2ee1d237 memcpy=0000000000000000 codec=3f342f61ed5ae1cf stats=90454be41130f428 events=336 trace=d9c529e4773bc394 out=72243e97a54f8313
+allgather_ring cols4x6 raw: t=3f411144327da584 comm=3f411144327da584 memcpy=0000000000000000 codec=0000000000000000 stats=a3d96df01e8cf019 events=201 trace=73b78eb8e0f1602a out=8da0d0446d037f69
+allgather_ring cols4x6 auto: t=3f39c057e8183f2f comm=3f2aa2bd6c2566fe memcpy=0000000000000000 codec=3f28ddf2640b175e stats=701fcb465d6eb199 events=213 trace=779a9a3216ff4a46 out=8da0d0446d037f69
+allgather_ring uneven raw: t=3f469da643a1148d comm=3f469da643a1148d memcpy=0000000000000000 codec=0000000000000000 stats=879f0f35321dac2c events=140 trace=667c1b5482eb386e out=818b42fb05cd1d2d
+allgather_ring uneven auto: t=3f3d3ef3d58cad9c comm=3f21bbd19b8d7716 memcpy=0000000000000000 codec=3f34610b07c5f212 stats=aa44a539a3282aab events=160 trace=aa2ae59c1eab6bcd out=818b42fb05cd1d2d
+frontier_gather rows4x6 raw: t=3f4ad6f4967a590b comm=3f46bd92f92f0cba memcpy=3f206586752d3145 codec=0000000000000000 stats=fc1fe261dceff21c events=320 trace=6eb0e9160638017c out=ca5ea86f83f12bff
+frontier_gather rows4x6 auto: t=3f4510e81acd3fa5 comm=3f2b57122f69eeab memcpy=3f206586752d3145 codec=3f344383e34eef54 stats=36cd304b69ae7b8d events=340 trace=990b317f1f0d7863 out=ca5ea86f83f12bff
+frontier_gather cols4x6 raw: t=3f41a0e740c1663d comm=3f4059697dc801e2 memcpy=3f0477dc2f9645a6 codec=0000000000000000 stats=3dc526c6d77a6ac0 events=197 trace=4130a4dcd01a4c54 out=7447d5df5ba96149
+frontier_gather cols4x6 auto: t=3f3969ad552bfb41 comm=3f2513d71c437646 memcpy=3f0477dc2f9645a6 codec=3f28a18c822eeed7 stats=75759656f2ea1472 events=209 trace=d2ec8d3f44f28998 out=7447d5df5ba96149
+frontier_gather uneven raw: t=3f48a9cedc0ce582 comm=3f468cc6c113ee68 memcpy=3f10e840d7c7b8cd codec=0000000000000000 stats=f1b40a1087743d2c events=144 trace=91fff3932dd28cdb out=c886e472031a8448
+frontier_gather uneven auto: t=3f40b2df7bed401f comm=3f21b57dca9888c7 memcpy=3f10e840d7c7b8cd codec=3f3450efdc9c4da9 stats=5524ebf52ce38eba events=164 trace=78ac80eb936cb7f5 out=c886e472031a8448
+two_phase_fold rows4x6 raw: t=3f3d0c88d808f3a4 comm=3f3b6083a3631c05 memcpy=3efac0534a5d79e1 codec=0000000000000000 stats=7e647805905f8f41 events=194 trace=1503b9990f37e411 out=9324844c9feb3db3
+two_phase_fold rows4x6 auto: t=3f3d7fb8dcb9a00b comm=3f380547f4bc6d90 memcpy=3efac0534a5d79e1 codec=3f0e735d9abad6d5 stats=3d7b97874fb63ce7 events=206 trace=9694848ac09a277f out=9324844c9feb3db3
+two_phase_fold cols4x6 raw: t=3f35a5c5f68c502f comm=3f347cbfdcb0a0b5 memcpy=3ef290619dbaf79e codec=0000000000000000 stats=2dbe956dca700770 events=126 trace=a13f9aa2455b6b73 out=9aaa2cd9f87a16a0
+two_phase_fold cols4x6 auto: t=3f363500b66333fb comm=3f32aca4cb9a9783 memcpy=3ef290619dbaf79e codec=3f02faae876767ed stats=0d3432853ac456a1 events=134 trace=9ccad270b633fa15 out=9aaa2cd9f87a16a0
+two_phase_fold uneven raw: t=3f3fd23d52c4580d comm=3f3d3dc10d0132e7 memcpy=3f04a3e22e19292e codec=0000000000000000 stats=d7f7d928065b82da events=119 trace=7390c9d5ea0b5e19 out=9200f6b998eb17cb
+two_phase_fold uneven auto: t=3f40698fb4427265 comm=3f37e542b442052d memcpy=3f04a3e22e19292e codec=3f196581b9fee9d3 stats=36643afd5192e07b events=139 trace=ffb76c77f383e6b3 out=9200f6b998eb17cb
+";
+
+#[test]
+fn ring_collectives_match_their_golden_pins_on_a_lossy_fabric() {
+    check_table(&actual_table(&LOSSY_COLLECTIVES, true), EXPECTED_LOSSY);
 }

@@ -115,10 +115,7 @@ pub fn lex(src: &str) -> LexedFile<'_> {
             }
             b'r' | b'b' if raw_prefix_len(b, i).is_some() => {
                 // Safe: raw_prefix_len only matches when a quote follows.
-                let (plen, hashes, byte_char) = match raw_prefix_len(b, i) {
-                    Some(p) => p,
-                    None => (1, 0, false),
-                };
+                let (plen, hashes, byte_char) = raw_prefix_len(b, i).unwrap_or((1, 0, false));
                 if byte_char {
                     i = skip_char_body(b, i + plen);
                 } else if hashes == usize::MAX {

@@ -168,7 +168,7 @@ mod tests {
             bgl_torus::LogicalArray::new(2, 4),
             machine.dims,
         );
-        let events = vec![send(0, 5, 100), send(3, 1, 64), send(7, 2, 8)];
+        let events = [send(0, 5, 100), send(3, 1, 64), send(7, 2, 8)];
         let hm = LinkHeatmap::from_events(events.iter(), &mapping, &machine);
         let expect: u64 = events
             .iter()
@@ -202,7 +202,7 @@ mod tests {
             bgl_torus::LogicalArray::new(2, 2),
             machine.dims,
         );
-        let events = vec![send(0, 1, 10), send(0, 1, 10), send(2, 3, 5)];
+        let events = [send(0, 1, 10), send(0, 1, 10), send(2, 3, 5)];
         let hm = LinkHeatmap::from_events(events.iter(), &mapping, &machine);
         let top = hm.top_k(10);
         for w in top.windows(2) {
