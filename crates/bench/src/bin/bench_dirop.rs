@@ -54,8 +54,8 @@ struct ModeRun {
     stats: bfs_core::RunStats,
 }
 
-/// One simulated run; both modes go through the auto wire codec so the
-/// bottom-up frontier gather rides bitmap frames where dense.
+/// One simulated run; both modes go through the auto wire codec, so
+/// dense expand and fold payloads ride bitmap frames.
 fn mode_run(
     graph: &DistGraph,
     config: &BfsConfig,

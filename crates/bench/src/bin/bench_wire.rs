@@ -1,10 +1,7 @@
 //! Host-side evidence for the wire codec: measures how many bytes the
 //! adaptive codec takes off the simulated torus links, what that does
-//! to simulated BFS time, what the rayon-parallel superstep scheduler
-//! does to host wall-clock, and what one ring frontier gather costs the
-//! host (`ring_gather`: the column gather of the largest bottom-up level
-//! of an adaptive R-MAT search on 16×16, auto wire). Writes
-//! `BENCH_wire.json`.
+//! to simulated BFS time, and what the rayon-parallel superstep
+//! scheduler does to host wall-clock. Writes `BENCH_wire.json`.
 //!
 //! With `--check` the binary exits non-zero when the numbers miss the
 //! PR's acceptance floors (CI smoke):
@@ -18,18 +15,16 @@
 //! cargo run --release -p bgl-bench --bin bench_wire [-- --check]
 //! ```
 
-use bfs_core::{bfs2d, BfsConfig, LevelDirection};
+use bfs_core::{bfs2d, BfsConfig};
 use bgl_bench::exp;
 use bgl_bench::harness::{write_report, Args};
-use bgl_comm::collectives::{frontier::frontier_gather, Groups};
-use bgl_comm::{CommError, OpClass, ProcessorGrid, SimWorld, Vert, WireMode, WirePolicy};
-use bgl_graph::partition::TwoDPartition;
+use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use bgl_trace::json::{self, Fixed};
 use std::time::Instant;
 
 const HELP: &str = "\
-bench_wire — wire-codec compression, parallel-superstep and ring-gather benchmark
+bench_wire — wire-codec compression and parallel-superstep benchmark
 
 Writes BENCH_wire.json (override with --out).
 
@@ -39,7 +34,7 @@ Flags:
   --rows R       processor grid rows (default 8)
   --cols C       processor grid cols (default 8)
   --reps N       wall-clock timing repetitions, best-of (default 5)
-  --engine-threads N  rayon worker threads (default: max(4, host cores))
+  --engine-threads N  rayon worker threads (default: one per host core)
   --out PATH     output path (default BENCH_wire.json)
   --check        exit non-zero if acceptance floors are missed (CI)
 ";
@@ -49,10 +44,6 @@ const MIN_COMPRESSION: f64 = 1.5;
 /// Speedup floor checked only on hosts with at least this many cores.
 const MIN_SPEEDUP: f64 = 1.2;
 const SPEEDUP_MIN_CORES: usize = 4;
-/// Vertices and mean degree of the R-MAT graph the `ring_gather` row
-/// searches.
-const RING_N: u64 = 1 << 18;
-const RING_DEGREE: u64 = 16;
 
 /// One simulated run under `mode`; returns (logical, wire, sim_time,
 /// codec_time).
@@ -84,54 +75,6 @@ fn time_engine(graph: &DistGraph, workers: usize, reps: u64) -> Result<f64, Comm
     })
 }
 
-/// The `ring_gather` row's measurement.
-struct RingGather {
-    level: u32,
-    frontier: u64,
-    best_ms: f64,
-}
-
-/// Host milliseconds of [`frontier_gather`] over processor-columns on
-/// 16×16 with auto wire, best of `reps`. The contributions are the
-/// owned frontiers of the largest bottom-up level of an adaptive search
-/// from vertex 0 of R-MAT n=[`RING_N`], k=[`RING_DEGREE`].
-fn time_ring_gather(reps: u64) -> Result<RingGather, Box<dyn std::error::Error>> {
-    let grid = ProcessorGrid::new(16, 16);
-    let spec = GraphSpec::rmat(RING_N, RING_DEGREE as f64, 4242);
-    let graph = DistGraph::build(spec, grid);
-    let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-    let r = bfs2d::try_run(&graph, &mut world, &BfsConfig::direction_optimized(), 0)?;
-    let widest = r
-        .stats
-        .levels
-        .iter()
-        .filter(|l| l.direction == LevelDirection::BottomUp)
-        .max_by_key(|l| l.frontier)
-        .ok_or("the adaptive R-MAT search ran no bottom-up level")?;
-    let partition = TwoDPartition::new(spec.n, grid);
-    let mut contribution: Vec<Vec<Vert>> = vec![Vec::new(); grid.len()];
-    for (v, &level) in r.levels.iter().enumerate() {
-        if level == widest.level {
-            contribution[partition.owner_of(v as Vert)].push(v as Vert);
-        }
-    }
-    let groups = Groups::cols_of(grid);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
-        let pieces = contribution.clone();
-        let start = Instant::now();
-        let gathered = frontier_gather(&mut world, OpClass::Expand, &groups, pieces)?;
-        best = best.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(gathered);
-    }
-    Ok(RingGather {
-        level: widest.level,
-        frontier: widest.frontier,
-        best_ms: best * 1e3,
-    })
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
     if args.wants_help() {
@@ -147,11 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let check = args.bool("check", false);
 
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if args.str("engine-threads").is_some() {
-        exp::apply_engine_threads(&args);
-    } else {
-        rayon::set_worker_threads(host_threads.max(4));
-    }
+    exp::apply_engine_threads(&args);
     let engine_threads = rayon::current_num_threads();
 
     let grid = ProcessorGrid::new(rows, cols);
@@ -200,13 +139,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rayon_s * 1e3
     );
 
-    // --- Ring frontier gather: host cost of one bottom-up gather. ----
-    let ring = time_ring_gather(reps)?;
-    eprintln!(
-        "ring gather: R-MAT n={RING_N} k={RING_DEGREE} 16x16, level {} ({} frontier vertices): {:.3} ms",
-        ring.level, ring.frontier, ring.best_ms
-    );
-
     let doc = json::pretty(|w| {
         w.key("graph").obj(|w| {
             w.field("n", n)
@@ -232,15 +164,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .field("serial_ms", Fixed(serial_s * 1e3, 3))
                 .field("rayon_ms", Fixed(rayon_s * 1e3, 3))
                 .field("rayon_speedup", Fixed(engine_speedup, 3));
-        });
-        w.key("ring_gather").obj(|w| {
-            w.field("n", RING_N)
-                .field("degree", RING_DEGREE)
-                .field("grid", "16x16")
-                .field("wire", "auto")
-                .field("level", ring.level)
-                .field("frontier", ring.frontier)
-                .field("host_ms", Fixed(ring.best_ms, 3));
         });
     });
     write_report(&out, &doc)?;

@@ -15,7 +15,6 @@
 //! | any    | direct all-to-all (`alltoallv`) | [`alltoall`] |
 //! | any    | lane-masked all-to-all for multi-source waves | [`lane`] |
 //! | expand | ring all-gather (send everything to everyone) | [`allgather`] |
-//! | expand | ring frontier gather with set union (bottom-up supersteps) | [`frontier`] |
 //! | fold   | ring reduce-scatter with set-union | [`reduce_scatter`] |
 //! | both   | §3.2.2 two-phase grouped ring | [`two_phase`] |
 //!
@@ -24,22 +23,25 @@
 //! round per algorithm step, so that simulated time reflects the fact
 //! that all processor-rows (or columns) communicate concurrently.
 //!
+//! Both BFS directions use the same expand: a bottom-up level needs
+//! exactly the frontier vertices whose columns a rank stores, which is
+//! what the targeted expand delivers, so there is no separate
+//! bottom-up collective.
+//!
 //! The ring collectives share crate-private pieces, so every ring
 //! sends, unions and charges the same way: [`ring_step`] (one lockstep
 //! step of a ring inside every group), [`union_charge`] (a set union
-//! with its merge traffic and set-kernel counters, built from
-//! [`Union`], which runs a union on any thread and records it later)
-//! and [`into_payload`] (a hybrid set as a wire payload). A ring piece
-//! carries an optional wire measure: the gathers, whose pieces travel
-//! unchanged, measure each contribution once at its origin
-//! ([`measure_all`]) and move the piece and its measure from hop to hop,
-//! while the union-fold rings, whose pieces change at every hop, leave
-//! the measure to the exchange. The two-phase collectives run their
-//! rings over the subgrid rows, which are themselves a [`Groups`].
+//! with its merge traffic and set-kernel counters) and [`into_payload`]
+//! (a hybrid set as a wire payload). A ring piece carries an optional
+//! wire measure: the all-gather, whose pieces travel unchanged,
+//! measures each contribution once at its origin ([`measure_all`]) and
+//! moves the piece and its measure from hop to hop, while the
+//! union-fold rings, whose pieces change at every hop, leave the
+//! measure to the exchange. The two-phase collectives run their rings
+//! over the subgrid rows, which are themselves a [`Groups`].
 
 pub mod allgather;
 pub mod alltoall;
-pub mod frontier;
 pub mod lane;
 pub mod reduce_scatter;
 pub mod two_phase;
@@ -48,7 +50,7 @@ use crate::error::CommError;
 use crate::sim::SimWorld;
 use crate::stats::OpClass;
 use crate::topology::ProcessorGrid;
-use crate::vset::{VertSet, VsetPolicy};
+use crate::vset::VertSet;
 use crate::wire::{self, WireMeasure};
 use crate::{Vert, VERT_BYTES};
 use rayon::prelude::*;
@@ -211,42 +213,6 @@ pub(crate) fn measure_all(world: &SimWorld, contribution: &mut [Vec<Vert>]) -> V
         .collect()
 }
 
-/// What one set union did, for the set-kernel counters. Computing it
-/// touches no world state, so unions can run on the worker pool and be
-/// recorded afterwards.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Union {
-    /// Duplicates the union eliminated.
-    pub(crate) dups: usize,
-    /// The accumulator is a bitmap afterwards.
-    bitmap: bool,
-    /// The union switched the accumulator from a list to a bitmap.
-    densified: bool,
-}
-
-impl Union {
-    /// Union `piece` into `acc` under `policy`.
-    pub(crate) fn run(acc: &mut VertSet, piece: &[Vert], policy: &VsetPolicy) -> Self {
-        let was_bitmap = acc.is_bitmap();
-        let dups = acc.union_in(piece, policy);
-        Union {
-            dups,
-            bitmap: acc.is_bitmap(),
-            densified: acc.is_bitmap() && !was_bitmap,
-        }
-    }
-
-    /// Record the union, performed at `rank`: its eliminated
-    /// duplicates, the union itself and any densify switch.
-    pub(crate) fn note(self, world: &mut SimWorld, rank: usize) {
-        world.note_dups(rank, self.dups);
-        world.stats.note_union(self.bitmap);
-        if self.densified {
-            world.stats.note_densify();
-        }
-    }
-}
-
 /// Union `piece` into the accumulator `acc` held at `rank` under the
 /// world's vset policy. Charges both operands to `merge_bytes` as merge
 /// traffic and records the eliminated duplicates, the union and any
@@ -259,7 +225,13 @@ pub(crate) fn union_charge(
     merge_bytes: &mut u64,
 ) {
     *merge_bytes += (acc.len() + piece.len()) as u64 * VERT_BYTES;
-    Union::run(acc, piece, &world.vset_policy()).note(world, rank);
+    let was_bitmap = acc.is_bitmap();
+    let dups = acc.union_in(piece, &world.vset_policy());
+    world.note_dups(rank, dups);
+    world.stats.note_union(acc.is_bitmap());
+    if acc.is_bitmap() && !was_bitmap {
+        world.stats.note_densify();
+    }
 }
 
 /// A set as a wire payload: a list moves as it is, a bitmap is expanded
@@ -331,9 +303,9 @@ mod tests {
         Groups::new(3, vec![vec![0, 1]]);
     }
 
-    /// Run both ring gathers on seeded disjoint contributions (every
+    /// Run the ring all-gather on seeded disjoint contributions (every
     /// third one dense) under auto wire with `workers` pool workers.
-    fn ring_gathers(workers: usize) -> (String, String, u64, crate::CommStats) {
+    fn ring_gather(workers: usize) -> (String, u64, crate::CommStats) {
         rayon::with_worker_threads(workers, || {
             let grid = ProcessorGrid::new(6, 4);
             let groups = Groups::cols_of(grid);
@@ -348,18 +320,10 @@ mod tests {
                 })
                 .collect();
             let mut world = SimWorld::bluegene(grid).with_wire_policy(crate::WirePolicy::auto());
-            let sets = frontier::frontier_gather(
-                &mut world,
-                OpClass::Expand,
-                &groups,
-                contribution.clone(),
-            )
-            .unwrap();
             let inboxes =
                 allgather::allgather_ring(&mut world, OpClass::Expand, &groups, contribution)
                     .unwrap();
             (
-                format!("{sets:?}"),
                 format!("{inboxes:?}"),
                 world.time().to_bits(),
                 world.stats.clone(),
@@ -368,14 +332,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_gathers_are_bit_identical_across_worker_counts() {
-        let serial = ring_gathers(1);
-        let parallel = ring_gathers(4);
-        assert!(serial.3.setops.densify_switches > 0, "inputs must densify");
-        assert_eq!(serial.0, parallel.0, "frontier_gather sets");
-        assert_eq!(serial.1, parallel.1, "allgather_ring inboxes");
-        assert_eq!(serial.2, parallel.2, "sim clock must be bit-identical");
-        assert_eq!(serial.3, parallel.3, "CommStats");
+    fn allgather_ring_is_bit_identical_across_worker_counts() {
+        let serial = ring_gather(1);
+        let parallel = ring_gather(4);
+        let expand = serial.2.class(OpClass::Expand);
+        assert!(
+            expand.wire_bytes < expand.logical_bytes,
+            "the codec must pay"
+        );
+        assert_eq!(serial.0, parallel.0, "allgather_ring inboxes");
+        assert_eq!(serial.1, parallel.1, "sim clock must be bit-identical");
+        assert_eq!(serial.2, parallel.2, "CommStats");
     }
 
     #[test]

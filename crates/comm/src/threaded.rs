@@ -521,51 +521,38 @@ impl RankCtx {
 
     /// Global sum across all ranks (one control round).
     pub fn allreduce_sum(&mut self, value: u64) -> Result<u64, CommError> {
-        let p = self.grid.len();
-        let sends: Vec<(usize, Vec<Vert>)> = (0..p)
-            .filter(|&d| d != self.rank)
-            .map(|d| {
-                let mut buf = self.scratch.take();
-                buf.push(value + 1);
-                (d, buf)
-            })
-            .collect();
-        let got = self.exchange(OpClass::Control, sends)?;
-        // +1 shift lets zero values survive the empty-payload filter.
-        let mut total = value;
-        for (_, payload) in got {
-            total += payload[0] - 1;
-            self.scratch.put(payload);
-        }
+        let [total] = self.allreduce_sums([value])?;
         Ok(total)
     }
 
-    /// Three global sums in one control round: the widened termination
-    /// allreduce the direction-optimizing BFS uses. Mirrors
-    /// [`RankCtx::allreduce_sum`] with a three-word payload, so the
-    /// direction decision costs no extra round here either.
-    pub fn allreduce_sum3(&mut self, a: u64, b: u64, c: u64) -> Result<(u64, u64, u64), CommError> {
+    /// `W` global sums in one control round, carrying a `W`-word payload
+    /// instead of one word — the threaded mirror of
+    /// [`crate::SimWorld::allreduce_sums`]. The direction-optimizing BFS
+    /// rides its α/β inputs on the termination check this way.
+    pub fn allreduce_sums<const W: usize>(
+        &mut self,
+        vals: [u64; W],
+    ) -> Result<[u64; W], CommError> {
         let p = self.grid.len();
         let sends: Vec<(usize, Vec<Vert>)> = (0..p)
             .filter(|&d| d != self.rank)
             .map(|d| {
                 let mut buf = self.scratch.take();
-                // +1 shift per word: all-zero triples survive the
-                // empty-payload filter (the payload is never empty, but
-                // the shift keeps the wire convention uniform).
-                buf.extend_from_slice(&[a + 1, b + 1, c + 1]);
+                // +1 shift per word lets zero values survive the
+                // empty-payload filter.
+                buf.extend(vals.iter().map(|v| v + 1));
                 (d, buf)
             })
             .collect();
         let got = self.exchange(OpClass::Control, sends)?;
-        let (mut ta, mut tb, mut tc) = (a, b, c);
+        let mut totals = vals;
         for (_, payload) in got {
-            ta += payload[0] - 1;
-            tb += payload[1] - 1;
-            tc += payload[2] - 1;
+            for (t, w) in totals.iter_mut().zip(&payload) {
+                *t += w - 1;
+            }
             self.scratch.put(payload);
         }
-        Ok((ta, tb, tc))
+        Ok(totals)
     }
 
     /// Barrier: an exchange with no payloads.
@@ -714,6 +701,21 @@ mod tests {
         assert!(ors.iter().all(|&o| o));
         let ors = ThreadedWorld::run(grid, |ctx| ctx.allreduce_or(false).unwrap());
         assert!(ors.iter().all(|&o| !o));
+    }
+
+    #[test]
+    fn allreduce_sums_adds_every_word_in_one_round() {
+        let grid = ProcessorGrid::new(2, 3);
+        let out = ThreadedWorld::run(grid, |ctx| {
+            let r = ctx.rank() as u64;
+            let sums = ctx.allreduce_sums([r, 0, 10 * r + 1]).unwrap();
+            (sums, ctx.wire_count(OpClass::Control).logical_bytes)
+        });
+        for (sums, bytes) in out {
+            assert_eq!(sums, [15, 0, 156]);
+            // One round: a three-word payload to each of the five peers.
+            assert_eq!(bytes, 5 * 3 * VERT_BYTES);
+        }
     }
 
     #[test]

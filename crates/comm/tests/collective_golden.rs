@@ -21,7 +21,6 @@
 use bgl_comm::collectives::{
     allgather::allgather_ring,
     alltoall::{alltoallv, SendList},
-    frontier::frontier_gather,
     lane::{lane_alltoallv, lane_exchange, LaneSendList},
     reduce_scatter::reduce_scatter_union_ring,
     two_phase::{two_phase_expand, two_phase_fold},
@@ -71,8 +70,8 @@ fn fnv(s: &str) -> u64 {
     })
 }
 
-/// Rank-disjoint contributions (rank `r` draws from `r·1024..`), so
-/// they are valid frontier-gather input; every fifth rank is dense.
+/// Rank-disjoint contributions (rank `r` draws from `r·1024..`), like
+/// owned frontiers; every fifth rank is dense.
 fn contributions(rng: &mut Rng, p: usize) -> Vec<Vec<Vert>> {
     (0..p)
         .map(|r| {
@@ -226,13 +225,6 @@ fn pin(
                     allgather_ring(&mut world, OpClass::Expand, groups, c)
                 )
             }
-            "frontier_gather" => {
-                let c = contributions(&mut rng, p);
-                format!(
-                    "{:?}",
-                    frontier_gather(&mut world, OpClass::Expand, groups, c)
-                )
-            }
             "reduce_scatter_union_ring" => {
                 let b = blocks(&mut rng, groups);
                 let got = reduce_scatter_union_ring(&mut world, OpClass::Fold, groups, b);
@@ -260,13 +252,7 @@ fn pin(
         };
         out.push_str(&got);
     }
-    if [
-        "frontier_gather",
-        "reduce_scatter_union_ring",
-        "two_phase_fold",
-    ]
-    .contains(&collective)
-    {
+    if ["reduce_scatter_union_ring", "two_phase_fold"].contains(&collective) {
         assert!(
             world.stats.setops.densify_switches > 0,
             "{collective}: the inputs must densify a union accumulator"
@@ -296,10 +282,9 @@ fn pin(
     )
 }
 
-const COLLECTIVES: [&str; 8] = [
+const COLLECTIVES: [&str; 7] = [
     "alltoallv",
     "allgather_ring",
-    "frontier_gather",
     "reduce_scatter_union_ring",
     "two_phase_fold",
     "two_phase_expand",
@@ -366,12 +351,6 @@ allgather_ring cols4x6 raw: t=3f2edb7af1bee234 comm=3f2edb7af1bee234 memcpy=0000
 allgather_ring cols4x6 auto: t=3f2be95e4cced964 comm=3ef85b5f461e102f memcpy=0000000000000000 codec=3f28ddf2640b175e stats=537e62d9a999433b events=162 trace=74bfc7fd6db6fe8e out=8da0d0446d037f69
 allgather_ring uneven raw: t=3f3969eab07b13ce comm=3f3969eab07b13ce memcpy=0000000000000000 codec=0000000000000000 stats=537c9c9afd642d9f events=110 trace=bd3249660dbc8ce1 out=818b42fb05cd1d2d
 allgather_ring uneven auto: t=3f370083e494200e comm=3f04fbc6e6716fe0 memcpy=0000000000000000 codec=3f34610b07c5f212 stats=c06353717c96913a events=130 trace=ff15c1b7506b55cf out=818b42fb05cd1d2d
-frontier_gather rows4x6 raw: t=3f40b5265f5ca946 comm=3f3937898422b9ea memcpy=3f206586752d3145 codec=0000000000000000 stats=52c5671248f6f7a6 events=255 trace=be4259a23ecfb2ea out=ca5ea86f83f12bff
-frontier_gather rows4x6 auto: t=3f3f0fff6b4968ed comm=3f04cdc26b1f07d8 memcpy=3f206586752d3145 codec=3f344383e34eef54 stats=4daf69e83d3b0359 events=275 trace=7db3530b9afa38e6 out=ca5ea86f83f12bff
-frontier_gather cols4x6 raw: t=3f31da35a2546bca comm=3f2e967438c34628 memcpy=3f0477dc2f9645a6 codec=0000000000000000 stats=ed578d6d77ecea07 events=150 trace=fa2553d21c3ae9a4 out=7447d5df5ba96149
-frontier_gather cols4x6 auto: t=3f306577bb6c2124 comm=3ef85b5f461e102f memcpy=3f0477dc2f9645a6 codec=3f28a18c822eeed7 stats=3d5f3deb2f17156d events=162 trace=73abef5a5dd6d939 out=7447d5df5ba96149
-frontier_gather uneven raw: t=3f3d9192b518d864 comm=3f3957827f26ea31 memcpy=3f10e840d7c7b8cd codec=0000000000000000 stats=4eed71665f689d86 events=116 trace=f3a7e8b3fa651ba7 out=c886e472031a8448
-frontier_gather uneven auto: t=3f3b2a78ef5c69d6 comm=3f04fbc6e6716fe0 memcpy=3f10e840d7c7b8cd codec=3f3450efdc9c4da9 stats=e35760f8abb16ee8 events=136 trace=12a75b54febf9b13 out=c886e472031a8448
 reduce_scatter_union_ring rows4x6 raw: t=3f2715c28c721014 comm=3f227d79cd32ece1 memcpy=3f026122fcfc8cd1 codec=0000000000000000 stats=5d592a8519760544 events=260 trace=87b38f6ef6b8334f out=45c54e5a1d80558e
 reduce_scatter_union_ring rows4x6 auto: t=3f2594758e8c590c comm=3f01a12abecb9ad5 memcpy=3f026122fcfc8cd1 codec=3f1927c43f349e42 stats=d803b8e20b2a6f0f events=280 trace=7d4346ad7da9cda5 out=45c54e5a1d80558e
 reduce_scatter_union_ring cols4x6 raw: t=3f1b21f58bbf1698 comm=3f15b376a8094f22 memcpy=3ef5b9fb8ed71ddf codec=0000000000000000 stats=206687fc6aac3d6c events=156 trace=963dd68dd9aa9948 out=f0ff713998d72b96
@@ -409,10 +388,9 @@ fn every_collective_matches_its_golden_pin() {
     check_table(&actual_table(&COLLECTIVES, false), EXPECTED);
 }
 
-/// The ring collectives whose forwarded pieces carry a wire measure
-/// (frontier gather, all-gather) and the two-phase fold, on the lossy
-/// fabric.
-const LOSSY_COLLECTIVES: [&str; 3] = ["allgather_ring", "frontier_gather", "two_phase_fold"];
+/// The ring collective whose forwarded pieces carry a wire measure
+/// (the all-gather) and the two-phase fold, on the lossy fabric.
+const LOSSY_COLLECTIVES: [&str; 2] = ["allgather_ring", "two_phase_fold"];
 
 const EXPECTED_LOSSY: &str = "\
 allgather_ring rows4x6 raw: t=3f46a8b8f14db596 comm=3f46a8b8f14db596 memcpy=0000000000000000 codec=0000000000000000 stats=4f10a5eecd7c5eb4 events=316 trace=cab2eae7b64b04fb out=72243e97a54f8313
@@ -421,12 +399,6 @@ allgather_ring cols4x6 raw: t=3f411144327da584 comm=3f411144327da584 memcpy=0000
 allgather_ring cols4x6 auto: t=3f39c057e8183f2f comm=3f2aa2bd6c2566fe memcpy=0000000000000000 codec=3f28ddf2640b175e stats=701fcb465d6eb199 events=213 trace=779a9a3216ff4a46 out=8da0d0446d037f69
 allgather_ring uneven raw: t=3f469da643a1148d comm=3f469da643a1148d memcpy=0000000000000000 codec=0000000000000000 stats=879f0f35321dac2c events=140 trace=667c1b5482eb386e out=818b42fb05cd1d2d
 allgather_ring uneven auto: t=3f3d3ef3d58cad9c comm=3f21bbd19b8d7716 memcpy=0000000000000000 codec=3f34610b07c5f212 stats=aa44a539a3282aab events=160 trace=aa2ae59c1eab6bcd out=818b42fb05cd1d2d
-frontier_gather rows4x6 raw: t=3f4ad6f4967a590b comm=3f46bd92f92f0cba memcpy=3f206586752d3145 codec=0000000000000000 stats=fc1fe261dceff21c events=320 trace=6eb0e9160638017c out=ca5ea86f83f12bff
-frontier_gather rows4x6 auto: t=3f4510e81acd3fa5 comm=3f2b57122f69eeab memcpy=3f206586752d3145 codec=3f344383e34eef54 stats=36cd304b69ae7b8d events=340 trace=990b317f1f0d7863 out=ca5ea86f83f12bff
-frontier_gather cols4x6 raw: t=3f41a0e740c1663d comm=3f4059697dc801e2 memcpy=3f0477dc2f9645a6 codec=0000000000000000 stats=3dc526c6d77a6ac0 events=197 trace=4130a4dcd01a4c54 out=7447d5df5ba96149
-frontier_gather cols4x6 auto: t=3f3969ad552bfb41 comm=3f2513d71c437646 memcpy=3f0477dc2f9645a6 codec=3f28a18c822eeed7 stats=75759656f2ea1472 events=209 trace=d2ec8d3f44f28998 out=7447d5df5ba96149
-frontier_gather uneven raw: t=3f48a9cedc0ce582 comm=3f468cc6c113ee68 memcpy=3f10e840d7c7b8cd codec=0000000000000000 stats=f1b40a1087743d2c events=144 trace=91fff3932dd28cdb out=c886e472031a8448
-frontier_gather uneven auto: t=3f40b2df7bed401f comm=3f21b57dca9888c7 memcpy=3f10e840d7c7b8cd codec=3f3450efdc9c4da9 stats=5524ebf52ce38eba events=164 trace=78ac80eb936cb7f5 out=c886e472031a8448
 two_phase_fold rows4x6 raw: t=3f3d0c88d808f3a4 comm=3f3b6083a3631c05 memcpy=3efac0534a5d79e1 codec=0000000000000000 stats=7e647805905f8f41 events=194 trace=1503b9990f37e411 out=9324844c9feb3db3
 two_phase_fold rows4x6 auto: t=3f3d7fb8dcb9a00b comm=3f380547f4bc6d90 memcpy=3efac0534a5d79e1 codec=3f0e735d9abad6d5 stats=3d7b97874fb63ce7 events=206 trace=9694848ac09a277f out=9324844c9feb3db3
 two_phase_fold cols4x6 raw: t=3f35a5c5f68c502f comm=3f347cbfdcb0a0b5 memcpy=3ef290619dbaf79e codec=0000000000000000 stats=2dbe956dca700770 events=126 trace=a13f9aa2455b6b73 out=9aaa2cd9f87a16a0

@@ -48,10 +48,9 @@ use crate::parity::{GroupShard, ParityGroups};
 use crate::state::{gather_levels, RankState};
 use crate::stats::{LevelDirection, LevelSnapshot, LevelStats, RunStats};
 use crate::step::{charge_probes, expand_discover, fold_absorb, with_retry};
-use bgl_comm::collectives::{frontier::frontier_gather, Groups};
+use bgl_comm::collectives::Groups;
 use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
-use rayon::ParallelSliceMut;
 
 /// The outcome of one distributed BFS run.
 #[derive(Debug, Clone)]
@@ -230,29 +229,15 @@ fn level_pass(
         return Ok(LevelOutcome::Exhausted);
     }
 
-    let blocks: Vec<Vec<Vec<Vert>>> = if bottom_up {
-        // -- 2. (bottom-up) frontier gather over processor-columns:
-        // every rank ends with the union of its column's frontiers —
-        // exactly the vertices that can parent the rows it stores.
-        let t_gather = world.time();
-        let contributions: Vec<Vec<Vert>> = states.iter().map(|s| s.frontier.clone()).collect();
-        let gathered = frontier_gather(world, OpClass::Expand, col_groups, contributions)?;
-        world.trace_span(Phase::Gather, level, t_gather);
-
-        // -- 3. (bottom-up) discover: scan unvisited stored rows,
-        // early-exit on the first frontier parent.
-        let t_discover = world.time();
-        let blocks = states
-            .par_iter_mut()
-            .zip(&gathered)
-            .map_collect(|s, fs| s.discover_bottom_up(fs));
-        drop(gathered);
-        world.trace_span(Phase::Discover, level, t_discover);
-        blocks
+    // -- 2./3. expand + local discovery. Both directions ship the
+    // frontier by `config.expand`; a bottom-up level scans stored rows
+    // against the received F̄ instead of expanding its columns.
+    let direction = if bottom_up {
+        LevelDirection::BottomUp
     } else {
-        // -- 2./3. expand + local discovery.
-        expand_discover(world, config.expand, col_groups, states, level)?
+        LevelDirection::TopDown
     };
+    let blocks = expand_discover(world, config.expand, col_groups, states, level, direction)?;
 
     // -- 4./5. fold + absorb, then the compute charge.
     fold_absorb(
@@ -279,11 +264,6 @@ fn level_pass(
     world.trace_span(Phase::Absorb, level, t_absorb);
     world.trace_span(Phase::Level, level, snapshot.time());
 
-    let direction = if bottom_up {
-        LevelDirection::BottomUp
-    } else {
-        LevelDirection::TopDown
-    };
     level_records.push(snapshot.finish(world, level, global_frontier, direction, level_probes));
 
     if target_level.is_some() {
@@ -900,6 +880,51 @@ mod tests {
             ..BfsConfig::default()
         };
         check_against_oracle(spec, grid, config);
+    }
+
+    #[test]
+    fn bottom_up_levels_agree_under_every_expand_strategy() {
+        // A bottom-up level tests only the columns a rank stores, and
+        // every expand strategy delivers all of those, so the levels,
+        // the direction vector and the per-level bottom-up probes do not
+        // depend on the expand. (Top-down probes do: the all-gather and
+        // two-phase expands also deliver columns stored elsewhere.)
+        let spec = GraphSpec::rmat(1 << 11, 12.0, 5);
+        let grid = ProcessorGrid::new(3, 4);
+        let graph = DistGraph::build(spec, grid);
+        for direction in [
+            crate::config::DirectionPolicy::adaptive(),
+            crate::config::DirectionPolicy::bottom_up(),
+        ] {
+            let runs: Vec<_> = [
+                ExpandStrategy::Targeted,
+                ExpandStrategy::AllGatherRing,
+                ExpandStrategy::TwoPhaseRing,
+            ]
+            .into_iter()
+            .map(|expand| {
+                let config = BfsConfig {
+                    expand,
+                    direction,
+                    ..BfsConfig::default()
+                };
+                let mut world = SimWorld::bluegene(grid);
+                let r = try_run(&graph, &mut world, &config, 0).unwrap();
+                let dirs: Vec<LevelDirection> =
+                    r.stats.levels.iter().map(|l| l.direction).collect();
+                let bu: Vec<u64> = r.stats.levels.iter().map(|l| l.bu_probes).collect();
+                (expand, r.levels, dirs, bu)
+            })
+            .collect();
+            let (_, levels, dirs, bu) = &runs[0];
+            assert!(dirs.contains(&LevelDirection::BottomUp), "{direction:?}");
+            for (expand, l, d, b) in &runs[1..] {
+                let what = format!("{expand:?} {direction:?}");
+                assert_eq!(l, levels, "{what}");
+                assert_eq!(d, dirs, "{what}");
+                assert_eq!(b, bu, "{what}");
+            }
+        }
     }
 
     #[test]

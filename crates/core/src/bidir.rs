@@ -117,7 +117,14 @@ pub fn try_run(
         let next_level = *depth as u32 + 1;
 
         // --- one full level of the chosen side (expand/discover/fold).
-        let blocks = expand_discover(world, config.expand, &col_groups, states, iter)?;
+        let blocks = expand_discover(
+            world,
+            config.expand,
+            &col_groups,
+            states,
+            iter,
+            LevelDirection::TopDown,
+        )?;
         fold_absorb(
             world,
             config.fold,

@@ -6,13 +6,13 @@
 //! algorithms on the simulation substrate provided by `bgl-torus`,
 //! `bgl-comm`, and `bgl-graph`:
 //!
-//! * [`bfs1d`] — Algorithm 1, distributed BFS with 1D (vertex)
-//!   partitioning;
 //! * [`bfs2d`] — Algorithm 2, the 2D (edge) partitioning with *expand*
 //!   (processor-column) and *fold* (processor-row) collectives,
-//!   configurable across the paper's communication strategies; also
-//!   home of the fault-tolerant engine ([`bfs2d::run_resilient`]) that
-//!   survives lossy exchanges and rank deaths via level-synchronous
+//!   configurable across the paper's communication strategies. Run on a
+//!   `1 × P` grid it is Algorithm 1, the 1D (vertex) partitioning: every
+//!   processor-column is one rank, so the expand sends nothing (§2.2).
+//!   Also home of the fault-tolerant engine ([`bfs2d::run_resilient`])
+//!   that survives lossy exchanges and rank deaths via level-synchronous
 //!   checkpoint/recover with bit-identical recovery;
 //! * [`bidir`] — the §2.3 bi-directional search;
 //! * [`theory`] — the §3.1 analytic message-length bounds (γ function)
@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bfs1d;
 pub mod bfs2d;
 pub mod bidir;
 pub mod config;

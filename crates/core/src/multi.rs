@@ -495,7 +495,7 @@ pub fn try_run(
         }
 
         // -- 2. expand over processor-columns, masks riding along
-        // (the frontier gather of a bottom-up wave).
+        // (traced as the gather on a bottom-up wave).
         let t_expand = world.time();
         let sends: Vec<LaneSendList> = states.par_iter_mut().map(|s| s.expand_sends()).collect();
         let fbar = lane_alltoallv(world, OpClass::Expand, &col_groups, sends)?;

@@ -23,6 +23,11 @@
 //! each fold block by popcount and emits its rows in ascending order.
 //! The probe count is still one per received vertex plus one per stored
 //! entry, so the simulated clock does not see the change.
+//!
+//! Bottom-up [`RankState::discover_bottom_up`] takes the same received
+//! F̄, so both directions share one expand. It marks the stored columns
+//! F̄ names in a per-call column bitmap (uncharged) and scans the
+//! unsent stored rows against it, one probe per column tested.
 
 use crate::reference::UNREACHED;
 use bgl_comm::{ProcessorGrid, VertSet};
@@ -235,29 +240,41 @@ impl<'g> RankState<'g> {
 
     /// Bottom-up discover: instead of expanding the frontier along
     /// stored columns, scan every not-yet-emitted stored *row* and ask
-    /// whether any of its columns is in the (column-gathered) frontier,
+    /// whether any of its columns is in the received frontier,
     /// early-exiting on the first hit. Emits the same fold blocks as
     /// [`RankState::discover`] would for this level — each block sorted
     /// and duplicate-free — because rows are visited in ascending id
     /// order, block column by block column, and each row is emitted at
     /// most once.
     ///
-    /// `frontier` must be the union of the whole processor-column's
-    /// frontiers (see `bgl_comm::collectives::frontier`): this rank
-    /// stores *all* edges `(u, f)` with `u` in its row set and `f` in
-    /// its block column, so between the column peers every unlabeled
-    /// vertex with a frontier parent is found by exactly the ranks that
-    /// store such an edge.
+    /// `fbar_lists` is the received F̄ of the level's expand, the same
+    /// input [`RankState::discover`] takes. It holds every frontier
+    /// vertex whose column this rank stores (the targeted expand sends
+    /// exactly those; the all-gather and two-phase expands send the
+    /// whole column's frontier, and columns stored elsewhere are
+    /// skipped). This rank stores *all* edges `(u, f)` with `u` in its
+    /// row set and `f` in its block column, so between the column peers
+    /// every unlabeled vertex with a frontier parent is found by
+    /// exactly the ranks that store such an edge.
     ///
-    /// Probes counted: one per frontier membership test. The row scan
-    /// itself is sequential array access over the row-major index —
-    /// not hash work — whereas top-down is charged a sent-neighbors
-    /// probe for *every* stored entry of every received frontier
-    /// vertex. The early exit plus the free skip of already-sent rows
-    /// is where bottom-up wins.
-    pub fn discover_bottom_up(&mut self, frontier: &VertSet) -> Vec<Vec<Vertex>> {
+    /// Probes counted: one per column tested. Marking F̄'s columns in
+    /// a per-call bitmap is not charged, and the row scan itself is
+    /// sequential array access over the row-major index — not hash
+    /// work — whereas top-down is charged a sent-neighbors probe for
+    /// *every* stored entry of every received frontier vertex. The
+    /// early exit plus the free skip of already-sent rows is where
+    /// bottom-up wins.
+    pub fn discover_bottom_up(&mut self, fbar_lists: &[&[Vertex]]) -> Vec<Vec<Vertex>> {
         let rg = self.rg;
         let edges = &rg.edges;
+        let mut in_frontier = vec![0u64; edges.num_cols().div_ceil(64)];
+        for list in fbar_lists {
+            for &v in *list {
+                if let Some(ci) = edges.col_local(v) {
+                    in_frontier[ci as usize / 64] |= 1 << (ci % 64);
+                }
+            }
+        }
         let bounds = rg.row_blocks();
         let mut blocks: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.cols()];
         for (block, range) in blocks.iter_mut().zip(bounds.windows(2)) {
@@ -274,7 +291,7 @@ impl<'g> RankState<'g> {
                 let mut parented = false;
                 for &ci in edges.cols_of_row_local(rl) {
                     self.probes += 1;
-                    if frontier.contains(edges.col_of_local(ci)) {
+                    if in_frontier[ci as usize / 64] >> (ci % 64) & 1 != 0 {
                         parented = true;
                         break;
                     }
@@ -647,8 +664,8 @@ mod tests {
 
     #[test]
     fn bottom_up_matches_top_down_full_walk() {
-        // On a single rank the gathered column frontier is the rank's
-        // own frontier, so the two kernels can be walked side by side:
+        // On a single rank F̄ is the rank's own frontier, so the two
+        // kernels can be walked side by side:
         // every level must produce the identical next frontier and the
         // identical final level array, with and without the sent cache.
         for use_sent in [true, false] {
@@ -664,8 +681,8 @@ mod tests {
                 let f = td[0].frontier.clone();
                 let td_blocks = td[0].discover(&[&f]);
                 td[0].absorb(&[&td_blocks[0]], level);
-                let fset = VertSet::from_sorted(bu[0].frontier.clone());
-                let bu_blocks = bu[0].discover_bottom_up(&fset);
+                let f = bu[0].frontier.clone();
+                let bu_blocks = bu[0].discover_bottom_up(&[&f]);
                 bu[0].absorb(&[&bu_blocks[0]], level);
                 assert_eq!(td[0].frontier, bu[0].frontier, "level {level}");
             }
@@ -679,15 +696,15 @@ mod tests {
     fn bottom_up_emits_each_row_once_with_cache() {
         let g = setup(2, 2);
         let mut sts = states(&g, true);
-        let all = VertSet::from_sorted(g.ranks[0].edges.cols().to_vec());
-        let first = sts[0].discover_bottom_up(&all);
+        let all: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
+        let first = sts[0].discover_bottom_up(&[&all]);
         let count = |bs: &[Vec<Vertex>]| bs.iter().map(Vec::len).sum::<usize>();
         assert!(count(&first) > 0);
         // Every stored row has some stored column, and every stored
         // column is in the probe set, so the first pass emits every row
         // and the second pass finds nothing left.
         assert_eq!(count(&first), g.ranks[0].edges.num_row_ids());
-        let second = sts[0].discover_bottom_up(&all);
+        let second = sts[0].discover_bottom_up(&[&all]);
         assert_eq!(count(&second), 0);
         assert_eq!(sts[0].unexplored(), 0);
     }
@@ -836,7 +853,9 @@ mod tests {
     }
 
     /// Drive a search from `source` by hand, checking the kernels at
-    /// every level; returns the number of levels.
+    /// every level; returns the number of levels. Both kernels take the
+    /// rank's targeted F̄; the bottom-up oracle tests membership in the
+    /// whole column frontier instead.
     fn walk_levels(g: &DistGraph, use_sent: bool, source: Vertex) -> u32 {
         let grid = g.grid();
         let p = grid.len();
@@ -862,11 +881,12 @@ mod tests {
             let mut nbar: Vec<Vec<Vec<Vertex>>> = vec![Vec::new(); p];
             for (rank, st) in sts.iter_mut().enumerate() {
                 let what = format!("level {level} rank {rank}");
+                let lists: Vec<&[Vertex]> = fbar[rank].iter().map(Vec::as_slice).collect();
                 let mut frontier = column_frontier[grid.col_of(rank)].clone();
                 frontier.sort_unstable();
                 let frontier = VertSet::from_sorted(frontier);
                 let (mut bu, mut bu_hashed) = (st.clone(), st.clone());
-                let bu_blocks = bu.discover_bottom_up(&frontier);
+                let bu_blocks = bu.discover_bottom_up(&lists);
                 assert_eq!(
                     bu_blocks,
                     hashed_bottom_up(&mut bu_hashed, &g.partition, &frontier),
@@ -874,7 +894,6 @@ mod tests {
                 );
                 assert_same_state(&bu, &bu_hashed, &what);
 
-                let lists: Vec<&[Vertex]> = fbar[rank].iter().map(Vec::as_slice).collect();
                 let mut hashed = st.clone();
                 let want = hashed_discover(&mut hashed, &g.partition, &lists);
                 let blocks = st.discover(&lists);

@@ -12,7 +12,7 @@ pub enum LevelDirection {
     /// Expand → discover → fold (the paper's algorithm).
     #[default]
     TopDown,
-    /// Frontier gather → bottom-up discover → fold.
+    /// Expand → bottom-up discover (a row scan) → fold.
     BottomUp,
 }
 

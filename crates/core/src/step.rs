@@ -1,15 +1,16 @@
-//! The top-down level step the simulated engines share: the paper's
-//! Algorithm 2 main loop body (expand, discover, fold, absorb), written
-//! once, plus the fold routing, probe charge and control-exchange retry
-//! they have in common. Algorithm 1 is the same step with no expand
-//! (§2.2), so [`crate::bfs1d`] discovers from its own frontier and then
-//! calls [`fold_absorb`] like the 2D engines. Each engine keeps its own
-//! termination round, target or meet detection and Absorb and Level
-//! spans, and records its levels through
-//! [`crate::stats::LevelSnapshot`].
+//! The level step the simulated engines share: the paper's Algorithm 2
+//! main loop body (expand, discover, fold, absorb), written once, plus
+//! the fold routing, probe charge and control-exchange retry they have
+//! in common. Both directions run the same expand; only the discover
+//! kernel differs. Algorithm 1 (1D) is this step on a `1 × P` grid,
+//! where every processor-column is a single rank and the expand sends
+//! no message (§2.2). Each engine keeps its own termination round,
+//! target or meet detection and Absorb and Level spans, and records its
+//! levels through [`crate::stats::LevelSnapshot`].
 
 use crate::config::{ExpandStrategy, FoldStrategy};
 use crate::state::RankState;
+use crate::stats::LevelDirection;
 use bgl_comm::collectives::{
     allgather::allgather_ring,
     alltoall::alltoallv,
@@ -51,14 +52,16 @@ pub(crate) fn route_to_row_peers<T>(
 }
 
 /// Expand every rank's frontier over its processor-column by `expand`,
-/// then discover the fold blocks from the received F̄. Emits the Expand
-/// and Discover spans under `level`.
+/// then discover the fold blocks from the received F̄ with the kernel of
+/// `direction`. Emits the Expand span (Gather on a bottom-up level) and
+/// the Discover span under `level`.
 pub(crate) fn expand_discover(
     world: &mut SimWorld,
     expand: ExpandStrategy,
     col_groups: &Groups,
     states: &mut [RankState<'_>],
     level: u32,
+    direction: LevelDirection,
 ) -> Result<Vec<Vec<Vec<Vert>>>, CommError> {
     let t_expand = world.time();
     let frontiers = |states: &[RankState<'_>]| states.iter().map(|s| s.frontier.clone()).collect();
@@ -77,14 +80,21 @@ pub(crate) fn expand_discover(
             two_phase_expand(world, OpClass::Expand, col_groups, frontiers(states))?
         }
     });
-    world.trace_span(Phase::Expand, level, t_expand);
+    let phase = match direction {
+        LevelDirection::TopDown => Phase::Expand,
+        LevelDirection::BottomUp => Phase::Gather,
+    };
+    world.trace_span(phase, level, t_expand);
 
     // Zero-duration span in the simulator: the probe costs are charged
     // with the absorb phase's hash pass.
     let t_discover = world.time();
     let blocks = states.par_iter_mut().zip(&fbar).map_collect(|s, lists| {
         let refs: Vec<&[Vert]> = lists.iter().map(Vec::as_slice).collect();
-        s.discover(&refs)
+        match direction {
+            LevelDirection::TopDown => s.discover(&refs),
+            LevelDirection::BottomUp => s.discover_bottom_up(&refs),
+        }
     });
     world.trace_span(Phase::Discover, level, t_discover);
     Ok(blocks)

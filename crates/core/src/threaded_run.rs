@@ -2,9 +2,12 @@
 //!
 //! One OS thread per rank drives the *same* per-rank state machine as
 //! the superstep simulator (targeted expand, direct all-to-all fold),
-//! with genuine concurrent message passing. Exists to validate the
-//! simulator against a real parallel execution and to power examples
-//! that want actual parallelism; no cost model applies.
+//! with genuine concurrent message passing. Every level makes one
+//! expand exchange and one fold exchange; a bottom-up level differs
+//! only in its discover kernel, which takes the same received F̄.
+//! Exists to validate the simulator against a real parallel execution
+//! and to power examples that want actual parallelism; no cost model
+//! applies.
 //!
 //! [`run`] takes one [`ThreadedConfig`]. Under a [`FaultPlan`], lossy
 //! exchanges retransmit (counted per rank in [`FaultStats`]), and a
@@ -19,10 +22,7 @@ use crate::reference::UNREACHED;
 use crate::state::RankState;
 use crate::stats::LevelDirection;
 use bgl_comm::threaded::ThreadedWorld;
-use bgl_comm::{
-    CommError, FaultPlan, FaultStats, OpClass, Phase, Vert, VertSet, VsetPolicy, WireCount,
-    WirePolicy,
-};
+use bgl_comm::{CommError, FaultPlan, FaultStats, OpClass, Phase, Vert, WireCount, WirePolicy};
 use bgl_graph::{DistGraph, Vertex};
 use bgl_trace::{TraceBuffer, TraceDetail, DEFAULT_RING_CAPACITY};
 
@@ -71,11 +71,9 @@ pub struct ThreadedConfig {
     /// Top-down/bottom-up switch. Levels decide from the same 3-word
     /// allreduce and integer thresholds as the simulator, so the
     /// per-level direction vector matches the simulator's bit for bit.
-    /// Bottom-up levels replace the targeted expand with a
-    /// neighbour-only frontier ring over the processor column — the
-    /// threaded mirror of `bgl_comm::collectives::frontier`, with the
-    /// same empty-pieces-are-not-sent convention so fault schedules stay
-    /// aligned across runtimes.
+    /// Both directions use the targeted expand; bottom-up levels only
+    /// swap the discover kernel, so the data rounds (and with them the
+    /// fault schedule) line up with the simulator's level for level.
     pub direction: DirectionPolicy,
 }
 
@@ -142,8 +140,8 @@ pub fn run(
             let (global_frontier, bottom_up) = if direction.mode == DirectionMode::TopDown {
                 (ctx.allreduce_sum(st.frontier_len())?, false)
             } else {
-                let (gf, mf, mu) =
-                    ctx.allreduce_sum3(st.frontier_len(), st.frontier_degree(), st.unexplored())?;
+                let [gf, mf, mu] =
+                    ctx.allreduce_sums([st.frontier_len(), st.frontier_degree(), st.unexplored()])?;
                 let bu = direction.wants_bottom_up(gf, mf, mu, graph.spec.n, grid.rows() as u64);
                 (gf, bu)
             };
@@ -151,59 +149,33 @@ pub fn run(
             if global_frontier == 0 {
                 break;
             }
-            let blocks = if bottom_up {
-                // Frontier gather: (R-1)-step neighbour ring within the
-                // processor column, unioning pieces into a hybrid set.
-                // Empty pieces are not sent — absence of a message is
-                // the empty piece, exactly as in the simulator.
-                let t_gather = ctx.trace_now();
-                let (i, j) = grid.position_of(rank);
-                let succ = grid.rank_of((i + 1) % grid.rows(), j);
-                let policy = VsetPolicy::hybrid();
-                let mut gathered = VertSet::from_sorted(st.frontier.clone());
-                let mut piece: Vec<Vert> = st.frontier.clone();
-                for _ in 0..grid.rows().saturating_sub(1) {
-                    let sends = if piece.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![(succ, piece.clone())]
-                    };
-                    let mut inbox = ctx.exchange(OpClass::Expand, sends)?;
-                    debug_assert!(inbox.len() <= 1, "ring delivers at most one piece");
-                    if let Some((_, pl)) = inbox.pop() {
-                        let dups = gathered.union_in(&pl, &policy);
-                        debug_assert_eq!(dups, 0, "owned frontiers are disjoint");
-                        piece = pl;
-                    } else {
-                        piece.clear();
-                    }
-                }
-                ctx.trace_span(Phase::Gather, level, t_gather);
-                let t_discover = ctx.trace_now();
-                let blocks = st.discover_bottom_up(&gathered);
-                ctx.trace_span(Phase::Discover, level, t_discover);
-                blocks
-            } else {
-                // Expand (targeted) — one world round.
-                let t_expand = ctx.trace_now();
-                let sends: Vec<(usize, Vec<Vert>)> = st.expand_sends_targeted();
-                let fbar = ctx.exchange(OpClass::Expand, sends)?;
-                ctx.trace_span(Phase::Expand, level, t_expand);
-                let t_discover = ctx.trace_now();
-                let fbar_refs: Vec<&[Vert]> = fbar.iter().map(|(_, pl)| pl.as_slice()).collect();
-                let blocks = st.discover(&fbar_refs);
-                drop(fbar_refs);
-                ctx.trace_span(Phase::Discover, level, t_discover);
-                for (_, pl) in fbar {
-                    ctx.scratch_put(pl);
-                }
-                blocks
-            };
-            directions.push(if bottom_up {
+            let dir = if bottom_up {
                 LevelDirection::BottomUp
             } else {
                 LevelDirection::TopDown
-            });
+            };
+            directions.push(dir);
+            // Expand (targeted) — one world round in either direction,
+            // traced as the gather on a bottom-up level.
+            let t_expand = ctx.trace_now();
+            let sends: Vec<(usize, Vec<Vert>)> = st.expand_sends_targeted();
+            let fbar = ctx.exchange(OpClass::Expand, sends)?;
+            let phase = match dir {
+                LevelDirection::TopDown => Phase::Expand,
+                LevelDirection::BottomUp => Phase::Gather,
+            };
+            ctx.trace_span(phase, level, t_expand);
+            let t_discover = ctx.trace_now();
+            let fbar_refs: Vec<&[Vert]> = fbar.iter().map(|(_, pl)| pl.as_slice()).collect();
+            let blocks = match dir {
+                LevelDirection::TopDown => st.discover(&fbar_refs),
+                LevelDirection::BottomUp => st.discover_bottom_up(&fbar_refs),
+            };
+            drop(fbar_refs);
+            ctx.trace_span(Phase::Discover, level, t_discover);
+            for (_, pl) in fbar {
+                ctx.scratch_put(pl);
+            }
             // Fold (direct all-to-all) — one world round.
             let t_fold = ctx.trace_now();
             let i = grid.row_of(rank);

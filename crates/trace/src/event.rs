@@ -20,8 +20,9 @@ pub enum Phase {
     Termination,
     /// Frontier expand over processor-columns.
     Expand,
-    /// Bottom-up frontier gather over processor-columns (the
-    /// direction-optimizing engine's replacement for expand).
+    /// The expand of a bottom-up level or wave: the same frontier
+    /// exchange over processor-columns, labelled apart so traces show
+    /// the direction switch.
     Gather,
     /// Local neighbor discovery (zero-duration in the simulator: its
     /// probes are charged in the absorb phase's hash pass).

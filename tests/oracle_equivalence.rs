@@ -2,7 +2,7 @@
 //! every partitioning and strategy combination, must produce exactly the
 //! sequential reference labels on the same generated graph.
 
-use bgl_bfs::core::{bfs1d, bfs2d, bidir, reference};
+use bgl_bfs::core::{bfs2d, bidir, reference};
 use bgl_bfs::{
     BfsConfig, DistGraph, ExpandStrategy, FoldStrategy, GraphSpec, ProcessorGrid, SimWorld,
 };
@@ -53,7 +53,7 @@ proptest! {
     }
 
     #[test]
-    fn bfs1d_matches_sequential_oracle(
+    fn one_d_grid_matches_sequential_oracle(
         n in 50u64..400,
         k in 1u32..12,
         seed in 0u64..1000,
@@ -68,7 +68,7 @@ proptest! {
         let graph = DistGraph::build(spec, grid);
         let mut world = SimWorld::bluegene(grid);
         let config = BfsConfig { fold, ..BfsConfig::default() };
-        let got = bfs1d::try_run(&graph, &mut world, &config, 0).unwrap();
+        let got = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(got.levels, expect);
     }
 
