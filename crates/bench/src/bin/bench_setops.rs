@@ -13,8 +13,8 @@
 //! cargo run --release -p bgl-bench --bin bench_setops
 //! ```
 
-use bfs_core::state::{gather_levels, RankState};
 use bfs_core::validate_against_spec;
+use bgl_bench::exp;
 use bgl_bench::harness::{write_report, Args};
 use bgl_comm::{ProcessorGrid, Vert, VertSet, VsetPolicy};
 use bgl_graph::{DistGraph, GraphSpec, Vertex};
@@ -59,50 +59,28 @@ fn time_union(blocks: &[Vec<Vert>], policy: &VsetPolicy, reps: u64) -> f64 {
     best
 }
 
-/// Seconds spent in [`RankState::discover`] and the probes it counted
-/// over one whole top-down search from `source`, with the sent-neighbors
-/// cache on. The search is driven level by level on the calling thread:
-/// targeted expand, discover, direct fold to the processor-row peers,
-/// absorb. Returns the final global level array too.
+/// Seconds spent in [`RankState::discover`](bfs_core::state::RankState::discover)
+/// and the probes it counted over one whole top-down search from
+/// `source` ([`exp::top_down_levels`]), with the final global level
+/// array.
 fn time_discover(graph: &DistGraph, source: Vertex) -> (f64, u64, Vec<u32>) {
-    let grid = graph.grid();
-    let mut states: Vec<RankState<'_>> = graph
-        .ranks
-        .iter()
-        .map(|rg| RankState::new(rg, graph.partition, true))
-        .collect();
-    for st in states.iter_mut() {
-        st.init_source(source);
-    }
     let (mut secs, mut probes) = (0.0, 0);
-    for level in 1.. {
-        let mut fbar: Vec<Vec<Vec<Vertex>>> = vec![Vec::new(); grid.len()];
-        for st in states.iter_mut() {
-            for (peer, list) in st.expand_sends_targeted() {
-                fbar[peer].push(list);
-            }
-        }
-        if fbar.iter().all(Vec::is_empty) {
-            break;
-        }
-        let mut nbar: Vec<Vec<Vec<Vertex>>> = vec![Vec::new(); grid.len()];
-        for (rank, (st, lists)) in states.iter_mut().zip(&fbar).enumerate() {
-            let lists: Vec<&[Vertex]> = lists.iter().map(Vec::as_slice).collect();
-            let before = st.probes;
-            let start = Instant::now();
-            let blocks = std::hint::black_box(st.discover(&lists));
-            secs += start.elapsed().as_secs_f64();
-            probes += st.probes - before;
-            for (m, block) in blocks.into_iter().enumerate() {
-                nbar[grid.rank_of(grid.row_of(rank), m)].push(block);
-            }
-        }
-        for (st, lists) in states.iter_mut().zip(&nbar) {
-            let lists: Vec<&[Vertex]> = lists.iter().map(Vec::as_slice).collect();
-            st.absorb(&lists, level);
-        }
-    }
-    (secs, probes, gather_levels(&states, graph.spec.n))
+    let levels = exp::top_down_levels(graph, source, |states, fbar| {
+        states
+            .iter_mut()
+            .zip(fbar)
+            .map(|(st, lists)| {
+                let lists: Vec<&[Vertex]> = lists.iter().map(Vec::as_slice).collect();
+                let before = st.probes;
+                let start = Instant::now();
+                let blocks = std::hint::black_box(st.discover(&lists));
+                secs += start.elapsed().as_secs_f64();
+                probes += st.probes - before;
+                blocks
+            })
+            .collect()
+    });
+    (secs, probes, levels)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -3,6 +3,17 @@
 //! to simulated BFS time, and what the rayon-parallel superstep
 //! scheduler does to host wall-clock. Writes `BENCH_wire.json`.
 //!
+//! The compression rows run on the `--n`/`--degree` Poisson graph. The
+//! host-clock rows run on a fixed larger one (Poisson 2^19, mean degree
+//! 16, same grid), where one search takes long enough (≈150 ms or more)
+//! for a worker-count speedup to stand out of host noise:
+//!
+//! * `superstep_engine`: best-of-`--reps` ms of one whole search at 1
+//!   and N workers;
+//! * `union_fold`: best-of-`--reps` ms of `two_phase_fold` on the fold
+//!   blocks of that search's largest level, at 1 and N workers
+//!   (recorded, not gated).
+//!
 //! With `--check` the binary exits non-zero when the numbers miss the
 //! PR's acceptance floors (CI smoke):
 //!
@@ -18,7 +29,8 @@
 use bfs_core::{bfs2d, BfsConfig};
 use bgl_bench::exp;
 use bgl_bench::harness::{write_report, Args};
-use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
+use bgl_comm::collectives::{two_phase::two_phase_fold, Groups};
+use bgl_comm::{CommError, OpClass, ProcessorGrid, SimWorld, Vert, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use bgl_trace::json::{self, Fixed};
 use std::time::Instant;
@@ -29,8 +41,8 @@ bench_wire — wire-codec compression and parallel-superstep benchmark
 Writes BENCH_wire.json (override with --out).
 
 Flags:
-  --n N          vertices in the benchmark graph (default 60000)
-  --degree K     mean degree (default 10)
+  --n N          vertices in the compression graph (default 60000)
+  --degree K     mean degree of the compression graph (default 10)
   --rows R       processor grid rows (default 8)
   --cols C       processor grid cols (default 8)
   --reps N       wall-clock timing repetitions, best-of (default 5)
@@ -44,6 +56,11 @@ const MIN_COMPRESSION: f64 = 1.5;
 /// Speedup floor checked only on hosts with at least this many cores.
 const MIN_SPEEDUP: f64 = 1.2;
 const SPEEDUP_MIN_CORES: usize = 4;
+
+/// Vertices of the host-clock rows' graph.
+const ENGINE_N: u64 = 1 << 19;
+/// Mean degree of the host-clock rows' graph.
+const ENGINE_DEGREE: f64 = 16.0;
 
 /// One simulated run under `mode`; returns (logical, wire, sim_time,
 /// codec_time).
@@ -70,6 +87,48 @@ fn time_engine(graph: &DistGraph, workers: usize, reps: u64) -> Result<f64, Comm
             let r = bfs2d::try_run(graph, &mut world, &config, 0)?;
             best = best.min(start.elapsed().as_secs_f64());
             std::hint::black_box(r.stats.sim_time);
+        }
+        Ok(best)
+    })
+}
+
+/// The fold blocks of the largest level (by block vertices) of a
+/// top-down search from `source` ([`exp::top_down_levels`]).
+fn largest_fold_blocks(graph: &DistGraph, source: Vert) -> Vec<Vec<Vec<Vert>>> {
+    let (mut largest, mut largest_len) = (Vec::new(), 0);
+    exp::top_down_levels(graph, source, |states, fbar| {
+        let blocks: Vec<Vec<Vec<Vert>>> = states
+            .iter_mut()
+            .zip(fbar)
+            .map(|(st, lists)| st.discover(&lists.iter().map(Vec::as_slice).collect::<Vec<_>>()))
+            .collect();
+        let len = blocks.iter().flatten().map(Vec::len).sum();
+        if len > largest_len {
+            (largest, largest_len) = (blocks.clone(), len);
+        }
+        blocks
+    });
+    largest
+}
+
+/// Best-of-`reps` host seconds of one `two_phase_fold` of `blocks` over
+/// the processor-rows under auto wire, on `workers` host threads.
+fn time_union_fold(
+    graph: &DistGraph,
+    blocks: &[Vec<Vec<Vert>>],
+    workers: usize,
+    reps: u64,
+) -> Result<f64, CommError> {
+    let groups = Groups::rows_of(graph.grid());
+    rayon::with_worker_threads(workers, || {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let mut world = SimWorld::bluegene(graph.grid()).with_wire_policy(WirePolicy::auto());
+            let blocks = blocks.to_vec();
+            let start = Instant::now();
+            let out = two_phase_fold(&mut world, OpClass::Fold, &groups, blocks)?;
+            best = best.min(start.elapsed().as_secs_f64());
+            std::hint::black_box(out);
         }
         Ok(best)
     })
@@ -129,14 +188,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("  auto codec: {compression:.2}x fewer bytes, {sim_speedup:.2}x simulated speedup");
 
     // --- Superstep scheduler: 1 worker vs N workers, host wall-clock. -
-    eprintln!("engine: {host_threads} host cores, {engine_threads} worker threads");
+    drop(graph);
+    let graph = DistGraph::build(GraphSpec::poisson(ENGINE_N, ENGINE_DEGREE, 4242), grid);
+    eprintln!(
+        "engine: n={ENGINE_N} degree={ENGINE_DEGREE}, {host_threads} host cores, \
+         {engine_threads} worker threads"
+    );
     let serial_s = time_engine(&graph, 1, reps)?;
     let rayon_s = time_engine(&graph, engine_threads, reps)?;
     let engine_speedup = serial_s / rayon_s;
-    eprintln!("  1 worker   {:>9.1} ms", serial_s * 1e3);
+    eprintln!("  search    1 worker  {:>9.1} ms", serial_s * 1e3);
     eprintln!(
-        "  {engine_threads} workers  {:>9.1} ms   ({engine_speedup:.2}x)",
+        "  search    {engine_threads} workers {:>9.1} ms   ({engine_speedup:.2}x)",
         rayon_s * 1e3
+    );
+    let blocks = largest_fold_blocks(&graph, 0);
+    let fold_verts: usize = blocks.iter().flatten().map(Vec::len).sum();
+    let fold_serial_s = time_union_fold(&graph, &blocks, 1, reps)?;
+    let fold_rayon_s = time_union_fold(&graph, &blocks, engine_threads, reps)?;
+    let fold_speedup = fold_serial_s / fold_rayon_s;
+    eprintln!(
+        "  fold      1 worker  {:>9.1} ms   ({fold_verts} block vertices)",
+        fold_serial_s * 1e3
+    );
+    eprintln!(
+        "  fold      {engine_threads} workers {:>9.1} ms   ({fold_speedup:.2}x)",
+        fold_rayon_s * 1e3
     );
 
     let doc = json::pretty(|w| {
@@ -159,11 +236,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         w.field("compression_ratio", Fixed(compression, 3))
             .field("sim_speedup_auto_vs_raw", Fixed(sim_speedup, 3));
         w.key("superstep_engine").obj(|w| {
-            w.field("host_threads", host_threads)
+            w.field("n", ENGINE_N)
+                .field("degree", ENGINE_DEGREE)
+                .field("host_threads", host_threads)
                 .field("engine_threads", engine_threads)
                 .field("serial_ms", Fixed(serial_s * 1e3, 3))
                 .field("rayon_ms", Fixed(rayon_s * 1e3, 3))
                 .field("rayon_speedup", Fixed(engine_speedup, 3));
+        });
+        w.key("union_fold").obj(|w| {
+            w.field("block_verts", fold_verts)
+                .field("serial_ms", Fixed(fold_serial_s * 1e3, 3))
+                .field("rayon_ms", Fixed(fold_rayon_s * 1e3, 3))
+                .field("rayon_speedup", Fixed(fold_speedup, 3));
         });
     });
     write_report(&out, &doc)?;

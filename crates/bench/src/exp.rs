@@ -1,8 +1,9 @@
 //! Shared experiment plumbing for the figure/table binaries.
 
 use crate::harness::Args;
+use bfs_core::state::{gather_levels, RankState};
 use bfs_core::{bfs2d, bidir, BfsConfig};
-use bgl_comm::{CommError, ProcessorGrid, SimWorld, WireMode, WirePolicy};
+use bgl_comm::{CommError, ProcessorGrid, SimWorld, Vert, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 
 /// Deterministic per-experiment source vertices: spread across the
@@ -44,6 +45,49 @@ pub fn apply_engine_threads(args: &Args) {
             .unwrap_or_else(|_| panic!("--engine-threads expects an integer, got {n:?}"));
         rayon::set_worker_threads(n);
     }
+}
+
+/// Drive a top-down search of `graph` from `source` level by level on
+/// the calling thread, with the sent-neighbors cache on: targeted
+/// expand, `discover` (every rank's fold blocks from the F̄ lists it
+/// received), direct fold to the processor-row peers, absorb. Returns
+/// the final global level array.
+pub fn top_down_levels(
+    graph: &DistGraph,
+    source: Vert,
+    mut discover: impl FnMut(&mut [RankState<'_>], &[Vec<Vec<Vert>>]) -> Vec<Vec<Vec<Vert>>>,
+) -> Vec<u32> {
+    let grid = graph.grid();
+    let mut states: Vec<RankState<'_>> = graph
+        .ranks
+        .iter()
+        .map(|rg| RankState::new(rg, graph.partition, true))
+        .collect();
+    for st in states.iter_mut() {
+        st.init_source(source);
+    }
+    for level in 1.. {
+        let mut fbar: Vec<Vec<Vec<Vert>>> = vec![Vec::new(); grid.len()];
+        for st in states.iter_mut() {
+            for (peer, list) in st.expand_sends_targeted() {
+                fbar[peer].push(list);
+            }
+        }
+        if fbar.iter().all(Vec::is_empty) {
+            break;
+        }
+        let blocks = discover(&mut states, &fbar);
+        let mut nbar: Vec<Vec<&[Vert]>> = vec![Vec::new(); grid.len()];
+        for (rank, own) in blocks.iter().enumerate() {
+            for (m, block) in own.iter().enumerate() {
+                nbar[grid.rank_of(grid.row_of(rank), m)].push(block);
+            }
+        }
+        for (st, lists) in states.iter_mut().zip(&nbar) {
+            st.absorb(lists, level);
+        }
+    }
+    gather_levels(&states, graph.spec.n)
 }
 
 /// Outcome of averaging several searches.

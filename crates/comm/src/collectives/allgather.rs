@@ -24,6 +24,7 @@ use super::{measure_all, ring_step, Groups, Piece};
 use crate::error::CommError;
 use crate::sim::{Inbox, SimWorld};
 use crate::stats::OpClass;
+use crate::wire;
 use crate::Vert;
 
 /// Run a ring all-gather in every group simultaneously.
@@ -41,7 +42,9 @@ pub fn allgather_ring(
     // gathered[rank] accumulates (source, payload); in_flight[rank] is
     // the piece this rank forwards at the next step, with the measure
     // taken once at its origin.
-    let measures = measure_all(world, &mut contribution);
+    let measures = measure_all(world, &mut contribution, |c, policy| {
+        wire::measure(c, policy)
+    });
     let mut gathered: Vec<Inbox> = contribution
         .iter()
         .enumerate()

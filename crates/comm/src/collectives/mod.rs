@@ -30,15 +30,19 @@
 //!
 //! The ring collectives share crate-private pieces, so every ring
 //! sends, unions and charges the same way: [`ring_step`] (one lockstep
-//! step of a ring inside every group), [`union_charge`] (a set union
-//! with its merge traffic and set-kernel counters) and [`into_payload`]
-//! (a hybrid set as a wire payload). A ring piece carries an optional
-//! wire measure: the all-gather, whose pieces travel unchanged,
-//! measures each contribution once at its origin ([`measure_all`]) and
-//! moves the piece and its measure from hop to hop, while the
-//! union-fold rings, whose pieces change at every hop, leave the
-//! measure to the exchange. The two-phase collectives run their rings
-//! over the subgrid rows, which are themselves a [`Groups`].
+//! step of a ring inside every group), [`UnionTally`] (a set union's
+//! merge traffic and set-kernel counters, tallied wherever the union
+//! ran and recorded into the world in rank order by [`record_unions`])
+//! and [`into_payload`] (a hybrid set as a wire payload). A ring piece
+//! carries an optional wire measure: the all-gather, whose pieces
+//! travel unchanged, measures each contribution once at its origin
+//! ([`measure_all`]) and moves the piece and its measure from hop to
+//! hop. The two-phase fold measures each bundle where it sits at every
+//! hop and sends only that measure: the bundle itself moves out of
+//! band. The reduce-scatter ring, whose pieces are plain payloads,
+//! leaves the measure to the exchange. The two-phase collectives run
+//! their rings over the subgrid rows, which are themselves a
+//! [`Groups`].
 
 pub mod allgather;
 pub mod alltoall;
@@ -50,8 +54,8 @@ use crate::error::CommError;
 use crate::sim::SimWorld;
 use crate::stats::OpClass;
 use crate::topology::ProcessorGrid;
-use crate::vset::VertSet;
-use crate::wire::{self, WireMeasure};
+use crate::vset::{VertSet, VsetPolicy};
+use crate::wire::{WireMeasure, WirePolicy};
 use crate::{Vert, VERT_BYTES};
 use rayon::prelude::*;
 
@@ -149,7 +153,9 @@ impl Groups {
 }
 
 /// A ring piece: its payload and, when the sender already holds it, the
-/// payload's wire measure under the world's wire policy.
+/// payload's wire measure under the world's wire policy. An empty payload
+/// with a measure is an out-of-band piece: the measure is charged, and
+/// the data moves outside the exchange.
 pub(crate) type Piece = (Vec<Vert>, Option<WireMeasure>);
 
 /// Step `s` of a ring inside every group, all groups in lockstep as one
@@ -195,43 +201,72 @@ pub(crate) fn ring_step(
         .collect())
 }
 
-/// Each contribution's wire measure under the world's wire policy, taken
-/// once at its origin. Raw measures are a length product, so only the
-/// codec's scans fan out over the worker pool (whose slice iterator is
-/// the mutable one; nothing is modified).
-pub(crate) fn measure_all(world: &SimWorld, contribution: &mut [Vec<Vert>]) -> Vec<WireMeasure> {
+/// Every item's wire measure under the world's wire policy, taken by
+/// `measure`. Raw measures are a length product, so only the codec's
+/// scans fan out over the worker pool (whose slice iterator is the
+/// mutable one; nothing is modified).
+pub(crate) fn measure_all<T: Send>(
+    world: &SimWorld,
+    items: &mut [T],
+    measure: impl Fn(&T, &WirePolicy) -> WireMeasure + Sync,
+) -> Vec<WireMeasure> {
     let policy = world.wire_policy();
     if policy.is_raw() {
-        return contribution
-            .iter()
-            .map(|c| wire::measure(c, &policy))
-            .collect();
+        return items.iter().map(|t| measure(t, &policy)).collect();
     }
-    contribution
-        .par_iter_mut()
-        .map(|c| wire::measure(c, &policy))
-        .collect()
+    items.par_iter_mut().map(|t| measure(t, &policy)).collect()
 }
 
-/// Union `piece` into the accumulator `acc` held at `rank` under the
-/// world's vset policy. Charges both operands to `merge_bytes` as merge
-/// traffic and records the eliminated duplicates, the union and any
-/// densify switch.
-pub(crate) fn union_charge(
-    world: &mut SimWorld,
-    rank: usize,
-    acc: &mut VertSet,
-    piece: &[Vert],
-    merge_bytes: &mut u64,
-) {
-    *merge_bytes += (acc.len() + piece.len()) as u64 * VERT_BYTES;
-    let was_bitmap = acc.is_bitmap();
-    let dups = acc.union_in(piece, &world.vset_policy());
-    world.note_dups(rank, dups);
-    world.stats.note_union(acc.is_bitmap());
-    if acc.is_bitmap() && !was_bitmap {
-        world.stats.note_densify();
+/// The accounting of set unions run away from the world, on a pool
+/// worker: merge bytes, eliminated duplicates and the set-kernel
+/// counters. [`UnionTally::record`] adds it to the world afterwards, so
+/// the counting rule exists once whichever thread ran the unions.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct UnionTally {
+    merge_bytes: u64,
+    dups: usize,
+    list_unions: u64,
+    bitmap_unions: u64,
+    densify_switches: u64,
+}
+
+impl UnionTally {
+    /// Union `piece` into the accumulator `acc` under `policy`. Tallies
+    /// both operands as merge traffic, the eliminated duplicates, the
+    /// union and any densify switch.
+    pub(crate) fn union(&mut self, acc: &mut VertSet, piece: &[Vert], policy: &VsetPolicy) {
+        self.merge_bytes += (acc.len() + piece.len()) as u64 * VERT_BYTES;
+        let was_bitmap = acc.is_bitmap();
+        self.dups += acc.union_in(piece, policy);
+        if acc.is_bitmap() {
+            self.bitmap_unions += 1;
+            self.densify_switches += u64::from(!was_bitmap);
+        } else {
+            self.list_unions += 1;
+        }
     }
+
+    /// Record the tallied unions as performed at `rank`; returns their
+    /// merge bytes.
+    pub(crate) fn record(self, world: &mut SimWorld, rank: usize) -> u64 {
+        world.note_dups(rank, self.dups);
+        let setops = &mut world.stats.setops;
+        setops.list_unions += self.list_unions;
+        setops.bitmap_unions += self.bitmap_unions;
+        setops.densify_switches += self.densify_switches;
+        self.merge_bytes
+    }
+}
+
+/// Record one tally per rank, in rank order, and charge their merge
+/// bytes as one memcpy phase.
+pub(crate) fn record_unions(world: &mut SimWorld, tallies: Vec<UnionTally>) {
+    let merge_bytes: Vec<u64> = tallies
+        .into_iter()
+        .enumerate()
+        .map(|(rank, tally)| tally.record(world, rank))
+        .collect();
+    world.memcpy_phase(&merge_bytes);
 }
 
 /// A set as a wire payload: a list moves as it is, a bitmap is expanded

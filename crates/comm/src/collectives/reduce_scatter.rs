@@ -22,7 +22,7 @@
 //! functions of set *cardinalities*, which are representation-invariant,
 //! so the clocks are bit-identical to the sorted-list implementation.
 
-use super::{into_payload, ring_step, union_charge, Groups};
+use super::{into_payload, record_unions, ring_step, Groups, UnionTally};
 use crate::error::CommError;
 use crate::setops;
 use crate::sim::SimWorld;
@@ -59,6 +59,7 @@ pub fn reduce_scatter_union_ring(
         .into_iter()
         .map(|bs| bs.into_iter().map(VertSet::from_sorted).collect())
         .collect();
+    let policy = world.vset_policy();
     for s in 0..groups.ring_steps() {
         // The member at position i sends block (i − s − 1) mod g; its
         // successor unions it into its own copy of that block.
@@ -66,15 +67,15 @@ pub fn reduce_scatter_union_ring(
             let set = std::mem::take(&mut blocks[rank][groups.ring_back(rank, s + 1)]);
             Some((into_payload(world, set), None))
         })?;
-        let mut merge_bytes = vec![0u64; world.p()];
+        let mut tallies = vec![UnionTally::default(); world.p()];
         for (rank, piece) in pieces.into_iter().enumerate() {
             if let Some((piece, _)) = piece {
                 let own = &mut blocks[rank][groups.ring_back(rank, s + 2)];
-                union_charge(world, rank, own, &piece, &mut merge_bytes[rank]);
+                tallies[rank].union(own, &piece, &policy);
                 world.scratch_put(piece);
             }
         }
-        world.memcpy_phase(&merge_bytes);
+        record_unions(world, tallies);
     }
 
     // Member at position i now holds fully reduced block i.

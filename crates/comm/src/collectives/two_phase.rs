@@ -25,20 +25,27 @@
 //! Both collectives build the subgrid rows once per call, as a
 //! [`Groups`] partition of the world, and run their rings over it.
 //!
-//! Wire accounting: a bundle travels as one message whose payload is the
-//! concatenation of its sets. The per-set boundaries (≤ `m` small header
-//! words in a real implementation) are carried out-of-band by the
-//! simulator and excluded from vertex-volume statistics.
+//! Wire accounting: a bundle is charged as one message whose payload is
+//! the concatenation of its sets, but the simulator never builds it. The
+//! bundle moves out of band from the receiver's ring predecessor, and
+//! only its wire measure rides the exchange, taken where the sets sit
+//! (on the worker pool under a codec). The per-set boundaries (≤ `m`
+//! small header words in a real implementation) are excluded from
+//! vertex-volume statistics. Every union (the seeding, the per-hop
+//! folding-in and the final per-destination unions) runs on the worker
+//! pool and is recorded into the world afterwards, in rank order.
 
 use super::allgather::allgather_ring;
-use super::{into_payload, ring_step, union_charge, Groups};
+use super::{into_payload, measure_all, record_unions, ring_step, Groups, UnionTally};
 use crate::error::CommError;
 use crate::setops;
 use crate::sim::{Inbox, SimWorld};
 use crate::stats::OpClass;
 use crate::topology::ProcessorGrid;
-use crate::vset::VertSet;
+use crate::vset::{VertSet, VsetPolicy};
+use crate::wire::{self, WireMeasure, WirePolicy};
 use crate::Vert;
+use rayon::prelude::*;
 
 /// The subgrid rows of every group, as one partition of the world: the
 /// rings both phases run. Member `pos` of an `m × n` group sits at row
@@ -71,43 +78,27 @@ struct FoldBundle {
 }
 
 impl FoldBundle {
-    /// Concatenated payload, built into a pooled scratch buffer. Only
-    /// its *length* feeds the cost model, so the per-set order is free.
-    fn wire_payload(&self, world: &mut SimWorld) -> Vec<Vert> {
-        let mut out = world.scratch_take();
-        for s in &self.sets {
-            s.append_to(&mut out);
-        }
-        out
+    /// The wire measure of the bundle's message, the concatenation of
+    /// its sets in order, taken where the sets sit.
+    fn measure(&self, policy: &WirePolicy) -> WireMeasure {
+        let count = self.sets.iter().map(VertSet::len).sum();
+        wire::measure_iter(count, self.sets.iter().flat_map(VertSet::iter), policy)
     }
 
-    /// The bundle as its receiver unpacks it off the wire: every list
-    /// in a buffer of exactly its length, as the scratch pool's capacity
-    /// accounting sees received payloads.
-    fn unpacked(mut self) -> Self {
-        for set in &mut self.sets {
-            if let VertSet::List(v) = set {
-                v.shrink_to_fit();
-            }
-        }
-        self
-    }
-
-    /// Union `rank`'s own blocks for the bundle's target column (`own`,
-    /// top row first) into the bundle, counting eliminated duplicates
-    /// and merge bytes.
+    /// Union the holder's own blocks for the bundle's target column
+    /// (`own`, top row first) into the bundle.
     fn seed<'a>(
         &mut self,
-        world: &mut SimWorld,
-        rank: usize,
         own: impl Iterator<Item = &'a Vec<Vert>>,
-        merge_bytes: &mut u64,
-    ) {
+        policy: &VsetPolicy,
+    ) -> UnionTally {
+        let mut tally = UnionTally::default();
         for (set, own) in self.sets.iter_mut().zip(own) {
             if !own.is_empty() {
-                union_charge(world, rank, set, own, merge_bytes);
+                tally.union(set, own, policy);
             }
         }
+        tally
     }
 }
 
@@ -129,60 +120,57 @@ pub fn two_phase_fold(
         debug_assert!(own.iter().all(|b| setops::is_normalized(b)));
     }
     let rows = subgrid_rows(groups);
+    let policy = world.vset_policy();
     // rank's own blocks for the members of subgrid column `tc`.
     let own = |rank: usize, tc: usize| blocks[rank][tc..].iter().step_by(rows.group_of(rank).len());
+    // Union every holder's own blocks into its bundle, where
+    // `targets[rank]` is `(rank, target column)` (`None`: nothing to
+    // union). The unions run on the worker pool and are recorded
+    // afterwards in rank order.
+    let seed_all =
+        |world: &mut SimWorld, held: &mut [FoldBundle], targets: Vec<Option<(usize, usize)>>| {
+            let tallies = held
+                .par_iter_mut()
+                .zip(&targets)
+                .map_collect(|bundle, target| match *target {
+                    Some((rank, tc)) => bundle.seed(own(rank, tc), &policy),
+                    None => UnionTally::default(),
+                });
+            record_unions(world, tallies);
+        };
 
     // ---- Phase 1: row-wise rings, one bundle per target column. ----
     // Member at subgrid (sr, c) initially holds the bundle for target
     // column (c - 1) mod n, seeded with its own contributions; each
     // holder's contributions are folded in upon arrival.
-    let mut merge_bytes = vec![0u64; p];
     let mut held: Vec<FoldBundle> = (0..p)
-        .map(|rank| {
-            let m = groups.group_of(rank).len() / rows.group_of(rank).len();
-            let mut bundle = FoldBundle {
-                sets: vec![VertSet::new(); m],
-            };
-            bundle.seed(
-                world,
-                rank,
-                own(rank, rows.ring_back(rank, 1)),
-                &mut merge_bytes[rank],
-            );
-            bundle
+        .map(|rank| FoldBundle {
+            sets: vec![VertSet::new(); groups.group_of(rank).len() / rows.group_of(rank).len()],
         })
         .collect();
-    world.memcpy_phase(&merge_bytes);
+    let targets = (0..p).map(|rank| Some((rank, rows.ring_back(rank, 1))));
+    seed_all(world, &mut held, targets.collect());
 
     for s in 0..rows.ring_steps() {
-        let wires = ring_step(world, class, &rows, s, |world, rank| {
-            Some((held[rank].wire_payload(world), None))
+        // A bundle moves out of band from the receiver's ring
+        // predecessor; only its measure, taken where it sits, rides the
+        // exchange. The bundle arriving at step s targets column
+        // (c - 2 - s) mod n.
+        let measures = measure_all(world, &mut held, FoldBundle::measure);
+        let arrived = ring_step(world, class, &rows, s, |_, rank| {
+            Some((Vec::new(), Some(measures[rank])))
         })?;
-        // The wire copy of a bundle is recycled; the bundle itself moves
-        // out of band from the receiver's ring predecessor. The bundle
-        // arriving at step s targets column (c - 2 - s) mod n.
         let mut sent = std::mem::take(&mut held);
-        let mut merge_bytes = vec![0u64; p];
-        held = wires
-            .into_iter()
-            .enumerate()
-            .map(|(rank, wire)| {
-                let Some((wire, _)) = wire else {
-                    return std::mem::take(&mut sent[rank]);
-                };
-                world.scratch_put(wire);
-                let pred = rows.group_of(rank)[rows.ring_back(rank, 1)];
-                let mut bundle = std::mem::take(&mut sent[pred]).unpacked();
-                bundle.seed(
-                    world,
-                    rank,
-                    own(rank, rows.ring_back(rank, s + 2)),
-                    &mut merge_bytes[rank],
-                );
-                bundle
-            })
-            .collect();
-        world.memcpy_phase(&merge_bytes);
+        let mut targets = Vec::with_capacity(p);
+        for (rank, piece) in arrived.iter().enumerate() {
+            let from = match piece {
+                Some(_) => rows.group_of(rank)[rows.ring_back(rank, 1)],
+                None => rank,
+            };
+            held.push(std::mem::take(&mut sent[from]));
+            targets.push(piece.as_ref().map(|_| (rank, rows.ring_back(rank, s + 2))));
+        }
+        seed_all(world, &mut held, targets);
     }
 
     // Every member (sr, c) now holds the bundle for its own column c.
@@ -201,22 +189,29 @@ pub fn two_phase_fold(
     }
     let inboxes = world.exchange(class, sends)?;
 
-    // Final union at each destination.
-    let mut merge_bytes = vec![0u64; p];
-    let out = inboxes
+    // Final union at each destination, on the pool; the received
+    // payloads return to the scratch pool afterwards, in rank order.
+    let mut arrived: Vec<(VertSet, Inbox)> = keep.into_iter().zip(inboxes).collect();
+    let tallies = arrived
+        .par_iter_mut()
+        .map(|(acc, inbox)| {
+            let mut tally = UnionTally::default();
+            for (_, set) in inbox.iter() {
+                tally.union(acc, set, &policy);
+            }
+            tally
+        })
+        .collect();
+    record_unions(world, tallies);
+    Ok(arrived
         .into_iter()
-        .zip(keep)
-        .enumerate()
-        .map(|(rank, (inbox, mut acc))| {
+        .map(|(acc, inbox)| {
             for (_, set) in inbox {
-                union_charge(world, rank, &mut acc, &set, &mut merge_bytes[rank]);
                 world.scratch_put(set);
             }
             acc
         })
-        .collect();
-    world.memcpy_phase(&merge_bytes);
-    Ok(out)
+        .collect())
 }
 
 /// Run the two-phase expand in every group simultaneously.
@@ -411,6 +406,105 @@ mod tests {
                 assert_eq!(payload, &contribution[*src]);
             }
         }
+    }
+
+    #[test]
+    fn bundle_measure_is_the_measure_of_its_concatenation() {
+        let policy = VsetPolicy::hybrid();
+        let mut dense = VertSet::from_sorted((5000..5800).filter(|v| v % 3 != 0).collect());
+        assert!(
+            dense.maybe_densify(&policy),
+            "the dense set must be a bitmap"
+        );
+        let bundle = FoldBundle {
+            sets: vec![
+                VertSet::from_sorted(vec![3, 90, 4000]),
+                dense,
+                VertSet::new(),
+                VertSet::from_sorted((6000..9000).step_by(41).collect()),
+                // Below the previous set's values: a decrease at a
+                // set boundary.
+                VertSet::from_sorted(vec![10, 11, 12]),
+            ],
+        };
+        let mut concatenated = Vec::new();
+        for set in &bundle.sets {
+            set.append_to(&mut concatenated);
+        }
+        for mode in [
+            wire::WireMode::Raw,
+            wire::WireMode::Delta,
+            wire::WireMode::Bitmap,
+            wire::WireMode::Auto,
+        ] {
+            let policy = WirePolicy::with_mode(mode);
+            assert_eq!(
+                bundle.measure(&policy),
+                wire::measure(&concatenated, &policy),
+                "{mode:?}"
+            );
+            // Without the last set the concatenation is sorted, so the
+            // codec's sorted-payload formats are exercised too.
+            let sorted = FoldBundle {
+                sets: bundle.sets[..4].to_vec(),
+            };
+            let prefix = &concatenated[..concatenated.len() - 3];
+            assert_eq!(sorted.measure(&policy), wire::measure(prefix, &policy));
+        }
+    }
+
+    /// Fold seeded blocks on 4×4 rows (2×2 subgrids) under auto wire
+    /// with `workers` pool workers; block 0 of every rank is dense
+    /// enough to densify its accumulators.
+    fn traced_fold(workers: usize) -> (Vec<Vec<Vert>>, u64, crate::CommStats, u64) {
+        rayon::with_worker_threads(workers, || {
+            let grid = ProcessorGrid::new(4, 4);
+            let groups = Groups::rows_of(grid);
+            let blocks: Vec<Vec<Vec<Vert>>> = (0..grid.len() as Vert)
+                .map(|r| {
+                    (0..4)
+                        .map(|d| {
+                            if d == 0 {
+                                (0..2048).filter(|v| (v * 7 + r) % 5 != 0).collect()
+                            } else {
+                                (0..60)
+                                    .map(|i| d * 10_000 + (i * 13 + r * 29) % 700)
+                                    .collect()
+                            }
+                        })
+                        .map(|mut v: Vec<Vert>| {
+                            setops::normalize(&mut v);
+                            v
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut world = SimWorld::bluegene(grid).with_wire_policy(crate::WirePolicy::auto());
+            world.enable_trace(crate::TraceDetail::Event);
+            let out = two_phase_fold(&mut world, OpClass::Fold, &groups, blocks).unwrap();
+            let trace = world.take_trace().unwrap();
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            std::hash::Hash::hash(&format!("{:?}", trace.events()), &mut hasher);
+            (
+                out.into_iter().map(VertSet::into_vec).collect(),
+                world.time().to_bits(),
+                world.stats.clone(),
+                std::hash::Hasher::finish(&hasher),
+            )
+        })
+    }
+
+    #[test]
+    fn fold_is_bit_identical_across_worker_counts() {
+        let serial = traced_fold(1);
+        let parallel = traced_fold(4);
+        assert!(serial.2.setops.densify_switches > 0, "a union must densify");
+        let fold = serial.2.class(OpClass::Fold);
+        assert!(fold.wire_bytes < fold.logical_bytes, "the codec must pay");
+        assert_eq!(serial.0, parallel.0, "folded sets");
+        assert_eq!(serial.1, parallel.1, "sim clock must be bit-identical");
+        assert_eq!(serial.2, parallel.2, "CommStats");
+        assert_eq!(serial.3, parallel.3, "trace hash");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::stats::{CommStats, OpClass};
 use crate::topology::ProcessorGrid;
 use crate::vset::VsetPolicy;
 use crate::wire::{self, WireMeasure, WirePolicy};
-use crate::Vert;
+use crate::{Vert, VERT_BYTES};
 use bgl_torus::{
     detour_hops, route_with_faults, CostModel, FaultPlan, LinkTraffic, MachineConfig, MachineKind,
     RouteStep, TaskMapping, TaskMappingKind,
@@ -554,6 +554,12 @@ impl SimWorld {
     /// measured in the per-send precompute. The ring collectives measure
     /// a piece once at its origin and supply that measure at every hop
     /// that forwards it unchanged.
+    ///
+    /// A send whose payload is empty but whose supplied measure counts
+    /// `N` vertices is *out of band*: the caller moves the data itself,
+    /// and the send is charged exactly like the `N`-vertex message (its
+    /// vertex count comes from the measure). The receiver gets the empty
+    /// payload. The union-fold rings move their bundles this way.
     pub(crate) fn exchange_measured(
         &mut self,
         class: OpClass,
@@ -645,18 +651,17 @@ impl SimWorld {
                 if from == to {
                     return SendMeta::SelfSend;
                 }
-                let verts = payload.len();
                 let w = match *supplied {
                     Some(w) => {
-                        debug_assert_eq!(
-                            w,
-                            wire::measure(payload, &policy),
+                        debug_assert!(
+                            payload.is_empty() || w == wire::measure(payload, &policy),
                             "supplied wire measure of {from} -> {to} disagrees with its payload"
                         );
                         w
                     }
                     None => wire::measure(payload, &policy),
                 };
+                let verts = (w.logical_bytes / VERT_BYTES) as usize;
                 let chunks = chunk.message_count(verts) as u64;
                 let (hops, bw, detour) = if topo_faults {
                     match routes.get(&(from, to)) {
@@ -751,6 +756,8 @@ impl SimWorld {
 
         // --- Phase 2: serial in-order merge of the precomputed sends
         // into clocks, statistics, traces, traffic and inboxes.
+        let mut round_messages = 0u32;
+        let mut round_verts = 0u64;
         for ((from, to, payload), meta) in sends.into_iter().zip(metas) {
             let w = match meta {
                 SendMeta::OutOfRange => {
@@ -806,6 +813,8 @@ impl SimWorld {
             }
             out_time[from] += w.t;
             in_time[to] += w.t;
+            round_messages += 1;
+            round_verts += w.verts as u64;
 
             self.stats.note_message(class, to, w.verts, w.chunks);
             self.stats.note_wire_bytes(class, w.logical, w.wire_bytes);
@@ -847,29 +856,19 @@ impl SimWorld {
 
         if traced {
             let mut bottleneck = 0usize;
-            let mut messages = 0u32;
-            let mut verts = 0u64;
             for r in 0..p {
                 if out_time[r].max(in_time[r]) > out_time[bottleneck].max(in_time[bottleneck]) {
                     bottleneck = r;
                 }
             }
-            for (r, inbox) in inboxes.iter().enumerate() {
-                for (from, payload) in inbox {
-                    if *from != r {
-                        messages += 1;
-                        verts += payload.len() as u64;
-                    }
-                }
-            }
             // Skip the all-empty round (a free no-op, e.g. a barrier
             // with nothing to say): it carries no information.
-            if messages > 0 || elapsed > 0.0 {
+            if round_messages > 0 || elapsed > 0.0 {
                 self.trace.world_event(
                     EventKind::Round {
                         op: OpKind::from_index(class.index()),
-                        messages,
-                        verts,
+                        messages: round_messages,
+                        verts: round_verts,
                         bottleneck: bottleneck as u32,
                     },
                     t_round0,
@@ -1374,6 +1373,55 @@ mod tests {
             supplied.codec_time().to_bits()
         );
         assert_eq!(measured.stats, supplied.stats);
+    }
+
+    #[test]
+    fn out_of_band_sends_charge_as_their_payload() {
+        let sends = measured_round();
+        let policy = WirePolicy::auto();
+        let lossy = FaultPlan::seeded(5)
+            .with_drop_prob(0.3)
+            .with_truncate_prob(0.2)
+            .with_duplicate_prob(0.2);
+        for plan in [FaultPlan::none(), lossy] {
+            let run = |out_of_band: bool| {
+                let mut w = SimWorld::bluegene(ProcessorGrid::new(4, 4))
+                    .with_wire_policy(policy)
+                    .with_fault_plan(plan.clone());
+                w.enable_trace(TraceDetail::Event);
+                for _ in 0..4 {
+                    let round = sends.clone();
+                    if out_of_band {
+                        // Every payload stays with its sender; only its
+                        // measure rides the exchange.
+                        let measures = round
+                            .iter()
+                            .map(|s| Some(wire::measure(&s.2, &policy)))
+                            .collect();
+                        let round = round.into_iter().map(|(f, t, _)| (f, t, Vec::new()));
+                        let inboxes = w
+                            .exchange_measured(OpClass::Fold, round.collect(), measures)
+                            .unwrap();
+                        assert!(inboxes.iter().flatten().all(|(_, p)| p.is_empty()));
+                    } else {
+                        w.exchange(OpClass::Fold, round).unwrap();
+                    }
+                }
+                let trace = w.take_trace().unwrap();
+                (
+                    w.time().to_bits(),
+                    w.codec_time().to_bits(),
+                    w.stats.clone(),
+                    format!("{:?}", trace.events()),
+                )
+            };
+            let (with_payload, out_of_band) = (run(false), run(true));
+            assert_eq!(with_payload.0, out_of_band.0, "sim clock");
+            assert_eq!(with_payload.1, out_of_band.1, "codec clock");
+            assert_eq!(with_payload.2, out_of_band.2, "CommStats and fault charges");
+            assert_eq!(with_payload.3, out_of_band.3, "trace events");
+            assert_eq!(plan.is_active(), with_payload.2.faults.any());
+        }
     }
 
     #[test]

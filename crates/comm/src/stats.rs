@@ -265,20 +265,6 @@ impl CommStats {
         self.dups_eliminated_per_rank[rank] += n as u64;
     }
 
-    /// Record one union, tagged with the representation that served it.
-    pub fn note_union(&mut self, bitmap: bool) {
-        if bitmap {
-            self.setops.bitmap_unions += 1;
-        } else {
-            self.setops.list_unions += 1;
-        }
-    }
-
-    /// Record a list → bitmap representation switch.
-    pub fn note_densify(&mut self) {
-        self.setops.densify_switches += 1;
-    }
-
     /// Total vertices received across all ranks.
     pub fn total_received(&self) -> u64 {
         self.received_per_rank.iter().sum()

@@ -19,9 +19,11 @@
 //! >= span`); the band itself cannot exist on the wire.
 //!
 //! The simulator never materializes frames: [`measure`] returns the
-//! exact encoded size, and [`encode`] (used by the threaded runtime,
-//! which really ships bytes) is guaranteed to produce exactly that many
-//! bytes for the same payload and policy — the property tests pin this.
+//! exact encoded size ([`measure_iter`] that of a concatenation of
+//! pieces, without building it), and [`encode`] (used by the threaded
+//! runtime, which really ships bytes) is guaranteed to produce exactly
+//! that many bytes for the same payload and policy — the property tests
+//! pin this.
 
 use crate::{Vert, VERT_BYTES};
 use serde::{Deserialize, Serialize};
@@ -239,7 +241,7 @@ struct Scan {
     last: Vert,
 }
 
-fn scan(payload: &[Vert]) -> Scan {
+fn scan(verts: impl IntoIterator<Item = Vert>) -> Scan {
     let mut s = Scan {
         non_decreasing: true,
         strictly_increasing: true,
@@ -248,7 +250,8 @@ fn scan(payload: &[Vert]) -> Scan {
         first: 0,
         last: 0,
     };
-    let Some((&first, rest)) = payload.split_first() else {
+    let mut verts = verts.into_iter();
+    let Some(first) = verts.next() else {
         return s;
     };
     s.first = first;
@@ -256,7 +259,7 @@ fn scan(payload: &[Vert]) -> Scan {
     s.rle_body = varint_len(first);
     let mut prev = first;
     let mut run = 1u64;
-    for &v in rest {
+    for v in verts {
         if v < prev {
             s.non_decreasing = false;
             s.strictly_increasing = false;
@@ -295,7 +298,18 @@ fn bitmap_words(first: Vert, last: Vert) -> u64 {
 /// [`WireMode::Raw`] (codec off) is special-cased to *logical* bytes
 /// with no framing — callers should skip the codec path entirely.
 pub fn measure(payload: &[Vert], policy: &WirePolicy) -> WireMeasure {
-    let count = payload.len();
+    measure_iter(payload.len(), payload.iter().copied(), policy)
+}
+
+/// [`measure`] of the payload `verts` would form if collected, without
+/// building it: the measure of a concatenation of pieces can be taken
+/// by chaining the pieces. `count` must be the number of items `verts`
+/// yields; raw mode answers from `count` alone and never iterates.
+pub fn measure_iter(
+    count: usize,
+    verts: impl IntoIterator<Item = Vert>,
+    policy: &WirePolicy,
+) -> WireMeasure {
     let logical_bytes = count as u64 * VERT_BYTES;
     if policy.is_raw() {
         return WireMeasure {
@@ -304,7 +318,7 @@ pub fn measure(payload: &[Vert], policy: &WirePolicy) -> WireMeasure {
             logical_bytes,
         };
     }
-    let (format, wire_bytes) = choose(payload, policy);
+    let (format, wire_bytes) = choose(count, verts, policy);
     WireMeasure {
         format,
         wire_bytes,
@@ -312,14 +326,18 @@ pub fn measure(payload: &[Vert], policy: &WirePolicy) -> WireMeasure {
     }
 }
 
-/// The shared chooser behind [`measure`] and [`encode`].
-fn choose(payload: &[Vert], policy: &WirePolicy) -> (WireFormat, u64) {
-    let count = payload.len();
+/// The shared chooser behind [`measure_iter`] and [`encode`]: `count`
+/// items of `verts` under `policy`.
+fn choose(
+    count: usize,
+    verts: impl IntoIterator<Item = Vert>,
+    policy: &WirePolicy,
+) -> (WireFormat, u64) {
     let raw = raw_frame_bytes(count);
     if count == 0 {
         return (WireFormat::Raw, raw);
     }
-    let s = scan(payload);
+    let s = scan(verts);
     let header = 1 + varint_len(count as u64);
     let delta = header + s.delta_body;
     let bitmap_pair = if s.strictly_increasing {
@@ -369,7 +387,7 @@ fn choose(payload: &[Vert], policy: &WirePolicy) -> (WireFormat, u64) {
 /// Encode `payload` into a framed byte vector. The frame length always
 /// equals `measure(payload, policy).wire_bytes` for non-`Raw` modes.
 pub fn encode(payload: &[Vert], policy: &WirePolicy) -> Vec<u8> {
-    let (format, wire_bytes) = choose(payload, policy);
+    let (format, wire_bytes) = choose(payload.len(), payload.iter().copied(), policy);
     let mut out = Vec::with_capacity(wire_bytes as usize);
     out.push(format.tag());
     push_varint(&mut out, payload.len() as u64);
@@ -507,7 +525,7 @@ mod tests {
         assert_eq!(frame.len() as u64, m.wire_bytes, "measure must be exact");
         assert_eq!(decode(&frame).expect("decode"), payload);
         assert_eq!(m.format, {
-            let (f, _) = choose(payload, policy);
+            let (f, _) = choose(payload.len(), payload.iter().copied(), policy);
             f
         });
         m.format
@@ -605,6 +623,30 @@ mod tests {
         let m = measure(&payload, &WirePolicy::raw());
         assert_eq!(m.wire_bytes, 24);
         assert_eq!(m.logical_bytes, 24);
+    }
+
+    #[test]
+    fn measure_iter_measures_a_chain_of_pieces() {
+        // An empty piece, a value repeated across a boundary, and a
+        // decrease at the last boundary.
+        let pieces: [&[Vert]; 4] = [&[5, 6, 7, 7], &[], &[7, 300, 301], &[2, 3]];
+        for mode in [
+            WireMode::Raw,
+            WireMode::Delta,
+            WireMode::Bitmap,
+            WireMode::Auto,
+        ] {
+            let policy = WirePolicy::with_mode(mode);
+            for n in 0..=pieces.len() {
+                let whole = pieces[..n].concat();
+                let chained = pieces[..n].iter().flat_map(|p| p.iter().copied());
+                assert_eq!(
+                    measure_iter(whole.len(), chained, &policy),
+                    measure(&whole, &policy),
+                    "{mode:?}, {n} pieces"
+                );
+            }
+        }
     }
 
     #[test]

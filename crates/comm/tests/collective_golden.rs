@@ -357,12 +357,12 @@ reduce_scatter_union_ring cols4x6 raw: t=3f1b21f58bbf1698 comm=3f15b376a8094f22 
 reduce_scatter_union_ring cols4x6 auto: t=3f195751694e09c2 comm=3ef4bff4461fe8a3 memcpy=3ef5b9fb8ed71ddf codec=3f0d71aae8209043 stats=d564bc8faf24959b events=168 trace=e4096c3039a6f1b8 out=f0ff713998d72b96
 reduce_scatter_union_ring uneven raw: t=3f2725a7b92d2404 comm=3f22967f70415572 memcpy=3f023ca123af3a49 codec=0000000000000000 stats=508add1e1dcd8f49 events=120 trace=c524a94c9fa22f08 out=89d8b00f3848c152
 reduce_scatter_union_ring uneven auto: t=3f25ae098a8fb2de comm=3f021682f944241c memcpy=3f023ca123af3a49 codec=3f19328106a5b689 stats=7c45704a6b0bd685 events=140 trace=9341ee635b84be76 out=89d8b00f3848c152
-two_phase_fold rows4x6 raw: t=3f1d11a4f7dcb72e comm=3f166190254558b8 memcpy=3efac0534a5d79e1 codec=0000000000000000 stats=edb01410560b472c events=158 trace=7acf9a7bc6b63fc8 out=9324844c9feb3db3
-two_phase_fold rows4x6 auto: t=3f1bd60a7f69adb4 comm=3ef7b11b7dd38f47 memcpy=3efac0534a5d79e1 codec=3f0e735d9abad6d5 stats=cb20679a35ad7982 events=170 trace=b40c012d2eba714e out=9324844c9feb3db3
-two_phase_fold cols4x6 raw: t=3f12ca0e7c8f7a01 comm=3f0c4bec2a417832 memcpy=3ef290619dbaf79e codec=0000000000000000 stats=740569646a705b4f events=106 trace=e50826aa5656a947 out=9aaa2cd9f87a16a0
-two_phase_fold cols4x6 auto: t=3f11f28a905612ca comm=3eee88d7299d0762 memcpy=3ef290619dbaf79e codec=3f02faae876767ed stats=7cbe950a47f410fc events=114 trace=54d29af73cb51187 out=9aaa2cd9f87a16a0
-two_phase_fold uneven raw: t=3f27fc0ef37ca8b7 comm=3f22d31667f65e6c memcpy=3f04a3e22e19292e codec=0000000000000000 stats=132014f5084703b6 events=98 trace=65173dec52ec975a out=9200f6b998eb17cb
-two_phase_fold uneven auto: t=3f26a47605599ff3 comm=3f0322f2734f82f5 memcpy=3f04a3e22e19292e codec=3f196581b9fee9d3 stats=8323d8330e89d5e3 events=118 trace=1683e01a40741389 out=9200f6b998eb17cb
+two_phase_fold rows4x6 raw: t=3f1d11a4f7dcb72e comm=3f166190254558b8 memcpy=3efac0534a5d79e1 codec=0000000000000000 stats=5e0069b1137e0348 events=158 trace=7acf9a7bc6b63fc8 out=9324844c9feb3db3
+two_phase_fold rows4x6 auto: t=3f1bd60a7f69adb4 comm=3ef7b11b7dd38f47 memcpy=3efac0534a5d79e1 codec=3f0e735d9abad6d5 stats=0be1cd1b4cabb94e events=170 trace=b40c012d2eba714e out=9324844c9feb3db3
+two_phase_fold cols4x6 raw: t=3f12ca0e7c8f7a01 comm=3f0c4bec2a417832 memcpy=3ef290619dbaf79e codec=0000000000000000 stats=809e081e7d7d3d11 events=106 trace=e50826aa5656a947 out=9aaa2cd9f87a16a0
+two_phase_fold cols4x6 auto: t=3f11f28a905612ca comm=3eee88d7299d0762 memcpy=3ef290619dbaf79e codec=3f02faae876767ed stats=9dad1d808400ad5c events=114 trace=54d29af73cb51187 out=9aaa2cd9f87a16a0
+two_phase_fold uneven raw: t=3f27fc0ef37ca8b7 comm=3f22d31667f65e6c memcpy=3f04a3e22e19292e codec=0000000000000000 stats=09c70fc2594b2a60 events=98 trace=65173dec52ec975a out=9200f6b998eb17cb
+two_phase_fold uneven auto: t=3f26a47605599ff3 comm=3f0322f2734f82f5 memcpy=3f04a3e22e19292e codec=3f196581b9fee9d3 stats=568bb36ea7451355 events=118 trace=1683e01a40741389 out=9200f6b998eb17cb
 two_phase_expand rows4x6 raw: t=3f2ed711fb42b83c comm=3f2ed711fb42b83c memcpy=0000000000000000 codec=0000000000000000 stats=e196a986009b0831 events=150 trace=508e8c6012ad3d9b out=2ce52680c0ff7569
 two_phase_expand rows4x6 auto: t=3f2cd3940b21bae0 comm=3f002c6cd7e3502e memcpy=0000000000000000 codec=3f28c878d528e6d4 stats=6f4ae04848534cc9 events=162 trace=9e32d380797ef19b out=2ce52680c0ff7569
 two_phase_expand cols4x6 raw: t=3f24946de6d0e63d comm=3f24946de6d0e63d memcpy=0000000000000000 codec=0000000000000000 stats=20b1040caff466d7 events=100 trace=081ff60ff609b862 out=d633d87babdf3681
@@ -399,12 +399,12 @@ allgather_ring cols4x6 raw: t=3f411144327da584 comm=3f411144327da584 memcpy=0000
 allgather_ring cols4x6 auto: t=3f39c057e8183f2f comm=3f2aa2bd6c2566fe memcpy=0000000000000000 codec=3f28ddf2640b175e stats=701fcb465d6eb199 events=213 trace=779a9a3216ff4a46 out=8da0d0446d037f69
 allgather_ring uneven raw: t=3f469da643a1148d comm=3f469da643a1148d memcpy=0000000000000000 codec=0000000000000000 stats=879f0f35321dac2c events=140 trace=667c1b5482eb386e out=818b42fb05cd1d2d
 allgather_ring uneven auto: t=3f3d3ef3d58cad9c comm=3f21bbd19b8d7716 memcpy=0000000000000000 codec=3f34610b07c5f212 stats=aa44a539a3282aab events=160 trace=aa2ae59c1eab6bcd out=818b42fb05cd1d2d
-two_phase_fold rows4x6 raw: t=3f3d0c88d808f3a4 comm=3f3b6083a3631c05 memcpy=3efac0534a5d79e1 codec=0000000000000000 stats=7e647805905f8f41 events=194 trace=1503b9990f37e411 out=9324844c9feb3db3
-two_phase_fold rows4x6 auto: t=3f3d7fb8dcb9a00b comm=3f380547f4bc6d90 memcpy=3efac0534a5d79e1 codec=3f0e735d9abad6d5 stats=3d7b97874fb63ce7 events=206 trace=9694848ac09a277f out=9324844c9feb3db3
-two_phase_fold cols4x6 raw: t=3f35a5c5f68c502f comm=3f347cbfdcb0a0b5 memcpy=3ef290619dbaf79e codec=0000000000000000 stats=2dbe956dca700770 events=126 trace=a13f9aa2455b6b73 out=9aaa2cd9f87a16a0
-two_phase_fold cols4x6 auto: t=3f363500b66333fb comm=3f32aca4cb9a9783 memcpy=3ef290619dbaf79e codec=3f02faae876767ed stats=0d3432853ac456a1 events=134 trace=9ccad270b633fa15 out=9aaa2cd9f87a16a0
-two_phase_fold uneven raw: t=3f3fd23d52c4580d comm=3f3d3dc10d0132e7 memcpy=3f04a3e22e19292e codec=0000000000000000 stats=d7f7d928065b82da events=119 trace=7390c9d5ea0b5e19 out=9200f6b998eb17cb
-two_phase_fold uneven auto: t=3f40698fb4427265 comm=3f37e542b442052d memcpy=3f04a3e22e19292e codec=3f196581b9fee9d3 stats=36643afd5192e07b events=139 trace=ffb76c77f383e6b3 out=9200f6b998eb17cb
+two_phase_fold rows4x6 raw: t=3f3d0c88d808f3a4 comm=3f3b6083a3631c05 memcpy=3efac0534a5d79e1 codec=0000000000000000 stats=2fb52e8fe2667a09 events=194 trace=1503b9990f37e411 out=9324844c9feb3db3
+two_phase_fold rows4x6 auto: t=3f3d7fb8dcb9a00b comm=3f380547f4bc6d90 memcpy=3efac0534a5d79e1 codec=3f0e735d9abad6d5 stats=39a28e577afd56df events=206 trace=9694848ac09a277f out=9324844c9feb3db3
+two_phase_fold cols4x6 raw: t=3f35a5c5f68c502f comm=3f347cbfdcb0a0b5 memcpy=3ef290619dbaf79e codec=0000000000000000 stats=a38621ae0fdd9fb0 events=126 trace=a13f9aa2455b6b73 out=9aaa2cd9f87a16a0
+two_phase_fold cols4x6 auto: t=3f363500b66333fb comm=3f32aca4cb9a9783 memcpy=3ef290619dbaf79e codec=3f02faae876767ed stats=aa292a64bfca3aaf events=134 trace=9ccad270b633fa15 out=9aaa2cd9f87a16a0
+two_phase_fold uneven raw: t=3f3fd23d52c4580d comm=3f3d3dc10d0132e7 memcpy=3f04a3e22e19292e codec=0000000000000000 stats=5840ca98db7f13ec events=119 trace=7390c9d5ea0b5e19 out=9200f6b998eb17cb
+two_phase_fold uneven auto: t=3f40698fb4427265 comm=3f37e542b442052d memcpy=3f04a3e22e19292e codec=3f196581b9fee9d3 stats=ee10c1f644e5438d events=139 trace=ffb76c77f383e6b3 out=9200f6b998eb17cb
 ";
 
 #[test]
