@@ -9,8 +9,14 @@
 //! simulator. The 1-worker vs N-worker engine timing lives in
 //! `bench_wire`, which gates it.
 //!
+//! With `--check` the binary exits non-zero when the discover search
+//! counted a different number of probes than [`DISCOVER_PROBES`]: the
+//! count is deterministic, so a kernel rewrite that moves it would move
+//! the simulated clock. Levels that fail validation exit non-zero with
+//! or without `--check`. The timings are recorded, never gated.
+//!
 //! ```text
-//! cargo run --release -p bgl-bench --bin bench_setops
+//! cargo run --release -p bgl-bench --bin bench_setops [-- --check]
 //! ```
 
 use bfs_core::validate_against_spec;
@@ -33,7 +39,12 @@ Flags:
   --blocks N     overlapping blocks accumulated per union run (default 16)
   --reps N       timing repetitions, best-of (default 5)
   --out PATH     output path (default BENCH_setops.json)
+  --check        exit non-zero if the discover probe count moved (CI)
 ";
+
+/// Probes `RankState::discover` counts over the whole discover search
+/// (Poisson n=2^18, k=16, seed 1, 8x8, source 1), checked by `--check`.
+const DISCOVER_PROBES: u64 = 6_013_575;
 
 /// Overlapping sorted payloads: block `b` takes every third slot of the
 /// span at phase `b % 3`, so consecutive unions are duplicate-heavy —
@@ -93,6 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let blocks = args.u64("blocks", 16);
     let reps = args.u64("reps", 5).max(1);
     let out = args.str("out").unwrap_or("BENCH_setops.json").to_string();
+    let check = args.bool("check", false);
 
     // --- Union kernels: list vs bitmap accumulator. -------------------
     let payload = dense_blocks(blocks, span);
@@ -148,5 +160,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     });
     write_report(&out, &doc)?;
+
+    if check {
+        if discover_probes != DISCOVER_PROBES {
+            eprintln!(
+                "FAIL: discover counted {discover_probes} probes, not the pinned {DISCOVER_PROBES}"
+            );
+            std::process::exit(1);
+        }
+        println!("check passed");
+    }
     Ok(())
 }

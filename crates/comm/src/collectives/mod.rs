@@ -33,7 +33,8 @@
 //! step of a ring inside every group), [`UnionTally`] (a set union's
 //! merge traffic and set-kernel counters, tallied wherever the union
 //! ran and recorded into the world in rank order by [`record_unions`])
-//! and [`into_payload`] (a hybrid set as a wire payload). A ring piece
+//! and [`into_payload`] (a hybrid set as a wire payload; [`into_payloads`]
+//! expands many on the worker pool). A ring piece
 //! carries an optional wire measure: the all-gather, whose pieces
 //! travel unchanged, measures each contribution once at its origin
 //! ([`measure_all`]) and moves the piece and its measure from hop to
@@ -280,6 +281,33 @@ pub(crate) fn into_payload(world: &mut SimWorld, set: VertSet) -> Vec<Vert> {
             buf
         }
     }
+}
+
+/// Sets as wire payloads, in order, as [`into_payload`] makes them,
+/// with the bitmaps expanded on the worker pool. Their scratch buffers
+/// are taken in order and grown on the calling thread, doubling as
+/// pushing would, so the pool's counters, the buffers' capacities (and
+/// with them the pool's high-water mark) and their malloc arena are
+/// those of a serial expansion.
+pub(crate) fn into_payloads(world: &mut SimWorld, sets: Vec<VertSet>) -> Vec<Vec<Vert>> {
+    let mut pending: Vec<(VertSet, Vec<Vert>)> = sets
+        .into_iter()
+        .map(|set| match set {
+            VertSet::List(v) => (VertSet::new(), v),
+            bitmap => {
+                let mut buf = world.scratch_take();
+                while buf.capacity() < bitmap.len() {
+                    buf.reserve(buf.capacity() + 1);
+                }
+                (bitmap, buf)
+            }
+        })
+        .collect();
+    let _: Vec<()> = pending
+        .par_iter_mut()
+        .map(|(bitmap, buf)| bitmap.append_to(buf))
+        .collect();
+    pending.into_iter().map(|(_, buf)| buf).collect()
 }
 
 /// Flatten per-rank `(destination, payload)` lists into `(from, to,

@@ -36,7 +36,7 @@
 //! pool and is recorded into the world afterwards, in rank order.
 
 use super::allgather::allgather_ring;
-use super::{into_payload, measure_all, record_unions, ring_step, Groups, UnionTally};
+use super::{into_payloads, measure_all, record_unions, ring_step, Groups, UnionTally};
 use crate::error::CommError;
 use crate::setops;
 use crate::sim::{Inbox, SimWorld};
@@ -175,7 +175,8 @@ pub fn two_phase_fold(
 
     // Every member (sr, c) now holds the bundle for its own column c.
     // ---- Phase 2: point-to-point scatter down each target column. ----
-    let mut sends = Vec::new();
+    // The payloads are built on the pool, in send order.
+    let (mut routes, mut sets) = (Vec::new(), Vec::new());
     let mut keep: Vec<VertSet> = vec![VertSet::new(); p];
     for &rank in groups.groups().iter().flatten() {
         let bundle = std::mem::take(&mut held[rank]);
@@ -183,10 +184,16 @@ pub fn two_phase_fold(
             if dst == rank {
                 keep[rank] = set;
             } else if !set.is_empty() {
-                sends.push((rank, dst, into_payload(world, set)));
+                routes.push((rank, dst));
+                sets.push(set);
             }
         }
     }
+    let sends = routes
+        .into_iter()
+        .zip(into_payloads(world, sets))
+        .map(|((from, to), payload)| (from, to, payload))
+        .collect();
     let inboxes = world.exchange(class, sends)?;
 
     // Final union at each destination, on the pool; the received

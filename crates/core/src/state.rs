@@ -16,13 +16,19 @@
 //! * a hash-probe counter feeding the cost model (the paper profiles the
 //!   algorithm as spending "most of its time in a hashing function").
 //!
-//! Top-down [`RankState::discover`] runs in three passes over row
-//! bitmaps: **scan** ORs every stored row of each received column into a
-//! [`RowMarks`] with no per-entry branch; **mask** applies the cache a
-//! word at a time (`marks &= !sent; sent |= marks`); **drain** sizes
-//! each fold block by popcount and emits its rows in ascending order.
-//! The probe count is still one per received vertex plus one per stored
-//! entry, so the simulated clock does not see the change.
+//! Top-down [`RankState::discover`] runs in three passes: **scan**
+//! marks each received column's stored rows in a byte per row
+//! ([`RowBytes`]) with a fixed-width step of four, clamped to the last
+//! row, so a short column takes no data-dependent exit (only columns
+//! longer than four run a tail loop), then packs the bytes into a
+//! [`RowMarks`] bitmap; **mask** applies the cache a word at a time
+//! (`marks &= !sent; sent |= marks`); **drain** walks the marks one
+//! block column at a time, sizes each block by popcounting its word
+//! range, fills it in ascending order and retires the emitted rows'
+//! degrees from the unexplored count once per call. The probe count is
+//! still one per received vertex plus one per stored entry, added from
+//! list and column lengths, so the simulated clock does not see the
+//! change.
 //!
 //! Bottom-up [`RankState::discover_bottom_up`] takes the same received
 //! F̄, so both directions share one expand. It marks the stored columns
@@ -129,39 +135,50 @@ impl<'g> RankState<'g> {
     /// deduplicated set of neighbor vertices owned by that peer.
     ///
     /// Hash probes counted: one per F̄ vertex (partial-edge-list lookup)
-    /// plus one per edge entry traversed (sent-neighbors lookup). These
-    /// are the paper's hash-table costs; on the host the lists hold
-    /// row-local ids, so a column costs one bit set per entry, and the
-    /// cache is applied to all of them at once, a word at a time.
+    /// plus one per edge entry traversed (sent-neighbors lookup), added
+    /// per list and per column from their lengths. These are the
+    /// paper's hash-table costs. On the host the lists hold row-local
+    /// ids, so a column's rows are stored into a byte per row in a
+    /// fixed-width step (`RowBytes::mark_rows`), the bytes are packed
+    /// into a bitmap, the cache is applied to it a word at a time, and
+    /// each block is drained from its own word range.
     pub fn discover(&mut self, fbar_lists: &[&[Vertex]]) -> Vec<Vec<Vertex>> {
         let edges = &self.rg.edges;
         // Scan: every stored row of every received column.
-        let mut marks = RowMarks::new(edges.num_row_ids());
+        let mut reached = RowBytes::new(edges.num_row_ids());
         for list in fbar_lists {
+            self.probes += list.len() as u64;
             for &v in *list {
-                self.probes += 1;
                 if let Some(ci) = edges.col_local(v) {
                     let rows = edges.rows_of(ci);
                     self.probes += rows.len() as u64;
-                    for &rl in rows {
-                        marks.mark(rl);
-                    }
+                    reached.mark_rows(rows);
                 }
             }
         }
+        let mut marks = reached.pack();
         // Mask: drop rows already sent, record the rest.
         let caching = !self.sent.is_empty();
         if caching {
             marks.claim(&mut self.sent);
         }
-        // Drain: emitted rows leave the unexplored edge mass.
-        let unexplored = &mut self.unexplored;
-        marks.into_blocks(self.rg.row_blocks(), |rl| {
-            if caching {
-                *unexplored -= edges.row_degree(rl) as u64;
-            }
-            edges.row_of_local(rl)
-        })
+        // Drain, block column by block column: emitted rows leave the
+        // unexplored edge mass.
+        let (bounds, row_ids) = (self.rg.row_blocks(), edges.row_ids());
+        let mut blocks = Vec::with_capacity(bounds.len() - 1);
+        let mut retired = 0;
+        for b in bounds.windows(2) {
+            let mut block = Vec::with_capacity(marks.count(b[0], b[1]));
+            marks.rows_in(b[0], b[1], |rl| {
+                if caching {
+                    retired += edges.row_degree(rl) as u64;
+                }
+                block.push(row_ids[rl as usize]);
+            });
+            blocks.push(block);
+        }
+        self.unexplored -= retired;
+        blocks
     }
 
     /// Whether row-local id `rl` is to be sent now. With the
@@ -336,11 +353,63 @@ impl<'g> RankState<'g> {
     }
 }
 
+/// The rows one top-down scan reaches, one byte per row-local id.
+/// Marking a row is a plain store, with no load, so the stores of one
+/// column's rows do not wait on each other, even when the fixed-width
+/// step stores the same row more than once. [`RowBytes::pack`] turns the
+/// bytes into the [`RowMarks`] the mask and drain passes work on.
+#[derive(Debug)]
+pub(crate) struct RowBytes(Vec<u8>);
+
+impl RowBytes {
+    /// No rows marked, out of `rows` row-local ids (padded to whole
+    /// 64-row words).
+    pub(crate) fn new(rows: usize) -> Self {
+        Self(vec![0; rows.next_multiple_of(64)])
+    }
+
+    /// Mark every row of `rows`. The first four are stored in a fixed
+    /// step of four, clamped to the last row: a short column repeats its
+    /// last row instead of taking a data-dependent exit. Only columns
+    /// longer than four run a loop.
+    pub(crate) fn mark_rows(&mut self, rows: &[u32]) {
+        let Some(last) = rows.len().checked_sub(1) else {
+            return;
+        };
+        for k in 0..4 {
+            self.0[rows[k.min(last)] as usize] = 1;
+        }
+        if last >= 4 {
+            for &rl in &rows[4..] {
+                self.0[rl as usize] = 1;
+            }
+        }
+    }
+
+    /// The marked rows as a bitmap. Every byte is 0 or 1, so multiplying
+    /// eight of them by `0x0102_0408_1020_4080` gathers byte `i` into
+    /// bit `56 + i`, with no carries between the partial products.
+    pub(crate) fn pack(&self) -> RowMarks {
+        let words = self.0.chunks_exact(64).map(|chunk| {
+            chunk
+                .chunks_exact(8)
+                .enumerate()
+                .fold(0, |word, (i, eight)| {
+                    let mut bytes = [0; 8];
+                    bytes.copy_from_slice(eight);
+                    let bits = u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                    word | bits << (8 * i)
+                })
+        });
+        RowMarks(words.collect())
+    }
+}
+
 /// The rows one discover call emits, as a bitmap over row-local ids.
 /// Row-local ids ascend with the vertex id and the rank's row-block
-/// bounds cut them into block columns, so draining the bitmap yields
-/// every fold block sorted and duplicate-free, with no sort and no
-/// per-row partition arithmetic.
+/// bounds cut them into block columns, so draining the bitmap block by
+/// block yields every fold block sorted and duplicate-free, with no sort
+/// and no per-row partition arithmetic.
 #[derive(Debug)]
 pub(crate) struct RowMarks(Vec<u64>);
 
@@ -364,64 +433,48 @@ impl RowMarks {
         }
     }
 
-    /// Visit every marked piece of a word that lies in one block column,
-    /// in ascending order, as `(block column, row-local id of bit 0,
-    /// bits)`, where `bounds` are the rank's row-block bounds
-    /// ([`RankGraph::row_blocks`]). Empty words cost one test each.
-    fn pieces(&self, bounds: &[u32], mut visit: impl FnMut(usize, u32, u64)) {
-        let mut block = 0;
-        for (w, &word) in self.0.iter().enumerate() {
-            let base = (w * 64) as u32;
+    /// The marked bits of the rows `lo..hi`, word by word, as `(row-local
+    /// id of bit 0, bits)`. Only the first and last words are masked.
+    fn words_in(&self, lo: u32, hi: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let first = lo as usize / 64;
+        let words = &self.0[first..(hi as usize).div_ceil(64)];
+        words.iter().enumerate().map(move |(i, &word)| {
+            let base = ((first + i) * 64) as u32;
             let mut bits = word;
+            if lo > base {
+                bits &= !0u64 << (lo - base);
+            }
+            if hi - base < 64 {
+                bits &= (1u64 << (hi - base)) - 1;
+            }
+            (base, bits)
+        })
+    }
+
+    /// Number of marked rows in `lo..hi`.
+    pub(crate) fn count(&self, lo: u32, hi: u32) -> usize {
+        self.words_in(lo, hi)
+            .map(|(_, bits)| bits.count_ones() as usize)
+            .sum()
+    }
+
+    /// Visit the marked rows of `lo..hi` in ascending order.
+    pub(crate) fn rows_in(&self, lo: u32, hi: u32, mut visit: impl FnMut(u32)) {
+        for (base, mut bits) in self.words_in(lo, hi) {
             while bits != 0 {
-                while base + bits.trailing_zeros() >= bounds[block + 1] {
-                    block += 1;
-                }
-                let end = bounds[block + 1] - base;
-                let piece = if end >= 64 {
-                    bits
-                } else {
-                    bits & ((1u64 << end) - 1)
-                };
-                visit(block, base, piece);
-                bits &= !piece;
+                visit(base + bits.trailing_zeros());
+                bits &= bits - 1;
             }
         }
     }
 
     /// Visit the marked rows in ascending order as `(block column,
-    /// row-local id)`.
+    /// row-local id)`, where `bounds` are the rank's row-block bounds
+    /// ([`RankGraph::row_blocks`]).
     pub(crate) fn drain(&self, bounds: &[u32], mut visit: impl FnMut(usize, u32)) {
-        self.pieces(bounds, |block, base, mut bits| {
-            while bits != 0 {
-                visit(block, base + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        });
-    }
-
-    /// One block per block column of `bounds`, each allocated at its
-    /// popcount and filled with `row(rl)` for its marked rows in
-    /// ascending order.
-    pub(crate) fn into_blocks<T>(
-        self,
-        bounds: &[u32],
-        mut row: impl FnMut(u32) -> T,
-    ) -> Vec<Vec<T>> {
-        let mut blocks: Vec<Vec<T>> = (1..bounds.len()).map(|_| Vec::new()).collect();
-        // Pieces arrive block by block, so a block is sized once the
-        // first piece of a later block (or the end) shows it is complete.
-        let (mut open, mut len) = (0, 0);
-        self.pieces(bounds, |block, _, bits| {
-            if block != open {
-                blocks[open].reserve_exact(len);
-                (open, len) = (block, 0);
-            }
-            len += bits.count_ones() as usize;
-        });
-        blocks[open].reserve_exact(len);
-        self.drain(bounds, |block, rl| blocks[block].push(row(rl)));
-        blocks
+        for (m, b) in bounds.windows(2).enumerate() {
+            self.rows_in(b[0], b[1], |rl| visit(m, rl));
+        }
     }
 }
 
@@ -544,7 +597,7 @@ mod tests {
     }
 
     /// Rows of `lo..hi` in `marked`, the drain's expected block.
-    fn rows_in(marked: &[u32], lo: u32, hi: u32) -> Vec<u32> {
+    fn marked_in(marked: &[u32], lo: u32, hi: u32) -> Vec<u32> {
         marked
             .iter()
             .copied()
@@ -579,15 +632,45 @@ mod tests {
             for bounds in bounds_sets {
                 let mut drained = vec![Vec::new(); bounds.len() - 1];
                 marks.drain(bounds, |m, rl| drained[m].push(rl));
-                let blocks = RowMarks(marks.0.clone()).into_blocks(bounds, |rl| rl);
-                assert_eq!(blocks.len(), bounds.len() - 1);
                 for (m, b) in bounds.windows(2).enumerate() {
-                    let want = rows_in(marked, b[0], b[1]);
-                    assert_eq!(blocks[m], want, "block {m} of {bounds:?}");
-                    assert_eq!(blocks[m].capacity(), want.len(), "exact size");
+                    let want = marked_in(marked, b[0], b[1]);
+                    let mut walked = Vec::new();
+                    marks.rows_in(b[0], b[1], |rl| walked.push(rl));
+                    assert_eq!(walked, want, "block {m} of {bounds:?}");
+                    assert_eq!(
+                        marks.count(b[0], b[1]),
+                        want.len(),
+                        "count {m} of {bounds:?}"
+                    );
                     assert_eq!(drained[m], want, "drain block {m} of {bounds:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fixed_width_marking_packs_to_row_by_row_marks() {
+        // Columns shorter than, exactly and longer than the fixed step,
+        // and one crossing three word boundaries; 300 rows end mid-word.
+        let long: Vec<u32> = (0..140).map(|k| k * 2 + 1).collect();
+        let columns: [&[u32]; 9] = [
+            &[],
+            &[5],
+            &[5, 70],
+            &[0, 63, 64],
+            &[1, 2, 3, 200],
+            &[7, 8, 64, 128, 255],
+            &[9, 10, 11, 12, 13, 250],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 56, 57, 63, 299],
+            &long,
+        ];
+        for rows in columns {
+            let (mut bytes, mut bits) = (RowBytes::new(300), RowMarks::new(300));
+            bytes.mark_rows(rows);
+            for &rl in rows {
+                bits.mark(rl);
+            }
+            assert_eq!(bytes.pack().0, bits.0, "{rows:?}");
         }
     }
 
@@ -834,6 +917,72 @@ mod tests {
     }
 
     #[test]
+    fn discover_matches_hashed_discover_on_chosen_columns() {
+        // An R-MAT rank stores short columns, hub columns of well over
+        // 130 entries and, within its block column, vertices it stores
+        // no list for (the all-gather expands deliver those too).
+        let g = DistGraph::build(GraphSpec::rmat(1 << 12, 16.0, 3), ProcessorGrid::new(2, 2));
+        let rg = &g.ranks[0];
+        let edges = &rg.edges;
+        let len_of = |v: Vertex| edges.col_local(v).map_or(0, |ci| edges.rows_of(ci).len());
+        let by_len = |want: usize| {
+            let v = edges.cols().iter().copied().find(|&v| len_of(v) == want);
+            v.unwrap_or_else(|| panic!("no stored column of length {want}"))
+        };
+        let short: Vec<Vertex> = (1..=5).map(by_len).collect();
+        let hub = edges
+            .cols()
+            .iter()
+            .copied()
+            .max_by_key(|&v| len_of(v))
+            .unwrap();
+        let hub_rows = edges.rows_of(edges.col_local(hub).unwrap());
+        assert!(hub_rows.len() >= 130, "hub column of {}", hub_rows.len());
+        assert!(hub_rows[hub_rows.len() - 1] / 64 > hub_rows[0] / 64 + 1);
+        let (j, cols) = (g.grid().col_of(0), g.grid().cols());
+        let unstored: Vec<Vertex> = (0..g.spec.n)
+            .filter(|&v| g.partition.block_col_of(v) == j && edges.col_local(v).is_none())
+            .take(3)
+            .collect();
+        assert!(!unstored.is_empty() && cols > 1);
+        // A later call overlaps the earlier ones, so the cache drops rows.
+        let mut all = short.clone();
+        all.extend([hub]);
+        all.extend(&unstored);
+        all.sort_unstable();
+        let calls: [Vec<&[Vertex]>; 6] = [
+            vec![],
+            vec![&[]],
+            vec![&short, &[], &unstored],
+            vec![std::slice::from_ref(&hub)],
+            vec![&unstored],
+            vec![&all, &short],
+        ];
+        for use_sent in [true, false] {
+            let mut st = RankState::new(rg, g.partition, use_sent);
+            let mut hashed = st.clone();
+            for (k, lists) in calls.iter().enumerate() {
+                let what = format!("call {k} sent={use_sent}");
+                let blocks = st.discover(lists);
+                assert_eq!(
+                    blocks,
+                    hashed_discover(&mut hashed, &g.partition, lists),
+                    "{what}"
+                );
+                assert_same_state(&st, &hashed, &what);
+                assert!(
+                    blocks.iter().all(|b| b.capacity() == b.len()),
+                    "{what}: exact size"
+                );
+            }
+            // One probe per F̄ vertex plus one per stored entry.
+            let stored = |vs: &[Vertex]| vs.iter().map(|&v| 1 + len_of(v) as u64).sum::<u64>();
+            let want = 3 * stored(&short) + 3 * stored(&unstored) + 2 * stored(&[hub]);
+            assert_eq!(st.probes, want, "sent={use_sent}");
+        }
+    }
+
+    #[test]
     fn discover_kernels_match_hashed_kernels_at_every_level() {
         // A whole search driven level by level: at every level every
         // rank's top-down and bottom-up discover must equal the hashed
@@ -842,7 +991,13 @@ mod tests {
             GraphSpec::poisson(3_000, 8.0, 4),
             GraphSpec::rmat(1 << 12, 8.0, 6),
         ] {
-            for grid in [ProcessorGrid::new(3, 5), ProcessorGrid::new(8, 8)] {
+            // One block column, many block columns, then both axes.
+            for grid in [
+                ProcessorGrid::new(1, 1),
+                ProcessorGrid::new(1, 8),
+                ProcessorGrid::new(3, 5),
+                ProcessorGrid::new(8, 8),
+            ] {
                 let g = DistGraph::build(spec, grid);
                 for use_sent in [true, false] {
                     let what = format!("{:?} {grid:?} sent={use_sent}", spec.family);

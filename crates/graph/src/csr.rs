@@ -187,16 +187,19 @@ impl PartialEdgeLists {
 
     /// Dense local index of column `v`, if its list is non-empty (the
     /// lookup the paper's profile is made of, answered by a rank query).
+    #[inline]
     pub fn col_local(&self, v: Vertex) -> Option<u32> {
         self.col_rank.get(&self.cols, v)
     }
 
     /// Dense local index of a row vertex `u`, if it appears in any list.
+    #[inline]
     pub fn row_local(&self, u: Vertex) -> Option<u32> {
         self.row_rank.get(&self.row_ids, u)
     }
 
     /// Row-local ids of column-local index `ci`'s entries, ascending.
+    #[inline]
     pub fn rows_of(&self, ci: u32) -> &[u32] {
         let ci = ci as usize;
         &self.rows[self.offsets[ci]..self.offsets[ci + 1]]
@@ -212,23 +215,27 @@ impl PartialEdgeLists {
     /// Column-local ids stored for row-local id `rl`, ascending — the
     /// row-major access a bottom-up discover scans (§2.4.2's third view:
     /// "which of my columns can parent this row").
+    #[inline]
     pub fn cols_of_row_local(&self, rl: u32) -> &[u32] {
         let rl = rl as usize;
         &self.row_cols[self.row_offsets[rl]..self.row_offsets[rl + 1]]
     }
 
     /// Number of stored entries in row-local id `rl` (its local degree).
+    #[inline]
     pub fn row_degree(&self, rl: u32) -> usize {
         let rl = rl as usize;
         self.row_offsets[rl + 1] - self.row_offsets[rl]
     }
 
     /// Global column id of column-local index `ci`.
+    #[inline]
     pub fn col_of_local(&self, ci: u32) -> Vertex {
         self.cols[ci as usize]
     }
 
     /// Global row id of row-local index `rl`.
+    #[inline]
     pub fn row_of_local(&self, rl: u32) -> Vertex {
         self.row_ids[rl as usize]
     }
@@ -401,6 +408,7 @@ impl DenseIds {
     }
 
     /// Dense id of `v` if it is one of `members`.
+    #[inline]
     fn get(&self, members: &[Vertex], v: Vertex) -> Option<u32> {
         match self {
             Self::Bitmap { lo, words, before } => {

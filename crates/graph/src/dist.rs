@@ -99,6 +99,7 @@ impl RankGraph {
 
     /// Local offset of an owned vertex (the paper's first local-index
     /// mapping; contiguous ownership makes it a subtraction).
+    #[inline]
     pub fn owned_local(&self, v: Vertex) -> Option<usize> {
         if self.owned.contains(&v) {
             Some((v - self.owned.start) as usize)
