@@ -2,7 +2,7 @@
 
 use crate::harness::Args;
 use bfs_core::state::{gather_levels, RankState};
-use bfs_core::{bfs2d, bidir, BfsConfig};
+use bfs_core::{bfs2d, BfsConfig};
 use bgl_comm::{CommError, ProcessorGrid, SimWorld, Vert, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 
@@ -120,32 +120,6 @@ pub fn mean_search(
         levels += r.stats.num_levels() as f64;
     }
     let c = srcs.len() as f64;
-    Ok(MeanTimes {
-        exec: exec / c,
-        comm: comm / c,
-        levels: levels / c,
-    })
-}
-
-/// Run a bi-directional search between each source and a far target and
-/// average times.
-pub fn mean_bidir_search(
-    graph: &DistGraph,
-    world: &mut SimWorld,
-    config: &BfsConfig,
-    pairs: &[(u64, u64)],
-) -> Result<MeanTimes, CommError> {
-    let mut exec = 0.0;
-    let mut comm = 0.0;
-    let mut levels = 0.0;
-    for &(s, t) in pairs {
-        world.reset();
-        let r = bidir::try_run(graph, world, config, s, t)?;
-        exec += r.stats.sim_time;
-        comm += r.stats.comm_time;
-        levels += r.stats.num_levels() as f64;
-    }
-    let c = pairs.len() as f64;
     Ok(MeanTimes {
         exec: exec / c,
         comm: comm / c,

@@ -21,7 +21,7 @@ impl Args {
     }
 
     /// Parse from an explicit iterator (tests).
-    pub fn from_args<I: IntoIterator<Item = String>>(iter: I) -> Self {
+    fn from_args<I: IntoIterator<Item = String>>(iter: I) -> Self {
         let mut flags = BTreeMap::new();
         let mut help = false;
         let mut it = iter.into_iter().peekable();
@@ -175,7 +175,7 @@ impl Table {
     }
 
     /// Render as CSV.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.columns.join(","));
         for row in &self.rows {

@@ -13,7 +13,7 @@
 //! need — the quantity whose P-independence the paper's §3.1 analysis
 //! establishes.
 
-use crate::{Vert, VERT_BYTES};
+use crate::Vert;
 use serde::{Deserialize, Serialize};
 
 /// How payloads are broken into wire messages.
@@ -55,11 +55,6 @@ impl ChunkPolicy {
             ChunkPolicy::Unbounded => len,
             ChunkPolicy::Fixed { capacity } => len.min(*capacity),
         }
-    }
-
-    /// Buffer bytes for the largest single wire message.
-    pub fn peak_message_bytes(&self, len: usize) -> u64 {
-        self.peak_message_len(len) as u64 * VERT_BYTES
     }
 
     /// Split a payload into chunks under this policy (used by the
@@ -205,12 +200,6 @@ mod tests {
         assert!(chunks.iter().all(|c| c.len() <= 3));
         let rejoined: Vec<Vert> = chunks.into_iter().flatten().collect();
         assert_eq!(rejoined, vec![1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn peak_bytes() {
-        let p = ChunkPolicy::fixed(16);
-        assert_eq!(p.peak_message_bytes(1000), 16 * VERT_BYTES);
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl Groups {
     }
 
     /// Size of the largest group.
-    pub fn max_group_len(&self) -> usize {
+    fn max_group_len(&self) -> usize {
         self.groups.iter().map(Vec::len).max().unwrap_or(0)
     }
 

@@ -256,16 +256,6 @@ impl SimWorld {
         self
     }
 
-    /// Whether control traffic is subject to the fault plan.
-    pub fn control_faultable(&self) -> bool {
-        self.control_faultable
-    }
-
-    /// Faultable control-exchange rounds performed so far.
-    pub fn control_round(&self) -> u64 {
-        self.control_round
-    }
-
     /// Charge the modelled ack-timeout backoff for one failed recovery
     /// exchange attempt: `software_overhead * 2^min(retry, 6)`, the same
     /// bounded exponential the per-message retransmission model uses,
@@ -277,19 +267,9 @@ impl SimWorld {
         self.comm_time_by_class[OpClass::Control.index()] += elapsed;
     }
 
-    /// The fault plan in effect.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Ranks currently dead (scheduled deaths that have fired).
     pub fn dead_ranks(&self) -> Vec<usize> {
         (0..self.dead.len()).filter(|&r| self.dead[r]).collect()
-    }
-
-    /// Data-exchange rounds performed so far (the fault schedule clock).
-    pub fn data_round(&self) -> u64 {
-        self.data_round
     }
 
     /// Bring a dead rank back (models activating a spare node during
@@ -449,11 +429,6 @@ impl SimWorld {
 
     /// Override the hybrid vertex-set policy (e.g.
     /// [`VsetPolicy::list_only`] for A/B determinism checks).
-    pub fn set_vset_policy(&mut self, policy: VsetPolicy) {
-        self.vset_policy = policy;
-    }
-
-    /// Builder-style [`SimWorld::set_vset_policy`].
     pub fn with_vset_policy(mut self, policy: VsetPolicy) -> Self {
         self.vset_policy = policy;
         self
@@ -905,15 +880,6 @@ impl SimWorld {
         }
     }
 
-    /// Charge a synchronous compute phase: elapsed time is the maximum of
-    /// the per-rank times.
-    pub fn compute_phase(&mut self, per_rank_seconds: &[f64]) {
-        debug_assert_eq!(per_rank_seconds.len(), self.p());
-        let elapsed = per_rank_seconds.iter().copied().fold(0.0f64, f64::max);
-        self.sim_time += elapsed;
-        self.compute_time += elapsed;
-    }
-
     /// Charge a compute phase expressed in hash probes per rank (the
     /// paper's dominant compute cost).
     pub fn hash_phase(&mut self, probes_per_rank: &[u64]) {
@@ -1128,9 +1094,12 @@ mod tests {
     #[test]
     fn compute_phase_is_max() {
         let mut w = world(2);
-        w.compute_phase(&[1.0, 3.0]);
-        assert_eq!(w.time(), 3.0);
-        assert_eq!(w.compute_time(), 3.0);
+        let rate = w.cost_model().machine().hash_rate;
+        w.hash_phase(&[1_000_000, 3_000_000]);
+        let slowest = 3_000_000.0 / rate;
+        assert_eq!(w.time(), slowest);
+        assert_eq!(w.compute_time(), slowest);
+        assert_eq!(w.hash_time(), slowest);
         assert_eq!(w.comm_time(), 0.0);
     }
 
@@ -1181,7 +1150,8 @@ mod tests {
     fn reset_clears_everything() {
         let mut w = world(4);
         w.exchange(OpClass::Fold, vec![(0, 1, vec![1])]).unwrap();
-        w.compute_phase(&[1.0; 4]);
+        w.hash_phase(&[1_000_000; 4]);
+        assert!(w.compute_time() > 0.0);
         w.reset();
         assert_eq!(w.time(), 0.0);
         assert_eq!(w.stats.total_received(), 0);
@@ -1556,7 +1526,7 @@ mod tests {
         // drop_prob 1.0 would make any data message unreachable; control
         // traffic sails through and does not advance the fault clock.
         w.exchange(OpClass::Control, vec![(0, 1, vec![9])]).unwrap();
-        assert_eq!(w.data_round(), 0);
+        assert_eq!(w.data_round, 0);
         assert!(!w.stats.faults.any());
         let err = w
             .exchange(OpClass::Fold, vec![(0, 1, vec![9])])
@@ -1573,10 +1543,10 @@ mod tests {
         let reference = {
             let mut w = world(4).with_fault_plan(plan.clone());
             w.exchange(OpClass::Expand, vec![(0, 1, vec![1, 2, 3])])
-                .map(|_| (w.stats.faults, w.data_round()))
+                .map(|_| (w.stats.faults, w.data_round))
         };
         let mut w = world(4).with_fault_plan(plan).with_faulty_control();
-        assert!(w.control_faultable());
+        assert!(w.control_faultable);
         // Burn several control rounds first; with the old shared clock
         // this would shift the data schedule.
         let mut control_retries = 0;
@@ -1587,8 +1557,8 @@ mod tests {
             }
             control_retries = w.stats.faults.retransmissions;
         }
-        assert_eq!(w.control_round(), 6);
-        assert_eq!(w.data_round(), 0, "control rounds must not advance data");
+        assert_eq!(w.control_round, 6);
+        assert_eq!(w.data_round, 0, "control rounds must not advance data");
         assert!(
             control_retries > 0,
             "drop 0.6 over 6 control rounds must retransmit"
@@ -1603,7 +1573,7 @@ mod tests {
                 f.duplicates_injected -= before.duplicates_injected;
                 f.retransmissions -= before.retransmissions;
                 f.detour_hops -= before.detour_hops;
-                (f, w.data_round())
+                (f, w.data_round)
             });
         match (reference, got) {
             (Ok((rf, rr)), Ok((gf, gr))) => {

@@ -109,8 +109,8 @@ pub struct RankCtx {
     /// summing over ranks matches the simulator's world totals).
     pub faults: FaultStats,
     /// Per-rank reusable wire-buffer arena: received payloads recycled
-    /// by the rank body come back out of [`RankCtx::scratch_take`]
-    /// instead of fresh allocations.
+    /// by the rank body ([`RankCtx::scratch_put`]) back later outbound
+    /// buffers instead of fresh allocations.
     scratch: ScratchPool,
     /// Wire-codec policy for outbound payloads (raw = codec off).
     wire_policy: WirePolicy,
@@ -136,28 +136,12 @@ impl RankCtx {
         self.grid
     }
 
-    /// The fault plan in effect.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Opt [`OpClass::Control`] traffic in to the fault plan, mirroring
     /// the simulator's faultable recovery channel. Control faults are
     /// hashed off a separate round counter, so the data schedule (and
     /// the sim/threaded schedule agreement) is untouched.
     pub fn set_control_faultable(&mut self, on: bool) {
         self.control_faultable = on;
-    }
-
-    /// Faultable control-exchange rounds performed so far.
-    pub fn control_round(&self) -> u64 {
-        self.control_round
-    }
-
-    /// Take a cleared payload buffer from this rank's scratch pool (a
-    /// fresh allocation when the pool is empty).
-    pub fn scratch_take(&mut self) -> Vec<Vert> {
-        self.scratch.take()
     }
 
     /// Return a no-longer-needed payload buffer to the pool for reuse.
@@ -554,12 +538,6 @@ impl RankCtx {
         }
         Ok(totals)
     }
-
-    /// Barrier: an exchange with no payloads.
-    pub fn barrier(&mut self) -> Result<(), CommError> {
-        let _ = self.exchange(OpClass::Control, Vec::new())?;
-        Ok(())
-    }
 }
 
 /// The threaded SPMD world: spawns one thread per rank and runs `body`
@@ -732,7 +710,7 @@ mod tests {
     fn single_rank_world() {
         let grid = ProcessorGrid::new(1, 1);
         let results = ThreadedWorld::run(grid, |ctx| {
-            ctx.barrier().unwrap();
+            ctx.exchange(OpClass::Control, Vec::new()).unwrap();
             ctx.allreduce_sum(7).unwrap()
         });
         assert_eq!(results, vec![7]);

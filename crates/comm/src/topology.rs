@@ -78,11 +78,6 @@ impl ProcessorGrid {
         false
     }
 
-    /// True when this grid is a 1D layout (R = 1 or C = 1).
-    pub fn is_one_d(&self) -> bool {
-        self.rows == 1 || self.cols == 1
-    }
-
     /// Rank of grid position `(row, col)`.
     pub fn rank_of(&self, row: usize, col: usize) -> usize {
         debug_assert!(row < self.rows && col < self.cols);
@@ -177,11 +172,8 @@ mod tests {
 
     #[test]
     fn one_d_layouts() {
-        assert!(ProcessorGrid::one_d(8).is_one_d());
         assert_eq!(ProcessorGrid::one_d(8).rows(), 1);
-        assert!(ProcessorGrid::one_d_transposed(8).is_one_d());
         assert_eq!(ProcessorGrid::one_d_transposed(8).cols(), 1);
-        assert!(!ProcessorGrid::new(2, 4).is_one_d());
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Default for VsetPolicy {
 /// Word-wise OR of `src` into `dst` (the dense union kernel). Returns
 /// the number of bits already set in `dst` — the duplicates a sorted
 /// merge would have eliminated. Slices must be equal length.
-pub fn or_words(dst: &mut [u64], src: &[u64]) -> u64 {
+fn or_words(dst: &mut [u64], src: &[u64]) -> u64 {
     debug_assert_eq!(dst.len(), src.len());
     let mut dups = 0u64;
     for (d, s) in dst.iter_mut().zip(src) {
@@ -92,7 +92,7 @@ pub fn or_words(dst: &mut [u64], src: &[u64]) -> u64 {
 
 /// Word-wise AND of two equal-length word slices (the dense intersect
 /// kernel). Returns the popcount of the result.
-pub fn and_words(dst: &mut [u64], src: &[u64]) -> u64 {
+fn and_words(dst: &mut [u64], src: &[u64]) -> u64 {
     debug_assert_eq!(dst.len(), src.len());
     let mut count = 0u64;
     for (d, s) in dst.iter_mut().zip(src) {
@@ -104,7 +104,7 @@ pub fn and_words(dst: &mut [u64], src: &[u64]) -> u64 {
 
 /// Fixed-range bitmap over vertex ids: bit `v - base` of the word array
 /// is set iff `v` is in the set. `base` is 64-aligned so word offsets
-/// between two bitmaps line up for [`or_words`].
+/// between two bitmaps line up for word-wise unions.
 #[derive(Debug, Clone)]
 pub struct Bitmap {
     /// First representable vertex (multiple of 64).

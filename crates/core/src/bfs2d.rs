@@ -47,7 +47,7 @@ use crate::config::{BfsConfig, DirectionMode};
 use crate::parity::{GroupShard, ParityGroups};
 use crate::state::{gather_levels, RankState};
 use crate::stats::{LevelDirection, LevelSnapshot, LevelStats, RunStats};
-use crate::step::{charge_probes, expand_discover, fold_absorb, with_retry};
+use crate::step::{charge_probes, check_input, expand_discover, fold_absorb, with_retry};
 use bgl_comm::collectives::Groups;
 use bgl_comm::{CommError, EventKind, OpClass, Phase, SimWorld, Vert};
 use bgl_graph::{DistGraph, Vertex};
@@ -161,7 +161,8 @@ enum LevelOutcome {
 }
 
 /// Run Algorithm 2 from `source` on `graph` under `config`, inside
-/// `world`. The world's grid must match the graph's.
+/// `world`. A world whose grid is not the graph's, or a source outside
+/// the graph, is a [`CommError::InvalidConfig`].
 ///
 /// Communication faults surface as typed errors. Under a
 /// plan of message faults only (drops/truncations/duplicates) the
@@ -178,7 +179,9 @@ pub fn try_run(
 }
 
 /// Fault-tolerant BFS: [`try_run`] plus checkpoint/recover for rank
-/// deaths, per `resilience`. See the module docs for the protocol.
+/// deaths, per `resilience`. See the module docs for the protocol. Bad
+/// input is rejected as by [`try_run`], and so is a `resilience` that
+/// fails [`ResilientConfig::validate`].
 pub fn run_resilient(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -362,9 +365,8 @@ fn engine(
     source: Vertex,
     resilience: Option<&ResilientConfig>,
 ) -> Result<ResilientBfsResult, CommError> {
+    check_input(graph, world, &[(source, "the source is out of range")])?;
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert!(source < graph.spec.n, "source out of range");
     let p = grid.len();
 
     let row_groups = Groups::rows_of(grid);

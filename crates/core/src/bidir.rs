@@ -19,7 +19,7 @@
 use crate::config::BfsConfig;
 use crate::state::RankState;
 use crate::stats::{LevelDirection, LevelSnapshot, RunStats};
-use crate::step::{charge_probes, expand_discover, fold_absorb};
+use crate::step::{charge_probes, check_input, expand_discover, fold_absorb};
 use bgl_comm::collectives::Groups;
 use bgl_comm::{CommError, Phase, SimWorld};
 use bgl_graph::{DistGraph, Vertex};
@@ -42,7 +42,9 @@ enum Side {
 }
 
 /// Run a bi-directional search between `source` and `target`.
-/// Communication faults surface as typed errors.
+/// Communication faults surface as typed errors, and so does bad input
+/// ([`CommError::InvalidConfig`]): a world whose grid is not the
+/// graph's, or a source or target outside the graph.
 pub fn try_run(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -50,9 +52,15 @@ pub fn try_run(
     source: Vertex,
     target: Vertex,
 ) -> Result<BidirResult, CommError> {
+    check_input(
+        graph,
+        world,
+        &[
+            (source, "the source is out of range"),
+            (target, "the target is out of range"),
+        ],
+    )?;
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert!(source < graph.spec.n && target < graph.spec.n);
     let p = grid.len();
 
     if source == target {

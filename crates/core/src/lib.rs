@@ -64,13 +64,12 @@ pub mod stats;
 mod step;
 pub mod theory;
 pub mod threaded_run;
-pub mod tree;
 pub mod validate;
 
 pub use bfs2d::{BfsResult, ResilientBfsResult, ResilientConfig};
 pub use bidir::BidirResult;
 pub use config::{BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy, FoldStrategy};
-pub use multi::{MultiBfsResult, MultiConfig, MultiRankState};
+pub use multi::{MultiBfsResult, MultiConfig};
 pub use parity::{GroupShard, ParityGroups};
 pub use path::{MultiPathConfig, MultiPathResult};
 pub use reference::UNREACHED;

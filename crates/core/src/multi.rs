@@ -56,7 +56,7 @@ use crate::config::{DirectionMode, DirectionPolicy};
 use crate::reference::UNREACHED;
 use crate::state::RowMarks;
 use crate::stats::LevelDirection;
-use crate::step::route_to_row_peers;
+use crate::step::{check_input, route_to_row_peers};
 use crate::validate::{self, ValidationError, ValidationReport};
 use bgl_comm::collectives::lane::{lane_alltoallv, LaneSendList};
 use bgl_comm::collectives::Groups;
@@ -138,16 +138,16 @@ impl MultiBfsResult {
 /// Per-rank state for a batched run: the lane-masked widening of
 /// [`crate::state::RankState`].
 #[derive(Debug, Clone)]
-pub struct MultiRankState<'g> {
+struct MultiRankState<'g> {
     rg: &'g RankGraph,
     grid: ProcessorGrid,
     /// Level labels for owned vertices, indexed `[lane][owned offset]`.
-    pub levels: Vec<Vec<u32>>,
+    levels: Vec<Vec<u32>>,
     /// Lanes that have labeled each owned vertex (by owned offset).
     visited: Vec<LaneMask>,
     /// Current frontier: owned vertices with the mask of lanes for
     /// which they sit at the current level.
-    pub frontier: LaneSet,
+    frontier: LaneSet,
     /// Sent-neighbors cache over row-local ids, one lane mask each
     /// (empty when disabled).
     sent: Vec<LaneMask>,
@@ -158,12 +158,12 @@ pub struct MultiRankState<'g> {
     /// as in [`crate::state::RankState`]. Host-side only: never charged.
     unexplored: u64,
     /// Hash probes since the last [`MultiRankState::take_probes`].
-    pub probes: u64,
+    probes: u64,
 }
 
 impl<'g> MultiRankState<'g> {
     /// Fresh state for a rank of `graph`, serving `lanes` lanes.
-    pub fn new(rg: &'g RankGraph, partition: TwoDPartition, lanes: usize, use_sent: bool) -> Self {
+    fn new(rg: &'g RankGraph, partition: TwoDPartition, lanes: usize, use_sent: bool) -> Self {
         assert!((1..=MAX_LANES).contains(&lanes), "lanes must be in 1..=64");
         Self {
             rg,
@@ -184,7 +184,7 @@ impl<'g> MultiRankState<'g> {
 
     /// Seed every lane whose source this rank owns. Two lanes may share
     /// a source; their bits simply travel together from wave 0.
-    pub fn init_sources(&mut self, sources: &[Vertex]) {
+    fn init_sources(&mut self, sources: &[Vertex]) {
         let mut pairs: Vec<(Vertex, LaneMask)> = Vec::new();
         for (lane, &s) in sources.iter().enumerate() {
             if let Some(off) = self.rg.owned_local(s) {
@@ -197,7 +197,7 @@ impl<'g> MultiRankState<'g> {
     }
 
     /// `(vertex, lane)` memberships in the local frontier.
-    pub fn frontier_pairs(&self) -> u64 {
+    fn frontier_pairs(&self) -> u64 {
         self.frontier.lane_pairs()
     }
 
@@ -205,7 +205,7 @@ impl<'g> MultiRankState<'g> {
     /// to every processor-column peer whose partial edge list for it is
     /// non-empty (the lane-masked twin of
     /// [`crate::state::RankState::expand_sends_targeted`]).
-    pub fn expand_sends(&mut self) -> LaneSendList {
+    fn expand_sends(&mut self) -> LaneSendList {
         let (_, j) = self.grid.position_of(self.rg.rank);
         let mut per_row: Vec<LaneSet> = vec![LaneSet::new(); self.grid.rows()];
         for (v, mask) in self.frontier.iter() {
@@ -228,7 +228,7 @@ impl<'g> MultiRankState<'g> {
     /// many lanes ride it** — the batching win. Probe accounting
     /// mirrors the single-source kernel: one probe per received vertex
     /// plus one per edge entry traversed.
-    pub fn discover(&mut self, fbar: &[LaneSet]) -> Vec<LaneSet> {
+    fn discover(&mut self, fbar: &[LaneSet]) -> Vec<LaneSet> {
         let rg = self.rg;
         let mut marks = RowMarks::new(rg.edges.num_row_ids());
         // Lanes found for each marked row this call, OR-merged.
@@ -277,7 +277,7 @@ impl<'g> MultiRankState<'g> {
     /// [`MultiRankState::discover`]'s block minus, on rows this rank
     /// owns, the lanes already visited. Probes counted: one per column
     /// tested.
-    pub fn discover_bottom_up(&mut self, fbar: &[LaneSet]) -> Vec<LaneSet> {
+    fn discover_bottom_up(&mut self, fbar: &[LaneSet]) -> Vec<LaneSet> {
         let rg = self.rg;
         let edges = &rg.edges;
         let mut col_masks: Vec<LaneMask> = vec![0; edges.num_cols()];
@@ -340,7 +340,7 @@ impl<'g> MultiRankState<'g> {
 
     /// Local share of `mf̂`: the stored entries of the rank's own
     /// frontier vertices (heuristic input only, never charged).
-    pub fn frontier_degree(&self) -> u64 {
+    fn frontier_degree(&self) -> u64 {
         self.frontier
             .verts()
             .iter()
@@ -349,7 +349,7 @@ impl<'g> MultiRankState<'g> {
     }
 
     /// Local share of `mû` (see the field doc).
-    pub fn unexplored(&self) -> u64 {
+    fn unexplored(&self) -> u64 {
         self.unexplored
     }
 
@@ -359,7 +359,7 @@ impl<'g> MultiRankState<'g> {
     /// labeled `(vertex, lane)` memberships. One probe per delivered
     /// pair (the owned local-index lookup), as in the single-source
     /// absorb.
-    pub fn absorb(&mut self, nbar: &[LaneSet], next_level: u32) -> u64 {
+    fn absorb(&mut self, nbar: &[LaneSet], next_level: u32) -> u64 {
         let mut fresh: Vec<(Vertex, LaneMask)> = Vec::new();
         let mut labeled = 0u64;
         for set in nbar {
@@ -389,21 +389,16 @@ impl<'g> MultiRankState<'g> {
     }
 
     /// Take and reset the probe counter (charged once per wave).
-    pub fn take_probes(&mut self) -> u64 {
+    fn take_probes(&mut self) -> u64 {
         std::mem::take(&mut self.probes)
-    }
-
-    /// The rank's static graph share.
-    pub fn rank_graph(&self) -> &'g RankGraph {
-        self.rg
     }
 }
 
 /// Gather per-rank lane-major level arrays into per-lane global arrays.
-pub fn gather_lane_levels(states: &[MultiRankState<'_>], lanes: usize, n: u64) -> Vec<Vec<u32>> {
+fn gather_lane_levels(states: &[MultiRankState<'_>], lanes: usize, n: u64) -> Vec<Vec<u32>> {
     let mut out = vec![vec![UNREACHED; n as usize]; lanes];
     for st in states {
-        let start = st.rank_graph().owned.start as usize;
+        let start = st.rg.owned.start as usize;
         for (lane, lane_out) in out.iter_mut().enumerate() {
             let src = &st.levels[lane];
             lane_out[start..start + src.len()].copy_from_slice(src);
@@ -423,11 +418,9 @@ pub fn try_run(
     config: &MultiConfig,
     sources: &[Vertex],
 ) -> Result<MultiBfsResult, CommError> {
+    check_input(graph, world, &[])?;
     let grid = world.grid();
     let invalid = |reason| Err(CommError::InvalidConfig { reason });
-    if grid != graph.grid() {
-        return invalid("world and graph grids differ");
-    }
     if sources.is_empty() {
         return invalid("a batch needs at least one source");
     }

@@ -127,11 +127,6 @@ impl GroupShard {
         self.member_lens[member] = end;
     }
 
-    /// `member`'s current log length in words.
-    pub fn member_len(&self, member: usize) -> usize {
-        self.member_lens[member]
-    }
-
     /// The raw parity words (what a checkpoint persists and recovery
     /// ships to the revived rank).
     pub fn words(&self) -> &[Vert] {

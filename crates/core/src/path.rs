@@ -22,17 +22,33 @@
 //! communication.
 
 use crate::reference::UNREACHED;
-use crate::step::with_retry;
+use crate::step::{check_input, with_retry};
 use bgl_comm::collectives::lane::lane_exchange;
 use bgl_comm::{CommError, LaneMask, LaneSet, OpClass, Phase, SimWorld, Vert, MAX_LANES};
 use bgl_graph::{DistGraph, Vertex};
 use std::collections::BTreeMap;
 
+/// Reject a level array that is not one label per vertex of `graph`, or
+/// not the labels of a search from `source` (an in-range vertex).
+fn check_levels(graph: &DistGraph, levels: &[u32], source: Vertex) -> Result<(), CommError> {
+    let reason = if levels.len() as u64 != graph.spec.n {
+        "the level array does not hold one label per vertex"
+    } else if levels[source as usize] != 0 {
+        "the levels are not rooted at the source"
+    } else {
+        return Ok(());
+    };
+    Err(CommError::InvalidConfig { reason })
+}
+
 /// Extract one shortest path `source → target` given the global level
 /// array produced by a BFS from `source`. Returns `None` when the
 /// target was not reached. The returned path starts at `source`, ends
 /// at `target`, and has `levels[target] + 1` vertices. Communication
-/// faults surface as typed errors.
+/// faults surface as typed errors, and so does bad input
+/// ([`CommError::InvalidConfig`]): a world whose grid is not the
+/// graph's, a source or target outside the graph, or a level array that
+/// is not one label per vertex of a search from `source`.
 pub fn try_extract_path(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -40,20 +56,19 @@ pub fn try_extract_path(
     source: Vertex,
     target: Vertex,
 ) -> Result<Option<Vec<Vertex>>, CommError> {
+    check_input(
+        graph,
+        world,
+        &[
+            (source, "the source is out of range"),
+            (target, "the target is out of range"),
+        ],
+    )?;
+    check_levels(graph, levels, source)?;
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert_eq!(
-        levels.len() as u64,
-        graph.spec.n,
-        "level array size mismatch"
-    );
     if levels[target as usize] == UNREACHED {
         return Ok(None);
     }
-    debug_assert_eq!(
-        levels[source as usize], 0,
-        "levels must be rooted at source"
-    );
 
     let mut path = vec![target];
     let mut cur = target;
@@ -181,7 +196,9 @@ pub struct MultiPathResult {
 /// lane arrives. Rounds are [`OpClass::Control`] (faultable only under
 /// [`SimWorld::set_control_faultable`]); transient failures retry with
 /// recovery backoff; each hop is bracketed by a [`Phase::PathWalk`]
-/// span.
+/// span. Bad input is a [`CommError::InvalidConfig`], as for
+/// [`try_extract_path`], and so is a batch of no targets or of more
+/// than [`MAX_LANES`].
 pub fn try_multi(
     graph: &DistGraph,
     world: &mut SimWorld,
@@ -190,22 +207,19 @@ pub fn try_multi(
     targets: &[Vertex],
     config: &MultiPathConfig,
 ) -> Result<MultiPathResult, CommError> {
+    check_input(graph, world, &[(source, "the source is out of range")])?;
+    let invalid = |reason| Err(CommError::InvalidConfig { reason });
+    if targets.is_empty() {
+        return invalid("a batched walk needs at least one target");
+    }
+    if targets.len() > MAX_LANES {
+        return invalid("a batched walk packs at most 64 targets");
+    }
+    if targets.iter().any(|&t| t >= graph.spec.n) {
+        return invalid("a target is out of range");
+    }
+    check_levels(graph, levels, source)?;
     let grid = world.grid();
-    assert_eq!(grid, graph.grid(), "world and graph grids must match");
-    assert_eq!(
-        levels.len() as u64,
-        graph.spec.n,
-        "level array size mismatch"
-    );
-    assert!(
-        !targets.is_empty() && targets.len() <= MAX_LANES,
-        "batched walk takes 1..={MAX_LANES} targets, got {}",
-        targets.len()
-    );
-    debug_assert_eq!(
-        levels[source as usize], 0,
-        "levels must be rooted at source"
-    );
 
     let t_start = world.time();
     let c_start = world.comm_time();

@@ -186,7 +186,7 @@ impl<'g> RankState<'g> {
     /// retires its entries from [`RankState::unexplored`]) and every
     /// later call says no; with the cache off every call says yes.
     #[inline]
-    pub(crate) fn claim_row(&mut self, rl: u32) -> bool {
+    fn claim_row(&mut self, rl: u32) -> bool {
         if self.sent.is_empty() {
             return true;
         }
@@ -372,7 +372,7 @@ impl RowBytes {
     /// step of four, clamped to the last row: a short column repeats its
     /// last row instead of taking a data-dependent exit. Only columns
     /// longer than four run a loop.
-    pub(crate) fn mark_rows(&mut self, rows: &[u32]) {
+    fn mark_rows(&mut self, rows: &[u32]) {
         let Some(last) = rows.len().checked_sub(1) else {
             return;
         };
@@ -459,7 +459,7 @@ impl RowMarks {
     }
 
     /// Visit the marked rows of `lo..hi` in ascending order.
-    pub(crate) fn rows_in(&self, lo: u32, hi: u32, mut visit: impl FnMut(u32)) {
+    fn rows_in(&self, lo: u32, hi: u32, mut visit: impl FnMut(u32)) {
         for (base, mut bits) in self.words_in(lo, hi) {
             while bits != 0 {
                 visit(base + bits.trailing_zeros());

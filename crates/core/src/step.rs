@@ -19,7 +19,26 @@ use bgl_comm::collectives::{
     Groups,
 };
 use bgl_comm::{CommError, OpClass, Phase, ProcessorGrid, SimWorld, Vert, VertSet};
+use bgl_graph::{DistGraph, Vertex};
 use rayon::ParallelSliceMut;
+
+/// Reject input an engine cannot run as [`CommError::InvalidConfig`]: a
+/// world whose grid is not the graph's, or a vertex outside the graph
+/// (each paired with the reason to report for it).
+pub(crate) fn check_input(
+    graph: &DistGraph,
+    world: &SimWorld,
+    vertices: &[(Vertex, &'static str)],
+) -> Result<(), CommError> {
+    let reason = if world.grid() != graph.grid() {
+        "world and graph grids differ"
+    } else if let Some(&(_, reason)) = vertices.iter().find(|&&(v, _)| v >= graph.spec.n) {
+        reason
+    } else {
+        return Ok(());
+    };
+    Err(CommError::InvalidConfig { reason })
+}
 
 /// Drop the sender from every received `(sender, payload)` pair.
 pub(crate) fn payloads<T>(inboxes: Vec<Vec<(usize, T)>>) -> Vec<Vec<T>> {
@@ -199,6 +218,58 @@ pub(crate) fn with_retry<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs2d::{self, ResilientConfig};
+    use crate::path::{self, MultiPathConfig};
+    use crate::{bidir, BfsConfig};
+    use bgl_comm::MAX_LANES;
+    use bgl_graph::GraphSpec;
+
+    #[test]
+    fn bad_input_is_a_typed_error_in_every_engine() {
+        let grid = ProcessorGrid::new(2, 2);
+        let g = &DistGraph::build(GraphSpec::rmat(500, 8.0, 3), grid);
+        let n = g.spec.n;
+        let (cfg, rc) = (&BfsConfig::default(), &ResilientConfig::default());
+        let pc = &MultiPathConfig::default();
+        let mut world = SimWorld::bluegene(grid);
+        let full = bfs2d::try_run(g, &mut world, cfg, 3).unwrap().levels;
+        let (lv, short) = (&full[..], &full[..full.len() - 1]);
+        let wide: Vec<Vertex> = (0..=MAX_LANES as u64).collect();
+        let w = &mut world;
+        let other = &mut SimWorld::bluegene(ProcessorGrid::new(1, 4));
+        let grids = "world and graph grids differ";
+        let (src, tgt) = ("the source is out of range", "the target is out of range");
+        let (labels, rooted) = ("one label per vertex", "not rooted at the source");
+        let (any_tgt, none, many) = ("a target is out", "at least one target", "at most 64");
+        for (got, want) in [
+            (bfs2d::try_run(g, other, cfg, 3).map(drop), grids),
+            (bfs2d::try_run(g, w, cfg, n).map(drop), src),
+            (bfs2d::run_resilient(g, other, cfg, 3, rc).map(drop), grids),
+            (bfs2d::run_resilient(g, w, cfg, n, rc).map(drop), src),
+            (bidir::try_run(g, other, cfg, 3, 7).map(drop), grids),
+            (bidir::try_run(g, w, cfg, n, 7).map(drop), src),
+            (bidir::try_run(g, w, cfg, 3, n).map(drop), tgt),
+            (path::try_extract_path(g, other, lv, 3, 7).map(drop), grids),
+            (path::try_extract_path(g, w, short, 3, 7).map(drop), labels),
+            (path::try_extract_path(g, w, lv, n, 7).map(drop), src),
+            (path::try_extract_path(g, w, lv, 3, n).map(drop), tgt),
+            (path::try_extract_path(g, w, lv, 7, 3).map(drop), rooted),
+            (path::try_multi(g, other, lv, 3, &[7], pc).map(drop), grids),
+            (path::try_multi(g, w, short, 3, &[7], pc).map(drop), labels),
+            (path::try_multi(g, w, lv, n, &[7], pc).map(drop), src),
+            (path::try_multi(g, w, lv, 7, &[3], pc).map(drop), rooted),
+            (path::try_multi(g, w, lv, 3, &[7, n], pc).map(drop), any_tgt),
+            (path::try_multi(g, w, lv, 3, &[], pc).map(drop), none),
+            (path::try_multi(g, w, lv, 3, &wide, pc).map(drop), many),
+        ] {
+            match got {
+                Err(CommError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(want), "{reason:?} should say {want:?}")
+                }
+                other => panic!("expected InvalidConfig ({want}), got {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn retry_charges_one_backoff_per_transient_failure() {

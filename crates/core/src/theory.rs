@@ -61,7 +61,7 @@ pub fn expected_len_2d_fold(n: f64, k: f64, p: f64, c: f64) -> f64 {
 
 /// Total expected 2D message length for a square mesh (`R = C = √P`):
 /// the right-hand side of the paper's Figure 6.b equation.
-pub fn expected_len_2d_square(n: f64, k: f64, p: f64) -> f64 {
+fn expected_len_2d_square(n: f64, k: f64, p: f64) -> f64 {
     let rt = p.sqrt();
     2.0 * (n / p) * gamma(n, k, n / rt) * (rt - 1.0)
 }

@@ -45,7 +45,7 @@ impl ChunkGrid {
 
     /// Chunking with an explicit chunk size (tests use small chunks to
     /// exercise many cells on small graphs).
-    pub fn with_chunk(n: u64, chunk: u64) -> Self {
+    fn with_chunk(n: u64, chunk: u64) -> Self {
         assert!(n >= 1 && chunk >= 1);
         Self { n, chunk }
     }
@@ -64,7 +64,7 @@ impl ChunkGrid {
     /// All cells of the lower triangle (including the diagonal), i.e.
     /// the independent generation work items: `(chunk_row, chunk_col)`
     /// with `chunk_row >= chunk_col`.
-    pub fn lower_cells(&self) -> Vec<(u64, u64)> {
+    fn lower_cells(&self) -> Vec<(u64, u64)> {
         let k = self.chunks();
         let mut cells = Vec::with_capacity((k * (k + 1) / 2) as usize);
         for cr in 0..k {

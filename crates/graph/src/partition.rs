@@ -79,12 +79,12 @@ impl TwoDPartition {
     }
 
     /// Vertex range `[start, end)` of block row `b`.
-    pub fn block_row_range(&self, b: usize) -> std::ops::Range<Vertex> {
+    fn block_row_range(&self, b: usize) -> std::ops::Range<Vertex> {
         self.block_row_start(b)..self.block_row_start(b + 1)
     }
 
     /// Block row containing vertex `v`.
-    pub fn block_row_of(&self, v: Vertex) -> usize {
+    fn block_row_of(&self, v: Vertex) -> usize {
         debug_assert!(v < self.n);
         let mut b = (v as u128 * self.p() as u128 / self.n as u128) as usize;
         // Rounding can land one off; correct against the true bounds.
@@ -99,7 +99,7 @@ impl TwoDPartition {
 
     /// The rank owning block row `b`: block row `j·R + i` belongs to
     /// processor `(i, j)`.
-    pub fn owner_of_block_row(&self, b: usize) -> usize {
+    fn owner_of_block_row(&self, b: usize) -> usize {
         debug_assert!(b < self.p());
         let i = b % self.r;
         let j = b / self.r;
@@ -108,7 +108,7 @@ impl TwoDPartition {
 
     /// The block row owned by `rank` (inverse of
     /// [`TwoDPartition::owner_of_block_row`]).
-    pub fn block_row_of_rank(&self, rank: usize) -> usize {
+    fn block_row_of_rank(&self, rank: usize) -> usize {
         let (i, j) = self.grid().position_of(rank);
         j * self.r + i
     }

@@ -33,7 +33,7 @@ pub enum GraphFamily {
 
 impl GraphFamily {
     /// The Graph500 reference R-MAT parameters (a=0.57, b=c=0.19).
-    pub fn rmat_graph500() -> Self {
+    fn rmat_graph500() -> Self {
         GraphFamily::RMat {
             a: 0.57,
             b: 0.19,

@@ -79,7 +79,7 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Look a rule up by id.
-pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
+fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 

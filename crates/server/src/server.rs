@@ -569,7 +569,7 @@ impl BglServer {
 /// FNV-1a fingerprint of a graph spec: stable across runs, sensitive to
 /// every generator input, so cache keys from a different resident graph
 /// can never collide into service.
-pub fn graph_fingerprint(spec: &GraphSpec) -> u64 {
+fn graph_fingerprint(spec: &GraphSpec) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;

@@ -125,7 +125,7 @@ impl Coord3 {
     }
 
     /// Return a copy with dimension `d` set to `v`.
-    pub fn with_component(mut self, d: usize, v: usize) -> Self {
+    fn with_component(mut self, d: usize, v: usize) -> Self {
         match d {
             0 => self.x = v,
             1 => self.y = v,

@@ -73,7 +73,7 @@ impl CostModel {
     }
 
     /// Cost of one point-to-point message of `bytes` payload over `hops`.
-    pub fn point_to_point_hops(&self, hops: usize, bytes: u64) -> TransferCost {
+    fn point_to_point_hops(&self, hops: usize, bytes: u64) -> TransferCost {
         let m = &self.machine;
         let seconds = if hops == 0 && bytes == 0 {
             0.0
@@ -90,31 +90,6 @@ impl CostModel {
     /// Cost of one point-to-point message between physical coordinates.
     pub fn point_to_point(&self, from: Coord3, to: Coord3, bytes: u64) -> TransferCost {
         self.point_to_point_hops(self.hops(from, to), bytes)
-    }
-
-    /// Cost of one point-to-point message whose route runs at
-    /// `bw_factor` of nominal link bandwidth (degraded-link faults; the
-    /// slowest link on the route bounds the streaming rate).
-    pub fn point_to_point_hops_degraded(
-        &self,
-        hops: usize,
-        bytes: u64,
-        bw_factor: f64,
-    ) -> TransferCost {
-        debug_assert!(bw_factor > 0.0 && bw_factor <= 1.0);
-        let m = &self.machine;
-        let seconds = if hops == 0 && bytes == 0 {
-            0.0
-        } else {
-            m.software_overhead
-                + hops as f64 * m.hop_latency
-                + bytes as f64 / (m.link_bandwidth * bw_factor)
-        };
-        TransferCost {
-            seconds,
-            bytes,
-            hops,
-        }
     }
 
     /// Modelled time to perform `probes` vertex hash probes (the paper's

@@ -6,7 +6,6 @@
 //!
 //! * **dead links** — bi-directional torus links that carry no traffic;
 //!   routes must detour around them ([`route_with_faults`]);
-//! * **dead nodes** — torus nodes that neither route nor host a rank;
 //! * **degraded links** — links running at a fraction of nominal
 //!   bandwidth (the cost model charges the slowest link on the route);
 //! * **message faults** — per-attempt drop / duplicate / truncate
@@ -113,7 +112,6 @@ pub struct FaultPlan {
     /// [`control_drop_prob`]: FaultPlan::control_drop_prob
     pub control_truncate_prob: Option<f64>,
     dead_links: Vec<(Coord3, Coord3)>,
-    dead_nodes: Vec<Coord3>,
     degraded: Vec<(Coord3, Coord3, f64)>,
     deaths: Vec<RankDeath>,
 }
@@ -137,7 +135,6 @@ impl FaultPlan {
             control_duplicate_prob: None,
             control_truncate_prob: None,
             dead_links: Vec::new(),
-            dead_nodes: Vec::new(),
             degraded: Vec::new(),
             deaths: Vec::new(),
         }
@@ -203,29 +200,11 @@ impl FaultPlan {
         self
     }
 
-    /// Override the control-class truncation probability (builder style).
-    pub fn with_control_truncate_prob(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "control truncate probability must be in [0,1]"
-        );
-        self.control_truncate_prob = Some(p);
-        self
-    }
-
     /// Kill the bi-directional link between two (adjacent) nodes.
     pub fn kill_link(mut self, a: Coord3, b: Coord3) -> Self {
         let l = norm_link(a, b);
         if !self.dead_links.contains(&l) {
             self.dead_links.push(l);
-        }
-        self
-    }
-
-    /// Kill a torus node: no traffic routes through it.
-    pub fn kill_node(mut self, node: Coord3) -> Self {
-        if !self.dead_nodes.contains(&node) {
-            self.dead_nodes.push(node);
         }
         self
     }
@@ -276,9 +255,9 @@ impl FaultPlan {
         }
     }
 
-    /// Whether any link or node is dead or degraded.
+    /// Whether any link is dead or degraded.
     pub fn has_topology_faults(&self) -> bool {
-        !self.dead_links.is_empty() || !self.dead_nodes.is_empty() || !self.degraded.is_empty()
+        !self.dead_links.is_empty() || !self.degraded.is_empty()
     }
 
     /// Whether any rank death is scheduled.
@@ -299,20 +278,14 @@ impl FaultPlan {
             .map(|d| d.rank)
     }
 
-    /// Whether the (undirected) link between `a` and `b` is dead, either
-    /// explicitly or because an endpoint node is dead.
-    pub fn link_is_dead(&self, a: Coord3, b: Coord3) -> bool {
-        self.dead_links.contains(&norm_link(a, b)) || self.node_is_dead(a) || self.node_is_dead(b)
-    }
-
-    /// Whether a torus node is dead.
-    pub fn node_is_dead(&self, node: Coord3) -> bool {
-        self.dead_nodes.contains(&node)
+    /// Whether the (undirected) link between `a` and `b` is dead.
+    fn link_is_dead(&self, a: Coord3, b: Coord3) -> bool {
+        self.dead_links.contains(&norm_link(a, b))
     }
 
     /// Bandwidth factor of the (undirected) link between `a` and `b`:
     /// 1.0 if not degraded, the smallest configured factor otherwise.
-    pub fn link_bandwidth_factor(&self, a: Coord3, b: Coord3) -> f64 {
+    fn link_bandwidth_factor(&self, a: Coord3, b: Coord3) -> f64 {
         let key = norm_link(a, b);
         self.degraded
             .iter()
@@ -570,14 +543,14 @@ impl std::fmt::Display for Isolated {
 
 impl std::error::Error for Isolated {}
 
-/// Route from `a` to `b` avoiding dead links and nodes.
+/// Route from `a` to `b` avoiding dead links.
 ///
 /// With no topology faults this is exactly dimension-ordered routing.
 /// Otherwise a breadth-first search over live links finds a *shortest
 /// detour* (deterministic tie-breaking by dimension order), so the extra
 /// cost charged for the fault is minimal, mirroring the torus hardware's
 /// adaptive routing around failed links. Returns [`Isolated`] when the
-/// fault set disconnects the endpoints (or an endpoint node is dead).
+/// fault set disconnects the endpoints.
 pub fn route_with_faults(
     dims: TorusDims,
     a: Coord3,
@@ -587,18 +560,12 @@ pub fn route_with_faults(
     if !plan.has_topology_faults() {
         return Ok(route_dimension_ordered(dims, a, b));
     }
-    if plan.node_is_dead(a) || plan.node_is_dead(b) {
-        return Err(Isolated { from: a, to: b });
-    }
     if a == b {
         return Ok(Vec::new());
     }
     // Fast path: if the dimension-ordered route is entirely live, use it.
     let dor = route_dimension_ordered(dims, a, b);
-    if dor
-        .iter()
-        .all(|s| !plan.link_is_dead(s.from, s.to) && !plan.node_is_dead(s.to))
-    {
+    if dor.iter().all(|s| !plan.link_is_dead(s.from, s.to)) {
         return Ok(dor);
     }
 
@@ -628,7 +595,7 @@ pub fn route_with_faults(
                 }
                 let nb = cur.step(dims, d, dir);
                 let ni = dims.linearize(nb);
-                if seen[ni] || plan.node_is_dead(nb) || plan.link_is_dead(cur, nb) {
+                if seen[ni] || plan.link_is_dead(cur, nb) {
                     continue;
                 }
                 seen[ni] = true;
@@ -762,19 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_node_is_routed_around() {
-        let dims = dims4();
-        let a = Coord3::new(0, 0, 0);
-        let b = Coord3::new(2, 0, 0);
-        let plan = FaultPlan::none().kill_node(Coord3::new(1, 0, 0));
-        let route = route_with_faults(dims, a, b, &plan).unwrap();
-        assert!(route.iter().all(|s| s.to != Coord3::new(1, 0, 0)));
-        assert_eq!(route[route.len() - 1].to, b);
-        // x-ring of 4: 0->3->2 also works in 2 hops; BFS finds length 2.
-        assert_eq!(route.len(), 2);
-    }
-
-    #[test]
     fn isolated_endpoint_reported() {
         // 1D ring of 4 in x: killing both links around node 1 isolates it.
         let dims = TorusDims::new(4, 1, 1);
@@ -785,14 +739,6 @@ mod tests {
         let err = route_with_faults(dims, Coord3::new(0, 0, 0), n1, &plan).unwrap_err();
         assert_eq!(err.from, Coord3::new(0, 0, 0));
         assert_eq!(err.to, n1);
-    }
-
-    #[test]
-    fn dead_endpoint_node_is_isolated() {
-        let dims = dims4();
-        let b = Coord3::new(1, 1, 1);
-        let plan = FaultPlan::none().kill_node(b);
-        assert!(route_with_faults(dims, Coord3::new(0, 0, 0), b, &plan).is_err());
     }
 
     #[test]

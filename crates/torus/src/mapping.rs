@@ -225,7 +225,7 @@ impl TaskMapping {
     }
 
     /// Physical hop distance between two logical ranks.
-    pub fn rank_distance(&self, a: usize, b: usize) -> usize {
+    fn rank_distance(&self, a: usize, b: usize) -> usize {
         hop_distance(self.dims, self.coords[a], self.coords[b])
     }
 

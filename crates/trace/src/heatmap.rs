@@ -95,7 +95,7 @@ impl LinkHeatmap {
 
     /// The `k` hottest links, by bytes descending (ties broken by link
     /// coordinates for determinism).
-    pub fn top_k(&self, k: usize) -> Vec<(Coord3, Coord3, u64)> {
+    fn top_k(&self, k: usize) -> Vec<(Coord3, Coord3, u64)> {
         let mut links: Vec<(Coord3, Coord3, u64)> = self.rows().collect();
         links.sort_by(|l, r| r.2.cmp(&l.2).then_with(|| (l.0, l.1).cmp(&(r.0, r.1))));
         links.truncate(k);

@@ -122,11 +122,6 @@ impl TraceBuffer {
         self.rings[self.ranks].iter().copied().collect()
     }
 
-    /// Events on rank `r`'s ring, oldest first.
-    pub fn rank_events(&self, rank: usize) -> Vec<TraceEvent> {
-        self.rings[rank.min(self.ranks)].iter().copied().collect()
-    }
-
     /// All events with their track index (rank, or `ranks()` for the
     /// world track), in deterministic order: sorted by start time, ties
     /// broken by track then ring order.

@@ -56,7 +56,7 @@ impl TraceSink {
     }
 
     /// [`TraceSink::enabled`] with an explicit per-ring capacity.
-    pub fn enabled_with_capacity(ranks: usize, detail: TraceDetail, cap: usize) -> Self {
+    fn enabled_with_capacity(ranks: usize, detail: TraceDetail, cap: usize) -> Self {
         Self(Some(Box::new(SinkState {
             detail,
             buf: TraceBuffer::new(ranks, cap),

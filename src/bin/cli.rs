@@ -249,6 +249,21 @@ fn flag_error(cmd: &str, flags: &Flags) -> Option<String> {
             return Some(format!("--{key} {v:?}: expected {expected}"));
         }
     }
+    if cmd == "search" || cmd == "path" {
+        // Vertex flags name vertices of the generated graph, 0..n.
+        let n = flags.u64("n", DEFAULT_N);
+        for key in ["source", "target"] {
+            let v = flags.u64(key, 0);
+            if v >= n {
+                return Some(format!("--{key} {v}: expected a vertex below --n {n}"));
+            }
+        }
+        if let Some(list) = flags.0.get("targets") {
+            if let Some(t) = parse_targets(list).and_then(|ts| ts.into_iter().find(|&t| t >= n)) {
+                return Some(format!("--targets {list}: vertex {t} is not below --n {n}"));
+            }
+        }
+    }
     if cmd == "path" && flags.has("target") && flags.has("targets") {
         return Some(
             "--target and --targets contradict: one names a single walk, the other a \
@@ -472,9 +487,12 @@ fn grid_from(flags: &Flags) -> ProcessorGrid {
     ProcessorGrid::new(flags.u64("rows", 4) as usize, flags.u64("cols", 4) as usize)
 }
 
+/// Vertex count when `--n` is absent.
+const DEFAULT_N: u64 = 100_000;
+
 fn spec_from(flags: &Flags) -> GraphSpec {
     GraphSpec::poisson(
-        flags.u64("n", 100_000),
+        flags.u64("n", DEFAULT_N),
         flags.f64("k", 10.0),
         flags.u64("seed", 42),
     )
@@ -484,7 +502,7 @@ fn cmd_search(flags: &Flags) {
     apply_engine_threads(flags);
     let spec = spec_from(flags);
     let grid = grid_from(flags);
-    let source = flags.u64("source", 0).min(spec.n - 1);
+    let source = flags.u64("source", 0);
     println!(
         "G(n={}, k={}) on {}x{} — building…",
         spec.n,
@@ -515,7 +533,7 @@ fn cmd_search(flags: &Flags) {
 
     if flags.has("bidir") {
         // Contradictory fault flags were rejected before dispatch.
-        let target = flags.u64("target", spec.n - 1).min(spec.n - 1);
+        let target = flags.u64("target", spec.n - 1);
         let r = or_exit(
             bidir::try_run(
                 &graph,
@@ -543,7 +561,7 @@ fn cmd_search(flags: &Flags) {
     let direction = direction_from(flags);
     let mut config = BfsConfig::paper_optimized().with_direction(direction);
     if flags.has("target") {
-        config = config.with_target(flags.u64("target", 0).min(spec.n - 1));
+        config = config.with_target(flags.u64("target", 0));
     }
     let r = if faulty {
         world = SimWorld::bluegene(grid)
@@ -665,7 +683,7 @@ fn cmd_search(flags: &Flags) {
 fn cmd_path(flags: &Flags) {
     let spec = spec_from(flags);
     let grid = grid_from(flags);
-    let source = flags.u64("source", 0).min(spec.n - 1);
+    let source = flags.u64("source", 0);
     let graph = DistGraph::build(spec, grid);
     let mut world = SimWorld::bluegene(grid).with_wire_policy(wire_policy_from(flags));
     let r = or_exit(
@@ -676,11 +694,8 @@ fn cmd_path(flags: &Flags) {
     if let Some(list) = flags.0.get("targets") {
         // Batched lane wave: every target shares each per-hop control
         // round of the walk.
-        let targets: Vec<u64> = parse_targets(list)
-            .unwrap_or_else(|| usage_exit(&format!("--targets {list:?}: invalid value")))
-            .into_iter()
-            .map(|t| t.min(spec.n - 1))
-            .collect();
+        let targets = parse_targets(list)
+            .unwrap_or_else(|| usage_exit(&format!("--targets {list:?}: invalid value")));
         let config = path::MultiPathConfig::default();
         let batched = or_exit(
             path::try_multi(&graph, &mut world, &r.levels, source, &targets, &config),
@@ -709,7 +724,7 @@ fn cmd_path(flags: &Flags) {
         return;
     }
 
-    let target = flags.u64("target", spec.n - 1).min(spec.n - 1);
+    let target = flags.u64("target", spec.n - 1);
     let walk = path::try_extract_path(&graph, &mut world, &r.levels, source, target);
     match or_exit(walk, "communication fault during path extraction") {
         Some(p) => {
@@ -1015,6 +1030,15 @@ mod tests {
             ("search", "--rows 0", "positive"),
             ("serve", "--queries -3", "--queries"),
             ("theory", "--kmax lots", "--kmax"),
+            // Vertex flags must name a vertex of the graph: no clamping.
+            ("search", "--n 1000 --source 5000", "--source 5000"),
+            ("search", "--source 100000", "--source 100000"),
+            ("search", "--n 1000 --target 1000", "--target 1000"),
+            ("search", "--n 1000 --bidir --target 1000", "--target 1000"),
+            ("search", "--n 1000 --bidir --source 1000", "--source 1000"),
+            ("path", "--n 1000 --source 1000", "--source 1000"),
+            ("path", "--n 1000 --target 5000", "--target 5000"),
+            ("path", "--n 1000 --source 0 --targets 5,99999", "99999"),
         ] {
             let e = flag_error(cmd, &flags(line)).expect(line);
             assert!(e.contains(mention), "{line}: {e}");
@@ -1094,6 +1118,8 @@ mod tests {
             ),
             ("path", "--n 1000 --source 0 --target 99"),
             ("path", "--n 1000 --source 0 --targets 5,9,99 --wire delta"),
+            ("path", "--n 1000 --source 999 --targets 0,999"),
+            ("search", "--n 1000 --source 999 --target 0 --bidir"),
             (
                 "serve",
                 "--n 8000 --batch 8 --queries 16 --cache-cap 8 --deadline 6 --summary-out /tmp/s",
