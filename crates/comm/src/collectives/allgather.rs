@@ -56,7 +56,7 @@ pub fn allgather_ring(
         .map(|(c, m)| Some((c, Some(m))))
         .collect();
     for s in 0..groups.ring_steps() {
-        let arrived = ring_step(world, class, groups, s, |_, rank| in_flight[rank].take())?;
+        let arrived = ring_step(world, class, groups, s, |rank| in_flight[rank].take())?;
         for (rank, piece) in arrived.into_iter().enumerate() {
             let Some((piece, measure)) = piece else {
                 continue;

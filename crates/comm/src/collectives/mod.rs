@@ -29,21 +29,20 @@
 //! bottom-up collective.
 //!
 //! The ring collectives share crate-private pieces, so every ring
-//! sends, unions and charges the same way: [`ring_step`] (one lockstep
-//! step of a ring inside every group), [`UnionTally`] (a set union's
+//! sends, unions and charges the same way: `ring_step` (one lockstep
+//! step of a ring inside every group), `UnionTally` (a set union's
 //! merge traffic and set-kernel counters, tallied wherever the union
-//! ran and recorded into the world in rank order by [`record_unions`])
-//! and [`into_payload`] (a hybrid set as a wire payload; [`into_payloads`]
-//! expands many on the worker pool). A ring piece
-//! carries an optional wire measure: the all-gather, whose pieces
-//! travel unchanged, measures each contribution once at its origin
-//! ([`measure_all`]) and moves the piece and its measure from hop to
-//! hop. The two-phase fold measures each bundle where it sits at every
-//! hop and sends only that measure: the bundle itself moves out of
-//! band. The reduce-scatter ring, whose pieces are plain payloads,
-//! leaves the measure to the exchange. The two-phase collectives run
-//! their rings over the subgrid rows, which are themselves a
-//! [`Groups`].
+//! ran and recorded into the world in rank order by `record_unions`)
+//! and `into_payloads` (hybrid sets as wire payloads, the bitmaps
+//! expanded on the worker pool). A ring piece carries an optional wire
+//! measure: the all-gather, whose pieces travel unchanged, measures
+//! each contribution once at its origin (`measure_all`) and moves the
+//! piece and its measure from hop to hop. The two-phase fold measures
+//! each bundle where it sits at every hop and sends only that measure:
+//! the bundle itself moves out of band. The reduce-scatter ring, whose
+//! pieces are plain payloads, leaves the measure to the exchange. The
+//! two-phase collectives run their rings over the subgrid rows, which
+//! are themselves a [`Groups`].
 
 pub mod allgather;
 pub mod alltoall;
@@ -163,7 +162,7 @@ pub(crate) type Piece = (Vec<Vert>, Option<WireMeasure>);
 /// message round. A group of `g` members rings for its first `g − 1`
 /// steps and idles afterwards while larger groups finish. Every member
 /// of a ringing group, in group then position order, sends
-/// `payload(world, rank)` to its ring successor (`None` sends nothing).
+/// `payload(rank)` to its ring successor (`None` sends nothing).
 /// A supplied measure is charged as it is; a piece without one is
 /// measured in the exchange. Returns the piece each rank received, if
 /// any, with the measure it travelled with, so a piece forwarded
@@ -173,7 +172,7 @@ pub(crate) fn ring_step(
     class: OpClass,
     rings: &Groups,
     s: usize,
-    mut payload: impl FnMut(&mut SimWorld, usize) -> Option<Piece>,
+    mut payload: impl FnMut(usize) -> Option<Piece>,
 ) -> Result<Vec<Option<Piece>>, CommError> {
     let mut sends = Vec::with_capacity(world.p());
     let mut measures = Vec::with_capacity(world.p());
@@ -183,7 +182,7 @@ pub(crate) fn ring_step(
             continue;
         }
         for (pos, &rank) in g.iter().enumerate() {
-            if let Some((piece, measure)) = payload(world, rank) {
+            if let Some((piece, measure)) = payload(rank) {
                 let to = g[(pos + 1) % g.len()];
                 sends.push((rank, to, piece));
                 measures.push(measure);
@@ -270,35 +269,17 @@ pub(crate) fn record_unions(world: &mut SimWorld, tallies: Vec<UnionTally>) {
     world.memcpy_phase(&merge_bytes);
 }
 
-/// A set as a wire payload: a list moves as it is, a bitmap is expanded
-/// into a pooled scratch buffer.
-pub(crate) fn into_payload(world: &mut SimWorld, set: VertSet) -> Vec<Vert> {
-    match set {
-        VertSet::List(v) => v,
-        bitmap => {
-            let mut buf = world.scratch_take();
-            bitmap.append_to(&mut buf);
-            buf
-        }
-    }
-}
-
-/// Sets as wire payloads, in order, as [`into_payload`] makes them,
-/// with the bitmaps expanded on the worker pool. Their scratch buffers
-/// are taken in order and grown on the calling thread, doubling as
-/// pushing would, so the pool's counters, the buffers' capacities (and
-/// with them the pool's high-water mark) and their malloc arena are
-/// those of a serial expansion.
-pub(crate) fn into_payloads(world: &mut SimWorld, sets: Vec<VertSet>) -> Vec<Vec<Vert>> {
+/// Sets as wire payloads, in order: a list moves as it is, and a
+/// bitmap is expanded on the worker pool into a buffer of exactly its
+/// length. The buffers are allocated on the calling thread, so they
+/// come from its malloc arena like the rest of a rank's memory.
+pub(crate) fn into_payloads(sets: Vec<VertSet>) -> Vec<Vec<Vert>> {
     let mut pending: Vec<(VertSet, Vec<Vert>)> = sets
         .into_iter()
         .map(|set| match set {
             VertSet::List(v) => (VertSet::new(), v),
             bitmap => {
-                let mut buf = world.scratch_take();
-                while buf.capacity() < bitmap.len() {
-                    buf.reserve(buf.capacity() + 1);
-                }
+                let buf = Vec::with_capacity(bitmap.len());
                 (bitmap, buf)
             }
         })

@@ -22,7 +22,7 @@
 //! functions of set *cardinalities*, which are representation-invariant,
 //! so the clocks are bit-identical to the sorted-list implementation.
 
-use super::{into_payload, record_unions, ring_step, Groups, UnionTally};
+use super::{record_unions, ring_step, Groups, UnionTally};
 use crate::error::CommError;
 use crate::setops;
 use crate::sim::SimWorld;
@@ -63,16 +63,15 @@ pub fn reduce_scatter_union_ring(
     for s in 0..groups.ring_steps() {
         // The member at position i sends block (i − s − 1) mod g; its
         // successor unions it into its own copy of that block.
-        let pieces = ring_step(world, class, groups, s, |world, rank| {
+        let pieces = ring_step(world, class, groups, s, |rank| {
             let set = std::mem::take(&mut blocks[rank][groups.ring_back(rank, s + 1)]);
-            Some((into_payload(world, set), None))
+            Some((set.into_vec(), None))
         })?;
         let mut tallies = vec![UnionTally::default(); world.p()];
         for (rank, piece) in pieces.into_iter().enumerate() {
             if let Some((piece, _)) = piece {
                 let own = &mut blocks[rank][groups.ring_back(rank, s + 2)];
                 tallies[rank].union(own, &piece, &policy);
-                world.scratch_put(piece);
             }
         }
         record_unions(world, tallies);

@@ -157,7 +157,7 @@ pub fn two_phase_fold(
         // exchange. The bundle arriving at step s targets column
         // (c - 2 - s) mod n.
         let measures = measure_all(world, &mut held, FoldBundle::measure);
-        let arrived = ring_step(world, class, &rows, s, |_, rank| {
+        let arrived = ring_step(world, class, &rows, s, |rank| {
             Some((Vec::new(), Some(measures[rank])))
         })?;
         let mut sent = std::mem::take(&mut held);
@@ -191,13 +191,12 @@ pub fn two_phase_fold(
     }
     let sends = routes
         .into_iter()
-        .zip(into_payloads(world, sets))
+        .zip(into_payloads(sets))
         .map(|((from, to), payload)| (from, to, payload))
         .collect();
     let inboxes = world.exchange(class, sends)?;
 
-    // Final union at each destination, on the pool; the received
-    // payloads return to the scratch pool afterwards, in rank order.
+    // Final union at each destination, on the pool.
     let mut arrived: Vec<(VertSet, Inbox)> = keep.into_iter().zip(inboxes).collect();
     let tallies = arrived
         .par_iter_mut()
@@ -210,15 +209,7 @@ pub fn two_phase_fold(
         })
         .collect();
     record_unions(world, tallies);
-    Ok(arrived
-        .into_iter()
-        .map(|(acc, inbox)| {
-            for (_, set) in inbox {
-                world.scratch_put(set);
-            }
-            acc
-        })
-        .collect())
+    Ok(arrived.into_iter().map(|(acc, _)| acc).collect())
 }
 
 /// Run the two-phase expand in every group simultaneously.

@@ -50,7 +50,7 @@ pub mod topology;
 pub mod vset;
 pub mod wire;
 
-pub use buffer::{ChunkPolicy, ScratchPool};
+pub use buffer::ChunkPolicy;
 pub use error::CommError;
 pub use lane::{LaneMask, LaneSet, MAX_LANES};
 pub use sim::SimWorld;

@@ -19,7 +19,6 @@
 //! [`LinkTraffic`] accumulator for congestion analysis.
 
 use crate::buffer::ChunkPolicy;
-use crate::buffer::ScratchPool;
 use crate::error::CommError;
 use crate::stats::{CommStats, OpClass};
 use crate::topology::ProcessorGrid;
@@ -148,8 +147,6 @@ pub struct SimWorld {
     /// Wire codec applied to exchange payloads (see [`crate::wire`];
     /// [`WirePolicy::raw`] = codec off, the pre-codec behavior).
     wire_policy: WirePolicy,
-    /// Reusable merge/inbox scratch buffers for the collectives.
-    scratch: ScratchPool,
     /// Structured event recorder (disabled by default: a single `None`
     /// word, no buffers — see [`SimWorld::enable_trace`]).
     trace: TraceSink,
@@ -192,7 +189,6 @@ impl SimWorld {
             route_cache: FxHashMap::with_capacity_and_hasher(4 * grid.len(), Default::default()),
             vset_policy: VsetPolicy::default(),
             wire_policy: WirePolicy::default(),
-            scratch: ScratchPool::new(),
             trace: TraceSink::disabled(),
         }
     }
@@ -419,7 +415,6 @@ impl SimWorld {
         self.dead = vec![false; self.grid.len()];
         self.data_round = 0;
         self.control_round = 0;
-        self.scratch.reset();
     }
 
     /// The hybrid vertex-set representation policy collectives consult.
@@ -450,25 +445,6 @@ impl SimWorld {
     pub fn with_wire_policy(mut self, policy: WirePolicy) -> Self {
         self.wire_policy = policy;
         self
-    }
-
-    /// Take a scratch buffer from the per-world pool (cleared, capacity
-    /// retained from earlier supersteps).
-    pub fn scratch_take(&mut self) -> Vec<Vert> {
-        let v = self.scratch.take();
-        self.stats.setops.pool_reuses = self.scratch.reuses();
-        v
-    }
-
-    /// Return a scratch buffer to the pool and refresh the high-water
-    /// statistic.
-    pub fn scratch_put(&mut self, v: Vec<Vert>) {
-        self.scratch.put(v);
-        self.stats.setops.pool_high_water_verts = self
-            .stats
-            .setops
-            .pool_high_water_verts
-            .max(self.scratch.high_water_verts());
     }
 
     /// Fault-aware route lookup for `(from, to)`: `(hops, bandwidth

@@ -62,14 +62,6 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
-    fn merge(&mut self, o: &ClassStats) {
-        self.messages += o.messages;
-        self.wire_verts += o.wire_verts;
-        self.received_verts += o.received_verts;
-        self.logical_bytes += o.logical_bytes;
-        self.wire_bytes += o.wire_bytes;
-    }
-
     fn minus(&self, o: &ClassStats) -> ClassStats {
         ClassStats {
             messages: self.messages - o.messages,
@@ -133,9 +125,8 @@ impl FaultStats {
     }
 }
 
-/// Counters for the hybrid vertex-set kernels and the scratch-buffer
-/// pool (host-side representation choices; all zero when the hybrid
-/// layer is disabled).
+/// Counters for the hybrid vertex-set kernels (host-side representation
+/// choices; all zero when the hybrid layer is disabled).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SetOpStats {
     /// Union operations executed on the sorted-list representation.
@@ -146,30 +137,14 @@ pub struct SetOpStats {
     /// List → bitmap representation switches (density threshold
     /// crossings).
     pub densify_switches: u64,
-    /// Peak total capacity (vertices) retained by the scratch-buffer
-    /// pool.
-    pub pool_high_water_verts: u64,
-    /// Times a pooled scratch buffer was reused instead of allocated.
-    pub pool_reuses: u64,
 }
 
 impl SetOpStats {
-    fn merge(&mut self, o: &SetOpStats) {
-        self.list_unions += o.list_unions;
-        self.bitmap_unions += o.bitmap_unions;
-        self.densify_switches += o.densify_switches;
-        self.pool_high_water_verts = self.pool_high_water_verts.max(o.pool_high_water_verts);
-        self.pool_reuses += o.pool_reuses;
-    }
-
     fn minus(&self, o: &SetOpStats) -> SetOpStats {
         SetOpStats {
             list_unions: self.list_unions - o.list_unions,
             bitmap_unions: self.bitmap_unions - o.bitmap_unions,
             densify_switches: self.densify_switches - o.densify_switches,
-            // High-water is a running max, not a counter.
-            pool_high_water_verts: self.pool_high_water_verts,
-            pool_reuses: self.pool_reuses - o.pool_reuses,
         }
     }
 }
@@ -188,7 +163,7 @@ pub struct CommStats {
     pub peak_buffer_verts: usize,
     /// Injected-fault counters (all zero on fault-free runs).
     pub faults: FaultStats,
-    /// Hybrid set-kernel and scratch-pool counters.
+    /// Hybrid set-kernel counters.
     #[serde(default)]
     pub setops: SetOpStats,
 }
@@ -289,27 +264,6 @@ impl CommStats {
         }
     }
 
-    /// Merge another accounting (same rank count) into this one.
-    pub fn merge(&mut self, o: &CommStats) {
-        assert_eq!(self.ranks(), o.ranks());
-        for i in 0..3 {
-            self.per_class[i].merge(&o.per_class[i]);
-        }
-        for (a, b) in self.received_per_rank.iter_mut().zip(&o.received_per_rank) {
-            *a += b;
-        }
-        for (a, b) in self
-            .dups_eliminated_per_rank
-            .iter_mut()
-            .zip(&o.dups_eliminated_per_rank)
-        {
-            *a += b;
-        }
-        self.peak_buffer_verts = self.peak_buffer_verts.max(o.peak_buffer_verts);
-        self.faults.merge(&o.faults);
-        self.setops.merge(&o.setops);
-    }
-
     /// Counter-wise difference `self - earlier` (both cumulative
     /// snapshots of the same world). Peak buffer is carried from `self`.
     pub fn minus(&self, earlier: &CommStats) -> CommStats {
@@ -397,10 +351,7 @@ mod tests {
         assert_eq!(d.faults.drops_injected, 2);
         assert_eq!(d.faults.recoveries, 1);
         assert_eq!(d.faults.retransmissions, 0);
-        let mut a = CommStats::new(2);
-        a.merge(&s);
-        assert_eq!(a.faults.drops_injected, 6);
-        assert!(a.faults.any());
+        assert!(s.faults.any());
     }
 
     #[test]
@@ -417,20 +368,5 @@ mod tests {
         let d = s.minus(&snap);
         assert_eq!(d.class(OpClass::Fold).logical_bytes, 100);
         assert_eq!(d.class(OpClass::Fold).wire_bytes, 50);
-        let mut m = CommStats::new(2);
-        m.merge(&s);
-        assert_eq!(m.total_wire_bytes(), 550);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CommStats::new(2);
-        let mut b = CommStats::new(2);
-        a.note_message(OpClass::Control, 0, 5, 1);
-        b.note_message(OpClass::Control, 1, 7, 1);
-        b.note_dups(1, 3);
-        a.merge(&b);
-        assert_eq!(a.total_received(), 12);
-        assert_eq!(a.total_dups_eliminated(), 3);
     }
 }

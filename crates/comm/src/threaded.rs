@@ -26,7 +26,6 @@
 // Parallel index loops over per-rank arrays are intentional here.
 #![allow(clippy::needless_range_loop)]
 
-use crate::buffer::ScratchPool;
 use crate::error::CommError;
 use crate::stats::{FaultStats, OpClass};
 use crate::topology::ProcessorGrid;
@@ -108,10 +107,6 @@ pub struct RankCtx {
     /// Faults this rank injected on its sends (sender-side accounting;
     /// summing over ranks matches the simulator's world totals).
     pub faults: FaultStats,
-    /// Per-rank reusable wire-buffer arena: received payloads recycled
-    /// by the rank body ([`RankCtx::scratch_put`]) back later outbound
-    /// buffers instead of fresh allocations.
-    scratch: ScratchPool,
     /// Wire-codec policy for outbound payloads (raw = codec off).
     wire_policy: WirePolicy,
     /// Per-class sender-side logical/wire byte counters, indexed by
@@ -142,16 +137,6 @@ impl RankCtx {
     /// the sim/threaded schedule agreement) is untouched.
     pub fn set_control_faultable(&mut self, on: bool) {
         self.control_faultable = on;
-    }
-
-    /// Return a no-longer-needed payload buffer to the pool for reuse.
-    pub fn scratch_put(&mut self, buf: Vec<Vert>) {
-        self.scratch.put(buf);
-    }
-
-    /// How many buffer allocations the scratch pool has saved so far.
-    pub fn scratch_reuses(&self) -> u64 {
-        self.scratch.reuses()
     }
 
     /// Set the wire-codec policy for this rank's outbound payloads.
@@ -383,11 +368,7 @@ impl RankCtx {
                 }
             }
             match frame {
-                Some(f) => {
-                    per_dest_wire[dest].push(f);
-                    // The vertex buffer stays on this rank: recycle it.
-                    self.scratch.put(payload);
-                }
+                Some(f) => per_dest_wire[dest].push(f),
                 None => per_dest[dest].push(payload),
             }
         }
@@ -520,13 +501,9 @@ impl RankCtx {
         let p = self.grid.len();
         let sends: Vec<(usize, Vec<Vert>)> = (0..p)
             .filter(|&d| d != self.rank)
-            .map(|d| {
-                let mut buf = self.scratch.take();
-                // +1 shift per word lets zero values survive the
-                // empty-payload filter.
-                buf.extend(vals.iter().map(|v| v + 1));
-                (d, buf)
-            })
+            // +1 shift per word lets zero values survive the
+            // empty-payload filter.
+            .map(|d| (d, vals.iter().map(|v| v + 1).collect()))
             .collect();
         let got = self.exchange(OpClass::Control, sends)?;
         let mut totals = vals;
@@ -534,7 +511,6 @@ impl RankCtx {
             for (t, w) in totals.iter_mut().zip(&payload) {
                 *t += w - 1;
             }
-            self.scratch.put(payload);
         }
         Ok(totals)
     }
@@ -596,7 +572,6 @@ impl ThreadedWorld {
                         control_faultable: false,
                         control_round: 0,
                         faults: FaultStats::default(),
-                        scratch: ScratchPool::new(),
                         wire_policy: WirePolicy::raw(),
                         wire_counts: [WireCount::default(); 3],
                         trace: TraceSink::disabled(),

@@ -246,8 +246,8 @@ impl VertSet {
         }
     }
 
-    /// Append the members, ascending, to `out` (for building wire
-    /// payloads into pooled buffers).
+    /// Append the members, ascending, to `out` (for expanding a bitmap
+    /// into a payload buffer the caller sized).
     pub fn append_to(&self, out: &mut Vec<Vert>) {
         match self {
             VertSet::List(l) => out.extend_from_slice(l),

@@ -365,7 +365,16 @@ fn engine(
     source: Vertex,
     resilience: Option<&ResilientConfig>,
 ) -> Result<ResilientBfsResult, CommError> {
-    check_input(graph, world, &[(source, "the source is out of range")])?;
+    // Without a target the source stands in for it, checked twice.
+    let target = config.target.unwrap_or(source);
+    check_input(
+        graph,
+        world,
+        &[
+            (source, "the source is out of range"),
+            (target, "the target is out of range"),
+        ],
+    )?;
     let grid = world.grid();
     let p = grid.len();
 

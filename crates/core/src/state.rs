@@ -18,10 +18,10 @@
 //!
 //! Top-down [`RankState::discover`] runs in three passes: **scan**
 //! marks each received column's stored rows in a byte per row
-//! ([`RowBytes`]) with a fixed-width step of four, clamped to the last
+//! (`RowBytes`) with a fixed-width step of four, clamped to the last
 //! row, so a short column takes no data-dependent exit (only columns
 //! longer than four run a tail loop), then packs the bytes into a
-//! [`RowMarks`] bitmap; **mask** applies the cache a word at a time
+//! `RowMarks` bitmap; **mask** applies the cache a word at a time
 //! (`marks &= !sent; sent |= marks`); **drain** walks the marks one
 //! block column at a time, sizes each block by popcounting its word
 //! range, fills it in ascending order and retires the emitted rows'

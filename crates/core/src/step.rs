@@ -230,6 +230,7 @@ mod tests {
         let g = &DistGraph::build(GraphSpec::rmat(500, 8.0, 3), grid);
         let n = g.spec.n;
         let (cfg, rc) = (&BfsConfig::default(), &ResilientConfig::default());
+        let to_n = &BfsConfig::default().with_target(n);
         let pc = &MultiPathConfig::default();
         let mut world = SimWorld::bluegene(grid);
         let full = bfs2d::try_run(g, &mut world, cfg, 3).unwrap().levels;
@@ -246,6 +247,8 @@ mod tests {
             (bfs2d::try_run(g, w, cfg, n).map(drop), src),
             (bfs2d::run_resilient(g, other, cfg, 3, rc).map(drop), grids),
             (bfs2d::run_resilient(g, w, cfg, n, rc).map(drop), src),
+            (bfs2d::try_run(g, w, to_n, 3).map(drop), tgt),
+            (bfs2d::run_resilient(g, w, to_n, 3, rc).map(drop), tgt),
             (bidir::try_run(g, other, cfg, 3, 7).map(drop), grids),
             (bidir::try_run(g, w, cfg, n, 7).map(drop), src),
             (bidir::try_run(g, w, cfg, 3, n).map(drop), tgt),

@@ -35,8 +35,6 @@ pub struct RankOutcome {
     pub levels: Vec<u32>,
     /// Faults this rank observed on its outgoing messages.
     pub faults: FaultStats,
-    /// Wire-buffer allocations saved by the rank's scratch pool.
-    pub scratch_reuses: u64,
     /// Sender-side expand byte accounting (logical vs post-codec wire
     /// bytes; identical with the codec off).
     pub expand_wire: WireCount,
@@ -96,8 +94,6 @@ pub struct ThreadedResult {
     pub levels: Vec<u32>,
     /// Fault counters summed over ranks.
     pub faults: FaultStats,
-    /// Scratch-pool buffer reuses summed over ranks.
-    pub scratch_reuses: u64,
     /// Expand byte accounting summed over ranks.
     pub expand_wire: WireCount,
     /// Fold byte accounting summed over ranks.
@@ -171,11 +167,7 @@ pub fn run(
                 LevelDirection::TopDown => st.discover(&fbar_refs),
                 LevelDirection::BottomUp => st.discover_bottom_up(&fbar_refs),
             };
-            drop(fbar_refs);
             ctx.trace_span(Phase::Discover, level, t_discover);
-            for (_, pl) in fbar {
-                ctx.scratch_put(pl);
-            }
             // Fold (direct all-to-all) — one world round.
             let t_fold = ctx.trace_now();
             let i = grid.row_of(rank);
@@ -190,10 +182,6 @@ pub fn run(
             let t_absorb = ctx.trace_now();
             let nbar_refs: Vec<&[Vert]> = nbar.iter().map(|(_, pl)| pl.as_slice()).collect();
             st.absorb(&nbar_refs, level + 1);
-            drop(nbar_refs);
-            for (_, pl) in nbar {
-                ctx.scratch_put(pl);
-            }
             ctx.trace_span(Phase::Absorb, level, t_absorb);
             ctx.trace_span(Phase::Level, level, t_level);
             level += 1;
@@ -201,7 +189,6 @@ pub fn run(
         Ok(RankOutcome {
             owned_start: st.rank_graph().owned.start,
             levels: st.levels,
-            scratch_reuses: ctx.scratch_reuses(),
             expand_wire: ctx.wire_count(OpClass::Expand),
             fold_wire: ctx.wire_count(OpClass::Fold),
             directions,
@@ -227,7 +214,6 @@ pub fn assemble(
         let s = out.owned_start as usize;
         result.levels[s..s + out.levels.len()].copy_from_slice(&out.levels);
         result.faults.merge(&out.faults);
-        result.scratch_reuses += out.scratch_reuses;
         result.expand_wire.logical_bytes += out.expand_wire.logical_bytes;
         result.expand_wire.wire_bytes += out.expand_wire.wire_bytes;
         result.fold_wire.logical_bytes += out.fold_wire.logical_bytes;
@@ -283,17 +269,6 @@ mod tests {
         let sim =
             crate::bfs2d::try_run(&graph, &mut world, &BfsConfig::baseline_alltoall(), 7).unwrap();
         assert_eq!(threaded, sim.levels);
-    }
-
-    #[test]
-    fn threaded_ranks_reuse_scratch_buffers() {
-        // A multi-level run must recycle received wire buffers through
-        // the per-rank pool instead of allocating fresh ones each round.
-        let spec = GraphSpec::poisson(400, 6.0, 51);
-        let graph = DistGraph::build(spec, ProcessorGrid::new(2, 2));
-        let outs = run(&graph, 0, &ThreadedConfig::default());
-        let total = assemble(&graph, outs).unwrap().scratch_reuses;
-        assert!(total > 0, "expected pooled buffer reuse across levels");
     }
 
     #[test]

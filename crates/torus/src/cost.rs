@@ -208,15 +208,6 @@ impl LinkTraffic {
         self.max_link_bytes() as f64 / machine.link_bandwidth
     }
 
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &LinkTraffic) {
-        for (k, v) in &other.per_link {
-            *self.per_link.entry(*k).or_insert(0) += v;
-        }
-        self.total_bytes += other.total_bytes;
-        self.transfers += other.transfers;
-    }
-
     /// Clear all recorded traffic.
     pub fn clear(&mut self) {
         self.per_link.clear();
@@ -292,21 +283,6 @@ mod tests {
         assert_eq!(t.max_link_bytes(), 200);
         let drain = t.congestion_time(&m);
         assert!((drain - 200.0 / m.link_bandwidth).abs() < 1e-15);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let m = bgl();
-        let a = Coord3::new(0, 0, 0);
-        let b = Coord3::new(1, 0, 0);
-        let mut t1 = LinkTraffic::new();
-        let mut t2 = LinkTraffic::new();
-        t1.record(&m, a, b, 10);
-        t2.record(&m, a, b, 32);
-        t1.merge(&t2);
-        assert_eq!(t1.total_bytes(), 42);
-        assert_eq!(t1.max_link_bytes(), 42);
-        assert_eq!(t1.transfers(), 2);
     }
 
     #[test]

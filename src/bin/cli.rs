@@ -636,14 +636,11 @@ fn cmd_search(flags: &Flags) {
     let so = r.stats.comm.setops;
     if so.list_unions + so.bitmap_unions > 0 {
         println!(
-            "union-fold: {} list / {} bitmap merges ({:.0}% bitmap), {} densify switches; \
-             scratch pool: {} reuses, high water {} verts",
+            "union-fold: {} list / {} bitmap merges ({:.0}% bitmap), {} densify switches",
             so.list_unions,
             so.bitmap_unions,
             r.stats.bitmap_union_fraction() * 100.0,
-            so.densify_switches,
-            so.pool_reuses,
-            so.pool_high_water_verts
+            so.densify_switches
         );
     }
     if direction.mode != DirectionMode::TopDown {
