@@ -1,6 +1,7 @@
 //! Host-side performance check of the set kernels: list vs bitmap
-//! union-fold throughput, and the probe rate of the top-down
-//! `RankState::discover` kernel over one whole search. Writes the
+//! union-fold throughput, and, over one whole top-down search, the
+//! probe rate of `RankState::discover` and the vertex rate of the
+//! targeted expand `RankState::expand_sends_targeted`. Writes the
 //! numbers to `BENCH_setops.json`.
 //!
 //! Unlike the figure binaries this measures *host* wall-clock, not
@@ -10,10 +11,12 @@
 //! `bench_wire`, which gates it.
 //!
 //! With `--check` the binary exits non-zero when the discover search
-//! counted a different number of probes than [`DISCOVER_PROBES`]: the
-//! count is deterministic, so a kernel rewrite that moves it would move
-//! the simulated clock. Levels that fail validation exit non-zero with
-//! or without `--check`. The timings are recorded, never gated.
+//! counted a different number of probes than [`DISCOVER_PROBES`], or
+//! its expand sent a different number of vertices than
+//! [`EXPAND_VERTS`]: both counts are deterministic, so a kernel rewrite
+//! that moves one would move the simulated clock. Levels that fail
+//! validation exit non-zero with or without `--check`. The timings are
+//! recorded, never gated.
 //!
 //! ```text
 //! cargo run --release -p bgl-bench --bin bench_setops [-- --check]
@@ -30,21 +33,26 @@ use std::time::Instant;
 const HELP: &str = "\
 bench_setops — hybrid set-kernel wall-clock benchmark
 
-Times list vs bitmap union folds, and RankState::discover over one whole
-top-down Poisson n=2^18, k=16 search on 8x8. Writes BENCH_setops.json
-(override with --out).
+Times list vs bitmap union folds, and RankState::discover and
+RankState::expand_sends_targeted over one whole top-down Poisson n=2^18,
+k=16 search on 8x8. Writes BENCH_setops.json (override with --out).
 
 Flags:
   --span N       slot range of the synthetic union payloads (default 65536)
   --blocks N     overlapping blocks accumulated per union run (default 16)
   --reps N       timing repetitions, best-of (default 5)
   --out PATH     output path (default BENCH_setops.json)
-  --check        exit non-zero if the discover probe count moved (CI)
+  --check        exit non-zero if the discover probe count or the expand
+                 vertex count moved (CI)
 ";
 
 /// Probes `RankState::discover` counts over the whole discover search
 /// (Poisson n=2^18, k=16, seed 1, 8x8, source 1), checked by `--check`.
 const DISCOVER_PROBES: u64 = 6_013_575;
+
+/// Vertices `RankState::expand_sends_targeted` sends over the same
+/// search, checked by `--check`.
+const EXPAND_VERTS: u64 = 1_814_373;
 
 /// Overlapping sorted payloads: block `b` takes every third slot of the
 /// span at phase `b % 3`, so consecutive unions are duplicate-heavy —
@@ -70,28 +78,71 @@ fn time_union(blocks: &[Vec<Vert>], policy: &VsetPolicy, reps: u64) -> f64 {
     best
 }
 
-/// Seconds spent in [`RankState::discover`](bfs_core::state::RankState::discover)
-/// and the probes it counted over one whole top-down search from
-/// `source` ([`exp::top_down_levels`]), with the final global level
-/// array.
-fn time_discover(graph: &DistGraph, source: Vertex) -> (f64, u64, Vec<u32>) {
-    let (mut secs, mut probes) = (0.0, 0);
-    let levels = exp::top_down_levels(graph, source, |states, fbar| {
-        states
-            .iter_mut()
-            .zip(fbar)
-            .map(|(st, lists)| {
-                let lists: Vec<&[Vertex]> = lists.iter().map(Vec::as_slice).collect();
-                let before = st.probes;
-                let start = Instant::now();
-                let blocks = std::hint::black_box(st.discover(&lists));
-                secs += start.elapsed().as_secs_f64();
-                probes += st.probes - before;
-                blocks
-            })
-            .collect()
-    });
-    (secs, probes, levels)
+/// Host seconds one kernel took over a search, and the work it did
+/// (probes counted or vertices sent).
+#[derive(Debug, Clone, Copy)]
+struct Timed {
+    secs: f64,
+    work: u64,
+}
+
+impl Timed {
+    /// No run yet: the identity of [`Timed::best`].
+    const NONE: Timed = Timed {
+        secs: f64::INFINITY,
+        work: 0,
+    };
+
+    /// The faster of two runs of the same deterministic work.
+    fn best(self, run: Timed) -> Timed {
+        Timed {
+            secs: self.secs.min(run.secs),
+            work: run.work,
+        }
+    }
+
+    /// Work per second, in millions.
+    fn mrate(&self) -> f64 {
+        self.work as f64 / self.secs / 1e6
+    }
+}
+
+/// One whole top-down search from `source` ([`exp::top_down_levels`]):
+/// the time in and the vertices sent by
+/// [`RankState::expand_sends_targeted`](bfs_core::state::RankState::expand_sends_targeted),
+/// the time in and the probes counted by
+/// [`RankState::discover`](bfs_core::state::RankState::discover), and
+/// the final global level array.
+fn time_search(graph: &DistGraph, source: Vertex) -> (Timed, Timed, Vec<u32>) {
+    let zero = Timed { secs: 0.0, work: 0 };
+    let (mut expand, mut discover) = (zero, zero);
+    let levels = exp::top_down_levels(
+        graph,
+        source,
+        |st| {
+            let start = Instant::now();
+            let sends = std::hint::black_box(st.expand_sends_targeted());
+            expand.secs += start.elapsed().as_secs_f64();
+            expand.work += sends.iter().map(|(_, list)| list.len() as u64).sum::<u64>();
+            sends
+        },
+        |states, fbar| {
+            states
+                .iter_mut()
+                .zip(fbar)
+                .map(|(st, lists)| {
+                    let lists: Vec<&[Vertex]> = lists.iter().map(Vec::as_slice).collect();
+                    let before = st.probes;
+                    let start = Instant::now();
+                    let blocks = std::hint::black_box(st.discover(&lists));
+                    discover.secs += start.elapsed().as_secs_f64();
+                    discover.work += st.probes - before;
+                    blocks
+                })
+                .collect()
+        },
+    );
+    (expand, discover, levels)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -121,24 +172,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("warning: bitmap union speedup below the 2x target");
     }
 
-    // --- Top-down discover over one whole search. ----------------------
+    // --- Top-down expand and discover over one whole search. ---------
     let discover_n = 1 << 18;
     let spec = GraphSpec::poisson(discover_n, 16.0, 1);
     let graph = DistGraph::build(spec, ProcessorGrid::new(8, 8));
     let source = 1;
-    let mut discover_s = f64::INFINITY;
-    let mut discover_probes = 0;
+    let (mut expand, mut discover) = (Timed::NONE, Timed::NONE);
     for _ in 0..reps {
-        let (secs, probes, levels) = time_discover(&graph, source);
+        let (e, d, levels) = time_search(&graph, source);
         validate_against_spec(&spec, &levels, source)?;
-        discover_s = discover_s.min(secs);
-        discover_probes = probes;
+        expand = expand.best(e);
+        discover = discover.best(d);
     }
-    let discover_mpps = discover_probes as f64 / discover_s / 1e6;
-    eprintln!("discover: Poisson n={discover_n} k=16 on 8x8, {discover_probes} probes");
     eprintln!(
-        "  top-down {discover_mpps:>9.1} Mprobe/s   ({:.1} ms)",
-        discover_s * 1e3
+        "search: Poisson n={discover_n} k=16 on 8x8, {} probes, {} expand vertices",
+        discover.work, expand.work
+    );
+    eprintln!(
+        "  top-down {:>9.1} Mprobe/s   ({:.1} ms)",
+        discover.mrate(),
+        discover.secs * 1e3
+    );
+    eprintln!(
+        "  expand   {:>9.1} Mvert/s    ({:.1} ms)",
+        expand.mrate(),
+        expand.secs * 1e3
     );
 
     let doc = json::pretty(|w| {
@@ -154,17 +212,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             w.field("n", discover_n)
                 .field("avg_degree", 16u64)
                 .field("grid", "8x8")
-                .field("probes", discover_probes)
-                .field("seconds", Fixed(discover_s, 6))
-                .field("mprobe_per_s", Fixed(discover_mpps, 3));
+                .field("probes", discover.work)
+                .field("seconds", Fixed(discover.secs, 6))
+                .field("mprobe_per_s", Fixed(discover.mrate(), 3));
+        });
+        w.key("expand").obj(|w| {
+            w.field("n", discover_n)
+                .field("avg_degree", 16u64)
+                .field("grid", "8x8")
+                .field("verts", expand.work)
+                .field("seconds", Fixed(expand.secs, 6))
+                .field("mvert_per_s", Fixed(expand.mrate(), 3));
         });
     });
     write_report(&out, &doc)?;
 
     if check {
-        if discover_probes != DISCOVER_PROBES {
+        if discover.work != DISCOVER_PROBES {
             eprintln!(
-                "FAIL: discover counted {discover_probes} probes, not the pinned {DISCOVER_PROBES}"
+                "FAIL: discover counted {} probes, not the pinned {DISCOVER_PROBES}",
+                discover.work
+            );
+            std::process::exit(1);
+        }
+        if expand.work != EXPAND_VERTS {
+            eprintln!(
+                "FAIL: expand sent {} vertices, not the pinned {EXPAND_VERTS}",
+                expand.work
             );
             std::process::exit(1);
         }

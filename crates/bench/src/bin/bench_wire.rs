@@ -26,6 +26,7 @@
 //! cargo run --release -p bgl-bench --bin bench_wire [-- --check]
 //! ```
 
+use bfs_core::state::RankState;
 use bfs_core::{bfs2d, BfsConfig};
 use bgl_bench::exp;
 use bgl_bench::harness::{write_report, Args};
@@ -96,7 +97,8 @@ fn time_engine(graph: &DistGraph, workers: usize, reps: u64) -> Result<f64, Comm
 /// top-down search from `source` ([`exp::top_down_levels`]).
 fn largest_fold_blocks(graph: &DistGraph, source: Vert) -> Vec<Vec<Vec<Vert>>> {
     let (mut largest, mut largest_len) = (Vec::new(), 0);
-    exp::top_down_levels(graph, source, |states, fbar| {
+    let expand = |st: &mut RankState<'_>| st.expand_sends_targeted();
+    exp::top_down_levels(graph, source, expand, |states, fbar| {
         let blocks: Vec<Vec<Vec<Vert>>> = states
             .iter_mut()
             .zip(fbar)

@@ -49,12 +49,14 @@ pub fn apply_engine_threads(args: &Args) {
 
 /// Drive a top-down search of `graph` from `source` level by level on
 /// the calling thread, with the sent-neighbors cache on: targeted
-/// expand, `discover` (every rank's fold blocks from the F̄ lists it
-/// received), direct fold to the processor-row peers, absorb. Returns
-/// the final global level array.
+/// expand (`expand`, one rank's `(peer, frontier list)` sends),
+/// `discover` (every rank's fold blocks from the F̄ lists it received),
+/// direct fold to the processor-row peers, absorb. Returns the final
+/// global level array.
 pub fn top_down_levels(
     graph: &DistGraph,
     source: Vert,
+    mut expand: impl FnMut(&mut RankState<'_>) -> Vec<(usize, Vec<Vert>)>,
     mut discover: impl FnMut(&mut [RankState<'_>], &[Vec<Vec<Vert>>]) -> Vec<Vec<Vec<Vert>>>,
 ) -> Vec<u32> {
     let grid = graph.grid();
@@ -69,7 +71,7 @@ pub fn top_down_levels(
     for level in 1.. {
         let mut fbar: Vec<Vec<Vec<Vert>>> = vec![Vec::new(); grid.len()];
         for st in states.iter_mut() {
-            for (peer, list) in st.expand_sends_targeted() {
+            for (peer, list) in expand(st) {
                 fbar[peer].push(list);
             }
         }

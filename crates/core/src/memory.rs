@@ -23,8 +23,9 @@
 //! The budget is the paper's layout: global vertex ids in the lists and
 //! §2.4.2 hash tables for the column and row mappings. The host graph
 //! (`bgl_graph::PartialEdgeLists`) is leaner — row-local `u32` ids and
-//! rank queries instead of hash tables — and its `approx_bytes` tracks
-//! that layout, so the built graph measures below this estimate.
+//! rank queries instead of hash tables — and `RankGraph::approx_bytes`
+//! tracks that layout, plus the registration bitmap and row-block
+//! bounds, so the built graph measures below this estimate.
 
 use crate::theory::gamma;
 use bgl_comm::{ChunkPolicy, ProcessorGrid, VERT_BYTES};

@@ -54,7 +54,7 @@
 
 use crate::config::{DirectionMode, DirectionPolicy};
 use crate::reference::UNREACHED;
-use crate::state::RowMarks;
+use crate::state::{targeted_sends, RowMarks};
 use crate::stats::LevelDirection;
 use crate::step::{check_input, route_to_row_peers};
 use crate::validate::{self, ValidationError, ValidationReport};
@@ -204,21 +204,28 @@ impl<'g> MultiRankState<'g> {
     /// Targeted expand sends: each frontier vertex goes — mask and all —
     /// to every processor-column peer whose partial edge list for it is
     /// non-empty (the lane-masked twin of
-    /// [`crate::state::RankState::expand_sends_targeted`]).
+    /// [`crate::state::RankState::expand_sends_targeted`]). The frontier
+    /// is marked over the owned range, with each vertex's mask kept by
+    /// owned offset, and the rows are walked a word at a time by the
+    /// same `targeted_sends`.
     fn expand_sends(&mut self) -> LaneSendList {
-        let (_, j) = self.grid.position_of(self.rg.rank);
-        let mut per_row: Vec<LaneSet> = vec![LaneSet::new(); self.grid.rows()];
+        let rg = self.rg;
+        let start = rg.owned.start;
+        let mut marked = vec![0u64; rg.owned_len().div_ceil(64)];
+        let mut mask_at: Vec<LaneMask> = vec![0; rg.owned_len()];
         for (v, mask) in self.frontier.iter() {
-            let off = (v - self.rg.owned.start) as usize;
-            for &i2 in self.rg.expand_targets(off) {
-                per_row[i2 as usize].push(v, mask);
-            }
+            let off = (v - start) as usize;
+            marked[off / 64] |= 1 << (off % 64);
+            mask_at[off] = mask;
         }
-        per_row
+        let lists = |len| (Vec::with_capacity(len), Vec::with_capacity(len));
+        let sends = targeted_sends(rg, self.grid, &marked, lists, |(verts, masks), off| {
+            verts.push(start + off as Vertex);
+            masks.push(mask_at[off]);
+        });
+        sends
             .into_iter()
-            .enumerate()
-            .filter(|(_, set)| !set.is_empty())
-            .map(|(i2, set)| (self.grid.rank_of(i2, j), set))
+            .map(|(peer, (verts, masks))| (peer, LaneSet::from_payloads(verts, masks)))
             .collect()
     }
 
@@ -334,7 +341,7 @@ impl<'g> MultiRankState<'g> {
         debug_assert!(lanes != 0 && *sent & lanes == 0);
         *sent |= lanes;
         if *sent == self.full {
-            self.unexplored -= self.rg.edges.row_degree(rl) as u64;
+            self.unexplored -= u64::from(self.rg.edges.row_degree(rl));
         }
     }
 
@@ -575,6 +582,36 @@ mod tests {
     use super::*;
     use crate::{bfs2d, BfsConfig};
 
+    #[test]
+    fn lane_expand_matches_column_lookup_oracle() {
+        use crate::state::tests::{expand_frontiers, expand_graphs, expand_oracle};
+        for g in expand_graphs() {
+            for rg in &g.ranks {
+                let mut st = MultiRankState::new(rg, g.partition, 3, true);
+                for frontier in expand_frontiers(rg.owned.clone()) {
+                    let what = format!("{:?} rank {} |F|={}", g.grid(), rg.rank, frontier.len());
+                    let mask_of = |v: Vertex| 1 + v % 7;
+                    st.frontier =
+                        LaneSet::from_pairs(frontier.iter().map(|&v| (v, mask_of(v))).collect());
+                    let sends: Vec<(usize, Vec<Vertex>, Vec<LaneMask>)> = st
+                        .expand_sends()
+                        .into_iter()
+                        .map(|(peer, set)| (peer, set.verts().to_vec(), set.masks().to_vec()))
+                        .collect();
+                    let want: Vec<(usize, Vec<Vertex>, Vec<LaneMask>)> =
+                        expand_oracle(&g, rg.rank, &frontier)
+                            .into_iter()
+                            .map(|(peer, list)| {
+                                let masks = list.iter().map(|&v| mask_of(v)).collect();
+                                (peer, list, masks)
+                            })
+                            .collect();
+                    assert_eq!(sends, want, "{what}");
+                }
+            }
+        }
+    }
+
     fn single_levels(graph: &DistGraph, source: Vertex) -> Vec<u32> {
         let mut world = SimWorld::bluegene(graph.grid());
         bfs2d::try_run(graph, &mut world, &BfsConfig::paper_optimized(), source)
@@ -715,7 +752,7 @@ mod tests {
         }
         (0..edges.num_row_ids() as u32)
             .filter(|&rl| st.sent[rl as usize] != st.full)
-            .map(|rl| edges.row_degree(rl) as u64)
+            .map(|rl| u64::from(edges.row_degree(rl)))
             .sum()
     }
 

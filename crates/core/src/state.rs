@@ -113,21 +113,23 @@ impl<'g> RankState<'g> {
     /// for it is non-empty (§2.2). Returns `(peer rank, vertices)` with
     /// sorted vertex lists; includes a self entry when this rank stores
     /// a list for its own vertex.
+    ///
+    /// The frontier is marked in a word array over the owned range. For
+    /// each grid row, that array ANDed with the row's registration words
+    /// ([`RankGraph::registration_row`]) is the row's list: popcounted to
+    /// size it, then walked bit by bit in ascending order, with no sort
+    /// (`targeted_sends`). A row with no hit sends nothing.
     pub fn expand_sends_targeted(&mut self) -> Vec<(usize, Vec<Vertex>)> {
-        let (_, j) = self.grid.position_of(self.rg.rank);
-        let mut per_row: Vec<Vec<Vertex>> = vec![Vec::new(); self.grid.rows()];
+        let rg = self.rg;
+        let start = rg.owned.start;
+        let mut marked = vec![0u64; rg.owned_len().div_ceil(64)];
         for &v in &self.frontier {
-            let off = (v - self.rg.owned.start) as usize;
-            for &i2 in self.rg.expand_targets(off) {
-                per_row[i2 as usize].push(v);
-            }
+            let off = v - start;
+            marked[(off / 64) as usize] |= 1 << (off % 64);
         }
-        per_row
-            .into_iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(i2, list)| (self.grid.rank_of(i2, j), list))
-            .collect()
+        targeted_sends(rg, self.grid, &marked, Vec::with_capacity, |list, off| {
+            list.push(start + off as Vertex)
+        })
     }
 
     /// Process the received frontier F̄ and produce the fold blocks: for
@@ -171,7 +173,7 @@ impl<'g> RankState<'g> {
             let mut block = Vec::with_capacity(marks.count(b[0], b[1]));
             marks.rows_in(b[0], b[1], |rl| {
                 if caching {
-                    retired += edges.row_degree(rl) as u64;
+                    retired += u64::from(edges.row_degree(rl));
                 }
                 block.push(row_ids[rl as usize]);
             });
@@ -195,7 +197,7 @@ impl<'g> RankState<'g> {
             return false;
         }
         *word |= bit;
-        self.unexplored -= self.rg.edges.row_degree(rl) as u64;
+        self.unexplored -= u64::from(self.rg.edges.row_degree(rl));
         true
     }
 
@@ -478,6 +480,42 @@ impl RowMarks {
     }
 }
 
+/// The targeted expand's sends, one list per grid row of `rg`'s
+/// processor-column, built from the registration bitmap (§2.2).
+/// `marked` is the frontier as bits over the owned range. For each grid
+/// row, `marked` ANDed with the row's words
+/// ([`RankGraph::registration_row`]) holds the row's frontier vertices:
+/// `list(len)` opens a list for the `len` of them (a popcount), and
+/// `push(list, off)` appends each one's owned offset, ascending. A row
+/// with no hit sends nothing. Returns `(peer rank, list)` pairs.
+pub(crate) fn targeted_sends<L>(
+    rg: &RankGraph,
+    grid: ProcessorGrid,
+    marked: &[u64],
+    mut list: impl FnMut(usize) -> L,
+    mut push: impl FnMut(&mut L, usize),
+) -> Vec<(usize, L)> {
+    let (_, j) = grid.position_of(rg.rank);
+    let mut sends = Vec::new();
+    for i in 0..grid.rows() {
+        let reg = rg.registration_row(i);
+        let words = || marked.iter().zip(reg).map(|(&f, &r)| f & r);
+        let len: u32 = words().map(u64::count_ones).sum();
+        if len == 0 {
+            continue;
+        }
+        let mut out = list(len as usize);
+        for (w, mut bits) in words().enumerate() {
+            while bits != 0 {
+                push(&mut out, w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        sends.push((grid.rank_of(i, j), out));
+    }
+    sends
+}
+
 /// Gather per-rank level arrays into one global array indexed by vertex.
 pub fn gather_levels(states: &[RankState<'_>], n: u64) -> Vec<u32> {
     let mut levels = vec![UNREACHED; n as usize];
@@ -489,7 +527,7 @@ pub fn gather_levels(states: &[RankState<'_>], n: u64) -> Vec<u32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bgl_graph::{DistGraph, GraphSpec};
 
@@ -525,22 +563,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn expand_sends_follow_targets() {
-        let g = setup(3, 2);
+    /// Graphs for the expand oracle: R ∈ {1, 3, 8, 70}, with owned
+    /// ranges below, above and across whole 64-vertex words.
+    pub(crate) fn expand_graphs() -> Vec<DistGraph> {
+        [(1, 3, 605), (3, 2, 907), (8, 2, 2_083), (70, 2, 12_611)]
+            .into_iter()
+            .map(|(r, c, n)| {
+                DistGraph::build(GraphSpec::poisson(n, 6.0, 5), ProcessorGrid::new(r, c))
+            })
+            .collect()
+    }
+
+    /// Frontiers over `owned`: empty, full, every third vertex, and the
+    /// vertices at both ends of every 64-vertex word.
+    pub(crate) fn expand_frontiers(owned: std::ops::Range<Vertex>) -> Vec<Vec<Vertex>> {
+        let ends = owned
+            .clone()
+            .filter(|v| matches!((v - owned.start) % 64, 0 | 63) || v + 1 == owned.end);
+        vec![
+            Vec::new(),
+            owned.clone().collect(),
+            owned.clone().step_by(3).collect(),
+            ends.collect(),
+        ]
+    }
+
+    /// The targeted expand of `frontier` from `rank`, from the peers'
+    /// column lookups alone: grid row `i` of the rank's processor-column
+    /// receives the frontier vertices peer `(i, j)` stores a list for,
+    /// in frontier order; rows receiving none are left out.
+    pub(crate) fn expand_oracle(
+        g: &DistGraph,
+        rank: usize,
+        frontier: &[Vertex],
+    ) -> Vec<(usize, Vec<Vertex>)> {
         let grid = g.grid();
-        let mut sts = states(&g, true);
-        let source = 10u64;
-        let owner = g.partition.owner_of(source);
-        sts[owner].init_source(source);
-        let sends = sts[owner].expand_sends_targeted();
-        // Each send goes to a column peer that really stores a list for v.
-        for (peer, list) in &sends {
-            assert_eq!(grid.col_of(*peer), grid.col_of(owner));
-            for &v in list {
-                assert!(g.ranks[*peer].edges.col_local(v).is_some());
+        (0..grid.rows())
+            .map(|i| grid.rank_of(i, grid.col_of(rank)))
+            .map(|peer| {
+                let edges = &g.ranks[peer].edges;
+                let list = frontier
+                    .iter()
+                    .copied()
+                    .filter(|&v| edges.col_local(v).is_some());
+                (peer, list.collect::<Vec<_>>())
+            })
+            .filter(|(_, list)| !list.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn targeted_expand_matches_column_lookup_oracle() {
+        let mut partial_words = 0;
+        for g in expand_graphs() {
+            for rg in &g.ranks {
+                partial_words += usize::from(rg.owned_len() % 64 != 0 && rg.owned_len() > 64);
+                let mut st = RankState::new(rg, g.partition, true);
+                for frontier in expand_frontiers(rg.owned.clone()) {
+                    let what = format!("{:?} rank {} |F|={}", g.grid(), rg.rank, frontier.len());
+                    let want = expand_oracle(&g, rg.rank, &frontier);
+                    st.frontier = frontier;
+                    let sends = st.expand_sends_targeted();
+                    assert_eq!(sends, want, "{what}");
+                    assert!(sends.iter().all(|(_, l)| l.capacity() == l.len()), "{what}");
+                }
             }
         }
+        assert!(
+            partial_words > 0,
+            "no owned range ends in a partial word past the first"
+        );
     }
 
     #[test]
@@ -805,7 +897,7 @@ mod tests {
             .flatten()
             .map(|&u| {
                 let rl = g.ranks[0].edges.row_local(u).unwrap();
-                g.ranks[0].edges.row_degree(rl) as u64
+                u64::from(g.ranks[0].edges.row_degree(rl))
             })
             .sum();
         assert_eq!(sts[0].unexplored(), entries - emitted);
@@ -837,7 +929,7 @@ mod tests {
     /// from the unexplored count.
     fn set_sent(st: &mut RankState<'_>, rl: u32) {
         st.sent[rl as usize / 64] |= 1 << (rl % 64);
-        st.unexplored -= st.rg.edges.row_degree(rl) as u64;
+        st.unexplored -= u64::from(st.rg.edges.row_degree(rl));
     }
 
     /// Top-down discover as it ran on the hash-mapped layout: look each

@@ -21,7 +21,9 @@
 //! queries over the sorted ids — a bitmap over the ids' span with a
 //! popcount prefix per word, or a bisection of the sorted ids when they
 //! are too sparse for a bitmap — and the lists store *row-local* `u32`
-//! ids, so walking a list needs no lookup at all. The simulated clock
+//! ids, so walking a list needs no lookup at all. The column and row
+//! offsets are `u32` as well, so each index costs four bytes per
+//! non-empty column or row vertex. The simulated clock
 //! still charges the paper's hash probes (`SimWorld::hash_phase` in
 //! `bgl-comm`); only the host layout differs.
 
@@ -29,13 +31,14 @@ use crate::Vertex;
 
 /// CSR-like storage of the non-empty partial edge lists on one rank.
 /// Local ids are `u32`: a rank holds fewer than 2^32 distinct columns
-/// and rows.
+/// and rows. Offsets are `u32` too: a rank stores fewer than 2^32
+/// entries, which the builder checks before it counts them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartialEdgeLists {
     /// Non-empty columns (global vertex ids), sorted ascending.
     cols: Vec<Vertex>,
     /// `offsets[i]..offsets[i+1]` indexes `rows` for `cols[i]`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Row-local ids of each column's entries, ascending within a column.
     rows: Vec<u32>,
     /// §2.4.2 mapping: global column id → column-local index in `cols`.
@@ -49,7 +52,7 @@ pub struct PartialEdgeLists {
     /// indexes `row_cols` for row-local id `rl`. Lets a bottom-up
     /// traversal scan a stored row's columns without probing the
     /// column-major CSR once per entry.
-    row_offsets: Vec<usize>,
+    row_offsets: Vec<u32>,
     /// Column-local ids of each row's entries, ascending within a row.
     row_cols: Vec<u32>,
 }
@@ -73,12 +76,17 @@ impl PartialEdgeLists {
     /// rank query over the distinct rows, so the transposed index needs
     /// neither a sort nor a hash probe.
     pub(crate) fn from_pieces(pieces: Vec<Vec<(Vertex, Vertex)>>) -> Self {
+        let total: usize = pieces.iter().map(Vec::len).sum();
+        assert!(
+            u32::try_from(total).is_ok(),
+            "a rank stores fewer than 2^32 adjacency entries"
+        );
         let keys = ColumnKeys::new(pieces.iter().flatten().map(|&(_, c)| c));
 
         // Counting sort by column key: count, prefix-sum, scatter. The
         // scatter advances `ends[k]` from the start to the end of key
         // `k`'s slot.
-        let mut ends = vec![0usize; keys.len() + 1];
+        let mut ends = vec![0u32; keys.len() + 1];
         for &(_, c) in pieces.iter().flatten() {
             ends[keys.key(c) + 1] += 1;
         }
@@ -86,11 +94,11 @@ impl PartialEdgeLists {
             ends[i] += ends[i - 1];
         }
         let num_cols = ends.windows(2).filter(|w| w[1] > w[0]).count();
-        let mut global_rows: Vec<Vertex> = vec![0; ends[keys.len()]];
+        let mut global_rows: Vec<Vertex> = vec![0; total];
         for piece in pieces {
             for (u, c) in piece {
                 let k = keys.key(c);
-                global_rows[ends[k]] = u;
+                global_rows[ends[k] as usize] = u;
                 ends[k] += 1;
             }
         }
@@ -98,15 +106,16 @@ impl PartialEdgeLists {
         // Sort and deduplicate each non-empty column's rows, compacting
         // in place.
         let mut cols: Vec<Vertex> = Vec::with_capacity(num_cols);
-        let mut offsets: Vec<usize> = Vec::with_capacity(num_cols + 1);
+        let mut offsets: Vec<u32> = Vec::with_capacity(num_cols + 1);
         offsets.push(0);
-        let (mut start, mut kept) = (0, 0);
+        let (mut start, mut kept) = (0, 0u32);
         for (k, &end) in ends[..keys.len()].iter().enumerate() {
+            let end = end as usize;
             if end > start {
                 global_rows[start..end].sort_unstable();
                 for i in start..end {
                     if i == start || global_rows[i] != global_rows[i - 1] {
-                        global_rows[kept] = global_rows[i];
+                        global_rows[kept as usize] = global_rows[i];
                         kept += 1;
                     }
                 }
@@ -118,7 +127,7 @@ impl PartialEdgeLists {
         debug_assert_eq!(cols.len(), num_cols);
         drop(ends);
         drop(keys);
-        global_rows.truncate(kept);
+        global_rows.truncate(kept as usize);
         let col_rank = DenseIds::new(cols.iter().copied());
 
         let row_rank = DenseIds::new(global_rows.iter().copied());
@@ -132,7 +141,7 @@ impl PartialEdgeLists {
         // Transposed index by count / prefix-sum / fill. Columns are
         // visited in ascending order, so each row's column list comes
         // out ascending without a sort.
-        let mut row_offsets = vec![0usize; row_ids.len() + 1];
+        let mut row_offsets = vec![0u32; row_ids.len() + 1];
         for &rl in &rows {
             row_offsets[rl as usize + 1] += 1;
         }
@@ -141,9 +150,9 @@ impl PartialEdgeLists {
         }
         let mut row_cols = vec![0u32; rows.len()];
         let mut cursor = row_offsets.clone();
-        for ci in 0..num_cols {
-            for &rl in &rows[offsets[ci]..offsets[ci + 1]] {
-                row_cols[cursor[rl as usize]] = ci as u32;
+        for (ci, w) in (0u32..).zip(offsets.windows(2)) {
+            for &rl in &rows[w[0] as usize..w[1] as usize] {
+                row_cols[cursor[rl as usize] as usize] = ci;
                 cursor[rl as usize] += 1;
             }
         }
@@ -202,7 +211,7 @@ impl PartialEdgeLists {
     #[inline]
     pub fn rows_of(&self, ci: u32) -> &[u32] {
         let ci = ci as usize;
-        &self.rows[self.offsets[ci]..self.offsets[ci + 1]]
+        &self.rows[self.offsets[ci] as usize..self.offsets[ci + 1] as usize]
     }
 
     /// The partial edge list of global vertex `v`, as ascending global
@@ -218,12 +227,12 @@ impl PartialEdgeLists {
     #[inline]
     pub fn cols_of_row_local(&self, rl: u32) -> &[u32] {
         let rl = rl as usize;
-        &self.row_cols[self.row_offsets[rl]..self.row_offsets[rl + 1]]
+        &self.row_cols[self.row_offsets[rl] as usize..self.row_offsets[rl + 1] as usize]
     }
 
     /// Number of stored entries in row-local id `rl` (its local degree).
     #[inline]
-    pub fn row_degree(&self, rl: u32) -> usize {
+    pub fn row_degree(&self, rl: u32) -> u32 {
         let rl = rl as usize;
         self.row_offsets[rl + 1] - self.row_offsets[rl]
     }
@@ -248,7 +257,7 @@ impl PartialEdgeLists {
         self.cols
             .iter()
             .zip(self.offsets.windows(2))
-            .map(move |(&c, w)| (c, self.globals(&self.rows[w[0]..w[1]])))
+            .map(move |(&c, w)| (c, self.globals(&self.rows[w[0] as usize..w[1] as usize])))
     }
 
     /// Global ids of row-local ids.
@@ -261,7 +270,7 @@ impl PartialEdgeLists {
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.rows.len() + self.row_cols.len()) * size_of::<u32>()
-            + (self.cols.len() + self.row_ids.len()) * (size_of::<Vertex>() + size_of::<usize>())
+            + (self.cols.len() + self.row_ids.len()) * (size_of::<Vertex>() + size_of::<u32>())
             + self.col_rank.approx_bytes()
             + self.row_rank.approx_bytes()
     }
@@ -551,7 +560,7 @@ pub(crate) mod tests {
             for (rl, w) in self.row_offsets.windows(2).enumerate() {
                 let rl = rl as u32;
                 assert_eq!(e.cols_of_row_local(rl), &self.row_cols[w[0]..w[1]]);
-                assert_eq!(e.row_degree(rl), w[1] - w[0]);
+                assert_eq!(e.row_degree(rl) as usize, w[1] - w[0]);
             }
         }
     }

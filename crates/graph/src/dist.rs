@@ -2,16 +2,19 @@
 //!
 //! [`DistGraph::build`] routes every adjacency entry to the rank that
 //! stores it under the paper's 2D partition, builds each rank's
-//! [`PartialEdgeLists`], and derives the **expand targeting tables**: for
-//! each owned vertex, which grid rows of its processor-column hold a
-//! non-empty partial edge list for it. The paper (§2.2) relies on this
-//! information ("each processor needs to store information about the
-//! edge lists of other processors in its processor-column. The storage
-//! for this information is proportional to the number of vertices owned
-//! by a processor") to send frontier vertices only where they are
-//! needed, which is what bounds expand message lengths (§3.1).
+//! [`PartialEdgeLists`], and derives the **registration bitmap**: for
+//! each grid row of the rank's processor-column, one bit per owned
+//! vertex, set iff that row's peer holds a non-empty partial edge list
+//! for it. The paper (§2.2) relies on this information ("each processor
+//! needs to store information about the edge lists of other processors
+//! in its processor-column. The storage for this information is
+//! proportional to the number of vertices owned by a processor") to
+//! send frontier vertices only where they are needed, which is what
+//! bounds expand message lengths (§3.1). Laid out row-major, a row's
+//! words ANDed with a frontier bitmap over the owned range are that
+//! row's expand list.
 //!
-//! In a real distributed system the tables are produced by a
+//! In a real distributed system the bitmap is produced by a
 //! construction-time registration exchange; the builder performs that
 //! exchange directly since all ranks share the address space.
 
@@ -38,21 +41,22 @@ pub struct RankGraph {
     /// and ascending in the vertex id, so the `C` ranges tile the
     /// row-local ids in order.
     row_blocks: Vec<u32>,
-    /// `target_offsets[off]..target_offsets[off+1]` indexes
-    /// `target_rows` for the owned vertex at offset `off`.
-    target_offsets: Vec<usize>,
-    /// Expand targets of every owned vertex, concatenated.
-    target_rows: Vec<u16>,
+    /// The §2.2 registration table as a row-major bitmap:
+    /// `owned_len.div_ceil(64)` words per grid row `i` of this rank's
+    /// processor-column, where bit `off` of row `i` is set iff peer
+    /// `(i, j)` stores a non-empty partial edge list for the owned
+    /// vertex at offset `off`.
+    registration: Vec<u64>,
 }
 
 impl RankGraph {
-    /// Assemble a rank's share from its edge lists and its flattened
-    /// expand targets (see [`flatten_targets`]).
+    /// Assemble a rank's share from its edge lists and its registration
+    /// bitmap (see [`RankGraph::registration_row`]).
     fn new(
         rank: usize,
         partition: &TwoDPartition,
         edges: PartialEdgeLists,
-        (target_offsets, target_rows): (Vec<usize>, Vec<u16>),
+        registration: Vec<u64>,
     ) -> Self {
         let owned = partition.owned_range(rank);
         let row_ids = edges.row_ids();
@@ -67,16 +71,19 @@ impl RankGraph {
             owned,
             edges,
             row_blocks,
-            target_offsets,
-            target_rows,
+            registration,
         }
     }
 
-    /// The sorted grid rows `i'` of this rank's processor-column whose
-    /// member holds a non-empty partial edge list for the owned vertex
-    /// at offset `off` from `owned.start`.
-    pub fn expand_targets(&self, off: usize) -> &[u16] {
-        &self.target_rows[self.target_offsets[off]..self.target_offsets[off + 1]]
+    /// Grid row `i`'s registration words: bit `off` (word `off / 64`,
+    /// bit `off % 64`) is set iff peer `(i, j)` of this rank's
+    /// processor-column holds a non-empty partial edge list for the
+    /// owned vertex at offset `off` from `owned.start`. Bits at and
+    /// past `owned_len` are clear.
+    #[inline]
+    pub fn registration_row(&self, i: usize) -> &[u64] {
+        let words = self.owned_len().div_ceil(64);
+        &self.registration[i * words..(i + 1) * words]
     }
 
     /// The `C + 1` bounds that split the row-local ids by block column:
@@ -95,6 +102,16 @@ impl RankGraph {
     /// Number of owned vertices.
     pub fn owned_len(&self) -> usize {
         (self.owned.end - self.owned.start) as usize
+    }
+
+    /// Approximate resident bytes of the rank's share: its edge lists
+    /// ([`PartialEdgeLists::approx_bytes`]), the registration bitmap and
+    /// the row-block bounds.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.edges.approx_bytes()
+            + self.registration.len() * size_of::<u64>()
+            + self.row_blocks.len() * size_of::<u32>()
     }
 
     /// Local offset of an owned vertex (the paper's first local-index
@@ -168,33 +185,34 @@ impl DistGraph {
             .collect();
 
         // 3. Registration exchange: owners learn which column peers hold
-        //    non-empty lists for each owned vertex. Peers are walked in
-        //    ascending grid row and each peer's columns are sorted and
-        //    distinct, so every target list comes out sorted and
-        //    duplicate-free.
-        let targets: Vec<(Vec<usize>, Vec<u16>)> = (0..p)
+        //    non-empty lists for each owned vertex, one bit per (grid
+        //    row, owned vertex) set straight from each peer's sorted
+        //    columns.
+        let registrations: Vec<Vec<u64>> = (0..p)
             .map(|owner| {
                 let owned = partition.owned_range(owner);
                 let (_, j) = grid.position_of(owner);
-                let edges = &edges;
-                let pairs = (0..grid.rows()).flat_map(move |i| {
+                let words = partition.owned_len(owner).div_ceil(64);
+                let mut bits = vec![0u64; grid.rows() * words];
+                // A rank that owns no vertex has no words (and no rows).
+                for (i, row) in bits.chunks_exact_mut(words.max(1)).enumerate() {
                     let cols = edges[grid.rank_of(i, j)].cols();
                     let from = cols.partition_point(|&v| v < owned.start);
                     let to = cols.partition_point(|&v| v < owned.end);
-                    let start = owned.start;
-                    cols[from..to]
-                        .iter()
-                        .map(move |&v| ((v - start) as usize, i as u16))
-                });
-                flatten_targets(partition.owned_len(owner), pairs)
+                    for &v in &cols[from..to] {
+                        let off = v - owned.start;
+                        row[(off / 64) as usize] |= 1 << (off % 64);
+                    }
+                }
+                bits
             })
             .collect();
 
         let ranks: Vec<RankGraph> = edges
             .into_iter()
-            .zip(targets)
+            .zip(registrations)
             .enumerate()
-            .map(|(rank, (edges, targets))| RankGraph::new(rank, &partition, edges, targets))
+            .map(|(rank, (edges, bits))| RankGraph::new(rank, &partition, edges, bits))
             .collect();
 
         Self {
@@ -222,7 +240,7 @@ impl DistGraph {
     pub fn max_rank_bytes(&self) -> usize {
         self.ranks
             .iter()
-            .map(|r| r.edges.approx_bytes())
+            .map(RankGraph::approx_bytes)
             .max()
             .unwrap_or(0)
     }
@@ -282,54 +300,29 @@ where
 /// Fault recovery uses this: graphs are seed-generated, so a dead rank's
 /// `RankGraph` need not be checkpointed — a spare node replays the
 /// deterministic generator, keeping the entries this rank stores and the
-/// targeting rows for the vertices it owns. Produces a result identical
+/// registration bits of the vertices it owns. Produces a result identical
 /// to `DistGraph::build(spec, grid).ranks[rank]`.
 pub fn rebuild_rank(spec: &GraphSpec, grid: ProcessorGrid, rank: usize) -> RankGraph {
     let partition = TwoDPartition::new(spec.n, grid);
     let owned = partition.owned_range(rank);
+    let words = partition.owned_len(rank).div_ceil(64);
     let mut entries: Vec<(Vertex, Vertex)> = Vec::new();
-    let mut targets: Vec<(usize, u16)> = Vec::new();
+    let mut registration = vec![0u64; grid.rows() * words];
     gen::for_each_entry(spec, |u, v| {
         let storer = partition.storer_of_entry(u, v);
         if storer == rank {
             entries.push((u, v));
         }
         // The registration exchange, replayed locally: any storer of a
-        // non-empty list for an owned vertex is an expand target row.
+        // non-empty list for an owned vertex registers it.
         if owned.contains(&v) {
             let (i, _) = grid.position_of(storer);
-            targets.push(((v - owned.start) as usize, i as u16));
+            let off = v - owned.start;
+            registration[i * words + (off / 64) as usize] |= 1 << (off % 64);
         }
     });
-    targets.sort_unstable();
-    targets.dedup();
-    let targets = flatten_targets(partition.owned_len(rank), targets.into_iter());
     let edges = PartialEdgeLists::from_entries(entries);
-    RankGraph::new(rank, &partition, edges, targets)
-}
-
-/// Lay out expand targets given as `(owned offset, grid row)` pairs —
-/// ascending and distinct within each offset — as one offsets array
-/// over the `owned_len` owned vertices plus one concatenated row
-/// array, by count-then-fill.
-fn flatten_targets(
-    owned_len: usize,
-    pairs: impl Iterator<Item = (usize, u16)> + Clone,
-) -> (Vec<usize>, Vec<u16>) {
-    let mut offsets = vec![0usize; owned_len + 1];
-    for (off, _) in pairs.clone() {
-        offsets[off + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut rows = vec![0u16; offsets[owned_len]];
-    let mut cursor = offsets.clone();
-    for (off, i) in pairs {
-        rows[cursor[off]] = i;
-        cursor[off] += 1;
-    }
-    (offsets, rows)
+    RankGraph::new(rank, &partition, edges, registration)
 }
 
 /// Sequential adjacency oracle: the same graph as `DistGraph::build`
@@ -425,16 +418,19 @@ mod tests {
         let g = DistGraph::build(spec, grid);
         for owner in &g.ranks {
             let (_, j) = grid.position_of(owner.rank);
-            for off in 0..owner.owned_len() {
-                let targets = owner.expand_targets(off);
-                let v = owner.owned.start + off as Vertex;
+            let words = owner.owned_len().div_ceil(64);
+            for i2 in 0..grid.rows() {
+                let row = owner.registration_row(i2);
+                assert_eq!(row.len(), words);
                 // Check against ground truth: peer (i', j) has v in cols
-                // iff i' is in targets.
-                for i2 in 0..grid.rows() {
-                    let peer = grid.rank_of(i2, j);
-                    let has = g.ranks[peer].edges.col_local(v).is_some();
-                    let listed = targets.contains(&(i2 as u16));
-                    assert_eq!(has, listed, "v={v} peer row {i2}");
+                // iff bit `off` of row i' is set; no bit past the owned
+                // range is set.
+                let peer = grid.rank_of(i2, j);
+                for off in 0..words * 64 {
+                    let v = owner.owned.start + off as Vertex;
+                    let has = off < owner.owned_len() && g.ranks[peer].edges.col_local(v).is_some();
+                    let set = row[off / 64] >> (off % 64) & 1 != 0;
+                    assert_eq!(has, set, "v={v} peer row {i2}");
                 }
             }
         }

@@ -111,14 +111,16 @@ proptest! {
         let g = DistGraph::build(spec, grid);
         for owner in &g.ranks {
             let (_, j) = grid.position_of(owner.rank);
-            for off in 0..owner.owned_len() {
-                let targets = owner.expand_targets(off);
-                let v = owner.owned.start + off as Vertex;
-                for i2 in 0..r {
-                    let peer = grid.rank_of(i2, j);
-                    let has = g.ranks[peer].edges.neighbors_of(v).len() > 0;
+            for i2 in 0..r {
+                let row = owner.registration_row(i2);
+                let peer = grid.rank_of(i2, j);
+                prop_assert_eq!(row.len(), owner.owned_len().div_ceil(64));
+                for off in 0..row.len() * 64 {
+                    let v = owner.owned.start + off as Vertex;
+                    let has = off < owner.owned_len()
+                        && g.ranks[peer].edges.neighbors_of(v).len() > 0;
                     prop_assert_eq!(
-                        targets.contains(&(i2 as u16)),
+                        row[off / 64] >> (off % 64) & 1 != 0,
                         has,
                         "v={} peer={}", v, peer
                     );
