@@ -1,8 +1,9 @@
 //! Host-side performance check of the set kernels: list vs bitmap
 //! union-fold throughput, and, over one whole top-down search, the
 //! probe rate of `RankState::discover` and the vertex rate of the
-//! targeted expand `RankState::expand_sends_targeted`. Writes the
-//! numbers to `BENCH_setops.json`.
+//! targeted expand `RankState::expand_sends_targeted`; plus the host
+//! time of `DistGraph::build` for a Poisson and an R-MAT graph. Writes
+//! the numbers to `BENCH_setops.json`.
 //!
 //! Unlike the figure binaries this measures *host* wall-clock, not
 //! simulated BlueGene/L time — it is the evidence that the hybrid
@@ -14,9 +15,12 @@
 //! counted a different number of probes than [`DISCOVER_PROBES`], or
 //! its expand sent a different number of vertices than
 //! [`EXPAND_VERTS`]: both counts are deterministic, so a kernel rewrite
-//! that moves one would move the simulated clock. Levels that fail
-//! validation exit non-zero with or without `--check`. The timings are
-//! recorded, never gated.
+//! that moves one would move the simulated clock. It also exits
+//! non-zero when either built graph's total entries or digest (FNV-1a
+//! over every rank's columns, partial edge lists and registration rows)
+//! moved: a builder rewrite must produce the same `RankGraph`s. Levels
+//! that fail validation exit non-zero with or without `--check`. The
+//! timings are recorded, never gated.
 //!
 //! ```text
 //! cargo run --release -p bgl-bench --bin bench_setops [-- --check]
@@ -33,17 +37,20 @@ use std::time::Instant;
 const HELP: &str = "\
 bench_setops — hybrid set-kernel wall-clock benchmark
 
-Times list vs bitmap union folds, and RankState::discover and
+Times list vs bitmap union folds, RankState::discover and
 RankState::expand_sends_targeted over one whole top-down Poisson n=2^18,
-k=16 search on 8x8. Writes BENCH_setops.json (override with --out).
+k=16 search on 8x8, and DistGraph::build for that graph and for an
+R-MAT n=2^17, k=16 graph on 8x8. Writes BENCH_setops.json (override
+with --out).
 
 Flags:
   --span N       slot range of the synthetic union payloads (default 65536)
   --blocks N     overlapping blocks accumulated per union run (default 16)
   --reps N       timing repetitions, best-of (default 5)
   --out PATH     output path (default BENCH_setops.json)
-  --check        exit non-zero if the discover probe count or the expand
-                 vertex count moved (CI)
+  --check        exit non-zero if the discover probe count, the expand
+                 vertex count, or either built graph's entry count or
+                 digest moved (CI)
 ";
 
 /// Probes `RankState::discover` counts over the whole discover search
@@ -53,6 +60,14 @@ const DISCOVER_PROBES: u64 = 6_013_575;
 /// Vertices `RankState::expand_sends_targeted` sends over the same
 /// search, checked by `--check`.
 const EXPAND_VERTS: u64 = 1_814_373;
+
+/// Total entries and digest ([`graph_digest`]) of the Poisson n=2^18,
+/// k=16, seed 1 graph on 8x8, checked by `--check`.
+const POISSON_PIN: (u64, u64) = (4_199_202, 0x8875_a173_7cb2_c06d);
+
+/// Total entries and digest of the R-MAT n=2^17, k=16, seed 1 graph on
+/// 8x8, checked by `--check`.
+const RMAT_PIN: (u64, u64) = (1_942_906, 0x4213_cb19_e2be_23c1);
 
 /// Overlapping sorted payloads: block `b` takes every third slot of the
 /// span at phase `b % 3`, so consecutive unions are duplicate-heavy —
@@ -76,6 +91,81 @@ fn time_union(blocks: &[Vec<Vert>], policy: &VsetPolicy, reps: u64) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `words`, from `hash`.
+fn fnv_words(mut hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Digest of a built graph through its public API: in rank order, each
+/// rank's non-empty columns, then every column's partial edge list,
+/// then its registration rows.
+fn graph_digest(graph: &DistGraph) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for r in &graph.ranks {
+        hash = fnv_words(hash, r.edges.cols().iter().copied());
+        for (_, list) in r.edges.iter_cols() {
+            hash = fnv_words(hash, list);
+        }
+        for i in 0..graph.grid().rows() {
+            hash = fnv_words(hash, r.registration_row(i).iter().copied());
+        }
+    }
+    hash
+}
+
+/// One row of the build benchmark: a graph's total entries and digest,
+/// the pair `--check` expects, and the best build time.
+struct Built {
+    name: &'static str,
+    n: u64,
+    entries: u64,
+    digest: u64,
+    pin: (u64, u64),
+    secs: f64,
+}
+
+/// Time `DistGraph::build(spec, grid)` best-of-`reps` and return its row
+/// with the last graph built. Each build starts after the previous
+/// graph is dropped, so one graph is resident at a time.
+fn time_build(
+    name: &'static str,
+    spec: GraphSpec,
+    grid: ProcessorGrid,
+    reps: u64,
+    pin: (u64, u64),
+) -> (Built, DistGraph) {
+    let mut secs = f64::INFINITY;
+    let mut graph = None;
+    for _ in 0..reps {
+        drop(graph.take());
+        let start = Instant::now();
+        graph = Some(DistGraph::build(spec, grid));
+        secs = secs.min(start.elapsed().as_secs_f64());
+    }
+    let graph = graph.expect("reps is positive");
+    let built = Built {
+        name,
+        n: spec.n,
+        entries: graph.total_entries(),
+        digest: graph_digest(&graph),
+        pin,
+        secs,
+    };
+    eprintln!(
+        "  {name:<8} n={:<7} {:>9} entries  digest {:016x}  ({:.1} ms)",
+        built.n,
+        built.entries,
+        built.digest,
+        secs * 1e3
+    );
+    (built, graph)
 }
 
 /// Host seconds one kernel took over a search, and the work it did
@@ -172,10 +262,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("warning: bitmap union speedup below the 2x target");
     }
 
-    // --- Top-down expand and discover over one whole search. ---------
+    // --- Graph builds; the Poisson graph is the search's. ------------
     let discover_n = 1 << 18;
+    let grid = ProcessorGrid::new(8, 8);
+    eprintln!("build: DistGraph::build on 8x8, k=16, seed 1, best of {reps}");
+    let (rmat, _) = time_build(
+        "rmat",
+        GraphSpec::rmat(1 << 17, 16.0, 1),
+        grid,
+        reps,
+        RMAT_PIN,
+    );
     let spec = GraphSpec::poisson(discover_n, 16.0, 1);
-    let graph = DistGraph::build(spec, ProcessorGrid::new(8, 8));
+    let (poisson, graph) = time_build("poisson", spec, grid, reps, POISSON_PIN);
+    let builds = [poisson, rmat];
+
+    // --- Top-down expand and discover over one whole search. ---------
     let source = 1;
     let (mut expand, mut discover) = (Timed::NONE, Timed::NONE);
     for _ in 0..reps {
@@ -224,6 +326,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .field("seconds", Fixed(expand.secs, 6))
                 .field("mvert_per_s", Fixed(expand.mrate(), 3));
         });
+        w.key("build").obj(|w| {
+            for b in &builds {
+                w.key(b.name).obj(|w| {
+                    w.field("n", b.n)
+                        .field("avg_degree", 16u64)
+                        .field("grid", "8x8")
+                        .field("entries", b.entries)
+                        .field("digest", format!("{:016x}", b.digest))
+                        .field("ms", Fixed(b.secs * 1e3, 3));
+                });
+            }
+        });
     });
     write_report(&out, &doc)?;
 
@@ -241,6 +355,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 expand.work
             );
             std::process::exit(1);
+        }
+        for b in &builds {
+            if (b.entries, b.digest) != b.pin {
+                eprintln!(
+                    "FAIL: {} graph has {} entries, digest {:016x}, not the pinned {} and {:016x}",
+                    b.name, b.entries, b.digest, b.pin.0, b.pin.1
+                );
+                std::process::exit(1);
+            }
         }
         println!("check passed");
     }

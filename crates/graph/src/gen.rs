@@ -64,7 +64,7 @@ impl ChunkGrid {
     /// All cells of the lower triangle (including the diagonal), i.e.
     /// the independent generation work items: `(chunk_row, chunk_col)`
     /// with `chunk_row >= chunk_col`.
-    fn lower_cells(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn lower_cells(&self) -> Vec<(u64, u64)> {
         let k = self.chunks();
         let mut cells = Vec::with_capacity((k * (k + 1) / 2) as usize);
         for cr in 0..k {
@@ -150,6 +150,45 @@ fn triangle_coords(t: u64) -> (u64, u64) {
     (u, v)
 }
 
+/// Skip-sample lower cell `(hi, lo)` (`hi >= lo`) of a **Poisson** spec
+/// and visit each sampled slot once, in its canonical lower-triangle
+/// orientation `(u, v)` with `u > v`. A diagonal cell samples the strict
+/// lower triangle of its chunk; an off-diagonal cell samples rows of
+/// chunk `hi` × columns of chunk `lo`. Every generator of Poisson
+/// entries goes through here, so the graph is defined in one place.
+fn sample_lower_cell(
+    spec: &GraphSpec,
+    grid: &ChunkGrid,
+    hi: u64,
+    lo: u64,
+    mut f: impl FnMut(Vertex, Vertex),
+) {
+    debug_assert!(hi >= lo);
+    let p = spec.edge_probability();
+    if p <= 0.0 {
+        return;
+    }
+    let sampler = SkipSampler::new(cell_seed(spec.seed, lo, hi), p);
+    if lo == hi {
+        let range = grid.range(lo);
+        let len = range.end - range.start;
+        if len < 2 {
+            return;
+        }
+        for t in sampler.positions(len * (len - 1) / 2) {
+            let (ul, vl) = triangle_coords(t);
+            f(range.start + ul, range.start + vl);
+        }
+    } else {
+        let rows = grid.range(hi);
+        let cols = grid.range(lo);
+        let width = cols.end - cols.start;
+        for t in sampler.positions((rows.end - rows.start) * width) {
+            f(rows.start + t / width, cols.start + t % width);
+        }
+    }
+}
+
 /// Generate every adjacency-matrix entry `(row u, col v)` of cell
 /// `(chunk_row, chunk_col)` for a **Poisson** spec. Both triangle sides
 /// are covered: ask for cell `(a, b)` and you get exactly the entries
@@ -164,52 +203,47 @@ pub fn cell_entries(
         matches!(spec.family, GraphFamily::Poisson),
         "cell_entries applies to the Poisson family; use rmat_chunk_edges for R-MAT"
     );
-    let p = spec.edge_probability();
-    if p <= 0.0 {
-        return Vec::new();
-    }
     let (lo, hi) = (chunk_row.min(chunk_col), chunk_row.max(chunk_col));
-    let seed = cell_seed(spec.seed, lo, hi);
     let mut out = Vec::new();
-
-    if lo == hi {
-        // Diagonal cell: strict lower triangle of the chunk, mirrored.
-        let range = grid.range(lo);
-        let len = range.end - range.start;
-        if len < 2 {
-            return out;
-        }
-        let area = len * (len - 1) / 2;
-        for t in SkipSampler::new(seed, p).positions(area) {
-            let (ul, vl) = triangle_coords(t);
-            let (u, v) = (range.start + ul, range.start + vl);
+    sample_lower_cell(spec, grid, hi, lo, |u, v| {
+        if lo == hi {
+            // Diagonal cell: the strict lower triangle, mirrored.
             out.push((u, v));
             out.push((v, u));
+        } else if chunk_row == lo {
+            out.push((v, u));
+        } else {
+            out.push((u, v));
         }
-    } else {
-        // Off-diagonal: canonical orientation is rows = hi, cols = lo.
-        let rows = grid.range(hi);
-        let cols = grid.range(lo);
-        let width = cols.end - cols.start;
-        let area = (rows.end - rows.start) * width;
-        let transpose = chunk_row == lo;
-        for t in SkipSampler::new(seed, p).positions(area) {
-            let u = rows.start + t / width;
-            let v = cols.start + t % width;
-            if transpose {
-                out.push((v, u));
-            } else {
-                out.push((u, v));
-            }
-        }
-    }
+    });
     out
 }
 
-/// All cells whose entries land in rows of chunk `a` **or** need
-/// mirroring there — for Poisson, simply every `(a, b)` pair: callers
-/// iterate `(cr, cc)` over the full chunk grid. Provided for clarity in
-/// builder code.
+/// Every adjacency entry of lower cell `(hi, lo)` and of its mirror
+/// `(lo, hi)` for a Poisson spec, sampled once: each sampled slot is
+/// emitted in both orientations. The same multiset as
+/// [`cell_entries`] of both cells (of the one cell when `hi == lo`), in
+/// a different order.
+pub(crate) fn lower_cell_entries(
+    spec: &GraphSpec,
+    grid: &ChunkGrid,
+    hi: u64,
+    lo: u64,
+) -> Vec<(Vertex, Vertex)> {
+    let mut out = Vec::new();
+    sample_lower_cell(spec, grid, hi, lo, |u, v| {
+        out.push((u, v));
+        out.push((v, u));
+    });
+    out
+}
+
+/// Every cell `(chunk_row, chunk_col)` of the chunk grid, both triangle
+/// sides. Each off-diagonal cell is the mirror of another, so walking
+/// these through [`cell_entries`] samples every off-diagonal cell twice;
+/// the builder and [`for_each_entry`] walk the lower cells once instead.
+/// Kept for callers that want the entries one orientation at a time,
+/// such as perfbench's replay of the build.
 pub fn full_cells(grid: &ChunkGrid) -> Vec<(u64, u64)> {
     let k = grid.chunks();
     let mut cells = Vec::with_capacity((k * k) as usize);
@@ -253,23 +287,14 @@ pub fn rmat_chunk_edges(spec: &GraphSpec, chunk_idx: u64, stride: u64) -> Vec<(V
     let scale = 64 - (spec.n - 1).leading_zeros().min(63);
     let scale = scale.max(1);
     let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(spec.seed, R_MAT_SALT, chunk_idx));
+    let (ab, abc) = (a + b, a + b + c);
     let mut out = Vec::with_capacity(2 * count as usize);
     for _ in 0..count {
         let (mut u, mut v) = (0u64, 0u64);
         for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.gen();
-            if r < a {
-                // top-left: no bits set
-            } else if r < a + b {
-                v |= 1;
-            } else if r < a + b + c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            let (du, dv) = rmat_quadrant(rng.gen(), a, ab, abc);
+            u = u << 1 | du;
+            v = v << 1 | dv;
         }
         if u == v || u >= spec.n || v >= spec.n {
             continue;
@@ -278,6 +303,18 @@ pub fn rmat_chunk_edges(spec: &GraphSpec, chunk_idx: u64, stride: u64) -> Vec<(V
         out.push((v, u));
     }
     out
+}
+
+/// One level of the R-MAT descent: the `(row, col)` bits of the
+/// quadrant that `r` in `[0, 1)` falls in, given the cumulative masses
+/// `a`, `ab = a + b` and `abc = a + b + c` (top-left, top-right,
+/// bottom-left, bottom-right in that order). Computed from the
+/// comparisons alone, without a branch on the random draw.
+#[inline]
+fn rmat_quadrant(r: f64, a: f64, ab: f64, abc: f64) -> (u64, u64) {
+    let row = r >= ab;
+    let col = (a <= r) & (r < ab) | (r >= abc);
+    (u64::from(row), u64::from(col))
 }
 
 const R_MAT_SALT: u64 = 0x524D_4154; // "RMAT"
@@ -347,16 +384,10 @@ pub fn for_each_entry<F: FnMut(Vertex, Vertex)>(spec: &GraphSpec, mut f: F) {
         GraphFamily::Poisson => {
             let grid = ChunkGrid::new(spec.n);
             for (cr, cc) in grid.lower_cells() {
-                for (u, v) in cell_entries(spec, &grid, cr, cc) {
+                sample_lower_cell(spec, &grid, cr, cc, |u, v| {
                     f(u, v);
-                }
-                // Mirrors of off-diagonal cells (diagonal cells already
-                // emit both directions).
-                if cr != cc {
-                    for (u, v) in cell_entries(spec, &grid, cc, cr) {
-                        f(u, v);
-                    }
-                }
+                    f(v, u);
+                });
             }
         }
         GraphFamily::RMat { .. } => {
@@ -603,6 +634,125 @@ mod tests {
         });
         let mean = deg.iter().map(|&d| d as f64).sum::<f64>() / 5000.0;
         assert!((mean - 10.0).abs() < 0.5, "mean degree {mean}");
+    }
+
+    #[test]
+    fn lower_cell_sampling_matches_both_orientations() {
+        // Each lower cell sampled once gives the multiset of its two
+        // per-orientation `cell_entries` calls (the one call on the
+        // diagonal), on full chunks and on grids whose last chunk is
+        // partial (20 vertices) or a single vertex.
+        let spec = GraphSpec::poisson(300, 6.0, 5);
+        for chunk in [50, 70, 299] {
+            let grid = ChunkGrid::with_chunk(300, chunk);
+            let mut sampled = 0;
+            for (hi, lo) in grid.lower_cells() {
+                let mut once = lower_cell_entries(&spec, &grid, hi, lo);
+                let mut twice = cell_entries(&spec, &grid, hi, lo);
+                if hi != lo {
+                    twice.extend(cell_entries(&spec, &grid, lo, hi));
+                }
+                once.sort_unstable();
+                twice.sort_unstable();
+                assert_eq!(once, twice, "chunk {chunk} cell ({hi}, {lo})");
+                sampled += once.len();
+            }
+            assert!(sampled > 1_500, "chunk {chunk}: {sampled} entries");
+        }
+    }
+
+    /// The R-MAT descent step as an if-chain on the draw, the form the
+    /// branch-free [`rmat_quadrant`] replaced.
+    fn quadrant_chain(r: f64, a: f64, b: f64, c: f64) -> (u64, u64) {
+        if r < a {
+            (0, 0)
+        } else if r < a + b {
+            (0, 1)
+        } else if r < a + b + c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// Quadrant masses: the Graph500 defaults, and masses with an empty
+    /// top-right or bottom-left quadrant (or both), where two of the
+    /// cumulative bounds coincide.
+    const MASSES: [(f64, f64, f64); 5] = [
+        (0.57, 0.19, 0.19),
+        (0.6, 0.0, 0.2),
+        (0.5, 0.3, 0.0),
+        (0.7, 0.0, 0.0),
+        (0.25, 0.25, 0.25),
+    ];
+
+    #[test]
+    fn rmat_quadrant_matches_the_if_chain() {
+        // The largest f64 below `x`, for positive `x`.
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for (a, b, c) in MASSES {
+            let (ab, abc) = (a + b, a + b + c);
+            let mut draws = vec![0.0, 1.0 - f64::EPSILON, below(1.0)];
+            for bound in [a, ab, abc] {
+                draws.extend([bound, below(bound)]);
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            draws.extend((0..100_000).map(|_| rng.gen::<f64>()));
+            for r in draws {
+                assert_eq!(
+                    rmat_quadrant(r, a, ab, abc),
+                    quadrant_chain(r, a, b, c),
+                    "r={r:e} masses ({a}, {b}, {c})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rmat_chunk_edges_match_the_if_chain() {
+        // The old generator, descending through `quadrant_chain`, over
+        // every chunk (the last one partial) of power-of-two and other
+        // vertex counts.
+        let chain_chunk = |spec: &GraphSpec, chunk_idx: u64, stride: u64| {
+            let GraphFamily::RMat { a, b, c } = spec.family else {
+                unreachable!()
+            };
+            let total = rmat_draws(spec);
+            let start = chunk_idx * stride;
+            let count = stride.min(total - start);
+            let scale = (64 - (spec.n - 1).leading_zeros().min(63)).max(1);
+            let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(spec.seed, R_MAT_SALT, chunk_idx));
+            let mut out = Vec::new();
+            for _ in 0..count {
+                let (mut u, mut v) = (0u64, 0u64);
+                for _ in 0..scale {
+                    let (du, dv) = quadrant_chain(rng.gen(), a, b, c);
+                    u = u << 1 | du;
+                    v = v << 1 | dv;
+                }
+                if u != v && u < spec.n && v < spec.n {
+                    out.push((u, v));
+                    out.push((v, u));
+                }
+            }
+            out
+        };
+        for (a, b, c) in MASSES {
+            for n in [1 << 12, 3_000] {
+                let mut spec = GraphSpec::rmat(n, 8.0, 5);
+                spec.family = GraphFamily::RMat { a, b, c };
+                let stride = 1_000;
+                let chunks = rmat_draws(&spec).div_ceil(stride);
+                assert!(chunks > 10);
+                for ci in 0..chunks {
+                    assert_eq!(
+                        rmat_chunk_edges(&spec, ci, stride),
+                        chain_chunk(&spec, ci, stride),
+                        "n={n} masses ({a}, {b}, {c}) chunk {ci}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
