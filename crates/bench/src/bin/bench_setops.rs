@@ -2,7 +2,9 @@
 //! union-fold throughput, and, over one whole top-down search, the
 //! probe rate of `RankState::discover` and the vertex rate of the
 //! targeted expand `RankState::expand_sends_targeted`; plus the host
-//! time of `DistGraph::build` for a Poisson and an R-MAT graph. Writes
+//! time of `DistGraph::build` for a Poisson and an R-MAT graph; plus the
+//! ChaCha8 keystream per `next_u64` draw, and `gen::rmat_chunk_edges`
+//! per level of the R-MAT quadrant descent it spends the draws on. Writes
 //! the numbers to `BENCH_setops.json`.
 //!
 //! Unlike the figure binaries this measures *host* wall-clock, not
@@ -30,8 +32,10 @@ use bfs_core::validate_against_spec;
 use bgl_bench::exp;
 use bgl_bench::harness::{write_report, Args};
 use bgl_comm::{ProcessorGrid, Vert, VertSet, VsetPolicy};
-use bgl_graph::{DistGraph, GraphSpec, Vertex};
+use bgl_graph::{gen, DistGraph, GraphSpec, Vertex};
 use bgl_trace::json::{self, Fixed};
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 const HELP: &str = "\
@@ -40,8 +44,9 @@ bench_setops — hybrid set-kernel wall-clock benchmark
 Times list vs bitmap union folds, RankState::discover and
 RankState::expand_sends_targeted over one whole top-down Poisson n=2^18,
 k=16 search on 8x8, and DistGraph::build for that graph and for an
-R-MAT n=2^17, k=16 graph on 8x8. Writes BENCH_setops.json (override
-with --out).
+R-MAT n=2^17, k=16 graph on 8x8, the ChaCha8 keystream per u64 draw,
+and that R-MAT graph's edge generation per descent level. Writes
+BENCH_setops.json (override with --out).
 
 Flags:
   --span N       slot range of the synthetic union payloads (default 65536)
@@ -68,6 +73,9 @@ const POISSON_PIN: (u64, u64) = (4_199_202, 0x8875_a173_7cb2_c06d);
 /// Total entries and digest of the R-MAT n=2^17, k=16, seed 1 graph on
 /// 8x8, checked by `--check`.
 const RMAT_PIN: (u64, u64) = (1_942_906, 0x4213_cb19_e2be_23c1);
+
+/// Draws of the seed-1 ChaCha8 keystream that the keystream row times.
+const KEYSTREAM_DRAWS: u64 = 1 << 20;
 
 /// Overlapping sorted payloads: block `b` takes every third slot of the
 /// span at phase `b % 3`, so consecutive unions are duplicate-heavy —
@@ -168,6 +176,43 @@ fn time_build(
     (built, graph)
 }
 
+/// The keystream row, best of `reps` each: host time per `next_u64`
+/// draw, and the whole of `gen::rmat_chunk_edges` (descent, self-loop
+/// filter and output vector) divided by the descent levels it ran.
+struct Keystream {
+    ns_per_draw: f64,
+    rmat_n: u64,
+    levels: u64,
+    chunk_ns_per_level: f64,
+}
+
+/// Time [`KEYSTREAM_DRAWS`] draws of seed 1, and every chunk of the
+/// R-MAT edge stream of `spec` (`n` a power of two, so each draw
+/// descends `log2 n` levels), best of `reps` each.
+fn time_keystream(spec: &GraphSpec, reps: u64) -> Keystream {
+    let levels = gen::rmat_draws(spec) * u64::from(spec.n.ilog2());
+    let (mut draw_s, mut level_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let start = Instant::now();
+        let fold = (0..KEYSTREAM_DRAWS).fold(0, |acc, _| acc ^ rng.next_u64());
+        std::hint::black_box(fold);
+        draw_s = draw_s.min(start.elapsed().as_secs_f64());
+
+        let start = Instant::now();
+        for ci in 0..gen::rmat_chunks(spec) {
+            std::hint::black_box(gen::rmat_chunk_edges(spec, ci, gen::RMAT_STRIDE));
+        }
+        level_s = level_s.min(start.elapsed().as_secs_f64());
+    }
+    Keystream {
+        ns_per_draw: draw_s / KEYSTREAM_DRAWS as f64 * 1e9,
+        rmat_n: spec.n,
+        levels,
+        chunk_ns_per_level: level_s / levels as f64 * 1e9,
+    }
+}
+
 /// Host seconds one kernel took over a search, and the work it did
 /// (probes counted or vertices sent).
 #[derive(Debug, Clone, Copy)]
@@ -262,17 +307,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("warning: bitmap union speedup below the 2x target");
     }
 
+    // --- Keystream: draws, and the descent of the R-MAT build's graph.
+    let rmat_spec = GraphSpec::rmat(1 << 17, 16.0, 1);
+    let keystream = time_keystream(&rmat_spec, reps);
+    eprintln!("keystream: ChaCha8 seed 1, {KEYSTREAM_DRAWS} draws, best of {reps}");
+    eprintln!("  next_u64 {:>9.2} ns/draw", keystream.ns_per_draw);
+    eprintln!(
+        "  rmat     {:>9.2} ns/level   (n={}, {} levels, whole chunks)",
+        keystream.chunk_ns_per_level, keystream.rmat_n, keystream.levels
+    );
+
     // --- Graph builds; the Poisson graph is the search's. ------------
     let discover_n = 1 << 18;
     let grid = ProcessorGrid::new(8, 8);
     eprintln!("build: DistGraph::build on 8x8, k=16, seed 1, best of {reps}");
-    let (rmat, _) = time_build(
-        "rmat",
-        GraphSpec::rmat(1 << 17, 16.0, 1),
-        grid,
-        reps,
-        RMAT_PIN,
-    );
+    let (rmat, _) = time_build("rmat", rmat_spec, grid, reps, RMAT_PIN);
     let spec = GraphSpec::poisson(discover_n, 16.0, 1);
     let (poisson, graph) = time_build("poisson", spec, grid, reps, POISSON_PIN);
     let builds = [poisson, rmat];
@@ -325,6 +374,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .field("verts", expand.work)
                 .field("seconds", Fixed(expand.secs, 6))
                 .field("mvert_per_s", Fixed(expand.mrate(), 3));
+        });
+        w.key("keystream").obj(|w| {
+            w.field("draws", KEYSTREAM_DRAWS)
+                .field("ns_per_draw", Fixed(keystream.ns_per_draw, 3))
+                .field("rmat_n", keystream.rmat_n)
+                .field("rmat_levels", keystream.levels)
+                .field("chunk_ns_per_level", Fixed(keystream.chunk_ns_per_level, 3));
         });
         w.key("build").obj(|w| {
             for b in &builds {

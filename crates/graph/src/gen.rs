@@ -22,7 +22,7 @@
 
 use crate::spec::{GraphFamily, GraphSpec};
 use crate::Vertex;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Default chunk edge length (vertices per chunk): cells are at most
@@ -287,12 +287,12 @@ pub fn rmat_chunk_edges(spec: &GraphSpec, chunk_idx: u64, stride: u64) -> Vec<(V
     let scale = 64 - (spec.n - 1).leading_zeros().min(63);
     let scale = scale.max(1);
     let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(spec.seed, R_MAT_SALT, chunk_idx));
-    let (ab, abc) = (a + b, a + b + c);
+    let bounds = [a, a + b, a + b + c].map(draw_threshold);
     let mut out = Vec::with_capacity(2 * count as usize);
     for _ in 0..count {
         let (mut u, mut v) = (0u64, 0u64);
         for _ in 0..scale {
-            let (du, dv) = rmat_quadrant(rng.gen(), a, ab, abc);
+            let (du, dv) = rmat_quadrant(rng.next_u64() >> 11, bounds);
             u = u << 1 | du;
             v = v << 1 | dv;
         }
@@ -305,15 +305,26 @@ pub fn rmat_chunk_edges(spec: &GraphSpec, chunk_idx: u64, stride: u64) -> Vec<(V
     out
 }
 
+/// The integer bound `⌈t·2^53⌉` on a 53-bit draw `m`: `m >= T` exactly
+/// when the unit draw `m·2^-53` (what `Rng::gen::<f64>` returns) is
+/// `>= t`. Both sides are exact, since scaling by a power of two and
+/// rounding up to an integer lose nothing in `f64`. A `t` at or above 1
+/// gives a bound no draw reaches, one at or below 0 gives 0, and only a
+/// NaN `t` (which no draw is `>=`) compares differently.
+fn draw_threshold(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// One level of the R-MAT descent: the `(row, col)` bits of the
-/// quadrant that `r` in `[0, 1)` falls in, given the cumulative masses
-/// `a`, `ab = a + b` and `abc = a + b + c` (top-left, top-right,
-/// bottom-left, bottom-right in that order). Computed from the
-/// comparisons alone, without a branch on the random draw.
+/// quadrant that the 53-bit draw `m` falls in, given the
+/// [`draw_threshold`]s of the cumulative masses `a`, `a + b` and
+/// `a + b + c` (top-left, top-right, bottom-left, bottom-right in that
+/// order). Computed from the comparisons alone, without a branch on the
+/// random draw.
 #[inline]
-fn rmat_quadrant(r: f64, a: f64, ab: f64, abc: f64) -> (u64, u64) {
-    let row = r >= ab;
-    let col = (a <= r) & (r < ab) | (r >= abc);
+fn rmat_quadrant(m: u64, [a, ab, abc]: [u64; 3]) -> (u64, u64) {
+    let row = m >= ab;
+    let col = (a <= m) & (m < ab) | (m >= abc);
     (u64::from(row), u64::from(col))
 }
 
@@ -661,8 +672,8 @@ mod tests {
         }
     }
 
-    /// The R-MAT descent step as an if-chain on the draw, the form the
-    /// branch-free [`rmat_quadrant`] replaced.
+    /// The R-MAT descent step as an if-chain on the unit draw, the form
+    /// the branch-free integer [`rmat_quadrant`] replaced.
     fn quadrant_chain(r: f64, a: f64, b: f64, c: f64) -> (u64, u64) {
         if r < a {
             (0, 0)
@@ -688,21 +699,22 @@ mod tests {
 
     #[test]
     fn rmat_quadrant_matches_the_if_chain() {
-        // The largest f64 below `x`, for positive `x`.
-        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        // The unit draw `gen::<f64>()` makes of a 53-bit draw `m`.
+        let unit = |m: u64| m as f64 * (1.0 / (1u64 << 53) as f64);
+        let top = (1u64 << 53) - 1;
         for (a, b, c) in MASSES {
-            let (ab, abc) = (a + b, a + b + c);
-            let mut draws = vec![0.0, 1.0 - f64::EPSILON, below(1.0)];
-            for bound in [a, ab, abc] {
-                draws.extend([bound, below(bound)]);
+            let bounds = [a, a + b, a + b + c].map(draw_threshold);
+            let mut draws = vec![0, top];
+            for t in bounds {
+                draws.extend([t.saturating_sub(1), t]);
             }
             let mut rng = ChaCha8Rng::seed_from_u64(17);
-            draws.extend((0..100_000).map(|_| rng.gen::<f64>()));
-            for r in draws {
+            draws.extend((0..100_000).map(|_| rng.next_u64() >> 11));
+            for m in draws {
                 assert_eq!(
-                    rmat_quadrant(r, a, ab, abc),
-                    quadrant_chain(r, a, b, c),
-                    "r={r:e} masses ({a}, {b}, {c})"
+                    rmat_quadrant(m, bounds),
+                    quadrant_chain(unit(m), a, b, c),
+                    "m={m} masses ({a}, {b}, {c})"
                 );
             }
         }
