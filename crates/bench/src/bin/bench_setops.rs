@@ -2,7 +2,8 @@
 //! union-fold throughput, and, over one whole top-down search, the
 //! probe rate of `RankState::discover` and the vertex rate of the
 //! targeted expand `RankState::expand_sends_targeted`; plus the host
-//! time of `DistGraph::build` for a Poisson and an R-MAT graph; plus the
+//! time of `DistGraph::build` for a Poisson and an R-MAT graph on 8×8
+//! and a Poisson graph on the paper's 128×256 grid; plus the
 //! ChaCha8 keystream per `next_u64` draw, and `gen::rmat_chunk_edges`
 //! per level of the R-MAT quadrant descent it spends the draws on. Writes
 //! the numbers to `BENCH_setops.json`.
@@ -18,7 +19,7 @@
 //! its expand sent a different number of vertices than
 //! [`EXPAND_VERTS`]: both counts are deterministic, so a kernel rewrite
 //! that moves one would move the simulated clock. It also exits
-//! non-zero when either built graph's total entries or digest (FNV-1a
+//! non-zero when any built graph's total entries or digest (FNV-1a
 //! over every rank's columns, partial edge lists and registration rows)
 //! moved: a builder rewrite must produce the same `RankGraph`s. Levels
 //! that fail validation exit non-zero with or without `--check`. The
@@ -43,8 +44,9 @@ bench_setops — hybrid set-kernel wall-clock benchmark
 
 Times list vs bitmap union folds, RankState::discover and
 RankState::expand_sends_targeted over one whole top-down Poisson n=2^18,
-k=16 search on 8x8, and DistGraph::build for that graph and for an
-R-MAT n=2^17, k=16 graph on 8x8, the ChaCha8 keystream per u64 draw,
+k=16 search on 8x8, and DistGraph::build for that graph, for an
+R-MAT n=2^17, k=16 graph on 8x8 and for a Poisson n=327680, k=10 graph
+on 128x256, the ChaCha8 keystream per u64 draw,
 and that R-MAT graph's edge generation per descent level. Writes
 BENCH_setops.json (override with --out).
 
@@ -54,7 +56,7 @@ Flags:
   --reps N       timing repetitions, best-of (default 5)
   --out PATH     output path (default BENCH_setops.json)
   --check        exit non-zero if the discover probe count, the expand
-                 vertex count, or either built graph's entry count or
+                 vertex count, or any built graph's entry count or
                  digest moved (CI)
 ";
 
@@ -73,6 +75,11 @@ const POISSON_PIN: (u64, u64) = (4_199_202, 0x8875_a173_7cb2_c06d);
 /// Total entries and digest of the R-MAT n=2^17, k=16, seed 1 graph on
 /// 8x8, checked by `--check`.
 const RMAT_PIN: (u64, u64) = (1_942_906, 0x4213_cb19_e2be_23c1);
+
+/// Total entries and digest of the Poisson n=327,680, k=10, seed 1
+/// graph on 128x256, where each rank owns 10 vertices, checked by
+/// `--check`.
+const WIDE_PIN: (u64, u64) = (3_278_310, 0xf25a_e8c7_59f3_2a47);
 
 /// Draws of the seed-1 ChaCha8 keystream that the keystream row times.
 const KEYSTREAM_DRAWS: u64 = 1 << 20;
@@ -133,6 +140,8 @@ fn graph_digest(graph: &DistGraph) -> u64 {
 struct Built {
     name: &'static str,
     n: u64,
+    avg_degree: f64,
+    grid: ProcessorGrid,
     entries: u64,
     digest: u64,
     pin: (u64, u64),
@@ -161,13 +170,15 @@ fn time_build(
     let built = Built {
         name,
         n: spec.n,
+        avg_degree: spec.avg_degree,
+        grid,
         entries: graph.total_entries(),
         digest: graph_digest(&graph),
         pin,
         secs,
     };
     eprintln!(
-        "  {name:<8} n={:<7} {:>9} entries  digest {:016x}  ({:.1} ms)",
+        "  {name:<15} n={:<7} {:>9} entries  digest {:016x}  ({:.1} ms)",
         built.n,
         built.entries,
         built.digest,
@@ -199,9 +210,10 @@ fn time_keystream(spec: &GraphSpec, reps: u64) -> Keystream {
         std::hint::black_box(fold);
         draw_s = draw_s.min(start.elapsed().as_secs_f64());
 
+        let (chunks, chunk_edges) = gen::items(spec);
         let start = Instant::now();
-        for ci in 0..gen::rmat_chunks(spec) {
-            std::hint::black_box(gen::rmat_chunk_edges(spec, ci, gen::RMAT_STRIDE));
+        for ci in 0..chunks {
+            std::hint::black_box(chunk_edges(spec, ci));
         }
         level_s = level_s.min(start.elapsed().as_secs_f64());
     }
@@ -320,11 +332,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Graph builds; the Poisson graph is the search's. ------------
     let discover_n = 1 << 18;
     let grid = ProcessorGrid::new(8, 8);
-    eprintln!("build: DistGraph::build on 8x8, k=16, seed 1, best of {reps}");
+    eprintln!("build: DistGraph::build, seed 1, best of {reps}");
+    let wide_spec = GraphSpec::poisson(327_680, 10.0, 1);
+    let wide_grid = ProcessorGrid::new(128, 256);
+    let (wide, _) = time_build("poisson_128x256", wide_spec, wide_grid, reps, WIDE_PIN);
     let (rmat, _) = time_build("rmat", rmat_spec, grid, reps, RMAT_PIN);
     let spec = GraphSpec::poisson(discover_n, 16.0, 1);
     let (poisson, graph) = time_build("poisson", spec, grid, reps, POISSON_PIN);
-    let builds = [poisson, rmat];
+    let builds = [poisson, rmat, wide];
 
     // --- Top-down expand and discover over one whole search. ---------
     let source = 1;
@@ -386,8 +401,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for b in &builds {
                 w.key(b.name).obj(|w| {
                     w.field("n", b.n)
-                        .field("avg_degree", 16u64)
-                        .field("grid", "8x8")
+                        .field("avg_degree", b.avg_degree as u64)
+                        .field("grid", format!("{}x{}", b.grid.rows(), b.grid.cols()))
                         .field("entries", b.entries)
                         .field("digest", format!("{:016x}", b.digest))
                         .field("ms", Fixed(b.secs * 1e3, 3));

@@ -419,9 +419,6 @@ fn engine(
 
     let mut level: u32 = 0;
     loop {
-        if config.max_levels > 0 && level >= config.max_levels {
-            break;
-        }
         if let Some(rc) = resilience {
             if level.is_multiple_of(rc.checkpoint_every) {
                 snapshot = states.clone();
@@ -814,25 +811,6 @@ mod tests {
             "dense graph must produce fold duplicates"
         );
         assert!(got.stats.redundancy_ratio_percent() > 0.0);
-    }
-
-    #[test]
-    fn max_levels_caps_search() {
-        let spec = GraphSpec::poisson(500, 3.0, 19);
-        let grid = ProcessorGrid::new(2, 2);
-        let graph = DistGraph::build(spec, grid);
-        let mut world = SimWorld::bluegene(grid);
-        let config = BfsConfig {
-            max_levels: 2,
-            ..BfsConfig::default()
-        };
-        let got = try_run(&graph, &mut world, &config, 0).unwrap();
-        assert!(got.stats.num_levels() <= 2);
-        // Levels beyond 2 must be unlabeled.
-        assert!(got
-            .levels
-            .iter()
-            .all(|&l| l == reference::UNREACHED || l <= 2));
     }
 
     // ---- direction optimization ----

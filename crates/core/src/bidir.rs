@@ -94,9 +94,6 @@ pub fn try_run(
     let mut iter: u32 = 0;
 
     loop {
-        if config.max_levels > 0 && iter >= 2 * config.max_levels {
-            break;
-        }
         if candidate <= depth_s + depth_t {
             break; // the candidate is provably the shortest distance.
         }

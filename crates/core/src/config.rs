@@ -134,8 +134,6 @@ pub struct BfsConfig {
     /// target is labeled. `None` (or an unreachable target) traverses
     /// the whole component — the paper's Figure 6 worst case.
     pub target: Option<Vertex>,
-    /// Safety cap on levels (0 disables the cap).
-    pub max_levels: u32,
     /// Direction-optimization policy. Defaults to pure top-down, which
     /// keeps the single-word termination allreduce and every existing
     /// run bit-identical.
@@ -152,7 +150,6 @@ impl BfsConfig {
             fold: FoldStrategy::TwoPhaseRing,
             sent_neighbors: true,
             target: None,
-            max_levels: 0,
             direction: DirectionPolicy::top_down(),
         }
     }
@@ -165,7 +162,6 @@ impl BfsConfig {
             fold: FoldStrategy::DirectAllToAll,
             sent_neighbors: true,
             target: None,
-            max_levels: 0,
             direction: DirectionPolicy::top_down(),
         }
     }

@@ -71,8 +71,6 @@ pub struct MultiConfig {
     /// per row-local vertex: a neighbor is re-sent only for lanes that
     /// have not shipped it yet.
     pub sent_neighbors: bool,
-    /// Stop after this many waves (0 = run to exhaustion).
-    pub max_waves: u32,
     /// Per-wave direction policy, decided for all lanes at once by the
     /// same α/β rule as [`crate::bfs2d`]. Defaults to adaptive.
     pub direction: DirectionPolicy,
@@ -82,7 +80,6 @@ impl Default for MultiConfig {
     fn default() -> Self {
         Self {
             sent_neighbors: true,
-            max_waves: 0,
             direction: DirectionPolicy::adaptive(),
         }
     }
@@ -459,9 +456,6 @@ pub fn try_run(
 
     let mut wave: u32 = 0;
     loop {
-        if config.max_waves > 0 && wave >= config.max_waves {
-            break;
-        }
         let t0 = world.time();
 
         // -- 1. termination on global (vertex, lane) frontier mass. The
@@ -995,20 +989,5 @@ mod tests {
         let mut world = SimWorld::bluegene(grid);
         let r = try_run(&graph, &mut world, &MultiConfig::default(), &[42]).unwrap();
         assert_eq!(r.lane_levels[0], single_levels(&graph, 42));
-    }
-
-    #[test]
-    fn max_waves_truncates() {
-        let spec = GraphSpec::rmat(1_000, 8.0, 21);
-        let grid = ProcessorGrid::new(2, 2);
-        let graph = DistGraph::build(spec, grid);
-        let mut world = SimWorld::bluegene(grid);
-        let cfg = MultiConfig {
-            max_waves: 1,
-            ..MultiConfig::default()
-        };
-        let r = try_run(&graph, &mut world, &cfg, &[42]).unwrap();
-        assert!(r.waves.len() <= 1);
-        assert!(r.lane_levels[0].iter().all(|&l| l == UNREACHED || l <= 1));
     }
 }

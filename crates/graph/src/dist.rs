@@ -16,15 +16,18 @@
 //!
 //! In a real distributed system the bitmap is produced by a
 //! construction-time registration exchange; the builder performs that
-//! exchange directly since all ranks share the address space.
+//! exchange directly since all ranks share the address space. Exchange
+//! and storage stay inside a processor column, so [`DistGraph::build`]
+//! and [`rebuild_rank`] (fault recovery) both build processor columns.
 
 use crate::csr::PartialEdgeLists;
 use crate::gen;
 use crate::partition::{EntryRouter, TwoDPartition};
-use crate::spec::{GraphFamily, GraphSpec};
+use crate::spec::GraphSpec;
 use crate::Vertex;
 use bgl_comm::ProcessorGrid;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// One rank's share of the distributed graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,69 +156,7 @@ impl DistGraph {
     /// Build the distributed graph for `spec` on `grid`.
     pub fn build(spec: GraphSpec, grid: ProcessorGrid) -> Self {
         let partition = TwoDPartition::new(spec.n, grid);
-        let p = grid.len();
-
-        // 1. Generate entries chunk-parallel and bucket them by storing rank.
-        let mut buckets = match spec.family {
-            GraphFamily::Poisson => {
-                // Each lower cell is sampled once and yields its mirror too.
-                let cgrid = gen::ChunkGrid::new(spec.n);
-                bucket_by_storer(cgrid.lower_cells(), &partition, |(hi, lo)| {
-                    gen::lower_cell_entries(&spec, &cgrid, hi, lo)
-                })
-            }
-            GraphFamily::RMat { .. } => {
-                bucket_by_storer(0..gen::rmat_chunks(&spec), &partition, |ci| {
-                    gen::rmat_chunk_edges(&spec, ci, gen::RMAT_STRIDE)
-                })
-            }
-            GraphFamily::SmallWorld { .. } => {
-                bucket_by_storer(0..gen::sw_chunks(&spec), &partition, |ci| {
-                    gen::small_world_chunk_edges(&spec, ci)
-                })
-            }
-        };
-
-        // 2. Per-rank CSR construction on the pool, one contiguous run of
-        //    ranks per worker. The CSRs land in the workers' malloc
-        //    arenas; measured median peak memory moved by under 1% on
-        //    every perfbench workload (DESIGN §5, host memory).
-        let edges: Vec<PartialEdgeLists> = buckets
-            .par_iter_mut()
-            .map(|pieces| PartialEdgeLists::from_pieces(std::mem::take(pieces)))
-            .collect();
-
-        // 3. Registration exchange: owners learn which column peers hold
-        //    non-empty lists for each owned vertex, one bit per (grid
-        //    row, owned vertex) set straight from each peer's sorted
-        //    columns.
-        let registrations: Vec<Vec<u64>> = (0..p)
-            .map(|owner| {
-                let owned = partition.owned_range(owner);
-                let (_, j) = grid.position_of(owner);
-                let words = partition.owned_len(owner).div_ceil(64);
-                let mut bits = vec![0u64; grid.rows() * words];
-                // A rank that owns no vertex has no words (and no rows).
-                for (i, row) in bits.chunks_exact_mut(words.max(1)).enumerate() {
-                    let cols = edges[grid.rank_of(i, j)].cols();
-                    let from = cols.partition_point(|&v| v < owned.start);
-                    let to = cols.partition_point(|&v| v < owned.end);
-                    for &v in &cols[from..to] {
-                        let off = v - owned.start;
-                        row[(off / 64) as usize] |= 1 << (off % 64);
-                    }
-                }
-                bits
-            })
-            .collect();
-
-        let ranks: Vec<RankGraph> = edges
-            .into_iter()
-            .zip(registrations)
-            .enumerate()
-            .map(|(rank, (edges, bits))| RankGraph::new(rank, &partition, edges, bits))
-            .collect();
-
+        let ranks = build_columns(&spec, &partition, 0..grid.cols());
         Self {
             spec,
             partition,
@@ -247,11 +188,63 @@ impl DistGraph {
     }
 }
 
-/// Generate every work item's entries in parallel (`chunk_entries`
-/// turns one generation chunk into its adjacency entries) and bucket
-/// them by the rank that stores them. The work is split into one
-/// positional chunk per worker; rank `r` receives one piece per chunk
-/// (`result[r][chunk]`), so nothing is concatenated.
+/// Regenerate a single rank's share of the graph from the spec alone.
+///
+/// Fault recovery uses this: graphs are seed-generated, so a dead rank's
+/// `RankGraph` need not be checkpointed — a spare node replays the
+/// deterministic generator and builds the rank's processor column as
+/// [`DistGraph::build`] does. Produces a result identical to
+/// `DistGraph::build(spec, grid).ranks[rank]`.
+pub fn rebuild_rank(spec: &GraphSpec, grid: ProcessorGrid, rank: usize) -> RankGraph {
+    let partition = TwoDPartition::new(spec.n, grid);
+    let (i, j) = grid.position_of(rank);
+    build_columns(spec, &partition, j..j + 1).swap_remove(i)
+}
+
+/// Build the ranks of processor columns `cols`, in rank order: bucket
+/// their entries ([`bucket_by_storer`]), build their CSRs, then run the
+/// registration exchange ([`register_column`]) and assemble the
+/// `RankGraph`s, all on the pool. Rank `(i, j)` owns block row `j·R + i`,
+/// so the ranks are the owners of block rows `cols.start·R..cols.end·R`,
+/// taken in that order until the final sort. The CSRs and bitmaps land
+/// in the workers' malloc arenas (DESIGN §5, host memory).
+fn build_columns(
+    spec: &GraphSpec,
+    partition: &TwoDPartition,
+    cols: Range<usize>,
+) -> Vec<RankGraph> {
+    let r = partition.rows();
+    let mut buckets = bucket_by_storer(spec, partition, cols.start * r..cols.end * r);
+    let edges: Vec<PartialEdgeLists> = buckets
+        .par_iter_mut()
+        .map(|pieces| PartialEdgeLists::from_pieces(std::mem::take(pieces)))
+        .collect();
+    let mut edges = edges.into_iter();
+    let mut columns: Vec<(usize, Vec<PartialEdgeLists>)> = cols
+        .map(|j| (j, edges.by_ref().take(r).collect()))
+        .collect();
+    let by_column: Vec<Vec<RankGraph>> = columns
+        .par_iter_mut()
+        .map(|(j, column)| {
+            let bits = register_column(partition, *j, column);
+            let ranks = (0..r).map(|i| partition.grid().rank_of(i, *j));
+            ranks
+                .zip(std::mem::take(column))
+                .zip(bits)
+                .map(|((rank, edges), bits)| RankGraph::new(rank, partition, edges, bits))
+                .collect()
+        })
+        .collect();
+    let mut ranks: Vec<RankGraph> = by_column.into_iter().flatten().collect();
+    ranks.sort_unstable_by_key(|g| g.rank);
+    ranks
+}
+
+/// Generate every item of `spec` ([`gen::items`]) in parallel and
+/// bucket the entries that the owners of block rows `blocks` store, by
+/// that block row, dropping the rest. The items are split into one
+/// positional chunk per worker; block row `blocks.start + s` receives
+/// one piece per chunk (`result[s][chunk]`), so nothing is concatenated.
 ///
 /// Every piece starts with a small allocation made on the calling
 /// thread. A piece then only grows, by `realloc`, which glibc serves
@@ -259,72 +252,79 @@ impl DistGraph {
 /// the caller once the CSR build frees them. Pieces first allocated on
 /// pool workers would leave it stranded in the workers' arenas and
 /// raise peak memory.
-fn bucket_by_storer<W, E>(
-    work: W,
+fn bucket_by_storer(
+    spec: &GraphSpec,
     partition: &TwoDPartition,
-    chunk_entries: impl Fn(W::Item) -> E + Sync,
-) -> Vec<Vec<Vec<(Vertex, Vertex)>>>
-where
-    W: IntoParallelIterator,
-    W::Item: Send,
-    E: IntoIterator<Item = (Vertex, Vertex)>,
-{
+    blocks: Range<usize>,
+) -> Vec<Vec<Vec<(Vertex, Vertex)>>> {
     /// Initial capacity of every piece, in entries.
     const PIECE_START: usize = 64;
-    let p = partition.grid().len();
     let router = EntryRouter::new(partition);
-    let per_chunk: Vec<Vec<Vec<(Vertex, Vertex)>>> = work
+    let (items, item_entries) = gen::items(spec);
+    let per_chunk: Vec<Vec<Vec<(Vertex, Vertex)>>> = (0..items)
         .into_par_iter()
         .fold(
-            || (0..p).map(|_| Vec::with_capacity(PIECE_START)).collect(),
+            || {
+                blocks
+                    .clone()
+                    .map(|_| Vec::with_capacity(PIECE_START))
+                    .collect()
+            },
             |mut acc: Vec<Vec<(Vertex, Vertex)>>, item| {
-                for (u, v) in chunk_entries(item) {
-                    acc[router.storer_of_entry(u, v)].push((u, v));
+                for (u, v) in item_entries(spec, item) {
+                    // A storer outside `blocks` lands past the end of
+                    // `acc`; one before it, by wrapping.
+                    let slot = router.storer_block(u, v).wrapping_sub(blocks.start);
+                    if let Some(piece) = acc.get_mut(slot) {
+                        piece.push((u, v));
+                    }
                 }
                 acc
             },
         )
         .collect();
-    let mut per_rank: Vec<Vec<Vec<(Vertex, Vertex)>>> = (0..p)
+    let mut per_block: Vec<Vec<Vec<(Vertex, Vertex)>>> = blocks
         .map(|_| Vec::with_capacity(per_chunk.len()))
         .collect();
     for chunk in per_chunk {
-        for (pieces, piece) in per_rank.iter_mut().zip(chunk) {
+        for (pieces, piece) in per_block.iter_mut().zip(chunk) {
             pieces.push(piece);
         }
     }
-    per_rank
+    per_block
 }
 
-/// Regenerate a single rank's share of the graph from the spec alone.
-///
-/// Fault recovery uses this: graphs are seed-generated, so a dead rank's
-/// `RankGraph` need not be checkpointed — a spare node replays the
-/// deterministic generator, keeping the entries this rank stores and the
-/// registration bits of the vertices it owns. Produces a result identical
-/// to `DistGraph::build(spec, grid).ranks[rank]`.
-pub fn rebuild_rank(spec: &GraphSpec, grid: ProcessorGrid, rank: usize) -> RankGraph {
-    let partition = TwoDPartition::new(spec.n, grid);
-    let router = EntryRouter::new(&partition);
-    let owned = partition.owned_range(rank);
-    let words = partition.owned_len(rank).div_ceil(64);
-    let mut entries: Vec<(Vertex, Vertex)> = Vec::new();
-    let mut registration = vec![0u64; grid.rows() * words];
-    gen::for_each_entry(spec, |u, v| {
-        let storer = router.storer_of_entry(u, v);
-        if storer == rank {
-            entries.push((u, v));
+/// The registration exchange of processor column `j`: given the lists
+/// `column[i]` that rank `(i, j)` stores, entry `i` of the result is rank
+/// `(i, j)`'s bitmap (see [`RankGraph::registration_row`]). A storer's
+/// sorted `cols()` lie in block column `j`, which ranks `(0, j)..(R−1, j)`
+/// own in ascending order, so one pass over them, stepping to the next
+/// owner at each boundary, sets every bit of the storer's row.
+fn register_column(
+    partition: &TwoDPartition,
+    j: usize,
+    column: &[PartialEdgeLists],
+) -> Vec<Vec<u64>> {
+    let r = partition.rows();
+    let starts: Vec<Vertex> = (j * r..=(j + 1) * r)
+        .map(|b| partition.block_row_start(b))
+        .collect();
+    let words: Vec<usize> = starts
+        .windows(2)
+        .map(|w| ((w[1] - w[0]) as usize).div_ceil(64))
+        .collect();
+    let mut bits: Vec<Vec<u64>> = words.iter().map(|&w| vec![0; r * w]).collect();
+    for (row, storer) in column.iter().enumerate() {
+        let mut owner = 0;
+        for &v in storer.cols() {
+            while v >= starts[owner + 1] {
+                owner += 1;
+            }
+            let off = (v - starts[owner]) as usize;
+            bits[owner][row * words[owner] + off / 64] |= 1 << (off % 64);
         }
-        // The registration exchange, replayed locally: any storer of a
-        // non-empty list for an owned vertex registers it.
-        if owned.contains(&v) {
-            let (i, _) = grid.position_of(storer);
-            let off = v - owned.start;
-            registration[i * words + (off / 64) as usize] |= 1 << (off % 64);
-        }
-    });
-    let edges = PartialEdgeLists::from_entries(entries);
-    RankGraph::new(rank, &partition, edges, registration)
+    }
+    bits
 }
 
 /// Sequential adjacency oracle: the same graph as `DistGraph::build`
@@ -351,6 +351,7 @@ pub fn adjacency(spec: &GraphSpec) -> Vec<Vec<Vertex>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::GraphFamily;
     use std::collections::HashSet;
 
     fn spec_small() -> GraphSpec {
@@ -496,7 +497,8 @@ mod tests {
     #[test]
     fn rebuild_rank_matches_build() {
         // Every rank of the pooled build, under 1 worker and under 4,
-        // equals its single-rank replay and answers every query as the
+        // equals its single-rank rebuild (itself run under 1 worker for
+        // even ranks and 4 for odd ones) and answers every query as the
         // hash-map CSR oracle does; its row-block bounds split the rows
         // by block column. The Poisson oracle samples every cell of the
         // full chunk grid on its own, one orientation at a time, so it
@@ -512,6 +514,7 @@ mod tests {
             GraphSpec::rmat(1 << 8, 6.0, 3),
             GraphSpec::rmat(1 << 11, 8.0, 22),
             GraphSpec::small_world(1_200, 6.0, 0.2, 23),
+            GraphSpec::poisson(40, 4.0, 31),
         ] {
             for grid in [
                 ProcessorGrid::new(3, 2),
@@ -540,11 +543,10 @@ mod tests {
                         grid.cols()
                     );
                     assert_eq!(pooled.ranks[rank], serial.ranks[rank], "{what}");
-                    assert_eq!(
-                        pooled.ranks[rank],
-                        rebuild_rank(&spec, grid, rank),
-                        "{what}"
-                    );
+                    let workers = if rank % 2 == 0 { 1 } else { 4 };
+                    let rebuilt =
+                        rayon::with_worker_threads(workers, || rebuild_rank(&spec, grid, rank));
+                    assert_eq!(pooled.ranks[rank], rebuilt, "{what}");
                     let rg = &pooled.ranks[rank];
                     crate::csr::tests::Oracle::new(entries).assert_matches(&rg.edges);
                     let blocks = rg.row_blocks();

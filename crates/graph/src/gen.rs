@@ -18,7 +18,8 @@
 //!
 //! The R-MAT extension draws a fixed number of directed edge samples by
 //! recursive quadrant descent, also chunked into independently seeded
-//! streams.
+//! streams. [`items`] is the one place a spec splits into such items;
+//! the builder runs them on the pool, [`for_each_entry`] in order.
 
 use crate::spec::{GraphFamily, GraphSpec};
 use crate::Vertex;
@@ -60,20 +61,15 @@ impl ChunkGrid {
         debug_assert!(c < self.chunks());
         (c * self.chunk)..((c + 1) * self.chunk).min(self.n)
     }
+}
 
-    /// All cells of the lower triangle (including the diagonal), i.e.
-    /// the independent generation work items: `(chunk_row, chunk_col)`
-    /// with `chunk_row >= chunk_col`.
-    pub(crate) fn lower_cells(&self) -> Vec<(u64, u64)> {
-        let k = self.chunks();
-        let mut cells = Vec::with_capacity((k * (k + 1) / 2) as usize);
-        for cr in 0..k {
-            for cc in 0..=cr {
-                cells.push((cr, cc));
-            }
-        }
-        cells
-    }
+/// Lower cell number `i`, `(chunk_row, chunk_col)` with
+/// `chunk_row >= chunk_col`, counting row by row: cell `(hi, lo)` is
+/// number `hi·(hi+1)/2 + lo`, which is slot `(hi+1, lo)` of the strict
+/// lower triangle.
+fn lower_cell(i: u64) -> (u64, u64) {
+    let (u, v) = triangle_coords(i);
+    (u - 1, v)
 }
 
 /// SplitMix64 finalizer for deriving independent stream seeds.
@@ -219,29 +215,10 @@ pub fn cell_entries(
     out
 }
 
-/// Every adjacency entry of lower cell `(hi, lo)` and of its mirror
-/// `(lo, hi)` for a Poisson spec, sampled once: each sampled slot is
-/// emitted in both orientations. The same multiset as
-/// [`cell_entries`] of both cells (of the one cell when `hi == lo`), in
-/// a different order.
-pub(crate) fn lower_cell_entries(
-    spec: &GraphSpec,
-    grid: &ChunkGrid,
-    hi: u64,
-    lo: u64,
-) -> Vec<(Vertex, Vertex)> {
-    let mut out = Vec::new();
-    sample_lower_cell(spec, grid, hi, lo, |u, v| {
-        out.push((u, v));
-        out.push((v, u));
-    });
-    out
-}
-
 /// Every cell `(chunk_row, chunk_col)` of the chunk grid, both triangle
 /// sides. Each off-diagonal cell is the mirror of another, so walking
 /// these through [`cell_entries`] samples every off-diagonal cell twice;
-/// the builder and [`for_each_entry`] walk the lower cells once instead.
+/// [`items`] walks the lower cells once instead.
 /// Kept for callers that want the entries one orientation at a time,
 /// such as perfbench's replay of the build.
 pub fn full_cells(grid: &ChunkGrid) -> Vec<(u64, u64)> {
@@ -261,14 +238,8 @@ pub fn rmat_draws(spec: &GraphSpec) -> u64 {
     (spec.n as f64 * spec.avg_degree / 2.0).round() as u64
 }
 
-/// R-MAT draws per generation chunk (shared by the distributed builder
-/// and the sequential visitor so both see the same stream).
-pub const RMAT_STRIDE: u64 = 1 << 16;
-
-/// Number of [`RMAT_STRIDE`]-draw generation chunks for an R-MAT spec.
-pub fn rmat_chunks(spec: &GraphSpec) -> u64 {
-    rmat_draws(spec).div_ceil(RMAT_STRIDE).max(1)
-}
+/// R-MAT draws per generation item.
+const RMAT_STRIDE: u64 = 1 << 16;
 
 /// Draw chunk `chunk_idx` of the R-MAT edge stream (draw indices
 /// `[chunk_idx·stride, min((chunk_idx+1)·stride, total))`), emitting
@@ -331,9 +302,8 @@ fn rmat_quadrant(m: u64, [a, ab, abc]: [u64; 3]) -> (u64, u64) {
 const R_MAT_SALT: u64 = 0x524D_4154; // "RMAT"
 const SW_SALT: u64 = 0x5357_4154; // "SWAT"
 
-/// Vertices per small-world generation chunk (shared by the distributed
-/// builder and the sequential visitor so both see the same stream).
-pub const SW_STRIDE: u64 = 1 << 14;
+/// Lattice vertices per small-world generation item.
+const SW_STRIDE: u64 = 1 << 14;
 
 /// Generate the Watts–Strogatz edges whose *source lattice vertex* lies
 /// in chunk `chunk_idx` (vertices `[chunk_idx·SW_STRIDE, …)`), emitting
@@ -344,9 +314,9 @@ pub const SW_STRIDE: u64 = 1 << 14;
 /// uniform random target (self-loops keep the lattice target instead).
 /// Multi-edges can arise and are collapsed by the CSR layer, so the
 /// realized degree is marginally below `k` at high rewiring.
-pub fn small_world_chunk_edges(spec: &GraphSpec, chunk_idx: u64) -> Vec<(Vertex, Vertex)> {
+fn small_world_chunk_edges(spec: &GraphSpec, chunk_idx: u64) -> Vec<(Vertex, Vertex)> {
     let GraphFamily::SmallWorld { rewire } = spec.family else {
-        // bgl-lint: allow(r1, reason = "API contract: the builder dispatches on spec.family before calling the family-specific generator")
+        // bgl-lint: allow(r1, reason = "items() dispatches on spec.family and hands this out for small-world specs only")
         panic!("small_world_chunk_edges requires a SmallWorld spec");
     };
     let n = spec.n;
@@ -382,46 +352,59 @@ pub fn small_world_chunk_edges(spec: &GraphSpec, chunk_idx: u64) -> Vec<(Vertex,
     out
 }
 
-/// Number of generation chunks for a small-world spec.
-pub fn sw_chunks(spec: &GraphSpec) -> u64 {
-    spec.n.div_ceil(SW_STRIDE).max(1)
-}
+/// The entry function of [`items`]: item `i`'s adjacency entries.
+pub type ItemEntries = fn(&GraphSpec, u64) -> Vec<(Vertex, Vertex)>;
 
-/// Visit every adjacency entry `(row, col)` of the graph, sequentially.
-/// Convenience for oracles and small tests; builders iterate cells in
-/// parallel instead.
-pub fn for_each_entry<F: FnMut(Vertex, Vertex)>(spec: &GraphSpec, mut f: F) {
+/// How `spec` splits into independent generation items: their count,
+/// and the function giving item `i`'s adjacency entries. Each entry
+/// comes from exactly one item and depends only on the spec and `i`, so
+/// items run in any order, on any thread. Poisson item `i` is the
+/// `i`-th lower cell of the [`ChunkGrid`], counting row by row, sampled
+/// once and emitted in both orientations (the multiset of
+/// [`cell_entries`] of the cell and its mirror); R-MAT and small-world
+/// items are fixed-size draw and lattice chunks.
+pub fn items(spec: &GraphSpec) -> (u64, ItemEntries) {
     match spec.family {
         GraphFamily::Poisson => {
-            let grid = ChunkGrid::new(spec.n);
-            for (cr, cc) in grid.lower_cells() {
-                sample_lower_cell(spec, &grid, cr, cc, |u, v| {
-                    f(u, v);
-                    f(v, u);
+            let k = ChunkGrid::new(spec.n).chunks();
+            (k * (k + 1) / 2, |spec, i| {
+                let (hi, lo) = lower_cell(i);
+                let mut out = Vec::new();
+                sample_lower_cell(spec, &ChunkGrid::new(spec.n), hi, lo, |u, v| {
+                    out.push((u, v));
+                    out.push((v, u));
                 });
-            }
+                out
+            })
         }
-        GraphFamily::RMat { .. } => {
-            for ci in 0..rmat_chunks(spec) {
-                for (u, v) in rmat_chunk_edges(spec, ci, RMAT_STRIDE) {
-                    f(u, v);
-                }
-            }
-        }
+        GraphFamily::RMat { .. } => (rmat_draws(spec).div_ceil(RMAT_STRIDE).max(1), |spec, i| {
+            rmat_chunk_edges(spec, i, RMAT_STRIDE)
+        }),
         GraphFamily::SmallWorld { .. } => {
-            for ci in 0..sw_chunks(spec) {
-                for (u, v) in small_world_chunk_edges(spec, ci) {
-                    f(u, v);
-                }
-            }
+            (spec.n.div_ceil(SW_STRIDE).max(1), small_world_chunk_edges)
         }
     }
+}
+
+/// Visit every adjacency entry `(row, col)` of the graph, sequentially,
+/// item by item. Convenience for oracles and small tests.
+pub fn for_each_entry(spec: &GraphSpec, mut f: impl FnMut(Vertex, Vertex)) {
+    let (count, entries) = items(spec);
+    (0..count)
+        .flat_map(|i| entries(spec, i))
+        .for_each(|(u, v)| f(u, v));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// Every lower cell of `grid`, in item order.
+    fn lower_cells(grid: &ChunkGrid) -> Vec<(u64, u64)> {
+        let k = grid.chunks();
+        (0..k * (k + 1) / 2).map(lower_cell).collect()
+    }
 
     fn all_entries(spec: &GraphSpec) -> Vec<(Vertex, Vertex)> {
         let mut v = Vec::new();
@@ -466,7 +449,7 @@ mod tests {
         let grid = ChunkGrid::with_chunk(400, 64);
         let mut forward = Vec::new();
         let mut backward = Vec::new();
-        let cells = grid.lower_cells();
+        let cells = lower_cells(&grid);
         for &(cr, cc) in &cells {
             forward.extend(cell_entries(&spec, &grid, cr, cc));
         }
@@ -552,6 +535,14 @@ mod tests {
             for v in 0..u {
                 assert_eq!(triangle_coords(t), (u, v), "t={t}");
                 t += 1;
+            }
+        }
+        // Lower cell numbers count the cells row by row, diagonal included.
+        let mut i = 0u64;
+        for hi in 0..60u64 {
+            for lo in 0..=hi {
+                assert_eq!(lower_cell(i), (hi, lo), "i={i}");
+                i += 1;
             }
         }
     }
@@ -657,8 +648,9 @@ mod tests {
         for chunk in [50, 70, 299] {
             let grid = ChunkGrid::with_chunk(300, chunk);
             let mut sampled = 0;
-            for (hi, lo) in grid.lower_cells() {
-                let mut once = lower_cell_entries(&spec, &grid, hi, lo);
+            for (hi, lo) in lower_cells(&grid) {
+                let mut once = Vec::new();
+                sample_lower_cell(&spec, &grid, hi, lo, |u, v| once.extend([(u, v), (v, u)]));
                 let mut twice = cell_entries(&spec, &grid, hi, lo);
                 if hi != lo {
                     twice.extend(cell_entries(&spec, &grid, lo, hi));

@@ -153,26 +153,29 @@ impl TwoDPartition {
 }
 
 /// [`TwoDPartition::storer_of_entry`] without division, for routing
-/// every generated entry during construction. Vertices are binned by
-/// `v >> shift`, with bins no wider than the narrowest non-empty block
-/// row, so a bin's first block row is at most a short walk from any of
-/// its vertices' block rows. Per-block-row tables then give the storing
-/// rank's grid-row and grid-column terms.
+/// every generated entry during construction. It names the storer by
+/// the block row the storer owns, `j·R + i` for rank `(i, j)`: that is
+/// column-major order, so each processor column's storers are `R`
+/// consecutive block rows. Vertices are binned by `v >> shift`, with
+/// bins no wider than the narrowest non-empty block row, so a bin's
+/// first block row is at most a short walk from any of its vertices'
+/// block rows. Per-block-row tables then give the storer's grid-row
+/// and grid-column terms.
 pub(crate) struct EntryRouter {
     shift: u32,
     /// Block row of each bin's first vertex.
     bin_block: Vec<usize>,
     /// `block_row_start(b)` for `b` in `0..=P`.
     starts: Vec<Vertex>,
-    /// `(b % R) · C`: the row-major rank offset of block row `b`'s grid row.
+    /// `b % R`: the grid row of block row `b`.
     row_term: Vec<usize>,
-    /// `b / R`: the grid column (block column) of block row `b`.
+    /// `b − b % R`: the first block row of block row `b`'s block column.
     col_term: Vec<usize>,
 }
 
 impl EntryRouter {
     pub(crate) fn new(partition: &TwoDPartition) -> Self {
-        let (p, r, c) = (partition.p(), partition.r, partition.c);
+        let (p, r) = (partition.p(), partition.r);
         let starts: Vec<Vertex> = (0..=p).map(|b| partition.block_row_start(b)).collect();
         let narrowest = starts
             .windows(2)
@@ -189,8 +192,8 @@ impl EntryRouter {
             shift,
             bin_block,
             starts,
-            row_term: (0..p).map(|b| (b % r) * c).collect(),
-            col_term: (0..p).map(|b| b / r).collect(),
+            row_term: (0..p).map(|b| b % r).collect(),
+            col_term: (0..p).map(|b| b - b % r).collect(),
         }
     }
 
@@ -202,8 +205,8 @@ impl EntryRouter {
         b
     }
 
-    /// The rank storing entry `(row u, col v)`.
-    pub(crate) fn storer_of_entry(&self, u: Vertex, v: Vertex) -> usize {
+    /// The block row owned by the rank storing entry `(row u, col v)`.
+    pub(crate) fn storer_block(&self, u: Vertex, v: Vertex) -> usize {
         self.row_term[self.block_row_of(u)] + self.col_term[self.block_row_of(v)]
     }
 }
@@ -332,7 +335,7 @@ mod tests {
             for u in 0..n {
                 for v in (0..n).step_by(1 + (n / 50) as usize) {
                     assert_eq!(
-                        router.storer_of_entry(u, v),
+                        pt.owner_of_block_row(router.storer_block(u, v)),
                         pt.storer_of_entry(u, v),
                         "n={n} grid={r}x{c} entry ({u}, {v})"
                     );
@@ -355,7 +358,10 @@ mod tests {
             let router = EntryRouter::new(&pt);
             for (u, v) in picks {
                 let (u, v) = (u % n, v % n);
-                proptest::prop_assert_eq!(router.storer_of_entry(u, v), pt.storer_of_entry(u, v));
+                proptest::prop_assert_eq!(
+                    pt.owner_of_block_row(router.storer_block(u, v)),
+                    pt.storer_of_entry(u, v)
+                );
             }
         }
     }
