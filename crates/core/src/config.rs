@@ -243,5 +243,20 @@ mod tests {
         assert!(!DirectionPolicy::bottom_up().wants_bottom_up(0, 0, 0, n, r));
         assert!(DirectionPolicy::bottom_up().wants_bottom_up(1, 0, 0, n, r));
         assert!(!DirectionPolicy::top_down().wants_bottom_up(300, 5_000, 0, n, r));
+        // α gate is strict: 14·R·mf̂ == mû stays top-down, one more unit
+        // of mf̂ goes bottom-up.
+        assert!(!p.wants_bottom_up(300, 1_000, 14 * 4 * 1_000, n, r));
+        assert!(p.wants_bottom_up(300, 1_001, 14 * 4 * 1_000, n, r));
+        // β gate is strict: 24·gf == n stays top-down, one more frontier
+        // vertex goes bottom-up.
+        let n = 24 * 50;
+        assert!(!p.wants_bottom_up(50, 5_000, 20_000, n, r));
+        assert!(p.wants_bottom_up(51, 5_000, 20_000, n, r));
+        // u64::MAX inputs saturate instead of wrapping: a wrapped product
+        // would land below u64::MAX - 1 and stay top-down.
+        let max = u64::MAX;
+        assert!(p.wants_bottom_up(max, max, max - 1, max - 1, max));
+        assert!(!p.wants_bottom_up(max, max, max, max - 1, max));
+        assert!(!p.wants_bottom_up(max, max, max - 1, max, max));
     }
 }
