@@ -134,14 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Batched: one wave, all targets as lanes, one shared world.
         let mut bworld = SimWorld::bluegene(grid).with_wire_policy(wire);
-        let batched = path::try_multi(
-            &graph,
-            &mut bworld,
-            levels,
-            source,
-            &targets,
-            &path::MultiPathConfig::default(),
-        )?;
+        let batched = path::try_multi(&graph, &mut bworld, levels, source, &targets)?;
 
         // Sequential baseline: one fresh world per target, the
         // pre-batching serving cost of the same queries.

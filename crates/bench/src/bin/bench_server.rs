@@ -263,8 +263,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Direction ablation at the gate width, cache off: top-down
     // against the sweep's adaptive row. -------------------------------
     let topdown_multi = multi::MultiConfig {
-        direction: DirectionPolicy::top_down(),
-        ..multi::MultiConfig::default()
+        direction: DirectionPolicy::TopDown,
     };
     let mut tworld = SimWorld::bluegene(grid).with_wire_policy(wire);
     let tres = multi::try_run(&graph, &mut tworld, &topdown_multi, &gate_sources)?;

@@ -125,7 +125,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let resilient = ResilientConfig {
         parity_group_size: group,
-        ..ResilientConfig::default()
     };
     let mut cells: Vec<Cell> = Vec::new();
     for &fault_seed in &fault_seeds {

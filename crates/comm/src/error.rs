@@ -46,13 +46,6 @@ pub enum CommError {
         /// World size.
         p: usize,
     },
-    /// The modelled machine has fewer nodes than the grid has ranks.
-    MachineTooSmall {
-        /// Ranks requested.
-        ranks: usize,
-        /// Nodes available.
-        nodes: usize,
-    },
     /// A receive deadline expired without the expected traffic and no
     /// dead rank could be identified (threaded runtime only).
     Timeout {
@@ -61,18 +54,8 @@ pub enum CommError {
         /// The exchange round it was waiting on.
         round: u64,
     },
-    /// Checkpoint recovery for a dead rank gave up: every bounded
-    /// retry of the recovery exchange failed (the recovery channel is
-    /// itself faulty) and degraded-mode fallback was disabled or also
-    /// impossible.
-    RecoveryFailed {
-        /// The rank that could not be reconstructed.
-        rank: usize,
-        /// Recovery-exchange attempts made before giving up.
-        attempts: u32,
-    },
     /// A configuration value fails validation before the run starts
-    /// (e.g. a zero checkpoint interval or a parity group of one).
+    /// (e.g. a source outside the graph or a parity group of one).
     InvalidConfig {
         /// What was wrong, in plain words.
         reason: &'static str,
@@ -93,17 +76,9 @@ impl fmt::Display for CommError {
             CommError::DestinationOutOfRange { dest, p } => {
                 write!(f, "destination {dest} out of range for {p} ranks")
             }
-            CommError::MachineTooSmall { ranks, nodes } => write!(
-                f,
-                "machine has {nodes} nodes but the grid needs {ranks} ranks"
-            ),
             CommError::Timeout { rank, round } => {
                 write!(f, "rank {rank} timed out waiting on round {round}")
             }
-            CommError::RecoveryFailed { rank, attempts } => write!(
-                f,
-                "recovery of rank {rank} failed after {attempts} attempts"
-            ),
             CommError::InvalidConfig { reason } => {
                 write!(f, "invalid configuration: {reason}")
             }
@@ -134,26 +109,12 @@ mod tests {
                 CommError::DestinationOutOfRange { dest: 9, p: 4 },
                 "out of range",
             ),
-            (
-                CommError::MachineTooSmall {
-                    ranks: 64,
-                    nodes: 8,
-                },
-                "64 ranks",
-            ),
             (CommError::Timeout { rank: 2, round: 7 }, "round 7"),
             (
-                CommError::RecoveryFailed {
-                    rank: 5,
-                    attempts: 3,
-                },
-                "after 3 attempts",
-            ),
-            (
                 CommError::InvalidConfig {
-                    reason: "checkpoint_every must be nonzero",
+                    reason: "the source is out of range",
                 },
-                "nonzero",
+                "the source is out of range",
             ),
         ];
         for (e, needle) in cases {

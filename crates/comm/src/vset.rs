@@ -19,30 +19,33 @@
 use crate::setops;
 use crate::Vert;
 
+/// Density threshold exponent: a set is dense at density ≥ 2^-6, where
+/// a bitmap (1 bit per slot) is no larger than the list (64 bits per
+/// element).
+const DENSITY_SHIFT: u32 = 6;
+
+/// The one density rule for bitmaps, shared by [`VertSet`]'s densify
+/// switch and the wire codec's adaptive chooser: at least 64 elements
+/// (tiny sets are cheaper as lists whatever their density), and
+/// `count << 6 >= span`.
+pub(crate) fn dense_enough(count: usize, span: u64) -> bool {
+    count >= 64 && (count as u64) << DENSITY_SHIFT >= span
+}
+
 /// When to switch a [`VertSet`] between representations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VsetPolicy {
     /// Master switch: when false, sets stay sorted lists forever (the
-    /// seed behaviour; used by A/B determinism tests).
+    /// seed behaviour; the reference of the A/B determinism tests and
+    /// `bench_setops`' list row).
     pub bitmap_enabled: bool,
-    /// Minimum cardinality before a bitmap is considered — tiny sets
-    /// are cheaper as lists regardless of density.
-    pub min_bitmap_len: usize,
-    /// Density threshold exponent: densify when
-    /// `count << density_shift >= span` (i.e. density ≥ 2^-shift).
-    /// The default 6 makes the bitmap (1 bit/slot) no larger than the
-    /// list (64 bits/element) at the switch point.
-    pub density_shift: u32,
 }
 
 impl VsetPolicy {
-    /// The default hybrid policy: densify at density ≥ 1/64 once a set
-    /// holds at least 64 vertices.
+    /// The default hybrid policy: densify by `dense_enough`.
     pub fn hybrid() -> Self {
         VsetPolicy {
             bitmap_enabled: true,
-            min_bitmap_len: 64,
-            density_shift: 6,
         }
     }
 
@@ -50,16 +53,13 @@ impl VsetPolicy {
     pub fn list_only() -> Self {
         VsetPolicy {
             bitmap_enabled: false,
-            ..Self::hybrid()
         }
     }
 
     /// Whether a set of `count` elements spanning `span` slots should
     /// become (or be built as) a bitmap.
     fn prefers_bitmap(&self, count: usize, span: u64) -> bool {
-        self.bitmap_enabled
-            && count >= self.min_bitmap_len
-            && (count as u64).checked_shl(self.density_shift) >= Some(span)
+        self.bitmap_enabled && dense_enough(count, span)
     }
 
     /// Whether an existing bitmap should *stay* a bitmap after growing
@@ -67,7 +67,7 @@ impl VsetPolicy {
     /// densify threshold prevents representation thrash and bounds
     /// bitmap memory at 4× the densify point.
     fn keeps_bitmap(&self, count: usize, span: u64) -> bool {
-        self.bitmap_enabled && (count as u64).checked_shl(self.density_shift + 2) >= Some(span)
+        self.bitmap_enabled && (count as u64) << (DENSITY_SHIFT + 2) >= span
     }
 }
 

@@ -14,9 +14,9 @@
 //! processes sends in a global order while the threaded runtime
 //! processes them per rank; any cross-message state would make the two
 //! runtimes pick different formats for the same message and break the
-//! bit-identity the equivalence suite pins. The hysteresis *style*
-//! survives as the shifted density threshold (`count << density_shift
-//! >= span`); the band itself cannot exist on the wire.
+//! bit-identity the equivalence suite pins. The density threshold is
+//! the vertex sets' own (`count ≥ 64` and `count << 6 >= span`); the
+//! hysteresis band cannot exist on the wire.
 //!
 //! The simulator never materializes frames: [`measure`] returns the
 //! exact encoded size ([`measure_iter`] that of a concatenation of
@@ -25,6 +25,7 @@
 //! that many bytes for the same payload and policy — the property tests
 //! pin this.
 
+use crate::vset::dense_enough;
 use crate::{Vert, VERT_BYTES};
 use serde::{Deserialize, Serialize};
 
@@ -67,19 +68,14 @@ impl WireMode {
     }
 }
 
-/// Wire-codec policy: the mode plus the density thresholds the adaptive
-/// chooser consults (mirroring [`crate::VsetPolicy::hybrid`]'s values).
+/// Wire-codec policy. The adaptive chooser picks a bitmap frame by the
+/// vertex sets' density rule: at least 64 vertices (below that the
+/// framing overhead dominates) and ≥ 1 vertex per 64 slots, i.e. ≥ 1
+/// set bit per bitmap word on average.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WirePolicy {
     /// Codec family.
     pub mode: WireMode,
-    /// Below this payload length a bitmap is never chosen (framing
-    /// overhead dominates).
-    pub min_bitmap_len: usize,
-    /// Density threshold: choose a bitmap when
-    /// `count << density_shift >= span`. Shift 6 ⇒ ≥ 1 vertex per 64
-    /// slots, i.e. ≥ 1 set bit per bitmap word on average.
-    pub density_shift: u32,
 }
 
 impl WirePolicy {
@@ -88,33 +84,19 @@ impl WirePolicy {
         Self::with_mode(WireMode::Raw)
     }
 
-    /// The density-adaptive chooser with `VsetPolicy::hybrid`-style
-    /// thresholds.
+    /// The density-adaptive chooser.
     pub fn auto() -> Self {
         Self::with_mode(WireMode::Auto)
     }
 
-    /// A policy with the standard thresholds and the given mode.
+    /// A policy with the given mode.
     pub fn with_mode(mode: WireMode) -> Self {
-        Self {
-            mode,
-            min_bitmap_len: 64,
-            density_shift: 6,
-        }
+        Self { mode }
     }
 
     /// Whether the codec layer is off entirely.
     pub fn is_raw(&self) -> bool {
         self.mode == WireMode::Raw
-    }
-
-    /// Density test for the bitmap family, same shape as
-    /// `VsetPolicy::prefers_bitmap`: `count << shift >= span`.
-    fn prefers_bitmap(&self, count: usize, span: u64) -> bool {
-        count >= self.min_bitmap_len
-            && (count as u64)
-                .checked_shl(self.density_shift)
-                .is_some_and(|lhs| lhs >= span)
     }
 }
 
@@ -369,7 +351,7 @@ fn choose(
         WireMode::Auto => {
             let span = (s.last - s.first).saturating_add(1);
             let candidate = match bitmap_pair {
-                Some(b) if policy.prefers_bitmap(count, span) => b,
+                Some(b) if dense_enough(count, span) => b,
                 _ if s.non_decreasing => (WireFormat::Delta, delta),
                 _ => (WireFormat::Raw, raw),
             };

@@ -60,13 +60,8 @@ proptest! {
     fn measure_of_a_chain_is_the_measure_of_its_concatenation(
         pieces in pieces(),
         mode in any_mode(),
-        shift in 0u32..10,
     ) {
-        let policy = WirePolicy {
-            mode,
-            density_shift: shift,
-            ..WirePolicy::auto()
-        };
+        let policy = WirePolicy::with_mode(mode);
         let concatenated: Vec<Vert> = pieces.concat();
         let chained = wire::measure_iter(
             concatenated.len(),

@@ -21,9 +21,9 @@
 //!
 //! * [`try_run`] — the plain run, with communication faults surfaced as
 //!   typed [`CommError`]s;
-//! * [`run_resilient`] — level-synchronous **checkpoint/recover**. Every
-//!   [`ResilientConfig::checkpoint_every`] levels the per-rank states are
-//!   checkpointed, and after every absorb each rank shares its freshly
+//! * [`run_resilient`] — level-synchronous **checkpoint/recover**. At the
+//!   start of every level the per-rank states are checkpointed, and
+//!   after every absorb each rank shares its freshly
 //!   labeled vertices with its XOR **parity group** (see
 //!   [`crate::parity`]) over the control network — which is *not* fault
 //!   exempt here: recovery traffic faces the same lossy fabric as data,
@@ -35,15 +35,16 @@
 //!   from the surviving group members' logs plus the checkpointed
 //!   parity shard, survivors roll back to the checkpoint, and the
 //!   search resumes. A second death in the *same* group (e.g. a former
-//!   buddy pair inside one group) exceeds the parity budget: the engine
-//!   falls back to a **degraded-mode restart** from the last full
-//!   checkpoint, or surfaces [`CommError::RecoveryFailed`] when
-//!   [`ResilientConfig::degraded_fallback`] is off or retries are
-//!   exhausted. Recovery is exact either way: the recovered run
-//!   produces bit-identical level labels to a fault-free run, because
-//!   absorb only ever labels unreached vertices.
+//!   buddy pair inside one group) exceeds the parity budget, and so does
+//!   a recovery exchange that exhausts its `RECOVERY_ATTEMPTS` (3): the
+//!   engine then falls back to a **degraded-mode restart** from the
+//!   last full checkpoint. After `MAX_RECOVERIES` (8) recoveries of
+//!   either kind a further death surfaces as [`CommError::RankDead`].
+//!   Recovery is exact either way: the recovered run produces
+//!   bit-identical level labels to a fault-free run, because absorb
+//!   only ever labels unreached vertices.
 
-use crate::config::{BfsConfig, DirectionMode};
+use crate::config::{BfsConfig, DirectionPolicy};
 use crate::parity::{GroupShard, ParityGroups};
 use crate::state::{gather_levels, RankState};
 use crate::stats::{LevelDirection, LevelSnapshot, LevelStats, RunStats};
@@ -64,64 +65,40 @@ pub struct BfsResult {
     pub target_level: Option<u32>,
 }
 
+/// Recoveries (parity reconstructions plus degraded restarts) one
+/// [`run_resilient`] run makes; a death after the last of them surfaces
+/// as [`CommError::RankDead`].
+const MAX_RECOVERIES: u32 = 8;
+
+/// Attempts per recovery or parity-update exchange over the faulty
+/// control channel; each failed attempt charges exponential backoff.
+const RECOVERY_ATTEMPTS: u32 = 3;
+
 /// Configuration of the checkpoint/recover protocol used by
 /// [`run_resilient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilientConfig {
-    /// Checkpoint the per-rank states every this many levels (minimum 1:
-    /// a checkpoint at the start of every level). Zero is rejected by
-    /// [`ResilientConfig::validate`].
-    pub checkpoint_every: u32,
-    /// Give up (returning the underlying [`CommError::RankDead`]) after
-    /// this many recoveries (parity reconstructions plus degraded
-    /// restarts) in one run.
-    pub max_recoveries: u32,
     /// XOR parity-group size `g` (see [`crate::parity`]): any one death
     /// per group of `g` consecutive ranks is reconstructed from the
     /// surviving `g - 1` logs plus the group's parity shard. Minimum 2.
     pub parity_group_size: usize,
-    /// Bounded retry budget for each recovery/checkpoint exchange over
-    /// the faulty control channel; each failed attempt charges
-    /// exponential backoff. Minimum 1.
-    pub recovery_attempts: u32,
-    /// When parity reconstruction is impossible (second death in the
-    /// same group) or its exchange exhausts `recovery_attempts`,
-    /// restart the level from the last full checkpoint instead of
-    /// failing. Off = surface [`CommError::RecoveryFailed`].
-    pub degraded_fallback: bool,
 }
 
 impl Default for ResilientConfig {
     fn default() -> Self {
         Self {
-            checkpoint_every: 1,
-            max_recoveries: 8,
             parity_group_size: 4,
-            recovery_attempts: 3,
-            degraded_fallback: true,
         }
     }
 }
 
 impl ResilientConfig {
-    /// Reject nonsensical configurations with a typed error instead of
-    /// silently clamping (a `checkpoint_every` of 0 used to be bumped
-    /// to 1 inside the engine loop). Called by [`run_resilient`] before
-    /// any work starts.
+    /// Reject a parity group of one with a typed error. Called by
+    /// [`run_resilient`] before any work starts.
     pub fn validate(&self) -> Result<(), CommError> {
-        if self.checkpoint_every == 0 {
-            return Err(CommError::InvalidConfig {
-                reason: "checkpoint_every must be nonzero",
-            });
-        }
         if self.parity_group_size < 2 {
             return Err(CommError::InvalidConfig {
                 reason: "parity_group_size must be at least 2 (a singleton group has no survivors)",
-            });
-        }
-        if self.recovery_attempts == 0 {
-            return Err(CommError::InvalidConfig {
-                reason: "recovery_attempts must be at least 1",
             });
         }
         Ok(())
@@ -216,7 +193,7 @@ fn level_pass(
     // instead of 1 — no extra communication rounds), and every rank
     // derives the level's direction from the identical global sums.
     let frontier_sizes: Vec<u64> = states.iter().map(|s| s.frontier_len()).collect();
-    let (global_frontier, bottom_up) = if config.direction.mode == DirectionMode::TopDown {
+    let (global_frontier, bottom_up) = if config.direction == DirectionPolicy::TopDown {
         (world.allreduce_sum(&frontier_sizes), false)
     } else {
         let mf: Vec<u64> = states.iter().map(|s| s.frontier_degree()).collect();
@@ -300,7 +277,6 @@ fn parity_update(
     deltas: &mut [Vec<(u32, Vec<Vertex>)>],
     groups: &ParityGroups,
     shards: &mut [GroupShard],
-    attempts: u32,
 ) -> Result<(), CommError> {
     let mut sends = Vec::new();
     for (rank, st) in states.iter().enumerate() {
@@ -313,20 +289,17 @@ fn parity_update(
             }
         }
     }
-    with_retry(world, attempts, |w| {
+    with_retry(world, RECOVERY_ATTEMPTS, |w| {
         w.exchange(OpClass::Control, sends.clone())
     })?;
     Ok(())
 }
 
-/// Flatten the mirrored delta log up to `through_level` into one wire
-/// payload: `[level, count, verts...]*`.
-fn encode_deltas(deltas: &[(u32, Vec<Vertex>)], through_level: u32) -> Vec<Vert> {
+/// Flatten a mirrored delta log into one wire payload:
+/// `[level, count, verts...]*`.
+fn encode_deltas(deltas: &[(u32, Vec<Vertex>)]) -> Vec<Vert> {
     let mut payload = Vec::new();
     for (lvl, verts) in deltas {
-        if *lvl > through_level {
-            continue;
-        }
         payload.push(*lvl as Vert);
         payload.push(verts.len() as Vert);
         payload.extend_from_slice(verts);
@@ -395,10 +368,8 @@ fn engine(
     // Checkpoint/recover machinery (inert when `resilience` is None).
     let groups = ParityGroups::new(resilience.map_or(2, |rc| rc.parity_group_size), p.max(1));
     let mut snapshot: Vec<RankState<'_>> = Vec::new();
-    let mut ckpt_level: u32 = 0;
     let mut deltas: Vec<Vec<(u32, Vec<Vertex>)>> = vec![Vec::new(); p];
     let mut shards: Vec<GroupShard> = Vec::new();
-    let mut shards_ckpt: Vec<GroupShard> = Vec::new();
     if let Some(rc) = resilience {
         rc.validate()?;
         // Recovery traffic is not fault-exempt: control exchanges face
@@ -419,16 +390,15 @@ fn engine(
 
     let mut level: u32 = 0;
     loop {
-        if let Some(rc) = resilience {
-            if level.is_multiple_of(rc.checkpoint_every) {
-                snapshot = states.clone();
-                shards_ckpt = shards.clone();
-                ckpt_level = level;
-                let t = world.time();
-                world
-                    .trace_mut()
-                    .world_event(EventKind::Checkpoint { level }, t, t);
-            }
+        // The checkpoint: a level adds its record, delta-log entries and
+        // parity only once it completes, so rolling back to the start of
+        // the level restores the rank states alone.
+        if resilience.is_some() {
+            snapshot = states.clone();
+            let t = world.time();
+            world
+                .trace_mut()
+                .world_event(EventKind::Checkpoint { level }, t, t);
         }
 
         match level_pass(
@@ -444,24 +414,13 @@ fn engine(
         ) {
             Ok(LevelOutcome::Exhausted) | Ok(LevelOutcome::TargetFound) => break,
             Ok(LevelOutcome::Advance) => {
-                if let Some(rc) = resilience {
-                    parity_update(
-                        world,
-                        &states,
-                        level + 1,
-                        &mut deltas,
-                        &groups,
-                        &mut shards,
-                        rc.recovery_attempts,
-                    )?;
+                if resilience.is_some() {
+                    parity_update(world, &states, level + 1, &mut deltas, &groups, &mut shards)?;
                 }
                 level += 1;
             }
             Err(CommError::RankDead { rank }) => {
-                let Some(rc) = resilience else {
-                    return Err(CommError::RankDead { rank });
-                };
-                if recoveries + degraded_restarts >= rc.max_recoveries {
+                if resilience.is_none() || recoveries + degraded_restarts >= MAX_RECOVERIES {
                     return Err(CommError::RankDead { rank });
                 }
                 let t0 = world.time();
@@ -500,13 +459,13 @@ fn engine(
                         groups.members(group).filter(|&m| m != rank).collect();
                     let mut sends: Vec<(usize, usize, Vec<Vert>)> = survivors
                         .iter()
-                        .map(|&m| (m, rank, encode_deltas(&deltas[m], ckpt_level)))
+                        .map(|&m| (m, rank, encode_deltas(&deltas[m])))
                         .collect();
                     let shard_holder = survivors.last().copied();
                     if let Some(h) = shard_holder {
-                        sends.push((h, rank, shards_ckpt[group].words().to_vec()));
+                        sends.push((h, rank, shards[group].words().to_vec()));
                     }
-                    match with_retry(world, rc.recovery_attempts, |w| {
+                    match with_retry(world, RECOVERY_ATTEMPTS, |w| {
                         w.exchange(OpClass::Control, sends.clone())
                     }) {
                         Ok(inboxes) => {
@@ -528,7 +487,7 @@ fn engine(
                             if shard_holder.is_some() {
                                 assert_eq!(
                                     shard_words,
-                                    shards_ckpt[group].words(),
+                                    shards[group].words(),
                                     "received parity shard must match the checkpointed shard"
                                 );
                             }
@@ -538,10 +497,10 @@ fn engine(
                             // length.
                             let survivor_refs: Vec<(usize, &[Vert])> =
                                 logs.iter().map(|(m, l)| (*m, l.as_slice())).collect();
-                            let reconstructed = shards_ckpt[group].reconstruct(mi, &survivor_refs);
+                            let reconstructed = shards[group].reconstruct(mi, &survivor_refs);
                             assert_eq!(
                                 reconstructed,
-                                encode_deltas(&deltas[rank], ckpt_level),
+                                encode_deltas(&deltas[rank]),
                                 "parity reconstruction must reproduce the dead rank's log"
                             );
 
@@ -554,7 +513,7 @@ fn engine(
                                 graph.partition,
                                 config.sent_neighbors,
                             );
-                            let replayed = replay_deltas(fresh, &reconstructed, ckpt_level);
+                            let replayed = replay_deltas(fresh, &reconstructed, level);
                             assert_eq!(
                                 replayed.levels, snapshot[rank].levels,
                                 "replayed labels must match the checkpointed labels"
@@ -566,7 +525,7 @@ fn engine(
                             restored = Some(replayed);
                         }
                         // Retries exhausted against the faulty channel:
-                        // fall through to degraded mode (or fail).
+                        // fall through to degraded mode.
                         Err(CommError::Unreachable { .. })
                         | Err(CommError::Timeout { .. })
                         | Err(CommError::NoRoute { .. }) => {}
@@ -589,12 +548,6 @@ fn engine(
                     // Degraded mode: every rank — dead or alive — is
                     // restored from the last full checkpoint (stable
                     // storage), charged as a memcpy of the state bytes.
-                    if !rc.degraded_fallback {
-                        return Err(CommError::RecoveryFailed {
-                            rank,
-                            attempts: rc.recovery_attempts,
-                        });
-                    }
                     for r in world.dead_ranks() {
                         world.revive(r);
                     }
@@ -609,20 +562,12 @@ fn engine(
                     states = snapshot.clone();
                 }
 
-                // Common rollback: records, logs and shards return to
-                // the checkpoint; the search resumes from there.
-                level_records.retain(|r| r.level < ckpt_level);
-                for d in deltas.iter_mut() {
-                    d.retain(|(l, _)| *l <= ckpt_level);
-                }
-                shards = shards_ckpt.clone();
-                target_level = None;
-                level = ckpt_level;
+                // The search resumes at this level.
                 let t1 = world.time();
                 world
                     .trace_mut()
                     .world_event(EventKind::Recovery { rank: rank as u32 }, t0, t1);
-                world.trace_span(Phase::Recovery, ckpt_level, t0);
+                world.trace_span(Phase::Recovery, level, t0);
                 recovery_time += world.time() - t0;
             }
             Err(e) => return Err(e),
@@ -856,7 +801,7 @@ mod tests {
         ] {
             let config = BfsConfig {
                 fold,
-                direction: crate::config::DirectionPolicy::bottom_up(),
+                direction: crate::config::DirectionPolicy::BottomUp,
                 ..BfsConfig::default()
             };
             check_against_oracle(spec, grid, config);
@@ -865,7 +810,7 @@ mod tests {
         // must still land on the oracle labels.
         let config = BfsConfig {
             sent_neighbors: false,
-            direction: crate::config::DirectionPolicy::bottom_up(),
+            direction: crate::config::DirectionPolicy::BottomUp,
             ..BfsConfig::default()
         };
         check_against_oracle(spec, grid, config);
@@ -882,8 +827,8 @@ mod tests {
         let grid = ProcessorGrid::new(3, 4);
         let graph = DistGraph::build(spec, grid);
         for direction in [
-            crate::config::DirectionPolicy::adaptive(),
-            crate::config::DirectionPolicy::bottom_up(),
+            crate::config::DirectionPolicy::Adaptive,
+            crate::config::DirectionPolicy::BottomUp,
         ] {
             let runs: Vec<_> = [
                 ExpandStrategy::Targeted,
@@ -1047,11 +992,7 @@ mod tests {
             &mut world,
             &BfsConfig::default(),
             0,
-            &ResilientConfig {
-                checkpoint_every: 2,
-                max_recoveries: 4,
-                ..ResilientConfig::default()
-            },
+            &ResilientConfig::default(),
         )
         .unwrap();
         assert_eq!(got.result.levels, expect);
@@ -1060,29 +1001,30 @@ mod tests {
     }
 
     #[test]
-    fn max_recoveries_zero_refuses_recovery() {
+    fn death_after_the_last_recovery_is_refused() {
+        // A revived rank dies again only on an exact round match, so
+        // killing rank 1 at consecutive data rounds kills it again on
+        // every round it rejoins: `MAX_RECOVERIES` deaths are all
+        // recovered, one more surfaces the death.
         let spec = GraphSpec::poisson(200, 5.0, 9);
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
-        let plan = FaultPlan::seeded(3).kill_rank_at(1, 2);
-        let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
-        let err = run_resilient(
-            &graph,
-            &mut world,
-            &BfsConfig::default(),
-            0,
-            &ResilientConfig {
-                checkpoint_every: 1,
-                max_recoveries: 0,
-                ..ResilientConfig::default()
-            },
-        )
-        .unwrap_err();
+        let run = |deaths: u32| {
+            let plan = (0..u64::from(deaths))
+                .fold(FaultPlan::seeded(3), |plan, i| plan.kill_rank_at(1, 2 + i));
+            let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
+            let rc = ResilientConfig::default();
+            run_resilient(&graph, &mut world, &BfsConfig::default(), 0, &rc)
+        };
+        let survived = run(MAX_RECOVERIES).unwrap();
+        assert_eq!(survived.recoveries, MAX_RECOVERIES);
+        assert_eq!(survived.recovered_ranks, vec![1; MAX_RECOVERIES as usize]);
+        let err = run(MAX_RECOVERIES + 1).unwrap_err();
         assert_eq!(err, CommError::RankDead { rank: 1 });
     }
 
     #[test]
-    fn zero_checkpoint_interval_is_rejected() {
+    fn singleton_parity_group_is_rejected() {
         let spec = GraphSpec::poisson(100, 4.0, 9);
         let grid = ProcessorGrid::new(2, 2);
         let graph = DistGraph::build(spec, grid);
@@ -1093,34 +1035,16 @@ mod tests {
             &BfsConfig::default(),
             0,
             &ResilientConfig {
-                checkpoint_every: 0,
-                ..ResilientConfig::default()
+                parity_group_size: 1,
             },
         )
         .unwrap_err();
         assert_eq!(
             err,
             CommError::InvalidConfig {
-                reason: "checkpoint_every must be nonzero"
+                reason: "parity_group_size must be at least 2 (a singleton group has no survivors)"
             }
         );
-        // Singleton parity groups and zero retry budgets are equally
-        // nonsensical.
-        for rc in [
-            ResilientConfig {
-                parity_group_size: 1,
-                ..ResilientConfig::default()
-            },
-            ResilientConfig {
-                recovery_attempts: 0,
-                ..ResilientConfig::default()
-            },
-        ] {
-            assert!(matches!(
-                rc.validate(),
-                Err(CommError::InvalidConfig { .. })
-            ));
-        }
     }
 
     #[test]
@@ -1143,7 +1067,6 @@ mod tests {
             0,
             &ResilientConfig {
                 parity_group_size: 3,
-                ..ResilientConfig::default()
             },
         )
         .unwrap();
@@ -1165,7 +1088,7 @@ mod tests {
         let grid = ProcessorGrid::new(2, 3);
         let graph = DistGraph::build(spec, grid);
         let plan = FaultPlan::seeded(5).kill_rank_at(0, 4).kill_rank_at(1, 4);
-        let mut world = SimWorld::bluegene(grid).with_fault_plan(plan.clone());
+        let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
         let got = run_resilient(
             &graph,
             &mut world,
@@ -1173,7 +1096,6 @@ mod tests {
             0,
             &ResilientConfig {
                 parity_group_size: 3,
-                ..ResilientConfig::default()
             },
         )
         .unwrap();
@@ -1181,26 +1103,6 @@ mod tests {
         assert_eq!(got.degraded_restarts, 1);
         assert_eq!(got.recoveries, 0, "parity cannot cover a double death");
         assert!(got.recovery_time > 0.0);
-
-        // With the fallback disabled the same schedule is fatal — and
-        // typed, not a panic.
-        let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
-        let err = run_resilient(
-            &graph,
-            &mut world,
-            &BfsConfig::default(),
-            0,
-            &ResilientConfig {
-                parity_group_size: 3,
-                degraded_fallback: false,
-                ..ResilientConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, CommError::RecoveryFailed { .. }),
-            "expected RecoveryFailed, got {err}"
-        );
     }
 
     #[test]

@@ -35,8 +35,15 @@ pub enum FoldStrategy {
 }
 
 /// Which traversal direction the engine may use per level.
+///
+/// The adaptive decision is computed from three globally-allreduced
+/// `u64`s — frontier size `gf`, local-degree frontier mass `mf̂` (≈
+/// `m_f / R`), and unexplored stored entries `mû` — using pure integer
+/// arithmetic, so every rank (and both runtimes) makes the identical
+/// choice: go bottom-up iff `ALPHA · R · mf̂ > mû` **and**
+/// `BETA · gf > n`, with Beamer's published α = 14 and β = 24.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum DirectionMode {
+pub enum DirectionPolicy {
     /// Always top-down (expand → discover → fold) — the paper's
     /// algorithm, and the default: existing runs stay byte-identical.
     #[default]
@@ -50,73 +57,28 @@ pub enum DirectionMode {
     BottomUp,
 }
 
-/// Direction-optimization policy: mode plus the α/β switch thresholds.
-///
-/// The per-level decision is computed from three globally-allreduced
-/// `u64`s — frontier size `gf`, local-degree frontier mass `mf̂` (≈
-/// `m_f / R`), and unexplored stored entries `mû` — using pure integer
-/// arithmetic, so every rank (and both runtimes) makes the identical
-/// choice: go bottom-up iff `alpha · R · mf̂ > mû` **and**
-/// `beta · gf > n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DirectionPolicy {
-    /// Direction mode.
-    pub mode: DirectionMode,
-    /// Top-down→bottom-up edge-mass threshold (Beamer's α; the frontier
-    /// must touch more than `mû / α` of the unexplored edges).
-    pub alpha: u64,
-    /// Frontier-size floor (Beamer's β reciprocal form: bottom-up only
-    /// while `gf > n / β`).
-    pub beta: u64,
-}
+/// Top-down→bottom-up edge-mass threshold (Beamer's α): the frontier
+/// must touch more than `mû / α` of the unexplored edges.
+const ALPHA: u64 = 14;
+
+/// Frontier-size floor (Beamer's β, reciprocal form): bottom-up only
+/// while `gf > n / β`.
+const BETA: u64 = 24;
 
 impl DirectionPolicy {
-    /// Pure top-down (the default — preserves all existing runs).
-    pub fn top_down() -> Self {
-        Self {
-            mode: DirectionMode::TopDown,
-            alpha: 0,
-            beta: 0,
-        }
-    }
-
-    /// Adaptive switching with Beamer's published constants
-    /// (α = 14, β = 24).
-    pub fn adaptive() -> Self {
-        Self {
-            mode: DirectionMode::Adaptive,
-            alpha: 14,
-            beta: 24,
-        }
-    }
-
-    /// Force bottom-up on every non-empty level.
-    pub fn bottom_up() -> Self {
-        Self {
-            mode: DirectionMode::BottomUp,
-            ..Self::adaptive()
-        }
-    }
-
     /// The switch decision, given the three allreduced global counts,
     /// the graph's vertex count `n`, and the grid's row count `r`.
     /// Integer-only, hence bit-reproducible across ranks and runtimes.
-    pub fn wants_bottom_up(&self, gf: u64, mf_hat: u64, mu_hat: u64, n: u64, r: u64) -> bool {
-        match self.mode {
-            DirectionMode::TopDown => false,
-            DirectionMode::BottomUp => gf > 0,
-            DirectionMode::Adaptive => {
+    pub fn wants_bottom_up(self, gf: u64, mf_hat: u64, mu_hat: u64, n: u64, r: u64) -> bool {
+        match self {
+            Self::TopDown => false,
+            Self::BottomUp => gf > 0,
+            Self::Adaptive => {
                 gf > 0
-                    && self.alpha.saturating_mul(r).saturating_mul(mf_hat) > mu_hat
-                    && self.beta.saturating_mul(gf) > n
+                    && ALPHA.saturating_mul(r).saturating_mul(mf_hat) > mu_hat
+                    && BETA.saturating_mul(gf) > n
             }
         }
-    }
-}
-
-impl Default for DirectionPolicy {
-    fn default() -> Self {
-        Self::top_down()
     }
 }
 
@@ -150,7 +112,7 @@ impl BfsConfig {
             fold: FoldStrategy::TwoPhaseRing,
             sent_neighbors: true,
             target: None,
-            direction: DirectionPolicy::top_down(),
+            direction: DirectionPolicy::TopDown,
         }
     }
 
@@ -162,7 +124,7 @@ impl BfsConfig {
             fold: FoldStrategy::DirectAllToAll,
             sent_neighbors: true,
             target: None,
-            direction: DirectionPolicy::top_down(),
+            direction: DirectionPolicy::TopDown,
         }
     }
 
@@ -172,7 +134,7 @@ impl BfsConfig {
     /// adaptive run's levels bit-equal to pure top-down.
     pub fn direction_optimized() -> Self {
         Self {
-            direction: DirectionPolicy::adaptive(),
+            direction: DirectionPolicy::Adaptive,
             ..Self::paper_optimized()
         }
     }
@@ -219,18 +181,17 @@ mod tests {
     fn default_direction_is_top_down() {
         // The serde default (what a pre-direction config deserializes
         // to) and the constructor default must both be pure top-down.
-        assert_eq!(BfsConfig::default().direction, DirectionPolicy::top_down());
-        assert_eq!(DirectionPolicy::default(), DirectionPolicy::top_down());
-        assert_eq!(DirectionMode::default(), DirectionMode::TopDown);
+        assert_eq!(BfsConfig::default().direction, DirectionPolicy::TopDown);
+        assert_eq!(DirectionPolicy::default(), DirectionPolicy::TopDown);
         assert_eq!(
             BfsConfig::direction_optimized().direction,
-            DirectionPolicy::adaptive()
+            DirectionPolicy::Adaptive
         );
     }
 
     #[test]
     fn adaptive_decision_is_integer_and_thresholded() {
-        let p = DirectionPolicy::adaptive();
+        let p = DirectionPolicy::Adaptive;
         let (n, r) = (1000, 4);
         // Tiny frontier with little edge mass: stay top-down.
         assert!(!p.wants_bottom_up(2, 1, 100_000, n, r));
@@ -240,9 +201,9 @@ mod tests {
         // relative to n (β gate).
         assert!(!p.wants_bottom_up(10, 5_000, 20_000, n, r));
         // Empty frontier never goes bottom-up, in any mode.
-        assert!(!DirectionPolicy::bottom_up().wants_bottom_up(0, 0, 0, n, r));
-        assert!(DirectionPolicy::bottom_up().wants_bottom_up(1, 0, 0, n, r));
-        assert!(!DirectionPolicy::top_down().wants_bottom_up(300, 5_000, 0, n, r));
+        assert!(!DirectionPolicy::BottomUp.wants_bottom_up(0, 0, 0, n, r));
+        assert!(DirectionPolicy::BottomUp.wants_bottom_up(1, 0, 0, n, r));
+        assert!(!DirectionPolicy::TopDown.wants_bottom_up(300, 5_000, 0, n, r));
         // α gate is strict: 14·R·mf̂ == mû stays top-down, one more unit
         // of mf̂ goes bottom-up.
         assert!(!p.wants_bottom_up(300, 1_000, 14 * 4 * 1_000, n, r));

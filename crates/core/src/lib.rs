@@ -68,10 +68,10 @@ pub mod validate;
 
 pub use bfs2d::{BfsResult, ResilientBfsResult, ResilientConfig};
 pub use bidir::BidirResult;
-pub use config::{BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy, FoldStrategy};
+pub use config::{BfsConfig, DirectionPolicy, ExpandStrategy, FoldStrategy};
 pub use multi::{MultiBfsResult, MultiConfig};
 pub use parity::{GroupShard, ParityGroups};
-pub use path::{MultiPathConfig, MultiPathResult};
+pub use path::MultiPathResult;
 pub use reference::UNREACHED;
 pub use stats::{LevelDirection, LevelStats, RunStats};
 pub use threaded_run::ThreadedConfig;

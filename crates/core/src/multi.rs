@@ -52,7 +52,7 @@
 //! two-pointer unions, and all clock accounting happens in the serial
 //! collective layer — 1-worker and many-worker runs are bit-identical.
 
-use crate::config::{DirectionMode, DirectionPolicy};
+use crate::config::DirectionPolicy;
 use crate::reference::UNREACHED;
 use crate::state::{targeted_sends, RowMarks};
 use crate::stats::LevelDirection;
@@ -64,13 +64,12 @@ use bgl_comm::{CommError, LaneMask, LaneSet, OpClass, Phase, ProcessorGrid, SimW
 use bgl_graph::{DistGraph, GraphSpec, RankGraph, TwoDPartition, Vertex};
 use rayon::ParallelSliceMut;
 
-/// Configuration for a batched multi-source run.
+/// Configuration for a batched multi-source run. The §2.4.3
+/// sent-neighbors cache is always on, widened to one lane mask per
+/// row-local vertex: a neighbor is re-sent only for lanes that have not
+/// shipped it yet.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiConfig {
-    /// Keep the §2.4.3 sent-neighbors cache, widened to one lane mask
-    /// per row-local vertex: a neighbor is re-sent only for lanes that
-    /// have not shipped it yet.
-    pub sent_neighbors: bool,
     /// Per-wave direction policy, decided for all lanes at once by the
     /// same α/β rule as [`crate::bfs2d`]. Defaults to adaptive.
     pub direction: DirectionPolicy,
@@ -79,8 +78,7 @@ pub struct MultiConfig {
 impl Default for MultiConfig {
     fn default() -> Self {
         Self {
-            sent_neighbors: true,
-            direction: DirectionPolicy::adaptive(),
+            direction: DirectionPolicy::Adaptive,
         }
     }
 }
@@ -145,14 +143,12 @@ struct MultiRankState<'g> {
     /// Current frontier: owned vertices with the mask of lanes for
     /// which they sit at the current level.
     frontier: LaneSet,
-    /// Sent-neighbors cache over row-local ids, one lane mask each
-    /// (empty when disabled).
+    /// Sent-neighbors cache over row-local ids, one lane mask each.
     sent: Vec<LaneMask>,
     /// Every lane of the batch.
     full: LaneMask,
     /// Stored entries of rows whose sent mask is not yet `full` — the
-    /// local share of `mû`. Static at `num_entries` with the cache off,
-    /// as in [`crate::state::RankState`]. Host-side only: never charged.
+    /// local share of `mû`. Host-side only: never charged.
     unexplored: u64,
     /// Hash probes since the last [`MultiRankState::take_probes`].
     probes: u64,
@@ -160,7 +156,7 @@ struct MultiRankState<'g> {
 
 impl<'g> MultiRankState<'g> {
     /// Fresh state for a rank of `graph`, serving `lanes` lanes.
-    fn new(rg: &'g RankGraph, partition: TwoDPartition, lanes: usize, use_sent: bool) -> Self {
+    fn new(rg: &'g RankGraph, partition: TwoDPartition, lanes: usize) -> Self {
         assert!((1..=MAX_LANES).contains(&lanes), "lanes must be in 1..=64");
         Self {
             rg,
@@ -168,11 +164,7 @@ impl<'g> MultiRankState<'g> {
             levels: vec![vec![UNREACHED; rg.owned_len()]; lanes],
             visited: vec![0; rg.owned_len()],
             frontier: LaneSet::new(),
-            sent: if use_sent {
-                vec![0; rg.edges.num_row_ids()]
-            } else {
-                Vec::new()
-            },
+            sent: vec![0; rg.edges.num_row_ids()],
             full: LaneMask::MAX >> (MAX_LANES - lanes),
             unexplored: rg.edges.num_entries() as u64,
             probes: 0,
@@ -245,14 +237,11 @@ impl<'g> MultiRankState<'g> {
                 };
                 for &rl in rg.edges.rows_of(ci) {
                     self.probes += 1;
-                    let mut emit = mask;
-                    if !self.sent.is_empty() {
-                        emit = mask & !self.sent[rl as usize];
-                        if emit == 0 {
-                            continue;
-                        }
-                        self.mark_sent(rl, emit);
+                    let emit = mask & !self.sent[rl as usize];
+                    if emit == 0 {
+                        continue;
                     }
+                    self.mark_sent(rl, emit);
                     marks.mark(rl);
                     found[rl as usize] |= emit;
                 }
@@ -300,7 +289,7 @@ impl<'g> MultiRankState<'g> {
         }
         for (block, range) in blocks.iter_mut().zip(rg.row_blocks().windows(2)) {
             for rl in range[0]..range[1] {
-                let mut need = live & !self.sent.get(rl as usize).copied().unwrap_or(0);
+                let mut need = live & !self.sent[rl as usize];
                 if need == 0 {
                     continue;
                 }
@@ -320,9 +309,7 @@ impl<'g> MultiRankState<'g> {
                     }
                 }
                 if found != 0 {
-                    if !self.sent.is_empty() {
-                        self.mark_sent(rl, found);
-                    }
+                    self.mark_sent(rl, found);
                     block.push(u, found);
                 }
             }
@@ -443,7 +430,7 @@ pub fn try_run(
     let mut states: Vec<MultiRankState<'_>> = graph
         .ranks
         .iter()
-        .map(|rg| MultiRankState::new(rg, graph.partition, lanes, config.sent_neighbors))
+        .map(|rg| MultiRankState::new(rg, graph.partition, lanes))
         .collect();
     for st in states.iter_mut() {
         st.init_sources(sources);
@@ -466,7 +453,7 @@ pub fn try_run(
         let pair_counts: Vec<u64> = states.iter().map(|s| s.frontier_pairs()).collect();
         let vert_counts: Vec<u64> = states.iter().map(|s| s.frontier.len() as u64).collect();
         let (global_pairs, global_verts, bottom_up) =
-            if config.direction.mode == DirectionMode::TopDown {
+            if config.direction == DirectionPolicy::TopDown {
                 // The third word pads the round to the width top-down
                 // batches have always been charged.
                 let zeros = vec![0u64; p];
@@ -581,7 +568,7 @@ mod tests {
         use crate::state::tests::{expand_frontiers, expand_graphs, expand_oracle};
         for g in expand_graphs() {
             for rg in &g.ranks {
-                let mut st = MultiRankState::new(rg, g.partition, 3, true);
+                let mut st = MultiRankState::new(rg, g.partition, 3);
                 for frontier in expand_frontiers(rg.owned.clone()) {
                     let what = format!("{:?} rank {} |F|={}", g.grid(), rg.rank, frontier.len());
                     let mask_of = |v: Vertex| 1 + v % 7;
@@ -631,15 +618,12 @@ mod tests {
                 }
                 for u in edges.neighbors_of(v) {
                     st.probes += 1;
-                    let mut emit = mask;
-                    if !st.sent.is_empty() {
-                        let rl = edges.row_local(u).unwrap() as usize;
-                        emit = mask & !st.sent[rl];
-                        if emit == 0 {
-                            continue;
-                        }
-                        st.sent[rl] |= emit;
+                    let rl = edges.row_local(u).unwrap() as usize;
+                    let emit = mask & !st.sent[rl];
+                    if emit == 0 {
+                        continue;
                     }
+                    st.sent[rl] |= emit;
                     blocks[partition.block_col_of(u)].push((u, emit));
                 }
             }
@@ -660,50 +644,45 @@ mod tests {
             for grid in [ProcessorGrid::new(3, 5), ProcessorGrid::new(8, 8)] {
                 let g = DistGraph::build(spec, grid);
                 let p = grid.len();
-                for use_sent in [true, false] {
-                    let mut sts: Vec<MultiRankState<'_>> = g
-                        .ranks
-                        .iter()
-                        .map(|rg| MultiRankState::new(rg, g.partition, sources.len(), use_sent))
-                        .collect();
-                    for st in sts.iter_mut() {
-                        st.init_sources(&sources);
-                    }
-                    let mut wave = 1;
-                    loop {
-                        let mut fbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
-                        for st in sts.iter_mut() {
-                            for (peer, set) in st.expand_sends() {
-                                fbar[peer].push(set);
-                            }
-                        }
-                        if fbar.iter().all(Vec::is_empty) {
-                            break;
-                        }
-                        let mut nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
-                        for (rank, st) in sts.iter_mut().enumerate() {
-                            let what = format!(
-                                "{:?} {grid:?} sent={use_sent} wave {wave} rank {rank}",
-                                spec.family
-                            );
-                            let mut hashed = st.clone();
-                            let want = hashed_discover(&mut hashed, &g.partition, &fbar[rank]);
-                            let blocks = st.discover(&fbar[rank]);
-                            assert_eq!(blocks, want, "{what}");
-                            assert_eq!(st.probes, hashed.probes, "{what}");
-                            assert_eq!(st.sent, hashed.sent, "{what}");
-                            let row = grid.row_of(rank);
-                            for (m, block) in blocks.into_iter().enumerate() {
-                                nbar[grid.rank_of(row, m)].push(block);
-                            }
-                        }
-                        for (rank, st) in sts.iter_mut().enumerate() {
-                            st.absorb(&nbar[rank], wave);
-                        }
-                        wave += 1;
-                    }
-                    assert!(wave > 3, "{:?} {grid:?}", spec.family);
+                let mut sts: Vec<MultiRankState<'_>> = g
+                    .ranks
+                    .iter()
+                    .map(|rg| MultiRankState::new(rg, g.partition, sources.len()))
+                    .collect();
+                for st in sts.iter_mut() {
+                    st.init_sources(&sources);
                 }
+                let mut wave = 1;
+                loop {
+                    let mut fbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                    for st in sts.iter_mut() {
+                        for (peer, set) in st.expand_sends() {
+                            fbar[peer].push(set);
+                        }
+                    }
+                    if fbar.iter().all(Vec::is_empty) {
+                        break;
+                    }
+                    let mut nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                    for (rank, st) in sts.iter_mut().enumerate() {
+                        let what = format!("{:?} {grid:?} wave {wave} rank {rank}", spec.family);
+                        let mut hashed = st.clone();
+                        let want = hashed_discover(&mut hashed, &g.partition, &fbar[rank]);
+                        let blocks = st.discover(&fbar[rank]);
+                        assert_eq!(blocks, want, "{what}");
+                        assert_eq!(st.probes, hashed.probes, "{what}");
+                        assert_eq!(st.sent, hashed.sent, "{what}");
+                        let row = grid.row_of(rank);
+                        for (m, block) in blocks.into_iter().enumerate() {
+                            nbar[grid.rank_of(row, m)].push(block);
+                        }
+                    }
+                    for (rank, st) in sts.iter_mut().enumerate() {
+                        st.absorb(&nbar[rank], wave);
+                    }
+                    wave += 1;
+                }
+                assert!(wave > 3, "{:?} {grid:?}", spec.family);
             }
         }
     }
@@ -721,7 +700,7 @@ mod tests {
         for (block, range) in blocks.iter_mut().zip(rg.row_blocks().windows(2)) {
             for rl in range[0]..range[1] {
                 let u = edges.row_of_local(rl);
-                let mut need = st.full & !st.sent.get(rl as usize).copied().unwrap_or(0);
+                let mut need = st.full & !st.sent[rl as usize];
                 if let Some(off) = rg.owned_local(u) {
                     need &= !st.visited[off];
                 }
@@ -741,9 +720,6 @@ mod tests {
     /// `mû` recomputed from the sent masks.
     fn unexplored_from_scratch(st: &MultiRankState<'_>) -> u64 {
         let edges = &st.rg.edges;
-        if st.sent.is_empty() {
-            return edges.num_entries() as u64;
-        }
         (0..edges.num_row_ids() as u32)
             .filter(|&rl| st.sent[rl as usize] != st.full)
             .map(|rl| u64::from(edges.row_degree(rl)))
@@ -767,75 +743,66 @@ mod tests {
             for grid in [ProcessorGrid::new(3, 5), ProcessorGrid::new(8, 8)] {
                 let g = DistGraph::build(spec, grid);
                 let p = grid.len();
-                for use_sent in [true, false] {
-                    let mut sts: Vec<MultiRankState<'_>> = g
-                        .ranks
-                        .iter()
-                        .map(|rg| MultiRankState::new(rg, g.partition, sources.len(), use_sent))
-                        .collect();
-                    for st in sts.iter_mut() {
-                        st.init_sources(&sources);
-                    }
-                    let mut wave = 1;
-                    while sts.iter().any(|st| !st.frontier.is_empty()) {
-                        let mut fbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
-                        for st in sts.iter_mut() {
-                            for (peer, set) in st.expand_sends() {
-                                fbar[peer].push(set);
-                            }
-                        }
-                        let mut td_sts = sts.clone();
-                        let mut bu_sts = sts.clone();
-                        let mut td_nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
-                        let mut bu_nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
-                        for rank in 0..p {
-                            let what = format!(
-                                "{:?} {grid:?} sent={use_sent} wave {wave} rank {rank}",
-                                spec.family
-                            );
-                            let st = &sts[rank];
-                            let td = td_sts[rank].discover(&fbar[rank]);
-                            let bu = bu_sts[rank].discover_bottom_up(&fbar[rank]);
-                            let want: Vec<LaneSet> = td
-                                .iter()
-                                .map(|block| {
-                                    let mut out = LaneSet::new();
-                                    for (u, mask) in block.iter() {
-                                        let seen =
-                                            st.rg.owned_local(u).map_or(0, |o| st.visited[o]);
-                                        out.push(u, mask & !seen);
-                                    }
-                                    out
-                                })
-                                .collect();
-                            assert_eq!(bu, want, "{what}");
-                            assert_eq!(bu, exhaustive_bottom_up(st, &fbar[rank]), "{what}");
-                            for s in [&td_sts[rank], &bu_sts[rank]] {
-                                assert_eq!(s.unexplored, unexplored_from_scratch(s), "{what}");
-                            }
-                            let row = grid.row_of(rank);
-                            for (m, (t, b)) in td.into_iter().zip(bu).enumerate() {
-                                td_nbar[grid.rank_of(row, m)].push(t);
-                                bu_nbar[grid.rank_of(row, m)].push(b);
-                            }
-                        }
-                        for rank in 0..p {
-                            td_sts[rank].absorb(&td_nbar[rank], wave);
-                            bu_sts[rank].absorb(&bu_nbar[rank], wave);
-                            let (t, b) = (&td_sts[rank], &bu_sts[rank]);
-                            let what = format!(
-                                "{:?} {grid:?} sent={use_sent} wave {wave} rank {rank}",
-                                spec.family
-                            );
-                            assert_eq!(t.levels, b.levels, "{what}");
-                            assert_eq!(t.visited, b.visited, "{what}");
-                            assert_eq!(t.frontier, b.frontier, "{what}");
-                        }
-                        sts = if wave % 2 == 0 { td_sts } else { bu_sts };
-                        wave += 1;
-                    }
-                    assert!(wave > 3, "{:?} {grid:?}", spec.family);
+                let mut sts: Vec<MultiRankState<'_>> = g
+                    .ranks
+                    .iter()
+                    .map(|rg| MultiRankState::new(rg, g.partition, sources.len()))
+                    .collect();
+                for st in sts.iter_mut() {
+                    st.init_sources(&sources);
                 }
+                let mut wave = 1;
+                while sts.iter().any(|st| !st.frontier.is_empty()) {
+                    let mut fbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                    for st in sts.iter_mut() {
+                        for (peer, set) in st.expand_sends() {
+                            fbar[peer].push(set);
+                        }
+                    }
+                    let mut td_sts = sts.clone();
+                    let mut bu_sts = sts.clone();
+                    let mut td_nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                    let mut bu_nbar: Vec<Vec<LaneSet>> = vec![Vec::new(); p];
+                    for rank in 0..p {
+                        let what = format!("{:?} {grid:?} wave {wave} rank {rank}", spec.family);
+                        let st = &sts[rank];
+                        let td = td_sts[rank].discover(&fbar[rank]);
+                        let bu = bu_sts[rank].discover_bottom_up(&fbar[rank]);
+                        let want: Vec<LaneSet> = td
+                            .iter()
+                            .map(|block| {
+                                let mut out = LaneSet::new();
+                                for (u, mask) in block.iter() {
+                                    let seen = st.rg.owned_local(u).map_or(0, |o| st.visited[o]);
+                                    out.push(u, mask & !seen);
+                                }
+                                out
+                            })
+                            .collect();
+                        assert_eq!(bu, want, "{what}");
+                        assert_eq!(bu, exhaustive_bottom_up(st, &fbar[rank]), "{what}");
+                        for s in [&td_sts[rank], &bu_sts[rank]] {
+                            assert_eq!(s.unexplored, unexplored_from_scratch(s), "{what}");
+                        }
+                        let row = grid.row_of(rank);
+                        for (m, (t, b)) in td.into_iter().zip(bu).enumerate() {
+                            td_nbar[grid.rank_of(row, m)].push(t);
+                            bu_nbar[grid.rank_of(row, m)].push(b);
+                        }
+                    }
+                    for rank in 0..p {
+                        td_sts[rank].absorb(&td_nbar[rank], wave);
+                        bu_sts[rank].absorb(&bu_nbar[rank], wave);
+                        let (t, b) = (&td_sts[rank], &bu_sts[rank]);
+                        let what = format!("{:?} {grid:?} wave {wave} rank {rank}", spec.family);
+                        assert_eq!(t.levels, b.levels, "{what}");
+                        assert_eq!(t.visited, b.visited, "{what}");
+                        assert_eq!(t.frontier, b.frontier, "{what}");
+                    }
+                    sts = if wave % 2 == 0 { td_sts } else { bu_sts };
+                    wave += 1;
+                }
+                assert!(wave > 3, "{:?} {grid:?}", spec.family);
             }
         }
     }
@@ -848,15 +815,12 @@ mod tests {
         let sources: Vec<u64> = (0..16).map(|i| i * 241).collect();
         let run = |direction| {
             let mut world = SimWorld::bluegene(grid);
-            let cfg = MultiConfig {
-                direction,
-                ..MultiConfig::default()
-            };
+            let cfg = MultiConfig { direction };
             try_run(&graph, &mut world, &cfg, &sources).unwrap()
         };
-        let td = run(DirectionPolicy::top_down());
-        let ad = run(DirectionPolicy::adaptive());
-        let bu = run(DirectionPolicy::bottom_up());
+        let td = run(DirectionPolicy::TopDown);
+        let ad = run(DirectionPolicy::Adaptive);
+        let bu = run(DirectionPolicy::BottomUp);
         assert_eq!(td.bu_waves(), 0);
         assert!(ad.bu_waves() > 0 && ad.bu_waves() < ad.waves.len());
         assert_eq!(bu.bu_waves(), bu.waves.len());
@@ -871,8 +835,7 @@ mod tests {
         // Pinned from the lane engine before it could run bottom-up:
         // top-down waves charge the same rounds, probes and clock.
         let cfg = MultiConfig {
-            direction: DirectionPolicy::top_down(),
-            ..MultiConfig::default()
+            direction: DirectionPolicy::TopDown,
         };
         for (spec, grid, sources, wire, pinned) in [
             (
@@ -944,24 +907,6 @@ mod tests {
             );
         }
         validate_lanes(&spec, &r).expect("validator");
-    }
-
-    #[test]
-    fn sent_cache_off_agrees() {
-        let spec = GraphSpec::poisson(600, 6.0, 3);
-        let grid = ProcessorGrid::new(2, 2);
-        let graph = DistGraph::build(spec, grid);
-        let sources = [5u64, 400];
-        let cfg_on = MultiConfig::default();
-        let cfg_off = MultiConfig {
-            sent_neighbors: false,
-            ..MultiConfig::default()
-        };
-        let mut w1 = SimWorld::bluegene(grid);
-        let mut w2 = SimWorld::bluegene(grid);
-        let a = try_run(&graph, &mut w1, &cfg_on, &sources).unwrap();
-        let b = try_run(&graph, &mut w2, &cfg_off, &sources).unwrap();
-        assert_eq!(a.lane_levels, b.lane_levels);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! overhead is `1/g` of the mirrored state instead of a full copy, the
 //! classic RAID-5 trade, and a former buddy pair dying together is
 //! survivable whenever the two ranks land in different groups — or in
-//! the same group only if degraded-mode restart is allowed.
+//! the same group through a degraded-mode restart.
 //!
 //! Logs are XOR-aligned at word 0: the shard's word `i` is the XOR of
 //! every member's `i`-th log word, with shorter logs implicitly

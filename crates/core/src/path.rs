@@ -141,19 +141,10 @@ pub fn try_extract_path(
     Ok(Some(path))
 }
 
-/// Knobs for the batched walk ([`try_multi`]).
-#[derive(Debug, Clone)]
-pub struct MultiPathConfig {
-    /// Control-exchange attempts per round before the transient error
-    /// propagates (each retry charges exponential recovery backoff).
-    pub retry_attempts: u32,
-}
-
-impl Default for MultiPathConfig {
-    fn default() -> Self {
-        MultiPathConfig { retry_attempts: 4 }
-    }
-}
+/// Attempts per control round of the batched walk ([`try_multi`])
+/// before a transient error propagates; each retry charges exponential
+/// recovery backoff.
+const WALK_ATTEMPTS: u32 = 4;
 
 /// Outcome of one batched walk: per-lane paths plus the wave's shape
 /// and its clock deltas over the call.
@@ -205,7 +196,6 @@ pub fn try_multi(
     levels: &[u32],
     source: Vertex,
     targets: &[Vertex],
-    config: &MultiPathConfig,
 ) -> Result<MultiPathResult, CommError> {
     check_input(graph, world, &[(source, "the source is out of range")])?;
     let invalid = |reason| Err(CommError::InvalidConfig { reason });
@@ -224,9 +214,9 @@ pub fn try_multi(
     let t_start = world.time();
     let c_start = world.comm_time();
     let b = targets.len();
-    // One control round, retried up to `config.retry_attempts` times.
+    // One control round, retried up to `WALK_ATTEMPTS` times.
     let exchange = |world: &mut SimWorld, sends: Vec<(usize, usize, LaneSet)>| {
-        with_retry(world, config.retry_attempts, |w| {
+        with_retry(world, WALK_ATTEMPTS, |w| {
             lane_exchange(w, OpClass::Control, sends.clone())
         })
     };
@@ -451,15 +441,7 @@ mod tests {
         levels: &[u32],
         targets: &[Vertex],
     ) -> MultiPathResult {
-        try_multi(
-            graph,
-            world,
-            levels,
-            0,
-            targets,
-            &MultiPathConfig::default(),
-        )
-        .unwrap()
+        try_multi(graph, world, levels, 0, targets).unwrap()
     }
 
     #[test]
@@ -689,15 +671,8 @@ mod tests {
         let mut faulty = SimWorld::bluegene(grid)
             .with_fault_plan(plan)
             .with_faulty_control();
-        let got = try_multi(
-            &graph,
-            &mut faulty,
-            &levels,
-            0,
-            &targets,
-            &MultiPathConfig::default(),
-        )
-        .expect("retries ride out lossy control rounds");
+        let got = try_multi(&graph, &mut faulty, &levels, 0, &targets)
+            .expect("retries ride out lossy control rounds");
         assert_eq!(got.paths, want, "faults must not change extracted paths");
     }
 

@@ -219,7 +219,7 @@ pub(crate) fn with_retry<T>(
 mod tests {
     use super::*;
     use crate::bfs2d::{self, ResilientConfig};
-    use crate::path::{self, MultiPathConfig};
+    use crate::path;
     use crate::{bidir, BfsConfig};
     use bgl_comm::MAX_LANES;
     use bgl_graph::GraphSpec;
@@ -231,7 +231,6 @@ mod tests {
         let n = g.spec.n;
         let (cfg, rc) = (&BfsConfig::default(), &ResilientConfig::default());
         let to_n = &BfsConfig::default().with_target(n);
-        let pc = &MultiPathConfig::default();
         let mut world = SimWorld::bluegene(grid);
         let full = bfs2d::try_run(g, &mut world, cfg, 3).unwrap().levels;
         let (lv, short) = (&full[..], &full[..full.len() - 1]);
@@ -257,13 +256,13 @@ mod tests {
             (path::try_extract_path(g, w, lv, n, 7).map(drop), src),
             (path::try_extract_path(g, w, lv, 3, n).map(drop), tgt),
             (path::try_extract_path(g, w, lv, 7, 3).map(drop), rooted),
-            (path::try_multi(g, other, lv, 3, &[7], pc).map(drop), grids),
-            (path::try_multi(g, w, short, 3, &[7], pc).map(drop), labels),
-            (path::try_multi(g, w, lv, n, &[7], pc).map(drop), src),
-            (path::try_multi(g, w, lv, 7, &[3], pc).map(drop), rooted),
-            (path::try_multi(g, w, lv, 3, &[7, n], pc).map(drop), any_tgt),
-            (path::try_multi(g, w, lv, 3, &[], pc).map(drop), none),
-            (path::try_multi(g, w, lv, 3, &wide, pc).map(drop), many),
+            (path::try_multi(g, other, lv, 3, &[7]).map(drop), grids),
+            (path::try_multi(g, w, short, 3, &[7]).map(drop), labels),
+            (path::try_multi(g, w, lv, n, &[7]).map(drop), src),
+            (path::try_multi(g, w, lv, 7, &[3]).map(drop), rooted),
+            (path::try_multi(g, w, lv, 3, &[7, n]).map(drop), any_tgt),
+            (path::try_multi(g, w, lv, 3, &[]).map(drop), none),
+            (path::try_multi(g, w, lv, 3, &wide).map(drop), many),
         ] {
             match got {
                 Err(CommError::InvalidConfig { reason }) => {

@@ -17,7 +17,7 @@
 //! to)`, a run here injects the *same* fault schedule as the simulator —
 //! the cross-runtime determinism the fault tests assert.
 
-use crate::config::{DirectionMode, DirectionPolicy};
+use crate::config::DirectionPolicy;
 use crate::reference::UNREACHED;
 use crate::state::RankState;
 use crate::stats::LevelDirection;
@@ -82,7 +82,7 @@ impl Default for ThreadedConfig {
             faults: FaultPlan::none(),
             wire: WirePolicy::raw(),
             trace: None,
-            direction: DirectionPolicy::top_down(),
+            direction: DirectionPolicy::TopDown,
         }
     }
 }
@@ -133,7 +133,7 @@ pub fn run(
             let t_level = ctx.trace_now();
             // Termination allreduce; widened to 3 words when direction
             // optimization is on (same single control round).
-            let (global_frontier, bottom_up) = if direction.mode == DirectionMode::TopDown {
+            let (global_frontier, bottom_up) = if direction == DirectionPolicy::TopDown {
                 (ctx.allreduce_sum(st.frontier_len())?, false)
             } else {
                 let [gf, mf, mu] =
@@ -395,7 +395,7 @@ mod tests {
         let grid = ProcessorGrid::new(3, 2);
         let graph = DistGraph::build(spec, grid);
         let config = BfsConfig {
-            direction: crate::config::DirectionPolicy::adaptive(),
+            direction: crate::config::DirectionPolicy::Adaptive,
             ..BfsConfig::baseline_alltoall()
         };
         let mut world = SimWorld::bluegene(grid);

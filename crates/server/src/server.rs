@@ -43,7 +43,7 @@ use crate::query::{AdmissionError, Outcome, QueryId, QueryKind, Request, Respons
 use crate::queue::AdmissionQueue;
 use crate::stats::ServerStats;
 use bfs_core::multi::{self, MultiConfig};
-use bfs_core::path::{self, MultiPathConfig};
+use bfs_core::path;
 use bfs_core::reference::UNREACHED;
 use bgl_comm::{SimWorld, MAX_LANES};
 use bgl_graph::{DistGraph, GraphFamily, GraphSpec, Vertex};
@@ -395,16 +395,9 @@ impl BglServer {
                     _ => unreachable!("walk groups hold only path queries"),
                 })
                 .collect();
-            let result = path::try_multi(
-                &self.graph,
-                &mut self.world,
-                levels,
-                source,
-                &targets,
-                &MultiPathConfig::default(),
-            )
-            // bgl-lint: allow(r1, reason = "pump() has no error channel until Outcome::Failed lands (ROADMAP item 3); documented under # Panics")
-            .unwrap_or_else(|e| panic!("control traffic retries exhausted: {e}"));
+            let result = path::try_multi(&self.graph, &mut self.world, levels, source, &targets)
+                // bgl-lint: allow(r1, reason = "pump() has no error channel until Outcome::Failed lands (ROADMAP item 3); documented under # Panics")
+                .unwrap_or_else(|e| panic!("control traffic retries exhausted: {e}"));
             self.stats.path_walks += 1;
             self.stats.path_walk_lanes += targets.len() as u64;
             self.stats.path_walk_hops += u64::from(result.hops);
@@ -657,10 +650,7 @@ mod tests {
         let serve = |direction| {
             let mut srv = server(ServerConfig {
                 cache_capacity: 0,
-                multi: MultiConfig {
-                    direction,
-                    ..MultiConfig::default()
-                },
+                multi: MultiConfig { direction },
                 ..ServerConfig::default()
             });
             for source in sources {
@@ -673,8 +663,8 @@ mod tests {
                 .collect();
             (srv, outcomes)
         };
-        let (td, td_answers) = serve(DirectionPolicy::top_down());
-        let (ad, ad_answers) = serve(DirectionPolicy::adaptive());
+        let (td, td_answers) = serve(DirectionPolicy::TopDown);
+        let (ad, ad_answers) = serve(DirectionPolicy::Adaptive);
         assert_eq!(td.stats().bu_waves, 0);
         let bu = ad.stats().bu_waves;
         assert!(

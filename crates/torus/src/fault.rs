@@ -6,13 +6,12 @@
 //!
 //! * **dead links** — bi-directional torus links that carry no traffic;
 //!   routes must detour around them ([`route_with_faults`]);
-//! * **degraded links** — links running at a fraction of nominal
-//!   bandwidth (the cost model charges the slowest link on the route);
 //! * **message faults** — per-attempt drop / duplicate / truncate
 //!   probabilities, decided by a pure hash of
 //!   `(seed, class, round, from, to, attempt)` so both the superstep
 //!   simulator and the threaded runtime compute the *same* fault
-//!   schedule with no shared RNG stream;
+//!   schedule with no shared RNG stream; a message that fails 16
+//!   attempts is undeliverable;
 //! * **rank deaths** — ranks scheduled to die at a given exchange round,
 //!   driving the checkpoint/recovery path in `bfs-core`.
 //!
@@ -46,6 +45,10 @@ const SALT_TRUNC: u64 = 0x7A0C;
 const SALT_CHAOS_DEATH: u64 = 0xDEAD;
 const SALT_CHAOS_PROB: u64 = 0xC405;
 const SALT_CHAOS_LINK: u64 = 0x11CC;
+
+/// Delivery attempts per message before the link is declared
+/// unreachable.
+const MAX_ATTEMPTS: u32 = 16;
 
 /// The message-class index the communication layer assigns to control
 /// traffic (checkpoint parity updates, recovery transfers). Fault
@@ -90,10 +93,8 @@ pub struct FaultPlan {
     pub duplicate_prob: f64,
     /// Per-attempt probability that a message arrives truncated (the
     /// receiver detects the short payload and the sender retransmits).
+    /// Control-class traffic uses it too; it has no control override.
     pub truncate_prob: f64,
-    /// Maximum delivery attempts per message before the link is declared
-    /// unreachable.
-    pub max_attempts: u32,
     /// Per-attempt drop probability for control-class traffic
     /// ([`CONTROL_CLASS`]), when a runtime routes control messages
     /// through the fault model. `None` falls back to [`drop_prob`]: a
@@ -106,13 +107,7 @@ pub struct FaultPlan {
     ///
     /// [`control_drop_prob`]: FaultPlan::control_drop_prob
     pub control_duplicate_prob: Option<f64>,
-    /// Control-class truncation probability override (see
-    /// [`control_drop_prob`]).
-    ///
-    /// [`control_drop_prob`]: FaultPlan::control_drop_prob
-    pub control_truncate_prob: Option<f64>,
     dead_links: Vec<(Coord3, Coord3)>,
-    degraded: Vec<(Coord3, Coord3, f64)>,
     deaths: Vec<RankDeath>,
 }
 
@@ -130,12 +125,9 @@ impl FaultPlan {
             drop_prob: 0.0,
             duplicate_prob: 0.0,
             truncate_prob: 0.0,
-            max_attempts: 16,
             control_drop_prob: None,
             control_duplicate_prob: None,
-            control_truncate_prob: None,
             dead_links: Vec::new(),
-            degraded: Vec::new(),
             deaths: Vec::new(),
         }
     }
@@ -209,18 +201,6 @@ impl FaultPlan {
         self
     }
 
-    /// Degrade the bi-directional link between `a` and `b` to `factor`
-    /// of nominal bandwidth (`0 < factor <= 1`).
-    pub fn degrade_link(mut self, a: Coord3, b: Coord3, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "bandwidth factor must be in (0,1], got {factor}"
-        );
-        let (a, b) = norm_link(a, b);
-        self.degraded.push((a, b, factor));
-        self
-    }
-
     /// Schedule `rank` to die at data-exchange round `at_round`.
     pub fn kill_rank_at(mut self, rank: usize, at_round: u64) -> Self {
         self.deaths.push(RankDeath { rank, at_round });
@@ -241,7 +221,6 @@ impl FaultPlan {
             || self.truncate_prob > 0.0
             || self.control_drop_prob.unwrap_or(0.0) > 0.0
             || self.control_duplicate_prob.unwrap_or(0.0) > 0.0
-            || self.control_truncate_prob.unwrap_or(0.0) > 0.0
     }
 
     /// The effective probability for `class`: the control override when
@@ -255,9 +234,9 @@ impl FaultPlan {
         }
     }
 
-    /// Whether any link is dead or degraded.
+    /// Whether any link is dead.
     pub fn has_topology_faults(&self) -> bool {
-        !self.dead_links.is_empty() || !self.degraded.is_empty()
+        !self.dead_links.is_empty()
     }
 
     /// Whether any rank death is scheduled.
@@ -281,25 +260,6 @@ impl FaultPlan {
     /// Whether the (undirected) link between `a` and `b` is dead.
     fn link_is_dead(&self, a: Coord3, b: Coord3) -> bool {
         self.dead_links.contains(&norm_link(a, b))
-    }
-
-    /// Bandwidth factor of the (undirected) link between `a` and `b`:
-    /// 1.0 if not degraded, the smallest configured factor otherwise.
-    fn link_bandwidth_factor(&self, a: Coord3, b: Coord3) -> f64 {
-        let key = norm_link(a, b);
-        self.degraded
-            .iter()
-            .filter(|(x, y, _)| (*x, *y) == key)
-            .map(|&(_, _, f)| f)
-            .fold(1.0, f64::min)
-    }
-
-    /// Smallest bandwidth factor along a route (1.0 for an empty route).
-    pub fn route_bandwidth_factor(&self, route: &[RouteStep]) -> f64 {
-        route
-            .iter()
-            .map(|s| self.link_bandwidth_factor(s.from, s.to))
-            .fold(1.0, f64::min)
     }
 
     #[inline]
@@ -362,14 +322,14 @@ impl FaultPlan {
             from as u64,
             to as u64,
             attempt,
-            self.class_prob(class, self.truncate_prob, self.control_truncate_prob),
+            self.truncate_prob,
         )
     }
 
     /// The delivery schedule for one message under the ack/retransmit
     /// protocol: returns `(attempts, duplicated)` where `attempts` is the
     /// 1-based index of the first attempt that transits intact (an
-    /// `Err` holds `max_attempts` if none does), and `duplicated` is
+    /// `Err` holds `MAX_ATTEMPTS` if none does), and `duplicated` is
     /// whether the successful attempt spawned a spurious duplicate.
     ///
     /// Attempt `k` fails if it is dropped or truncated. Every failed
@@ -384,7 +344,7 @@ impl FaultPlan {
             });
         }
         let mut truncated = 0;
-        for attempt in 1..=self.max_attempts {
+        for attempt in 1..=MAX_ATTEMPTS {
             let dropped = self.drops(class, round, from, to, attempt);
             let trunc = !dropped && self.truncates(class, round, from, to, attempt);
             if trunc {
@@ -398,7 +358,7 @@ impl FaultPlan {
                 });
             }
         }
-        Err(self.max_attempts)
+        Err(MAX_ATTEMPTS)
     }
 
     /// Build a seeded randomized plan for chaos testing: at most one
@@ -699,7 +659,7 @@ mod tests {
             }
         }
         assert!(retransmissions > 100, "retransmissions={retransmissions}");
-        // With max_attempts=16 and p=0.5, total failure is ~1.5e-5 per
+        // With MAX_ATTEMPTS = 16 and p = 0.5, total failure is ~1.5e-5 per
         // message; 500 messages should essentially never exhaust.
         assert_eq!(failures, 0);
     }
@@ -707,7 +667,7 @@ mod tests {
     #[test]
     fn delivery_exhausts_at_probability_one() {
         let p = FaultPlan::seeded(1).with_drop_prob(1.0);
-        assert_eq!(p.delivery(0, 0, 0, 1), Err(16));
+        assert_eq!(p.delivery(0, 0, 0, 1), Err(MAX_ATTEMPTS));
     }
 
     #[test]
@@ -753,20 +713,6 @@ mod tests {
                 route_dimension_ordered(dims, a, b)
             );
         }
-    }
-
-    #[test]
-    fn degraded_link_factor_on_route() {
-        let dims = dims4();
-        let a = Coord3::new(0, 0, 0);
-        let b = Coord3::new(2, 0, 0);
-        let mid = Coord3::new(1, 0, 0);
-        let plan = FaultPlan::none().degrade_link(mid, b, 0.25);
-        let route = route_with_faults(dims, a, b, &plan).unwrap();
-        assert_eq!(route.len(), 2);
-        assert!((plan.route_bandwidth_factor(&route) - 0.25).abs() < 1e-12);
-        // Unrelated link unaffected.
-        assert_eq!(plan.link_bandwidth_factor(a, mid), 1.0);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   processor array onto torus planes, plus naive mappings for ablation;
 //! * [`cost`] — an α–β–hop communication cost model with per-link
 //!   accounting, used by `bgl-comm` to derive simulated times;
-//! * [`fault`] — deterministic, seeded fault plans (dead links/nodes,
-//!   degraded bandwidth, lossy messaging, scheduled rank deaths) and
+//! * [`fault`] — deterministic, seeded fault plans (dead links, lossy
+//!   messaging, scheduled rank deaths) and
 //!   fault-aware routing that detours around dead components.
 //!
 //! The model is deliberately analytic rather than cycle-accurate: the

@@ -22,8 +22,8 @@ use bgl_bfs::server::{ArrivalProcess, QueryMix};
 use bgl_bfs::torus::MachineConfig;
 use bgl_bfs::trace::write_artifacts;
 use bgl_bfs::{
-    BfsConfig, BglServer, DirectionMode, DirectionPolicy, DistGraph, FaultPlan, GraphSpec,
-    ProcessorGrid, ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
+    BfsConfig, BglServer, DirectionPolicy, DistGraph, FaultPlan, GraphSpec, ProcessorGrid,
+    ResilientConfig, ServerConfig, SimWorld, TraceDetail, WorkloadSpec,
 };
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -345,9 +345,9 @@ fn apply_engine_threads(flags: &Flags) {
 
 fn direction_policy(s: &str) -> Option<DirectionPolicy> {
     match s {
-        "off" | "top-down" => Some(DirectionPolicy::top_down()),
-        "adaptive" => Some(DirectionPolicy::adaptive()),
-        "bottom-up" => Some(DirectionPolicy::bottom_up()),
+        "off" | "top-down" => Some(DirectionPolicy::TopDown),
+        "adaptive" => Some(DirectionPolicy::Adaptive),
+        "bottom-up" => Some(DirectionPolicy::BottomUp),
         _ => None,
     }
 }
@@ -355,7 +355,7 @@ fn direction_policy(s: &str) -> Option<DirectionPolicy> {
 fn direction_from(flags: &Flags) -> DirectionPolicy {
     flags
         .choice("direction", direction_policy)
-        .unwrap_or_else(DirectionPolicy::top_down)
+        .unwrap_or_default()
 }
 
 fn wire_policy_from(flags: &Flags) -> WirePolicy {
@@ -572,7 +572,6 @@ fn cmd_search(flags: &Flags) {
         }
         let resilient = ResilientConfig {
             parity_group_size: flags.u64("parity-group", 4) as usize,
-            ..ResilientConfig::default()
         };
         let res = or_exit(
             bfs2d::run_resilient(&graph, &mut world, &config, source, &resilient),
@@ -643,19 +642,19 @@ fn cmd_search(flags: &Flags) {
             so.densify_switches
         );
     }
-    if direction.mode != DirectionMode::TopDown {
+    if direction != DirectionPolicy::TopDown {
         let (td, bu) = r.stats.direction_split();
         println!(
             "direction ({}): {td} top-down / {bu} bottom-up levels, {} hash probes total",
-            match direction.mode {
-                DirectionMode::Adaptive => "adaptive",
-                DirectionMode::BottomUp => "bottom-up",
-                DirectionMode::TopDown => unreachable!(),
+            match direction {
+                DirectionPolicy::Adaptive => "adaptive",
+                DirectionPolicy::BottomUp => "bottom-up",
+                DirectionPolicy::TopDown => unreachable!(),
             },
             r.stats.total_probes()
         );
     }
-    if flags.has("levels") || direction.mode != DirectionMode::TopDown {
+    if flags.has("levels") || direction != DirectionPolicy::TopDown {
         print_level_table(&r.stats);
     }
     if flags.has("validate") {
@@ -693,9 +692,8 @@ fn cmd_path(flags: &Flags) {
         // round of the walk.
         let targets = parse_targets(list)
             .unwrap_or_else(|| usage_exit(&format!("--targets {list:?}: invalid value")));
-        let config = path::MultiPathConfig::default();
         let batched = or_exit(
-            path::try_multi(&graph, &mut world, &r.levels, source, &targets, &config),
+            path::try_multi(&graph, &mut world, &r.levels, source, &targets),
             "communication fault during batched path walk",
         );
         println!(
@@ -1055,18 +1053,18 @@ mod tests {
 
     #[test]
     fn direction_flag_parses() {
-        assert_eq!(direction_from(&flags("")), DirectionPolicy::top_down());
+        assert_eq!(direction_from(&flags("")), DirectionPolicy::TopDown);
         assert_eq!(
             direction_from(&flags("--direction off")),
-            DirectionPolicy::top_down()
+            DirectionPolicy::TopDown
         );
         assert_eq!(
             direction_from(&flags("--direction adaptive")),
-            DirectionPolicy::adaptive()
+            DirectionPolicy::Adaptive
         );
         assert_eq!(
             direction_from(&flags("--direction bottom-up")),
-            DirectionPolicy::bottom_up()
+            DirectionPolicy::BottomUp
         );
     }
 

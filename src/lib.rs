@@ -25,9 +25,8 @@ pub use bgl_torus as torus;
 pub use bgl_trace as trace;
 
 pub use bfs_core::{
-    bfs2d, bidir, theory, validate, BfsConfig, DirectionMode, DirectionPolicy, ExpandStrategy,
-    FoldStrategy, GroupShard, LevelDirection, ParityGroups, ResilientConfig, ValidationError,
-    ValidationReport,
+    bfs2d, bidir, theory, validate, BfsConfig, DirectionPolicy, ExpandStrategy, FoldStrategy,
+    GroupShard, LevelDirection, ParityGroups, ResilientConfig, ValidationError, ValidationReport,
 };
 pub use bgl_comm::{
     ChaosSpec, CommError, FaultPlan, ProcessorGrid, SimWorld, WireFormat, WireMode, WirePolicy,

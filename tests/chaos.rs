@@ -40,7 +40,6 @@ fn chaos_matrix_recovers_bit_identically_and_validates() {
     let want = reference(&graph);
     let resilient = ResilientConfig {
         parity_group_size: GROUP,
-        ..ResilientConfig::default()
     };
     for fault_seed in [11u64, 12, 13] {
         let chaos = ChaosSpec::moderate(fault_seed, grid.len(), GROUP);
@@ -87,7 +86,6 @@ fn chaos_with_link_faults_survives_or_fails_typed() {
     let dims = MachineConfig::fit_partition(grid.len());
     let resilient = ResilientConfig {
         parity_group_size: GROUP,
-        ..ResilientConfig::default()
     };
     let mut survived = 0;
     for fault_seed in 21u64..27 {

@@ -97,9 +97,9 @@ proptest! {
             let mut world = SimWorld::bluegene(grid);
             bfs2d::try_run(&graph, &mut world, &config, 0).unwrap()
         };
-        let td = run(DirectionPolicy::top_down());
-        let bu = run(DirectionPolicy::bottom_up());
-        let adaptive = run(DirectionPolicy::adaptive());
+        let td = run(DirectionPolicy::TopDown);
+        let bu = run(DirectionPolicy::BottomUp);
+        let adaptive = run(DirectionPolicy::Adaptive);
         prop_assert_eq!(&td.levels, &bu.levels);
         prop_assert_eq!(&td.levels, &adaptive.levels);
     }
@@ -122,7 +122,7 @@ proptest! {
 
         let threaded_config = ThreadedConfig {
             wire: WirePolicy::auto(),
-            direction: DirectionPolicy::adaptive(),
+            direction: DirectionPolicy::Adaptive,
             ..ThreadedConfig::default()
         };
         let outs = threaded_run::run(&graph, 0, &threaded_config);
@@ -133,7 +133,7 @@ proptest! {
             sent_neighbors: true,
             ..BfsConfig::baseline_alltoall()
         }
-        .with_direction(DirectionPolicy::adaptive());
+        .with_direction(DirectionPolicy::Adaptive);
         let mut world = SimWorld::bluegene(grid).with_wire_policy(WirePolicy::auto());
         let sim = bfs2d::try_run(&graph, &mut world, &config, 0).unwrap();
         prop_assert_eq!(levels, sim.levels);
@@ -162,7 +162,6 @@ fn faulty_direction_optimized_run_recovers_and_validates() {
     let config = BfsConfig::direction_optimized();
     let resilient = ResilientConfig {
         parity_group_size: 4,
-        ..ResilientConfig::default()
     };
     let res = bfs2d::run_resilient(&graph, &mut world, &config, 0, &resilient)
         .expect("single death must recover");

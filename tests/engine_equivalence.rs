@@ -204,7 +204,6 @@ fn rayon_engine_bit_identical_on_resilient_recovery() {
         .kill_rank_at(5, 3);
     let resilient = ResilientConfig {
         parity_group_size: 4,
-        ..ResilientConfig::default()
     };
 
     let (a, b) = serial_and_parallel(|| {

@@ -133,8 +133,8 @@ fn one_d_is_degenerate_two_d() {
             FoldStrategy::ReduceScatterUnion,
             FoldStrategy::TwoPhaseRing,
         ] {
-            for direction in [DirectionPolicy::top_down(), DirectionPolicy::adaptive()] {
-                let what = format!("p={p} {fold:?} {:?}", direction.mode);
+            for direction in [DirectionPolicy::TopDown, DirectionPolicy::Adaptive] {
+                let what = format!("p={p} {fold:?} {direction:?}");
                 let config = BfsConfig {
                     fold,
                     direction,

@@ -28,14 +28,11 @@ fn any_wire() -> impl Strategy<Value = WirePolicy> {
 
 fn any_direction() -> impl Strategy<Value = multi::MultiConfig> {
     prop_oneof![
-        Just(DirectionPolicy::top_down()),
-        Just(DirectionPolicy::adaptive()),
-        Just(DirectionPolicy::bottom_up()),
+        Just(DirectionPolicy::TopDown),
+        Just(DirectionPolicy::Adaptive),
+        Just(DirectionPolicy::BottomUp),
     ]
-    .prop_map(|direction| multi::MultiConfig {
-        direction,
-        ..multi::MultiConfig::default()
-    })
+    .prop_map(|direction| multi::MultiConfig { direction })
 }
 
 fn any_family() -> impl Strategy<Value = Family> {

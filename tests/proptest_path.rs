@@ -80,7 +80,7 @@ proptest! {
                 .unwrap()
                 .levels;
             let mut world = SimWorld::bluegene(grid).with_wire_policy(wire);
-            let r = path::try_multi(&graph, &mut world, &levels, source, &tgts, &path::MultiPathConfig::default()).unwrap();
+            let r = path::try_multi(&graph, &mut world, &levels, source, &tgts).unwrap();
             (levels, r)
         });
         prop_assert_eq!(r.paths.len(), tgts.len());
@@ -112,7 +112,7 @@ proptest! {
         let graph = DistGraph::build(spec, grid);
         let mut clean = SimWorld::bluegene(grid);
         let levels = bfs2d::try_run(&graph, &mut clean, &BfsConfig::paper_optimized(), source).unwrap().levels;
-        let want = path::try_multi(&graph, &mut clean, &levels, source, &tgts, &path::MultiPathConfig::default()).unwrap().paths;
+        let want = path::try_multi(&graph, &mut clean, &levels, source, &tgts).unwrap().paths;
 
         let plan = FaultPlan::seeded(fault_seed)
             .with_control_drop_prob(drop)
@@ -120,8 +120,7 @@ proptest! {
         let mut faulty = SimWorld::bluegene(grid)
             .with_fault_plan(plan)
             .with_faulty_control();
-        let config = path::MultiPathConfig { retry_attempts: 16 };
-        let got = path::try_multi(&graph, &mut faulty, &levels, source, &tgts, &config)
+        let got = path::try_multi(&graph, &mut faulty, &levels, source, &tgts)
             .expect("retries ride out lossy control rounds");
         prop_assert_eq!(got.paths, want, "faults must not change extracted paths");
     }

@@ -33,18 +33,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// encode ∘ decode is the identity on sorted vertex sets, under
-    /// every mode and several density regimes.
+    /// every mode.
     #[test]
     fn roundtrip_on_sorted_sets(
         payload in sorted_set(300, 100_000),
         mode in any_mode(),
-        shift in 0u32..10,
     ) {
-        let policy = WirePolicy {
-            mode,
-            density_shift: shift,
-            ..WirePolicy::auto()
-        };
+        let policy = WirePolicy::with_mode(mode);
         let frame = wire::encode(&payload, &policy);
         prop_assert_eq!(wire::decode(&frame), Some(payload));
     }
@@ -97,15 +92,8 @@ proptest! {
     #[test]
     fn auto_never_beats_raw_by_more_than_header(
         payload in proptest::collection::vec(any::<u64>(), 0..200),
-        shift in 0u32..10,
-        min_len in 0usize..64,
     ) {
-        let policy = WirePolicy {
-            mode: WireMode::Auto,
-            density_shift: shift,
-            min_bitmap_len: min_len,
-        };
-        let m = wire::measure(&payload, &policy);
+        let m = wire::measure(&payload, &WirePolicy::auto());
         prop_assert!(m.wire_bytes <= m.logical_bytes + HEADER_BOUND);
     }
 }
