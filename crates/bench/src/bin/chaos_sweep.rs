@@ -1,7 +1,7 @@
 //! Chaos sweep — randomized fault schedules fuzzed across the
 //! wire-codec matrix, with differential and Graph500-style checks.
 //!
-//! Each cell draws a deterministic [`ChaosSpec`] from a fault seed
+//! Each cell draws a deterministic [`FaultPlan::chaos`] from a fault seed
 //! (scheduled rank deaths — at most one per parity group — plus
 //! randomized drop/truncate/duplicate probabilities), then runs the
 //! parity-group checkpoint/recover engine
@@ -28,7 +28,7 @@
 
 use bfs_core::{bfs2d, validate, BfsConfig, ResilientConfig};
 use bgl_bench::harness::{write_report, Args, Table};
-use bgl_comm::{ChaosSpec, FaultPlan, ProcessorGrid, SimWorld, WireMode, WirePolicy};
+use bgl_comm::{FaultPlan, ProcessorGrid, SimWorld, WireMode, WirePolicy};
 use bgl_graph::{DistGraph, GraphSpec};
 use bgl_trace::json::{self, Fixed};
 
@@ -128,8 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut cells: Vec<Cell> = Vec::new();
     for &fault_seed in &fault_seeds {
-        let chaos = ChaosSpec::moderate(fault_seed, grid.len(), group);
-        let plan = FaultPlan::chaos(&chaos);
+        let plan = FaultPlan::chaos(fault_seed, grid.len(), group);
         let deaths = plan.deaths().len();
         for &wire in &wires {
             let mut w = SimWorld::bluegene(grid)

@@ -4,10 +4,10 @@
 //! message-passing substrate as a programming error (`panic!`,
 //! `assert!`, indefinite blocking). Under fault injection those
 //! conditions are *operating conditions*: a rank can die mid-round, a
-//! retransmission budget can run out, dead links can disconnect a pair
-//! of nodes. Public communication APIs therefore return [`CommError`]
-//! so the BFS layer can distinguish recoverable faults (trigger
-//! checkpoint recovery) from unrecoverable ones (surface to the caller).
+//! retransmission budget can run out. Public communication APIs
+//! therefore return [`CommError`] so the BFS layer can distinguish
+//! recoverable faults (trigger checkpoint recovery) from unrecoverable
+//! ones (surface to the caller).
 
 use std::fmt;
 
@@ -31,13 +31,6 @@ pub enum CommError {
         to: usize,
         /// Attempts made before giving up.
         attempts: u32,
-    },
-    /// Dead links/nodes disconnect the physical route between two ranks.
-    NoRoute {
-        /// Sending rank.
-        from: usize,
-        /// Destination rank.
-        to: usize,
     },
     /// A send named a destination outside `0..p`.
     DestinationOutOfRange {
@@ -70,9 +63,6 @@ impl fmt::Display for CommError {
                 f,
                 "message {from} -> {to} undeliverable after {attempts} attempts"
             ),
-            CommError::NoRoute { from, to } => {
-                write!(f, "dead links disconnect ranks {from} and {to}")
-            }
             CommError::DestinationOutOfRange { dest, p } => {
                 write!(f, "destination {dest} out of range for {p} ranks")
             }
@@ -104,7 +94,6 @@ mod tests {
                 },
                 "16 attempts",
             ),
-            (CommError::NoRoute { from: 0, to: 5 }, "disconnect"),
             (
                 CommError::DestinationOutOfRange { dest: 9, p: 4 },
                 "out of range",

@@ -19,9 +19,10 @@
 //!
 //! Both engines accept a deterministic [`bgl_torus::FaultPlan`]: lossy
 //! exchanges retransmit (charged through the cost model and counted in
-//! [`stats::FaultStats`]), routes detour around dead links, and scheduled
-//! rank deaths surface as typed [`error::CommError`]s instead of panics,
-//! so the BFS layer can checkpoint and recover.
+//! [`stats::FaultStats`]), and scheduled rank deaths surface as typed
+//! [`error::CommError`]s instead of panics, so the BFS layer can
+//! checkpoint and recover. Links are always live, so every message takes
+//! its dimension-ordered route.
 //!
 //! On top of the engines, [`collectives`] implements the communication
 //! patterns the paper studies:
@@ -62,7 +63,7 @@ pub use wire::{WireFormat, WireMode, WirePolicy};
 
 // Fault plans are authored against the torus model; re-export so BFS
 // layers need not depend on `bgl_torus` directly to configure faults.
-pub use bgl_torus::{ChaosSpec, FaultPlan, RankDeath};
+pub use bgl_torus::{FaultPlan, RankDeath};
 
 // Trace types surface on both runtimes' handles; re-export so BFS
 // layers can emit spans without depending on `bgl_trace` directly.

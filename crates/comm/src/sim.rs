@@ -25,13 +25,9 @@ use crate::topology::ProcessorGrid;
 use crate::vset::VsetPolicy;
 use crate::wire::{self, WireMeasure, WirePolicy};
 use crate::{Vert, VERT_BYTES};
-use bgl_torus::{
-    detour_hops, route_with_faults, CostModel, FaultPlan, LinkTraffic, MachineConfig, MachineKind,
-    RouteStep, TaskMapping, TaskMappingKind,
-};
+use bgl_torus::{CostModel, FaultPlan, LinkTraffic, MachineConfig, TaskMapping, TaskMappingKind};
 use bgl_trace::{ComputeKind, EventKind, OpKind, Phase, TraceBuffer, TraceDetail, TraceSink};
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
 
 /// One point-to-point message in a round: `(from, to, payload)`.
 pub type Send = (usize, usize, Vec<Vert>);
@@ -40,21 +36,12 @@ pub type Send = (usize, usize, Vec<Vert>);
 /// sender for determinism.
 pub type Inbox = Vec<(usize, Vec<Vert>)>;
 
-/// Cached fault-aware route information for one rank pair.
-#[derive(Debug, Clone)]
-struct FaultRoute {
-    hops: usize,
-    detour: usize,
-    route: Vec<RouteStep>,
-}
-
 /// Fault counters one send contributes (applied during the merge).
 #[derive(Debug, Clone, Copy, Default)]
 struct FaultDelta {
     dropped: u64,
     truncated: u64,
     duplicated: bool,
-    detour: u64,
 }
 
 /// Precomputed outcome of one send: everything
@@ -66,10 +53,8 @@ enum SendMeta {
     SelfSend,
     /// A rank index outside the grid.
     OutOfRange,
-    /// No fault-avoiding route exists between the pair.
-    NoRoute,
     /// The fault schedule exhausted the retry budget.
-    Unreachable { attempts: u32, detour: u64 },
+    Unreachable { attempts: u32 },
     /// A normal wire transfer.
     Wire(WireSendMeta),
 }
@@ -136,10 +121,6 @@ pub struct SimWorld {
     /// enabling control faults cannot perturb the expand/fold fault
     /// schedule.
     control_round: u64,
-    /// Fault-aware routes per rank pair (static for a fixed plan).
-    /// FxHashMap: route lookups sit on every faulty-world send, and the
-    /// keys are small integer pairs — SipHash is pure overhead here.
-    route_cache: FxHashMap<(usize, usize), FaultRoute>,
     /// When hybrid vertex sets switch representation (see
     /// [`crate::vset`]).
     vset_policy: VsetPolicy,
@@ -182,10 +163,6 @@ impl SimWorld {
             data_round: 0,
             control_faultable: false,
             control_round: 0,
-            // Pre-size from the grid: routes are per ordered rank pair,
-            // but ring/tree traffic only ever touches O(1) neighbors per
-            // rank, so a small multiple of p covers steady state.
-            route_cache: FxHashMap::with_capacity_and_hasher(4 * grid.len(), Default::default()),
             vset_policy: VsetPolicy::default(),
             wire_policy: WirePolicy::default(),
             trace: TraceSink::disabled(),
@@ -211,15 +188,13 @@ impl SimWorld {
         self
     }
 
-    /// Install a fault plan. Resets the fault schedule clock and the
-    /// route cache (routes depend on the plan's dead links/nodes), but
-    /// not the time/statistics clocks.
+    /// Install a fault plan. Resets the fault schedule clocks and
+    /// revives every rank, but not the time/statistics clocks.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
         self.dead = vec![false; self.grid.len()];
         self.data_round = 0;
         self.control_round = 0;
-        self.route_cache.clear();
     }
 
     /// Opt [`OpClass::Control`] traffic in to (or out of) the fault
@@ -227,12 +202,6 @@ impl SimWorld {
     /// on by resilient BFS so recovery traffic shares the lossy fabric.
     pub fn set_control_faultable(&mut self, on: bool) {
         self.control_faultable = on;
-    }
-
-    /// Builder-style [`SimWorld::set_control_faultable`].
-    pub fn with_faulty_control(mut self) -> Self {
-        self.control_faultable = true;
-        self
     }
 
     /// Charge the modelled ack-timeout backoff for one failed recovery
@@ -430,29 +399,6 @@ impl SimWorld {
         self
     }
 
-    /// Fault-aware route lookup for `(from, to)`: `(hops, detour
-    /// hops)`. Routes are static for a fixed plan, so the BFS result
-    /// (and the explicit route, for traffic attribution) is cached per
-    /// rank pair.
-    fn route_info(&mut self, from: usize, to: usize) -> Result<(usize, usize), CommError> {
-        if let Some(fr) = self.route_cache.get(&(from, to)) {
-            return Ok((fr.hops, fr.detour));
-        }
-        let dims = self.cost.machine().dims;
-        let a = self.mapping.coord_of(from);
-        let b = self.mapping.coord_of(to);
-        let route = route_with_faults(dims, a, b, &self.plan)
-            .map_err(|_| CommError::NoRoute { from, to })?;
-        let fr = FaultRoute {
-            hops: route.len(),
-            detour: detour_hops(dims, &route),
-            route,
-        };
-        let out = (fr.hops, fr.detour);
-        self.route_cache.insert((from, to), fr);
-        Ok(out)
-    }
-
     /// Execute one message round: deliver every `(from, to, payload)`,
     /// charge communication time, and return per-rank inboxes.
     ///
@@ -465,8 +411,7 @@ impl SimWorld {
     /// rounds advance the fault schedule clock and are subject to
     /// injected faults: drops/truncations trigger modelled ack-timeout
     /// retransmission with bounded exponential backoff (charged as extra
-    /// simulated time and counted in `stats.faults`), routes detour
-    /// around dead links/nodes through the α–β–hop cost, and scheduled
+    /// simulated time and counted in `stats.faults`), and scheduled
     /// rank deaths surface as [`CommError::RankDead`] before anything is
     /// charged. [`OpClass::Control`] traffic rides BlueGene/L's separate
     /// reliable tree network by default: never faulted, never advances
@@ -542,22 +487,6 @@ impl SimWorld {
             }
         }
         let msg_faults = faultable && self.plan.has_message_faults();
-        let topo_faults = faultable
-            && self.plan.has_topology_faults()
-            && self.cost.machine().kind == MachineKind::Torus3D;
-
-        // Warm the fault-aware route cache serially: it is the only
-        // `&mut` state the per-send precompute consults. A pair still
-        // missing after warming has no fault-avoiding route; the merge
-        // loop surfaces that error at the offending send, with the same
-        // partially accumulated statistics as the old fused loop.
-        if topo_faults {
-            for &(from, to, _) in &sends {
-                if from < p && to < p && from != to {
-                    let _ = self.route_info(from, to);
-                }
-            }
-        }
 
         // --- Phase 1: per-send precompute. Wire measurement (of the
         // sends without a supplied measure), routing, α–β–hop
@@ -573,7 +502,6 @@ impl SimWorld {
             let mapping = &self.mapping;
             let chunk = self.chunk;
             let plan = &self.plan;
-            let routes = &self.route_cache;
             let policy = self.wire_policy;
             let machine = *self.cost.machine();
             let pre = |s: &Send, supplied: &Option<WireMeasure>| -> SendMeta {
@@ -596,23 +524,13 @@ impl SimWorld {
                 };
                 let verts = (w.logical_bytes / VERT_BYTES) as usize;
                 let chunks = chunk.message_count(verts) as u64;
-                let (hops, detour) = if topo_faults {
-                    match routes.get(&(from, to)) {
-                        Some(fr) => (fr.hops, fr.detour as u64),
-                        None => return SendMeta::NoRoute,
-                    }
-                } else {
-                    (cost.hops(mapping.coord_of(from), mapping.coord_of(to)), 0)
-                };
+                let hops = cost.hops(mapping.coord_of(from), mapping.coord_of(to));
                 let base = chunks as f64 * machine.software_overhead
                     + hops as f64 * machine.hop_latency
                     + w.wire_bytes as f64 / machine.link_bandwidth;
                 let mut t = base;
                 let mut retries = 0u32;
-                let mut fault = FaultDelta {
-                    detour,
-                    ..FaultDelta::default()
-                };
+                let mut fault = FaultDelta::default();
                 if msg_faults {
                     match plan.delivery(class.index() as u8, fault_round, from, to) {
                         Ok(d) => {
@@ -638,7 +556,7 @@ impl SimWorld {
                             fault.truncated = d.truncated_attempts as u64;
                             retries = failed;
                         }
-                        Err(attempts) => return SendMeta::Unreachable { attempts, detour },
+                        Err(attempts) => return SendMeta::Unreachable { attempts },
                     }
                 }
                 SendMeta::Wire(WireSendMeta {
@@ -699,14 +617,11 @@ impl SimWorld {
                     inboxes[to].push((from, payload));
                     continue;
                 }
-                SendMeta::NoRoute => return Err(CommError::NoRoute { from, to }),
-                SendMeta::Unreachable { attempts, detour } => {
-                    self.stats.faults.detour_hops += detour;
+                SendMeta::Unreachable { attempts } => {
                     return Err(CommError::Unreachable { from, to, attempts });
                 }
                 SendMeta::Wire(w) => w,
             };
-            self.stats.faults.detour_hops += w.fault.detour;
             if w.fault.duplicated {
                 self.stats.faults.duplicates_injected += 1;
             }
@@ -749,26 +664,16 @@ impl SimWorld {
             self.stats.note_wire_bytes(class, w.logical, w.wire_bytes);
             // Peak buffer is per wire message, i.e. per chunk.
             self.stats.note_peak(self.chunk.peak_message_len(w.verts));
-            if self.traffic.is_some() || round_traffic.is_some() {
-                let detoured = if topo_faults {
-                    self.route_cache.get(&(from, to))
-                } else {
-                    None
-                };
-                for tr in [&mut self.traffic, &mut round_traffic]
-                    .into_iter()
-                    .flatten()
-                {
-                    match detoured {
-                        Some(fr) => tr.record_route(&fr.route, w.wire_bytes),
-                        None => tr.record(
-                            self.cost.machine(),
-                            self.mapping.coord_of(from),
-                            self.mapping.coord_of(to),
-                            w.wire_bytes,
-                        ),
-                    }
-                }
+            for tr in [&mut self.traffic, &mut round_traffic]
+                .into_iter()
+                .flatten()
+            {
+                tr.record(
+                    self.cost.machine(),
+                    self.mapping.coord_of(from),
+                    self.mapping.coord_of(to),
+                    w.wire_bytes,
+                );
             }
             inboxes[to].push((from, payload));
         }
@@ -1479,7 +1384,8 @@ mod tests {
             w.exchange(OpClass::Expand, vec![(0, 1, vec![1, 2, 3])])
                 .map(|_| (w.stats.faults, w.data_round))
         };
-        let mut w = world(4).with_fault_plan(plan).with_faulty_control();
+        let mut w = world(4).with_fault_plan(plan);
+        w.set_control_faultable(true);
         assert!(w.control_faultable);
         // Burn several control rounds first; with the old shared clock
         // this would shift the data schedule.
@@ -1506,7 +1412,6 @@ mod tests {
                 f.truncations_injected -= before.truncations_injected;
                 f.duplicates_injected -= before.duplicates_injected;
                 f.retransmissions -= before.retransmissions;
-                f.detour_hops -= before.detour_hops;
                 (f, w.data_round)
             });
         match (reference, got) {
@@ -1522,7 +1427,8 @@ mod tests {
     #[test]
     fn faulty_control_rejects_dead_endpoints_only() {
         let plan = FaultPlan::seeded(5).kill_rank_at(2, 0);
-        let mut w = world(4).with_fault_plan(plan).with_faulty_control();
+        let mut w = world(4).with_fault_plan(plan);
+        w.set_control_faultable(true);
         // Round 0 fires the death.
         let err = w
             .exchange(OpClass::Expand, vec![(0, 1, vec![5])])
@@ -1569,27 +1475,5 @@ mod tests {
         }
         w.note_recovery();
         assert_eq!(w.stats.faults.recoveries, 1);
-    }
-
-    #[test]
-    fn dead_link_detour_charges_more_hops() {
-        // Kill a link on the direct route between two mapped neighbours;
-        // the detour must cost more time than the clean route and count
-        // detour hops.
-        let grid = ProcessorGrid::square_ish(16);
-        let mut clean = SimWorld::bluegene(grid);
-        let sends = vec![(0usize, 1usize, vec![0u64; 100])];
-        clean.exchange(OpClass::Fold, sends.clone()).unwrap();
-        let a = clean.mapping().coord_of(0);
-        let b = clean.mapping().coord_of(1);
-        // Only a meaningful test if the pair is a single hop apart.
-        let dims = clean.cost_model().machine().dims;
-        if bgl_torus::hop_distance(dims, a, b) == 1 {
-            let plan = FaultPlan::seeded(0).kill_link(a, b);
-            let mut faulty = SimWorld::bluegene(grid).with_fault_plan(plan);
-            faulty.exchange(OpClass::Fold, sends).unwrap();
-            assert!(faulty.stats.faults.detour_hops > 0);
-            assert!(faulty.time() > clean.time());
-        }
     }
 }

@@ -90,9 +90,6 @@ pub struct FaultStats {
     pub duplicates_injected: u64,
     /// Retransmissions performed (failed attempts that were retried).
     pub retransmissions: u64,
-    /// Extra hops taken by routes detouring around dead links/nodes,
-    /// summed over messages.
-    pub detour_hops: u64,
     /// Rank-death recoveries completed (checkpoint restore + replay).
     pub recoveries: u64,
 }
@@ -109,7 +106,6 @@ impl FaultStats {
         self.truncations_injected += o.truncations_injected;
         self.duplicates_injected += o.duplicates_injected;
         self.retransmissions += o.retransmissions;
-        self.detour_hops += o.detour_hops;
         self.recoveries += o.recoveries;
     }
 
@@ -119,7 +115,6 @@ impl FaultStats {
             truncations_injected: self.truncations_injected - o.truncations_injected,
             duplicates_injected: self.duplicates_injected - o.duplicates_injected,
             retransmissions: self.retransmissions - o.retransmissions,
-            detour_hops: self.detour_hops - o.detour_hops,
             recoveries: self.recoveries - o.recoveries,
         }
     }

@@ -526,9 +526,7 @@ fn engine(
                         }
                         // Retries exhausted against the faulty channel:
                         // fall through to degraded mode.
-                        Err(CommError::Unreachable { .. })
-                        | Err(CommError::Timeout { .. })
-                        | Err(CommError::NoRoute { .. }) => {}
+                        Err(CommError::Unreachable { .. }) | Err(CommError::Timeout { .. }) => {}
                         Err(e) => return Err(e),
                     }
                 }

@@ -668,9 +668,8 @@ mod tests {
         let plan = FaultPlan::seeded(29)
             .with_control_drop_prob(0.4)
             .with_control_duplicate_prob(0.2);
-        let mut faulty = SimWorld::bluegene(grid)
-            .with_fault_plan(plan)
-            .with_faulty_control();
+        let mut faulty = SimWorld::bluegene(grid).with_fault_plan(plan);
+        faulty.set_control_faultable(true);
         let got = try_multi(&graph, &mut faulty, &levels, 0, &targets)
             .expect("retries ride out lossy control rounds");
         assert_eq!(got.paths, want, "faults must not change extracted paths");

@@ -158,17 +158,6 @@ impl LinkTraffic {
         }
     }
 
-    /// Record a transfer along an explicit route (e.g. a fault-detoured
-    /// route from [`crate::fault::route_with_faults`]), attributing
-    /// `bytes` to every link of the route.
-    pub fn record_route(&mut self, route: &[crate::routing::RouteStep], bytes: u64) {
-        self.transfers += 1;
-        self.total_bytes += bytes;
-        for step in route {
-            *self.per_link.entry((step.from, step.to)).or_insert(0) += bytes;
-        }
-    }
-
     /// Total payload bytes recorded (counted once per transfer, not per hop).
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes

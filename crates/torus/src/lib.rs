@@ -21,9 +21,9 @@
 //!   processor array onto torus planes, plus naive mappings for ablation;
 //! * [`cost`] — an α–β–hop communication cost model with per-link
 //!   accounting, used by `bgl-comm` to derive simulated times;
-//! * [`fault`] — deterministic, seeded fault plans (dead links, lossy
-//!   messaging, scheduled rank deaths) and
-//!   fault-aware routing that detours around dead components.
+//! * [`fault`] — deterministic, seeded fault plans (lossy messaging,
+//!   scheduled rank deaths); links are always live, so routes stay
+//!   dimension-ordered under every plan.
 //!
 //! The model is deliberately analytic rather than cycle-accurate: the
 //! paper's claims we reproduce are about message counts, sizes, hop
@@ -41,9 +41,7 @@ pub mod routing;
 
 pub use coord::{Coord3, TorusDims};
 pub use cost::{CostModel, LinkTraffic, TransferCost};
-pub use fault::{
-    detour_hops, route_with_faults, ChaosSpec, Delivery, FaultPlan, Isolated, RankDeath,
-};
+pub use fault::{Delivery, FaultPlan, RankDeath};
 pub use machine::{MachineConfig, MachineKind};
 pub use mapping::{LogicalArray, TaskMapping, TaskMappingKind};
 pub use routing::{diameter, hop_distance, mean_hop_distance, route_dimension_ordered, RouteStep};

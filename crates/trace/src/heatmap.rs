@@ -1,32 +1,27 @@
 //! Torus link-utilization heatmap.
 //!
-//! Replays a trace's point-to-point [`EventKind::Send`] events over the
-//! machine's dimension-ordered routes and accumulates bytes per directed
-//! physical link — the same attribution rule as the cost model's
-//! `LinkTraffic`, so for a fault-free run the heatmap's total equals the
-//! α–β–hop accounting's Σ bytes × hops exactly (the acceptance test pins
-//! this). On a flat machine every pair is one pseudo-link.
+//! Replays a trace's point-to-point [`EventKind::Send`] events through
+//! the cost model's [`LinkTraffic`], which books bytes on every directed
+//! physical link of the machine's dimension-ordered route, so the
+//! heatmap's total equals the α–β–hop accounting's Σ bytes × hops
+//! exactly (the acceptance test pins this). On a flat machine every
+//! pair is one pseudo-link.
 //!
 //! Requires event-level detail ([`crate::TraceDetail::Event`]): sends
 //! are not recorded at span detail.
 
 use crate::event::{EventKind, TraceEvent};
 use crate::json;
-use bgl_torus::{route_dimension_ordered, Coord3, MachineConfig, MachineKind, TaskMapping};
-use std::collections::BTreeMap;
+use bgl_torus::{Coord3, LinkTraffic, MachineConfig, TaskMapping};
 
 /// Bytes accumulated per directed physical link.
 ///
-/// The map is ordered by link coordinates so every export — the
-/// hotspot table, [`Self::to_json`], the rows behind the Chrome trace
-/// companion file — emits links in sorted-key order and is therefore
-/// byte-stable across runs (`HashMap` iteration order would leak the
-/// process-random hasher state into the artifacts).
+/// [`LinkTraffic`] keeps its links in sorted-key order, so every
+/// export — the hotspot table, [`Self::to_json`], the rows behind the
+/// Chrome trace companion file — is byte-stable across runs.
 #[derive(Debug, Clone, Default)]
 pub struct LinkHeatmap {
-    per_link: BTreeMap<(Coord3, Coord3), u64>,
-    total_bytes: u64,
-    sends: u64,
+    traffic: LinkTraffic,
 }
 
 impl LinkHeatmap {
@@ -43,20 +38,12 @@ impl LinkHeatmap {
                 from, to, bytes, ..
             } = ev.kind
             {
-                hm.sends += 1;
-                hm.total_bytes += bytes;
-                let a = mapping.coord_of(from as usize);
-                let b = mapping.coord_of(to as usize);
-                match machine.kind {
-                    MachineKind::Torus3D => {
-                        for step in route_dimension_ordered(machine.dims, a, b) {
-                            *hm.per_link.entry((step.from, step.to)).or_insert(0) += bytes;
-                        }
-                    }
-                    MachineKind::Flat => {
-                        *hm.per_link.entry((a, b)).or_insert(0) += bytes;
-                    }
-                }
+                hm.traffic.record(
+                    machine,
+                    mapping.coord_of(from as usize),
+                    mapping.coord_of(to as usize),
+                    bytes,
+                );
             }
         }
         hm
@@ -65,32 +52,32 @@ impl LinkHeatmap {
     /// Σ over links of accumulated bytes — i.e. Σ over sends of
     /// bytes × hops on a torus.
     pub fn total_bytes_hops(&self) -> u64 {
-        self.per_link.values().sum()
+        self.traffic.sum_link_bytes()
     }
 
     /// Σ over sends of payload bytes (each send counted once).
     pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
+        self.traffic.total_bytes()
     }
 
     /// Number of send events replayed.
     pub fn sends(&self) -> u64 {
-        self.sends
+        self.traffic.transfers()
     }
 
     /// Number of distinct directed links touched.
     pub fn links_used(&self) -> usize {
-        self.per_link.len()
+        self.traffic.links_used()
     }
 
     /// Bytes on the busiest link.
     pub fn max_link_bytes(&self) -> u64 {
-        self.per_link.values().copied().max().unwrap_or(0)
+        self.traffic.max_link_bytes()
     }
 
     /// Every link row in sorted-key order: `((from, to), bytes)`.
     pub fn rows(&self) -> impl Iterator<Item = (Coord3, Coord3, u64)> + '_ {
-        self.per_link.iter().map(|(&(a, b), &bytes)| (a, b, bytes))
+        self.traffic.rows()
     }
 
     /// The `k` hottest links, by bytes descending (ties broken by link
@@ -107,8 +94,8 @@ impl LinkHeatmap {
     /// test and written as `TRACE_heatmap.json`).
     pub fn to_json(&self) -> String {
         json::compact(|w| {
-            w.field("sends", self.sends)
-                .field("total_bytes", self.total_bytes)
+            w.field("sends", self.sends())
+                .field("total_bytes", self.total_bytes())
                 .key("links")
                 .arr(|w| {
                     for (a, b, bytes) in self.rows() {

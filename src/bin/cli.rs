@@ -664,12 +664,11 @@ fn cmd_search(flags: &Flags) {
     if faulty || f.any() {
         println!(
             "faults: {} drops, {} truncations, {} duplicates => {} retransmissions; \
-             {} detour hops, {} recoveries",
+             {} recoveries",
             f.drops_injected,
             f.truncations_injected,
             f.duplicates_injected,
             f.retransmissions,
-            f.detour_hops,
             f.recoveries
         );
     }

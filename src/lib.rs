@@ -29,7 +29,7 @@ pub use bfs_core::{
     GroupShard, LevelDirection, ParityGroups, ResilientConfig, ValidationError, ValidationReport,
 };
 pub use bgl_comm::{
-    ChaosSpec, CommError, FaultPlan, ProcessorGrid, SimWorld, WireFormat, WireMode, WirePolicy,
+    CommError, FaultPlan, ProcessorGrid, SimWorld, WireFormat, WireMode, WirePolicy,
 };
 pub use bgl_graph::{DistGraph, GraphSpec};
 pub use bgl_server::{BglServer, ServerConfig, WorkloadSpec};

@@ -1,6 +1,6 @@
 //! Chaos fuzzing of the parity-group recovery engine: seeded
-//! randomized fault schedules ([`ChaosSpec`]) crossed with the wire
-//! codec and host worker count. Every surviving run must be
+//! randomized fault schedules ([`FaultPlan::chaos`]) crossed with the
+//! wire codec and host worker count. Every surviving run must be
 //! bit-identical to the fault-free reference and pass the
 //! Graph500-style validator; runs that cannot survive must fail with
 //! a typed [`CommError`], never a panic.
@@ -8,10 +8,9 @@
 mod common;
 
 use bgl_bfs::core::{bfs2d, validate};
-use bgl_bfs::torus::MachineConfig;
 use bgl_bfs::{
-    BfsConfig, ChaosSpec, DistGraph, FaultPlan, GraphSpec, ProcessorGrid, ResilientConfig,
-    SimWorld, WireMode, WirePolicy,
+    BfsConfig, DistGraph, FaultPlan, GraphSpec, ProcessorGrid, ResilientConfig, SimWorld, WireMode,
+    WirePolicy,
 };
 
 const GROUP: usize = 3;
@@ -42,8 +41,7 @@ fn chaos_matrix_recovers_bit_identically_and_validates() {
         parity_group_size: GROUP,
     };
     for fault_seed in [11u64, 12, 13] {
-        let chaos = ChaosSpec::moderate(fault_seed, grid.len(), GROUP);
-        let plan = FaultPlan::chaos(&chaos);
+        let plan = FaultPlan::chaos(fault_seed, grid.len(), GROUP);
         for wire in [WireMode::Raw, WireMode::Auto] {
             for workers in [common::SERIAL, common::PARALLEL] {
                 let got = rayon::with_worker_threads(workers, || {
@@ -73,44 +71,6 @@ fn chaos_matrix_recovers_bit_identically_and_validates() {
             }
         }
     }
-}
-
-/// With dead-link chaos enabled on the underlying torus, runs either
-/// survive (bit-identical + validated) or surface a typed error — the
-/// engine never panics on an unsurvivable schedule.
-#[test]
-fn chaos_with_link_faults_survives_or_fails_typed() {
-    let grid = ProcessorGrid::new(2, 3);
-    let (spec, graph) = build(3_000, grid);
-    let want = reference(&graph);
-    let dims = MachineConfig::fit_partition(grid.len());
-    let resilient = ResilientConfig {
-        parity_group_size: GROUP,
-    };
-    let mut survived = 0;
-    for fault_seed in 21u64..27 {
-        let chaos = ChaosSpec::moderate(fault_seed, grid.len(), GROUP).with_link_faults(dims, 1.0);
-        let plan = FaultPlan::chaos(&chaos);
-        let mut world = SimWorld::bluegene(grid).with_fault_plan(plan);
-        let config = BfsConfig::paper_optimized();
-        match bfs2d::run_resilient(&graph, &mut world, &config, 0, &resilient) {
-            Ok(got) => {
-                assert_eq!(got.result.levels, want, "seed {fault_seed} diverged");
-                validate::validate_against_spec(&spec, &got.result.levels, 0)
-                    .unwrap_or_else(|e| panic!("seed {fault_seed}: validation failed: {e}"));
-                survived += 1;
-            }
-            Err(e) => {
-                // Typed, printable, and specific — the contract for
-                // unsurvivable schedules.
-                assert!(!e.to_string().is_empty());
-            }
-        }
-    }
-    assert!(
-        survived > 0,
-        "detour routing should carry at least one dead-link schedule to completion"
-    );
 }
 
 /// The validator is load-bearing: corrupting a single level in an

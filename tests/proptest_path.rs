@@ -117,9 +117,8 @@ proptest! {
         let plan = FaultPlan::seeded(fault_seed)
             .with_control_drop_prob(drop)
             .with_control_duplicate_prob(dup);
-        let mut faulty = SimWorld::bluegene(grid)
-            .with_fault_plan(plan)
-            .with_faulty_control();
+        let mut faulty = SimWorld::bluegene(grid).with_fault_plan(plan);
+        faulty.set_control_faultable(true);
         let got = path::try_multi(&graph, &mut faulty, &levels, source, &tgts)
             .expect("retries ride out lossy control rounds");
         prop_assert_eq!(got.paths, want, "faults must not change extracted paths");
