@@ -21,7 +21,10 @@
 //! that moves one would move the simulated clock. It also exits
 //! non-zero when any built graph's total entries or digest (FNV-1a
 //! over every rank's columns, partial edge lists and registration rows)
-//! moved: a builder rewrite must produce the same `RankGraph`s. Levels
+//! moved: a builder rewrite must produce the same `RankGraph`s. Its
+//! per-rank bytes (`RankGraph::approx_bytes`: the largest rank's and
+//! the sum over ranks) are pinned beside them, so a layout change that
+//! moves them updates the pins on purpose. Levels
 //! that fail validation exit non-zero with or without `--check`. The
 //! timings are recorded, never gated.
 //!
@@ -56,8 +59,8 @@ Flags:
   --reps N       timing repetitions, best-of (default 5)
   --out PATH     output path (default BENCH_setops.json)
   --check        exit non-zero if the discover probe count, the expand
-                 vertex count, or any built graph's entry count or
-                 digest moved (CI)
+                 vertex count, or any built graph's entry count, digest
+                 or per-rank bytes moved (CI)
 ";
 
 /// Probes `RankState::discover` counts over the whole discover search
@@ -68,18 +71,41 @@ const DISCOVER_PROBES: u64 = 6_013_575;
 /// search, checked by `--check`.
 const EXPAND_VERTS: u64 = 1_814_373;
 
-/// Total entries and digest ([`graph_digest`]) of the Poisson n=2^18,
-/// k=16, seed 1 graph on 8x8, checked by `--check`.
-const POISSON_PIN: (u64, u64) = (4_199_202, 0x8875_a173_7cb2_c06d);
+/// What `--check` expects of a built graph: its total entries, its
+/// digest ([`graph_digest`]), and its per-rank bytes
+/// (`RankGraph::approx_bytes`), the largest rank's and the sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pin {
+    entries: u64,
+    digest: u64,
+    max_rank_bytes: u64,
+    sum_rank_bytes: u64,
+}
 
-/// Total entries and digest of the R-MAT n=2^17, k=16, seed 1 graph on
-/// 8x8, checked by `--check`.
-const RMAT_PIN: (u64, u64) = (1_942_906, 0x4213_cb19_e2be_23c1);
+/// The Poisson n=2^18, k=16, seed 1 graph on 8x8.
+const POISSON_PIN: Pin = Pin {
+    entries: 4_199_202,
+    digest: 0x8875_a173_7cb2_c06d,
+    max_rank_bytes: 924_140,
+    sum_rank_bytes: 58_824_460,
+};
 
-/// Total entries and digest of the Poisson n=327,680, k=10, seed 1
-/// graph on 128x256, where each rank owns 10 vertices, checked by
-/// `--check`.
-const WIDE_PIN: (u64, u64) = (3_278_310, 0xf25a_e8c7_59f3_2a47);
+/// The R-MAT n=2^17, k=16, seed 1 graph on 8x8.
+const RMAT_PIN: Pin = Pin {
+    entries: 1_942_906,
+    digest: 0x4213_cb19_e2be_23c1,
+    max_rank_bytes: 2_893_936,
+    sum_rank_bytes: 20_302_856,
+};
+
+/// The Poisson n=327,680, k=10, seed 1 graph on 128x256, where each
+/// rank owns 10 vertices.
+const WIDE_PIN: Pin = Pin {
+    entries: 3_278_310,
+    digest: 0xf25a_e8c7_59f3_2a47,
+    max_rank_bytes: 5_652,
+    sum_rank_bytes: 152_771_064,
+};
 
 /// Draws of the seed-1 ChaCha8 keystream that the keystream row times.
 const KEYSTREAM_DRAWS: u64 = 1 << 20;
@@ -124,7 +150,7 @@ fn fnv_words(mut hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
 fn graph_digest(graph: &DistGraph) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for r in &graph.ranks {
-        hash = fnv_words(hash, r.edges.cols().iter().copied());
+        hash = fnv_words(hash, r.edges.cols());
         for (_, list) in r.edges.iter_cols() {
             hash = fnv_words(hash, list);
         }
@@ -135,16 +161,15 @@ fn graph_digest(graph: &DistGraph) -> u64 {
     hash
 }
 
-/// One row of the build benchmark: a graph's total entries and digest,
-/// the pair `--check` expects, and the best build time.
+/// One row of the build benchmark: what the built graph measures, what
+/// `--check` expects, and the best build time.
 struct Built {
     name: &'static str,
     n: u64,
     avg_degree: f64,
     grid: ProcessorGrid,
-    entries: u64,
-    digest: u64,
-    pin: (u64, u64),
+    got: Pin,
+    pin: Pin,
     secs: f64,
 }
 
@@ -156,7 +181,7 @@ fn time_build(
     spec: GraphSpec,
     grid: ProcessorGrid,
     reps: u64,
-    pin: (u64, u64),
+    pin: Pin,
 ) -> (Built, DistGraph) {
     let mut secs = f64::INFINITY;
     let mut graph = None;
@@ -172,16 +197,22 @@ fn time_build(
         n: spec.n,
         avg_degree: spec.avg_degree,
         grid,
-        entries: graph.total_entries(),
-        digest: graph_digest(&graph),
+        got: Pin {
+            entries: graph.total_entries(),
+            digest: graph_digest(&graph),
+            max_rank_bytes: graph.max_rank_bytes() as u64,
+            sum_rank_bytes: graph.ranks.iter().map(|r| r.approx_bytes() as u64).sum(),
+        },
         pin,
         secs,
     };
     eprintln!(
-        "  {name:<15} n={:<7} {:>9} entries  digest {:016x}  ({:.1} ms)",
+        "  {name:<15} n={:<7} {:>9} entries  digest {:016x}  {:>9} B max rank  {:>10} B all ranks  ({:.1} ms)",
         built.n,
-        built.entries,
-        built.digest,
+        built.got.entries,
+        built.got.digest,
+        built.got.max_rank_bytes,
+        built.got.sum_rank_bytes,
         secs * 1e3
     );
     (built, graph)
@@ -403,8 +434,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     w.field("n", b.n)
                         .field("avg_degree", b.avg_degree as u64)
                         .field("grid", format!("{}x{}", b.grid.rows(), b.grid.cols()))
-                        .field("entries", b.entries)
-                        .field("digest", format!("{:016x}", b.digest))
+                        .field("entries", b.got.entries)
+                        .field("digest", format!("{:016x}", b.got.digest))
+                        .field("max_rank_bytes", b.got.max_rank_bytes)
+                        .field("sum_rank_bytes", b.got.sum_rank_bytes)
                         .field("ms", Fixed(b.secs * 1e3, 3));
                 });
             }
@@ -428,10 +461,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(1);
         }
         for b in &builds {
-            if (b.entries, b.digest) != b.pin {
+            if b.got != b.pin {
                 eprintln!(
-                    "FAIL: {} graph has {} entries, digest {:016x}, not the pinned {} and {:016x}",
-                    b.name, b.entries, b.digest, b.pin.0, b.pin.1
+                    "FAIL: {} graph measured {:?}, not the pinned {:?}",
+                    b.name, b.got, b.pin
                 );
                 std::process::exit(1);
             }

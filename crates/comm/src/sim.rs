@@ -253,11 +253,6 @@ impl SimWorld {
         self.congestion = true;
     }
 
-    /// Whether the congestion-aware cost is active.
-    pub fn congestion_model(&self) -> bool {
-        self.congestion
-    }
-
     /// The processor grid.
     pub fn grid(&self) -> ProcessorGrid {
         self.grid
@@ -860,6 +855,7 @@ impl SimWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgl_torus::Coord3;
 
     fn world(p: usize) -> SimWorld {
         SimWorld::bluegene(ProcessorGrid::square_ish(p))
@@ -1026,7 +1022,6 @@ mod tests {
         let mut plain = SimWorld::bluegene(grid);
         let mut congested = SimWorld::bluegene(grid);
         congested.enable_congestion_model();
-        assert!(congested.congestion_model());
         let sends: Vec<Send> = (1..16).map(|r| (r, 0, vec![0u64; 50_000])).collect();
         plain.exchange(OpClass::Fold, sends.clone()).unwrap();
         congested.exchange(OpClass::Fold, sends).unwrap();
@@ -1038,6 +1033,29 @@ mod tests {
         let m = *plain.cost_model().machine();
         let one_msg = 50_000.0 * 8.0 / m.link_bandwidth;
         assert!(congested.time() > 2.0 * one_msg);
+
+        // Every rank sends one message half-way around the x ring (ties
+        // route +x), so every endpoint handles one message while every
+        // +x link carries two: only the congestion model sees the
+        // sharing, and it makes the round strictly slower.
+        let mapping = plain.mapping().clone();
+        let ring = mapping.dims().extent(0);
+        assert_eq!(ring, 4);
+        let sends: Vec<Send> = (0..16)
+            .map(|r| {
+                let c = mapping.coord_of(r);
+                let x = (c.x + ring / 2) % ring;
+                let to = (0..16).find(|&s| mapping.coord_of(s) == Coord3 { x, ..c });
+                (r, to.unwrap(), vec![0u64; 50_000])
+            })
+            .collect();
+        let (t_plain, t_congested) = (plain.time(), congested.time());
+        plain.exchange(OpClass::Fold, sends.clone()).unwrap();
+        congested.exchange(OpClass::Fold, sends).unwrap();
+        let shift_plain = plain.time() - t_plain;
+        let shift_congested = congested.time() - t_congested;
+        assert!(shift_plain < 2.0 * one_msg);
+        assert!(shift_congested >= 2.0 * one_msg);
     }
 
     #[test]

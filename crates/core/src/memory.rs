@@ -23,9 +23,13 @@
 //! The budget is the paper's layout: global vertex ids in the lists and
 //! §2.4.2 hash tables for the column and row mappings. The host graph
 //! (`bgl_graph::PartialEdgeLists`) is leaner — row-local `u32` ids and
-//! rank queries instead of hash tables — and `RankGraph::approx_bytes`
-//! tracks that layout, plus the registration bitmap and row-block
-//! bounds, so the built graph measures below this estimate.
+//! rank queries instead of hash tables, whose index is the only copy of
+//! the ids: a span bitmap costs nothing per column id and 4 B per row
+//! id, and only sets too sparse for one keep 8 B ids — and
+//! `RankGraph::approx_bytes` tracks that layout, plus the registration
+//! bitmap and row-block bounds, so the built graph measures below this
+//! estimate (0.42 of it on the Poisson 50,000, k=10, 4×8 graph of
+//! `estimate_roughly_matches_built_graph`).
 
 use crate::theory::gamma;
 use bgl_comm::{ChunkPolicy, ProcessorGrid, VERT_BYTES};

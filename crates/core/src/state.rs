@@ -166,7 +166,7 @@ impl<'g> RankState<'g> {
         }
         // Drain, block column by block column: emitted rows leave the
         // unexplored edge mass.
-        let (bounds, row_ids) = (self.rg.row_blocks(), edges.row_ids());
+        let bounds = self.rg.row_blocks();
         let mut blocks = Vec::with_capacity(bounds.len() - 1);
         let mut retired = 0;
         for b in bounds.windows(2) {
@@ -175,7 +175,7 @@ impl<'g> RankState<'g> {
                 if caching {
                     retired += u64::from(edges.row_degree(rl));
                 }
-                block.push(row_ids[rl as usize]);
+                block.push(edges.row_of_local(rl));
             });
             blocks.push(block);
         }
@@ -641,7 +641,7 @@ pub(crate) mod tests {
         let grid = g.grid();
         let mut sts = states(&g, true);
         // Feed rank 0 a frontier list of every column it stores.
-        let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
+        let cols: Vec<Vertex> = g.ranks[0].edges.cols().collect();
         let blocks = sts[0].discover(&[&cols]);
         assert_eq!(blocks.len(), grid.cols());
         for (m, block) in blocks.iter().enumerate() {
@@ -660,7 +660,7 @@ pub(crate) mod tests {
     fn sent_neighbors_suppresses_resends() {
         let g = setup(1, 2);
         let mut sts = states(&g, true);
-        let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
+        let cols: Vec<Vertex> = g.ranks[0].edges.cols().collect();
         let first = sts[0].discover(&[&cols]);
         let second = sts[0].discover(&[&cols]);
         let count = |bs: &[Vec<Vertex>]| bs.iter().map(Vec::len).sum::<usize>();
@@ -871,7 +871,7 @@ pub(crate) mod tests {
     fn bottom_up_emits_each_row_once_with_cache() {
         let g = setup(2, 2);
         let mut sts = states(&g, true);
-        let all: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
+        let all: Vec<Vertex> = g.ranks[0].edges.cols().collect();
         let first = sts[0].discover_bottom_up(&[&all]);
         let count = |bs: &[Vec<Vertex>]| bs.iter().map(Vec::len).sum::<usize>();
         assert!(count(&first) > 0);
@@ -890,7 +890,7 @@ pub(crate) mod tests {
         let entries = g.ranks[0].edges.num_entries() as u64;
         let mut sts = states(&g, true);
         assert_eq!(sts[0].unexplored(), entries);
-        let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
+        let cols: Vec<Vertex> = g.ranks[0].edges.cols().collect();
         let blocks = sts[0].discover(&[&cols]);
         let emitted: u64 = blocks
             .iter()
@@ -1018,16 +1018,11 @@ pub(crate) mod tests {
         let edges = &rg.edges;
         let len_of = |v: Vertex| edges.col_local(v).map_or(0, |ci| edges.rows_of(ci).len());
         let by_len = |want: usize| {
-            let v = edges.cols().iter().copied().find(|&v| len_of(v) == want);
+            let v = edges.cols().find(|&v| len_of(v) == want);
             v.unwrap_or_else(|| panic!("no stored column of length {want}"))
         };
         let short: Vec<Vertex> = (1..=5).map(by_len).collect();
-        let hub = edges
-            .cols()
-            .iter()
-            .copied()
-            .max_by_key(|&v| len_of(v))
-            .unwrap();
+        let hub = edges.cols().max_by_key(|&v| len_of(v)).unwrap();
         let hub_rows = edges.rows_of(edges.col_local(hub).unwrap());
         assert!(hub_rows.len() >= 130, "hub column of {}", hub_rows.len());
         assert!(hub_rows[hub_rows.len() - 1] / 64 > hub_rows[0] / 64 + 1);
@@ -1163,7 +1158,7 @@ pub(crate) mod tests {
     fn probes_taken_and_reset() {
         let g = setup(1, 1);
         let mut sts = states(&g, true);
-        let cols: Vec<Vertex> = g.ranks[0].edges.cols().to_vec();
+        let cols: Vec<Vertex> = g.ranks[0].edges.cols().collect();
         let _ = sts[0].discover(&[&cols]);
         assert!(sts[0].probes > 0);
         let p = sts[0].take_probes();

@@ -17,15 +17,22 @@
 //!   in expectation, §2.4.1). The third mapping (owned vertices) lives
 //!   with the BFS state, where owned ranges are contiguous.
 //!
-//! The paper implements the mappings as hash tables. Here both are rank
-//! queries over the sorted ids — a bitmap over the ids' span with a
-//! popcount prefix per word, or a bisection of the sorted ids when they
-//! are too sparse for a bitmap — and the lists store *row-local* `u32`
-//! ids, so walking a list needs no lookup at all. The column and row
-//! offsets are `u32` as well, so each index costs four bytes per
-//! non-empty column or row vertex. The simulated clock
-//! still charges the paper's hash probes (`SimWorld::hash_phase` in
-//! `bgl-comm`); only the host layout differs.
+//! The paper implements the mappings as hash tables. Here each is a
+//! rank query over one id set, and the set's index is also its only
+//! copy of the ids, so every vertex id is stored once:
+//!
+//! * a set whose span is below 2^32 and needs at most about one 64-bit
+//!   word per member is a bitmap over that span with a popcount prefix
+//!   per word. A column set keeps nothing else: its ids are the set
+//!   bits, walked in ascending order (DCSC's `JC` array is the bitmap).
+//!   A row set also keeps each member's 32-bit offset from its first
+//!   id, so a row-local id maps back to its vertex in one load;
+//! * a sparser or wider set keeps its sorted `u64` ids and bisects them.
+//!
+//! The lists store *row-local* `u32` ids, so walking a list needs no
+//! lookup at all. The column and row offsets are `u32` as well. The
+//! simulated clock still charges the paper's hash probes
+//! (`SimWorld::hash_phase` in `bgl-comm`); only the host layout differs.
 
 use crate::Vertex;
 
@@ -33,21 +40,19 @@ use crate::Vertex;
 /// Local ids are `u32`: a rank holds fewer than 2^32 distinct columns
 /// and rows. Offsets are `u32` too: a rank stores fewer than 2^32
 /// entries, which the builder checks before it counts them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialEdgeLists {
-    /// Non-empty columns (global vertex ids), sorted ascending.
-    cols: Vec<Vertex>,
-    /// `offsets[i]..offsets[i+1]` indexes `rows` for `cols[i]`.
+    /// §2.4.2 mapping of the non-empty columns (global vertex ids):
+    /// column-local id `ci` is the `ci`-th smallest.
+    cols: DenseIds,
+    /// `offsets[ci]..offsets[ci+1]` indexes `rows` for column-local id
+    /// `ci`.
     offsets: Vec<u32>,
     /// Row-local ids of each column's entries, ascending within a column.
     rows: Vec<u32>,
-    /// §2.4.2 mapping: global column id → column-local index in `cols`.
-    col_rank: DenseIds,
-    /// Unique vertices appearing in any edge list, sorted ascending:
-    /// row-local id `rl` is vertex `row_ids[rl]`.
-    row_ids: Vec<Vertex>,
-    /// §2.4.2 mapping: global row id → row-local index in `row_ids`.
-    row_rank: DenseIds,
+    /// §2.4.2 mapping of the unique vertices appearing in any edge list:
+    /// row-local id `rl` is the `rl`-th smallest.
+    row_ids: DenseIds,
     /// Row-major (transposed) view: `row_offsets[rl]..row_offsets[rl+1]`
     /// indexes `row_cols` for row-local id `rl`. Lets a bottom-up
     /// traversal scan a stored row's columns without probing the
@@ -128,14 +133,11 @@ impl PartialEdgeLists {
         drop(ends);
         drop(keys);
         global_rows.truncate(kept as usize);
-        let col_rank = DenseIds::new(cols.iter().copied());
+        let col_ids = DenseIds::new(cols.iter().copied());
+        drop(cols);
 
-        let row_rank = DenseIds::new(global_rows.iter().copied());
-        let row_ids = row_rank.members(global_rows.iter().copied());
-        let rows: Vec<u32> = global_rows
-            .iter()
-            .map(|&u| row_rank.rank(&row_ids, u))
-            .collect();
+        let row_ids = DenseIds::new(global_rows.iter().copied()).with_offsets();
+        let rows: Vec<u32> = global_rows.iter().map(|&u| row_ids.rank(u)).collect();
         drop(global_rows);
 
         // Transposed index by count / prefix-sum / fill. Columns are
@@ -158,12 +160,10 @@ impl PartialEdgeLists {
         }
 
         Self {
-            cols,
+            cols: col_ids,
             offsets,
             rows,
-            col_rank,
             row_ids,
-            row_rank,
             row_offsets,
             row_cols,
         }
@@ -171,7 +171,7 @@ impl PartialEdgeLists {
 
     /// Number of non-empty columns (partial edge lists) stored.
     pub fn num_cols(&self) -> usize {
-        self.cols.len()
+        self.offsets.len() - 1
     }
 
     /// Number of stored adjacency entries.
@@ -181,30 +181,38 @@ impl PartialEdgeLists {
 
     /// Number of unique vertices appearing in edge lists.
     pub fn num_row_ids(&self) -> usize {
-        self.row_ids.len()
+        self.row_offsets.len() - 1
     }
 
-    /// The non-empty columns, sorted ascending.
-    pub fn cols(&self) -> &[Vertex] {
-        &self.cols
+    /// The non-empty columns, ascending: column-local id `ci` is the
+    /// `ci`-th.
+    pub fn cols(&self) -> impl Iterator<Item = Vertex> + '_ {
+        self.cols.iter()
     }
 
-    /// The unique row vertices, sorted ascending.
-    pub fn row_ids(&self) -> &[Vertex] {
-        &self.row_ids
+    /// The unique row vertices, ascending: row-local id `rl` is the
+    /// `rl`-th.
+    pub fn row_ids(&self) -> impl Iterator<Item = Vertex> + '_ {
+        self.row_ids.iter()
+    }
+
+    /// For each of the ascending `bounds`, the number of row vertices
+    /// below it.
+    pub fn rows_below(&self, bounds: &[Vertex]) -> Vec<u32> {
+        self.row_ids.count_below(bounds)
     }
 
     /// Dense local index of column `v`, if its list is non-empty (the
     /// lookup the paper's profile is made of, answered by a rank query).
     #[inline]
     pub fn col_local(&self, v: Vertex) -> Option<u32> {
-        self.col_rank.get(&self.cols, v)
+        self.cols.get(v)
     }
 
     /// Dense local index of a row vertex `u`, if it appears in any list.
     #[inline]
     pub fn row_local(&self, u: Vertex) -> Option<u32> {
-        self.row_rank.get(&self.row_ids, u)
+        self.row_ids.get(u)
     }
 
     /// Row-local ids of column-local index `ci`'s entries, ascending.
@@ -237,16 +245,17 @@ impl PartialEdgeLists {
         self.row_offsets[rl + 1] - self.row_offsets[rl]
     }
 
-    /// Global column id of column-local index `ci`.
-    #[inline]
+    /// Global column id of column-local index `ci`. A bitmap-indexed
+    /// column set answers with a select over its popcount prefix, so
+    /// this is for tests and oracles; the engines walk [`Self::cols`].
     pub fn col_of_local(&self, ci: u32) -> Vertex {
-        self.cols[ci as usize]
+        self.cols.select(ci)
     }
 
-    /// Global row id of row-local index `rl`.
+    /// Global row id of row-local index `rl`: one load.
     #[inline]
     pub fn row_of_local(&self, rl: u32) -> Vertex {
-        self.row_ids[rl as usize]
+        self.row_ids.member(rl)
     }
 
     /// Iterate `(column, partial edge list)` pairs in column order, each
@@ -257,22 +266,25 @@ impl PartialEdgeLists {
         self.cols
             .iter()
             .zip(self.offsets.windows(2))
-            .map(move |(&c, w)| (c, self.globals(&self.rows[w[0] as usize..w[1] as usize])))
+            .map(move |(c, w)| (c, self.globals(&self.rows[w[0] as usize..w[1] as usize])))
     }
 
     /// Global ids of row-local ids.
     fn globals<'a>(&'a self, rows: &'a [u32]) -> impl ExactSizeIterator<Item = Vertex> + 'a {
-        rows.iter().map(|&rl| self.row_ids[rl as usize])
+        rows.iter().map(|&rl| self.row_of_local(rl))
     }
 
-    /// Approximate resident bytes of the host layout (entries, indexes
-    /// and the rank-query bitmaps), for the memory scalability checks.
+    /// Approximate resident bytes of the host layout: the entries in
+    /// both orientations, the offsets, and the two id sets (a
+    /// bitmap-indexed set costs its bitmap and prefix, plus 4 B per row
+    /// id and nothing per column id; a sorted one 8 B per id), for the
+    /// memory scalability checks.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.rows.len() + self.row_cols.len()) * size_of::<u32>()
-            + (self.cols.len() + self.row_ids.len()) * (size_of::<Vertex>() + size_of::<u32>())
-            + self.col_rank.approx_bytes()
-            + self.row_rank.approx_bytes()
+        (self.rows.len() + self.row_cols.len() + self.offsets.len() + self.row_offsets.len())
+            * size_of::<u32>()
+            + self.cols.approx_bytes()
+            + self.row_ids.approx_bytes()
     }
 }
 
@@ -340,35 +352,46 @@ fn sorted_distinct(values: impl Iterator<Item = Vertex>) -> Vec<Vertex> {
     out
 }
 
-/// Dense, order-preserving ids for a set of vertices (the §2.4.2
-/// mappings): a member's id is the number of smaller members. When the
-/// members' span needs at most about one 64-bit word per value, a
-/// bitmap over the span answers with a per-word popcount prefix; wider
-/// spans (sparse or far-apart values) bisect the sorted members, which
-/// the owner keeps anyway, so no second copy is stored.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A vertex set with dense, order-preserving ids (the §2.4.2
+/// mappings): a member's id is the number of smaller members. The index
+/// is the set's only copy of its members.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum DenseIds {
+    /// Bit `d` of the bitmap is set iff `lo + d` is a member. Only for
+    /// spans below 2^32 ([`DenseIds::fits_bitmap`]), so every `d` fits
+    /// a `u32`.
     Bitmap {
         lo: Vertex,
         words: Vec<u64>,
         /// Members in all earlier words.
         before: Vec<u32>,
+        /// Every member's `d`, ascending, once [`DenseIds::with_offsets`]
+        /// has made the id-to-member map one load (a row set); empty
+        /// otherwise (a column set).
+        offsets: Vec<u32>,
     },
-    #[default]
-    Sorted,
+    /// The members, ascending, for sets too sparse or too wide for a
+    /// bitmap.
+    Sorted(Vec<Vertex>),
 }
 
 impl DenseIds {
-    /// Index the distinct values of `values` (which may repeat).
+    /// Whether a set of `count` values over a span of `span` ids is
+    /// indexed by a bitmap: the span is below 2^32, so every member's
+    /// offset from the smallest fits a `u32`, and it needs at most 64
+    /// words beyond one per value.
+    fn fits_bitmap(span: u64, count: u64) -> bool {
+        span < 1 << 32 && span.div_ceil(64) <= count + 64
+    }
+
+    /// Index the distinct values of `values` (which may repeat, in any
+    /// order).
     fn new(values: impl Iterator<Item = Vertex> + Clone) -> Self {
-        let Some((lo, span, count)) = span_of(values.clone()) else {
-            return Self::Sorted;
+        let (lo, span) = match span_of(values.clone()) {
+            Some((lo, span, count)) if Self::fits_bitmap(span, count) => (lo, span),
+            _ => return Self::Sorted(sorted_distinct(values)),
         };
-        let num_words = span.div_ceil(64);
-        if num_words > count + 64 {
-            return Self::Sorted;
-        }
-        let mut words = vec![0u64; num_words as usize];
+        let mut words = vec![0u64; span.div_ceil(64) as usize];
         for v in values {
             let d = v - lo;
             words[(d / 64) as usize] |= 1u64 << (d % 64);
@@ -379,65 +402,203 @@ impl DenseIds {
             before.push(total);
             total += w.count_ones();
         }
-        Self::Bitmap { lo, words, before }
-    }
-
-    /// The distinct values of `values` ascending: the members of the
-    /// index `DenseIds::new(values)` built.
-    fn members(&self, values: impl Iterator<Item = Vertex>) -> Vec<Vertex> {
-        match self {
-            Self::Bitmap { lo, words, before } => {
-                let len = before.last().zip(words.last());
-                let len = len.map_or(0, |(&b, w)| (b + w.count_ones()) as usize);
-                let mut out = Vec::with_capacity(len);
-                for (w, &word) in words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        out.push(lo + (w as u64) * 64 + Vertex::from(bits.trailing_zeros()));
-                        bits &= bits - 1;
-                    }
-                }
-                out
-            }
-            Self::Sorted => sorted_distinct(values),
+        Self::Bitmap {
+            lo,
+            words,
+            before,
+            offsets: Vec::new(),
         }
     }
 
-    /// Dense id of member `v` of `members` (meaningless for non-members).
-    fn rank(&self, members: &[Vertex], v: Vertex) -> u32 {
+    /// Keep every member's offset, so that [`DenseIds::member`] is one
+    /// load. A sorted set has its members already.
+    fn with_offsets(self) -> Self {
         match self {
-            Self::Bitmap { lo, words, before } => {
+            Self::Bitmap {
+                lo, words, before, ..
+            } => {
+                let offsets = Members::bits(lo, &words).map(|v| (v - lo) as u32).collect();
+                Self::Bitmap {
+                    lo,
+                    words,
+                    before,
+                    offsets,
+                }
+            }
+            sorted => sorted,
+        }
+    }
+
+    /// Number of members.
+    fn len(&self) -> usize {
+        match self {
+            Self::Bitmap { words, before, .. } => {
+                let last = before.last().zip(words.last());
+                last.map_or(0, |(&b, w)| (b + w.count_ones()) as usize)
+            }
+            Self::Sorted(members) => members.len(),
+        }
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> Members<'_> {
+        match self {
+            Self::Bitmap { lo, words, .. } => Members::bits(*lo, words),
+            Self::Sorted(members) => Members::Sorted(members.iter().copied()),
+        }
+    }
+
+    /// Number of members below `v`, which for a bitmap must lie in its
+    /// words: a member's dense id.
+    fn rank(&self, v: Vertex) -> u32 {
+        match self {
+            Self::Bitmap {
+                lo, words, before, ..
+            } => {
                 let d = v - lo;
                 let w = (d / 64) as usize;
                 let below = words[w] & ((1u64 << (d % 64)) - 1);
                 before[w] + below.count_ones()
             }
-            Self::Sorted => members.partition_point(|&m| m < v) as u32,
+            Self::Sorted(members) => members.partition_point(|&m| m < v) as u32,
         }
     }
 
-    /// Dense id of `v` if it is one of `members`.
-    #[inline]
-    fn get(&self, members: &[Vertex], v: Vertex) -> Option<u32> {
+    /// For each of the ascending `bounds`, the number of members below
+    /// it: one rank query per bound on a bitmap, one merge of the
+    /// bounds with the sorted members otherwise.
+    fn count_below(&self, bounds: &[Vertex]) -> Vec<u32> {
         match self {
-            Self::Bitmap { lo, words, before } => {
+            Self::Bitmap {
+                lo, words, before, ..
+            } => {
+                // A bitmap holds at least one member, in its last word.
+                let last = words.len() - 1;
+                let all = before[last] + words[last].count_ones();
+                let span = 64 * words.len() as u64;
+                bounds
+                    .iter()
+                    .map(|&b| match b.checked_sub(*lo) {
+                        None => 0,
+                        Some(d) if d >= span => all,
+                        Some(_) => self.rank(b),
+                    })
+                    .collect()
+            }
+            Self::Sorted(members) => {
+                let mut below = 0;
+                bounds
+                    .iter()
+                    .map(|&b| {
+                        while members.get(below).is_some_and(|&m| m < b) {
+                            below += 1;
+                        }
+                        below as u32
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Dense id of `v` if it is a member.
+    #[inline]
+    fn get(&self, v: Vertex) -> Option<u32> {
+        match self {
+            Self::Bitmap {
+                lo, words, before, ..
+            } => {
                 let d = v.checked_sub(*lo)?;
                 let w = usize::try_from(d / 64).ok()?;
                 let bit = 1u64 << (d % 64);
                 let word = *words.get(w)?;
                 (word & bit != 0).then(|| before[w] + (word & (bit - 1)).count_ones())
             }
-            Self::Sorted => members.binary_search(&v).ok().map(|i| i as u32),
+            Self::Sorted(members) => members.binary_search(&v).ok().map(|i| i as u32),
         }
     }
 
-    /// Resident bytes of the index beyond the members themselves.
-    fn approx_bytes(&self) -> usize {
+    /// The member with dense id `i`, by its kept offset: a bitmap must
+    /// come from [`DenseIds::with_offsets`].
+    #[inline]
+    fn member(&self, i: u32) -> Vertex {
         match self {
-            Self::Bitmap { words, before, .. } => {
-                words.len() * std::mem::size_of::<u64>() + before.len() * std::mem::size_of::<u32>()
+            Self::Bitmap { lo, offsets, .. } => lo + Vertex::from(offsets[i as usize]),
+            Self::Sorted(members) => members[i as usize],
+        }
+    }
+
+    /// The member with dense id `i`, by a bisection of the popcount
+    /// prefix and a select within the word: needs no kept offsets.
+    fn select(&self, i: u32) -> Vertex {
+        match self {
+            Self::Bitmap {
+                lo, words, before, ..
+            } => {
+                let w = before.partition_point(|&b| b <= i) - 1;
+                let mut word = words[w];
+                for _ in before[w]..i {
+                    word &= word - 1;
+                }
+                lo + (w as Vertex) * 64 + Vertex::from(word.trailing_zeros())
             }
-            Self::Sorted => 0,
+            Self::Sorted(members) => members[i as usize],
+        }
+    }
+
+    /// Resident bytes of the index, members included.
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match self {
+            Self::Bitmap {
+                words,
+                before,
+                offsets,
+                ..
+            } => words.len() * size_of::<u64>() + (before.len() + offsets.len()) * size_of::<u32>(),
+            Self::Sorted(members) => members.len() * size_of::<Vertex>(),
+        }
+    }
+}
+
+/// The members of a [`DenseIds`], ascending.
+enum Members<'a> {
+    /// The set bits of `word` (at `base`) and then of `words`, 64 ids
+    /// apart.
+    Bits {
+        words: std::slice::Iter<'a, u64>,
+        base: Vertex,
+        word: u64,
+    },
+    Sorted(std::iter::Copied<std::slice::Iter<'a, Vertex>>),
+}
+
+impl<'a> Members<'a> {
+    /// The set bits of a bitmap over `lo..`.
+    fn bits(lo: Vertex, words: &'a [u64]) -> Self {
+        Self::Bits {
+            words: words.iter(),
+            base: lo.wrapping_sub(64),
+            word: 0,
+        }
+    }
+}
+
+impl Iterator for Members<'_> {
+    type Item = Vertex;
+
+    #[inline]
+    fn next(&mut self) -> Option<Vertex> {
+        match self {
+            Self::Bits { words, base, word } => {
+                while *word == 0 {
+                    *word = *words.next()?;
+                    *base = base.wrapping_add(64);
+                }
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                Some(*base + Vertex::from(bit))
+            }
+            Self::Sorted(members) => members.next(),
         }
     }
 }
@@ -523,11 +684,12 @@ pub(crate) mod tests {
 
         /// Assert that every query of `e` answers as the oracle does:
         /// column lists (by lookup, by local id and by iteration), the
-        /// two id mappings for members and for non-members around
-        /// every member and at the extremes, and the row-major view.
+        /// two id mappings and their inverses for members and for
+        /// non-members around every member and at the extremes, the
+        /// row counts below those same ids, and the row-major view.
         pub(crate) fn assert_matches(&self, e: &PartialEdgeLists) {
-            assert_eq!(e.cols(), self.cols.as_slice());
-            assert_eq!(e.row_ids(), self.row_ids.as_slice());
+            assert_eq!(e.cols().collect::<Vec<_>>(), self.cols);
+            assert_eq!(e.row_ids().collect::<Vec<_>>(), self.row_ids);
             assert_eq!(e.num_cols(), self.cols.len());
             assert_eq!(e.num_row_ids(), self.row_ids.len());
             assert_eq!(e.num_entries(), self.rows.len());
@@ -553,11 +715,19 @@ pub(crate) mod tests {
                     assert_eq!(e.neighbors_of(probe).len(), 0);
                 }
             }
-            for probe in probes(&self.row_ids) {
+            let mut bounds = probes(&self.row_ids);
+            for &probe in &bounds {
                 let want = self.row_index.get(&probe).copied();
                 assert_eq!(e.row_local(probe), want, "row_local({probe})");
             }
+            bounds.sort_unstable();
+            let below: Vec<u32> = bounds
+                .iter()
+                .map(|&b| self.row_ids.partition_point(|&u| u < b) as u32)
+                .collect();
+            assert_eq!(e.rows_below(&bounds), below);
             for (rl, w) in self.row_offsets.windows(2).enumerate() {
+                assert_eq!(e.row_of_local(rl as u32), self.row_ids[rl]);
                 let rl = rl as u32;
                 assert_eq!(e.cols_of_row_local(rl), &self.row_cols[w[0]..w[1]]);
                 assert_eq!(e.row_degree(rl) as usize, w[1] - w[0]);
@@ -615,6 +785,8 @@ pub(crate) mod tests {
             base in any::<u64>(),
             seed in any::<u64>(),
             cut in 0usize..400,
+            mid_words in 0u64..4,
+            mid_bits in 1u64..64,
         ) {
             // Arbitrary u64s: spans far too wide for a bitmap.
             check(entries);
@@ -629,6 +801,33 @@ pub(crate) mod tests {
             let pieces = PartialEdgeLists::from_pieces(vec![a.to_vec(), Vec::new(), b.to_vec()]);
             Oracle::new(mixed.clone()).assert_matches(&pieces);
             prop_assert_eq!(pieces, PartialEdgeLists::from_entries(mixed));
+            // Windows of span 2^32 − 1, 2^32 and 2^32 + 1, pinned by
+            // entries at both ends: a bitmap's 32-bit offsets cover only
+            // spans below 2^32, so the wider two take the sorted path.
+            for span in [(1u64 << 32) - 1, 1 << 32, (1 << 32) + 1] {
+                let lo = base.min(Vertex::MAX - (span - 1));
+                let hi = lo + (span - 1);
+                let mut window = entries_in(lo, span, len % 64, seed);
+                window.extend([(lo, hi), (hi, lo)]);
+                let e = PartialEdgeLists::from_entries(window.clone());
+                Oracle::new(window).assert_matches(&e);
+                if span >= 1 << 32 {
+                    prop_assert!(matches!(e.cols, DenseIds::Sorted(_)));
+                    prop_assert!(matches!(e.row_ids, DenseIds::Sorted(_)));
+                }
+            }
+            // A bitmap-indexed column set whose last word is partial:
+            // columns in `lo..lo + width` with holes but both ends
+            // present, ending anywhere up to the top of the id space.
+            let width = 64 * mid_words + mid_bits;
+            let lo = base.min(Vertex::MAX - (width - 1));
+            let ragged: Vec<(Vertex, Vertex)> = (0..width)
+                .filter(|&i| i == 0 || i == width - 1 || seed >> (i % 64) & 1 != 0)
+                .map(|i| (i * 7 % 13, lo + i))
+                .collect();
+            let e = PartialEdgeLists::from_entries(ragged.clone());
+            prop_assert!(matches!(e.cols, DenseIds::Bitmap { .. }));
+            Oracle::new(ragged).assert_matches(&e);
         }
 
         #[test]
@@ -639,22 +838,33 @@ pub(crate) mod tests {
             probe_values in proptest::collection::vec(any::<u64>(), 0..20),
         ) {
             // The same shape dense (a bitmap) and stretched apart (often
-            // too sparse for one), shifted to an arbitrary base.
+            // too sparse for one), shifted to an arbitrary base; dense
+            // ids both by rank query and back by select, with and
+            // without kept offsets.
             for stretch in [1u64, 1 << stretch_log] {
                 let vs: Vec<Vertex> = values
                     .iter()
                     .map(|&v| base.saturating_add(v * stretch))
                     .collect();
                 let ids = DenseIds::new(vs.iter().copied());
-                let members = ids.members(vs.iter().copied());
+                let with_offsets = ids.clone().with_offsets();
+                let members: Vec<Vertex> = ids.iter().collect();
                 prop_assert_eq!(&members, &sorted_distinct(vs.iter().copied()));
+                prop_assert_eq!(ids.len(), members.len());
+                prop_assert!(with_offsets.iter().eq(members.iter().copied()));
+                for (i, &m) in (0u32..).zip(&members) {
+                    prop_assert_eq!(ids.select(i), m);
+                    prop_assert_eq!(with_offsets.member(i), m);
+                    prop_assert_eq!(with_offsets.select(i), m);
+                }
                 let mut all = probes(&members);
                 all.extend(&probe_values);
                 for v in all {
                     let want = members.binary_search(&v).ok().map(|i| i as u32);
-                    prop_assert_eq!(ids.get(&members, v), want, "get({})", v);
+                    prop_assert_eq!(ids.get(v), want, "get({})", v);
+                    prop_assert_eq!(with_offsets.get(v), want, "get({})", v);
                     if let Some(i) = want {
-                        prop_assert_eq!(ids.rank(&members, v), i);
+                        prop_assert_eq!(ids.rank(v), i);
                     }
                 }
             }
@@ -666,19 +876,29 @@ pub(crate) mod tests {
         let values = [9u64, 3, 3, 70, 200, 64, 9, 130];
         let bitmap = DenseIds::new(values.iter().copied());
         assert!(matches!(bitmap, DenseIds::Bitmap { .. }));
+        assert!(bitmap.iter().eq(sorted_distinct(values.iter().copied())));
         let far = DenseIds::new(values.iter().map(|v| v * (1 << 40)));
-        assert_eq!(far, DenseIds::Sorted);
-        assert_eq!(far.approx_bytes(), 0);
-        assert_eq!(DenseIds::new(std::iter::empty()), DenseIds::Sorted);
+        assert!(matches!(far, DenseIds::Sorted(_)));
+        assert_eq!(far.approx_bytes(), 6 * 8);
         assert_eq!(
-            bitmap.members(values.iter().copied()),
-            sorted_distinct(values.iter().copied())
+            DenseIds::new(std::iter::empty()),
+            DenseIds::Sorted(Vec::new())
         );
+        // The bitmap rule's two bounds. A set spanning 2^32 − 1 ids
+        // needs 2^26 members to be dense enough for a bitmap, too many
+        // to build here, so the span bound is checked on the rule.
+        assert!(DenseIds::fits_bitmap((1 << 32) - 1, 1 << 26));
+        assert!(!DenseIds::fits_bitmap(1 << 32, 1 << 26));
+        assert!(!DenseIds::fits_bitmap(1 << 32, 1 << 31));
+        assert!(DenseIds::fits_bitmap(64 * 65, 1));
+        assert!(!DenseIds::fits_bitmap(64 * 65 + 1, 1));
     }
 
+    /// cols: 2 -> {5, 7}, 9 -> {1}, 4 -> {0, 1, 8}
+    const SAMPLE: [(Vertex, Vertex); 6] = [(7, 2), (5, 2), (1, 9), (0, 4), (8, 4), (1, 4)];
+
     fn sample() -> PartialEdgeLists {
-        // cols: 2 -> {5, 7}, 9 -> {1}, 4 -> {0, 1, 8}
-        PartialEdgeLists::from_entries(vec![(7, 2), (5, 2), (1, 9), (0, 4), (8, 4), (1, 4)])
+        PartialEdgeLists::from_entries(SAMPLE.to_vec())
     }
 
     fn neighbors(e: &PartialEdgeLists, v: Vertex) -> Vec<Vertex> {
@@ -688,7 +908,7 @@ pub(crate) mod tests {
     #[test]
     fn builds_sorted_csr() {
         let e = sample();
-        assert_eq!(e.cols(), &[2, 4, 9]);
+        assert!(e.cols().eq([2, 4, 9]));
         assert_eq!(neighbors(&e, 2), [5, 7]);
         assert_eq!(neighbors(&e, 4), [0, 1, 8]);
         assert_eq!(neighbors(&e, 9), [1]);
@@ -709,7 +929,7 @@ pub(crate) mod tests {
     #[test]
     fn row_ids_unique_sorted() {
         let e = sample();
-        assert_eq!(e.row_ids(), &[0, 1, 5, 7, 8]);
+        assert!(e.row_ids().eq([0, 1, 5, 7, 8]));
         assert_eq!(e.num_row_ids(), 5);
         assert_eq!(e.row_local(1), Some(1));
         assert_eq!(e.row_local(6), None);
@@ -736,5 +956,18 @@ pub(crate) mod tests {
         let small = PartialEdgeLists::from_entries(vec![(1, 2)]);
         let big = sample();
         assert!(big.approx_bytes() > small.approx_bytes());
+        // Both orientations of the 6 entries and both offset arrays
+        // (3 columns, 5 rows), 4 B each.
+        let csr = (2 * 6 + (3 + 1) + (5 + 1)) * 4;
+        // Bitmap-indexed sets: one word and one prefix each, then 4 B
+        // per row id and nothing per column id.
+        assert!(matches!(big.cols, DenseIds::Bitmap { .. }));
+        assert!(matches!(big.row_ids, DenseIds::Bitmap { .. }));
+        assert_eq!(big.approx_bytes(), csr + 2 * (8 + 4) + 5 * 4);
+        // The same shape with ids 2^40 apart keeps sorted ids: 8 B each.
+        let far = PartialEdgeLists::from_entries(SAMPLE.map(|(u, c)| (u << 40, c << 40)).to_vec());
+        assert!(matches!(far.cols, DenseIds::Sorted(_)));
+        assert!(matches!(far.row_ids, DenseIds::Sorted(_)));
+        assert_eq!(far.approx_bytes(), csr + (3 + 5) * 8);
     }
 }

@@ -54,21 +54,18 @@ pub struct RankGraph {
 
 impl RankGraph {
     /// Assemble a rank's share from its edge lists and its registration
-    /// bitmap (see [`RankGraph::registration_row`]).
+    /// bitmap (see [`RankGraph::registration_row`]). `col_starts` are the
+    /// first vertex of each block column, then `n`; the rows below each
+    /// are the row-block bounds.
     fn new(
         rank: usize,
         partition: &TwoDPartition,
+        col_starts: &[Vertex],
         edges: PartialEdgeLists,
         registration: Vec<u64>,
     ) -> Self {
         let owned = partition.owned_range(rank);
-        let row_ids = edges.row_ids();
-        let row_blocks = (0..=partition.cols())
-            .map(|m| {
-                let start = partition.block_row_start(m * partition.rows());
-                row_ids.partition_point(|&u| u < start) as u32
-            })
-            .collect();
+        let row_blocks = edges.rows_below(col_starts);
         Self {
             rank,
             owned,
@@ -214,6 +211,10 @@ fn build_columns(
     cols: Range<usize>,
 ) -> Vec<RankGraph> {
     let r = partition.rows();
+    // Block column `m` is `col_starts[m]..col_starts[m + 1]`.
+    let col_starts: Vec<Vertex> = (0..=partition.cols())
+        .map(|m| partition.block_row_start(m * r))
+        .collect();
     let mut buckets = bucket_by_storer(spec, partition, cols.start * r..cols.end * r);
     let edges: Vec<PartialEdgeLists> = buckets
         .par_iter_mut()
@@ -231,7 +232,9 @@ fn build_columns(
             ranks
                 .zip(std::mem::take(column))
                 .zip(bits)
-                .map(|((rank, edges), bits)| RankGraph::new(rank, partition, edges, bits))
+                .map(|((rank, edges), bits)| {
+                    RankGraph::new(rank, partition, &col_starts, edges, bits)
+                })
                 .collect()
         })
         .collect();
@@ -316,7 +319,7 @@ fn register_column(
     let mut bits: Vec<Vec<u64>> = words.iter().map(|&w| vec![0; r * w]).collect();
     for (row, storer) in column.iter().enumerate() {
         let mut owner = 0;
-        for &v in storer.cols() {
+        for v in storer.cols() {
             while v >= starts[owner + 1] {
                 owner += 1;
             }
